@@ -36,6 +36,7 @@ from .incidence import (
     membership_checks,
     quintics_through_curve,
     random_member,
+    restricted_gradient,
     symmetry_kernel_vectors,
     tangent_dim,
 )

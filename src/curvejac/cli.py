@@ -5,7 +5,8 @@ goes to stdout (or --out); human-readable tables go to stderr.  Every command
 is deterministic given its inputs, flags and seed, and each JSON document
 embeds the effective configuration.
 
-Exit codes: 0 success, 2 input error, 3 dimension error, 4 empty system.
+Exit codes: 0 success, 2 input error (including an unreadable input or
+unwritable output file), 3 dimension error, 4 empty system.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -53,6 +55,13 @@ def _write_output(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _parse_tol(text: str) -> float:
+    tol = float(text)
+    if not math.isfinite(tol) or tol < 0:
+        raise InputError(f"--tol must be finite and nonnegative, got {text!r}")
+    return tol
+
+
 def _parse_points(text: str):
     points = []
     for tok in text.split(","):
@@ -80,6 +89,7 @@ def cmd_fixture(args) -> int:
 def cmd_jacobian(args) -> int:
     prob = incidence.IncidenceProblem.from_obj(_read_json(args.problem))
     curve = incidence.CurveParam.from_obj(_read_json(args.curve))
+    tol = _parse_tol(args.tol)
     config = {
         "command": "jacobian",
         "form": args.form,
@@ -94,20 +104,22 @@ def cmd_jacobian(args) -> int:
         pts = _parse_points(args.points)
         jac = incidence.jacobian_evaluation_form(prob, curve, pts)
     if jac.is_exact:
-        rank = rank_exact(jac.matrix)
+        # At distinct rational points the evaluation form is an invertible
+        # Vandermonde matrix times the coefficient form: the ranks agree.
+        rank = coeff_rank = rank_exact(jac.matrix)
         rank_kind = "exact"
     else:
-        rank = rank_numeric(jac.matrix, float(args.tol))
+        rank = rank_numeric(jac.matrix, tol)
         rank_kind = f"numeric@{args.tol}"
-    td = incidence.tangent_dim(prob, curve)
+        coeff_rank = rank_exact(incidence.jacobian_coefficient_form(prob, curve).matrix)
     obj = jac.to_obj()
     obj.update(
         {
             "config": config,
             "rank": rank,
             "rank_kind": rank_kind,
-            "tangent_dim": td.value,
-            "formal": td.formal,
+            "tangent_dim": prob.dim_m - coeff_rank,
+            "formal": not incidence.lies_on(prob, curve),
         }
     )
     _write_output(_dump(obj), args.out)
@@ -117,7 +129,7 @@ def cmd_jacobian(args) -> int:
 def cmd_verify(args) -> int:
     fix = construction.Fixture.from_obj(_read_json(args.fixture))
     report = construction.verify_construction(
-        fix, seed=args.seed, tol=float(args.tol), precision=args.precision
+        fix, seed=args.seed, tol=_parse_tol(args.tol), precision=args.precision
     )
     sys.stderr.write(report.render_text())
     _write_output(report.to_json(), args.out)
@@ -168,7 +180,6 @@ def cmd_sample(args) -> int:
         prob = incidence.IncidenceProblem(curve.n, curve.d, args.degree, member)
         jac = incidence.jacobian_coefficient_form(prob, curve)
         rank = rank_exact(jac.matrix)
-        td = incidence.tangent_dim(prob, curve)
         is_full = rank == expected_rank
         full += is_full
         records.append(
@@ -176,7 +187,7 @@ def cmd_sample(args) -> int:
                 "draw": draw,
                 "poly_hash": _poly_hash(member),
                 "rank": rank,
-                "tangent_dim": td.value,
+                "tangent_dim": prob.dim_m - rank,
                 "full_rank": is_full,
             }
         )
@@ -256,6 +267,9 @@ def main(argv=None) -> int:
         return EXIT_DIMENSION
     except ValueError as exc:
         sys.stderr.write(f"input error: {exc}\n")
+        return EXIT_INPUT
+    except OSError as exc:
+        sys.stderr.write(f"i/o error: {exc}\n")
         return EXIT_INPUT
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -25,12 +25,11 @@ from .errors import DimensionError, InputError
 from .incidence import (
     CurveParam,
     IncidenceProblem,
-    JacobianMatrix,
-    jacobian_coefficient_form,
-    jacobian_evaluation_form,
-    symmetry_kernel_vectors,
-    tangent_dim,
+    _convolution_matrix,
+    _evaluation_rows,
     _point_label,
+    restricted_gradient,
+    symmetry_kernel_vectors,
 )
 from .linalg import (
     ComplexMatrix,
@@ -39,11 +38,10 @@ from .linalg import (
     format_rational,
     kernel_exact,
     rank_exact,
-    rank_numeric,
-    vstack,
 )
 from .poly import (
     MultiPoly,
+    UniPoly,
     compose_with_curve,
     gcd_univariate,
     rational_roots,
@@ -139,7 +137,11 @@ class Fixture:
 
 @dataclass(frozen=True)
 class SpecialPoints:
-    """The 5d+1 evaluation points: d roots of l(c0(t)) first, then generics."""
+    """The 5d+1 evaluation points: d roots of l(c0(t)) first, then generics.
+
+    Generic points are always rational; in the complex field they are
+    labelled as complex numbers, like the roots.
+    """
 
     root_points: tuple
     generic_points: tuple
@@ -149,11 +151,14 @@ class SpecialPoints:
     def all_points(self) -> tuple:
         return self.root_points + self.generic_points
 
+    def label(self, t) -> str:
+        return _point_label(complex(t) if self.field == "complex" else t)
+
     def to_obj(self) -> dict:
         return {
             "field": self.field,
-            "root_points": [_point_label(t) for t in self.root_points],
-            "generic_points": [_point_label(t) for t in self.generic_points],
+            "root_points": [self.label(t) for t in self.root_points],
+            "generic_points": [self.label(t) for t in self.generic_points],
         }
 
 
@@ -183,24 +188,36 @@ def _generic_candidates(seed: int, attempt: int):
             yield Fraction(rng.randint(-15, 15), rng.randint(1, 6))
 
 
+def _generic_points(lc: UniPoly, pc: UniPoly, count: int, seed: int, attempt: int) -> tuple:
+    """The first `count` distinct candidates of the attempt's stream that are
+    no zero of lc or pc (a restriction that vanishes identically excludes
+    nothing, so the draw always ends)."""
+    avoid = [g for g in (lc, pc) if not g.is_zero]
+    points: list[Fraction] = []
+    for cand in _generic_candidates(seed, attempt):
+        if len(points) == count:
+            break
+        if cand in points or any(g.evaluate(cand) == 0 for g in avoid):
+            continue
+        points.append(cand)
+    return tuple(points)
+
+
 def select_special_points(
-    c0: CurveParam,
-    l: MultiPoly,
-    p: MultiPoly,
+    lc: UniPoly,
+    pc: UniPoly,
+    d: int,
     seed: int = 0,
     attempt: int = 0,
     precision: int = 12,
 ) -> SpecialPoints:
-    """Choose the d roots of l(c0(t)) plus 4d+1 generic points.
+    """Choose the d roots of lc = l(c0(t)) plus 4d+1 generic points.
 
-    Roots are exact when l(c0(t)) splits over the rationals, else complex at
-    the configured precision.  Generic points are small rationals avoiding
-    both the roots and the zeros of p(c0(t)), which keeps the corner block
+    Roots are exact when lc splits over the rationals, else complex at the
+    configured precision.  Generic points are small rationals avoiding both
+    the roots and the zeros of pc = p(c0(t)), which keeps the corner block
     invertible and the scaled rows well-defined.
     """
-    d = c0.d
-    lc = compose_with_curve(l, c0.components)
-    pc = compose_with_curve(p, c0.components)
     if lc.is_zero:
         raise ValueError("l vanishes identically on the curve")
     if lc.degree < d:
@@ -216,18 +233,7 @@ def select_special_points(
     else:
         roots = tuple(roots_numeric(lc, precision))
         field = "complex"
-    generic: list[Fraction] = []
-    for cand in _generic_candidates(seed, attempt):
-        if len(generic) == 4 * d + 1:
-            break
-        if cand in generic:
-            continue
-        if lc.evaluate(cand) == 0 or pc.evaluate(cand) == 0:
-            continue
-        generic.append(cand)
-    if field == "complex":
-        return SpecialPoints(roots, tuple(complex(t) for t in generic), field)
-    return SpecialPoints(roots, tuple(generic), field)
+    return SpecialPoints(roots, _generic_points(lc, pc, 4 * d + 1, seed, attempt), field)
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,15 +241,17 @@ class BlockSet:
     """Blocks of the evaluation-form Jacobian under the special split.
 
     Rows split after the first d+1 points, columns split into the
-    z4-component block and the rest.  a0 is a22 with each row divided by
-    l(c0(t_s)); rows where that value vanishes are flagged and a0 omitted.
+    z4-component block and the rest.  The top blocks are complex when the
+    roots are; the lower 4d points are rational, so a21, a22 and a0 are
+    exact.  a0 is a22 with each row divided by l(c0(t_s)); rows where that
+    value vanishes are flagged and a0 omitted.
     """
 
     a11: RationalMatrix | ComplexMatrix
     a12: RationalMatrix | ComplexMatrix
-    a21: RationalMatrix | ComplexMatrix
-    a22: RationalMatrix | ComplexMatrix
-    a0: RationalMatrix | ComplexMatrix | None
+    a21: RationalMatrix
+    a22: RationalMatrix
+    a0: RationalMatrix | None
     l_values: tuple
     flagged_rows: tuple[int, ...]
 
@@ -252,131 +260,85 @@ class BlockSet:
         return isinstance(self.a11, RationalMatrix)
 
 
-def block_decompose(jac: JacobianMatrix, l: MultiPoly) -> BlockSet:
+def _matrix(rows: Sequence[Sequence], ncols: int):
+    """Rational matrix of the rows, or a complex one if any entry is complex."""
+    entries = [x for r in rows for x in r]
+    if all(isinstance(x, Fraction) for x in entries):
+        return RationalMatrix(len(rows), ncols, tuple(entries))
+    data = np.array([complex(x) for x in entries], dtype=np.complex128)
+    return ComplexMatrix.from_array(data.reshape(len(rows), ncols))
+
+
+def block_decompose(rows: Sequence[Sequence], points: Sequence, lc: UniPoly) -> BlockSet:
     """Extract the four blocks and the l-rescaled reduced block.
 
-    The Jacobian must be an evaluation form built at the special points; the
-    linear form is needed to divide the lower-right rows by l(c0(t_s)).
+    `rows` are the evaluation-form Jacobian rows at the 5d+1 special points
+    (the d roots, the extra point, then 4d rational points), in theta column
+    order; lc = l(c0(t)) divides the lower-right rows.
     """
-    if jac.form != "evaluation" or jac.points is None:
-        raise ValueError("block decomposition needs an evaluation-form Jacobian")
-    c0 = jac.basepoint
-    d = c0.d
-    if len(jac.points) != 5 * d + 1:
+    if len(rows) != len(points) or (len(points) - 1) % 5:
         raise DimensionError("expected 5d+1 evaluation points")
-    lc = compose_with_curve(l, c0.components)
-    top = list(range(d + 1))
-    bottom = list(range(d + 1, 5 * d + 1))
-    z4_cols = list(range(4 * (d + 1), 5 * (d + 1)))
-    rest_cols = list(range(4 * (d + 1)))
-    m = jac.matrix
-    a11 = m.submatrix(top, z4_cols)
-    a12 = m.submatrix(top, rest_cols)
-    a21 = m.submatrix(bottom, z4_cols)
-    a22 = m.submatrix(bottom, rest_cols)
-    l_values = tuple(lc.evaluate(jac.points[s]) for s in bottom)
+    d = (len(points) - 1) // 5
+    z4_cols = range(4 * (d + 1), 5 * (d + 1))
+    rest_cols = range(4 * (d + 1))
+    top, bottom = rows[: d + 1], rows[d + 1 :]
+
+    def block(part, cols):
+        return _matrix([[r[j] for j in cols] for r in part], len(cols))
+
+    a22 = block(bottom, rest_cols)
+    if not isinstance(a22, RationalMatrix):
+        raise ValueError("the lower 4d evaluation points must be rational")
+    l_values = tuple(lc.evaluate(t) for t in points[d + 1 :])
     flagged = tuple(i for i, v in enumerate(l_values) if v == 0)
-    a0 = None
-    if not flagged:
-        if isinstance(a22, RationalMatrix):
-            a0 = a22.scale_rows([1 / v for v in l_values])
-        else:
-            a0 = ComplexMatrix.from_array(
-                a22.data / np.array(l_values, dtype=np.complex128)[:, None]
-            )
-    return BlockSet(a11, a12, a21, a22, a0, l_values, flagged)
+    a0 = None if flagged else a22.scale_rows([1 / v for v in l_values])
+    return BlockSet(
+        block(top, z4_cols), block(top, rest_cols), block(bottom, z4_cols), a22, a0,
+        l_values, flagged,
+    )
 
 
-def reassemble_blocks(blocks: BlockSet):
-    """Stack [[a11, a12], [a21, a22]]; equals the evaluation Jacobian with the
-    z4 columns permuted to the front."""
-    if blocks.is_exact:
-        top = RationalMatrix.from_rows(
-            [list(blocks.a11.row(i)) + list(blocks.a12.row(i)) for i in range(blocks.a11.rows)]
-        )
-        bot = RationalMatrix.from_rows(
-            [list(blocks.a21.row(i)) + list(blocks.a22.row(i)) for i in range(blocks.a21.rows)]
-        )
-        return vstack(top, bot)
-    top = np.hstack([blocks.a11.data, blocks.a12.data])
-    bot = np.hstack([blocks.a21.data, blocks.a22.data])
-    return ComplexMatrix.from_array(np.vstack([top, bot]))
-
-
-def permute_z4_first(jac: JacobianMatrix):
-    """Column order with the z4-component block leading, matching the blocks."""
-    d = jac.basepoint.d
-    order = list(range(4 * (d + 1), 5 * (d + 1))) + list(range(4 * (d + 1)))
-    if isinstance(jac.matrix, RationalMatrix):
-        return jac.matrix.submatrix(list(range(jac.matrix.rows)), order)
-    return ComplexMatrix.from_array(jac.matrix.data[:, order])
-
-
-def a11_closed_form(c0: CurveParam, p: MultiPoly, points: Sequence):
-    """Corner block from the formula: entry (s, i) = t_s**(d-i) * p(c0(t_s)).
+def a11_closed_form(pc: UniPoly, points: Sequence):
+    """Corner block from the formula: entry (s, i) = t_s**(d-i) * pc(t_s),
+    with pc = p(c0(t)) and d + 1 = len(points).
 
     Columns run through descending powers, so comparing against the extracted
     block requires reversing the extracted columns.
     """
-    d = c0.d
-    if len(points) != d + 1:
-        raise DimensionError("corner block needs the first d+1 points")
-    pc = compose_with_curve(p, c0.components)
-    rows = []
-    for t in points:
-        pval = pc.evaluate(t)
-        rows.append([pval * t ** (d - i) for i in range(d + 1)])
-    if all(isinstance(t, Fraction) for t in points):
-        return RationalMatrix.from_rows(rows)
-    return ComplexMatrix.from_rows(rows)
+    d = len(points) - 1
+    return _matrix([[pc.evaluate(t) * t ** (d - i) for i in range(d + 1)] for t in points], d + 1)
 
 
-def a22_closed_form(c0: CurveParam, l: MultiPoly, q: MultiPoly, points: Sequence):
-    """Lower block from the formula:
-    entry (s, (m, i)) = l(c0(t_s)) * (dq/dz_m)(c0(t_s)) * t_s**i, m = 0..3."""
-    d = c0.d
-    if len(points) != 4 * d:
+def a22_closed_form(lc: UniPoly, grads: Sequence[UniPoly], points: Sequence) -> RationalMatrix:
+    """Lower block from the formula, at the last 4d (rational) points:
+    entry (s, (m, i)) = lc(t_s) * grads[m](t_s) * t_s**i, m = 0..3, with
+    lc = l(c0(t)) and grads = restricted_gradient(q, c0)."""
+    if len(points) % 4:
         raise DimensionError("lower block needs the last 4d points")
-    lc = compose_with_curve(l, c0.components)
-    grads = [
-        compose_with_curve(q.partial_derivative(m), c0.components) for m in range(4)
-    ]
-    rows = []
-    for t in points:
-        lval = lc.evaluate(t)
-        row = []
-        for m in range(4):
-            gval = grads[m].evaluate(t)
-            for i in range(d + 1):
-                row.append(lval * gval * t**i)
-        rows.append(row)
-    if all(isinstance(t, Fraction) for t in points):
-        return RationalMatrix.from_rows(rows)
-    return ComplexMatrix.from_rows(rows)
+    rows = _evaluation_rows(grads[:4], len(points) // 4, points)
+    return RationalMatrix.from_rows(
+        [[lc.evaluate(t) * x for x in row] for t, row in zip(points, rows)]
+    )
 
 
-def gradient_pairing_map(q: MultiPoly, c0: CurveParam) -> RationalMatrix:
-    """Matrix of v = (v0..v3) -> sum_m (dq/dz_m)(c0(t)) * v_m(t).
-
-    Shape (4d+1) x (4d+4) over the coefficient bases; the kernel consists of
-    the first-order deformations of the curve inside the affine cone over the
-    quartic.  Requires the curve to lie on the quartic.
-    """
-    if not compose_with_curve(q, c0.components).is_zero:
+def _require_on_quartic(grads: Sequence[UniPoly], c0: CurveParam):
+    # Euler: sum_m z_m * dq/dz_m = deg(q) * q for homogeneous q of positive
+    # degree, so q(c0(t)) = 0 iff the sum vanishes on the curve.
+    if not sum((comp * g for comp, g in zip(c0.components, grads)), UniPoly.zero()).is_zero:
         raise ValueError("curve does not lie on the quartic")
-    d = c0.d
-    grads = [
-        compose_with_curve(q.partial_derivative(m), c0.components) for m in range(4)
-    ]
-    nrows = 4 * d + 1
-    rows = [[Fraction(0)] * (4 * (d + 1)) for _ in range(nrows)]
-    for m in range(4):
-        g = grads[m]
-        for i in range(d + 1):
-            col = m * (d + 1) + i
-            for j in range(nrows):
-                rows[j][col] = g.coefficient(j - i)
-    return RationalMatrix.from_rows(rows)
+
+
+def gradient_pairing_map(grads: Sequence[UniPoly], c0: CurveParam) -> RationalMatrix:
+    """Matrix of v = (v0..v3) -> sum_m (dq/dz_m)(c0(t)) * v_m(t), given
+    grads = restricted_gradient(q, c0).
+
+    This is the coefficient Jacobian of q at c0 without the z4 columns:
+    shape (4d+1) x (4d+4); the kernel consists of the first-order
+    deformations of the curve inside the affine cone over the quartic.
+    Requires the curve to lie on the quartic.
+    """
+    _require_on_quartic(grads, c0)
+    return _convolution_matrix(grads[:4], c0.d, 4 * c0.d + 1)
 
 
 def smooth_along_curve(q: MultiPoly, c0: CurveParam) -> bool:
@@ -387,11 +349,9 @@ def smooth_along_curve(q: MultiPoly, c0: CurveParam) -> bool:
     infinity of the degree-3d homogenizations).  This is along-curve only; it
     says nothing about smoothness away from the curve.
     """
-    if not compose_with_curve(q, c0.components).is_zero:
-        raise ValueError("curve does not lie on the quartic")
-    grads = [
-        compose_with_curve(q.partial_derivative(m), c0.components) for m in range(4)
-    ]
+    grads = restricted_gradient(q, c0)
+    _require_on_quartic(grads, c0)
+    grads = grads[:4]
     nonzero = [g for g in grads if not g.is_zero]
     if not nonzero:
         return False
@@ -492,46 +452,18 @@ def _render_string_rows(rows: list[list[str]]) -> list[str]:
     ]
 
 
-def _matrices_match(a, b, tol: float) -> bool:
-    if isinstance(a, RationalMatrix) and isinstance(b, RationalMatrix):
-        return a.entries == b.entries and a.rows == b.rows and a.cols == b.cols
-    da = a.data if isinstance(a, ComplexMatrix) else np.array(a.to_rows(), dtype=complex)
-    db = b.data if isinstance(b, ComplexMatrix) else np.array(b.to_rows(), dtype=complex)
-    return da.shape == db.shape and bool(np.allclose(da, db, rtol=tol, atol=tol))
-
-
-def _row_is_zero(m, i: int, tol: float) -> bool:
-    if isinstance(m, RationalMatrix):
-        return all(x == 0 for x in m.row(i))
-    scale = float(np.max(np.abs(m.data))) or 1.0
-    return bool(np.all(np.abs(m.data[i]) <= tol * scale))
-
-
-def _fallback_points(c0: CurveParam, l: MultiPoly, p: MultiPoly, seed: int,
-                     attempt: int) -> SpecialPoints:
-    """All-generic point set used when root selection fails; keeps the rest
-    of the pipeline running (the root-row census then has nothing to check)."""
-    d = c0.d
-    lc = compose_with_curve(l, c0.components)
-    pc = compose_with_curve(p, c0.components)
-    pts: list[Fraction] = []
-    for cand in _generic_candidates(seed, attempt):
-        if len(pts) == 5 * d + 1:
-            break
-        if cand in pts or lc.evaluate(cand) == 0 or pc.evaluate(cand) == 0:
-            continue
-        pts.append(cand)
-    return SpecialPoints((), tuple(pts), "rational")
-
-
 def verify_construction(
     fixture: Fixture, seed: int = 0, tol: float = 1e-8, precision: int = 12
 ) -> VerificationReport:
     """Run the full check chain on a fixture and report exact witnesses.
 
-    Point-dependent rank checks trigger a reselection of the generic points
-    (up to MAX_POINT_ATTEMPTS attempts) before being reported as failures;
-    every check lands in the report either way.
+    Each polynomial is restricted to the curve once, before the point loop;
+    every block is built from those restrictions.  Point-dependent rank
+    checks trigger a redraw of the generic points (up to MAX_POINT_ATTEMPTS
+    attempts) before being reported as failures; every check lands in the
+    report either way.  The generic points are rational, so checks 5 to 7 are
+    exact in both fields; only the corner block (check 4) at complex roots is
+    compared and inverted numerically, at `tol`.
     """
     d = fixture.d
     prob = fixture.problem
@@ -550,63 +482,79 @@ def verify_construction(
         )
     )
 
+    lc = compose_with_curve(fixture.l, c0.components)
+    pc = compose_with_curve(fixture.p, c0.components)
+    grad_f0 = restricted_gradient(fixture.f0, c0)
+    grad_q = restricted_gradient(fixture.q, c0)
+    try:
+        selected, error = select_special_points(lc, pc, d, seed, 0, precision), None
+    except ValueError as exc:
+        selected, error = None, str(exc)
+    # Every root row of the mixed block vanishes iff lc divides each
+    # (df0/dz_m)(c0(t)), m < 4: lc is squarefree and all its roots are used.
+    root_rows_zero = error is None and all(g.divmod_exact(lc)[1].is_zero for g in grad_f0[:4])
+
     for attempt in range(MAX_POINT_ATTEMPTS):
         attempt_checks: list[CheckResult] = []
 
-        # (2) special point selection.
-        try:
-            pts = select_special_points(c0, fixture.l, fixture.p, seed, attempt, precision)
+        # (2) special point selection; retries redraw only the generic points.
+        if error is None:
+            pts = selected if attempt == 0 else replace(
+                selected, generic_points=_generic_points(lc, pc, 4 * d + 1, seed, attempt)
+            )
             attempt_checks.append(
                 CheckResult(2, "special point selection", "pass", pts.to_obj())
             )
-        except ValueError as exc:
-            pts = _fallback_points(c0, fixture.l, fixture.p, seed, attempt)
+        else:
+            # All-generic points keep the rest of the chain running; the
+            # root-row census then has nothing to check.
+            pts = SpecialPoints((), _generic_points(lc, pc, 5 * d + 1, seed, attempt), "rational")
             attempt_checks.append(
                 CheckResult(
                     2,
                     "special point selection",
                     "fail",
-                    {"error": str(exc), "fallback": pts.to_obj()},
+                    {"error": error, "fallback": pts.to_obj()},
                 )
             )
 
         points = pts.all_points
-        jac_eval = jacobian_evaluation_form(prob, c0, points)
-        blocks = block_decompose(jac_eval, fixture.l)
+        # The corner block is compared and inverted numerically when the
+        # roots are complex, the extra point included; the 4d lower rows
+        # are exact in both fields.
+        top = points[: d + 1]
+        if pts.field == "complex":
+            top = tuple(complex(t) for t in top)
+        rows = _evaluation_rows(grad_f0, d, top + points[d + 1 :])
+        blocks = block_decompose(rows, points, lc)
 
-        # (3) block extraction partitions the evaluation Jacobian.
-        reassembled = reassemble_blocks(blocks)
-        permuted = permute_z4_first(jac_eval)
-        ok3 = _matrices_match(reassembled, permuted, tol)
+        # (3) the blocks are slices of the evaluation Jacobian's rows, so they
+        # reassemble to it exactly when their shapes tile it.
+        shapes = {
+            name: [getattr(blocks, name).rows, getattr(blocks, name).cols]
+            for name in ("a11", "a12", "a21", "a22")
+        }
+        tiling = [[d + 1, d + 1], [d + 1, 4 * (d + 1)], [4 * d, d + 1], [4 * d, 4 * (d + 1)]]
         attempt_checks.append(
             CheckResult(
                 3,
                 "blocks reassemble to the evaluation Jacobian",
-                "pass" if ok3 else "fail",
-                {
-                    "shapes": {
-                        "a11": [blocks.a11.rows, blocks.a11.cols],
-                        "a12": [blocks.a12.rows, blocks.a12.cols],
-                        "a21": [blocks.a21.rows, blocks.a21.cols],
-                        "a22": [blocks.a22.rows, blocks.a22.cols],
-                    }
-                },
+                "pass" if list(shapes.values()) == tiling else "fail",
+                {"shapes": shapes},
             )
         )
 
         # (4) corner block equals its closed form and is invertible.
-        closed11 = a11_closed_form(c0, fixture.p, points[: d + 1])
+        closed11 = a11_closed_form(pc, top)
+        extracted11 = blocks.a11.submatrix(range(d + 1), range(d, -1, -1))
         if blocks.is_exact:
-            extracted11 = blocks.a11.submatrix(
-                list(range(blocks.a11.rows)), list(range(d, -1, -1))
-            )
             det11 = det_exact(extracted11)
             ok4 = extracted11.entries == closed11.entries and det11 != 0
             det_str = format_rational(det11)
         else:
-            extracted11 = ComplexMatrix.from_array(blocks.a11.data[:, ::-1])
             det11 = complex(np.linalg.det(extracted11.data))
-            ok4 = _matrices_match(extracted11, closed11, tol) and abs(det11) > tol
+            ok4 = bool(np.allclose(extracted11.data, closed11.data, rtol=tol, atol=tol))
+            ok4 = ok4 and abs(det11) > tol
             det_str = _point_label(det11)
         attempt_checks.append(
             CheckResult(
@@ -618,39 +566,36 @@ def verify_construction(
         )
 
         # (5) mixed block rows vanish at the roots of l(c0(t)); the extra
-        # row (at the d+1-th point) is reported as found, never failing.
+        # row (at the d+1-th point) is reported as found, never failing.  A
+        # row at a rational point t vanishes iff every (df0/dz_m)(c0(t)) does.
         nroots = len(pts.root_points)
         census = [
-            {"point": _point_label(points[s]), "is_zero": _row_is_zero(blocks.a12, s, tol)}
+            {
+                "point": pts.label(points[s]),
+                "is_zero": root_rows_zero if s < nroots
+                else all(g.evaluate(points[s]) == 0 for g in grad_f0[:4]),
+            }
             for s in range(d + 1)
         ]
-        root_rows_zero = all(c["is_zero"] for c in census[:nroots])
+        ok5 = all(c["is_zero"] for c in census[:nroots])
         attempt_checks.append(
             CheckResult(
                 5,
                 "mixed block rows vanish at l-roots (extra row reported)",
-                "pass" if root_rows_zero else "fail",
+                "pass" if ok5 else "fail",
                 {"rows": census, "root_rows": nroots},
             )
         )
 
         # (6) lower block equals its closed form.
-        closed22 = a22_closed_form(c0, fixture.l, fixture.q, points[d + 1 :])
-        ok6 = _matrices_match(blocks.a22, closed22, tol)
+        ok6 = blocks.a22 == a22_closed_form(lc, grad_q, points[d + 1 :])
         attempt_checks.append(
             CheckResult(6, "lower block matches closed form", "pass" if ok6 else "fail", {})
         )
 
         # (7) the l-rescaled block has full row rank 4d.
-        if blocks.a0 is None:
-            rank0 = None
-            ok7 = False
-        elif blocks.is_exact:
-            rank0 = rank_exact(blocks.a0)
-            ok7 = rank0 == 4 * d
-        else:
-            rank0 = rank_numeric(blocks.a0, tol)
-            ok7 = rank0 == 4 * d
+        rank0 = None if blocks.a0 is None else rank_exact(blocks.a0)
+        ok7 = rank0 == 4 * d
         attempt_checks.append(
             CheckResult(
                 7,
@@ -668,7 +613,7 @@ def verify_construction(
     checks.extend(attempt_checks)
 
     # (8) gradient pairing kernel has dimension exactly 4.
-    pairing = gradient_pairing_map(fixture.q, c0)
+    pairing = gradient_pairing_map(grad_q, c0)
     pairing_kernel = kernel_exact(pairing)
     ok8 = pairing_kernel.dim == 4
     checks.append(
@@ -676,30 +621,28 @@ def verify_construction(
             8,
             "gradient pairing kernel is four-dimensional",
             "pass" if ok8 else "fail",
-            {"rank": rank_exact(pairing), "kernel_dim": pairing_kernel.dim},
+            {"rank": pairing.cols - pairing_kernel.dim, "kernel_dim": pairing_kernel.dim},
         )
     )
 
-    # (9) coefficient-form Jacobian has full rank 5d+1.
-    jac_coeff = jacobian_coefficient_form(prob, c0)
-    rank_c = rank_exact(jac_coeff.matrix)
-    tdim = tangent_dim(prob, c0)
-    ok9 = rank_c == 5 * d + 1 and tdim.value == 4 and not tdim.formal
+    # (9) coefficient-form Jacobian has full rank 5d+1; its kernel dimension
+    # is the tangent dimension, formal unless f0 vanishes on the curve.
+    jac_coeff = _convolution_matrix(grad_f0, d, prob.num_equations)
+    kernel = kernel_exact(jac_coeff)
+    rank_c = jac_coeff.cols - kernel.dim
+    ok9 = rank_c == 5 * d + 1 and kernel.dim == 4 and restricted.is_zero
     checks.append(
         CheckResult(
             9,
             "coefficient Jacobian has full rank and tangent dimension 4",
             "pass" if ok9 else "fail",
-            {"rank": rank_c, "expected_rank": 5 * d + 1, "tangent_dim": tdim.value},
+            {"rank": rank_c, "expected_rank": 5 * d + 1, "tangent_dim": kernel.dim},
         )
     )
 
     # (10) the Jacobian kernel equals the span of the symmetry vectors.
-    kernel = kernel_exact(jac_coeff.matrix)
     sym = symmetry_kernel_vectors(c0)
-    annihilated = all(
-        all(x == 0 for x in jac_coeff.matrix.matvec(v)) for v in sym
-    )
+    annihilated = all(all(x == 0 for x in jac_coeff.matvec(v)) for v in sym)
     sym_rank = rank_exact(RationalMatrix.from_rows(sym))
     if kernel.dim:
         stack = RationalMatrix.from_rows([list(v) for v in kernel.vectors] + [list(v) for v in sym])
@@ -728,7 +671,7 @@ def verify_construction(
         tol=tol,
         precision=precision,
         field=pts.field,
-        points=tuple(_point_label(t) for t in points),
+        points=tuple(pts.label(t) for t in points),
         attempts=attempt + 1,
         checks=tuple(checks),
     )

@@ -10,8 +10,6 @@ these curves and would drop the Jacobian rank by one.
 
 from __future__ import annotations
 
-from itertools import product
-
 from .construction import Fixture
 from .errors import InputError
 from .incidence import CurveParam
@@ -21,7 +19,6 @@ __all__ = [
     "fixture_a",
     "fixture_b",
     "get",
-    "quartic_smooth_over_prime_field",
     "FIXTURE_NAMES",
 ]
 
@@ -93,34 +90,3 @@ def get(name: str) -> Fixture:
         return fixture_b()
     raise InputError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
 
-
-def _eval_mod(poly: MultiPoly, point: tuple[int, ...], prime: int) -> int:
-    total = 0
-    for exps, coef in poly.terms.items():
-        c = coef.numerator % prime * pow(coef.denominator, -1, prime) % prime
-        v = c
-        for x, k in zip(point, exps):
-            if k:
-                if x % prime == 0:
-                    v = 0
-                    break
-                v = v * pow(x, k, prime) % prime
-        total = (total + v) % prime
-    return total
-
-
-def quartic_smooth_over_prime_field(q: MultiPoly, prime: int = 11) -> bool:
-    """Probabilistic global-smoothness oracle for a quartic surface in P^3.
-
-    Exhausts projective 3-space over F_prime looking for a common zero of the
-    four gradient components (z4 fixed to 0).  True means no singular point
-    with coordinates in that field, which is evidence, not proof, of
-    smoothness; False exhibits a singular point over the prime field.
-    """
-    grads = [q.partial_derivative(m) for m in range(4)]
-    for lead in range(4):
-        for rest in product(range(prime), repeat=3 - lead):
-            point = (0,) * lead + (1,) + rest + (0,)
-            if all(_eval_mod(g, point, prime) == 0 for g in grads):
-                return False
-    return True

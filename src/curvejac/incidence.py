@@ -26,7 +26,14 @@ from .linalg import (
     rank_exact,
     rank_numeric,
 )
-from .poly import MultiPoly, UniPoly, compose_with_curve, gcd_univariate, monomial_basis
+from .poly import (
+    MultiPoly,
+    UniPoly,
+    _curve_powers,
+    compose_with_curve,
+    gcd_univariate,
+    monomial_basis,
+)
 
 __all__ = [
     "CurveParam",
@@ -39,6 +46,7 @@ __all__ = [
     "membership_checks",
     "jacobian_coefficient_form",
     "jacobian_evaluation_form",
+    "restricted_gradient",
     "tangent_dim",
     "symmetry_kernel_vectors",
     "quintics_through_curve",
@@ -251,11 +259,38 @@ def _check_curve(prob: IncidenceProblem, c: CurveParam):
         )
 
 
-def _gradient_along_curve(prob: IncidenceProblem, c: CurveParam) -> list[UniPoly]:
+def restricted_gradient(f: MultiPoly, c: CurveParam) -> list[UniPoly]:
+    """The partials (df/dz_m)(c(t)), one per variable of f."""
     return [
-        compose_with_curve(prob.f.partial_derivative(m), c.components)
-        for m in range(prob.n + 1)
+        compose_with_curve(f.partial_derivative(m), c.components) for m in range(f.num_vars)
     ]
+
+
+def _convolution_matrix(
+    grads: Sequence[UniPoly], d: int, nrows: int, row_labels=None, col_labels=None
+) -> RationalMatrix:
+    """Matrix of (v_m) -> sum_m grads[m] * v_m over coefficient bases, v_m of
+    degree <= d: entry (row j, column (m, i)) is the t**j coefficient of
+    grads[m] * t**i, a Toeplitz block per m."""
+    rows = [
+        [g.coefficient(j - i) for g in grads for i in range(d + 1)] for j in range(nrows)
+    ]
+    return RationalMatrix.from_rows(rows, row_labels, col_labels)
+
+
+def _evaluation_rows(grads: Sequence[UniPoly], d: int, points: Sequence) -> list[list]:
+    """Row s, column (m, i) is grads[m](t_s) * t_s**i; exact at rational points."""
+    rows = []
+    for t in points:
+        row = []
+        for g in grads:
+            gval = g.evaluate(t)
+            power = Fraction(1) if isinstance(t, Fraction) else complex(1)
+            for _ in range(d + 1):
+                row.append(gval * power)
+                power = power * t
+        rows.append(row)
+    return rows
 
 
 def jacobian_coefficient_form(prob: IncidenceProblem, c: CurveParam) -> JacobianMatrix:
@@ -265,17 +300,11 @@ def jacobian_coefficient_form(prob: IncidenceProblem, c: CurveParam) -> Jacobian
     (df/dz_m)(c(t)) * t**i.
     """
     _check_curve(prob, c)
-    grads = _gradient_along_curve(prob, c)
     nrows = prob.num_equations
-    rows = [[Fraction(0)] * prob.dim_m for _ in range(nrows)]
-    for m in range(prob.n + 1):
-        g = grads[m]
-        for i in range(prob.d + 1):
-            col = m * (prob.d + 1) + i
-            for j in range(nrows):
-                rows[j][col] = g.coefficient(j - i)
-    matrix = RationalMatrix.from_rows(
-        rows,
+    matrix = _convolution_matrix(
+        restricted_gradient(prob.f, c),
+        prob.d,
+        nrows,
         row_labels=[f"k{j}" for j in range(nrows)],
         col_labels=theta_labels(prob.n, prob.d),
     )
@@ -300,17 +329,7 @@ def jacobian_evaluation_form(
     pts = [Fraction(t) if exact else complex(t) for t in points]
     if len(set(pts)) != len(pts):
         raise ValueError("evaluation points must be pairwise distinct")
-    grads = _gradient_along_curve(prob, c)
-    rows = []
-    for t in pts:
-        row = []
-        for m in range(prob.n + 1):
-            gval = grads[m].evaluate(t)
-            power = Fraction(1) if exact else complex(1)
-            for i in range(prob.d + 1):
-                row.append(gval * power)
-                power = power * t
-        rows.append(row)
+    rows = _evaluation_rows(restricted_gradient(prob.f, c), prob.d, pts)
     if exact:
         matrix = RationalMatrix.from_rows(
             rows,
@@ -368,16 +387,7 @@ def quintics_through_curve(n: int, e: int, c: CurveParam) -> KernelBasis:
         raise DimensionError(f"curve has n={c.n}, expected {n}")
     mons = monomial_basis(n + 1, e)
     nrows = e * c.d + 1
-    powers = [
-        {0: UniPoly.one()} for _ in range(n + 1)
-    ]
-
-    def power(m: int, k: int) -> UniPoly:
-        cache = powers[m]
-        if k not in cache:
-            cache[k] = power(m, k - 1) * c.components[m]
-        return cache[k]
-
+    power = _curve_powers(c.components)
     cols = []
     for mono in mons:
         restricted = UniPoly.one()

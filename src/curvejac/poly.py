@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionError, InputError
@@ -368,20 +369,26 @@ class MultiPoly:
         return " + ".join(parts)
 
 
+def _curve_powers(components: Sequence[UniPoly]):
+    """power(m, k) = components[m] ** k, each power built once from the one below."""
+    tables: list[dict[int, UniPoly]] = [{0: UniPoly.one()} for _ in components]
+
+    def power(m: int, k: int) -> UniPoly:
+        table = tables[m]
+        if k not in table:
+            table[k] = power(m, k - 1) * components[m]
+        return table[k]
+
+    return power
+
+
 def compose_with_curve(f: MultiPoly, components: Sequence[UniPoly]) -> UniPoly:
     """Substitute z_m := components[m](t); exact, degree <= deg(f) * max deg."""
     if len(components) != f.num_vars:
         raise DimensionError(
             f"curve has {len(components)} components, polynomial has {f.num_vars} variables"
         )
-    powers: list[dict[int, UniPoly]] = [{0: UniPoly.one()} for _ in components]
-
-    def power(m: int, k: int) -> UniPoly:
-        cache = powers[m]
-        if k not in cache:
-            cache[k] = power(m, k - 1) * components[m]
-        return cache[k]
-
+    power = _curve_powers(components)
     acc = UniPoly.zero()
     for e, c in f.terms.items():
         term = UniPoly.one().scale(c)
@@ -390,6 +397,16 @@ def compose_with_curve(f: MultiPoly, components: Sequence[UniPoly]) -> UniPoly:
                 term = term * power(m, k)
         acc = acc + term
     return acc
+
+
+def _polyroots(p: UniPoly, digits: int) -> list:
+    """All complex roots with multiplicity as mpmath numbers, at `digits`
+    significant digits (simultaneous iteration)."""
+    from mpmath import mp, mpf, polyroots
+
+    with mp.workdps(digits):
+        coeffs = [mpf(c.numerator) / mpf(c.denominator) for c in reversed(p.coeffs)]
+        return polyroots(coeffs, maxsteps=200, extraprec=80)
 
 
 def roots_numeric(p: UniPoly, precision: int = 12) -> list[complex]:
@@ -403,47 +420,48 @@ def roots_numeric(p: UniPoly, precision: int = 12) -> list[complex]:
         raise ValueError("root finding needs degree >= 1")
     if precision < 1:
         raise ValueError("precision must be positive")
-    from mpmath import mp, mpf, polyroots
-
-    with mp.workdps(precision + 20):
-        coeffs = [mpf(c.numerator) / mpf(c.denominator) for c in reversed(p.coeffs)]
-        roots = polyroots(coeffs, maxsteps=200, extraprec=80)
-        out = [complex(r) for r in roots]
+    out = [complex(r) for r in _polyroots(p, precision + 20)]
     out.sort(key=lambda z: (z.real, z.imag))
     return out
 
 
-def rational_roots(
-    p: UniPoly, max_denominator: int = 10**6
-) -> tuple[list[Fraction], UniPoly]:
+def rational_roots(p: UniPoly) -> tuple[list[Fraction], UniPoly]:
     """Exactly verified rational roots (with multiplicity) plus the cofactor.
 
-    Numeric roots are promoted to candidate rationals of small height; a
-    candidate is accepted only when p vanishes at it exactly, and the factor
-    is divided out exactly, so the returned roots carry no numeric error.
+    Rational root theorem: with integer coefficients and leading coefficient
+    a_n, every rational root of the squarefree part is k / a_n for an integer
+    k.  Its numeric roots, resolved to 1 / (2 |a_n|) within their Cauchy
+    bound, give each k by rounding a_n * Re(z); a candidate counts only when
+    it is an exact root, and is divided out exactly, as often as it divides.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
+    if p.degree < 1:
+        return [], p
+    sqfree = p.divmod_exact(gcd_univariate(p, p.derivative()))[0]
+    if sqfree.degree == 1:
+        candidates = {-sqfree.coeffs[0] / sqfree.coeffs[1]}
+    else:
+        from mpmath.libmp import to_rational
+
+        scale = lcm(*(c.denominator for c in sqfree.coeffs))
+        ints = [int(c * scale) for c in sqfree.coeffs]
+        lead = ints[-1]
+        # Roots lie within 1 + max|a_i / a_n|; resolve 1 / (2 |a_n|) there.
+        digits = len(str(2 * (abs(lead) + max(abs(a) for a in ints)))) + 10
+        candidates = {
+            Fraction(round(lead * Fraction(*to_rational(z.real._mpf_))), lead)
+            for z in _polyroots(sqfree, digits)
+        }
     rem = p
     roots: list[Fraction] = []
-    while rem.degree >= 1:
-        if rem.degree == 1:
-            roots.append(-rem.coeffs[0] / rem.coeffs[1])
-            rem = UniPoly.from_coeffs([rem.coeffs[1]])
-            break
-        promoted = None
-        for z in roots_numeric(rem, precision=15):
-            if abs(z.imag) > 1e-9:
-                continue
-            cand = Fraction(z.real).limit_denominator(max_denominator)
-            if rem.evaluate(cand) == 0:
-                promoted = cand
-                break
-        if promoted is None:
-            break
-        quot, r = rem.divmod_exact(UniPoly.of(-promoted, 1))
-        assert r.is_zero
-        roots.append(promoted)
-        rem = quot
-    roots.sort()
+    for cand in sorted(candidates):
+        if sqfree.evaluate(cand) != 0:
+            continue
+        factor = UniPoly.of(-cand, 1)
+        quot, r = rem.divmod_exact(factor)
+        while r.is_zero:
+            roots.append(cand)
+            rem = quot
+            quot, r = rem.divmod_exact(factor)
     return roots, rem

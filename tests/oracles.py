@@ -2,11 +2,13 @@
 
 Everything here is deliberately naive and separate from the package's code
 paths: plain Gauss-Jordan over Fractions (no fraction-free tricks), direct
-convolution for polynomial products, and exact Newton interpolation for
-first-order Taylor extraction.
+convolution for polynomial products, exact Newton interpolation for
+first-order Taylor extraction, block reassembly by row concatenation, and an
+exhaustive smoothness search over a prime field.
 """
 
 from fractions import Fraction
+from itertools import product
 
 
 def rref_rank_kernel(rows, ncols):
@@ -105,3 +107,49 @@ def laplace_det(rows):
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
         total += (-1) ** j * Fraction(rows[0][j]) * laplace_det(minor)
     return total
+
+
+def reassemble_blocks(blocks):
+    """Rows of [[a11, a12], [a21, a22]] for exact blocks."""
+    top = [list(blocks.a11.row(i)) + list(blocks.a12.row(i)) for i in range(blocks.a11.rows)]
+    bottom = [list(blocks.a21.row(i)) + list(blocks.a22.row(i)) for i in range(blocks.a21.rows)]
+    return top + bottom
+
+
+def permute_z4_first(matrix, d):
+    """Rows of an exact (n=4) Jacobian with the z4-component columns moved to
+    the front, matching the block order."""
+    order = list(range(4 * (d + 1), 5 * (d + 1))) + list(range(4 * (d + 1)))
+    return [[matrix.entry(i, j) for j in order] for i in range(matrix.rows)]
+
+
+def _eval_mod(poly, point, prime):
+    total = 0
+    for exps, coef in poly.terms.items():
+        c = coef.numerator % prime * pow(coef.denominator, -1, prime) % prime
+        v = c
+        for x, k in zip(point, exps):
+            if k:
+                if x % prime == 0:
+                    v = 0
+                    break
+                v = v * pow(x, k, prime) % prime
+        total = (total + v) % prime
+    return total
+
+
+def quartic_smooth_over_prime_field(q, prime=11):
+    """Probabilistic global-smoothness oracle for a quartic surface in P^3.
+
+    Exhausts projective 3-space over F_prime looking for a common zero of the
+    four gradient components (z4 fixed to 0).  True means no singular point
+    with coordinates in that field, which is evidence, not proof, of
+    smoothness; False exhibits a singular point over the prime field.
+    """
+    grads = [q.partial_derivative(m) for m in range(4)]
+    for lead in range(4):
+        for rest in product(range(prime), repeat=3 - lead):
+            point = (0,) * lead + (1,) + rest + (0,)
+            if all(_eval_mod(g, point, prime) == 0 for g in grads):
+                return False
+    return True

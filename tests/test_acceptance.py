@@ -27,6 +27,7 @@ from curvejac.incidence import (
     lies_on,
     quintics_through_curve,
     random_member,
+    restricted_gradient,
     symmetry_kernel_vectors,
     tangent_dim,
 )
@@ -38,7 +39,7 @@ from curvejac.linalg import (
     rank_numeric,
     vandermonde,
 )
-from curvejac.poly import monomial_basis
+from curvejac.poly import compose_with_curve, monomial_basis
 
 import propcheck
 
@@ -94,13 +95,16 @@ def test_criterion_2_fixture_b_rank(fixture_b):
 def test_criterion_3_block_suite(fixture_a):
     with criterion(3, "fixture A block suite: closed forms, det -51/16, A0 rank 4"):
         jac = jacobian_evaluation_form(fixture_a.problem, fixture_a.c0, A_POINTS)
-        blocks = block_decompose(jac, fixture_a.l)
-        closed11 = a11_closed_form(fixture_a.c0, fixture_a.p, A_POINTS[:2])
+        lc = compose_with_curve(fixture_a.l, fixture_a.c0.components)
+        pc = compose_with_curve(fixture_a.p, fixture_a.c0.components)
+        blocks = block_decompose(jac.matrix.to_rows(), A_POINTS, lc)
+        closed11 = a11_closed_form(pc, A_POINTS[:2])
         extracted11 = blocks.a11.submatrix([0, 1], [1, 0])  # descending powers
         assert extracted11.entries == closed11.entries
         det11 = det_exact(extracted11)
         assert det11 == F(-51, 16) and det11 != 0
-        closed22 = a22_closed_form(fixture_a.c0, fixture_a.l, fixture_a.q, A_POINTS[2:])
+        grads = restricted_gradient(fixture_a.q, fixture_a.c0)
+        closed22 = a22_closed_form(lc, grads, A_POINTS[2:])
         assert blocks.a22.entries == closed22.entries
         assert rank_exact(blocks.a0) == 4 == 4 * fixture_a.d
         # rows of the mixed block at roots of l(c0(t)) vanish exactly
@@ -112,7 +116,7 @@ def test_criterion_3_block_suite(fixture_a):
 def test_criterion_4_gradient_pairing(fixture_a, fixture_b):
     with criterion(4, "gradient pairing kernel dimension 4 on both fixtures"):
         for fix, shape in ((fixture_a, (5, 8)), (fixture_b, (9, 12))):
-            m = gradient_pairing_map(fix.q, fix.c0)
+            m = gradient_pairing_map(restricted_gradient(fix.q, fix.c0), fix.c0)
             assert (m.rows, m.cols) == shape == (4 * fix.d + 1, 4 * fix.d + 4)
             assert kernel_exact(m).dim == 4
 
@@ -140,7 +144,9 @@ def test_criterion_5_vandermonde_identity(fixture_a, fixture_b, fixture_b_nonspl
                 assert rank_exact(j_eval.matrix) == rank_exact(j_coeff.matrix)
         # complex path: l restricting to 1 + t^2 forces roots at +-i
         fx = fixture_b_nonsplit
-        pts = select_special_points(fx.c0, fx.l, fx.p, seed=0)
+        lc = compose_with_curve(fx.l, fx.c0.components)
+        pc = compose_with_curve(fx.p, fx.c0.components)
+        pts = select_special_points(lc, pc, fx.d, seed=0)
         assert pts.field == "complex"
         j_eval = jacobian_evaluation_form(fx.problem, fx.c0, pts.all_points)
         exact_rank = rank_exact(jacobian_coefficient_form(fx.problem, fx.c0).matrix)

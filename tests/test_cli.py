@@ -258,3 +258,25 @@ class TestOutputFiles:
         rc, out, _ = run_cli(["verify", "-"])
         assert rc == 0
         assert json.loads(out)["passed"] is True
+
+
+class TestInputFaults:
+    def test_unwritable_out_exits_2(self, tmp_path, fixture_a_path):
+        target = tmp_path / "missing" / "x.json"
+        rc, out, err = run_cli(["verify", fixture_a_path, "--out", str(target)])
+        assert rc == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("i/o error") and str(target) in err
+
+    def test_non_finite_or_negative_tol_exits_2(self, fixture_a_path, problem_a_path,
+                                                 curve_a_path):
+        for argv in (
+            ["verify", fixture_a_path, "--tol", "nan"],
+            ["verify", fixture_a_path, "--tol=-1e-8"],
+            ["jacobian", problem_a_path, curve_a_path, "--tol", "inf"],
+        ):
+            rc, out, err = run_cli(argv)
+            assert rc == 2, argv
+            assert out == ""
+            assert len(err.splitlines()) == 1 and "--tol" in err

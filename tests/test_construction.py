@@ -1,18 +1,18 @@
 import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from curvejac.construction import (
+    MAX_POINT_ATTEMPTS,
     Fixture,
     a11_closed_form,
     a22_closed_form,
     block_decompose,
     build_special_hypersurface,
     gradient_pairing_map,
-    permute_z4_first,
-    reassemble_blocks,
     render_matrix,
     select_special_points,
     smooth_along_curve,
@@ -22,14 +22,25 @@ from curvejac.errors import InputError
 from curvejac.incidence import (
     CurveParam,
     jacobian_evaluation_form,
+    restricted_gradient,
     symmetry_kernel_vectors,
 )
 from curvejac.linalg import RationalMatrix, det_exact, kernel_exact, rank_exact
 from curvejac.poly import MultiPoly, UniPoly, compose_with_curve
 
+import oracles
 import propcheck
 
 A_POINTS = [F(-1, 2), F(1), F(2), F(3), F(5), F(7)]
+DATA = Path(__file__).parent / "data"
+
+
+def on_curve(poly, c0):
+    return compose_with_curve(poly, c0.components)
+
+
+def special_points(c0, l, p, **kwargs):
+    return select_special_points(on_curve(l, c0), on_curve(p, c0), c0.d, **kwargs)
 
 
 def fermat_quartic():
@@ -80,7 +91,7 @@ class TestBuildSpecialHypersurface:
 
 class TestSelectSpecialPoints:
     def test_fixture_a(self, fixture_a):
-        pts = select_special_points(fixture_a.c0, fixture_a.l, fixture_a.p)
+        pts = special_points(fixture_a.c0, fixture_a.l, fixture_a.p)
         assert pts.field == "rational"
         assert pts.root_points == (F(-1, 2),)
         assert len(pts.generic_points) == 5
@@ -88,14 +99,14 @@ class TestSelectSpecialPoints:
         assert pc.evaluate(F(-1, 2)) == F(17, 16)
 
     def test_fixture_b(self, fixture_b):
-        pts = select_special_points(fixture_b.c0, fixture_b.l, fixture_b.p)
+        pts = special_points(fixture_b.c0, fixture_b.l, fixture_b.p)
         assert pts.root_points == (F(-1), F(1))
         assert len(pts.all_points) == 11
         assert len(set(pts.all_points)) == 11
 
     def test_nonsplit_goes_complex(self, fixture_b_nonsplit):
         fx = fixture_b_nonsplit
-        pts = select_special_points(fx.c0, fx.l, fx.p)
+        pts = special_points(fx.c0, fx.l, fx.p)
         assert pts.field == "complex"
         assert [round(z.imag) for z in pts.root_points] == [-1, 1]
 
@@ -108,30 +119,31 @@ class TestSelectSpecialPoints:
             (UniPoly.of(1), UniPoly.of(0, 1), UniPoly.of(0, 0, 1), UniPoly.zero(), UniPoly.zero()),
         )
         with pytest.raises(ValueError, match="l not generic"):
-            select_special_points(conic, l, fermat_quartic())
+            special_points(conic, l, fermat_quartic())
 
     def test_p_vanishing_at_root_rejected(self, fixture_b):
         p_bad = MultiPoly(5, {(4, 0, 0, 0, 0): 1, (0, 4, 0, 0, 0): -1})
         with pytest.raises(ValueError, match="p not generic"):
-            select_special_points(fixture_b.c0, fixture_b.l, p_bad)
+            special_points(fixture_b.c0, fixture_b.l, p_bad)
 
     def test_degree_drop_rejected(self, fixture_b):
         l = MultiPoly.monomial((1, 0, 0, 0, 0))  # restricts to the constant 1
         with pytest.raises(ValueError, match="root at infinity"):
-            select_special_points(fixture_b.c0, l, fixture_b.p)
+            special_points(fixture_b.c0, l, fixture_b.p)
 
     def test_seeded_retry_draws_differ(self, fixture_a):
-        p0 = select_special_points(fixture_a.c0, fixture_a.l, fixture_a.p, seed=0, attempt=1)
-        p1 = select_special_points(fixture_a.c0, fixture_a.l, fixture_a.p, seed=0, attempt=2)
+        p0 = special_points(fixture_a.c0, fixture_a.l, fixture_a.p, seed=0, attempt=1)
+        p1 = special_points(fixture_a.c0, fixture_a.l, fixture_a.p, seed=0, attempt=2)
         assert p0.generic_points != p1.generic_points
-        again = select_special_points(fixture_a.c0, fixture_a.l, fixture_a.p, seed=0, attempt=1)
+        again = special_points(fixture_a.c0, fixture_a.l, fixture_a.p, seed=0, attempt=1)
         assert p0.generic_points == again.generic_points
 
 
 class TestBlocks:
     def blocks_a(self, fixture_a):
         jac = jacobian_evaluation_form(fixture_a.problem, fixture_a.c0, A_POINTS)
-        return jac, block_decompose(jac, fixture_a.l)
+        lc = on_curve(fixture_a.l, fixture_a.c0)
+        return jac, block_decompose(jac.matrix.to_rows(), A_POINTS, lc)
 
     def test_shapes(self, fixture_a):
         _, blocks = self.blocks_a(fixture_a)
@@ -143,7 +155,7 @@ class TestBlocks:
 
     def test_reassembly(self, fixture_a):
         jac, blocks = self.blocks_a(fixture_a)
-        assert reassemble_blocks(blocks).entries == permute_z4_first(jac).entries
+        assert oracles.reassemble_blocks(blocks) == oracles.permute_z4_first(jac.matrix, 1)
 
     def test_a12_row_at_root_vanishes(self, fixture_a):
         _, blocks = self.blocks_a(fixture_a)
@@ -167,20 +179,20 @@ class TestBlocks:
                     col += 1
 
     def test_a11_closed_form_values(self, fixture_a):
-        closed = a11_closed_form(fixture_a.c0, fixture_a.p, A_POINTS[:2])
+        closed = a11_closed_form(on_curve(fixture_a.p, fixture_a.c0), A_POINTS[:2])
         assert closed.to_rows() == [[F(-17, 32), F(17, 16)], [F(2), F(2)]]
         assert det_exact(closed) == F(-51, 16)
 
     def test_a11_matches_extracted_up_to_column_reversal(self, fixture_a):
         _, blocks = self.blocks_a(fixture_a)
-        closed = a11_closed_form(fixture_a.c0, fixture_a.p, A_POINTS[:2])
+        closed = a11_closed_form(on_curve(fixture_a.p, fixture_a.c0), A_POINTS[:2])
         reversed_cols = blocks.a11.submatrix([0, 1], [1, 0])
         assert reversed_cols.entries == closed.entries
 
     def test_a11_det_identity(self, fixture_b):
         # det(A11 desc) = reversal sign * vandermonde det * prod p(c0(t_s))
         pts = [F(-1), F(1), F(2)]
-        closed = a11_closed_form(fixture_b.c0, fixture_b.p, pts)
+        closed = a11_closed_form(on_curve(fixture_b.p, fixture_b.c0), pts)
         pc = compose_with_curve(fixture_b.p, fixture_b.c0.components)
         vdet = F(1)
         for i in range(3):
@@ -192,22 +204,25 @@ class TestBlocks:
 
     def test_a11_constant_p_is_vandermonde(self, fixture_a):
         one = MultiPoly.monomial((0, 0, 0, 0, 0))
-        closed = a11_closed_form(fixture_a.c0, one, A_POINTS[:2])
+        closed = a11_closed_form(on_curve(one, fixture_a.c0), A_POINTS[:2])
         assert closed.to_rows() == [[F(-1, 2), F(1)], [F(1), F(1)]]
 
     def test_a22_closed_form_row(self, fixture_a):
-        closed = a22_closed_form(fixture_a.c0, fixture_a.l, fixture_a.q, A_POINTS[2:])
+        lc = on_curve(fixture_a.l, fixture_a.c0)
+        closed = a22_closed_form(lc, restricted_gradient(fixture_a.q, fixture_a.c0), A_POINTS[2:])
         # at t = 2: l(c0(2)) = 5, gradient = (0, 0, 1, 8)
         assert list(closed.row(0)) == [0, 0, 0, 0, 5, 10, 40, 80]
 
     def test_a22_matches_extracted(self, fixture_a):
         _, blocks = self.blocks_a(fixture_a)
-        closed = a22_closed_form(fixture_a.c0, fixture_a.l, fixture_a.q, A_POINTS[2:])
+        lc = on_curve(fixture_a.l, fixture_a.c0)
+        closed = a22_closed_form(lc, restricted_gradient(fixture_a.q, fixture_a.c0), A_POINTS[2:])
         assert blocks.a22.entries == closed.entries
 
     def test_a22_zero_when_gradient_vanishes_along_curve(self, fixture_a):
         q = MultiPoly.monomial((0, 0, 0, 4, 0))  # z3^4; gradient dies on the line
-        closed = a22_closed_form(fixture_a.c0, fixture_a.l, q, A_POINTS[2:])
+        lc = on_curve(fixture_a.l, fixture_a.c0)
+        closed = a22_closed_form(lc, restricted_gradient(q, fixture_a.c0), A_POINTS[2:])
         assert all(x == 0 for x in closed.entries)
 
     def test_a0_rank(self, fixture_a):
@@ -223,7 +238,7 @@ class TestBlocks:
 
 class TestGradientPairing:
     def test_fixture_a_matrix(self, fixture_a):
-        m = gradient_pairing_map(fixture_a.q, fixture_a.c0)
+        m = gradient_pairing_map(restricted_gradient(fixture_a.q, fixture_a.c0), fixture_a.c0)
         assert (m.rows, m.cols) == (5, 8)
         # map is (v0..v3) -> v2(t) + t^3 v3(t): columns for m=2 hit rows 0,1;
         # columns for m=3 hit rows 3,4
@@ -234,14 +249,14 @@ class TestGradientPairing:
         assert kernel_exact(m).dim == 4
 
     def test_fixture_b_kernel(self, fixture_b):
-        m = gradient_pairing_map(fixture_b.q, fixture_b.c0)
+        m = gradient_pairing_map(restricted_gradient(fixture_b.q, fixture_b.c0), fixture_b.c0)
         assert (m.rows, m.cols) == (9, 12)
         assert rank_exact(m) == 8
         assert kernel_exact(m).dim == 4
 
     def test_kernel_contains_restricted_symmetry_vectors(self, fixture_a, fixture_b):
         for fix in (fixture_a, fixture_b):
-            m = gradient_pairing_map(fix.q, fix.c0)
+            m = gradient_pairing_map(restricted_gradient(fix.q, fix.c0), fix.c0)
             d = fix.d
             for v in symmetry_kernel_vectors(fix.c0):
                 restricted = v[: 4 * (d + 1)]
@@ -251,7 +266,7 @@ class TestGradientPairing:
         line = fixture_a.c0
         q = MultiPoly.monomial((4, 0, 0, 0, 0))  # z0^4 does not vanish on the line
         with pytest.raises(ValueError):
-            gradient_pairing_map(q, line)
+            gradient_pairing_map(restricted_gradient(q, line), line)
 
 
 class TestSmoothAlongCurve:
@@ -294,6 +309,20 @@ class TestVerifyConstruction:
         assert rep.field == "complex"
         assert rep.passed
 
+    def test_complex_field_lower_checks_are_exact(self):
+        # l(c0(t)) does not split, so the roots are complex; the generic
+        # points stay rational and checks 5-7 are decided exactly (an SVD
+        # rank of this rescaled block at tol 1e-8 falls below 16).
+        fx = Fixture.from_obj(json.loads((DATA / "fixture-d4-nonsplit.json").read_text()))
+        rep = verify_construction(fx, seed=100)
+        assert rep.field == "complex"
+        assert rep.passed
+        assert rep.attempts == 1
+        by_id = {c.check_id: c for c in rep.checks}
+        assert by_id[7].details["rank"] == 16 == 4 * fx.d
+        assert by_id[5].details["root_rows"] == 4
+        assert rep.points[4] == "1+0i"  # generic points keep complex labels
+
     def test_byte_stable(self, fixture_b):
         a = verify_construction(fixture_b, seed=3).to_json()
         b = verify_construction(fixture_b, seed=3).to_json()
@@ -320,6 +349,20 @@ class TestVerifyConstruction:
         assert not rep.passed
 
 
+    def test_l_vanishing_on_curve_ends_with_failed_report(self, fixture_a):
+        # l = z4 restricts to 0: point selection fails, every row of the
+        # rescaled block is flagged, and all attempts are used up.
+        z4 = MultiPoly.monomial((0, 0, 0, 0, 1))
+        fx = Fixture.build("A-l-z4", fixture_a.q, z4, fixture_a.p, fixture_a.c0, 1)
+        rep = verify_construction(fx, seed=0)
+        by_id = {c.check_id: c for c in rep.checks}
+        assert "vanishes identically" in by_id[2].details["error"]
+        assert by_id[7].status == "fail"
+        assert by_id[7].details["flagged_rows"] == [0, 1, 2, 3]
+        assert rep.attempts == MAX_POINT_ATTEMPTS
+        assert not rep.passed
+
+
 class TestFixtureBundle:
     def test_round_trip(self, fixture_a, fixture_b):
         for fix in (fixture_a, fixture_b):
@@ -342,16 +385,12 @@ class TestFixtureBundle:
 
 class TestFiniteFieldSmoothnessOracle:
     def test_fixture_a_quartic_has_no_singular_points(self, fixture_a):
-        from curvejac.fixtures import quartic_smooth_over_prime_field
-
-        assert quartic_smooth_over_prime_field(fixture_a.q, 11)
-        assert quartic_smooth_over_prime_field(fixture_a.q, 13)
+        assert oracles.quartic_smooth_over_prime_field(fixture_a.q, 11)
+        assert oracles.quartic_smooth_over_prime_field(fixture_a.q, 13)
 
     def test_singular_quartic_detected(self):
-        from curvejac.fixtures import quartic_smooth_over_prime_field
-
         q_sing = MultiPoly(5, {(2, 2, 0, 0, 0): 1})  # z0^2 z1^2, singular along two lines
-        assert not quartic_smooth_over_prime_field(q_sing, 11)
+        assert not oracles.quartic_smooth_over_prime_field(q_sing, 11)
 
 
 def test_render_matrix_elides_wide_matrices():

@@ -170,6 +170,24 @@ class TestRoots:
         assert roots == []
         assert cofactor.degree == 2
 
+    def test_rational_roots_with_large_denominators(self):
+        def linear(r):
+            return UniPoly.of(-r, 1)
+
+        near = linear(F(1, 1000003)) * linear(F(1, 1000033))
+        roots, cofactor = rational_roots(near * UniPoly.of(-2, 0, 1))
+        assert roots == [F(1, 1000033), F(1, 1000003)]
+        assert cofactor.degree == 2
+        roots, cofactor = rational_roots(near * linear(F(7, 1000037)))
+        assert roots == [F(1, 1000033), F(1, 1000003), F(7, 1000037)]
+        assert cofactor.degree == 0
+
+    def test_rational_roots_with_multiplicity(self):
+        p = UniPoly.of(F(-1, 2), 1) * UniPoly.of(F(-1, 2), 1) * UniPoly.of(3, 1)
+        roots, cofactor = rational_roots(p * UniPoly.of(1, 0, 1))
+        assert roots == [F(-3), F(1, 2), F(1, 2)]
+        assert cofactor == UniPoly.of(1, 0, 1)
+
     def test_residual_bound(self):
         rng = random.Random(6)
         for _ in range(10):
