@@ -3,9 +3,10 @@
 Builds the incidence equations of parametrized rational curves lying on a
 hypersurface, their Jacobian in coefficient and evaluation form, and runs the
 block-decomposition verification for the special quintic l*q + z4*p through a
-curve on a quartic surface.  All core arithmetic is exact over the rationals;
-a complex floating path with tolerance-based rank covers irrational
-evaluation points.
+curve on a quartic surface.  All core arithmetic is exact over the rationals,
+and every verification check is exact even when l(c0(t)) has complex roots.
+The only tolerance is the singular-value rank of an evaluation-form Jacobian
+at user-given points that are not rational.
 """
 
 from .construction import (

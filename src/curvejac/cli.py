@@ -5,13 +5,15 @@ goes to stdout (or --out); human-readable tables go to stderr.  Every command
 is deterministic given its inputs, flags and seed, and each JSON document
 embeds the effective configuration.
 
-Exit codes: 0 success, 2 input error (including an unreadable input or
-unwritable output file), 3 dimension error, 4 empty system.
+Exit codes: 0 success, 2 input error (including a bad command line, an
+unreadable input or an unwritable output file), 3 dimension error, 4 empty
+system.  Every error ends with one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -47,12 +49,21 @@ def _read_json(path: str):
         raise InputError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
 
 
-def _write_output(text: str, out: str | None):
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+def _open_output(path: str | None):
+    """The --out file, opened before any work so that an unwritable path
+    fails fast; append mode leaves an existing file as it is until
+    `_write_output` replaces its content.  None stands for stdout."""
+    if path is None:
+        return contextlib.nullcontext()
+    return open(path, "a", encoding="utf-8")
+
+
+def _write_output(text: str, out):
+    if out is None:
         sys.stdout.write(text)
+    else:
+        out.truncate(0)
+        out.write(text)
 
 
 def _parse_tol(text: str) -> float:
@@ -80,13 +91,13 @@ def _parse_points(text: str):
     return points
 
 
-def cmd_fixture(args) -> int:
+def cmd_fixture(args, out) -> int:
     fix = fixtures.get(args.name)
-    _write_output(_dump(fix.to_obj()), args.out)
+    _write_output(_dump(fix.to_obj()), out)
     return EXIT_OK
 
 
-def cmd_jacobian(args) -> int:
+def cmd_jacobian(args, out) -> int:
     prob = incidence.IncidenceProblem.from_obj(_read_json(args.problem))
     curve = incidence.CurveParam.from_obj(_read_json(args.curve))
     tol = _parse_tol(args.tol)
@@ -96,13 +107,17 @@ def cmd_jacobian(args) -> int:
         "points": args.points,
         "tol": args.tol,
     }
+    # One restriction of the gradient serves the matrix, the exact rank and,
+    # through Euler's identity, whether the curve lies on the hypersurface.
+    incidence._check_curve(prob, curve)
+    grads = incidence.restricted_gradient(prob.f, curve)
     if args.form == "coeff":
-        jac = incidence.jacobian_coefficient_form(prob, curve)
+        jac = incidence.jacobian_coefficient_form(prob, curve, grads)
     else:
         if not args.points:
             raise InputError("--form eval requires --points")
         pts = _parse_points(args.points)
-        jac = incidence.jacobian_evaluation_form(prob, curve, pts)
+        jac = incidence.jacobian_evaluation_form(prob, curve, pts, grads)
     if jac.is_exact:
         # At distinct rational points the evaluation form is an invertible
         # Vandermonde matrix times the coefficient form: the ranks agree.
@@ -111,7 +126,7 @@ def cmd_jacobian(args) -> int:
     else:
         rank = rank_numeric(jac.matrix, tol)
         rank_kind = f"numeric@{args.tol}"
-        coeff_rank = rank_exact(incidence.jacobian_coefficient_form(prob, curve).matrix)
+        coeff_rank = rank_exact(incidence.jacobian_coefficient_form(prob, curve, grads).matrix)
     obj = jac.to_obj()
     obj.update(
         {
@@ -119,24 +134,22 @@ def cmd_jacobian(args) -> int:
             "rank": rank,
             "rank_kind": rank_kind,
             "tangent_dim": prob.dim_m - coeff_rank,
-            "formal": not incidence.lies_on(prob, curve),
+            "formal": not incidence.vanishes_on_curve(grads, curve, prob.e),
         }
     )
-    _write_output(_dump(obj), args.out)
+    _write_output(_dump(obj), out)
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, out) -> int:
     fix = construction.Fixture.from_obj(_read_json(args.fixture))
-    report = construction.verify_construction(
-        fix, seed=args.seed, tol=_parse_tol(args.tol), precision=args.precision
-    )
+    report = construction.verify_construction(fix, seed=args.seed)
     sys.stderr.write(report.render_text())
-    _write_output(report.to_json(), args.out)
+    _write_output(report.to_json(), out)
     return EXIT_OK if report.passed else EXIT_INPUT
 
 
-def cmd_through(args) -> int:
+def cmd_through(args, out) -> int:
     if args.degree < 1:
         raise InputError("--degree must be at least 1")
     curve = incidence.CurveParam.from_obj(_read_json(args.curve))
@@ -148,7 +161,7 @@ def cmd_through(args) -> int:
         "monomials": [list(m) for m in incidence.monomial_basis(curve.n + 1, args.degree)],
         "basis": basis.to_obj()["vectors"],
     }
-    _write_output(_dump(obj), args.out)
+    _write_output(_dump(obj), out)
     return EXIT_OK
 
 
@@ -157,7 +170,7 @@ def _poly_hash(poly) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args, out) -> int:
     if args.degree < 1:
         raise InputError("--degree must be at least 1")
     if args.count < 0:
@@ -207,12 +220,19 @@ def cmd_sample(args) -> int:
         },
     }
     sys.stderr.write(f"full rank in {full}/{args.count} samples\n")
-    _write_output(_dump(obj), args.out)
+    _write_output(_dump(obj), out)
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as an input error, in one line."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="curvejac",
         description="Exact Jacobian toolkit for curves on hypersurfaces",
     )
@@ -235,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the construction check chain")
     p_ver.add_argument("fixture", help="fixture JSON path or -")
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--tol", default="1e-8")
-    p_ver.add_argument("--precision", type=int, default=12)
     p_ver.add_argument("--out")
     p_ver.set_defaults(func=cmd_verify)
 
@@ -259,9 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = parser.parse_args(argv)
+        with _open_output(args.out) as out:
+            return args.func(args, out)
     except DimensionError as exc:
         sys.stderr.write(f"dimension error: {exc}\n")
         return EXIT_DIMENSION

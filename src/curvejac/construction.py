@@ -8,6 +8,11 @@ the mixed block rows there vanish, the corner block is a p-scaled Vandermonde
 (hence invertible), and the remaining block is the gradient pairing of q
 scaled by l.  `verify_construction` runs the whole chain of checks with exact
 witnesses and reports each one.
+
+Every check is exact in both fields.  When l(c0(t)) does not split over the
+rationals its roots are complex, but only as labels: the corner block is
+decided by the identity (df0/dz4)(c0) = p(c0) and by the exact facts the
+point selection establishes, and all other evaluation points are rational.
 """
 
 from __future__ import annotations
@@ -19,8 +24,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DimensionError, InputError
 from .incidence import (
     CurveParam,
@@ -30,15 +33,9 @@ from .incidence import (
     _point_label,
     restricted_gradient,
     symmetry_kernel_vectors,
+    vanishes_on_curve,
 )
-from .linalg import (
-    ComplexMatrix,
-    RationalMatrix,
-    det_exact,
-    format_rational,
-    kernel_exact,
-    rank_exact,
-)
+from .linalg import RationalMatrix, format_rational, kernel_exact, rank_exact
 from .poly import (
     MultiPoly,
     UniPoly,
@@ -209,14 +206,13 @@ def select_special_points(
     d: int,
     seed: int = 0,
     attempt: int = 0,
-    precision: int = 12,
 ) -> SpecialPoints:
     """Choose the d roots of lc = l(c0(t)) plus 4d+1 generic points.
 
-    Roots are exact when lc splits over the rationals, else complex at the
-    configured precision.  Generic points are small rationals avoiding both
-    the roots and the zeros of pc = p(c0(t)), which keeps the corner block
-    invertible and the scaled rows well-defined.
+    Roots are exact when lc splits over the rationals, else complex labels.
+    Raises ValueError unless lc has degree d, is squarefree and is coprime
+    to pc = p(c0(t)); generic points are small rationals avoiding the zeros
+    of lc and pc.  Together these make the corner block invertible.
     """
     if lc.is_zero:
         raise ValueError("l vanishes identically on the curve")
@@ -231,7 +227,7 @@ def select_special_points(
         roots: tuple = tuple(exact_roots)
         field = "rational"
     else:
-        roots = tuple(roots_numeric(lc, precision))
+        roots = tuple(roots_numeric(lc))
         field = "complex"
     return SpecialPoints(roots, _generic_points(lc, pc, 4 * d + 1, seed, attempt), field)
 
@@ -241,32 +237,22 @@ class BlockSet:
     """Blocks of the evaluation-form Jacobian under the special split.
 
     Rows split after the first d+1 points, columns split into the
-    z4-component block and the rest.  The top blocks are complex when the
-    roots are; the lower 4d points are rational, so a21, a22 and a0 are
-    exact.  a0 is a22 with each row divided by l(c0(t_s)); rows where that
-    value vanishes are flagged and a0 omitted.
+    z4-component block and the rest; `shapes` records the four slices.  The
+    top blocks a11 and a12 are built only when the roots are rational (at
+    complex roots checks 4 and 5 decide them from the restrictions); the
+    lower 4d points are rational, so a21, a22 and a0 are exact.  a0 is a22
+    with each row divided by l(c0(t_s)); rows where that value vanishes are
+    flagged and a0 omitted.
     """
 
-    a11: RationalMatrix | ComplexMatrix
-    a12: RationalMatrix | ComplexMatrix
+    a11: RationalMatrix | None
+    a12: RationalMatrix | None
     a21: RationalMatrix
     a22: RationalMatrix
     a0: RationalMatrix | None
     l_values: tuple
     flagged_rows: tuple[int, ...]
-
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.a11, RationalMatrix)
-
-
-def _matrix(rows: Sequence[Sequence], ncols: int):
-    """Rational matrix of the rows, or a complex one if any entry is complex."""
-    entries = [x for r in rows for x in r]
-    if all(isinstance(x, Fraction) for x in entries):
-        return RationalMatrix(len(rows), ncols, tuple(entries))
-    data = np.array([complex(x) for x in entries], dtype=np.complex128)
-    return ComplexMatrix.from_array(data.reshape(len(rows), ncols))
+    shapes: dict[str, list[int]]
 
 
 def block_decompose(rows: Sequence[Sequence], points: Sequence, lc: UniPoly) -> BlockSet:
@@ -279,34 +265,51 @@ def block_decompose(rows: Sequence[Sequence], points: Sequence, lc: UniPoly) -> 
     if len(rows) != len(points) or (len(points) - 1) % 5:
         raise DimensionError("expected 5d+1 evaluation points")
     d = (len(points) - 1) // 5
+    if not all(isinstance(t, Fraction) for t in points[d + 1 :]):
+        raise ValueError("the lower 4d evaluation points must be rational")
     z4_cols = range(4 * (d + 1), 5 * (d + 1))
     rest_cols = range(4 * (d + 1))
     top, bottom = rows[: d + 1], rows[d + 1 :]
+    top_exact = all(isinstance(t, Fraction) for t in points[: d + 1])
 
     def block(part, cols):
-        return _matrix([[r[j] for j in cols] for r in part], len(cols))
+        return RationalMatrix.from_rows([[r[j] for j in cols] for r in part])
 
+    slices = {"a11": (top, z4_cols), "a12": (top, rest_cols),
+              "a21": (bottom, z4_cols), "a22": (bottom, rest_cols)}
     a22 = block(bottom, rest_cols)
-    if not isinstance(a22, RationalMatrix):
-        raise ValueError("the lower 4d evaluation points must be rational")
     l_values = tuple(lc.evaluate(t) for t in points[d + 1 :])
     flagged = tuple(i for i, v in enumerate(l_values) if v == 0)
     a0 = None if flagged else a22.scale_rows([1 / v for v in l_values])
     return BlockSet(
-        block(top, z4_cols), block(top, rest_cols), block(bottom, z4_cols), a22, a0,
-        l_values, flagged,
+        block(top, z4_cols) if top_exact else None,
+        block(top, rest_cols) if top_exact else None,
+        block(bottom, z4_cols), a22, a0, l_values, flagged,
+        {name: [len(part), len(cols)] for name, (part, cols) in slices.items()},
     )
 
 
-def a11_closed_form(pc: UniPoly, points: Sequence):
-    """Corner block from the formula: entry (s, i) = t_s**(d-i) * pc(t_s),
-    with pc = p(c0(t)) and d + 1 = len(points).
+def _corner_rows(pc: UniPoly, points: Sequence) -> list[list]:
+    """Entry (s, i) = pc(t_s) * t_s**(d-i), d + 1 = len(points): the
+    evaluation rows of pc = (df0/dz4)(c0) with their columns reversed."""
+    return [row[::-1] for row in _evaluation_rows([pc], len(points) - 1, points)]
+
+
+def _corner_det(pc: UniPoly, points: Sequence):
+    """det of _corner_rows: prod pc(t_s) * prod_{s<s'} (t_s - t_s')."""
+    return math.prod(pc.evaluate(t) for t in points) * math.prod(
+        t - u for s, t in enumerate(points) for u in points[s + 1 :]
+    )
+
+
+def a11_closed_form(pc: UniPoly, points: Sequence[Fraction]) -> RationalMatrix:
+    """Corner block from the formula at rational points: entry (s, i) =
+    t_s**(d-i) * pc(t_s), with pc = p(c0(t)) and d + 1 = len(points).
 
     Columns run through descending powers, so comparing against the extracted
     block requires reversing the extracted columns.
     """
-    d = len(points) - 1
-    return _matrix([[pc.evaluate(t) * t ** (d - i) for i in range(d + 1)] for t in points], d + 1)
+    return RationalMatrix.from_rows(_corner_rows(pc, points))
 
 
 def a22_closed_form(lc: UniPoly, grads: Sequence[UniPoly], points: Sequence) -> RationalMatrix:
@@ -322,9 +325,7 @@ def a22_closed_form(lc: UniPoly, grads: Sequence[UniPoly], points: Sequence) -> 
 
 
 def _require_on_quartic(grads: Sequence[UniPoly], c0: CurveParam):
-    # Euler: sum_m z_m * dq/dz_m = deg(q) * q for homogeneous q of positive
-    # degree, so q(c0(t)) = 0 iff the sum vanishes on the curve.
-    if not sum((comp * g for comp, g in zip(c0.components, grads)), UniPoly.zero()).is_zero:
+    if not vanishes_on_curve(grads, c0, 4):
         raise ValueError("curve does not lie on the quartic")
 
 
@@ -384,8 +385,6 @@ class VerificationReport:
     fixture_name: str
     d: int
     seed: int
-    tol: float
-    precision: int
     field: str
     points: tuple[str, ...]
     attempts: int
@@ -400,8 +399,6 @@ class VerificationReport:
             "fixture": self.fixture_name,
             "d": self.d,
             "seed": self.seed,
-            "tol": self.tol,
-            "precision": self.precision,
             "field": self.field,
             "points": list(self.points),
             "attempts": self.attempts,
@@ -433,16 +430,15 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def render_matrix(m, max_cols: int = 12) -> list[list[str]]:
+def render_matrix(rows: Sequence[Sequence], label=format_rational,
+                  max_cols: int = 12) -> list[list[str]]:
     """Entries as strings, truncating wide matrices with an elision marker."""
-    if isinstance(m, RationalMatrix):
-        rows = [[format_rational(x) for x in m.row(i)] for i in range(m.rows)]
-    else:
-        rows = [[_point_label(complex(x)) for x in row] for row in m.data]
-    if m.cols > max_cols:
+    out = [[label(x) for x in row] for row in rows]
+    cols = len(out[0])
+    if cols > max_cols:
         keep = max_cols - 1
-        rows = [r[:keep] + [f"... ({m.cols - keep} more)"] for r in rows]
-    return rows
+        out = [r[:keep] + [f"... ({cols - keep} more)"] for r in out]
+    return out
 
 
 def _render_string_rows(rows: list[list[str]]) -> list[str]:
@@ -452,18 +448,15 @@ def _render_string_rows(rows: list[list[str]]) -> list[str]:
     ]
 
 
-def verify_construction(
-    fixture: Fixture, seed: int = 0, tol: float = 1e-8, precision: int = 12
-) -> VerificationReport:
+def verify_construction(fixture: Fixture, seed: int = 0) -> VerificationReport:
     """Run the full check chain on a fixture and report exact witnesses.
 
     Each polynomial is restricted to the curve once, before the point loop;
     every block is built from those restrictions.  Point-dependent rank
     checks trigger a redraw of the generic points (up to MAX_POINT_ATTEMPTS
     attempts) before being reported as failures; every check lands in the
-    report either way.  The generic points are rational, so checks 5 to 7 are
-    exact in both fields; only the corner block (check 4) at complex roots is
-    compared and inverted numerically, at `tol`.
+    report either way.  Every check is exact, in both fields: complex roots
+    enter the report only as labels.
     """
     d = fixture.d
     prob = fixture.problem
@@ -487,7 +480,7 @@ def verify_construction(
     grad_f0 = restricted_gradient(fixture.f0, c0)
     grad_q = restricted_gradient(fixture.q, c0)
     try:
-        selected, error = select_special_points(lc, pc, d, seed, 0, precision), None
+        selected, error = select_special_points(lc, pc, d, seed, 0), None
     except ValueError as exc:
         selected, error = None, str(exc)
     # Every root row of the mixed block vanishes iff lc divides each
@@ -519,49 +512,39 @@ def verify_construction(
             )
 
         points = pts.all_points
-        # The corner block is compared and inverted numerically when the
-        # roots are complex, the extra point included; the 4d lower rows
-        # are exact in both fields.
-        top = points[: d + 1]
-        if pts.field == "complex":
-            top = tuple(complex(t) for t in top)
-        rows = _evaluation_rows(grad_f0, d, top + points[d + 1 :])
+        rows = _evaluation_rows(grad_f0, d, points)
         blocks = block_decompose(rows, points, lc)
 
         # (3) the blocks are slices of the evaluation Jacobian's rows, so they
         # reassemble to it exactly when their shapes tile it.
-        shapes = {
-            name: [getattr(blocks, name).rows, getattr(blocks, name).cols]
-            for name in ("a11", "a12", "a21", "a22")
-        }
-        tiling = [[d + 1, d + 1], [d + 1, 4 * (d + 1)], [4 * d, d + 1], [4 * d, 4 * (d + 1)]]
+        tiling = {"a11": [d + 1, d + 1], "a12": [d + 1, 4 * (d + 1)],
+                  "a21": [4 * d, d + 1], "a22": [4 * d, 4 * (d + 1)]}
         attempt_checks.append(
             CheckResult(
                 3,
                 "blocks reassemble to the evaluation Jacobian",
-                "pass" if list(shapes.values()) == tiling else "fail",
-                {"shapes": shapes},
+                "pass" if blocks.shapes == tiling else "fail",
+                {"shapes": blocks.shapes},
             )
         )
 
-        # (4) corner block equals its closed form and is invertible.
-        closed11 = a11_closed_form(pc, top)
-        extracted11 = blocks.a11.submatrix(range(d + 1), range(d, -1, -1))
-        if blocks.is_exact:
-            det11 = det_exact(extracted11)
-            ok4 = extracted11.entries == closed11.entries and det11 != 0
-            det_str = format_rational(det11)
-        else:
-            det11 = complex(np.linalg.det(extracted11.data))
-            ok4 = bool(np.allclose(extracted11.data, closed11.data, rtol=tol, atol=tol))
-            ok4 = ok4 and abs(det11) > tol
-            det_str = _point_label(det11)
+        # (4) on the curve df0/dz4 = p, so the corner block is pc(t_s) *
+        # t_s**(d-i) up to column order, with det prod pc(t_s) * prod (t_s -
+        # t_s').  It is invertible when the d+1 points are distinct and no
+        # zero of pc, which the selection establishes: lc is squarefree of
+        # degree d and coprime to pc, and the extra point avoids the zeros of
+        # lc*pc.  The all-generic fallback has rational points only and is
+        # decided by its exact determinant.
+        top = points[: d + 1]
+        det11 = _corner_det(pc, top)
+        ok4 = grad_f0[4] == pc and (error is None or det11 != 0)
         attempt_checks.append(
             CheckResult(
                 4,
                 "corner block matches closed form and is invertible",
                 "pass" if ok4 else "fail",
-                {"det": det_str, "matrix": render_matrix(extracted11)},
+                {"det": pts.label(det11),
+                 "matrix": render_matrix(_corner_rows(pc, top), pts.label)},
             )
         )
 
@@ -668,8 +651,6 @@ def verify_construction(
         fixture_name=fixture.name,
         d=d,
         seed=seed,
-        tol=tol,
-        precision=precision,
         field=pts.field,
         points=tuple(pts.label(t) for t in points),
         attempts=attempt + 1,

@@ -24,7 +24,6 @@ from .linalg import (
     format_rational,
     kernel_exact,
     rank_exact,
-    rank_numeric,
 )
 from .poly import (
     MultiPoly,
@@ -47,6 +46,7 @@ __all__ = [
     "jacobian_coefficient_form",
     "jacobian_evaluation_form",
     "restricted_gradient",
+    "vanishes_on_curve",
     "tangent_dim",
     "symmetry_kernel_vectors",
     "quintics_through_curve",
@@ -198,11 +198,6 @@ class JacobianMatrix:
     def is_exact(self) -> bool:
         return isinstance(self.matrix, RationalMatrix)
 
-    def rank(self, tol: float = 1e-8) -> int:
-        if self.is_exact:
-            return rank_exact(self.matrix)
-        return rank_numeric(self.matrix, tol)
-
     def to_obj(self) -> dict:
         obj = {
             "form": self.form,
@@ -266,6 +261,17 @@ def restricted_gradient(f: MultiPoly, c: CurveParam) -> list[UniPoly]:
     ]
 
 
+def vanishes_on_curve(grads: Sequence[UniPoly], c: CurveParam, degree: int) -> bool:
+    """Whether f(c(t)) = 0, given grads = restricted_gradient(f, c) of a form
+    f of the given degree.
+
+    Euler: sum_m z_m * df/dz_m = degree * f, so for positive degree f(c(t))
+    vanishes iff sum_m c_m(t) * grads[m] does; a nonzero constant never does.
+    """
+    euler = sum((comp * g for comp, g in zip(c.components, grads)), UniPoly.zero())
+    return degree > 0 and euler.is_zero
+
+
 def _convolution_matrix(
     grads: Sequence[UniPoly], d: int, nrows: int, row_labels=None, col_labels=None
 ) -> RationalMatrix:
@@ -293,16 +299,19 @@ def _evaluation_rows(grads: Sequence[UniPoly], d: int, points: Sequence) -> list
     return rows
 
 
-def jacobian_coefficient_form(prob: IncidenceProblem, c: CurveParam) -> JacobianMatrix:
+def jacobian_coefficient_form(
+    prob: IncidenceProblem, c: CurveParam, grads: Sequence[UniPoly] | None = None
+) -> JacobianMatrix:
     """Exact Jacobian with rows indexed by the coefficient equations.
 
     Entry (row j, column (m, i)) is the t**j coefficient of
-    (df/dz_m)(c(t)) * t**i.
+    (df/dz_m)(c(t)) * t**i; `grads` is restricted_gradient(prob.f, c) when
+    the caller already has it.
     """
     _check_curve(prob, c)
     nrows = prob.num_equations
     matrix = _convolution_matrix(
-        restricted_gradient(prob.f, c),
+        restricted_gradient(prob.f, c) if grads is None else grads,
         prob.d,
         nrows,
         row_labels=[f"k{j}" for j in range(nrows)],
@@ -312,12 +321,16 @@ def jacobian_coefficient_form(prob: IncidenceProblem, c: CurveParam) -> Jacobian
 
 
 def jacobian_evaluation_form(
-    prob: IncidenceProblem, c: CurveParam, points: Sequence
+    prob: IncidenceProblem,
+    c: CurveParam,
+    points: Sequence,
+    grads: Sequence[UniPoly] | None = None,
 ) -> JacobianMatrix:
     """Jacobian with rows indexed by evaluation points.
 
     Entry (row s, column (m, i)) is (df/dz_m)(c(t_s)) * t_s**i.  On rational
     points this equals vandermonde(points) @ coefficient form, exactly.
+    `grads` is restricted_gradient(prob.f, c) when the caller already has it.
     """
     _check_curve(prob, c)
     points = list(points)
@@ -329,7 +342,9 @@ def jacobian_evaluation_form(
     pts = [Fraction(t) if exact else complex(t) for t in points]
     if len(set(pts)) != len(pts):
         raise ValueError("evaluation points must be pairwise distinct")
-    rows = _evaluation_rows(restricted_gradient(prob.f, c), prob.d, pts)
+    if grads is None:
+        grads = restricted_gradient(prob.f, c)
+    rows = _evaluation_rows(grads, prob.d, pts)
     if exact:
         matrix = RationalMatrix.from_rows(
             rows,

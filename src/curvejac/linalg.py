@@ -7,8 +7,9 @@ through a single fraction-free elimination: each row is scaled to integers
 and pivoting follows Bareiss' scheme, which keeps intermediate entries as
 minors of the input instead of letting numerators explode.
 
-The complex path (`ComplexMatrix`, `rank_numeric`) exists for evaluation
-points that are not rational; its rank is tolerance-based on singular values.
+The complex path (`ComplexMatrix`, `rank_numeric`) serves only the
+evaluation-form Jacobian at user-given points that are not rational
+(`jacobian --form eval`); its rank is tolerance-based on singular values.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ __all__ = [
     "det_exact",
     "vandermonde",
     "rank_numeric",
-    "hstack",
-    "vstack",
 ]
 
 
@@ -106,10 +105,6 @@ class RationalMatrix:
         rl = tuple(self.row_labels[i] for i in row_idx) if self.row_labels else None
         cl = tuple(self.col_labels[j] for j in col_idx) if self.col_labels else None
         return RationalMatrix(len(row_idx), len(col_idx), entries, rl, cl)
-
-    def transpose(self) -> "RationalMatrix":
-        entries = tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows))
-        return RationalMatrix(self.cols, self.rows, entries, self.col_labels, self.row_labels)
 
     def scale_rows(self, factors: Sequence[Fraction]) -> "RationalMatrix":
         if len(factors) != self.rows:
@@ -192,12 +187,6 @@ class ComplexMatrix:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[complex]]) -> "ComplexMatrix":
         return cls.from_array(np.array([[complex(x) for x in r] for r in rows]))
-
-    def entry(self, i: int, j: int) -> complex:
-        return complex(self.data[i, j])
-
-    def submatrix(self, row_idx, col_idx) -> "ComplexMatrix":
-        return ComplexMatrix.from_array(self.data[np.ix_(list(row_idx), list(col_idx))])
 
     def to_obj(self) -> dict:
         return {
@@ -356,16 +345,3 @@ def rank_numeric(m: ComplexMatrix, tol: float = 1e-8) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol * s[0]))
-
-
-def hstack(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    if a.rows != b.rows:
-        raise DimensionError("hstack needs equal row counts")
-    rows = [list(a.row(i)) + list(b.row(i)) for i in range(a.rows)]
-    return RationalMatrix.from_rows(rows)
-
-
-def vstack(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    if a.cols != b.cols:
-        raise DimensionError("vstack needs equal column counts")
-    return RationalMatrix.from_rows(a.to_rows() + b.to_rows())

@@ -244,6 +244,24 @@ class TestSampleCommand:
 
 
 class TestOutputFiles:
+    def test_out_file_replaced_only_by_output(self, tmp_path, curve_a_path):
+        target = tmp_path / "result.json"
+        target.write_text("x" * 10_000)
+        rc, _, _ = run_cli(["through", str(tmp_path / "absent.json"), "--out", str(target)])
+        assert rc == 2
+        assert target.read_text() == "x" * 10_000  # a failed run leaves it as it was
+        rc, _, _ = run_cli(["through", curve_a_path, "--degree", "1", "--out", str(target)])
+        assert rc == 0
+        assert json.loads(target.read_text())["dimension"] == 3
+
+    def test_verify_help_lists_seed_and_out(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--help"])
+        assert exc.value.code == 0
+        options = {w.strip("[],") for w in out.getvalue().split() if w.startswith(("[--", "--"))}
+        assert options == {"--help", "--seed", "--out"}
+
     def test_out_flag_writes_file(self, tmp_path, curve_a_path):
         target = tmp_path / "result.json"
         rc, out, _ = run_cli(["through", curve_a_path, "--degree", "1", "--out", str(target)])
@@ -262,12 +280,27 @@ class TestOutputFiles:
 
 class TestInputFaults:
     def test_unwritable_out_exits_2(self, tmp_path, fixture_a_path):
+        # the output is opened before any work, so no report reaches stderr
         target = tmp_path / "missing" / "x.json"
         rc, out, err = run_cli(["verify", fixture_a_path, "--out", str(target)])
         assert rc == 2
         assert out == ""
-        assert "Traceback" not in err
-        assert err.splitlines()[-1].startswith("i/o error") and str(target) in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("i/o error") and str(target) in err
+
+    def test_bad_command_line_exits_2_in_one_line(self, fixture_a_path, problem_a_path,
+                                                  curve_a_path):
+        for argv, words in (
+            (["jacobian", problem_a_path, curve_a_path, "--tol", "-1e-8"], "--tol"),
+            (["verify", fixture_a_path, "--tol", "1e-8"], "--tol"),
+            (["verify", fixture_a_path, "--precision", "12"], "--precision"),
+            (["verify", fixture_a_path, "--seed", "x"], "--seed"),
+            ([], "command"),
+        ):
+            rc, out, err = run_cli(argv)
+            assert rc == 2, argv
+            assert out == ""
+            assert len(err.splitlines()) == 1 and words in err, err
 
     def test_non_finite_or_negative_tol_exits_2(self, fixture_a_path, problem_a_path,
                                                  curve_a_path):

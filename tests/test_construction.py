@@ -43,6 +43,13 @@ def special_points(c0, l, p, **kwargs):
     return select_special_points(on_curve(l, c0), on_curve(p, c0), c0.d, **kwargs)
 
 
+def small_p(fix):
+    """The fixture with p scaled by 1/10^4: the corner block's determinant
+    shrinks by 10^-12 and its invertibility does not change."""
+    return Fixture.build(fix.name + "-small-p", fix.q, fix.l, fix.p.scale(F(1, 10**4)),
+                         fix.c0, fix.d)
+
+
 def fermat_quartic():
     return MultiPoly(
         5,
@@ -303,11 +310,21 @@ class TestVerifyConstruction:
         assert by_id[7].details["rank"] == 8
         assert by_id[9].details["rank"] == 11
         assert by_id[9].details["tangent_dim"] == 4
+        assert by_id[4].details["det"] == "-23670"
+        small = verify_construction(small_p(fixture_b), seed=0)
+        assert small.passed
+        assert small.checks[3].details["det"] == "-2367/100000000000"
 
     def test_complex_path(self, fixture_b_nonsplit):
-        rep = verify_construction(fixture_b_nonsplit, seed=0)
-        assert rep.field == "complex"
-        assert rep.passed
+        # check 4 is decided exactly, so a small determinant (|det| = 1.56e-10
+        # with p / 10^4) passes as its rational twin in fixture B does
+        for fx, det in ((fixture_b_nonsplit, "0-156i"),
+                        (small_p(fixture_b_nonsplit), "0-1.56e-10i")):
+            rep = verify_construction(fx, seed=0)
+            assert rep.field == "complex"
+            assert rep.passed
+            assert all(c.status == "pass" for c in rep.checks)
+            assert rep.checks[3].details["det"] == det
 
     def test_complex_field_lower_checks_are_exact(self):
         # l(c0(t)) does not split, so the roots are complex; the generic
@@ -395,8 +412,8 @@ class TestFiniteFieldSmoothnessOracle:
 
 def test_render_matrix_elides_wide_matrices():
     wide = RationalMatrix.from_rows([[F(i) for i in range(15)]])
-    rows = render_matrix(wide, max_cols=12)
+    rows = render_matrix(wide.to_rows(), max_cols=12)
     assert len(rows[0]) == 12
     assert rows[0][-1] == "... (4 more)"
     narrow = RationalMatrix.from_rows([[F(1, 2), F(3)]])
-    assert render_matrix(narrow) == [["1/2", "3"]]
+    assert render_matrix(narrow.to_rows()) == [["1/2", "3"]]

@@ -20,12 +20,12 @@ B_RATIONAL = "-5,-4,-3,-2,-1,0,1,2,3,4,5"
 B_COMPLEX = "-2,-1,-1/2,0,1/3,1/2,1,3/2,2,3,1+2i"
 
 GOLDEN = {
-    "verify-A-0": "e3590637a1fa001854e7f22ce02d94cc961fe7b6fc879426e1744b4dc22912bd",
-    "verify-A-3": "18ee6a017f0b99442b8bdec887ce2a4949a2373b6447e4b5c24f9e777e525572",
-    "verify-B-0": "b73055c8867cf7067b04b9ac310198ff059c8f3b45c5c85af14cc9e9599bcfbc",
-    "verify-B-3": "2bcb11232431bc7a4d021e4d5eec5d482f28c1b6f59fe1a6cbe1735c3ae8bacf",
-    "verify-B-nonsplit-0": "a15ee93c0e96590214ec1f9f08ca1db8c186037b1ccc007a62e62b381c668eee",
-    "verify-B-nonsplit-3": "3e8c48a51068160f21eea2e29ae3060348bb08b4be8718efed0e8ec7b3f043be",
+    "verify-A-0": "478c07eea27d2edb728daddd152779d6ac36b6a7879881dabb29535e1b021136",
+    "verify-A-3": "7d824b7793db8531d9d49f2c9c8aba54d0789a59030603327952279578dbdd67",
+    "verify-B-0": "3482f2a0ba4420040be5f8c2e825d26b19920fc5f377d80602c3c28876fc760c",
+    "verify-B-3": "c7c22cf8f759b086297b380e990b32f687bf53da191f5489029bb4c2d484a5ed",
+    "verify-B-nonsplit-0": "b8100e2ad7e72bb199fd7f3cf5471165795c56f74c3450375866ac4f2f7e6f80",
+    "verify-B-nonsplit-3": "51a71239cbc9477693848d40d8a734f4f0c626966047cf702e0039363a961f39",
     "jacobian-coeff-A": "a602e17e3a028be3502731a15cbe93a4aa3064273f9d1ccb83c6df30a8157242",
     "jacobian-coeff-B": "7c2c40911d3f43696382d6a9e268159b028ff9933cd3f33ad1d83d13f28fc9d1",
     "jacobian-eval-rational-A": "5f2a906fb4ab7aac5877d7755b5fcc3f0806e97827d54d55c87873890c99153c",
