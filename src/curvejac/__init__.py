@@ -3,20 +3,19 @@
 Builds the incidence equations of parametrized rational curves lying on a
 hypersurface, their Jacobian in coefficient and evaluation form, and runs the
 block-decomposition verification for the special quintic l*q + z4*p through a
-curve on a quartic surface.  All core arithmetic is exact over the rationals,
-and every verification check is exact even when l(c0(t)) has complex roots.
+curve on a quartic surface.  All core arithmetic is exact over the rationals.
+The verification decides checks 1, 4, 5 and 6 as identities between the
+restrictions of f0, l, q and p to the curve, retries one rank (check 7) over
+redrawn generic points, and eliminates matrices only in checks 7-10, so every
+check is exact even when l(c0(t)) has complex roots.
 The only tolerance is the singular-value rank of an evaluation-form Jacobian
 at user-given points that are not rational.
 """
 
 from .construction import (
-    BlockSet,
     Fixture,
     SpecialPoints,
     VerificationReport,
-    a11_closed_form,
-    a22_closed_form,
-    block_decompose,
     build_special_hypersurface,
     gradient_pairing_map,
     select_special_points,

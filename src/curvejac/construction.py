@@ -9,10 +9,15 @@ the mixed block rows there vanish, the corner block is a p-scaled Vandermonde
 scaled by l.  `verify_construction` runs the whole chain of checks with exact
 witnesses and reports each one.
 
-Every check is exact in both fields.  When l(c0(t)) does not split over the
-rationals its roots are complex, but only as labels: the corner block is
-decided by the identity (df0/dz4)(c0) = p(c0) and by the exact facts the
-point selection establishes, and all other evaluation points are rational.
+On the curve the blocks follow from two identities between restrictions:
+(df0/dz4)(c0) = p(c0) and (df0/dz_m)(c0) = l(c0) * (dq/dz_m)(c0), m < 4.
+Checks 1, 4, 5 and 6 are decided on those polynomials and on the exact facts
+the point selection establishes, so no evaluation Jacobian is built (check 4
+only renders its closed-form corner block).  Matrices are eliminated only in
+checks 7-10: check 7 ranks the rescaled lower block at the 4d rational
+generic points and is the one check retried over a redraw of those points;
+checks 8-10 eliminate the pairing map and the coefficient Jacobian.  Every
+check is exact in both fields: complex roots of l(c0(t)) are labels.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -35,27 +40,22 @@ from .incidence import (
     symmetry_kernel_vectors,
     vanishes_on_curve,
 )
-from .linalg import RationalMatrix, format_rational, kernel_exact, rank_exact
+from .linalg import RationalMatrix, format_rational, kernel_exact, parse_int, rank_exact
 from .poly import (
     MultiPoly,
     UniPoly,
+    _rational_and_numeric_roots,
     compose_with_curve,
     gcd_univariate,
-    rational_roots,
-    roots_numeric,
 )
 
 __all__ = [
     "Fixture",
     "SpecialPoints",
-    "BlockSet",
     "CheckResult",
     "VerificationReport",
     "build_special_hypersurface",
     "select_special_points",
-    "block_decompose",
-    "a11_closed_form",
-    "a22_closed_form",
     "gradient_pairing_map",
     "smooth_along_curve",
     "verify_construction",
@@ -80,30 +80,25 @@ def build_special_hypersurface(l: MultiPoly, q: MultiPoly, p: MultiPoly) -> Mult
 
 @dataclass(frozen=True)
 class Fixture:
-    """Input bundle for the construction: q, l, p, the curve, and f0 = l*q + z4*p."""
+    """Input bundle for the construction: q, l, p and the curve; f0 = l*q +
+    z4*p is derived from them."""
 
     name: str
     q: MultiPoly
     l: MultiPoly
     p: MultiPoly
     c0: CurveParam
-    f0: MultiPoly
     d: int
+    f0: MultiPoly = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "f0", build_special_hypersurface(self.l, self.q, self.p))
         if self.c0.n != 4 or self.c0.d != self.d:
             raise InputError("fixture invariant violated: c0 must have n=4 and the stated d")
         if not self.c0.components[4].is_zero:
             raise InputError("fixture invariant violated: c0's z4-component must be zero")
         if not compose_with_curve(self.q, self.c0.components).is_zero:
             raise InputError("fixture invariant violated: q(c0(t)) == 0 (curve must lie on the quartic)")
-        if self.f0 != build_special_hypersurface(self.l, self.q, self.p):
-            raise InputError("fixture invariant violated: f0 == l*q + z4*p")
-
-    @classmethod
-    def build(cls, name: str, q: MultiPoly, l: MultiPoly, p: MultiPoly,
-              c0: CurveParam, d: int) -> "Fixture":
-        return cls(name, q, l, p, c0, build_special_hypersurface(l, q, p), d)
 
     @property
     def problem(self) -> IncidenceProblem:
@@ -122,14 +117,17 @@ class Fixture:
     @classmethod
     def from_obj(cls, obj) -> "Fixture":
         try:
-            d = obj["d"]
+            d = parse_int(obj["d"], "d")
             q = MultiPoly.from_obj(obj["q"])
             l = MultiPoly.from_obj(obj["l"])
             p = MultiPoly.from_obj(obj["p"])
             c0 = CurveParam.from_obj(obj["c0"])
         except (KeyError, TypeError) as exc:
             raise InputError(f"fixture object needs d, q, l, p, c0: {exc}") from exc
-        return cls.build(obj.get("name", ""), q, l, p, c0, d)
+        name = obj.get("name", "")
+        if not isinstance(name, str):
+            raise InputError(f"fixture name must be a string, got {name!r}")
+        return cls(name, q, l, p, c0, d)
 
 
 @dataclass(frozen=True)
@@ -222,70 +220,14 @@ def select_special_points(
         raise ValueError("l not generic for c0")
     if gcd_univariate(lc, pc).degree > 0:
         raise ValueError("p not generic")
-    exact_roots, cofactor = rational_roots(lc)
-    if cofactor.degree == 0:
-        roots: tuple = tuple(exact_roots)
-        field = "rational"
-    else:
-        roots = tuple(roots_numeric(lc))
-        field = "complex"
-    return SpecialPoints(roots, _generic_points(lc, pc, 4 * d + 1, seed, attempt), field)
-
-
-@dataclass(frozen=True, eq=False)
-class BlockSet:
-    """Blocks of the evaluation-form Jacobian under the special split.
-
-    Rows split after the first d+1 points, columns split into the
-    z4-component block and the rest; `shapes` records the four slices.  The
-    top blocks a11 and a12 are built only when the roots are rational (at
-    complex roots checks 4 and 5 decide them from the restrictions); the
-    lower 4d points are rational, so a21, a22 and a0 are exact.  a0 is a22
-    with each row divided by l(c0(t_s)); rows where that value vanishes are
-    flagged and a0 omitted.
-    """
-
-    a11: RationalMatrix | None
-    a12: RationalMatrix | None
-    a21: RationalMatrix
-    a22: RationalMatrix
-    a0: RationalMatrix | None
-    l_values: tuple
-    flagged_rows: tuple[int, ...]
-    shapes: dict[str, list[int]]
-
-
-def block_decompose(rows: Sequence[Sequence], points: Sequence, lc: UniPoly) -> BlockSet:
-    """Extract the four blocks and the l-rescaled reduced block.
-
-    `rows` are the evaluation-form Jacobian rows at the 5d+1 special points
-    (the d roots, the extra point, then 4d rational points), in theta column
-    order; lc = l(c0(t)) divides the lower-right rows.
-    """
-    if len(rows) != len(points) or (len(points) - 1) % 5:
-        raise DimensionError("expected 5d+1 evaluation points")
-    d = (len(points) - 1) // 5
-    if not all(isinstance(t, Fraction) for t in points[d + 1 :]):
-        raise ValueError("the lower 4d evaluation points must be rational")
-    z4_cols = range(4 * (d + 1), 5 * (d + 1))
-    rest_cols = range(4 * (d + 1))
-    top, bottom = rows[: d + 1], rows[d + 1 :]
-    top_exact = all(isinstance(t, Fraction) for t in points[: d + 1])
-
-    def block(part, cols):
-        return RationalMatrix.from_rows([[r[j] for j in cols] for r in part])
-
-    slices = {"a11": (top, z4_cols), "a12": (top, rest_cols),
-              "a21": (bottom, z4_cols), "a22": (bottom, rest_cols)}
-    a22 = block(bottom, rest_cols)
-    l_values = tuple(lc.evaluate(t) for t in points[d + 1 :])
-    flagged = tuple(i for i, v in enumerate(l_values) if v == 0)
-    a0 = None if flagged else a22.scale_rows([1 / v for v in l_values])
-    return BlockSet(
-        block(top, z4_cols) if top_exact else None,
-        block(top, rest_cols) if top_exact else None,
-        block(bottom, z4_cols), a22, a0, l_values, flagged,
-        {name: [len(part), len(cols)] for name, (part, cols) in slices.items()},
+    # lc is squarefree, so the numeric roots of its squarefree part are all
+    # of its roots; one root computation gives both kinds.
+    exact_roots, cofactor, numeric = _rational_and_numeric_roots(lc)
+    complex_roots = cofactor.degree > 0
+    return SpecialPoints(
+        tuple(numeric if complex_roots else exact_roots),
+        _generic_points(lc, pc, 4 * d + 1, seed, attempt),
+        "complex" if complex_roots else "rational",
     )
 
 
@@ -299,28 +241,6 @@ def _corner_det(pc: UniPoly, points: Sequence):
     """det of _corner_rows: prod pc(t_s) * prod_{s<s'} (t_s - t_s')."""
     return math.prod(pc.evaluate(t) for t in points) * math.prod(
         t - u for s, t in enumerate(points) for u in points[s + 1 :]
-    )
-
-
-def a11_closed_form(pc: UniPoly, points: Sequence[Fraction]) -> RationalMatrix:
-    """Corner block from the formula at rational points: entry (s, i) =
-    t_s**(d-i) * pc(t_s), with pc = p(c0(t)) and d + 1 = len(points).
-
-    Columns run through descending powers, so comparing against the extracted
-    block requires reversing the extracted columns.
-    """
-    return RationalMatrix.from_rows(_corner_rows(pc, points))
-
-
-def a22_closed_form(lc: UniPoly, grads: Sequence[UniPoly], points: Sequence) -> RationalMatrix:
-    """Lower block from the formula, at the last 4d (rational) points:
-    entry (s, (m, i)) = lc(t_s) * grads[m](t_s) * t_s**i, m = 0..3, with
-    lc = l(c0(t)) and grads = restricted_gradient(q, c0)."""
-    if len(points) % 4:
-        raise DimensionError("lower block needs the last 4d points")
-    rows = _evaluation_rows(grads[:4], len(points) // 4, points)
-    return RationalMatrix.from_rows(
-        [[lc.evaluate(t) * x for x in row] for t, row in zip(points, rows)]
     )
 
 
@@ -451,29 +371,24 @@ def _render_string_rows(rows: list[list[str]]) -> list[str]:
 def verify_construction(fixture: Fixture, seed: int = 0) -> VerificationReport:
     """Run the full check chain on a fixture and report exact witnesses.
 
-    Each polynomial is restricted to the curve once, before the point loop;
-    every block is built from those restrictions.  Point-dependent rank
-    checks trigger a redraw of the generic points (up to MAX_POINT_ATTEMPTS
-    attempts) before being reported as failures; every check lands in the
-    report either way.  Every check is exact, in both fields: complex roots
-    enter the report only as labels.
+    Each polynomial is restricted to the curve once.  Checks 1, 4, 5 and 6
+    are identities between those restrictions; the only point-dependent
+    rank, check 7, triggers a redraw of the generic points (up to
+    MAX_POINT_ATTEMPTS attempts) before it is reported as a failure, and
+    checks 2-7 are then reported from the final points.  Every check is
+    exact, in both fields: complex roots enter the report only as labels.
     """
     d = fixture.d
-    prob = fixture.problem
     c0 = fixture.c0
-
     checks: list[CheckResult] = []
+
+    def record(check_id: int, name: str, ok: bool, details: dict):
+        checks.append(CheckResult(check_id, name, "pass" if ok else "fail", details))
 
     # (1) f0 vanishes on the curve (holds by fixture validation; re-check).
     restricted = compose_with_curve(fixture.f0, c0.components)
-    checks.append(
-        CheckResult(
-            1,
-            "special quintic vanishes on the curve",
-            "pass" if restricted.is_zero else "fail",
-            {"f0_on_curve": str(restricted)},
-        )
-    )
+    record(1, "special quintic vanishes on the curve", restricted.is_zero,
+           {"f0_on_curve": str(restricted)})
 
     lc = compose_with_curve(fixture.l, c0.components)
     pc = compose_with_curve(fixture.p, c0.components)
@@ -483,145 +398,89 @@ def verify_construction(fixture: Fixture, seed: int = 0) -> VerificationReport:
         selected, error = select_special_points(lc, pc, d, seed, 0), None
     except ValueError as exc:
         selected, error = None, str(exc)
-    # Every root row of the mixed block vanishes iff lc divides each
-    # (df0/dz_m)(c0(t)), m < 4: lc is squarefree and all its roots are used.
-    root_rows_zero = error is None and all(g.divmod_exact(lc)[1].is_zero for g in grad_f0[:4])
 
+    # (7) is the one check a fresh draw of generic points can repair: the
+    # rescaled lower block, rows (dq/dz_m)(c0(t_s)) * t_s**i at the last 4d
+    # points, needs full row rank 4d; rows where lc vanishes are flagged.
     for attempt in range(MAX_POINT_ATTEMPTS):
-        attempt_checks: list[CheckResult] = []
-
-        # (2) special point selection; retries redraw only the generic points.
         if error is None:
             pts = selected if attempt == 0 else replace(
                 selected, generic_points=_generic_points(lc, pc, 4 * d + 1, seed, attempt)
-            )
-            attempt_checks.append(
-                CheckResult(2, "special point selection", "pass", pts.to_obj())
             )
         else:
             # All-generic points keep the rest of the chain running; the
             # root-row census then has nothing to check.
             pts = SpecialPoints((), _generic_points(lc, pc, 5 * d + 1, seed, attempt), "rational")
-            attempt_checks.append(
-                CheckResult(
-                    2,
-                    "special point selection",
-                    "fail",
-                    {"error": error, "fallback": pts.to_obj()},
-                )
-            )
-
-        points = pts.all_points
-        rows = _evaluation_rows(grad_f0, d, points)
-        blocks = block_decompose(rows, points, lc)
-
-        # (3) the blocks are slices of the evaluation Jacobian's rows, so they
-        # reassemble to it exactly when their shapes tile it.
-        tiling = {"a11": [d + 1, d + 1], "a12": [d + 1, 4 * (d + 1)],
-                  "a21": [4 * d, d + 1], "a22": [4 * d, 4 * (d + 1)]}
-        attempt_checks.append(
-            CheckResult(
-                3,
-                "blocks reassemble to the evaluation Jacobian",
-                "pass" if blocks.shapes == tiling else "fail",
-                {"shapes": blocks.shapes},
-            )
+        lower = pts.all_points[d + 1 :]
+        flagged = [s for s, t in enumerate(lower) if lc.evaluate(t) == 0]
+        rank0 = None if flagged else rank_exact(
+            RationalMatrix.from_rows(_evaluation_rows(grad_q[:4], d, lower))
         )
-
-        # (4) on the curve df0/dz4 = p, so the corner block is pc(t_s) *
-        # t_s**(d-i) up to column order, with det prod pc(t_s) * prod (t_s -
-        # t_s').  It is invertible when the d+1 points are distinct and no
-        # zero of pc, which the selection establishes: lc is squarefree of
-        # degree d and coprime to pc, and the extra point avoids the zeros of
-        # lc*pc.  The all-generic fallback has rational points only and is
-        # decided by its exact determinant.
-        top = points[: d + 1]
-        det11 = _corner_det(pc, top)
-        ok4 = grad_f0[4] == pc and (error is None or det11 != 0)
-        attempt_checks.append(
-            CheckResult(
-                4,
-                "corner block matches closed form and is invertible",
-                "pass" if ok4 else "fail",
-                {"det": pts.label(det11),
-                 "matrix": render_matrix(_corner_rows(pc, top), pts.label)},
-            )
-        )
-
-        # (5) mixed block rows vanish at the roots of l(c0(t)); the extra
-        # row (at the d+1-th point) is reported as found, never failing.  A
-        # row at a rational point t vanishes iff every (df0/dz_m)(c0(t)) does.
-        nroots = len(pts.root_points)
-        census = [
-            {
-                "point": pts.label(points[s]),
-                "is_zero": root_rows_zero if s < nroots
-                else all(g.evaluate(points[s]) == 0 for g in grad_f0[:4]),
-            }
-            for s in range(d + 1)
-        ]
-        ok5 = all(c["is_zero"] for c in census[:nroots])
-        attempt_checks.append(
-            CheckResult(
-                5,
-                "mixed block rows vanish at l-roots (extra row reported)",
-                "pass" if ok5 else "fail",
-                {"rows": census, "root_rows": nroots},
-            )
-        )
-
-        # (6) lower block equals its closed form.
-        ok6 = blocks.a22 == a22_closed_form(lc, grad_q, points[d + 1 :])
-        attempt_checks.append(
-            CheckResult(6, "lower block matches closed form", "pass" if ok6 else "fail", {})
-        )
-
-        # (7) the l-rescaled block has full row rank 4d.
-        rank0 = None if blocks.a0 is None else rank_exact(blocks.a0)
-        ok7 = rank0 == 4 * d
-        attempt_checks.append(
-            CheckResult(
-                7,
-                "rescaled lower block has full row rank",
-                "pass" if ok7 else "fail",
-                {"rank": rank0, "expected": 4 * d, "flagged_rows": list(blocks.flagged_rows)},
-            )
-        )
-
-        if ok7 or attempt == MAX_POINT_ATTEMPTS - 1:
+        if rank0 == 4 * d:
             break
-        # Rank degeneration is the one failure mode a fresh draw of generic
-        # points can repair; everything else is point-independent.
 
-    checks.extend(attempt_checks)
+    # (2) special point selection; retries redraw only the generic points.
+    record(2, "special point selection", error is None,
+           pts.to_obj() if error is None else {"error": error, "fallback": pts.to_obj()})
+
+    # (3) rows split after the first d+1 points, columns into the z4
+    # component and the rest: the four blocks tile the evaluation Jacobian
+    # exactly when the points number 5d+1.
+    points = pts.all_points
+    top = points[: d + 1]
+    record(3, "blocks reassemble to the evaluation Jacobian", len(points) == 5 * d + 1,
+           {"shapes": {"a11": [len(top), d + 1], "a12": [len(top), 4 * (d + 1)],
+                       "a21": [len(lower), d + 1], "a22": [len(lower), 4 * (d + 1)]}})
+
+    # (4) on the curve df0/dz4 = p, so the corner block is pc(t_s) *
+    # t_s**(d-i) up to column order, with det prod pc(t_s) * prod (t_s -
+    # t_s').  It is invertible when the d+1 points are distinct and no
+    # zero of pc, which the selection establishes: lc is squarefree of
+    # degree d and coprime to pc, and the extra point avoids the zeros of
+    # lc*pc.  The all-generic fallback has rational points only and is
+    # decided by its exact determinant.
+    det11 = _corner_det(pc, top)
+    record(4, "corner block matches closed form and is invertible",
+           grad_f0[4] == pc and (error is None or det11 != 0),
+           {"det": pts.label(det11), "matrix": render_matrix(_corner_rows(pc, top), pts.label)})
+
+    # (5) mixed block rows vanish at the roots of l(c0(t)) iff lc divides
+    # each (df0/dz_m)(c0(t)), m < 4: lc is squarefree and all its roots are
+    # used.  The extra row (at the d+1-th point) is reported as found, never
+    # failing; it vanishes iff every (df0/dz_m)(c0(t)) does there.
+    nroots = len(pts.root_points)
+    root_rows_zero = error is None and all(g.divmod_exact(lc)[1].is_zero for g in grad_f0[:4])
+    census = [
+        {"point": pts.label(t),
+         "is_zero": root_rows_zero if s < nroots else all(g.evaluate(t) == 0 for g in grad_f0[:4])}
+        for s, t in enumerate(top)
+    ]
+    record(5, "mixed block rows vanish at l-roots (extra row reported)",
+           all(c["is_zero"] for c in census[:nroots]), {"rows": census, "root_rows": nroots})
+
+    # (6) the lower block's entries (df0/dz_m)(c0(t_s)) * t_s**i equal
+    # l(c0(t_s)) * (dq/dz_m)(c0(t_s)) * t_s**i at every point iff the
+    # restrictions agree as polynomials.
+    record(6, "lower block matches closed form",
+           all(grad_f0[m] == lc * grad_q[m] for m in range(4)), {})
+
+    record(7, "rescaled lower block has full row rank", rank0 == 4 * d,
+           {"rank": rank0, "expected": 4 * d, "flagged_rows": flagged})
 
     # (8) gradient pairing kernel has dimension exactly 4.
     pairing = gradient_pairing_map(grad_q, c0)
     pairing_kernel = kernel_exact(pairing)
-    ok8 = pairing_kernel.dim == 4
-    checks.append(
-        CheckResult(
-            8,
-            "gradient pairing kernel is four-dimensional",
-            "pass" if ok8 else "fail",
-            {"rank": pairing.cols - pairing_kernel.dim, "kernel_dim": pairing_kernel.dim},
-        )
-    )
+    record(8, "gradient pairing kernel is four-dimensional", pairing_kernel.dim == 4,
+           {"rank": pairing.cols - pairing_kernel.dim, "kernel_dim": pairing_kernel.dim})
 
     # (9) coefficient-form Jacobian has full rank 5d+1; its kernel dimension
     # is the tangent dimension, formal unless f0 vanishes on the curve.
-    jac_coeff = _convolution_matrix(grad_f0, d, prob.num_equations)
+    jac_coeff = _convolution_matrix(grad_f0, d, fixture.problem.num_equations)
     kernel = kernel_exact(jac_coeff)
     rank_c = jac_coeff.cols - kernel.dim
-    ok9 = rank_c == 5 * d + 1 and kernel.dim == 4 and restricted.is_zero
-    checks.append(
-        CheckResult(
-            9,
-            "coefficient Jacobian has full rank and tangent dimension 4",
-            "pass" if ok9 else "fail",
-            {"rank": rank_c, "expected_rank": 5 * d + 1, "tangent_dim": kernel.dim},
-        )
-    )
+    record(9, "coefficient Jacobian has full rank and tangent dimension 4",
+           rank_c == 5 * d + 1 and kernel.dim == 4 and restricted.is_zero,
+           {"rank": rank_c, "expected_rank": 5 * d + 1, "tangent_dim": kernel.dim})
 
     # (10) the Jacobian kernel equals the span of the symmetry vectors.
     sym = symmetry_kernel_vectors(c0)
@@ -632,20 +491,10 @@ def verify_construction(fixture: Fixture, seed: int = 0) -> VerificationReport:
         stack_rank = rank_exact(stack)
     else:
         stack_rank = sym_rank
-    ok10 = annihilated and sym_rank == 4 and kernel.dim == 4 and stack_rank == 4
-    checks.append(
-        CheckResult(
-            10,
-            "Jacobian kernel equals the symmetry span",
-            "pass" if ok10 else "fail",
-            {
-                "kernel_dim": kernel.dim,
-                "symmetry_rank": sym_rank,
-                "stack_rank": stack_rank,
-                "symmetry_annihilated": annihilated,
-            },
-        )
-    )
+    record(10, "Jacobian kernel equals the symmetry span",
+           annihilated and sym_rank == 4 and kernel.dim == 4 and stack_rank == 4,
+           {"kernel_dim": kernel.dim, "symmetry_rank": sym_rank, "stack_rank": stack_rank,
+            "symmetry_annihilated": annihilated})
 
     return VerificationReport(
         fixture_name=fixture.name,

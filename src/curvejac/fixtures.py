@@ -57,7 +57,7 @@ def fixture_a() -> Fixture:
         4, 1,
         (UniPoly.of(1), UniPoly.of(0, 1), UniPoly.zero(), UniPoly.zero(), UniPoly.zero()),
     )
-    return Fixture.build("A", q, l, _P_SHARED, c0, 1)
+    return Fixture("A", q, l, _P_SHARED, c0, 1)
 
 
 def fixture_b() -> Fixture:
@@ -80,7 +80,7 @@ def fixture_b() -> Fixture:
         4, 2,
         (UniPoly.of(1), UniPoly.of(0, 1), UniPoly.of(0, 0, 1), UniPoly.zero(), UniPoly.zero()),
     )
-    return Fixture.build("B", q, l, _P_SHARED, c0, 2)
+    return Fixture("B", q, l, _P_SHARED, c0, 2)
 
 
 def get(name: str) -> Fixture:

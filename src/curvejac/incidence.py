@@ -23,6 +23,8 @@ from .linalg import (
     RationalMatrix,
     format_rational,
     kernel_exact,
+    parse_int,
+    parse_list,
     rank_exact,
 )
 from .poly import (
@@ -111,7 +113,8 @@ class CurveParam:
             n, d, comps = obj["n"], obj["d"], obj["components"]
         except (KeyError, TypeError) as exc:
             raise InputError("curve object needs 'n', 'd', 'components'") from exc
-        return cls(n, d, tuple(UniPoly.from_obj(c) for c in comps))
+        return cls(parse_int(n, "n"), parse_int(d, "d"),
+                   tuple(UniPoly.from_obj(c) for c in parse_list(comps, "components")))
 
 
 @dataclass(frozen=True)
@@ -152,7 +155,7 @@ class IncidenceProblem:
             n, d, e, f = obj["n"], obj["d"], obj["e"], obj["f"]
         except (KeyError, TypeError) as exc:
             raise InputError("problem object needs 'n', 'd', 'e', 'f'") from exc
-        return cls(n, d, e, MultiPoly.from_obj(f))
+        return cls(parse_int(n, "n"), parse_int(d, "d"), parse_int(e, "e"), MultiPoly.from_obj(f))
 
 
 class TangentDim(NamedTuple):

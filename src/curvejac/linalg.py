@@ -28,6 +28,8 @@ __all__ = [
     "ComplexMatrix",
     "KernelBasis",
     "parse_rational",
+    "parse_int",
+    "parse_list",
     "format_rational",
     "rank_exact",
     "kernel_exact",
@@ -38,11 +40,28 @@ __all__ = [
 
 
 def parse_rational(s) -> Fraction:
-    """Parse a canonical 'p/q' (or plain 'p') string into an exact rational."""
+    """Parse a canonical 'p/q' (or plain 'p') string, or an integer, into an
+    exact rational; a float, whose value is binary, is refused."""
+    if type(s) is not int and not isinstance(s, str):
+        raise InputError(f"invalid rational value {s!r}: expected a 'p/q' string")
     try:
         return Fraction(s)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"invalid rational value {s!r}") from exc
+
+
+def parse_int(x, what: str) -> int:
+    """A non-negative integer; a bool, float or string in its place is refused."""
+    if type(x) is not int or x < 0:
+        raise InputError(f"{what} must be a non-negative integer, got {x!r}")
+    return x
+
+
+def parse_list(x, what: str) -> list:
+    """A list; a string or any other scalar in its place is refused."""
+    if not isinstance(x, list):
+        raise InputError(f"{what} must be a list, got {x!r}")
+    return x
 
 
 def format_rational(x: Fraction) -> str:
@@ -94,25 +113,8 @@ class RationalMatrix:
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RationalMatrix":
-        entries = tuple(self.entry(i, j) for i in row_idx for j in col_idx)
-        rl = tuple(self.row_labels[i] for i in row_idx) if self.row_labels else None
-        cl = tuple(self.col_labels[j] for j in col_idx) if self.col_labels else None
-        return RationalMatrix(len(row_idx), len(col_idx), entries, rl, cl)
-
-    def scale_rows(self, factors: Sequence[Fraction]) -> "RationalMatrix":
-        if len(factors) != self.rows:
-            raise DimensionError("one factor per row required")
-        entries = tuple(
-            self.entry(i, j) * factors[i] for i in range(self.rows) for j in range(self.cols)
-        )
-        return RationalMatrix(self.rows, self.cols, entries, self.row_labels, self.col_labels)
 
     def matvec(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if len(v) != self.cols:
@@ -157,11 +159,12 @@ class RationalMatrix:
             rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"matrix object must carry rows/cols/entries: {exc}") from exc
-        if len(entries) != rows:
+        rows, cols = parse_int(rows, "rows"), parse_int(cols, "cols")
+        if len(parse_list(entries, "entries")) != rows:
             raise InputError(f"matrix declares {rows} rows but entries has {len(entries)}")
         parsed = []
         for i, r in enumerate(entries):
-            if len(r) != cols:
+            if len(parse_list(r, f"entries[{i}]")) != cols:
                 raise InputError(f"entries[{i}] has {len(r)} values, expected {cols}")
             parsed.append([parse_rational(x) for x in r])
         return cls.from_rows(parsed)

@@ -18,7 +18,7 @@ from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionError, InputError
-from .linalg import format_rational, parse_rational
+from .linalg import format_rational, parse_int, parse_list, parse_rational
 
 __all__ = [
     "UniPoly",
@@ -160,7 +160,7 @@ class UniPoly:
             coeffs = obj["coeffs"]
         except (KeyError, TypeError) as exc:
             raise InputError("univariate polynomial object needs 'coeffs'") from exc
-        return cls.from_coeffs(parse_rational(c) for c in coeffs)
+        return cls.from_coeffs(parse_rational(c) for c in parse_list(coeffs, "coeffs"))
 
     def __str__(self):
         if self.is_zero:
@@ -335,18 +335,23 @@ class MultiPoly:
             terms = obj["terms"]
         except (KeyError, TypeError) as exc:
             raise InputError("polynomial object needs 'nvars' and 'terms'") from exc
+        nvars = parse_int(nvars, "nvars")
         parsed: dict[tuple[int, ...], Fraction] = {}
-        for i, t in enumerate(terms):
+        for i, t in enumerate(parse_list(terms, "terms")):
             try:
-                exps, coef = tuple(t["exp"]), parse_rational(t["coef"])
+                exps, coef = t["exp"], parse_rational(t["coef"])
             except (KeyError, TypeError) as exc:
                 raise InputError(f"terms[{i}] needs 'exp' and 'coef'") from exc
+            exps = tuple(parse_int(e, f"terms[{i}].exp entry")
+                         for e in parse_list(exps, f"terms[{i}].exp"))
             if len(exps) != nvars:
                 raise InputError(f"terms[{i}].exp has length {len(exps)}, expected {nvars}")
             parsed[exps] = parsed.get(exps, Fraction(0)) + coef
         poly = cls(nvars, parsed)
         declared = obj.get("homogeneous_degree")
-        if declared is not None and poly.homogeneous_degree() != declared:
+        if declared is not None and poly.homogeneous_degree() != parse_int(
+            declared, "homogeneous_degree"
+        ):
             raise InputError(
                 f"declared homogeneous degree {declared} does not match terms"
             )
@@ -409,6 +414,10 @@ def _polyroots(p: UniPoly, digits: int) -> list:
         return polyroots(coeffs, maxsteps=200, extraprec=80)
 
 
+def _sorted_complex(zs) -> list[complex]:
+    return sorted((complex(z) for z in zs), key=lambda z: (z.real, z.imag))
+
+
 def roots_numeric(p: UniPoly, precision: int = 12) -> list[complex]:
     """All complex roots with multiplicity, sorted by (real, imaginary).
 
@@ -420,9 +429,11 @@ def roots_numeric(p: UniPoly, precision: int = 12) -> list[complex]:
         raise ValueError("root finding needs degree >= 1")
     if precision < 1:
         raise ValueError("precision must be positive")
-    out = [complex(r) for r in _polyroots(p, precision + 20)]
-    out.sort(key=lambda z: (z.real, z.imag))
-    return out
+    return _sorted_complex(_polyroots(p, precision + 20))
+
+
+# The working digits of roots_numeric at its default precision.
+_LABEL_DIGITS = 32
 
 
 def rational_roots(p: UniPoly) -> tuple[list[Fraction], UniPoly]:
@@ -434,13 +445,22 @@ def rational_roots(p: UniPoly) -> tuple[list[Fraction], UniPoly]:
     bound, give each k by rounding a_n * Re(z); a candidate counts only when
     it is an exact root, and is divided out exactly, as often as it divides.
     """
+    return _rational_and_numeric_roots(p)[:2]
+
+
+def _rational_and_numeric_roots(p: UniPoly) -> tuple[list[Fraction], UniPoly, list[complex]]:
+    """rational_roots(p), plus the roots of p's squarefree part as sorted
+    machine complex numbers (empty when that part is linear).  Both come
+    from one root computation, at _LABEL_DIGITS significant digits or at the
+    Cauchy-bound precision if that is higher."""
     if p.is_zero:
         raise ValueError("zero polynomial")
     if p.degree < 1:
-        return [], p
+        return [], p, []
     sqfree = p.divmod_exact(gcd_univariate(p, p.derivative()))[0]
     if sqfree.degree == 1:
         candidates = {-sqfree.coeffs[0] / sqfree.coeffs[1]}
+        numeric = []
     else:
         from mpmath.libmp import to_rational
 
@@ -449,10 +469,11 @@ def rational_roots(p: UniPoly) -> tuple[list[Fraction], UniPoly]:
         lead = ints[-1]
         # Roots lie within 1 + max|a_i / a_n|; resolve 1 / (2 |a_n|) there.
         digits = len(str(2 * (abs(lead) + max(abs(a) for a in ints)))) + 10
+        zs = _polyroots(sqfree, max(digits, _LABEL_DIGITS))
         candidates = {
-            Fraction(round(lead * Fraction(*to_rational(z.real._mpf_))), lead)
-            for z in _polyroots(sqfree, digits)
+            Fraction(round(lead * Fraction(*to_rational(z.real._mpf_))), lead) for z in zs
         }
+        numeric = _sorted_complex(zs)
     rem = p
     roots: list[Fraction] = []
     for cand in sorted(candidates):
@@ -464,4 +485,4 @@ def rational_roots(p: UniPoly) -> tuple[list[Fraction], UniPoly]:
             roots.append(cand)
             rem = quot
             quot, r = rem.divmod_exact(factor)
-    return roots, rem
+    return roots, rem, numeric

@@ -23,7 +23,7 @@ def fixture_b_nonsplit(fixture_b):
         5,
         {(1, 0, 0, 0, 0): 1, (0, 0, 1, 0, 0): 1, (0, 0, 0, 1, 0): 2, (0, 0, 0, 0, 1): 3},
     )
-    return Fixture.build("B-nonsplit", fixture_b.q, l, fixture_b.p, fixture_b.c0, 2)
+    return Fixture("B-nonsplit", fixture_b.q, l, fixture_b.p, fixture_b.c0, 2)
 
 
 @pytest.fixture()

@@ -3,8 +3,8 @@
 Everything here is deliberately naive and separate from the package's code
 paths: plain Gauss-Jordan over Fractions (no fraction-free tricks), direct
 convolution for polynomial products, exact Newton interpolation for
-first-order Taylor extraction, block reassembly by row concatenation, and an
-exhaustive smoothness search over a prime field.
+first-order Taylor extraction, block slicing, reassembly and closed forms
+by list arithmetic, and an exhaustive smoothness search over a prime field.
 """
 
 from fractions import Fraction
@@ -109,11 +109,46 @@ def laplace_det(rows):
     return total
 
 
+def split_blocks(rows, d):
+    """The blocks a11, a12, a21, a22 of an exact n=4 evaluation Jacobian, as
+    lists of rows: rows split after the first d+1 points, columns into the
+    z4-component block and the rest."""
+    z4_cols, rest_cols = range(4 * (d + 1), 5 * (d + 1)), range(4 * (d + 1))
+    top, bottom = rows[: d + 1], rows[d + 1 :]
+
+    def cut(part, cols):
+        return [[r[j] for j in cols] for r in part]
+
+    return {"a11": cut(top, z4_cols), "a12": cut(top, rest_cols),
+            "a21": cut(bottom, z4_cols), "a22": cut(bottom, rest_cols)}
+
+
 def reassemble_blocks(blocks):
-    """Rows of [[a11, a12], [a21, a22]] for exact blocks."""
-    top = [list(blocks.a11.row(i)) + list(blocks.a12.row(i)) for i in range(blocks.a11.rows)]
-    bottom = [list(blocks.a21.row(i)) + list(blocks.a22.row(i)) for i in range(blocks.a21.rows)]
+    """Rows of [[a11, a12], [a21, a22]]."""
+    top = [a + b for a, b in zip(blocks["a11"], blocks["a12"])]
+    bottom = [a + b for a, b in zip(blocks["a21"], blocks["a22"])]
     return top + bottom
+
+
+def _value(poly, t):
+    return sum(c * t**k for k, c in enumerate(poly.coeffs))
+
+
+def a11_closed_form(pc, points):
+    """Corner block from the formula: entry (s, i) = t_s**(d-i) * pc(t_s),
+    with pc = p(c0(t)) and d + 1 = len(points).  Columns run through
+    descending powers, the reverse of the extracted block's."""
+    d = len(points) - 1
+    return [[t ** (d - i) * _value(pc, t) for i in range(d + 1)] for t in points]
+
+
+def a22_closed_form(lc, grads, points):
+    """Lower block from the formula at the last 4d points: entry (s, (m, i))
+    = lc(t_s) * grads[m](t_s) * t_s**i, m = 0..3, with lc = l(c0(t)) and
+    grads the restricted gradient of q."""
+    d = len(points) // 4
+    return [[_value(lc, t) * _value(g, t) * t**i for g in grads[:4] for i in range(d + 1)]
+            for t in points]
 
 
 def permute_z4_first(matrix, d):

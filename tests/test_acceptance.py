@@ -13,13 +13,7 @@ import time
 from fractions import Fraction as F
 
 from curvejac import cli
-from curvejac.construction import (
-    a11_closed_form,
-    a22_closed_form,
-    block_decompose,
-    gradient_pairing_map,
-    select_special_points,
-)
+from curvejac.construction import gradient_pairing_map, select_special_points
 from curvejac.incidence import (
     IncidenceProblem,
     jacobian_coefficient_form,
@@ -41,6 +35,7 @@ from curvejac.linalg import (
 )
 from curvejac.poly import compose_with_curve, monomial_basis
 
+import oracles
 import propcheck
 
 A_POINTS = [F(-1, 2), F(1), F(2), F(3), F(5), F(7)]
@@ -97,19 +92,20 @@ def test_criterion_3_block_suite(fixture_a):
         jac = jacobian_evaluation_form(fixture_a.problem, fixture_a.c0, A_POINTS)
         lc = compose_with_curve(fixture_a.l, fixture_a.c0.components)
         pc = compose_with_curve(fixture_a.p, fixture_a.c0.components)
-        blocks = block_decompose(jac.matrix.to_rows(), A_POINTS, lc)
-        closed11 = a11_closed_form(pc, A_POINTS[:2])
-        extracted11 = blocks.a11.submatrix([0, 1], [1, 0])  # descending powers
-        assert extracted11.entries == closed11.entries
-        det11 = det_exact(extracted11)
+        blocks = oracles.split_blocks(jac.matrix.to_rows(), fixture_a.d)
+        closed11 = oracles.a11_closed_form(pc, A_POINTS[:2])
+        extracted11 = [row[::-1] for row in blocks["a11"]]  # descending powers
+        assert extracted11 == closed11
+        det11 = det_exact(RationalMatrix.from_rows(extracted11))
         assert det11 == F(-51, 16) and det11 != 0
         grads = restricted_gradient(fixture_a.q, fixture_a.c0)
-        closed22 = a22_closed_form(lc, grads, A_POINTS[2:])
-        assert blocks.a22.entries == closed22.entries
-        assert rank_exact(blocks.a0) == 4 == 4 * fixture_a.d
+        closed22 = oracles.a22_closed_form(lc, grads, A_POINTS[2:])
+        assert blocks["a22"] == closed22
+        a0 = [[x / lc.evaluate(t) for x in row] for row, t in zip(blocks["a22"], A_POINTS[2:])]
+        assert rank_exact(RationalMatrix.from_rows(a0)) == 4 == 4 * fixture_a.d
         # rows of the mixed block at roots of l(c0(t)) vanish exactly
-        assert all(x == 0 for x in blocks.a12.row(0))
-        extra_zero = all(x == 0 for x in blocks.a12.row(1))
+        assert all(x == 0 for x in blocks["a12"][0])
+        extra_zero = all(x == 0 for x in blocks["a12"][1])
         print(f"  [info] mixed-block row at t_2 = 1 is zero: {extra_zero}")
 
 

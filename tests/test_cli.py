@@ -313,3 +313,41 @@ class TestInputFaults:
             assert rc == 2, argv
             assert out == ""
             assert len(err.splitlines()) == 1 and "--tol" in err
+
+
+# Each fault replaces one value of fixture A's curve or problem document.
+MALFORMED = {
+    "curve-d-string": ("curve", "through", ("d",), "1"),
+    "curve-components-scalar": ("curve", "sample", ("components",), 5),
+    "curve-coeffs-scalar": ("curve", "through", ("components", 0, "coeffs"), 1),
+    "curve-coeffs-string": ("curve", "sample", ("components", 1, "coeffs"), "12"),
+    "curve-float-coefficient": ("curve", "through", ("components", 1, "coeffs", 1), 0.1),
+    "problem-float-exponent": ("problem", "jacobian", ("f", "terms", 0, "exp", 0), 4.5),
+    "problem-exp-string": ("problem", "jacobian", ("f", "terms", 0, "exp"), "40100"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MALFORMED))
+def test_malformed_document_exits_2_in_one_line(fault, tmp_path, fixture_a):
+    # each of these used to end in a TypeError traceback or to be read as
+    # another document (a float's binary value, truncated exponents, the
+    # characters of a string)
+    kind, command, path, value = MALFORMED[fault]
+    docs = {"curve": fixture_a.c0.to_obj(), "problem": fixture_a.problem.to_obj()}
+    target = docs[kind]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    argv = {
+        "through": ["through", paths["curve"], "--degree", "1"],
+        "sample": ["sample", paths["curve"], "--degree", "1", "--count", "1"],
+        "jacobian": ["jacobian", paths["problem"], paths["curve"]],
+    }[command]
+    rc, out, err = run_cli([str(a) for a in argv])
+    assert rc == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("input error:"), err

@@ -8,9 +8,6 @@ import pytest
 from curvejac.construction import (
     MAX_POINT_ATTEMPTS,
     Fixture,
-    a11_closed_form,
-    a22_closed_form,
-    block_decompose,
     build_special_hypersurface,
     gradient_pairing_map,
     render_matrix,
@@ -26,7 +23,7 @@ from curvejac.incidence import (
     symmetry_kernel_vectors,
 )
 from curvejac.linalg import RationalMatrix, det_exact, kernel_exact, rank_exact
-from curvejac.poly import MultiPoly, UniPoly, compose_with_curve
+from curvejac.poly import MultiPoly, UniPoly, _polyroots, compose_with_curve
 
 import oracles
 import propcheck
@@ -46,8 +43,8 @@ def special_points(c0, l, p, **kwargs):
 def small_p(fix):
     """The fixture with p scaled by 1/10^4: the corner block's determinant
     shrinks by 10^-12 and its invertibility does not change."""
-    return Fixture.build(fix.name + "-small-p", fix.q, fix.l, fix.p.scale(F(1, 10**4)),
-                         fix.c0, fix.d)
+    return Fixture(fix.name + "-small-p", fix.q, fix.l, fix.p.scale(F(1, 10**4)),
+                   fix.c0, fix.d)
 
 
 def fermat_quartic():
@@ -117,6 +114,21 @@ class TestSelectSpecialPoints:
         assert pts.field == "complex"
         assert [round(z.imag) for z in pts.root_points] == [-1, 1]
 
+    def test_nonsplit_roots_computed_once(self, fixture_b_nonsplit, monkeypatch):
+        # one root computation gives the rational candidates and the labels,
+        # at roots_numeric's default working precision
+        calls = []
+
+        def counted(p, digits):
+            calls.append((p.degree, digits))
+            return _polyroots(p, digits)
+
+        monkeypatch.setattr("curvejac.poly._polyroots", counted)
+        rep = verify_construction(fixture_b_nonsplit, seed=0)
+        assert rep.field == "complex"
+        assert calls == [(2, 32)]
+        assert rep.points[:2] == ("0-1i", "0+1i")
+
     def test_repeated_root_rejected(self, fixture_a):
         # l restricting to (1 + 2t)^2 on the line: 1 + 4t + 4t^2 needs d >= 2,
         # so use the conic fixture's curve with z0 + 4 z1 + 4 z2.
@@ -146,19 +158,29 @@ class TestSelectSpecialPoints:
         assert p0.generic_points == again.generic_points
 
 
+def shape(rows):
+    return (len(rows), len(rows[0]))
+
+
 class TestBlocks:
     def blocks_a(self, fixture_a):
         jac = jacobian_evaluation_form(fixture_a.problem, fixture_a.c0, A_POINTS)
+        return jac, oracles.split_blocks(jac.matrix.to_rows(), fixture_a.d)
+
+    def a0_a(self, fixture_a):
+        """l(c0(t_s)) at the lower points, and a22 with each row divided by it."""
+        _, blocks = self.blocks_a(fixture_a)
         lc = on_curve(fixture_a.l, fixture_a.c0)
-        return jac, block_decompose(jac.matrix.to_rows(), A_POINTS, lc)
+        l_values = [lc.evaluate(t) for t in A_POINTS[2:]]
+        return l_values, [[x / v for x in row] for row, v in zip(blocks["a22"], l_values)]
 
     def test_shapes(self, fixture_a):
         _, blocks = self.blocks_a(fixture_a)
-        assert (blocks.a11.rows, blocks.a11.cols) == (2, 2)
-        assert (blocks.a12.rows, blocks.a12.cols) == (2, 8)
-        assert (blocks.a21.rows, blocks.a21.cols) == (4, 2)
-        assert (blocks.a22.rows, blocks.a22.cols) == (4, 8)
-        assert (blocks.a0.rows, blocks.a0.cols) == (4, 8)
+        assert shape(blocks["a11"]) == (2, 2)
+        assert shape(blocks["a12"]) == (2, 8)
+        assert shape(blocks["a21"]) == (4, 2)
+        assert shape(blocks["a22"]) == (4, 8)
+        assert shape(self.a0_a(fixture_a)[1]) == (4, 8)
 
     def test_reassembly(self, fixture_a):
         jac, blocks = self.blocks_a(fixture_a)
@@ -166,9 +188,9 @@ class TestBlocks:
 
     def test_a12_row_at_root_vanishes(self, fixture_a):
         _, blocks = self.blocks_a(fixture_a)
-        assert all(x == 0 for x in blocks.a12.row(0))
+        assert all(x == 0 for x in blocks["a12"][0])
         # the extra row (at the d+1-th point) does not vanish here
-        assert any(x != 0 for x in blocks.a12.row(1))
+        assert any(x != 0 for x in blocks["a12"][1])
 
     def test_a12_factorization(self, fixture_a):
         # every entry is l(c0(t_s)) * (dq/dz_m)(c0(t_s)) * t_s^i
@@ -182,24 +204,23 @@ class TestBlocks:
             col = 0
             for m in range(4):
                 for i in range(2):
-                    assert blocks.a12.entry(s, col) == lc.evaluate(t) * grads[m].evaluate(t) * t**i
+                    assert blocks["a12"][s][col] == lc.evaluate(t) * grads[m].evaluate(t) * t**i
                     col += 1
 
     def test_a11_closed_form_values(self, fixture_a):
-        closed = a11_closed_form(on_curve(fixture_a.p, fixture_a.c0), A_POINTS[:2])
-        assert closed.to_rows() == [[F(-17, 32), F(17, 16)], [F(2), F(2)]]
-        assert det_exact(closed) == F(-51, 16)
+        closed = oracles.a11_closed_form(on_curve(fixture_a.p, fixture_a.c0), A_POINTS[:2])
+        assert closed == [[F(-17, 32), F(17, 16)], [F(2), F(2)]]
+        assert det_exact(RationalMatrix.from_rows(closed)) == F(-51, 16)
 
     def test_a11_matches_extracted_up_to_column_reversal(self, fixture_a):
         _, blocks = self.blocks_a(fixture_a)
-        closed = a11_closed_form(on_curve(fixture_a.p, fixture_a.c0), A_POINTS[:2])
-        reversed_cols = blocks.a11.submatrix([0, 1], [1, 0])
-        assert reversed_cols.entries == closed.entries
+        closed = oracles.a11_closed_form(on_curve(fixture_a.p, fixture_a.c0), A_POINTS[:2])
+        assert [row[::-1] for row in blocks["a11"]] == closed
 
     def test_a11_det_identity(self, fixture_b):
         # det(A11 desc) = reversal sign * vandermonde det * prod p(c0(t_s))
         pts = [F(-1), F(1), F(2)]
-        closed = a11_closed_form(on_curve(fixture_b.p, fixture_b.c0), pts)
+        closed = oracles.a11_closed_form(on_curve(fixture_b.p, fixture_b.c0), pts)
         pc = compose_with_curve(fixture_b.p, fixture_b.c0.components)
         vdet = F(1)
         for i in range(3):
@@ -207,40 +228,51 @@ class TestBlocks:
                 vdet *= pts[j] - pts[i]
         prod_p = pc.evaluate(pts[0]) * pc.evaluate(pts[1]) * pc.evaluate(pts[2])
         sign = -1  # column reversal on 3 columns is one transposition
-        assert det_exact(closed) == sign * vdet * prod_p == F(-23670)
+        det = det_exact(RationalMatrix.from_rows(closed))
+        assert det == sign * vdet * prod_p == F(-23670)
 
     def test_a11_constant_p_is_vandermonde(self, fixture_a):
         one = MultiPoly.monomial((0, 0, 0, 0, 0))
-        closed = a11_closed_form(on_curve(one, fixture_a.c0), A_POINTS[:2])
-        assert closed.to_rows() == [[F(-1, 2), F(1)], [F(1), F(1)]]
+        closed = oracles.a11_closed_form(on_curve(one, fixture_a.c0), A_POINTS[:2])
+        assert closed == [[F(-1, 2), F(1)], [F(1), F(1)]]
 
     def test_a22_closed_form_row(self, fixture_a):
         lc = on_curve(fixture_a.l, fixture_a.c0)
-        closed = a22_closed_form(lc, restricted_gradient(fixture_a.q, fixture_a.c0), A_POINTS[2:])
+        closed = oracles.a22_closed_form(
+            lc, restricted_gradient(fixture_a.q, fixture_a.c0), A_POINTS[2:]
+        )
         # at t = 2: l(c0(2)) = 5, gradient = (0, 0, 1, 8)
-        assert list(closed.row(0)) == [0, 0, 0, 0, 5, 10, 40, 80]
+        assert closed[0] == [0, 0, 0, 0, 5, 10, 40, 80]
 
     def test_a22_matches_extracted(self, fixture_a):
         _, blocks = self.blocks_a(fixture_a)
         lc = on_curve(fixture_a.l, fixture_a.c0)
-        closed = a22_closed_form(lc, restricted_gradient(fixture_a.q, fixture_a.c0), A_POINTS[2:])
-        assert blocks.a22.entries == closed.entries
+        closed = oracles.a22_closed_form(
+            lc, restricted_gradient(fixture_a.q, fixture_a.c0), A_POINTS[2:]
+        )
+        assert blocks["a22"] == closed
 
     def test_a22_zero_when_gradient_vanishes_along_curve(self, fixture_a):
         q = MultiPoly.monomial((0, 0, 0, 4, 0))  # z3^4; gradient dies on the line
         lc = on_curve(fixture_a.l, fixture_a.c0)
-        closed = a22_closed_form(lc, restricted_gradient(q, fixture_a.c0), A_POINTS[2:])
-        assert all(x == 0 for x in closed.entries)
+        closed = oracles.a22_closed_form(lc, restricted_gradient(q, fixture_a.c0), A_POINTS[2:])
+        assert all(x == 0 for row in closed for x in row)
 
     def test_a0_rank(self, fixture_a):
-        _, blocks = self.blocks_a(fixture_a)
-        assert rank_exact(blocks.a0) == 4
-        assert blocks.flagged_rows == ()
+        l_values, a0 = self.a0_a(fixture_a)
+        assert rank_exact(RationalMatrix.from_rows(a0)) == 4
+        assert oracles.rref_rank(a0, 8) == 4
+        assert all(v != 0 for v in l_values)  # no flagged rows
 
     def test_a22_is_a0_rescaled_rowwise(self, fixture_a):
         _, blocks = self.blocks_a(fixture_a)
-        for s, lval in enumerate(blocks.l_values):
-            assert list(blocks.a22.row(s)) == [lval * x for x in blocks.a0.row(s)]
+        l_values, a0 = self.a0_a(fixture_a)
+        for s, lval in enumerate(l_values):
+            assert blocks["a22"][s] == [lval * x for x in a0[s]]
+        # a0 is the evaluation of q's restricted gradient, the rows check 7 ranks
+        grads = restricted_gradient(fixture_a.q, fixture_a.c0)
+        assert a0 == [[g.evaluate(t) * t**i for g in grads[:4] for i in range(2)]
+                      for t in A_POINTS[2:]]
 
 
 class TestGradientPairing:
@@ -356,7 +388,7 @@ class TestVerifyConstruction:
     def test_error_path_p_vanishing_at_root(self, fixture_a):
         # p = z0^3 (z0 + 2 z1) restricts to 1 + 2t, vanishing at the l-root
         p_bad = MultiPoly(5, {(4, 0, 0, 0, 0): 1, (3, 1, 0, 0, 0): 2})
-        fx = Fixture.build("A-bad-p", fixture_a.q, fixture_a.l, p_bad, fixture_a.c0, 1)
+        fx = Fixture("A-bad-p", fixture_a.q, fixture_a.l, p_bad, fixture_a.c0, 1)
         rep = verify_construction(fx, seed=0)
         by_id = {c.check_id: c for c in rep.checks}
         assert by_id[2].status == "fail"
@@ -370,7 +402,7 @@ class TestVerifyConstruction:
         # l = z4 restricts to 0: point selection fails, every row of the
         # rescaled block is flagged, and all attempts are used up.
         z4 = MultiPoly.monomial((0, 0, 0, 0, 1))
-        fx = Fixture.build("A-l-z4", fixture_a.q, z4, fixture_a.p, fixture_a.c0, 1)
+        fx = Fixture("A-l-z4", fixture_a.q, z4, fixture_a.p, fixture_a.c0, 1)
         rep = verify_construction(fx, seed=0)
         by_id = {c.check_id: c for c in rep.checks}
         assert "vanishes identically" in by_id[2].details["error"]

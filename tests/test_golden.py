@@ -2,17 +2,22 @@
 
 Each case runs one CLI command and compares the sha256 of its stdout with a
 recorded value, so any change to the documented JSON output, however small,
-fails here.
+fails here.  Three `verify` cases pin the paths the shipped fixtures never
+take: the all-generic fallback (A with p vanishing at the l-root), the run
+that uses up every point attempt (A with l = z4), and a curve of degree 4
+whose l-roots are complex.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from curvejac import cli
+from curvejac.poly import MultiPoly
 
 A_RATIONAL = "-1/2,1,2,3,5,7"
 A_COMPLEX = "0,1,-1,2,-2,0.5+0.5i"
@@ -26,6 +31,9 @@ GOLDEN = {
     "verify-B-3": "c7c22cf8f759b086297b380e990b32f687bf53da191f5489029bb4c2d484a5ed",
     "verify-B-nonsplit-0": "b8100e2ad7e72bb199fd7f3cf5471165795c56f74c3450375866ac4f2f7e6f80",
     "verify-B-nonsplit-3": "51a71239cbc9477693848d40d8a734f4f0c626966047cf702e0039363a961f39",
+    "verify-A-bad-p-0": "754ca312ee17fbe14dee8f4bc4a84ef74c9463325f580dff019b7c0d485f9e0a",
+    "verify-A-l-z4-0": "cdaf5d1cadb1c80f15df02d26b62a0a23483bf593cda3950528e40fa40b808b9",
+    "verify-d4-nonsplit-0": "13e2235cf1cdcac942ba8b2bacad2b16093f9d69b11bc8188d7c13204ac8fa93",
     "jacobian-coeff-A": "a602e17e3a028be3502731a15cbe93a4aa3064273f9d1ccb83c6df30a8157242",
     "jacobian-coeff-B": "7c2c40911d3f43696382d6a9e268159b028ff9933cd3f33ad1d83d13f28fc9d1",
     "jacobian-eval-rational-A": "5f2a906fb4ab7aac5877d7755b5fcc3f0806e97827d54d55c87873890c99153c",
@@ -47,6 +55,18 @@ def paths(tmp_path_factory, fixture_a, fixture_b, fixture_b_nonsplit):
             path = root / f"{kind}-{fix.name}.json"
             path.write_text(json.dumps(obj))
             out[kind, fix.name] = str(path)
+    # p = z0^3 (z0 + 2 z1) restricts to 1 + 2t, which vanishes at the l-root
+    # -1/2; l = z4 vanishes identically on the curve.
+    variants = {
+        "A-bad-p": {"p": MultiPoly(5, {(4, 0, 0, 0, 0): 1, (3, 1, 0, 0, 0): 2})},
+        "A-l-z4": {"l": MultiPoly.monomial((0, 0, 0, 0, 1))},
+    }
+    for name, polys in variants.items():
+        obj = dict(fixture_a.to_obj(), name=name, **{k: v.to_obj() for k, v in polys.items()})
+        path = root / f"fixture-{name}.json"
+        path.write_text(json.dumps(obj))
+        out["fixture", name] = str(path)
+    out["fixture", "d4-nonsplit"] = str(Path(__file__).parent / "data" / "fixture-d4-nonsplit.json")
     return out
 
 
