@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import construction, fixtures, incidence
 from .errors import DimensionError, InputError
-from .linalg import rank_exact, rank_numeric
+from .linalg import MAX_COUNT, MAX_DEGREE, parse_size, rank_exact, rank_numeric
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -149,9 +149,14 @@ def cmd_verify(args, out) -> int:
     return EXIT_OK if report.passed else EXIT_INPUT
 
 
-def cmd_through(args, out) -> int:
-    if args.degree < 1:
+def _check_degree(degree: int):
+    if degree < 1:
         raise InputError("--degree must be at least 1")
+    parse_size(degree, "--degree", MAX_DEGREE)
+
+
+def cmd_through(args, out) -> int:
+    _check_degree(args.degree)
     curve = incidence.CurveParam.from_obj(_read_json(args.curve))
     basis = incidence.quintics_through_curve(curve.n, args.degree, curve)
     obj = {
@@ -171,10 +176,10 @@ def _poly_hash(poly) -> str:
 
 
 def cmd_sample(args, out) -> int:
-    if args.degree < 1:
-        raise InputError("--degree must be at least 1")
+    _check_degree(args.degree)
     if args.count < 0:
         raise InputError("--count must be nonnegative")
+    parse_size(args.count, "--count", MAX_COUNT)
     curve = incidence.CurveParam.from_obj(_read_json(args.curve))
     membership = incidence.membership_checks(curve)
     if not membership.all_pass:

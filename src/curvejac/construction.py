@@ -40,7 +40,7 @@ from .incidence import (
     symmetry_kernel_vectors,
     vanishes_on_curve,
 )
-from .linalg import RationalMatrix, format_rational, kernel_exact, parse_int, rank_exact
+from .linalg import MAX_D, RationalMatrix, format_rational, kernel_exact, parse_size, rank_exact
 from .poly import (
     MultiPoly,
     UniPoly,
@@ -117,7 +117,7 @@ class Fixture:
     @classmethod
     def from_obj(cls, obj) -> "Fixture":
         try:
-            d = parse_int(obj["d"], "d")
+            d = parse_size(obj["d"], "d", MAX_D)
             q = MultiPoly.from_obj(obj["q"])
             l = MultiPoly.from_obj(obj["l"])
             p = MultiPoly.from_obj(obj["p"])

@@ -19,18 +19,23 @@ from typing import NamedTuple, Sequence
 from .errors import DimensionError, InputError
 from .linalg import (
     ComplexMatrix,
+    MAX_D,
+    MAX_DEGREE,
+    MAX_N,
     KernelBasis,
     RationalMatrix,
     format_rational,
     kernel_exact,
-    parse_int,
     parse_list,
+    parse_size,
     rank_exact,
 )
 from .poly import (
     MultiPoly,
     UniPoly,
-    _curve_powers,
+    _check_arity,
+    _compose,
+    _curve_monomials,
     compose_with_curve,
     gcd_univariate,
     monomial_basis,
@@ -113,7 +118,7 @@ class CurveParam:
             n, d, comps = obj["n"], obj["d"], obj["components"]
         except (KeyError, TypeError) as exc:
             raise InputError("curve object needs 'n', 'd', 'components'") from exc
-        return cls(parse_int(n, "n"), parse_int(d, "d"),
+        return cls(parse_size(n, "n", MAX_N), parse_size(d, "d", MAX_D),
                    tuple(UniPoly.from_obj(c) for c in parse_list(comps, "components")))
 
 
@@ -155,7 +160,8 @@ class IncidenceProblem:
             n, d, e, f = obj["n"], obj["d"], obj["e"], obj["f"]
         except (KeyError, TypeError) as exc:
             raise InputError("problem object needs 'n', 'd', 'e', 'f'") from exc
-        return cls(parse_int(n, "n"), parse_int(d, "d"), parse_int(e, "e"), MultiPoly.from_obj(f))
+        return cls(parse_size(n, "n", MAX_N), parse_size(d, "d", MAX_D),
+                   parse_size(e, "e", MAX_DEGREE), MultiPoly.from_obj(f))
 
 
 class TangentDim(NamedTuple):
@@ -258,10 +264,11 @@ def _check_curve(prob: IncidenceProblem, c: CurveParam):
 
 
 def restricted_gradient(f: MultiPoly, c: CurveParam) -> list[UniPoly]:
-    """The partials (df/dz_m)(c(t)), one per variable of f."""
-    return [
-        compose_with_curve(f.partial_derivative(m), c.components) for m in range(f.num_vars)
-    ]
+    """The partials (df/dz_m)(c(t)), one per variable of f, composed through
+    one monomial-restriction table for the curve."""
+    _check_arity(f, c.components)
+    restrict = _curve_monomials(c.components)
+    return [_compose(f.partial_derivative(m), restrict) for m in range(f.num_vars)]
 
 
 def vanishes_on_curve(grads: Sequence[UniPoly], c: CurveParam, degree: int) -> bool:
@@ -403,20 +410,11 @@ def quintics_through_curve(n: int, e: int, c: CurveParam) -> KernelBasis:
     """
     if c.n != n:
         raise DimensionError(f"curve has n={c.n}, expected {n}")
-    mons = monomial_basis(n + 1, e)
-    nrows = e * c.d + 1
-    power = _curve_powers(c.components)
-    cols = []
-    for mono in mons:
-        restricted = UniPoly.one()
-        for m, k in enumerate(mono):
-            if restricted.is_zero:
-                break
-            if k:
-                restricted = restricted * power(m, k)
-        cols.append([restricted.coefficient(j) for j in range(nrows)])
-    rows = [[cols[idx][j] for idx in range(len(mons))] for j in range(nrows)]
-    matrix = RationalMatrix.from_rows(rows)
+    restrict = _curve_monomials(c.components)
+    cols = [restrict(mono) for mono in monomial_basis(n + 1, e)]
+    matrix = RationalMatrix.from_rows(
+        [[col.coefficient(j) for col in cols] for j in range(e * c.d + 1)]
+    )
     return kernel_exact(matrix)
 
 
@@ -457,5 +455,6 @@ def random_member(
     for coef, bvec in zip(coefs, basis.vectors):
         if coef:
             for i, x in enumerate(bvec):
-                vec[i] += coef * x
+                if x:
+                    vec[i] += coef * x
     return poly_from_vector(vec, num_vars, degree)

@@ -5,7 +5,9 @@ All matrices here are small and dense.  Rational entries are plain
 every exact operation is exact end to end.  Rank, kernel and determinant go
 through a single fraction-free elimination: each row is scaled to integers
 and pivoting follows Bareiss' scheme, which keeps intermediate entries as
-minors of the input instead of letting numerators explode.
+minors of the input instead of letting numerators explode.  The kernel's
+back-substitution touches only the entries that can be nonzero: a basis
+vector's free column and the pivot columns already solved.
 
 The complex path (`ComplexMatrix`, `rank_numeric`) serves only the
 evaluation-form Jacobian at user-given points that are not rational
@@ -14,6 +16,7 @@ evaluation-form Jacobian at user-given points that are not rational
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -29,6 +32,7 @@ __all__ = [
     "KernelBasis",
     "parse_rational",
     "parse_int",
+    "parse_size",
     "parse_list",
     "format_rational",
     "rank_exact",
@@ -39,21 +43,53 @@ __all__ = [
 ]
 
 
+# At most this many digits in the numerator and in the denominator.
+MAX_RATIONAL_DIGITS = 2000
+_RATIONAL = re.compile(r"-?([0-9]+)(?:/([0-9]+))?")
+_INT_BOUND = 10**MAX_RATIONAL_DIGITS
+
+# Size limits of the input documents and options, checked before anything is
+# built: n (ambient dimension), d (curve degree), e and --degree (form
+# degree), --count (sample draws).
+MAX_N = 8
+MAX_D = 32
+MAX_DEGREE = 12
+MAX_COUNT = 1000
+
+
 def parse_rational(s) -> Fraction:
-    """Parse a canonical 'p/q' (or plain 'p') string, or an integer, into an
-    exact rational; a float, whose value is binary, is refused."""
-    if type(s) is not int and not isinstance(s, str):
-        raise InputError(f"invalid rational value {s!r}: expected a 'p/q' string")
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"invalid rational value {s!r}") from exc
+    """Parse a 'p/q' (or plain 'p') string of decimal digits, p optionally
+    signed with '-', or an integer, into an exact rational.  Each part has at
+    most MAX_RATIONAL_DIGITS digits.  Floats, whose value is binary, and
+    decimal points, exponents, '+', spaces and underscores are refused."""
+    if type(s) is int:
+        if abs(s) < _INT_BOUND:
+            return Fraction(s)
+    elif isinstance(s, str):
+        match = _RATIONAL.fullmatch(s)
+        if match and all(len(part or "") <= MAX_RATIONAL_DIGITS for part in match.groups()):
+            try:
+                return Fraction(s)
+            except ZeroDivisionError as exc:
+                raise InputError(f"invalid rational value {s!r}: zero denominator") from exc
+    shown = repr(s) if len(repr(s)) <= 40 else repr(s)[:40] + "..."
+    raise InputError(
+        f"invalid rational value {shown}: expected a string 'p' or 'p/q' of at most "
+        f"{MAX_RATIONAL_DIGITS} decimal digits each, p optionally signed with '-'"
+    )
 
 
 def parse_int(x, what: str) -> int:
     """A non-negative integer; a bool, float or string in its place is refused."""
     if type(x) is not int or x < 0:
         raise InputError(f"{what} must be a non-negative integer, got {x!r}")
+    return x
+
+
+def parse_size(x, what: str, limit: int) -> int:
+    """parse_int, also refusing values above limit."""
+    if parse_int(x, what) > limit:
+        raise InputError(f"{what} must be at most {limit}, got {x}")
     return x
 
 
@@ -288,7 +324,10 @@ def kernel_exact(m: RationalMatrix) -> KernelBasis:
     """Exact basis of the right null space.
 
     Each basis vector is scaled so that its first nonzero entry is 1; vectors
-    are ordered by their free column, so output is reproducible.
+    are ordered by their free column, so output is reproducible.  The vector
+    of free column fc is 1 at fc and 0 at the other free columns; its pivot
+    entries are solved from the last pivot row up, each row summing only over
+    fc and the nonzero pivot entries already solved.
     """
     rows, _ = _cleared_int_rows(m)
     ech, piv_cols, _ = _bareiss_echelon(rows)
@@ -298,12 +337,17 @@ def kernel_exact(m: RationalMatrix) -> KernelBasis:
     for fc in free_cols:
         v = [Fraction(0)] * m.cols
         v[fc] = Fraction(1)
+        solved: list[tuple[int, Fraction]] = []
         for r in range(len(piv_cols) - 1, -1, -1):
-            pc = piv_cols[r]
-            s = sum((Fraction(ech[r][j]) * v[j] for j in range(pc + 1, m.cols)), start=Fraction(0))
-            v[pc] = -s / ech[r][pc]
-        lead = next(x for x in v if x != 0)
-        vectors.append(tuple(x / lead for x in v))
+            row, pc = ech[r], piv_cols[r]
+            s = Fraction(row[fc])
+            for j, x in solved:
+                s += row[j] * x
+            if s:
+                v[pc] = -s / row[pc]
+                solved.append((pc, v[pc]))
+        lead = next(x for x in v if x)
+        vectors.append(tuple(x / lead if x else x for x in v))
     return KernelBasis(m.cols, tuple(vectors))
 
 

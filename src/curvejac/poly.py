@@ -5,6 +5,11 @@ homogeneous coordinates z_0..z_n, and `UniPoly`, a dense univariate
 polynomial in the affine coordinate t of the parametrizing line.  Both are
 immutable; all arithmetic is exact.
 
+Restriction to a parametrized curve, f(c(t)), goes through one table per
+curve (`_curve_monomials`): each power of a component and each restricted
+monomial is built once, and each term's coefficient multiplies its small
+restricted monomial once.
+
 Canonical term order everywhere is graded lexicographic on exponent vectors
 (total degree first, then lex), serialized leading term first, which keeps
 JSON output byte-stable.
@@ -374,34 +379,66 @@ class MultiPoly:
         return " + ".join(parts)
 
 
-def _curve_powers(components: Sequence[UniPoly]):
-    """power(m, k) = components[m] ** k, each power built once from the one below."""
-    tables: list[dict[int, UniPoly]] = [{0: UniPoly.one()} for _ in components]
+def _curve_monomials(components: Sequence[UniPoly]):
+    """restrict(e) = prod_m components[m] ** e[m], the restriction of the
+    monomial z**e to the curve, from one table per curve.
+
+    Each power components[m] ** k is built once from the one below, and each
+    monomial once, as its restriction without the last variable times that
+    variable's power, so every entry of the table costs at most one product.
+    """
+    powers = [[UniPoly.one(), comp] for comp in components]
+    table: dict[tuple[int, ...], UniPoly] = {}
 
     def power(m: int, k: int) -> UniPoly:
-        table = tables[m]
-        if k not in table:
-            table[k] = power(m, k - 1) * components[m]
-        return table[k]
+        row = powers[m]
+        while len(row) <= k:
+            row.append(row[-1] * components[m])
+        return row[k]
 
-    return power
+    def restrict(e: tuple[int, ...]) -> UniPoly:
+        if e not in table:
+            m = max((i for i, k in enumerate(e) if k), default=None)
+            if m is None:
+                table[e] = UniPoly.one()
+            else:
+                head = e[:m] + (0,) * (len(e) - m)
+                table[e] = restrict(head) * power(m, e[m]) if any(head) else power(m, e[m])
+        return table[e]
+
+    return restrict
 
 
-def compose_with_curve(f: MultiPoly, components: Sequence[UniPoly]) -> UniPoly:
-    """Substitute z_m := components[m](t); exact, degree <= deg(f) * max deg."""
+def _check_arity(f: MultiPoly, components: Sequence[UniPoly]):
     if len(components) != f.num_vars:
         raise DimensionError(
             f"curve has {len(components)} components, polynomial has {f.num_vars} variables"
         )
-    power = _curve_powers(components)
-    acc = UniPoly.zero()
+
+
+def _compose(f: MultiPoly, restrict) -> UniPoly:
+    """f(c(t)) from restrict = _curve_monomials(c): each restricted monomial
+    is multiplied by its coefficient once, into one accumulator."""
+    acc: list = []
     for e, c in f.terms.items():
-        term = UniPoly.one().scale(c)
-        for m, k in enumerate(e):
-            if k:
-                term = term * power(m, k)
-        acc = acc + term
-    return acc
+        coeffs = restrict(e).coeffs
+        if len(coeffs) > len(acc):
+            acc.extend([0] * (len(coeffs) - len(acc)))
+        for i, x in enumerate(coeffs):
+            if x:
+                acc[i] += c * x
+    return UniPoly.from_coeffs(acc)
+
+
+def compose_with_curve(f: MultiPoly, components: Sequence[UniPoly]) -> UniPoly:
+    """Substitute z_m := components[m](t); exact, degree <= deg(f) * max deg.
+
+    The monomials of f are restricted through one table for the curve
+    (`_curve_monomials`), which `incidence.restricted_gradient` shares
+    across all partials.
+    """
+    _check_arity(f, components)
+    return _compose(f, _curve_monomials(components))
 
 
 def _polyroots(p: UniPoly, digits: int) -> list:

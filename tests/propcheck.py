@@ -131,3 +131,28 @@ def kernel_annihilation_suite(seed, draws):
             lead = next(x for x in v if x != 0)
             assert lead == 1
     return draws
+
+
+def wide_kernel_basis_suite(seed, draws):
+    """kernel_exact's basis is the oracle's Gauss-Jordan basis, each vector
+    divided by its first nonzero entry, in the same order.  The matrices are
+    wide (1-16 rows, up to 40 columns) with zero columns and repeated rows,
+    so most columns are free, as in the through-curve kernels."""
+    rng = random.Random(seed)
+    for _ in range(draws):
+        nrows, cols = rng.randint(1, 16), rng.randint(1, 40)
+        rows = [[random_fraction(rng) for _ in range(cols)] for _ in range(nrows)]
+        for j in rng.sample(range(cols), rng.randint(0, cols // 3)):
+            for row in rows:
+                row[j] = Fraction(0)
+        for i in range(1, nrows):
+            if rng.random() < 0.3:
+                rows[i] = list(rows[rng.randrange(i)])
+        _, oracle_kernel = oracles.rref_rank_kernel(rows, cols)
+        want = tuple(
+            tuple(x / lead for x in v)
+            for v in oracle_kernel
+            for lead in [next(x for x in v if x != 0)]
+        )
+        assert kernel_exact(RationalMatrix.from_rows(rows)).vectors == want
+    return draws

@@ -315,7 +315,7 @@ class TestInputFaults:
             assert len(err.splitlines()) == 1 and "--tol" in err
 
 
-# Each fault replaces one value of fixture A's curve or problem document.
+# Each fault replaces one value of fixture A's curve, problem or fixture document.
 MALFORMED = {
     "curve-d-string": ("curve", "through", ("d",), "1"),
     "curve-components-scalar": ("curve", "sample", ("components",), 5),
@@ -324,20 +324,48 @@ MALFORMED = {
     "curve-float-coefficient": ("curve", "through", ("components", 1, "coeffs", 1), 0.1),
     "problem-float-exponent": ("problem", "jacobian", ("f", "terms", 0, "exp", 0), 4.5),
     "problem-exp-string": ("problem", "jacobian", ("f", "terms", 0, "exp"), "40100"),
+    # rationals are -?p or -?p/q in decimal digits, at most 2000 per part
+    "curve-exponent-coefficient": ("curve", "through", ("components", 1, "coeffs", 1), "1e300"),
+    "curve-decimal-coefficient": ("curve", "through", ("components", 1, "coeffs", 1), "0.5"),
+    "curve-spaced-coefficient": ("curve", "through", ("components", 1, "coeffs", 1), " 3"),
+    "curve-plus-coefficient": ("curve", "through", ("components", 1, "coeffs", 1), "+4"),
+    "curve-underscore-coefficient": ("curve", "through", ("components", 1, "coeffs", 1),
+                                     "1_000"),
+    "curve-2001-digit-coefficient": ("curve", "through", ("components", 1, "coeffs", 1),
+                                     "9" * 2001),
+    "problem-2001-digit-denominator": ("problem", "jacobian", ("f", "terms", 0, "coef"),
+                                       "1/" + "7" * 2001),
+}
+
+# Each value is one above its documented limit; d = 10**9 must be refused
+# before the (e*d+1)-row matrix it implies is allocated.
+OVERSIZED = {
+    "curve-n": ("curve", "through", ("n",), 9, ()),
+    "curve-d": ("curve", "through", ("d",), 33, ()),
+    "curve-d-1e9": ("curve", "sample", ("d",), 10**9, ()),
+    "problem-n": ("problem", "jacobian", ("n",), 9, ()),
+    "problem-d": ("problem", "jacobian", ("d",), 33, ()),
+    "problem-e": ("problem", "jacobian", ("e",), 13, ()),
+    "problem-d-1e9": ("problem", "jacobian", ("d",), 10**9, ()),
+    "fixture-d": ("fixture", "verify", ("d",), 33, ()),
+    "fixture-c0-d-1e9": ("fixture", "verify", ("c0", "d"), 10**9, ()),
+    "through-degree": (None, "through", (), None, ("--degree", "13")),
+    "sample-degree": (None, "sample", (), None, ("--degree", "13")),
+    "sample-count": (None, "sample", (), None, ("--count", "1001")),
 }
 
 
-@pytest.mark.parametrize("fault", sorted(MALFORMED))
-def test_malformed_document_exits_2_in_one_line(fault, tmp_path, fixture_a):
-    # each of these used to end in a TypeError traceback or to be read as
-    # another document (a float's binary value, truncated exponents, the
-    # characters of a string)
-    kind, command, path, value = MALFORMED[fault]
-    docs = {"curve": fixture_a.c0.to_obj(), "problem": fixture_a.problem.to_obj()}
-    target = docs[kind]
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
+def run_on_faulty_documents(tmp_path, fixture_a, kind, command, path, value, options=()):
+    """Run `command` on fixture A's documents, with the value at `path` of
+    the `kind` document replaced (kind None: no replacement) and `options`
+    appended to the command line."""
+    docs = {"curve": fixture_a.c0.to_obj(), "problem": fixture_a.problem.to_obj(),
+            "fixture": fixture_a.to_obj()}
+    if kind is not None:
+        target = docs[kind]
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
     paths = {}
     for name, doc in docs.items():
         paths[name] = tmp_path / f"{name}.json"
@@ -346,8 +374,28 @@ def test_malformed_document_exits_2_in_one_line(fault, tmp_path, fixture_a):
         "through": ["through", paths["curve"], "--degree", "1"],
         "sample": ["sample", paths["curve"], "--degree", "1", "--count", "1"],
         "jacobian": ["jacobian", paths["problem"], paths["curve"]],
+        "verify": ["verify", paths["fixture"]],
     }[command]
-    rc, out, err = run_cli([str(a) for a in argv])
+    return run_cli([str(a) for a in argv] + list(options))
+
+
+@pytest.mark.parametrize("fault", sorted(MALFORMED))
+def test_malformed_document_exits_2_in_one_line(fault, tmp_path, fixture_a):
+    # each of these used to end in a TypeError traceback or to be read as
+    # another document (a float's binary value, truncated exponents, the
+    # characters of a string, a decimal or exponent string's value)
+    rc, out, err = run_on_faulty_documents(tmp_path, fixture_a, *MALFORMED[fault])
     assert rc == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("input error:"), err
+
+
+@pytest.mark.parametrize("fault", sorted(OVERSIZED))
+def test_size_above_limit_exits_2_in_one_line(fault, tmp_path, fixture_a):
+    kind, command, path, value, options = OVERSIZED[fault]
+    rc, out, err = run_on_faulty_documents(tmp_path, fixture_a, kind, command, path, value,
+                                           options)
+    assert rc == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("input error:"), err
+    assert "must be at most" in err, err

@@ -5,7 +5,9 @@ recorded value, so any change to the documented JSON output, however small,
 fails here.  Three `verify` cases pin the paths the shipped fixtures never
 take: the all-generic fallback (A with p vanishing at the l-root), the run
 that uses up every point attempt (A with l = z4), and a curve of degree 4
-whose l-roots are complex.
+whose l-roots are complex.  `through` and `sample` are also pinned on B and
+on the generated degree-3 curve `data/curve-d3.json`, the slowest inputs
+of both commands.
 """
 
 import contextlib
@@ -42,6 +44,10 @@ GOLDEN = {
     "jacobian-eval-complex-B": "d2cd4523736aebc40847543c26bf43bbb756865379391a8fcfab7060ad09c7fa",
     "through-5-A": "4f111e6f2ef68f87080a6085ae8923ff12226a1d793228cf6e86ae580ff42afa",
     "sample-5-2-A": "85e0215cba9e6d69642c45e1ce9e8f9d6dd37909073c8aad81de5985e60ba1d7",
+    "through-5-B": "6a1544ebf1c8da4fe5b51dc11f0e2738bc7bd291f919bf5fabe147e5e30b1895",
+    "through-5-d3": "bbd07bb89ad6530b1aa25eba529b665f0825af6941c89172d2a3b13721c2ee14",
+    "sample-5-3-100-B": "5e5b49241b6ae0a91662665110e90ead14a5e7caa072fda64fc426593fef2068",
+    "sample-5-3-100-d3": "9947af7f905abb3f86213f0e7dd003717c9152d2e1d65dbda98759b8988be1c0",
 }
 
 
@@ -66,7 +72,9 @@ def paths(tmp_path_factory, fixture_a, fixture_b, fixture_b_nonsplit):
         path = root / f"fixture-{name}.json"
         path.write_text(json.dumps(obj))
         out["fixture", name] = str(path)
-    out["fixture", "d4-nonsplit"] = str(Path(__file__).parent / "data" / "fixture-d4-nonsplit.json")
+    data = Path(__file__).parent / "data"
+    out["fixture", "d4-nonsplit"] = str(data / "fixture-d4-nonsplit.json")
+    out["curve", "d3"] = str(data / "curve-d3.json")
     return out
 
 
@@ -86,8 +94,9 @@ def argv_for(case: str, paths) -> list[str]:
     if kind == "through":
         degree, name = rest.split("-")
         return ["through", paths["curve", name], "--degree", degree]
-    degree, count, name = rest.split("-")
-    return ["sample", paths["curve", name], "--degree", degree, "--count", count]
+    degree, count, *seed, name = rest.split("-")
+    argv = ["sample", paths["curve", name], "--degree", degree, "--count", count]
+    return argv + ["--seed", seed[0]] if seed else argv
 
 
 def stdout_sha256(argv) -> str:

@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from curvejac.incidence import (
     membership_checks,
     quintics_through_curve,
     random_member,
+    restricted_gradient,
     symmetry_kernel_vectors,
     tangent_dim,
     theta_labels,
@@ -268,6 +271,35 @@ class TestRandomMember:
 
         with pytest.raises(ValueError):
             random_member(KernelBasis(5, ()), 0, 5, 1)
+
+
+class TestRestrictionTable:
+    def test_one_product_per_power_and_monomial(self, monkeypatch):
+        path = Path(__file__).parent / "data" / "curve-d3.json"
+        curve = CurveParam.from_obj(json.loads(path.read_text()))
+        member = random_member(quintics_through_curve(4, 5, curve), 100, 5, 5)
+        exps = {e for m in range(5) for e in member.partial_derivative(m).terms}
+        # One table serves all partials.  It builds components[m] ** k (k >= 2)
+        # from the power below, and the restriction of each monomial with two
+        # or more variables from the one without its last variable; those
+        # monomials are the leading parts of the exponents.
+        powers = {(m, k) for e in exps for m, top in enumerate(e) for k in range(2, top + 1)}
+        monomials = set()
+        for e in exps:
+            used = [m for m, k in enumerate(e) if k]
+            for last in used[1:]:
+                monomials.add(e[: last + 1] + (0,) * (len(e) - last - 1))
+        products = 0
+        mul = UniPoly.__mul__
+
+        def counting_mul(self, other):
+            nonlocal products
+            products += isinstance(other, UniPoly)
+            return mul(self, other)
+
+        monkeypatch.setattr(UniPoly, "__mul__", counting_mul)
+        restricted_gradient(member, curve)
+        assert 0 < products <= len(powers) + len(monomials)
 
 
 class TestRankInvariance:

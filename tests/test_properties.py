@@ -21,3 +21,7 @@ def test_rank_nullity_100_draws():
 
 def test_kernel_annihilation_100_draws():
     assert propcheck.kernel_annihilation_suite(seed=2027, draws=100) == 100
+
+
+def test_wide_kernel_basis_100_draws():
+    assert propcheck.wide_kernel_basis_suite(seed=2028, draws=100) == 100
