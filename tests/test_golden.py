@@ -5,7 +5,9 @@ recorded value, so any change to the documented JSON output, however small,
 fails here.  Three `verify` cases pin the paths the shipped fixtures never
 take: the all-generic fallback (A with p vanishing at the l-root), the run
 that uses up every point attempt (A with l = z4), and a curve of degree 4
-whose l-roots are complex.  `through` and `sample` are also pinned on B and
+whose l-roots are complex.  A fourth pins a split rational fixture of degree
+3 with a large-height q (`data/fixture-d3-large.json`), so check 5 reports
+three l-roots.  `through` and `sample` are also pinned on B and
 on the generated degree-3 curve `data/curve-d3.json`, the slowest inputs
 of both commands.
 """
@@ -36,6 +38,7 @@ GOLDEN = {
     "verify-A-bad-p-0": "754ca312ee17fbe14dee8f4bc4a84ef74c9463325f580dff019b7c0d485f9e0a",
     "verify-A-l-z4-0": "cdaf5d1cadb1c80f15df02d26b62a0a23483bf593cda3950528e40fa40b808b9",
     "verify-d4-nonsplit-0": "13e2235cf1cdcac942ba8b2bacad2b16093f9d69b11bc8188d7c13204ac8fa93",
+    "verify-d3-large-0": "ea150eb8d28332b066e7a4879b0aa7361fe3e876f4e9437ed9677dbb7aedbf67",
     "jacobian-coeff-A": "a602e17e3a028be3502731a15cbe93a4aa3064273f9d1ccb83c6df30a8157242",
     "jacobian-coeff-B": "7c2c40911d3f43696382d6a9e268159b028ff9933cd3f33ad1d83d13f28fc9d1",
     "jacobian-eval-rational-A": "5f2a906fb4ab7aac5877d7755b5fcc3f0806e97827d54d55c87873890c99153c",
@@ -74,6 +77,7 @@ def paths(tmp_path_factory, fixture_a, fixture_b, fixture_b_nonsplit):
         out["fixture", name] = str(path)
     data = Path(__file__).parent / "data"
     out["fixture", "d4-nonsplit"] = str(data / "fixture-d4-nonsplit.json")
+    out["fixture", "d3-large"] = str(data / "fixture-d3-large.json")
     out["curve", "d3"] = str(data / "curve-d3.json")
     return out
 
