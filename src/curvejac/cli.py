@@ -13,16 +13,17 @@ system.  Every error ends with one line on stderr.
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import hashlib
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import construction, fixtures, incidence
 from .errors import DimensionError, InputError
-from .linalg import MAX_COUNT, MAX_DEGREE, parse_size, rank_exact, rank_numeric
+from .linalg import (MAX_COUNT, MAX_DEGREE, MAX_RATIONAL_DIGITS, parse_rational, parse_size,
+                     rank_exact, rank_numeric)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -74,20 +75,24 @@ def _parse_tol(text: str) -> float:
 
 
 def _parse_points(text: str):
+    """--points: a token without 'i' is a rational (`parse_rational`), one
+    with 'i' a finite complex number a+bi of at most MAX_RATIONAL_DIGITS digits."""
     points = []
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
             continue
-        try:
-            points.append(Fraction(tok))
+        if "i" not in tok:
+            points.append(parse_rational(tok))
             continue
-        except (ValueError, ZeroDivisionError):
-            pass
         try:
-            points.append(complex(tok.replace("i", "j")))
+            z = complex(tok.replace("i", "j"))
+            if not cmath.isfinite(z) or sum(map(str.isdigit, tok)) > MAX_RATIONAL_DIGITS:
+                raise ValueError
         except ValueError as exc:
-            raise InputError(f"cannot parse point {tok!r}") from exc
+            raise InputError(f"cannot parse point {tok[:40]!r}: expected a rational 'p' or 'p/q' "
+                             f"or a finite a+bi of at most {MAX_RATIONAL_DIGITS} digits") from exc
+        points.append(z)
     return points
 
 

@@ -33,12 +33,10 @@ from .linalg import (
 from .poly import (
     MultiPoly,
     UniPoly,
-    _check_arity,
-    _compose,
-    _curve_monomials,
     compose_with_curve,
     gcd_univariate,
     monomial_basis,
+    restrict_to_curve,
 )
 
 __all__ = [
@@ -264,11 +262,9 @@ def _check_curve(prob: IncidenceProblem, c: CurveParam):
 
 
 def restricted_gradient(f: MultiPoly, c: CurveParam) -> list[UniPoly]:
-    """The partials (df/dz_m)(c(t)), one per variable of f, composed through
-    one monomial-restriction table for the curve."""
-    _check_arity(f, c.components)
-    restrict = _curve_monomials(c.components)
-    return [_compose(f.partial_derivative(m), restrict) for m in range(f.num_vars)]
+    """The partials (df/dz_m)(c(t)), one per variable of f, restricted
+    together by `restrict_to_curve`."""
+    return restrict_to_curve([f.partial_derivative(m) for m in range(f.num_vars)], c.components)
 
 
 def vanishes_on_curve(grads: Sequence[UniPoly], c: CurveParam, degree: int) -> bool:
@@ -410,8 +406,9 @@ def quintics_through_curve(n: int, e: int, c: CurveParam) -> KernelBasis:
     """
     if c.n != n:
         raise DimensionError(f"curve has n={c.n}, expected {n}")
-    restrict = _curve_monomials(c.components)
-    cols = [restrict(mono) for mono in monomial_basis(n + 1, e)]
+    cols = restrict_to_curve(
+        [MultiPoly.monomial(mono) for mono in monomial_basis(n + 1, e)], c.components
+    )
     matrix = RationalMatrix.from_rows(
         [[col.coefficient(j) for col in cols] for j in range(e * c.d + 1)]
     )

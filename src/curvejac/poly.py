@@ -5,10 +5,11 @@ homogeneous coordinates z_0..z_n, and `UniPoly`, a dense univariate
 polynomial in the affine coordinate t of the parametrizing line.  Both are
 immutable; all arithmetic is exact.
 
-Restriction to a parametrized curve, f(c(t)), goes through one table per
-curve (`_curve_monomials`): each power of a component and each restricted
-monomial is built once, and each term's coefficient multiplies its small
-restricted monomial once.
+Restriction to a parametrized curve, f(c(t)), has one entry point,
+`restrict_to_curve`: it restricts several forms through one table
+(`_curve_monomials`), which builds each power of a component and each
+restricted monomial once, and multiplies each term's coefficient into its
+small restricted monomial once.
 
 Canonical term order everywhere is graded lexicographic on exponent vectors
 (total degree first, then lex), serialized leading term first, which keeps
@@ -30,10 +31,12 @@ __all__ = [
     "MultiPoly",
     "gcd_univariate",
     "compose_with_curve",
+    "restrict_to_curve",
     "monomial_basis",
     "grlex_key",
     "roots_numeric",
     "rational_roots",
+    "rational_and_numeric_roots",
 ]
 
 
@@ -409,36 +412,33 @@ def _curve_monomials(components: Sequence[UniPoly]):
     return restrict
 
 
-def _check_arity(f: MultiPoly, components: Sequence[UniPoly]):
-    if len(components) != f.num_vars:
-        raise DimensionError(
-            f"curve has {len(components)} components, polynomial has {f.num_vars} variables"
-        )
-
-
-def _compose(f: MultiPoly, restrict) -> UniPoly:
-    """f(c(t)) from restrict = _curve_monomials(c): each restricted monomial
-    is multiplied by its coefficient once, into one accumulator."""
-    acc: list = []
-    for e, c in f.terms.items():
-        coeffs = restrict(e).coeffs
-        if len(coeffs) > len(acc):
-            acc.extend([0] * (len(coeffs) - len(acc)))
-        for i, x in enumerate(coeffs):
-            if x:
-                acc[i] += c * x
-    return UniPoly.from_coeffs(acc)
+def restrict_to_curve(fs: Sequence[MultiPoly], components: Sequence[UniPoly]) -> list[UniPoly]:
+    """The restrictions f(c(t)), z_m := components[m](t), of the forms fs,
+    exact; they share one table of restricted monomials, and each term's
+    coefficient multiplies its restricted monomial once."""
+    for f in fs:
+        if f.num_vars != len(components):
+            raise DimensionError(
+                f"curve has {len(components)} components, polynomial has {f.num_vars} variables"
+            )
+    restrict = _curve_monomials(components)
+    out = []
+    for f in fs:
+        acc: list = []
+        for e, c in f.terms.items():
+            coeffs = restrict(e).coeffs
+            if len(coeffs) > len(acc):
+                acc.extend([0] * (len(coeffs) - len(acc)))
+            for i, x in enumerate(coeffs):
+                if x:
+                    acc[i] += c * x
+        out.append(UniPoly.from_coeffs(acc))
+    return out
 
 
 def compose_with_curve(f: MultiPoly, components: Sequence[UniPoly]) -> UniPoly:
-    """Substitute z_m := components[m](t); exact, degree <= deg(f) * max deg.
-
-    The monomials of f are restricted through one table for the curve
-    (`_curve_monomials`), which `incidence.restricted_gradient` shares
-    across all partials.
-    """
-    _check_arity(f, components)
-    return _compose(f, _curve_monomials(components))
+    """Substitute z_m := components[m](t): restrict_to_curve of one form."""
+    return restrict_to_curve([f], components)[0]
 
 
 def _polyroots(p: UniPoly, digits: int) -> list:
@@ -482,10 +482,10 @@ def rational_roots(p: UniPoly) -> tuple[list[Fraction], UniPoly]:
     bound, give each k by rounding a_n * Re(z); a candidate counts only when
     it is an exact root, and is divided out exactly, as often as it divides.
     """
-    return _rational_and_numeric_roots(p)[:2]
+    return rational_and_numeric_roots(p)[:2]
 
 
-def _rational_and_numeric_roots(p: UniPoly) -> tuple[list[Fraction], UniPoly, list[complex]]:
+def rational_and_numeric_roots(p: UniPoly) -> tuple[list[Fraction], UniPoly, list[complex]]:
     """rational_roots(p), plus the roots of p's squarefree part as sorted
     machine complex numbers (empty when that part is linear).  Both come
     from one root computation, at _LABEL_DIGITS significant digits or at the

@@ -315,7 +315,12 @@ class TestInputFaults:
             assert len(err.splitlines()) == 1 and "--tol" in err
 
 
-# Each fault replaces one value of fixture A's curve, problem or fixture document.
+def _points(last: str) -> tuple:
+    return (None, "jacobian", (), None, ("--form", "eval", f"--points=0,1,2,3,4,{last}"))
+
+
+# Each fault replaces one value of fixture A's curve, problem or fixture
+# document, or is the last of fixture A's six --points.
 MALFORMED = {
     "curve-d-string": ("curve", "through", ("d",), "1"),
     "curve-components-scalar": ("curve", "sample", ("components",), 5),
@@ -335,6 +340,14 @@ MALFORMED = {
                                      "9" * 2001),
     "problem-2001-digit-denominator": ("problem", "jacobian", ("f", "terms", 0, "coef"),
                                        "1/" + "7" * 2001),
+    # a point without 'i' is such a rational; one with 'i' a finite complex
+    # number of at most 2000 digits
+    "points-exponent": _points("1e300"),
+    "points-decimal": _points("0.5"),
+    "points-infinite": _points("inf"),
+    "points-nan-complex": _points("nan+1i"),
+    "points-2001-digit-rational": _points("9" * 2001),
+    "points-2001-digit-complex": _points("1." + "0" * 2000 + "+1i"),
 }
 
 # Each value is one above its documented limit; d = 10**9 must be refused

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from curvejac import poly
 from curvejac.construction import (
     MAX_POINT_ATTEMPTS,
     Fixture,
@@ -372,6 +373,20 @@ class TestVerifyConstruction:
         assert by_id[5].details["root_rows"] == 4
         assert rep.points[4] == "1+0i"  # generic points keep complex labels
 
+    def test_one_restriction_table(self, fixture_a, monkeypatch):
+        # l, p and the partials of q share one table; f0 is never restricted
+        tables = 0
+        build = poly._curve_monomials
+
+        def counting_build(components):
+            nonlocal tables
+            tables += 1
+            return build(components)
+
+        monkeypatch.setattr(poly, "_curve_monomials", counting_build)
+        verify_construction(fixture_a, seed=0)
+        assert tables == 1
+
     def test_byte_stable(self, fixture_b):
         a = verify_construction(fixture_b, seed=3).to_json()
         b = verify_construction(fixture_b, seed=3).to_json()
@@ -410,6 +425,43 @@ class TestVerifyConstruction:
         assert by_id[7].details["flagged_rows"] == [0, 1, 2, 3]
         assert rep.attempts == MAX_POINT_ATTEMPTS
         assert not rep.passed
+
+
+def _derived_gradient(fix):
+    """[l(c0) * (dq/dz_m)(c0), m < 4] + [p(c0)]: the gradient of f0 on the
+    curve that verify_construction uses in place of restricting f0."""
+    lc, pc = on_curve(fix.l, fix.c0), on_curve(fix.p, fix.c0)
+    return [lc * on_curve(fix.q.partial_derivative(m), fix.c0) for m in range(4)] + [pc]
+
+
+class TestDerivedGradient:
+    """The restriction of f0 itself, which verify no longer computes, is the
+    reference for the gradient verify derives from l, p and q."""
+
+    def assert_matches_restriction(self, fix):
+        assert on_curve(fix.f0, fix.c0).is_zero
+        assert restricted_gradient(fix.f0, fix.c0) == _derived_gradient(fix)
+
+    def test_shipped_test_and_data_fixtures(self, fixture_a, fixture_b, fixture_b_nonsplit):
+        z4 = MultiPoly.monomial((0, 0, 0, 0, 1))
+        p_bad = MultiPoly(5, {(4, 0, 0, 0, 0): 1, (3, 1, 0, 0, 0): 2})
+        fixtures = [
+            fixture_a, fixture_b, fixture_b_nonsplit,
+            Fixture("A-bad-p", fixture_a.q, fixture_a.l, p_bad, fixture_a.c0, 1),
+            Fixture("A-l-z4", fixture_a.q, z4, fixture_a.p, fixture_a.c0, 1),
+        ]
+        for name in ("fixture-d4-nonsplit.json", "fixture-d3-large.json"):
+            fixtures.append(Fixture.from_obj(json.loads((DATA / name).read_text())))
+        for fix in fixtures:
+            self.assert_matches_restriction(fix)
+
+    def test_random_l_and_p(self, fixture_a, fixture_b):
+        rng = random.Random(2024)
+        for _ in range(50):
+            l = propcheck.random_homogeneous(rng, 5, 1)
+            p = propcheck.random_homogeneous(rng, 5, 4)
+            for base in (fixture_a, fixture_b):
+                self.assert_matches_restriction(Fixture("random", base.q, l, p, base.c0, base.d))
 
 
 class TestFixtureBundle:
