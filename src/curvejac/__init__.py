@@ -4,11 +4,11 @@ Builds the incidence equations of parametrized rational curves lying on a
 hypersurface, their Jacobian in coefficient and evaluation form, and runs the
 block-decomposition verification for the special quintic l*q + z4*p through a
 curve on a quartic surface.  All core arithmetic is exact over the rationals.
-The verification derives f0's gradient on the curve from l, p and q instead
-of restricting f0, so checks 1, 3 and 6 and check 5's root rows hold by
-construction; it decides the rest, retrying one rank (check 7) over redrawn
-generic points, and eliminates matrices only in checks 7-10, so every check
-is exact even when l(c0(t)) has complex roots.
+The fixture restricts l, p and q's partials to the curve once and checks
+q(c0) = 0 from them; the verification derives f0's gradient from them, so
+checks 1, 3 and 6 and check 5's root rows hold by construction.  It decides
+the rest, checks 7-10 by exact ranks with no kernel basis, retrying check 7
+over redrawn generic points: every check is exact even at complex roots.
 The only tolerance is the singular-value rank of an evaluation-form Jacobian
 at user-given points that are not rational.
 """

@@ -9,15 +9,16 @@ the mixed block rows there vanish, the corner block is a p-scaled Vandermonde
 scaled by l.  `verify_construction` runs the whole chain of checks with exact
 witnesses and reports each one.
 
-`Fixture` guarantees q(c0) = 0, a zero z4 component of c0 and a q free of
-z4, so on the curve f0 vanishes, (df0/dz4)(c0) = p(c0) and (df0/dz_m)(c0) =
-l(c0) * (dq/dz_m)(c0), m < 4: only l, p and q's partials are restricted.
-Checks 1, 3 and 6 and check 5's root rows hold by construction; the point
-selection (2), the corner determinant (4), the extra row (5) and the ranks
-(7-10) are decided, and no evaluation Jacobian is built.  Check 7 ranks the
-rescaled lower block at the 4d rational generic points and is the one check
-retried over a redraw of those points.  Every check is exact in both fields:
-complex roots of l(c0(t)) are labels.
+`Fixture` restricts l, p and q's partials once, decides q(c0) = 0 from them,
+and guarantees a zero z4 component of c0 and a q free of z4, so on the curve
+f0 vanishes, (df0/dz4)(c0) = p(c0) and (df0/dz_m)(c0) = l(c0) * (dq/dz_m)(c0),
+m < 4.  Checks 1, 3 and 6 and check 5's root rows hold by construction; the
+point selection (2), the corner determinant (4), the extra row (5) and the
+ranks (7-10) are decided, the ranks by five exact eliminations with no
+evaluation Jacobian and no kernel basis.  Check 7 ranks the rescaled lower
+block at the 4d rational generic points and is the one check retried over a
+redraw of those points.  Every check is exact in both fields: complex roots
+of l(c0(t)) are labels.
 """
 
 from __future__ import annotations
@@ -40,15 +41,8 @@ from .incidence import (
     symmetry_kernel_vectors,
     vanishes_on_curve,
 )
-from .linalg import MAX_D, RationalMatrix, format_rational, kernel_exact, parse_size, rank_exact
-from .poly import (
-    MultiPoly,
-    UniPoly,
-    compose_with_curve,
-    gcd_univariate,
-    rational_and_numeric_roots,
-    restrict_to_curve,
-)
+from .linalg import MAX_D, RationalMatrix, format_rational, parse_size, rank_exact
+from .poly import MultiPoly, UniPoly, gcd_univariate, rational_and_numeric_roots, restrict_to_curve
 
 __all__ = [
     "Fixture",
@@ -81,8 +75,9 @@ def build_special_hypersurface(l: MultiPoly, q: MultiPoly, p: MultiPoly) -> Mult
 
 @dataclass(frozen=True)
 class Fixture:
-    """Input bundle for the construction: q, l, p and the curve; f0 = l*q +
-    z4*p is derived from them."""
+    """Input bundle for the construction: q, l, p and the curve, d >= 1.
+    Derived: f0 = l*q + z4*p and `restricted`, the restrictions (lc, pc,
+    (dq/dz_m)(c0) for m < 4) through one table, which decide q(c0) = 0."""
 
     name: str
     q: MultiPoly
@@ -91,14 +86,21 @@ class Fixture:
     c0: CurveParam
     d: int
     f0: MultiPoly = field(init=False, repr=False, compare=False)
+    restricted: tuple[UniPoly, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "f0", build_special_hypersurface(self.l, self.q, self.p))
+        if self.d < 1:
+            raise InputError(f"fixture d must be at least 1, got {self.d}")
         if self.c0.n != 4 or self.c0.d != self.d:
             raise InputError("fixture invariant violated: c0 must have n=4 and the stated d")
         if not self.c0.components[4].is_zero:
             raise InputError("fixture invariant violated: c0's z4-component must be zero")
-        if not compose_with_curve(self.q, self.c0.components).is_zero:
+        restricted = tuple(restrict_to_curve(
+            [self.l, self.p, *(self.q.partial_derivative(m) for m in range(4))], self.c0.components))
+        object.__setattr__(self, "restricted", restricted)
+        # q is a quartic free of z4, so its partials m < 4 decide q(c0) = 0.
+        if not vanishes_on_curve(restricted[2:], self.c0, 4):
             raise InputError("fixture invariant violated: q(c0(t)) == 0 (curve must lie on the quartic)")
 
     @property
@@ -372,12 +374,12 @@ def _render_string_rows(rows: list[list[str]]) -> list[str]:
 def verify_construction(fixture: Fixture, seed: int = 0) -> VerificationReport:
     """Run the full check chain on a fixture and report exact witnesses.
 
-    l, p and q's partials are restricted once, through one table; checks 1,
-    3 and 6 and check 5's root rows hold by the fixture's invariants.  The
-    only point-dependent rank, check 7, triggers a redraw of the generic
-    points (up to MAX_POINT_ATTEMPTS attempts) before it is reported as a
-    failure, and checks 2-7 are then reported from the final points.  Every
-    check is exact, in both fields: complex roots are only labels.
+    Reads `fixture.restricted` and restricts nothing; checks 1, 3 and 6 and
+    check 5's root rows hold by the fixture's invariants.  The only
+    point-dependent rank, check 7, triggers a redraw of the generic points
+    (up to MAX_POINT_ATTEMPTS attempts) before it is reported as a failure,
+    and checks 2-7 are then reported from the final points.  Checks 7-10 are
+    exact ranks with no kernel basis, in both fields: complex roots are labels.
     """
     d = fixture.d
     c0 = fixture.c0
@@ -388,27 +390,22 @@ def verify_construction(fixture: Fixture, seed: int = 0) -> VerificationReport:
 
     # By the fixture's invariants f0 = l*q + z4*p vanishes on the curve
     # (check 1) and its gradient there is lc * (dq/dz_m)(c0), m < 4, and pc.
-    lc, pc, *grad_q = restrict_to_curve(
-        [fixture.l, fixture.p, *(fixture.q.partial_derivative(m) for m in range(4))], c0.components)
+    lc, pc, *grad_q = fixture.restricted
     grad_f0 = [lc * g for g in grad_q] + [pc]
     record(1, "special quintic vanishes on the curve", True, {"f0_on_curve": "0"})
     try:
         selected, error = select_special_points(lc, pc, d, seed, 0), None
     except ValueError as exc:
-        selected, error = None, str(exc)
+        # All-generic points keep the rest of the chain running; the
+        # root-row census then has nothing to check.
+        selected, error = SpecialPoints((), (), "rational"), str(exc)
 
     # (7) is the one check a fresh draw of generic points can repair: the
     # rescaled lower block, rows (dq/dz_m)(c0(t_s)) * t_s**i at the last 4d
     # points, needs full row rank 4d; rows where lc vanishes are flagged.
     for attempt in range(MAX_POINT_ATTEMPTS):
-        if error is None:
-            pts = selected if attempt == 0 else replace(
-                selected, generic_points=_generic_points(lc, pc, 4 * d + 1, seed, attempt)
-            )
-        else:
-            # All-generic points keep the rest of the chain running; the
-            # root-row census then has nothing to check.
-            pts = SpecialPoints((), _generic_points(lc, pc, 5 * d + 1, seed, attempt), "rational")
+        pts = replace(selected, generic_points=_generic_points(
+            lc, pc, 5 * d + 1 - len(selected.root_points), seed, attempt))
         lower = pts.all_points[d + 1 :]
         flagged = [s for s, t in enumerate(lower) if lc.evaluate(t) == 0]
         rank0 = None if flagged else rank_exact(
@@ -463,32 +460,31 @@ def verify_construction(fixture: Fixture, seed: int = 0) -> VerificationReport:
            {"rank": rank0, "expected": 4 * d, "flagged_rows": flagged})
 
     # (8) gradient pairing kernel has dimension exactly 4.
-    pairing = gradient_pairing_map(grad_q, c0)
-    pairing_kernel = kernel_exact(pairing)
-    record(8, "gradient pairing kernel is four-dimensional", pairing_kernel.dim == 4,
-           {"rank": pairing.cols - pairing_kernel.dim, "kernel_dim": pairing_kernel.dim})
+    pairing = _convolution_matrix(grad_q, d, 4 * d + 1)
+    rank_q = rank_exact(pairing)
+    record(8, "gradient pairing kernel is four-dimensional", pairing.cols - rank_q == 4,
+           {"rank": rank_q, "kernel_dim": pairing.cols - rank_q})
 
     # (9) coefficient-form Jacobian has full rank 5d+1, one row per
     # equation; its kernel dimension is the tangent dimension.
     jac_coeff = _convolution_matrix(grad_f0, d, 5 * d + 1)
-    kernel = kernel_exact(jac_coeff)
-    rank_c = jac_coeff.cols - kernel.dim
+    rank_c = rank_exact(jac_coeff)
+    kernel_dim = jac_coeff.cols - rank_c
     record(9, "coefficient Jacobian has full rank and tangent dimension 4",
-           rank_c == 5 * d + 1 and kernel.dim == 4,
-           {"rank": rank_c, "expected_rank": 5 * d + 1, "tangent_dim": kernel.dim})
+           rank_c == 5 * d + 1 and kernel_dim == 4,
+           {"rank": rank_c, "expected_rank": 5 * d + 1, "tangent_dim": kernel_dim})
 
-    # (10) the Jacobian kernel equals the span of the symmetry vectors.
+    # (10) the Jacobian kernel equals the span S of the symmetry vectors.
+    # dim(ker J + S) = dim ker J + dim J(S), so the stack rank needs no
+    # kernel basis, only the rank of the images J(v).
     sym = symmetry_kernel_vectors(c0)
-    annihilated = all(all(x == 0 for x in jac_coeff.matvec(v)) for v in sym)
+    images = [jac_coeff.matvec(v) for v in sym]
+    annihilated = all(x == 0 for image in images for x in image)
     sym_rank = rank_exact(RationalMatrix.from_rows(sym))
-    if kernel.dim:
-        stack = RationalMatrix.from_rows([list(v) for v in kernel.vectors] + [list(v) for v in sym])
-        stack_rank = rank_exact(stack)
-    else:
-        stack_rank = sym_rank
+    stack_rank = kernel_dim + rank_exact(RationalMatrix.from_rows(images))
     record(10, "Jacobian kernel equals the symmetry span",
-           annihilated and sym_rank == 4 and kernel.dim == 4 and stack_rank == 4,
-           {"kernel_dim": kernel.dim, "symmetry_rank": sym_rank, "stack_rank": stack_rank,
+           annihilated and sym_rank == 4 and kernel_dim == 4 and stack_rank == 4,
+           {"kernel_dim": kernel_dim, "symmetry_rank": sym_rank, "stack_rank": stack_rank,
             "symmetry_annihilated": annihilated})
 
     return VerificationReport(

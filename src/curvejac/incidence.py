@@ -345,12 +345,15 @@ def jacobian_evaluation_form(
             f"need exactly {prob.num_equations} evaluation points, got {len(points)}"
         )
     exact = all(isinstance(t, Fraction) for t in points)
-    pts = [Fraction(t) if exact else complex(t) for t in points]
-    if len(set(pts)) != len(pts):
-        raise ValueError("evaluation points must be pairwise distinct")
     if grads is None:
         grads = restricted_gradient(prob.f, c)
-    rows = _evaluation_rows(grads, prob.d, pts)
+    try:
+        pts = [Fraction(t) if exact else complex(t) for t in points]
+        if len(set(pts)) != len(pts):
+            raise ValueError("evaluation points must be pairwise distinct")
+        rows = _evaluation_rows(grads, prob.d, pts)
+    except OverflowError as exc:  # only complex evaluation turns Fractions into floats
+        raise ValueError("a point or a coefficient is beyond the float range") from exc
     if exact:
         matrix = RationalMatrix.from_rows(
             rows,

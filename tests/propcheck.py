@@ -156,3 +156,31 @@ def wide_kernel_basis_suite(seed, draws):
         )
         assert kernel_exact(RationalMatrix.from_rows(rows)).vectors == want
     return draws
+
+
+def stack_rank_suite(seed, draws):
+    """rank(kernel basis of J stacked with S) == dim ker J + rank(J*S), the
+    identity check 10 reports its stack rank by.  Each vector of S is either
+    a random combination of the kernel vectors or a random vector, so the
+    draws cover J*S = 0 as well as J*S != 0, which no fixture reaches."""
+    rng = random.Random(seed)
+    kinds = set()
+    for _ in range(draws):
+        cols = rng.randint(2, 8)
+        m = random_matrix(rng, rng.randint(1, cols), cols)
+        kernel = kernel_exact(m)
+        sym = []
+        for _ in range(rng.randint(1, 4)):
+            if kernel.dim and rng.random() < 0.5:
+                coefs = [random_fraction(rng) for _ in kernel.vectors]
+                sym.append([sum(c * v[j] for c, v in zip(coefs, kernel.vectors))
+                            for j in range(cols)])
+            else:
+                sym.append([random_fraction(rng) for _ in range(cols)])
+        images = RationalMatrix.from_rows([m.matvec(v) for v in sym])
+        image_rank = rank_exact(images)
+        kinds.add(image_rank == 0)
+        stack = RationalMatrix.from_rows([list(v) for v in kernel.vectors] + sym)
+        assert rank_exact(stack) == kernel.dim + image_rank
+    assert kinds == {True, False}, "the draws did not cover both J*S = 0 and J*S != 0"
+    return draws

@@ -302,6 +302,17 @@ class TestInputFaults:
             assert out == ""
             assert len(err.splitlines()) == 1 and words in err, err
 
+    def test_deeply_nested_json_exits_2_in_one_line(self, tmp_path, curve_a_path):
+        # json.loads recurses once per bracket, so this used to end in a
+        # RecursionError traceback; json.dumps cannot build such a document
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        for argv in (["verify", deep], ["through", deep], ["jacobian", deep, curve_a_path]):
+            rc, out, err = run_cli([str(a) for a in argv])
+            assert rc == 2, argv
+            assert out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("input error:"), err
+
     def test_non_finite_or_negative_tol_exits_2(self, fixture_a_path, problem_a_path,
                                                  curve_a_path):
         for argv in (
@@ -348,6 +359,13 @@ MALFORMED = {
     "points-nan-complex": _points("nan+1i"),
     "points-2001-digit-rational": _points("9" * 2001),
     "points-2001-digit-complex": _points("1." + "0" * 2000 + "+1i"),
+    # the complex path converts points and coefficients to floats
+    "points-huge-rational-with-complex": (None, "jacobian", (), None,
+                                          ("--form", "eval",
+                                           "--points=0,1,2,3,1" + "0" * 400 + ",1+2i")),
+    "problem-huge-coefficient-complex-points": ("problem", "jacobian", ("f", "terms", 0, "coef"),
+                                                "1" + "0" * 400,
+                                                ("--form", "eval", "--points=0,1,2,3,4,1+2i")),
 }
 
 # Each value is one above its documented limit; d = 10**9 must be refused

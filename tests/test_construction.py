@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from curvejac import poly
+from curvejac import cli, poly
 from curvejac.construction import (
     MAX_POINT_ATTEMPTS,
     Fixture,
@@ -19,6 +19,7 @@ from curvejac.construction import (
 from curvejac.errors import InputError
 from curvejac.incidence import (
     CurveParam,
+    jacobian_coefficient_form,
     jacobian_evaluation_form,
     restricted_gradient,
     symmetry_kernel_vectors,
@@ -373,8 +374,12 @@ class TestVerifyConstruction:
         assert by_id[5].details["root_rows"] == 4
         assert rep.points[4] == "1+0i"  # generic points keep complex labels
 
-    def test_one_restriction_table(self, fixture_a, monkeypatch):
-        # l, p and the partials of q share one table; f0 is never restricted
+    def test_one_restriction_table(self, fixture_a, monkeypatch, tmp_path):
+        # a whole verify run, load included, restricts l, p and the partials
+        # of q through one table; f0 is never restricted, and q(c0) = 0 is
+        # decided from those restrictions
+        path = tmp_path / "fixture-a.json"
+        path.write_text(json.dumps(fixture_a.to_obj()))
         tables = 0
         build = poly._curve_monomials
 
@@ -384,7 +389,7 @@ class TestVerifyConstruction:
             return build(components)
 
         monkeypatch.setattr(poly, "_curve_monomials", counting_build)
-        verify_construction(fixture_a, seed=0)
+        assert cli.main(["verify", str(path)]) == 0
         assert tables == 1
 
     def test_byte_stable(self, fixture_b):
@@ -441,19 +446,43 @@ class TestDerivedGradient:
     def assert_matches_restriction(self, fix):
         assert on_curve(fix.f0, fix.c0).is_zero
         assert restricted_gradient(fix.f0, fix.c0) == _derived_gradient(fix)
+        assert list(fix.restricted) == [on_curve(fix.l, fix.c0), on_curve(fix.p, fix.c0)] + [
+            on_curve(fix.q.partial_derivative(m), fix.c0) for m in range(4)]
 
-    def test_shipped_test_and_data_fixtures(self, fixture_a, fixture_b, fixture_b_nonsplit):
+    @pytest.fixture()
+    def shipped_test_and_data_fixtures(self, fixture_a, fixture_b, fixture_b_nonsplit):
         z4 = MultiPoly.monomial((0, 0, 0, 0, 1))
+        z0 = MultiPoly.monomial((1, 0, 0, 0, 0))
         p_bad = MultiPoly(5, {(4, 0, 0, 0, 0): 1, (3, 1, 0, 0, 0): 2})
         fixtures = [
             fixture_a, fixture_b, fixture_b_nonsplit,
             Fixture("A-bad-p", fixture_a.q, fixture_a.l, p_bad, fixture_a.c0, 1),
             Fixture("A-l-z4", fixture_a.q, z4, fixture_a.p, fixture_a.c0, 1),
+            Fixture("A-q0", MultiPoly.zero(5), z0, fixture_a.p, fixture_a.c0, 1),
         ]
         for name in ("fixture-d4-nonsplit.json", "fixture-d3-large.json"):
             fixtures.append(Fixture.from_obj(json.loads((DATA / name).read_text())))
-        for fix in fixtures:
+        return fixtures
+
+    def test_shipped_test_and_data_fixtures(self, shipped_test_and_data_fixtures):
+        for fix in shipped_test_and_data_fixtures:
             self.assert_matches_restriction(fix)
+
+    def test_ranks_match_kernel_bases(self, shipped_test_and_data_fixtures):
+        # checks 8-10 report ranks only; the kernel bases they replaced are
+        # the reference
+        for fix in shipped_test_and_data_fixtures:
+            by_id = {c.check_id: c.details for c in verify_construction(fix, seed=0).checks}
+            pairing = gradient_pairing_map(restricted_gradient(fix.q, fix.c0), fix.c0)
+            assert by_id[8]["kernel_dim"] == kernel_exact(pairing).dim, fix.name
+            jac = jacobian_coefficient_form(fix.problem, fix.c0).matrix
+            kernel = kernel_exact(jac)
+            assert by_id[9]["tangent_dim"] == kernel.dim, fix.name
+            sym = symmetry_kernel_vectors(fix.c0)
+            stack = RationalMatrix.from_rows(list(kernel.vectors) + sym)
+            assert by_id[10]["stack_rank"] == rank_exact(stack), fix.name
+            annihilated = all(not any(jac.matvec(v)) for v in sym)
+            assert by_id[10]["symmetry_annihilated"] is annihilated, fix.name
 
     def test_random_l_and_p(self, fixture_a, fixture_b):
         rng = random.Random(2024)
@@ -482,6 +511,20 @@ class TestFixtureBundle:
         obj["c0"]["components"][4] = {"coeffs": ["1"]}
         with pytest.raises(InputError, match="z4-component"):
             Fixture.from_obj(obj)
+
+    def test_degree_zero_rejected(self, fixture_a, tmp_path, capsys):
+        # a constant c0 at a point of the quartic used to pass load, and
+        # verify then exited 3 on a matrix with zero rows
+        obj = fixture_a.to_obj()
+        obj["d"] = obj["c0"]["d"] = 0
+        obj["c0"]["components"] = [UniPoly.of(x).to_obj() for x in fixture_a.c0.evaluate(F(0))]
+        path = tmp_path / "fixture-d0.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(InputError, match="at least 1"):
+            Fixture.from_obj(obj)
+        assert cli.main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("input error:"), err
 
 
 class TestFiniteFieldSmoothnessOracle:

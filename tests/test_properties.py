@@ -25,3 +25,7 @@ def test_kernel_annihilation_100_draws():
 
 def test_wide_kernel_basis_100_draws():
     assert propcheck.wide_kernel_basis_suite(seed=2028, draws=100) == 100
+
+
+def test_stack_rank_100_draws():
+    assert propcheck.stack_rank_suite(seed=2029, draws=100) == 100
