@@ -24,6 +24,7 @@ from . import construction, fixtures, incidence
 from .errors import DimensionError, InputError
 from .linalg import (MAX_COUNT, MAX_DEGREE, MAX_RATIONAL_DIGITS, parse_rational, parse_size,
                      rank_exact, rank_numeric)
+from .poly import restrict_to_curve
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -196,14 +197,18 @@ def cmd_sample(args, out) -> int:
         sys.stderr.write("no forms of this degree contain the curve\n")
         return EXIT_EMPTY
     expected_rank = args.degree * curve.d + 1
+    nvars = curve.n + 1
+    members = [incidence.random_member(basis, args.seed * 1_000_003 + draw, nvars, args.degree)
+               for draw in range(args.count)]
+    # Every draw's gradient is restricted through the one table of the curve.
+    grads = restrict_to_curve(
+        (f.partial_derivative(m) for f in members for m in range(nvars)), curve.components)
     records = []
     full = 0
-    for draw in range(args.count):
-        member = incidence.random_member(
-            basis, args.seed * 1_000_003 + draw, curve.n + 1, args.degree
-        )
+    for draw, member in enumerate(members):
         prob = incidence.IncidenceProblem(curve.n, curve.d, args.degree, member)
-        jac = incidence.jacobian_coefficient_form(prob, curve)
+        jac = incidence.jacobian_coefficient_form(
+            prob, curve, grads[draw * nvars : (draw + 1) * nvars])
         rank = rank_exact(jac.matrix)
         is_full = rank == expected_rank
         full += is_full

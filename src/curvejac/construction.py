@@ -14,11 +14,14 @@ and guarantees a zero z4 component of c0 and a q free of z4, so on the curve
 f0 vanishes, (df0/dz4)(c0) = p(c0) and (df0/dz_m)(c0) = l(c0) * (dq/dz_m)(c0),
 m < 4.  Checks 1, 3 and 6 and check 5's root rows hold by construction; the
 point selection (2), the corner determinant (4), the extra row (5) and the
-ranks (7-10) are decided, the ranks by five exact eliminations with no
-evaluation Jacobian and no kernel basis.  Check 7 ranks the rescaled lower
-block at the 4d rational generic points and is the one check retried over a
-redraw of those points.  Every check is exact in both fields: complex roots
-of l(c0(t)) are labels.
+ranks (7-10) are decided, by five certified ranks (`rank_exact`) with no
+evaluation Jacobian and no kernel basis.  A rank mod p is the lower bound
+and the row count the upper bound, except in check 8, where the z0..z3
+parts of the four symmetry vectors are exact kernel witnesses of the
+pairing map; Bareiss elimination decides only where the bounds disagree.
+Check 7 ranks the rescaled lower block at the 4d rational generic points
+and is the one check retried over a redraw of those points.  Every check
+is exact in both fields: complex roots of l(c0(t)) are labels.
 """
 
 from __future__ import annotations
@@ -459,9 +462,13 @@ def verify_construction(fixture: Fixture, seed: int = 0) -> VerificationReport:
     record(7, "rescaled lower block has full row rank", rank0 == 4 * d,
            {"rank": rank0, "expected": 4 * d, "flagged_rows": flagged})
 
-    # (8) gradient pairing kernel has dimension exactly 4.
+    # (8) gradient pairing kernel has dimension exactly 4.  The symmetry
+    # vectors have a zero z4 part and J(v) = lc * pairing(v0..v3), so their
+    # z0..z3 parts are kernel witnesses: rank_exact checks them exactly and
+    # then bounds the rank by 4d.
+    sym = symmetry_kernel_vectors(c0)
     pairing = _convolution_matrix(grad_q, d, 4 * d + 1)
-    rank_q = rank_exact(pairing)
+    rank_q = rank_exact(pairing, [v[: pairing.cols] for v in sym])
     record(8, "gradient pairing kernel is four-dimensional", pairing.cols - rank_q == 4,
            {"rank": rank_q, "kernel_dim": pairing.cols - rank_q})
 
@@ -477,7 +484,6 @@ def verify_construction(fixture: Fixture, seed: int = 0) -> VerificationReport:
     # (10) the Jacobian kernel equals the span S of the symmetry vectors.
     # dim(ker J + S) = dim ker J + dim J(S), so the stack rank needs no
     # kernel basis, only the rank of the images J(v).
-    sym = symmetry_kernel_vectors(c0)
     images = [jac_coeff.matvec(v) for v in sym]
     annihilated = all(x == 0 for image in images for x in image)
     sym_rank = rank_exact(RationalMatrix.from_rows(sym))

@@ -2,10 +2,20 @@
 
 All matrices here are small and dense.  Rational entries are plain
 `fractions.Fraction` values (always lowest terms, positive denominator), so
-every exact operation is exact end to end.  Rank, kernel and determinant go
-through a single fraction-free elimination: each row is scaled to integers
-and pivoting follows Bareiss' scheme, which keeps intermediate entries as
-minors of the input instead of letting numerators explode.  The kernel's
+every exact operation is exact end to end.
+
+`rank_exact` proves a rank from both sides.  Modulo a prime p that divides
+no denominator, the rank of the reduced matrix (entries num * den**-1 mod p)
+is a lower bound on the rank over Q.  An upper bound is min(rows, cols), or
+cols - k when the caller hands in k kernel witnesses that an exact matvec
+annihilates and that have full rank k.  When the rank mod one of a few
+primes just below 2**61 meets the upper bound, that is the rank; otherwise
+it falls back to the fraction-free elimination below.
+
+Kernel and determinant, and the rank's fallback, go through a single
+fraction-free elimination: each row is scaled to integers and pivoting
+follows Bareiss' scheme, which keeps intermediate entries as minors of the
+input instead of letting numerators explode.  The kernel's
 back-substitution touches only the entries that can be nonzero: a basis
 vector's free column and the pivot columns already solved.
 
@@ -153,12 +163,20 @@ class RationalMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def matvec(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        """Exact product; each row sums integers over a common denominator."""
         if len(v) != self.cols:
             raise DimensionError("vector length does not match column count")
-        return tuple(
-            sum((self.entry(i, j) * v[j] for j in range(self.cols)), start=Fraction(0))
-            for i in range(self.rows)
-        )
+        v = [Fraction(x) for x in v]
+        vden = lcm(*(x.denominator for x in v))
+        w = [x.numerator * (vden // x.denominator) for x in v]
+        out = []
+        for i in range(self.rows):
+            row = self.row(i)
+            rden = lcm(*(x.denominator for x in row))
+            total = sum(x.numerator * (rden // x.denominator) * y
+                        for x, y in zip(row, w) if x and y)
+            out.append(Fraction(total, rden * vden))
+        return tuple(out)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
@@ -313,8 +331,63 @@ def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int],
     return rows, piv_cols, sign
 
 
-def rank_exact(m: RationalMatrix) -> int:
-    """Exact rank over the rationals via fraction-free elimination."""
+# Moduli of rank_exact's lower bound: primes just below 2**61.
+_PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45)
+
+
+def _rows_mod(m: RationalMatrix, p: int) -> list[list[int]] | None:
+    """Rows of num * den**-1 mod p; None when p divides a denominator."""
+    inverses = {1: 1}
+    rows = []
+    for i in range(m.rows):
+        row = []
+        for x in m.row(i):
+            den = x.denominator
+            if den not in inverses:
+                if den % p == 0:
+                    return None
+                inverses[den] = pow(den, -1, p)
+            row.append(x.numerator * inverses[den] % p)
+        rows.append(row)
+    return rows
+
+
+def _rank_mod(rows: list[list[int]], p: int) -> int:
+    """Rank over Z/p of rows reduced mod p, by elimination in place."""
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        head = [x * inv % p for x in rows[rank][c:]]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c]
+            if f:
+                rows[i][c:] = [(x - f * y) % p for x, y in zip(rows[i][c:], head)]
+        rank += 1
+    return rank
+
+
+def rank_exact(m: RationalMatrix, witnesses: Sequence[Sequence[Fraction]] = ()) -> int:
+    """Exact rank over the rationals, certified from both sides.
+
+    The rank mod a prime that divides no denominator is a lower bound.  The
+    upper bound is min(rows, cols), or min(rows, cols - k) when the k
+    witnesses all lie in the kernel (checked by exact matvec) and have full
+    rank k; otherwise they are ignored.  The first of _PRIMES whose rank
+    meets the upper bound decides; if none does, fraction-free elimination
+    over the integers gives the rank.
+    """
+    bound = min(m.rows, m.cols)
+    if (witnesses and all(not any(m.matvec(w)) for w in witnesses)
+            and rank_exact(RationalMatrix.from_rows(witnesses)) == len(witnesses)):
+        bound = min(bound, m.cols - len(witnesses))
+    for p in _PRIMES:
+        rows = _rows_mod(m, p)
+        if rows is not None and _rank_mod(rows, p) == bound:
+            return bound
     rows, _ = _cleared_int_rows(m)
     _, piv_cols, _ = _bareiss_echelon(rows)
     return len(piv_cols)

@@ -412,18 +412,22 @@ def _curve_monomials(components: Sequence[UniPoly]):
     return restrict
 
 
-def restrict_to_curve(fs: Sequence[MultiPoly], components: Sequence[UniPoly]) -> list[UniPoly]:
+def restrict_to_curve(fs: Iterable[MultiPoly], components: Sequence[UniPoly]) -> list[UniPoly]:
     """The restrictions f(c(t)), z_m := components[m](t), of the forms fs,
-    exact; they share one table of restricted monomials, and each term's
-    coefficient multiplies its restricted monomial once."""
+    exact; fs may be any iterable, read once.  They share one table of
+    restricted monomials; a one-term form with coefficient 1 restricts to
+    its table entry, and otherwise each term's coefficient multiplies its
+    restricted monomial once."""
+    restrict = _curve_monomials(components)
+    out = []
     for f in fs:
         if f.num_vars != len(components):
             raise DimensionError(
                 f"curve has {len(components)} components, polynomial has {f.num_vars} variables"
             )
-    restrict = _curve_monomials(components)
-    out = []
-    for f in fs:
+        if len(f.terms) == 1 and 1 in f.terms.values():
+            out.append(restrict(*f.terms))
+            continue
         acc: list = []
         for e, c in f.terms.items():
             coeffs = restrict(e).coeffs

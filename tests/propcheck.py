@@ -14,7 +14,7 @@ from curvejac.incidence import (
     coefficients_k,
     jacobian_coefficient_form,
 )
-from curvejac.linalg import RationalMatrix, kernel_exact, rank_exact
+from curvejac.linalg import _PRIMES, RationalMatrix, _rank_mod, _rows_mod, kernel_exact, rank_exact
 from curvejac.poly import MultiPoly, UniPoly, monomial_basis
 
 import oracles
@@ -183,4 +183,81 @@ def stack_rank_suite(seed, draws):
         stack = RationalMatrix.from_rows([list(v) for v in kernel.vectors] + sym)
         assert rank_exact(stack) == kernel.dim + image_rank
     assert kinds == {True, False}, "the draws did not cover both J*S = 0 and J*S != 0"
+    return draws
+
+
+def _product(rng, rows, inner, cols):
+    """A random rows x cols matrix of rank at most inner, as lists."""
+    left = [[random_fraction(rng) for _ in range(inner)] for _ in range(rows)]
+    right = [[random_fraction(rng) for _ in range(cols)] for _ in range(inner)]
+    return [[sum((row[k] * right[k][j] for k in range(inner)), Fraction(0)) for j in range(cols)]
+            for row in left]
+
+
+def _ranks_mod(m):
+    """The rank of m mod each listed prime; None where a denominator is 0 mod p."""
+    return [None if (rows := _rows_mod(m, p)) is None else _rank_mod(rows, p) for p in _PRIMES]
+
+
+MODULAR_RANK_KINDS = ("plain", "den-first-prime", "singular-first-prime",
+                      "singular-every-prime", "bogus-witness", "dependent-witnesses",
+                      "kernel-witnesses")
+
+
+def modular_rank_suite(seed, draws):
+    """rank_exact equals the Gauss-Jordan oracle's rank, whatever path proves it.
+
+    The draws cycle through MODULAR_RANK_KINDS.  A low-rank product L is
+    perturbed by P * S, S random integers, with P the first listed prime or
+    the product of all of them: mod those primes the matrix is L, over Q it
+    is generically of full rank, so the modular rank falls short and the
+    next prime or the fraction-free fallback must decide.  One kind puts the
+    first prime in a denominator.  The witness kinds hand in the oracle's
+    kernel basis, alone or with one vector outside the kernel, or with one
+    dependent vector, on matrices singular mod every prime: a witness taken
+    on trust would bound the rank by exactly its rank mod p, one too low.
+    Each draw asserts that it has the property its kind names.
+    """
+    rng = random.Random(seed)
+    every = 1
+    for p in _PRIMES:
+        every *= p
+    for draw in range(draws):
+        kind = MODULAR_RANK_KINDS[draw % len(MODULAR_RANK_KINDS)]
+        nrows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        full = min(nrows, cols)
+        witnesses = []
+        if kind in ("plain", "kernel-witnesses"):
+            rows = _product(rng, nrows, rng.randint(0, full), cols)
+        elif kind == "den-first-prime":
+            rows = _product(rng, nrows, rng.randint(1, full), cols)
+            den = Fraction(rng.randint(1, 9), _PRIMES[0])
+            rows[rng.randrange(nrows)][rng.randrange(cols)] = den
+        else:
+            scale = _PRIMES[0] if kind == "singular-first-prime" else every
+            low = _product(rng, nrows, full - 1, cols)
+            rows = [[x + scale * rng.randint(-9, 9) for x in row] for row in low]
+        rank, kernel = oracles.rref_rank_kernel(rows, cols)
+        m = RationalMatrix.from_rows(rows)
+        mod = _ranks_mod(m)
+        if kind == "den-first-prime":
+            assert mod[0] is None and rank_exact(m) == rank
+            continue
+        if kind == "singular-first-prime":
+            assert mod[0] < rank, (kind, rows)
+        if kind in ("singular-every-prime", "bogus-witness", "dependent-witnesses"):
+            assert all(r < rank for r in mod), (kind, rows)
+        if kind == "kernel-witnesses":
+            witnesses = kernel
+        elif kind == "bogus-witness":
+            bogus = [Fraction(rng.randint(-9, 9)) for _ in range(cols)]
+            while not any(m.matvec(bogus)):
+                bogus = [Fraction(rng.randint(-9, 9)) for _ in range(cols)]
+            witnesses = kernel + [bogus]
+            assert all(r == cols - len(witnesses) for r in mod), (kind, rows)
+        elif kind == "dependent-witnesses":
+            dependent = [sum(col, Fraction(0)) for col in zip(*kernel)] or [Fraction(0)] * cols
+            witnesses = kernel + [dependent]
+            assert all(r == cols - len(witnesses) for r in mod), (kind, rows)
+        assert rank_exact(m, witnesses) == rank, (kind, rows, witnesses)
     return draws

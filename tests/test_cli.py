@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from curvejac import cli
+from curvejac import cli, poly
 from curvejac.construction import Fixture
 from curvejac.incidence import IncidenceProblem
 from curvejac.poly import MultiPoly
@@ -186,6 +186,21 @@ class TestSampleCommand:
         assert len(obj["records"]) == 5
         assert all(r["rank"] == 6 for r in obj["records"])
         assert "5/5" in err
+
+    def test_one_restriction_table_per_command(self, curve_a_path, monkeypatch):
+        # one table for the forms through the curve and one for every
+        # draw's gradient, however many draws
+        tables = 0
+        build = poly._curve_monomials
+
+        def counting_build(components):
+            nonlocal tables
+            tables += 1
+            return build(components)
+
+        monkeypatch.setattr(poly, "_curve_monomials", counting_build)
+        assert run_cli(["sample", curve_a_path, "--count", "3"])[0] == 0
+        assert tables == 2
 
     def test_zero_count(self, curve_a_path):
         rc, out, _ = run_cli(["sample", curve_a_path, "--count", "0"])

@@ -1,4 +1,4 @@
-"""Type and shape fuzzing of the input documents, through the command line.
+"""Type, shape and size fuzzing of the input documents, through the command line.
 
 Each example starts from a valid curve, problem or fixture document of
 fixture A and applies one to three mutations: a value swapped for one of
@@ -7,6 +7,11 @@ replacement values are fixed and small, so no mutation changes a size: the
 commands stay as cheap as on fixture A.  Whatever the mutation, a command
 ends with exit 0, 2, 3 or 4, and a run that writes no document ends with
 one line on stderr.
+
+The size limits are probed apart from that, each exactly at and one above
+its bound (n, d, the form degree, the draw count and the digits of a
+rational), through the cheapest command whose input reaches the check: at
+the bound the command succeeds, above it it exits 2 with one line.
 """
 
 import contextlib
@@ -16,10 +21,12 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvejac import cli, fixtures
+from curvejac.linalg import MAX_COUNT, MAX_D, MAX_DEGREE, MAX_N, MAX_RATIONAL_DIGITS
 
 FIXTURE_A = fixtures.fixture_a()
 DOCUMENTS = {
@@ -111,3 +118,55 @@ def test_mutated_documents_end_in_an_exit_code_and_one_line():
                 assert rc != 0 and len(err.splitlines()) == 1, (argv, doc, err)
 
         check()
+
+
+def curve_doc(n=1, d=1, coeff="1"):
+    """The curve (t**d, coeff, 0, ..., 0) in P^n: base-point free and of
+    exact degree d, so `sample` accepts it when n >= 2."""
+    comps = [["0"] * d + ["1"], [coeff]] + [["0"]] * (n - 1)
+    return {"n": n, "d": d, "components": [{"coeffs": c} for c in comps]}
+
+
+def through(degree=1):
+    return ["through", "{doc}", "--degree", str(degree)]
+
+
+# (document, command) at a size limit, and the same one step above it.  On
+# the line in P^2, z2 spans the linear forms through the curve, so each of
+# sample's draws is a 2 x 6 Jacobian.
+DIGITS = MAX_RATIONAL_DIGITS
+LIMITS = {
+    "n": ((curve_doc(n=MAX_N), through()), (curve_doc(n=MAX_N + 1), through())),
+    "d": ((curve_doc(d=MAX_D), through()), (curve_doc(d=MAX_D + 1), through())),
+    "degree": ((curve_doc(), through(MAX_DEGREE)), (curve_doc(), through(MAX_DEGREE + 1))),
+    "count": tuple((curve_doc(n=2), ["sample", "{doc}", "--degree", "1", "--count", str(count)])
+                   for count in (MAX_COUNT, MAX_COUNT + 1)),
+    "numerator-digits": tuple((curve_doc(coeff="-" + "9" * k), through())
+                              for k in (DIGITS, DIGITS + 1)),
+    "denominator-digits": tuple((curve_doc(coeff="1/" + "7" * k), through())
+                                for k in (DIGITS, DIGITS + 1)),
+    "json-integer-digits": tuple((curve_doc(coeff=k), through())
+                                 for k in (10**DIGITS - 1, 10**DIGITS)),
+    "complex-point-digits": tuple(
+        (FIXTURE_A.problem.to_obj(),
+         ["jacobian", "{doc}", "{curve}", "--form", "eval",
+          "--points=0,1,2,3,4,1." + "0" * (k - 2) + "+1i"])
+        for k in (DIGITS, DIGITS + 1)),
+}
+
+
+@pytest.mark.parametrize("limit", sorted(LIMITS))
+def test_sizes_at_the_limit_pass_and_above_it_exit_2(limit, tmp_path):
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps(DOCUMENTS["curve"]))
+    for (doc, template), above in zip(LIMITS[limit], (False, True)):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = [arg.format(doc=path, curve=curve) for arg in template]
+        rc, out, err = run_cli(argv)
+        if above:
+            assert rc == 2 and out == "", (limit, err)
+            assert len(err.splitlines()) == 1 and err.startswith("input error:"), err
+            assert "at most" in err, err
+        else:
+            assert rc == 0 and json.loads(out), (limit, err)

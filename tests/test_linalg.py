@@ -188,3 +188,17 @@ def test_matmul_and_matvec():
     b = RationalMatrix.from_rows([[0, 1], [1, 0]])
     assert (a @ b).to_rows() == [[2, 1], [4, 3]]
     assert a.matvec([F(1), F(1)]) == (F(3), F(7))
+
+
+def test_matvec_equals_fraction_sums():
+    # matvec sums integers over each row's common denominator; the plain
+    # Fraction sum is the reference
+    rng = random.Random(13)
+    for _ in range(50):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+        rows = [[F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(ncols)]
+                for _ in range(nrows)]
+        v = [rng.choice([0, rng.randint(-5, 5), F(rng.randint(-9, 9), rng.randint(1, 30))])
+             for _ in range(ncols)]
+        want = tuple(sum((x * y for x, y in zip(row, v)), F(0)) for row in rows)
+        assert RationalMatrix.from_rows(rows).matvec(v) == want

@@ -4,7 +4,10 @@ Each suite runs 100 exact draws; a failure raises with the violating
 instance, so there is no tolerance anywhere on the rational path.
 """
 
+from sympy import isprime
+
 import propcheck
+from curvejac.linalg import _PRIMES
 
 
 def test_taylor_chain_rule_100_draws():
@@ -29,3 +32,13 @@ def test_wide_kernel_basis_100_draws():
 
 def test_stack_rank_100_draws():
     assert propcheck.stack_rank_suite(seed=2029, draws=100) == 100
+
+
+def test_modular_rank_100_draws():
+    assert propcheck.modular_rank_suite(seed=2030, draws=100) == 100
+
+
+def test_moduli_are_prime():
+    # A composite modulus would make the inverse of a unit-looking entry
+    # raise, and its ranks would certify nothing.
+    assert _PRIMES and all(isprime(p) for p in _PRIMES)
