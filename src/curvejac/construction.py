@@ -45,7 +45,7 @@ from .incidence import (
     vanishes_on_curve,
 )
 from .linalg import MAX_D, RationalMatrix, format_rational, parse_size, rank_exact
-from .poly import MultiPoly, UniPoly, gcd_univariate, rational_and_numeric_roots, restrict_to_curve
+from .poly import MultiPoly, UniPoly, gcd_univariate, restrict_to_curve, squarefree_roots
 
 __all__ = [
     "Fixture",
@@ -213,10 +213,11 @@ def select_special_points(
 ) -> SpecialPoints:
     """Choose the d roots of lc = l(c0(t)) plus 4d+1 generic points.
 
-    Roots are exact when lc splits over the rationals, else complex labels.
-    Raises ValueError unless lc has degree d, is squarefree and is coprime
-    to pc = p(c0(t)); generic points are small rationals avoiding the zeros
-    of lc and pc.  Together these make the corner block invertible.
+    Roots are exact (p-adic lifting, no floats) when lc splits over the
+    rationals, else complex labels.  Raises ValueError unless lc has degree
+    d, is squarefree and is coprime to pc = p(c0(t)), or when its complex
+    roots do not converge; generic points are small rationals avoiding the
+    zeros of lc and pc.  Together these make the corner block invertible.
     """
     if lc.is_zero:
         raise ValueError("l vanishes identically on the curve")
@@ -226,14 +227,11 @@ def select_special_points(
         raise ValueError("l not generic for c0")
     if gcd_univariate(lc, pc).degree > 0:
         raise ValueError("p not generic")
-    # lc is squarefree, so the numeric roots of its squarefree part are all
-    # of its roots; one root computation gives both kinds.
-    exact_roots, cofactor, numeric = rational_and_numeric_roots(lc)
-    complex_roots = cofactor.degree > 0
+    exact_roots, numeric = squarefree_roots(lc)
     return SpecialPoints(
-        tuple(numeric if complex_roots else exact_roots),
+        tuple(numeric or exact_roots),
         _generic_points(lc, pc, 4 * d + 1, seed, attempt),
-        "complex" if complex_roots else "rational",
+        "complex" if numeric else "rational",
     )
 
 

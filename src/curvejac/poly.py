@@ -9,7 +9,12 @@ Restriction to a parametrized curve, f(c(t)), has one entry point,
 `restrict_to_curve`: it restricts several forms through one table
 (`_curve_monomials`), which builds each power of a component and each
 restricted monomial once, and multiplies each term's coefficient into its
-small restricted monomial once.
+small restricted monomial once, summing integers over a common denominator.
+
+Rational roots are exact and use no floats: the roots of the squarefree
+part modulo a suitable prime are lifted p-adically and confirmed exactly
+(`rational_roots`, `squarefree_roots`).  mpmath is imported only for complex
+roots (`roots_numeric`, and the labels of a polynomial that does not split).
 
 Canonical term order everywhere is graded lexicographic on exponent vectors
 (total degree first, then lex), serialized leading term first, which keeps
@@ -20,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import count
+from math import isqrt, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionError, InputError
@@ -36,7 +42,7 @@ __all__ = [
     "grlex_key",
     "roots_numeric",
     "rational_roots",
-    "rational_and_numeric_roots",
+    "squarefree_roots",
 ]
 
 
@@ -417,8 +423,18 @@ def restrict_to_curve(fs: Iterable[MultiPoly], components: Sequence[UniPoly]) ->
     exact; fs may be any iterable, read once.  They share one table of
     restricted monomials; a one-term form with coefficient 1 restricts to
     its table entry, and otherwise each term's coefficient multiplies its
-    restricted monomial once."""
+    restricted monomial once, as integers over the form's common
+    denominator, so each output coefficient takes one gcd."""
     restrict = _curve_monomials(components)
+    table: dict = {}  # e -> (den, den * restrict(e) as integers)
+
+    def scaled(e: tuple[int, ...]) -> tuple[int, list[int]]:
+        if e not in table:
+            coeffs = restrict(e).coeffs
+            den = lcm(*(x.denominator for x in coeffs))
+            table[e] = den, [x.numerator * (den // x.denominator) for x in coeffs]
+        return table[e]
+
     out = []
     for f in fs:
         if f.num_vars != len(components):
@@ -428,15 +444,15 @@ def restrict_to_curve(fs: Iterable[MultiPoly], components: Sequence[UniPoly]) ->
         if len(f.terms) == 1 and 1 in f.terms.values():
             out.append(restrict(*f.terms))
             continue
-        acc: list = []
-        for e, c in f.terms.items():
-            coeffs = restrict(e).coeffs
-            if len(coeffs) > len(acc):
-                acc.extend([0] * (len(coeffs) - len(acc)))
-            for i, x in enumerate(coeffs):
+        terms = [(c, *scaled(e)) for e, c in f.terms.items()]
+        den = lcm(*(c.denominator * d for c, d, _ in terms))
+        acc = [0] * max((len(xs) for _, _, xs in terms), default=0)
+        for c, d, xs in terms:
+            w = c.numerator * (den // (c.denominator * d))
+            for i, x in enumerate(xs):
                 if x:
-                    acc[i] += c * x
-        out.append(UniPoly.from_coeffs(acc))
+                    acc[i] += w * x
+        out.append(UniPoly.from_coeffs(Fraction(a, den) for a in acc))
     return out
 
 
@@ -447,12 +463,36 @@ def compose_with_curve(f: MultiPoly, components: Sequence[UniPoly]) -> UniPoly:
 
 def _polyroots(p: UniPoly, digits: int) -> list:
     """All complex roots with multiplicity as mpmath numbers, at `digits`
-    significant digits (simultaneous iteration)."""
-    from mpmath import mp, mpf, polyroots
+    significant digits (simultaneous iteration).
 
+    The iteration starts near the unit circle and stops at an absolute
+    correction below 10^-digits, which roots far from it never reach, so it
+    runs on p(2^k s), 2^k about the largest root (from max |c_i / c_n|^(1/(n-i)),
+    as in Fujiwara's bound), and scales the roots back exactly.  Roots of
+    very different sizes need more steps (1.2-2.4 per digit of the Cauchy
+    height for two sizes), so it may take up to max(200, 4 * digits) steps;
+    raises ValueError if it has not converged by then.
+    """
+    from mpmath import ldexp, mp, mpf, polyroots
+    from mpmath.libmp import NoConvergence
+
+    def size(c: Fraction) -> int:
+        return abs(c.numerator).bit_length() - c.denominator.bit_length()
+
+    n = p.degree
+    k = max(((size(c) - size(p.leading)) // (n - i)
+             for i, c in enumerate(p.coeffs[:-1]) if c), default=0)
     with mp.workdps(digits):
-        coeffs = [mpf(c.numerator) / mpf(c.denominator) for c in reversed(p.coeffs)]
-        return polyroots(coeffs, maxsteps=200, extraprec=80)
+        coeffs = [ldexp(mpf(c.numerator) / mpf(c.denominator), k * i)
+                  for i, c in enumerate(p.coeffs)]
+        steps = max(200, 4 * digits)
+        try:
+            zs = polyroots(coeffs[::-1], maxsteps=steps, extraprec=80)
+        except NoConvergence as exc:
+            raise ValueError(
+                f"complex roots did not converge in {steps} steps at {digits} digits"
+            ) from exc
+        return [z * ldexp(1, k) for z in zs] if k else zs
 
 
 def _sorted_complex(zs) -> list[complex]:
@@ -477,53 +517,103 @@ def roots_numeric(p: UniPoly, precision: int = 12) -> list[complex]:
 _LABEL_DIGITS = 32
 
 
+def _integral(f: UniPoly) -> tuple[list[int], int]:
+    """f's coefficients times the lcm of their denominators, integers
+    a_0..a_n, and the height 2 (|a_n| + max |a_i|): every root r has |a_n r|
+    below half of it (Cauchy's bound)."""
+    scale = lcm(*(c.denominator for c in f.coeffs))
+    ints = [c.numerator * (scale // c.denominator) for c in f.coeffs]
+    return ints, 2 * (abs(ints[-1]) + max(abs(a) for a in ints))
+
+
+def _horner(coeffs: Sequence[int], x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _simple_roots_mod_prime(ints: Sequence[int]) -> tuple[int, list[int]]:
+    """The first prime p not dividing the lead a_n at which every root of
+    sum a_i t^i mod p is simple, and those roots.  Only the primes dividing
+    a_n or the discriminant fail, so the search ends when the polynomial is
+    squarefree; with a repeated rational root every prime fails."""
+    deriv = [i * a for i, a in enumerate(ints)][1:]
+    for p in count(2):
+        if ints[-1] % p == 0 or any(p % s == 0 for s in range(2, isqrt(p) + 1)):
+            continue
+        fp, dp = [a % p for a in ints], [a % p for a in deriv]
+        roots = [x for x in range(p) if _horner(fp, x, p) == 0]
+        if all(_horner(dp, x, p) for x in roots):
+            return p, roots
+
+
+def _squarefree_rational_roots(f: UniPoly) -> list[Fraction]:
+    """The rational roots of a squarefree f of degree >= 1, sorted, exactly.
+
+    Rational zeros by p-adic lifting (Loos, SIAM J. Comput. 12, 1983): a
+    rational root r of sum a_i t^i is k / a_n for an integer k with 2|k|
+    below the height (`_integral`), and reduces mod p to a simple root
+    (`_simple_roots_mod_prime`), whose Newton lift mod p^(2^j) is unique.
+    So reading a_n times each lift, once p^(2^j) exceeds the height, in the
+    symmetric range gives every k; a candidate counts only when it is an
+    exact root.
+    """
+    ints, height = _integral(f)
+    lead = ints[-1]
+    deriv = [i * a for i, a in enumerate(ints)][1:]
+    p, residues = _simple_roots_mod_prime(ints)
+    roots = []
+    for r in residues:
+        m = p
+        while m <= height:
+            m *= m
+            r = (r - _horner(ints, r, m) * pow(_horner(deriv, r, m), -1, m)) % m
+        k = lead * r % m
+        cand = Fraction(k - m if 2 * k > m else k, lead)
+        if f.evaluate(cand) == 0:
+            roots.append(cand)
+    return sorted(roots)
+
+
+def squarefree_roots(f: UniPoly) -> tuple[list[Fraction], list[complex]]:
+    """The rational roots of a squarefree f of degree >= 1, sorted, and,
+    unless they are all of its roots, all of its roots as sorted machine
+    complex numbers (else []).
+
+    The rational roots are exact and use no floats (p-adic lifting).  Only
+    the complex roots load mpmath; they are computed at _LABEL_DIGITS
+    significant digits, or at the Cauchy-bound precision if that is higher,
+    and raise ValueError if they do not converge (`_polyroots`).  f must be
+    squarefree: with a repeated rational root the prime search of the
+    lifting does not end.
+    """
+    roots = _squarefree_rational_roots(f)
+    if len(roots) == f.degree:
+        return roots, []
+    digits = len(str(_integral(f)[1])) + 10
+    return roots, _sorted_complex(_polyroots(f, max(digits, _LABEL_DIGITS)))
+
+
 def rational_roots(p: UniPoly) -> tuple[list[Fraction], UniPoly]:
     """Exactly verified rational roots (with multiplicity) plus the cofactor.
 
-    Rational root theorem: with integer coefficients and leading coefficient
-    a_n, every rational root of the squarefree part is k / a_n for an integer
-    k.  Its numeric roots, resolved to 1 / (2 |a_n|) within their Cauchy
-    bound, give each k by rounding a_n * Re(z); a candidate counts only when
-    it is an exact root, and is divided out exactly, as often as it divides.
+    The rational roots of p's squarefree part are found exactly by p-adic
+    lifting, as in `squarefree_roots`, with no floats; each is divided out
+    of p exactly, as often as it divides.
     """
-    return rational_and_numeric_roots(p)[:2]
-
-
-def rational_and_numeric_roots(p: UniPoly) -> tuple[list[Fraction], UniPoly, list[complex]]:
-    """rational_roots(p), plus the roots of p's squarefree part as sorted
-    machine complex numbers (empty when that part is linear).  Both come
-    from one root computation, at _LABEL_DIGITS significant digits or at the
-    Cauchy-bound precision if that is higher."""
     if p.is_zero:
         raise ValueError("zero polynomial")
     if p.degree < 1:
-        return [], p, []
+        return [], p
     sqfree = p.divmod_exact(gcd_univariate(p, p.derivative()))[0]
-    if sqfree.degree == 1:
-        candidates = {-sqfree.coeffs[0] / sqfree.coeffs[1]}
-        numeric = []
-    else:
-        from mpmath.libmp import to_rational
-
-        scale = lcm(*(c.denominator for c in sqfree.coeffs))
-        ints = [int(c * scale) for c in sqfree.coeffs]
-        lead = ints[-1]
-        # Roots lie within 1 + max|a_i / a_n|; resolve 1 / (2 |a_n|) there.
-        digits = len(str(2 * (abs(lead) + max(abs(a) for a in ints)))) + 10
-        zs = _polyroots(sqfree, max(digits, _LABEL_DIGITS))
-        candidates = {
-            Fraction(round(lead * Fraction(*to_rational(z.real._mpf_))), lead) for z in zs
-        }
-        numeric = _sorted_complex(zs)
     rem = p
     roots: list[Fraction] = []
-    for cand in sorted(candidates):
-        if sqfree.evaluate(cand) != 0:
-            continue
+    for cand in _squarefree_rational_roots(sqfree):
         factor = UniPoly.of(-cand, 1)
         quot, r = rem.divmod_exact(factor)
         while r.is_zero:
             roots.append(cand)
             rem = quot
             quot, r = rem.divmod_exact(factor)
-    return roots, rem, numeric
+    return roots, rem

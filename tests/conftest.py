@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from curvejac import fixtures
@@ -24,6 +26,28 @@ def fixture_b_nonsplit(fixture_b):
         {(1, 0, 0, 0, 0): 1, (0, 0, 1, 0, 0): 1, (0, 0, 0, 1, 0): 2, (0, 0, 0, 0, 1): 3},
     )
     return Fixture("B-nonsplit", fixture_b.q, l, fixture_b.p, fixture_b.c0, 2)
+
+
+def _b_with_l(fixture_b, name, l_terms):
+    return Fixture(name, fixture_b.q, MultiPoly(5, l_terms), fixture_b.p, fixture_b.c0, 2)
+
+
+@pytest.fixture(scope="session")
+def fixture_b_large_split(fixture_b):
+    """Fixture B with l restricting to (t - r1)(t - r2), r1 = (10^60 + 7)/3
+    and r2 = -(10^59 + 1)/7: split roots of height 10^60."""
+    r1, r2 = Fraction(10**60 + 7, 3), Fraction(-(10**59 + 1), 7)
+    return _b_with_l(fixture_b, "B-large-split", {
+        (1, 0, 0, 0, 0): r1 * r2, (0, 1, 0, 0, 0): -(r1 + r2), (0, 0, 1, 0, 0): 1,
+        (0, 0, 0, 0, 1): 3})
+
+
+@pytest.fixture(scope="session")
+def fixture_b_large_nonsplit(fixture_b):
+    """Fixture B with l restricting to t^2 - (2*10^60 + 1): roots near
+    +-1.41e30, far from the unit circle where the numeric iteration starts."""
+    return _b_with_l(fixture_b, "B-large-nonsplit", {
+        (1, 0, 0, 0, 0): -(2 * 10**60 + 1), (0, 0, 1, 0, 0): 1, (0, 0, 0, 0, 1): 3})
 
 
 @pytest.fixture()

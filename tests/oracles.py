@@ -4,11 +4,14 @@ Everything here is deliberately naive and separate from the package's code
 paths: plain Gauss-Jordan over Fractions (no fraction-free tricks), direct
 convolution for polynomial products, exact Newton interpolation for
 first-order Taylor extraction, block slicing, reassembly and closed forms
-by list arithmetic, and an exhaustive smoothness search over a prime field.
+by list arithmetic, an exhaustive smoothness search over a prime field, and
+rational roots from sympy's factorization over Q.
 """
 
 from fractions import Fraction
 from itertools import product
+
+import sympy
 
 
 def rref_rank_kernel(rows, ncols):
@@ -188,3 +191,24 @@ def quartic_smooth_over_prime_field(q, prime=11):
             if all(_eval_mod(g, point, prime) == 0 for g in grads):
                 return False
     return True
+
+
+def _fraction(x) -> Fraction:
+    return Fraction(int(x.p), int(x.q))
+
+
+def sympy_rational_roots(coeffs):
+    """Rational roots with multiplicity, sorted, and the cofactor's
+    coefficients (constant term first), from the linear factors of sympy's
+    factorization over Q of sum coeffs[i] t^i."""
+    t = sympy.Symbol("t")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
+                      t, domain="QQ")
+    roots, linear = [], sympy.Poly(1, t, domain="QQ")
+    for factor, mult in poly.factor_list()[1]:
+        if factor.degree() == 1:
+            a, b = factor.all_coeffs()
+            roots += [_fraction(-b / a)] * mult
+            linear *= factor.monic() ** mult
+    cofactor = poly.exquo(linear)
+    return sorted(roots), [_fraction(c) for c in reversed(cofactor.all_coeffs())]

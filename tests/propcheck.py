@@ -8,6 +8,8 @@ suite can invoke them with their own draw counts.
 import random
 from fractions import Fraction
 
+import sympy
+
 from curvejac.incidence import (
     CurveParam,
     IncidenceProblem,
@@ -15,7 +17,15 @@ from curvejac.incidence import (
     jacobian_coefficient_form,
 )
 from curvejac.linalg import _PRIMES, RationalMatrix, _rank_mod, _rows_mod, kernel_exact, rank_exact
-from curvejac.poly import MultiPoly, UniPoly, monomial_basis
+from curvejac.poly import (
+    MultiPoly,
+    UniPoly,
+    _integral,
+    _simple_roots_mod_prime,
+    monomial_basis,
+    rational_roots,
+    squarefree_roots,
+)
 
 import oracles
 
@@ -260,4 +270,73 @@ def modular_rank_suite(seed, draws):
             witnesses = kernel + [dependent]
             assert all(r == cols - len(witnesses) for r in mod), (kind, rows)
         assert rank_exact(m, witnesses) == rank, (kind, rows, witnesses)
+    return draws
+
+
+ROOT_KINDS = ("30-digit", "repeated", "zero", "lead-primes", "one-to-forty", "irreducible")
+FIRST_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def _irreducible(rng):
+    """A random irreducible polynomial over Q of degree 2..4."""
+    while True:
+        p = UniPoly.from_coeffs([rng.randint(-9, 9) for _ in range(rng.randint(2, 4))] + [1])
+        coeffs = [int(c) for c in reversed(p.coeffs)]
+        if sympy.Poly(coeffs, sympy.Symbol("t")).is_irreducible:
+            return p
+
+
+def rational_roots_suite(seed, draws):
+    """rational_roots equals the rational roots of sympy's factorization over
+    Q, multiplicities and cofactor included, and squarefree_roots on the
+    squarefree part returns the distinct ones, with every root as a complex
+    label exactly when the cofactor is not constant.
+
+    The draws cycle through ROOT_KINDS: roots with 30-digit numerators,
+    repeated roots, the root 0, a lead divisible by FIRST_PRIMES (so the
+    lifting prime is larger), the roots 1..40 (every prime below 40 divides
+    the discriminant, so the prime search reaches 41), and an irreducible
+    cofactor of degree 2..4.  Each draw is a random multiple of its roots'
+    linear factors and the cofactor, and asserts it has its kind's property.
+    """
+    rng = random.Random(seed)
+    for draw in range(draws):
+        kind = ROOT_KINDS[draw % len(ROOT_KINDS)]
+        roots = [random_fraction(rng, 99, 9) for _ in range(rng.randint(0, 3))]
+        cofactor = UniPoly.one()
+        if kind == "30-digit":
+            roots.append(Fraction(rng.choice([-1, 1]) * rng.randint(10**29, 10**30 - 1),
+                                  rng.randint(1, 99)))
+        elif kind == "repeated":
+            roots += [random_fraction(rng, 99, 9)] * rng.randint(2, 4)
+        elif kind == "zero":
+            roots += [Fraction(0)] * rng.randint(1, 3)
+        elif kind == "lead-primes":
+            roots = [Fraction(rng.choice([k for k in range(-99, 100) if k % q]), q)
+                     for q in FIRST_PRIMES]
+        elif kind == "one-to-forty":
+            roots = [Fraction(k) for k in range(1, 41)]
+        else:
+            cofactor = _irreducible(rng)
+        p = distinct = cofactor.scale(random_fraction(rng) or 1)
+        for r in roots:
+            p = p * UniPoly.of(-r, 1)
+        for r in set(roots):
+            distinct = distinct * UniPoly.of(-r, 1)
+        if kind == "lead-primes":
+            ints = _integral(p)[0]
+            assert all(ints[-1] % q == 0 for q in FIRST_PRIMES), (kind, p)
+            assert _simple_roots_mod_prime(ints)[0] > FIRST_PRIMES[-1], (kind, p)
+        if kind == "one-to-forty":
+            assert _simple_roots_mod_prime(_integral(p)[0])[0] == 41, (kind, p)
+        if kind == "repeated":
+            assert len(set(roots)) < len(roots), (kind, roots)
+        want_roots, want_cofactor = oracles.sympy_rational_roots(p.coeffs)
+        assert want_roots == sorted(roots), (kind, p)
+        got_roots, got_cofactor = rational_roots(p)
+        assert got_roots == want_roots, (kind, p, got_roots)
+        assert list(got_cofactor.coeffs) == want_cofactor, (kind, p, got_cofactor)
+        exact, numeric = squarefree_roots(distinct)
+        assert exact == sorted(set(roots)), (kind, distinct, exact)
+        assert len(numeric) == (distinct.degree if cofactor.degree else 0), (kind, distinct)
     return draws

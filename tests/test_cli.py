@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +160,44 @@ class TestVerifyCommand:
         report = json.loads(out)
         assert report["passed"] is False
         assert len(report["checks"]) == 10
+
+
+    def test_large_height_roots(self, tmp_path, fixture_b_large_split,
+                                fixture_b_large_nonsplit):
+        # roots of height 10^60: exact when l(c0(t)) splits, converged
+        # complex labels when it does not
+        for fx, field, roots in (
+            (fixture_b_large_split, "rational",
+             ["-100000000000000000000000000000000000000000000000000000000001/7",
+              "1000000000000000000000000000000000000000000000000000000000007/3"]),
+            (fixture_b_large_nonsplit, "complex",
+             ["-1.41421356237e+30+0i", "1.41421356237e+30+0i"]),
+        ):
+            path = tmp_path / f"{fx.name}.json"
+            path.write_text(json.dumps(fx.to_obj()))
+            rc, out, err = run_cli(["verify", str(path), "--seed", "0"])
+            assert rc == 0, err
+            report = json.loads(out)
+            assert report["passed"] is True and report["field"] == field
+            assert [c["status"] for c in report["checks"]] == ["pass"] * 10
+            assert report["points"][:2] == roots
+
+
+@pytest.mark.parametrize("name, loaded", [("fixture_b", False), ("fixture_b_nonsplit", True)])
+def test_mpmath_loaded_only_for_complex_labels(tmp_path, request, name, loaded):
+    # the rational roots are found with integer arithmetic only
+    fx = request.getfixturevalue(name)
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(fx.to_obj()))
+    code = ("import sys; from curvejac import cli; "
+            f"rc = cli.main(['verify', {str(path)!r}, '--out', {str(tmp_path / 'out.json')!r}]); "
+            "print(rc, 'mpmath' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    assert run.stdout.split() == ["0", str(loaded)]
 
 
 class TestThroughCommand:

@@ -116,9 +116,11 @@ class TestSelectSpecialPoints:
         assert pts.field == "complex"
         assert [round(z.imag) for z in pts.root_points] == [-1, 1]
 
-    def test_nonsplit_roots_computed_once(self, fixture_b_nonsplit, monkeypatch):
-        # one root computation gives the rational candidates and the labels,
-        # at roots_numeric's default working precision
+    def test_nonsplit_roots_computed_once(self, fixture_a, fixture_b, fixture_b_nonsplit,
+                                          monkeypatch):
+        # one numeric root computation gives the complex labels, at
+        # roots_numeric's default working precision; the rational roots are
+        # exact, so the split fixtures compute none
         calls = []
 
         def counted(p, digits):
@@ -130,6 +132,25 @@ class TestSelectSpecialPoints:
         assert rep.field == "complex"
         assert calls == [(2, 32)]
         assert rep.points[:2] == ("0-1i", "0+1i")
+        d3 = Fixture.from_obj(json.loads((DATA / "fixture-d3-large.json").read_text()))
+        for fx in (fixture_a, fixture_b, d3):
+            calls.clear()
+            assert verify_construction(fx, seed=0).field == "rational"
+            assert calls == [], fx.name
+
+    def test_unconverged_labels_fail_check_2(self, fixture_b_nonsplit, monkeypatch):
+        # _polyroots raises this ValueError when its iteration does not
+        # converge (test_poly); verify reports it, with no traceback
+        message = "complex roots did not converge in 200 steps at 32 digits"
+
+        def unconverged(p, digits):
+            raise ValueError(message)
+
+        monkeypatch.setattr("curvejac.poly._polyroots", unconverged)
+        rep = verify_construction(fixture_b_nonsplit, seed=0)
+        assert not rep.passed and len(rep.checks) == 10
+        assert rep.checks[1].status == "fail"
+        assert rep.checks[1].details["error"] == message
 
     def test_repeated_root_rejected(self, fixture_a):
         # l restricting to (1 + 2t)^2 on the line: 1 + 4t + 4t^2 needs d >= 2,

@@ -11,7 +11,9 @@ from curvejac.poly import (
     gcd_univariate,
     monomial_basis,
     rational_roots,
+    restrict_to_curve,
     roots_numeric,
+    squarefree_roots,
 )
 
 import oracles
@@ -105,6 +107,23 @@ class TestComposeWithCurve:
             want = oracles.naive_compose(f.terms, [list(c.coeffs) for c in comps])
             assert list(got.coeffs) == want
 
+    def test_restrict_to_curve_equals_fraction_sums(self):
+        # restrict_to_curve sums integers over each form's common
+        # denominator; the plain Fraction sum is the reference, for forms of
+        # mixed denominators (a zero form and a bare monomial among them)
+        # sharing one table, on curves with a zero component
+        rng = random.Random(14)
+        for _ in range(20):
+            comps = [UniPoly.from_coeffs(F(rng.randint(-9, 9), rng.choice([1, 2, 3, 10**6]))
+                                         for _ in range(3)) for _ in range(3)]
+            comps[rng.randrange(3)] = rng.choice([comps[0], UniPoly.zero()])
+            forms = [propcheck.random_homogeneous(rng, 3, rng.randint(1, 3))
+                     .scale(F(1, rng.randint(1, 10**9))) for _ in range(4)]
+            forms += [MultiPoly.zero(3), MultiPoly.monomial((1, 1, 0))]
+            want = [oracles.naive_compose(f.terms, [list(c.coeffs) for c in comps])
+                    for f in forms]
+            assert [list(g.coeffs) for g in restrict_to_curve(forms, comps)] == want
+
     def test_linearity_in_f(self):
         rng = random.Random(21)
         for _ in range(15):
@@ -187,6 +206,31 @@ class TestRoots:
         roots, cofactor = rational_roots(p * UniPoly.of(1, 0, 1))
         assert roots == [F(-3), F(1, 2), F(1, 2)]
         assert cofactor == UniPoly.of(1, 0, 1)
+
+    def test_rational_roots_run_no_numeric_root_finder(self, monkeypatch):
+        def refuse(p, digits):
+            raise AssertionError("numeric roots computed")
+
+        monkeypatch.setattr("curvejac.poly._polyroots", refuse)
+        roots, cofactor = rational_roots(UniPoly.of(F(-1, 3), 1) * UniPoly.of(-2, 0, 1))
+        assert roots == [F(1, 3)] and cofactor == UniPoly.of(-2, 0, 1)
+        split = UniPoly.of(F(-1, 3), 1) * UniPoly.of(5, 1)
+        assert squarefree_roots(split) == ([F(-5), F(1, 3)], [])
+
+    def test_far_roots_converge(self):
+        # the iteration runs on p(2^k s), roots near the unit circle; on p
+        # itself the roots near 1.4e30 never meet its absolute tolerance
+        for p in (UniPoly.of(-(2 * 10**60 + 1), 0, 1), UniPoly.of(-2, 0, F(1, 10**60))):
+            assert [z.real for z in roots_numeric(p)] == pytest.approx(
+                [-1.4142135623730951e30, 1.4142135623730951e30], rel=1e-15)
+
+    def test_unconverged_roots_raise_value_error(self):
+        # one root near -10^60 and six seventh roots of unity; scaled by
+        # 2^-199 the six crowd near 0 and need about 1000 steps at 71
+        # digits, above the cap of 4 * 71
+        p = UniPoly.from_coeffs([10**60] * 7 + [1])
+        with pytest.raises(ValueError, match="did not converge in 284 steps at 71 digits"):
+            squarefree_roots(p)
 
     def test_residual_bound(self):
         rng = random.Random(6)

@@ -42,3 +42,7 @@ def test_moduli_are_prime():
     # A composite modulus would make the inverse of a unit-looking entry
     # raise, and its ranks would certify nothing.
     assert _PRIMES and all(isprime(p) for p in _PRIMES)
+
+
+def test_rational_roots_100_draws():
+    assert propcheck.rational_roots_suite(seed=2031, draws=102) == 102
