@@ -10,7 +10,9 @@ checks 1, 3 and 6 and check 5's root rows hold by construction.  It decides
 the rest, checks 7-10 by exact ranks with no kernel basis, retrying check 7
 over redrawn generic points: every check is exact even at complex roots.
 The only tolerance is the singular-value rank of an evaluation-form Jacobian
-at user-given points that are not rational.
+at user-given points that are not rational, computed in pure Python
+(Golub-Kahan bidiagonalization and bisection); the one runtime dependency,
+mpmath, labels complex roots.
 """
 
 from .construction import (

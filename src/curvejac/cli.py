@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
+import gc
 import hashlib
 import json
 import math
@@ -293,9 +294,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # The objects alive at entry (mostly the import-time heap) live until
+    # exit: freezing them keeps the command's first cyclic collections from
+    # traversing them all.  Unfreezing on return gives in-process callers
+    # their normal collection back; a caller that froze objects itself
+    # keeps its own freeze, and this one is skipped.
+    freeze = not gc.get_freeze_count()
     try:
-        args = parser.parse_args(argv)
+        if freeze:
+            gc.freeze()
+        args = build_parser().parse_args(argv)
         with _open_output(args.out) as out:
             return args.func(args, out)
     except DimensionError as exc:
@@ -307,6 +315,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return EXIT_INPUT
+    finally:
+        if freeze:
+            gc.unfreeze()
 
 
 if __name__ == "__main__":

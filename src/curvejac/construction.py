@@ -45,7 +45,7 @@ from .incidence import (
     vanishes_on_curve,
 )
 from .linalg import MAX_D, RationalMatrix, format_rational, parse_size, rank_exact
-from .poly import MultiPoly, UniPoly, gcd_univariate, restrict_to_curve, squarefree_roots
+from .poly import MultiPoly, UniPoly, coprime, gcd_univariate, restrict_to_curve, squarefree_roots
 
 __all__ = [
     "Fixture",
@@ -223,9 +223,9 @@ def select_special_points(
         raise ValueError("l vanishes identically on the curve")
     if lc.degree < d:
         raise ValueError("root at infinity, choose another l")
-    if gcd_univariate(lc, lc.derivative()).degree > 0:
+    if not coprime(lc, lc.derivative()):
         raise ValueError("l not generic for c0")
-    if gcd_univariate(lc, pc).degree > 0:
+    if not coprime(lc, pc):
         raise ValueError("p not generic")
     exact_roots, numeric = squarefree_roots(lc)
     return SpecialPoints(

@@ -21,18 +21,23 @@ vector's free column and the pivot columns already solved.
 
 The complex path (`ComplexMatrix`, `rank_numeric`) serves only the
 evaluation-form Jacobian at user-given points that are not rational
-(`jacobian --form eval`); its rank is tolerance-based on singular values.
+(`jacobian --form eval`); its rank counts the singular values above a
+tolerance times the largest, in pure Python: Householder reflections bring
+the matrix to bidiagonal form, and bisection on a Sturm count finds the
+largest singular value and counts those above the threshold.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
+import operator
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
-
-import numpy as np
 
 from .errors import DimensionError, InputError
 
@@ -191,11 +196,7 @@ class RationalMatrix:
         return RationalMatrix(self.rows, other.cols, tuple(entries))
 
     def to_complex(self) -> "ComplexMatrix":
-        data = np.array(
-            [[complex(self.entry(i, j)) for j in range(self.cols)] for i in range(self.rows)],
-            dtype=np.complex128,
-        )
-        return ComplexMatrix.from_array(data)
+        return ComplexMatrix.from_rows(self.to_rows())
 
     def to_obj(self) -> dict:
         return {
@@ -224,35 +225,29 @@ class RationalMatrix:
         return cls.from_rows(parsed)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ComplexMatrix:
-    """Dense complex matrix for evaluation points outside the rationals."""
+    """Dense complex matrix for evaluation points outside the rationals,
+    a tuple of rows of Python complex numbers."""
 
     rows: int
     cols: int
-    data: np.ndarray
-
-    @classmethod
-    def from_array(cls, data: np.ndarray) -> "ComplexMatrix":
-        data = np.asarray(data, dtype=np.complex128)
-        if data.ndim != 2:
-            raise DimensionError("complex matrix data must be two-dimensional")
-        data = data.copy()
-        data.setflags(write=False)
-        return cls(data.shape[0], data.shape[1], data)
+    data: tuple[tuple[complex, ...], ...]
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[complex]]) -> "ComplexMatrix":
-        return cls.from_array(np.array([[complex(x) for x in r] for r in rows]))
+        data = tuple(tuple(complex(x) for x in r) for r in rows)
+        if not data:
+            raise DimensionError("cannot build a matrix from zero rows")
+        if any(len(r) != len(data[0]) for r in data):
+            raise DimensionError("ragged rows")
+        return cls(len(data), len(data[0]), data)
 
     def to_obj(self) -> dict:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [
-                [[float(z.real), float(z.imag)] for z in map(complex, row)]
-                for row in self.data
-            ],
+            "entries": [[[float(z.real), float(z.imag)] for z in row] for row in self.data],
         }
 
 
@@ -455,13 +450,107 @@ def vandermonde(points: Sequence[Fraction], width: int) -> RationalMatrix:
     return RationalMatrix.from_rows(rows)
 
 
+def _reflector(x: list[complex]) -> tuple[float, list[complex], float]:
+    """Householder reflector H = I - tau u u^H, tau real, with H x = alpha e1;
+    returns (|alpha|, u, tau), tau = 0 when x is zero."""
+    norm = math.hypot(*map(abs, x))
+    if not norm:
+        return 0.0, x, 0.0
+    a0 = abs(x[0])
+    phase = x[0] / a0 if a0 else 1.0
+    return norm, [phase * (a0 + norm)] + x[1:], 1.0 / (norm * (norm + a0))
+
+
+def _bidiagonal(m: ComplexMatrix) -> list[float]:
+    """The Golub-Kahan bidiagonal form of m scaled by the power of two 2**-e
+    that brings its largest entry part into [1/2, 1), as the moduli
+    d0, e0, d1, e1, ..., d_{k-1} of its diagonal and superdiagonal
+    interleaved, k = min(rows, cols); its singular values are m's, so
+    scaled.
+
+    Householder reflections from the left and the right alternate on the
+    rows (the columns when m is wide), the working block shrinking by one
+    row and one column per step (Golub and Kahan, SIAM J. Numer. Anal. 2,
+    1965); each row takes both reflections of a step in one pass.
+    """
+    w = [list(r) for r in m.data] if m.rows >= m.cols else [list(c) for c in zip(*m.data)]
+    big = max((max(abs(z.real), abs(z.imag)) for r in w for z in r), default=0.0)
+    if not big:
+        return [0.0] * (2 * len(w[0]) - 1)
+    e = math.frexp(big)[1]
+    w = [[complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in r] for r in w]
+    out = []
+    while True:
+        # The left reflector takes the first column to alpha e1.
+        dk, u, tau = _reflector([r[0] for r in w])
+        out.append(dk)
+        if len(w[0]) == 1:
+            return out
+        w = [r[1:] for r in w]
+        cu = [tau * z.conjugate() for z in u]
+        g = [sum(map(operator.mul, cu, col)) for col in zip(*w)]
+        top = [x - u[0] * y for x, y in zip(w[0], g)]
+        # The right reflector takes the rest of the top row to beta e1; a
+        # row r below becomes (r - u_i g) H' = r - u_i g - (s_i tau') conj(v).
+        ek, v, tau2 = _reflector([z.conjugate() for z in top])
+        out.append(ek)
+        cv = [z.conjugate() for z in v]
+        gv = sum(map(operator.mul, g, v))
+        rows = []
+        for ui, r in zip(u[1:], w[1:]):
+            s = tau2 * (sum(map(operator.mul, r, v)) - ui * gv)
+            rows.append([x - ui * y - s * z for x, y, z in zip(r, g, cv)] if ui or s else r)
+        w = rows
+
+
+def _below(b: Sequence[float], x: float, pivmin: float) -> int:
+    """Sturm count: the eigenvalues below x of the symmetric tridiagonal
+    matrix with zero diagonal and off-diagonal b, whose eigenvalues are
+    plus and minus the singular values of the bidiagonal b.  A pivot
+    smaller than pivmin in modulus counts as -pivmin; x >= 0."""
+    q = -max(x, pivmin)
+    count = 1
+    for bk in b:
+        q = -x - bk * bk / q
+        if abs(q) < pivmin:
+            q = -pivmin
+        count += q < 0
+    return count
+
+
+def _bisect(b: Sequence[float], k: int) -> float:
+    """The k-th largest singular value of the bidiagonal b (k = 1, 2, ...),
+    by bisection on the Sturm count until the bracket is as wide as a
+    rounding of the largest."""
+    n2 = len(b) + 1
+    hi = max((x + y for x, y in zip([0.0, *b], [*b, 0.0])), default=0.0)
+    pivmin = sys.float_info.min * max(1.0, hi * hi)
+    lo, width = 0.0, sys.float_info.epsilon * hi
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if n2 - _below(b, mid, pivmin) >= k:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def _singular_values(m: ComplexMatrix) -> list[float]:
+    """Singular values of m scaled as in `_bidiagonal`, in descending order,
+    each by bisection to within a rounding of the largest (`_bisect`)."""
+    b = _bidiagonal(m)
+    return [_bisect(b, k) for k in range(1, (len(b) + 3) // 2)]
+
+
 def rank_numeric(m: ComplexMatrix, tol: float = 1e-8) -> int:
-    """Count singular values above tol times the largest one."""
+    """Count singular values above tol times the largest one: the largest
+    by `_bisect`, then one Sturm count (`_below`), pure Python."""
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    if not np.all(np.isfinite(m.data)):
+    if not all(cmath.isfinite(z) for row in m.data for z in row):
         raise ValueError("matrix has non-finite entries")
-    s = np.linalg.svd(m.data, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
+    b = _bidiagonal(m)
+    top = _bisect(b, 1)
+    if not top:
         return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return len(b) + 1 - _below(b, tol * top, sys.float_info.min * max(1.0, top * top))

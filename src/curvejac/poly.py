@@ -11,9 +11,11 @@ Restriction to a parametrized curve, f(c(t)), has one entry point,
 restricted monomial once, and multiplies each term's coefficient into its
 small restricted monomial once, summing integers over a common denominator.
 
-Rational roots are exact and use no floats: the roots of the squarefree
-part modulo a suitable prime are lifted p-adically and confirmed exactly
-(`rational_roots`, `squarefree_roots`).  mpmath is imported only for complex
+Coprimality (`coprime`, also the squarefree test of f against f') is
+certified by a gcd of degree 0 modulo a prime, with Euclid over Q only as
+the fallback.  Rational roots are exact and use no floats: the roots of the
+squarefree part modulo a suitable prime are lifted p-adically and confirmed
+exactly (`rational_roots`, `squarefree_roots`).  mpmath is imported only for complex
 roots (`roots_numeric`, and the labels of a polynomial that does not split).
 
 Canonical term order everywhere is graded lexicographic on exponent vectors
@@ -30,12 +32,13 @@ from math import isqrt, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionError, InputError
-from .linalg import format_rational, parse_int, parse_list, parse_rational
+from .linalg import _PRIMES, format_rational, parse_int, parse_list, parse_rational
 
 __all__ = [
     "UniPoly",
     "MultiPoly",
     "gcd_univariate",
+    "coprime",
     "compose_with_curve",
     "restrict_to_curve",
     "monomial_basis",
@@ -199,6 +202,40 @@ def gcd_univariate(a: UniPoly, b: UniPoly) -> UniPoly:
     while not b.is_zero:
         a, b = b, a.divmod_exact(b)[1]
     return a.monic()
+
+
+def _gcd_degree_mod(a: list[int], b: list[int], p: int) -> int:
+    """Degree of gcd(a, b) over Z/p; a and b list integer coefficients from
+    t^0 up, and p divides neither lead."""
+    a, b = [x % p for x in a], [x % p for x in b]
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            f, off = a[-1] * inv % p, len(a) - len(b)
+            for i, y in enumerate(b):
+                a[off + i] = (a[off + i] - f * y) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def coprime(a: UniPoly, b: UniPoly) -> bool:
+    """Whether gcd(a, b) is constant; rejects the (0, 0) pair.
+
+    A common factor over Q of degree k >= 1 is, by Gauss's lemma, a
+    primitive integer polynomial whose lead divides the leads of a and b
+    scaled to integers; so modulo a prime dividing neither lead it keeps
+    degree k.  A gcd of degree 0 modulo such a prime therefore proves a and
+    b coprime.  Euclid over Q decides only when every prime of _PRIMES
+    divides a lead or leaves a common factor.
+    """
+    if not (a.is_zero or b.is_zero):
+        ia, ib = _integral(a)[0], _integral(b)[0]
+        for p in _PRIMES:
+            if ia[-1] % p and ib[-1] % p and _gcd_degree_mod(ia, ib, p) == 0:
+                return True
+    return gcd_univariate(a, b).degree == 0
 
 
 def grlex_key(exps: tuple[int, ...]) -> tuple:
@@ -470,8 +507,10 @@ def _polyroots(p: UniPoly, digits: int) -> list:
     runs on p(2^k s), 2^k about the largest root (from max |c_i / c_n|^(1/(n-i)),
     as in Fujiwara's bound), and scales the roots back exactly.  Roots of
     very different sizes need more steps (1.2-2.4 per digit of the Cauchy
-    height for two sizes), so it may take up to max(200, 4 * digits) steps;
-    raises ValueError if it has not converged by then.
+    height for two sizes, more when several crowd together), so it may take
+    up to max(1000, 20 * digits) steps; raises ValueError if it has not
+    converged by then.  The cap only ends a run that has not converged: a
+    converged run stops at the same step under any cap.
     """
     from mpmath import ldexp, mp, mpf, polyroots
     from mpmath.libmp import NoConvergence
@@ -485,7 +524,7 @@ def _polyroots(p: UniPoly, digits: int) -> list:
     with mp.workdps(digits):
         coeffs = [ldexp(mpf(c.numerator) / mpf(c.denominator), k * i)
                   for i, c in enumerate(p.coeffs)]
-        steps = max(200, 4 * digits)
+        steps = max(1000, 20 * digits)
         try:
             zs = polyroots(coeffs[::-1], maxsteps=steps, extraprec=80)
         except NoConvergence as exc:

@@ -8,6 +8,7 @@ suite can invoke them with their own draw counts.
 import random
 from fractions import Fraction
 
+import numpy
 import sympy
 
 from curvejac.incidence import (
@@ -16,7 +17,17 @@ from curvejac.incidence import (
     coefficients_k,
     jacobian_coefficient_form,
 )
-from curvejac.linalg import _PRIMES, RationalMatrix, _rank_mod, _rows_mod, kernel_exact, rank_exact
+from curvejac.linalg import (
+    _PRIMES,
+    ComplexMatrix,
+    RationalMatrix,
+    _rank_mod,
+    _rows_mod,
+    _singular_values,
+    kernel_exact,
+    rank_exact,
+    rank_numeric,
+)
 from curvejac.poly import (
     MultiPoly,
     UniPoly,
@@ -270,6 +281,71 @@ def modular_rank_suite(seed, draws):
             witnesses = kernel + [dependent]
             assert all(r == cols - len(witnesses) for r in mod), (kind, rows)
         assert rank_exact(m, witnesses) == rank, (kind, rows, witnesses)
+    return draws
+
+
+NUMERIC_RANK_KINDS = ("wide", "tall", "square", "product", "graded", "zero", "one-row",
+                      "one-column")
+
+
+def _gaussian(rng, nrows, cols):
+    return [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(cols)]
+            for _ in range(nrows)]
+
+
+def numeric_rank_suite(seed, draws, tol=1e-8):
+    """rank_numeric and the bisected singular values agree with numpy's SVD.
+
+    The draws cycle through NUMERIC_RANK_KINDS, complex Gaussian entries on
+    up to 12 x 16 matrices: wide, tall and square shapes, products of rank
+    r < min(rows, cols), columns graded by 10^k with |k| <= 6, the zero
+    matrix, one row and one column.  Ranks at tol must be equal (a product's
+    is r) and the singular values, which `_singular_values` returns scaled
+    by a power of two, agree within 1e-13 times the largest.
+    """
+    rng = random.Random(seed)
+    for draw in range(draws):
+        kind = NUMERIC_RANK_KINDS[draw % len(NUMERIC_RANK_KINDS)]
+        nrows, cols = rng.randint(1, 12), rng.randint(1, 16)
+        if kind == "wide":
+            nrows = rng.randint(1, 11)
+            cols = rng.randint(nrows + 1, 16)
+        elif kind == "tall":
+            cols = rng.randint(1, 11)
+            nrows = rng.randint(cols + 1, 12)
+        elif kind == "square":
+            cols = nrows
+        elif kind == "product":
+            nrows, cols = rng.randint(2, 12), rng.randint(2, 16)
+        elif kind == "one-row":
+            nrows = 1
+        elif kind == "one-column":
+            cols = 1
+        if kind == "product":
+            r = rng.randint(0, min(nrows, cols) - 1)
+            left, right = _gaussian(rng, nrows, r), _gaussian(rng, r, cols)
+            rows = [[sum(x * right[k][j] for k, x in enumerate(row)) for j in range(cols)]
+                    for row in left]
+        elif kind == "graded":
+            scales = [10.0 ** rng.randint(-6, 6) for _ in range(cols)]
+            rows = [[x * g for x, g in zip(row, scales)] for row in _gaussian(rng, nrows, cols)]
+        elif kind == "zero":
+            rows = [[0j] * cols for _ in range(nrows)]
+        else:
+            rows = _gaussian(rng, nrows, cols)
+        cm = ComplexMatrix.from_rows(rows)
+        ref = numpy.linalg.svd(numpy.array(rows, dtype=complex), compute_uv=False)
+        s = _singular_values(cm)
+        assert len(s) == len(ref), (kind, rows)
+        rank = int(numpy.count_nonzero(ref > tol * ref[0])) if ref[0] else 0
+        assert rank_numeric(cm, tol) == rank, (kind, rows)
+        if kind == "product":
+            assert rank == r, (kind, rows)
+        if not ref[0]:
+            assert not any(s), (kind, rows)
+            continue
+        unit = ref[0] / s[0]
+        assert max(abs(x * unit - y) for x, y in zip(s, ref)) <= 1e-13 * ref[0], (kind, rows)
     return draws
 
 

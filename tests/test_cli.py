@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -198,6 +199,49 @@ def test_mpmath_loaded_only_for_complex_labels(tmp_path, request, name, loaded):
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=120, check=True)
     assert run.stdout.split() == ["0", str(loaded)]
+
+
+def test_numpy_never_imported(tmp_path, fixture_b_nonsplit, problem_a_path, curve_a_path):
+    # the --tol rank of complex evaluation points is computed in pure Python
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(fixture_b_nonsplit.to_obj()))
+    out = str(tmp_path / "out.json")
+    code = ("import sys; import curvejac; from curvejac import cli; "
+            "seen = ['numpy' in sys.modules]; "
+            f"rc = [cli.main(['verify', {str(path)!r}, '--out', {out!r}]), "
+            f"cli.main(['jacobian', {problem_a_path!r}, {curve_a_path!r}, '--form', 'eval', "
+            f"'--points=0,1,-1,2,-2,1+2i', '--out', {out!r}])]; "
+            "print(*rc, *seen, 'numpy' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    assert run.stdout.split() == ["0", "0", "False", "False"]
+
+
+def test_gc_unfrozen_after_main(monkeypatch):
+    # the command runs with the import-time heap frozen; in-process callers
+    # get normal collection back, and a caller's own freeze is not undone
+    seen = []
+
+    def record(args, out):
+        seen.append(gc.get_freeze_count())
+        return cli.EXIT_OK
+
+    monkeypatch.setattr(cli, "cmd_fixture", record)
+    for argv in (["fixture", "A"], ["fixture"]):
+        run_cli(argv)
+        assert gc.get_freeze_count() == 0
+    assert len(seen) == 1 and seen[0] > 0
+    # a caller's own freeze is left as it was, through the command and after
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        run_cli(["fixture", "A"])
+        assert seen[1] == gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
 
 
 class TestThroughCommand:

@@ -152,6 +152,23 @@ class TestSelectSpecialPoints:
         assert rep.checks[1].status == "fail"
         assert rep.checks[1].details["error"] == message
 
+    def test_degree_32_fractional_roots_certified_mod_p(self, monkeypatch):
+        # lc = prod (t - k/(k+1)), k <= 32: Euclid over Q on lc and lc' takes
+        # seconds; a gcd of degree 0 modulo one prime proves lc squarefree
+        # and coprime to pc
+        lc = UniPoly.of(1)
+        for k in range(1, 33):
+            lc = lc * UniPoly.of(-F(k, k + 1), 1)
+
+        def refuse(a, b):
+            raise AssertionError("Euclid over Q ran")
+
+        monkeypatch.setattr("curvejac.poly.gcd_univariate", refuse)
+        pts = select_special_points(lc, UniPoly.of(1, 0, 1), 32)
+        assert pts.field == "rational"
+        assert pts.root_points == tuple(F(k, k + 1) for k in range(1, 33))
+        assert len(pts.generic_points) == 129
+
     def test_repeated_root_rejected(self, fixture_a):
         # l restricting to (1 + 2t)^2 on the line: 1 + 4t + 4t^2 needs d >= 2,
         # so use the conic fixture's curve with z0 + 4 z1 + 4 z2.

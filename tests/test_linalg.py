@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 
+import numpy
 import pytest
 
 from curvejac.errors import DimensionError, InputError
@@ -8,6 +9,7 @@ from curvejac.incidence import jacobian_coefficient_form
 from curvejac.linalg import (
     ComplexMatrix,
     RationalMatrix,
+    _singular_values,
     det_exact,
     kernel_exact,
     rank_exact,
@@ -146,15 +148,48 @@ class TestRankNumeric:
         assert rank_numeric(zero(3, 3).to_complex(), 1e-10) == 0
 
     def test_agrees_with_exact_on_fixture(self, fixture_a):
-        import numpy as np
-
         jac = jacobian_coefficient_form(fixture_a.problem, fixture_a.c0)
         cm = jac.matrix.to_complex()
         assert rank_numeric(cm, 1e-8) == rank_exact(jac.matrix) == 6
         # the fixture satisfies the stated margin: smallest nonzero singular
-        # value well above 10 * tol * largest
-        s = np.linalg.svd(cm.data, compute_uv=False)
-        assert s[5] > 10 * 1e-8 * s[0]
+        # value well above 10 * tol * largest, by numpy's SVD as the reference
+        ref = numpy.linalg.svd(numpy.array(cm.data), compute_uv=False)
+        assert len(ref) == 6 and ref[5] > 10 * 1e-8 * ref[0]
+        s = _singular_values(cm)
+        unit = ref[0] / s[0]
+        assert max(abs(x * unit - y) for x, y in zip(s, ref)) <= 1e-13 * ref[0]
+
+    def test_mid_size_products_against_numpy(self):
+        # 51 x 99 is the shape of the evaluation Jacobian at d = 10, e = 5 in
+        # P^8; a product of a rows x r and an r x cols Gaussian has rank r
+        rng = random.Random(5)
+
+        def gaussian(rows, cols):
+            return numpy.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(cols)]
+                                for _ in range(rows)])
+
+        for rows, cols, r in ((51, 99, 51), (51, 99, 37), (99, 51, 44)):
+            a = gaussian(rows, r) @ gaussian(r, cols)
+            cm = ComplexMatrix.from_rows(a.tolist())
+            assert rank_numeric(cm, 1e-8) == r
+            ref = numpy.linalg.svd(a, compute_uv=False)
+            s = _singular_values(cm)
+            unit = ref[0] / s[0]
+            assert max(abs(x * unit - y) for x, y in zip(s, ref)) <= 1e-13 * ref[0]
+
+    def test_extreme_magnitudes(self):
+        # squared norms of these entries leave the float range unless the
+        # matrix is scaled first
+        for big in (1e300, 1e-300, 5e-324):
+            cm = ComplexMatrix.from_rows([[big, big * 1j, 0], [big, 2 * big, big]])
+            assert rank_numeric(cm, 1e-8) == 2
+            assert rank_numeric(ComplexMatrix.from_rows([[big, big], [big, big]]), 1e-8) == 1
+
+    def test_rejects_ragged_and_empty_rows(self):
+        with pytest.raises(DimensionError):
+            ComplexMatrix.from_rows([[1, 2], [3]])
+        with pytest.raises(DimensionError):
+            ComplexMatrix.from_rows([])
 
     def test_rejects_negative_tol(self):
         with pytest.raises(ValueError):

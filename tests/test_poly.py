@@ -1,13 +1,17 @@
+import cmath
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from curvejac.errors import DimensionError, InputError
+from curvejac.linalg import _PRIMES
 from curvejac.poly import (
     MultiPoly,
     UniPoly,
     compose_with_curve,
+    coprime,
     gcd_univariate,
     monomial_basis,
     rational_roots,
@@ -167,6 +171,43 @@ class TestGcd:
             gcd_univariate(UniPoly.zero(), UniPoly.zero())
 
 
+class TestCoprime:
+    def test_agrees_with_gcd(self):
+        square = UniPoly.of(F(-1, 2), 1) * UniPoly.of(F(-1, 2), 1) * UniPoly.of(3, 1)
+        for a, b in [
+            (UniPoly.of(-1, 0, 1), UniPoly.of(-1, 1)),
+            (UniPoly.of(1, 2), UniPoly.of(1, 0, 0, 0, 1)),
+            (square, square.derivative()),
+            (UniPoly.of(2, 4), UniPoly.zero()),
+            (UniPoly.of(F(1, 3)), UniPoly.zero()),
+            (UniPoly.of(0, F(1, 7)), UniPoly.of(0, 0, 5)),
+        ]:
+            assert coprime(a, b) == (gcd_univariate(a, b).degree == 0)
+
+    def test_high_degree_fractional_roots_certified_mod_p(self, monkeypatch):
+        lc = UniPoly.of(1)
+        for k in range(1, 33):
+            lc = lc * UniPoly.of(-F(k, k + 1), 1)
+
+        def refuse(a, b):
+            raise AssertionError("Euclid over Q ran")
+
+        monkeypatch.setattr("curvejac.poly.gcd_univariate", refuse)
+        assert coprime(lc, lc.derivative())
+        assert coprime(lc, UniPoly.of(1, 0, 1))
+
+    def test_common_factor_mod_every_prime_falls_back_to_q(self):
+        # t and t + p1*p2*p3 share the factor t modulo each prime of _PRIMES
+        # but are coprime over Q
+        shift = math.prod(_PRIMES)
+        assert coprime(UniPoly.of(0, 1), UniPoly.of(shift, 1))
+        assert not coprime(UniPoly.of(0, shift), UniPoly.of(0, 1) * UniPoly.of(shift, 1))
+
+    def test_rejects_both_zero(self):
+        with pytest.raises(ValueError):
+            coprime(UniPoly.zero(), UniPoly.zero())
+
+
 class TestRoots:
     def test_linear(self):
         roots = roots_numeric(UniPoly.of(1, 2))
@@ -224,13 +265,33 @@ class TestRoots:
             assert [z.real for z in roots_numeric(p)] == pytest.approx(
                 [-1.4142135623730951e30, 1.4142135623730951e30], rel=1e-15)
 
-    def test_unconverged_roots_raise_value_error(self):
-        # one root near -10^60 and six seventh roots of unity; scaled by
-        # 2^-199 the six crowd near 0 and need about 1000 steps at 71
-        # digits, above the cap of 4 * 71
+    def test_crowded_roots_converge(self):
+        # one root near -10^60 and the six seventh roots of unity other than
+        # 1; scaled by 2^-199 the six crowd near 0 and need more than 284
+        # steps at 71 digits, the cap before it became 20 * 71
         p = UniPoly.from_coeffs([10**60] * 7 + [1])
-        with pytest.raises(ValueError, match="did not converge in 284 steps at 71 digits"):
+        rational, labels = squarefree_roots(p)
+        assert rational == [] and len(labels) == 7
+        assert labels[0] == pytest.approx(-1e60, rel=1e-15)
+        unity = [cmath.exp(2j * cmath.pi * k / 7) for k in range(1, 7)]
+        for z in labels[1:]:
+            assert min(abs(z - u) for u in unity) < 1e-15
+
+    def test_unconverged_roots_raise_value_error(self, monkeypatch):
+        import mpmath
+        from mpmath.libmp import NoConvergence
+
+        caps = []
+
+        def unconverged(coeffs, maxsteps, extraprec):
+            caps.append(maxsteps)
+            raise NoConvergence(f"Didn't converge in maxsteps={maxsteps} steps.")
+
+        monkeypatch.setattr(mpmath, "polyroots", unconverged)
+        p = UniPoly.from_coeffs([10**60] * 7 + [1])
+        with pytest.raises(ValueError, match="did not converge in 1420 steps at 71 digits"):
             squarefree_roots(p)
+        assert caps == [1420]
 
     def test_residual_bound(self):
         rng = random.Random(6)

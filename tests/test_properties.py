@@ -1,7 +1,9 @@
 """Standalone property suites over seeded random draws.
 
-Each suite runs 100 exact draws; a failure raises with the violating
-instance, so there is no tolerance anywhere on the rational path.
+Each suite runs about 100 exact draws; a failure raises with the violating
+instance, so there is no tolerance anywhere on the rational path.  The one
+floating suite, numeric_rank_suite, holds the complex path's singular
+values to numpy's within 1e-13 times the largest.
 """
 
 from sympy import isprime
@@ -46,3 +48,7 @@ def test_moduli_are_prime():
 
 def test_rational_roots_100_draws():
     assert propcheck.rational_roots_suite(seed=2031, draws=102) == 102
+
+
+def test_numeric_rank_304_draws():
+    assert propcheck.numeric_rank_suite(seed=2032, draws=304) == 304
