@@ -16,8 +16,9 @@ Kernel and determinant, and the rank's fallback, go through a single
 fraction-free elimination: each row is scaled to integers and pivoting
 follows Bareiss' scheme, which keeps intermediate entries as minors of the
 input instead of letting numerators explode.  The kernel's
-back-substitution touches only the entries that can be nonzero: a basis
-vector's free column and the pivot columns already solved.
+back-substitution is in integers too, each basis vector's numerators over
+one running denominator, and touches only the entries that can be nonzero:
+a basis vector's free column and the pivot columns already solved.
 
 The complex path (`ComplexMatrix`, `rank_numeric`) serves only the
 evaluation-form Jacobian at user-given points that are not rational
@@ -36,7 +37,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import DimensionError, InputError
@@ -393,29 +394,35 @@ def kernel_exact(m: RationalMatrix) -> KernelBasis:
 
     Each basis vector is scaled so that its first nonzero entry is 1; vectors
     are ordered by their free column, so output is reproducible.  The vector
-    of free column fc is 1 at fc and 0 at the other free columns; its pivot
-    entries are solved from the last pivot row up, each row summing only over
-    fc and the nonzero pivot entries already solved.
+    of free column fc is 1 at fc and 0 at the other free columns.  Its pivot
+    entries are solved from the last pivot row up, in integers: the vector
+    keeps the numerators of its nonzero entries over one running
+    denominator.  A row sums only over fc and those entries; the new entry
+    is -sum / pivot, so with g = gcd(sum, pivot) the denominator takes the
+    factor pivot / g, which multiplies the numerators already solved, and
+    the new numerator is -sum / g.  A Fraction is built only for each
+    nonzero entry at the end, its numerator over the lead's.
     """
     rows, _ = _cleared_int_rows(m)
     ech, piv_cols, _ = _bareiss_echelon(rows)
     piv_set = set(piv_cols)
-    free_cols = [c for c in range(m.cols) if c not in piv_set]
     vectors = []
-    for fc in free_cols:
-        v = [Fraction(0)] * m.cols
-        v[fc] = Fraction(1)
-        solved: list[tuple[int, Fraction]] = []
+    for fc in (c for c in range(m.cols) if c not in piv_set):
+        solved = [(fc, 1)]
         for r in range(len(piv_cols) - 1, -1, -1):
             row, pc = ech[r], piv_cols[r]
-            s = Fraction(row[fc])
-            for j, x in solved:
-                s += row[j] * x
+            s = sum(row[j] * x for j, x in solved)
             if s:
-                v[pc] = -s / row[pc]
-                solved.append((pc, v[pc]))
-        lead = next(x for x in v if x)
-        vectors.append(tuple(x / lead if x else x for x in v))
+                g = gcd(s, row[pc])
+                q = row[pc] // g
+                if q != 1:
+                    solved = [(j, x * q) for j, x in solved]
+                solved.append((pc, -s // g))
+        lead = min(solved)[1]
+        v = [Fraction(0)] * m.cols
+        for j, x in solved:
+            v[j] = Fraction(x, lead)
+        vectors.append(tuple(v))
     return KernelBasis(m.cols, tuple(vectors))
 
 
@@ -452,13 +459,23 @@ def vandermonde(points: Sequence[Fraction], width: int) -> RationalMatrix:
 
 def _reflector(x: list[complex]) -> tuple[float, list[complex], float]:
     """Householder reflector H = I - tau u u^H, tau real, with H x = alpha e1;
-    returns (|alpha|, u, tau), tau = 0 when x is zero."""
-    norm = math.hypot(*map(abs, x))
-    if not norm:
+    returns (|alpha|, u, tau), tau = 0 when x is zero.
+
+    u and tau are computed from x scaled by the power of two 2**-e that
+    brings its largest modulus into [1/2, 1), as LAPACK's zlarfg rescales:
+    then norm (norm + |x0|), tau's denominator, lies in [1/4, 2 len(x)) and
+    cannot underflow to 0, however small x is.  Scaling u by 2**-e and tau
+    by 2**(2e) leaves H as it is.
+    """
+    big = max(map(abs, x))
+    if not big:
         return 0.0, x, 0.0
+    e = math.frexp(big)[1]
+    x = [complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in x]
+    norm = math.hypot(*map(abs, x))
     a0 = abs(x[0])
     phase = x[0] / a0 if a0 else 1.0
-    return norm, [phase * (a0 + norm)] + x[1:], 1.0 / (norm * (norm + a0))
+    return math.ldexp(norm, e), [phase * (a0 + norm)] + x[1:], 1.0 / (norm * (norm + a0))
 
 
 def _bidiagonal(m: ComplexMatrix) -> list[float]:

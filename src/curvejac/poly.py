@@ -7,16 +7,23 @@ immutable; all arithmetic is exact.
 
 Restriction to a parametrized curve, f(c(t)), has one entry point,
 `restrict_to_curve`: it restricts several forms through one table
-(`_curve_monomials`), which builds each power of a component and each
-restricted monomial once, and multiplies each term's coefficient into its
-small restricted monomial once, summing integers over a common denominator.
+(`_curve_monomials`), which scales each component to integers over its own
+denominator and builds each power of a component and each restricted
+monomial once, as an integer polynomial over a denominator, and multiplies
+each term's coefficient into its restricted monomial once, summing integers
+over a common denominator.  Every polynomial product in the package, the
+table's and `UniPoly.__mul__`'s, is one product of integer polynomials by
+Kronecker substitution (`_int_mul`): the coefficients are packed into one
+integer, which CPython multiplies by Karatsuba, and unpacked.
 
 Coprimality (`coprime`, also the squarefree test of f against f') is
-certified by a gcd of degree 0 modulo a prime, with Euclid over Q only as
-the fallback.  Rational roots are exact and use no floats: the roots of the
-squarefree part modulo a suitable prime are lifted p-adically and confirmed
-exactly (`rational_roots`, `squarefree_roots`).  mpmath is imported only for complex
-roots (`roots_numeric`, and the labels of a polynomial that does not split).
+certified by a gcd of degree 0 modulo a prime, and a common factor by the
+gcd modulo a prime lifted to Q and confirmed by exact division, with Euclid
+over Q only as the fallback.  Rational roots are exact and use no floats:
+the roots of the squarefree part modulo a suitable prime are lifted
+p-adically and confirmed exactly (`rational_roots`, `squarefree_roots`).
+mpmath is imported only for complex roots (`roots_numeric`, and the labels
+of a polynomial that does not split).
 
 Canonical term order everywhere is graded lexicographic on exponent vectors
 (total degree first, then lex), serialized leading term first, which keeps
@@ -28,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionError, InputError
@@ -47,6 +54,42 @@ __all__ = [
     "rational_roots",
     "squarefree_roots",
 ]
+
+
+def _scaled(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(den, ints): den the lcm of the denominators, ints = den * coeffs."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two integer coefficient lists (t^0 first), all
+    len(a) + len(b) - 1 coefficients, by Kronecker substitution (von zur
+    Gathen and Gerhard, Modern Computer Algebra, 8.4).
+
+    Each factor is packed into one integer, a slot of w bits per coefficient,
+    w a whole number of bytes wider than the largest possible product
+    coefficient min(len) * max|a| * max|b| plus a sign bit, so one big-integer
+    multiplication gives every product coefficient in its own slot.  Adding
+    2^(w-1) to every slot makes the slots non-negative, so packing and
+    unpacking go through bytes.
+    """
+    if not a or not b:
+        return []
+    big_a, big_b = max(map(abs, a)), max(map(abs, b))
+    if not (big_a and big_b):
+        return [0] * (len(a) + len(b) - 1)
+    size = (max(min(len(a), len(b)) * big_a * big_b, big_a, big_b).bit_length() + 8) // 8
+    half = 1 << (8 * size - 1)
+    bias = half.to_bytes(size, "little")
+
+    def pack(xs: Sequence[int]) -> int:
+        packed = b"".join((x + half).to_bytes(size, "little") for x in xs)
+        return int.from_bytes(packed, "little") - int.from_bytes(bias * len(xs), "little")
+
+    n = len(a) + len(b) - 1
+    raw = (pack(a) * pack(b) + int.from_bytes(bias * n, "little")).to_bytes(size * n, "little")
+    return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, size * n, size)]
 
 
 @dataclass(frozen=True)
@@ -108,16 +151,12 @@ class UniPoly:
         return self + (-other)
 
     def __mul__(self, other):
+        """The product with a UniPoly, as integers over the product of the
+        two denominators (`_int_mul`); any other factor scales."""
         if isinstance(other, UniPoly):
-            if self.is_zero or other.is_zero:
-                return UniPoly.zero()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return UniPoly.from_coeffs(out)
+            (da, a), (db, b) = _scaled(self.coeffs), _scaled(other.coeffs)
+            den = da * db
+            return UniPoly(tuple(Fraction(x, den) for x in _int_mul(a, b)))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -204,9 +243,9 @@ def gcd_univariate(a: UniPoly, b: UniPoly) -> UniPoly:
     return a.monic()
 
 
-def _gcd_degree_mod(a: list[int], b: list[int], p: int) -> int:
-    """Degree of gcd(a, b) over Z/p; a and b list integer coefficients from
-    t^0 up, and p divides neither lead."""
+def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd(a, b) over Z/p, coefficients from t^0 up; a and b list
+    integer coefficients from t^0 up, and p divides neither lead."""
     a, b = [x % p for x in a], [x % p for x in b]
     while b:
         inv = pow(b[-1], -1, p)
@@ -217,7 +256,21 @@ def _gcd_degree_mod(a: list[int], b: list[int], p: int) -> int:
             while a and not a[-1]:
                 a.pop()
         a, b = b, a
-    return len(a) - 1
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
+
+
+def _rational_mod(x: int, p: int) -> Fraction | None:
+    """The fraction u/v with |u|, v <= sqrt(p/2) and u = v x mod p, if any
+    (rational reconstruction by the half extended Euclid, Wang 1981)."""
+    bound = isqrt(p // 2)
+    r0, r1, s0, s1 = p, x % p, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
 
 
 def coprime(a: UniPoly, b: UniPoly) -> bool:
@@ -227,14 +280,25 @@ def coprime(a: UniPoly, b: UniPoly) -> bool:
     primitive integer polynomial whose lead divides the leads of a and b
     scaled to integers; so modulo a prime dividing neither lead it keeps
     degree k.  A gcd of degree 0 modulo such a prime therefore proves a and
-    b coprime.  Euclid over Q decides only when every prime of _PRIMES
-    divides a lead or leaves a common factor.
+    b coprime.  A gcd of higher degree is lifted to Q, each coefficient of
+    the monic gcd mod p by rational reconstruction, and when that candidate
+    divides a and b exactly it proves a common factor.  Euclid over Q
+    decides only when every prime of _PRIMES divides a lead or leaves a
+    common factor that does not lift.
     """
     if not (a.is_zero or b.is_zero):
         ia, ib = _integral(a)[0], _integral(b)[0]
         for p in _PRIMES:
-            if ia[-1] % p and ib[-1] % p and _gcd_degree_mod(ia, ib, p) == 0:
+            if ia[-1] % p == 0 or ib[-1] % p == 0:
+                continue
+            g = _gcd_mod(ia, ib, p)
+            if len(g) == 1:
                 return True
+            lifted = [_rational_mod(x, p) for x in g]
+            if None not in lifted:
+                common = UniPoly(tuple(lifted))
+                if all(f.divmod_exact(common)[1].is_zero for f in (a, b)):
+                    return False
     return gcd_univariate(a, b).degree == 0
 
 
@@ -426,30 +490,39 @@ class MultiPoly:
 
 
 def _curve_monomials(components: Sequence[UniPoly]):
-    """restrict(e) = prod_m components[m] ** e[m], the restriction of the
-    monomial z**e to the curve, from one table per curve.
+    """restrict(e) = (den, ints), den * prod_m components[m] ** e[m] as integer
+    coefficients: the restriction of the monomial z**e to the curve, from one
+    table per curve.
 
-    Each power components[m] ** k is built once from the one below, and each
+    Each component is scaled to integers over its own denominator D_m, so
+    the entry of z**e has the denominator prod_m D_m ** e[m] and integer
+    coefficients.  Each power is built once from the one below, and each
     monomial once, as its restriction without the last variable times that
-    variable's power, so every entry of the table costs at most one product.
+    variable's power, so every entry of the table costs at most one product
+    of integer polynomials (`_int_mul`).
     """
-    powers = [[UniPoly.one(), comp] for comp in components]
-    table: dict[tuple[int, ...], UniPoly] = {}
+    powers = [[(1, [1]), _scaled(comp.coeffs)] for comp in components]
+    table: dict[tuple[int, ...], tuple[int, list[int]]] = {}
 
-    def power(m: int, k: int) -> UniPoly:
+    def power(m: int, k: int) -> tuple[int, list[int]]:
         row = powers[m]
         while len(row) <= k:
-            row.append(row[-1] * components[m])
+            (den, xs), (dm, cm) = row[-1], row[1]
+            row.append((den * dm, _int_mul(xs, cm)))
         return row[k]
 
-    def restrict(e: tuple[int, ...]) -> UniPoly:
+    def restrict(e: tuple[int, ...]) -> tuple[int, list[int]]:
         if e not in table:
             m = max((i for i, k in enumerate(e) if k), default=None)
             if m is None:
-                table[e] = UniPoly.one()
+                table[e] = 1, [1]
             else:
                 head = e[:m] + (0,) * (len(e) - m)
-                table[e] = restrict(head) * power(m, e[m]) if any(head) else power(m, e[m])
+                if any(head):
+                    (dh, xh), (dp, xp) = restrict(head), power(m, e[m])
+                    table[e] = dh * dp, _int_mul(xh, xp)
+                else:
+                    table[e] = power(m, e[m])
         return table[e]
 
     return restrict
@@ -457,31 +530,18 @@ def _curve_monomials(components: Sequence[UniPoly]):
 
 def restrict_to_curve(fs: Iterable[MultiPoly], components: Sequence[UniPoly]) -> list[UniPoly]:
     """The restrictions f(c(t)), z_m := components[m](t), of the forms fs,
-    exact; fs may be any iterable, read once.  They share one table of
-    restricted monomials; a one-term form with coefficient 1 restricts to
-    its table entry, and otherwise each term's coefficient multiplies its
-    restricted monomial once, as integers over the form's common
+    exact; fs may be any iterable, read once.  They share one integer table
+    of restricted monomials (`_curve_monomials`); each term's coefficient
+    multiplies its table entry once, as integers over the form's common
     denominator, so each output coefficient takes one gcd."""
     restrict = _curve_monomials(components)
-    table: dict = {}  # e -> (den, den * restrict(e) as integers)
-
-    def scaled(e: tuple[int, ...]) -> tuple[int, list[int]]:
-        if e not in table:
-            coeffs = restrict(e).coeffs
-            den = lcm(*(x.denominator for x in coeffs))
-            table[e] = den, [x.numerator * (den // x.denominator) for x in coeffs]
-        return table[e]
-
     out = []
     for f in fs:
         if f.num_vars != len(components):
             raise DimensionError(
                 f"curve has {len(components)} components, polynomial has {f.num_vars} variables"
             )
-        if len(f.terms) == 1 and 1 in f.terms.values():
-            out.append(restrict(*f.terms))
-            continue
-        terms = [(c, *scaled(e)) for e, c in f.terms.items()]
+        terms = [(c, *restrict(e)) for e, c in f.terms.items()]
         den = lcm(*(c.denominator * d for c, d, _ in terms))
         acc = [0] * max((len(xs) for _, _, xs in terms), default=0)
         for c, d, xs in terms:
@@ -560,8 +620,7 @@ def _integral(f: UniPoly) -> tuple[list[int], int]:
     """f's coefficients times the lcm of their denominators, integers
     a_0..a_n, and the height 2 (|a_n| + max |a_i|): every root r has |a_n r|
     below half of it (Cauchy's bound)."""
-    scale = lcm(*(c.denominator for c in f.coeffs))
-    ints = [c.numerator * (scale // c.denominator) for c in f.coeffs]
+    ints = _scaled(f.coeffs)[1]
     return ints, 2 * (abs(ints[-1]) + max(abs(a) for a in ints))
 
 

@@ -1,10 +1,10 @@
 """Independent oracles for cross-checking the package.
 
 Everything here is deliberately naive and separate from the package's code
-paths: plain Gauss-Jordan over Fractions (no fraction-free tricks), direct
-convolution for polynomial products, exact Newton interpolation for
-first-order Taylor extraction, block slicing, reassembly and closed forms
-by list arithmetic, an exhaustive smoothness search over a prime field, and
+paths: plain Gauss-Jordan over Fractions (no fraction-free tricks),
+schoolbook convolution over Fractions for polynomial products, exact Newton
+interpolation for first-order Taylor extraction, block slicing, reassembly
+and closed forms by list arithmetic, an exhaustive smoothness search over a prime field, and
 rational roots from sympy's factorization over Q.
 """
 
@@ -47,14 +47,24 @@ def rref_rank(rows, ncols):
     return rref_rank_kernel(rows, ncols)[0]
 
 
-def naive_mul(a, b):
-    """Coefficient-list product, trailing zeros trimmed."""
+def schoolbook_mul(a, b):
+    """Coefficient-list product over Fractions, all len(a) + len(b) - 1
+    coefficients: the schoolbook loop `UniPoly.__mul__` ran before it
+    multiplied integers by Kronecker substitution."""
     if not a or not b:
         return []
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
+        if x == 0:
+            continue
         for j, y in enumerate(b):
             out[i + j] += x * y
+    return out
+
+
+def naive_mul(a, b):
+    """Coefficient-list product, trailing zeros trimmed."""
+    out = schoolbook_mul(a, b)
     while out and out[-1] == 0:
         out.pop()
     return out

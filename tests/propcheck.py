@@ -7,6 +7,7 @@ suite can invoke them with their own draw counts.
 
 import random
 from fractions import Fraction
+from itertools import pairwise
 
 import numpy
 import sympy
@@ -21,6 +22,8 @@ from curvejac.linalg import (
     _PRIMES,
     ComplexMatrix,
     RationalMatrix,
+    _bareiss_echelon,
+    _cleared_int_rows,
     _rank_mod,
     _rows_mod,
     _singular_values,
@@ -31,6 +34,7 @@ from curvejac.linalg import (
 from curvejac.poly import (
     MultiPoly,
     UniPoly,
+    _int_mul,
     _integral,
     _simple_roots_mod_prime,
     monomial_basis,
@@ -154,28 +158,76 @@ def kernel_annihilation_suite(seed, draws):
     return draws
 
 
-def wide_kernel_basis_suite(seed, draws):
+KERNEL_KINDS = ("wide", "non-dividing-pivots", "200-bit", "zero-columns", "deficient-pivot-block")
+
+
+def _bareiss_pivots(rows):
+    """The pivot columns and pivots of kernel_exact's elimination."""
+    ech, piv_cols, _ = _bareiss_echelon(_cleared_int_rows(RationalMatrix.from_rows(rows))[0])
+    return piv_cols, [ech[i][c] for i, c in enumerate(piv_cols)]
+
+
+def wide_kernel_basis_suite(seed, draws, kinds=KERNEL_KINDS[:1]):
     """kernel_exact's basis is the oracle's Gauss-Jordan basis, each vector
-    divided by its first nonzero entry, in the same order.  The matrices are
-    wide (1-16 rows, up to 40 columns) with zero columns and repeated rows,
-    so most columns are free, as in the through-curve kernels."""
+    divided by its first nonzero entry, in the same order, exactly.
+
+    The draws cycle through kinds, of KERNEL_KINDS.  "wide" matrices, the
+    default, have 1-16 rows and up to 40 columns with zero columns and
+    repeated rows, so most columns are free, as in the through-curve
+    kernels.  The others have up to 8 rows and 16 columns: Bareiss pivots of
+    which some does not divide the next one, entries with 200-bit
+    numerators and denominators (up to 5 x 8), zero columns (the first and
+    the third among them) before and between the pivot columns, and a
+    leading block of columns of rank below its width, so the pivot columns
+    skip some of it.  Each draw asserts it has its kind's property.
+    """
     rng = random.Random(seed)
-    for _ in range(draws):
-        nrows, cols = rng.randint(1, 16), rng.randint(1, 40)
-        rows = [[random_fraction(rng) for _ in range(cols)] for _ in range(nrows)]
-        for j in rng.sample(range(cols), rng.randint(0, cols // 3)):
+    for draw in range(draws):
+        kind = kinds[draw % len(kinds)]
+        if kind == "wide":
+            nrows, cols = rng.randint(1, 16), rng.randint(1, 40)
+            rows = [[random_fraction(rng) for _ in range(cols)] for _ in range(nrows)]
+            for j in rng.sample(range(cols), rng.randint(0, cols // 3)):
+                for row in rows:
+                    row[j] = Fraction(0)
+            for i in range(1, nrows):
+                if rng.random() < 0.3:
+                    rows[i] = list(rows[rng.randrange(i)])
+        else:
+            nrows, cols = rng.randint(2, 8), rng.randint(4, 16)
+            big = 9
+            if kind == "200-bit":
+                nrows, cols, big = rng.randint(2, 5), rng.randint(4, 8), 2**200
+            rows = [[random_fraction(rng, big, big) for _ in range(cols)] for _ in range(nrows)]
+        if kind == "non-dividing-pivots":
+            while not any(q % p for p, q in pairwise(_bareiss_pivots(rows)[1])):
+                rows = [[random_fraction(rng) for _ in range(cols)] for _ in range(nrows)]
+        elif kind == "200-bit":
+            assert max(max(abs(x.numerator), x.denominator) for r in rows for x in r) >= 2**199
+        elif kind == "zero-columns":
+            zeros = [0, 2] + rng.sample(range(4, cols), rng.randint(0, (cols - 4) // 2))
             for row in rows:
-                row[j] = Fraction(0)
-        for i in range(1, nrows):
-            if rng.random() < 0.3:
-                rows[i] = list(rows[rng.randrange(i)])
+                for j in zeros:
+                    row[j] = Fraction(0)
+            piv_cols = _bareiss_pivots(rows)[0]
+            assert piv_cols[0] == 1 and piv_cols[-1] > 2, (kind, rows)
+        elif kind == "deficient-pivot-block":
+            width = rng.randint(2, min(nrows, cols - 1))
+            basis = [[random_fraction(rng) for _ in range(width - 1)] for _ in range(nrows)]
+            mix = [[random_fraction(rng) for _ in range(width)] for _ in range(width - 1)]
+            for row, left in zip(rows, basis):
+                row[:width] = [sum((x * m[j] for x, m in zip(left, mix)), Fraction(0))
+                               for j in range(width)]
+            piv_cols = _bareiss_pivots(rows)[0]
+            assert len([c for c in piv_cols if c < width]) < width, (kind, rows)
+            assert piv_cols != list(range(len(piv_cols))), (kind, rows)
         _, oracle_kernel = oracles.rref_rank_kernel(rows, cols)
         want = tuple(
             tuple(x / lead for x in v)
             for v in oracle_kernel
             for lead in [next(x for x in v if x != 0)]
         )
-        assert kernel_exact(RationalMatrix.from_rows(rows)).vectors == want
+        assert kernel_exact(RationalMatrix.from_rows(rows)).vectors == want, (kind, rows)
     return draws
 
 
@@ -415,4 +467,71 @@ def rational_roots_suite(seed, draws):
         exact, numeric = squarefree_roots(distinct)
         assert exact == sorted(set(roots)), (kind, distinct, exact)
         assert len(numeric) == (distinct.degree if cofactor.degree else 0), (kind, distinct)
+    return draws
+
+
+INT_MUL_KINDS = ("small", "zeros", "negative", "trailing-zeros", "degree-0", "degree-300",
+                 "2000-digit", "slot-boundary", "full-slot")
+
+
+def _slot_bits(a, b):
+    """The slot width `_int_mul` picks: whole bytes above the bound on the
+    product coefficients plus a sign bit."""
+    bound = max(min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)),
+                max(map(abs, a)), max(map(abs, b)))
+    return 8 * ((bound.bit_length() + 8) // 8)
+
+
+def int_mul_suite(seed, draws):
+    """_int_mul equals the Fraction schoolbook product, every coefficient of
+    it, trailing zeros included.
+
+    The draws cycle through INT_MUL_KINDS: small coefficients, zero
+    coefficients (an all-zero factor among them), all coefficients
+    negative, trailing zeros on either factor, a constant factor, a factor
+    of degree above 300, 2000-digit coefficients, and two at a slot
+    boundary: a constant factor +-1 against coefficients +-T with T =
+    2^(8k-1) - 1, the largest value a k-byte slot holds, or T = 2^(8k-1),
+    the smallest that needs one more byte; and two factors of equal
+    magnitudes M, whose middle coefficient is the bound min(len) M^2 itself.
+    Each draw asserts it has its kind's property.
+    """
+    rng = random.Random(seed)
+    for draw in range(draws):
+        kind = INT_MUL_KINDS[draw % len(INT_MUL_KINDS)]
+        la, lb, big = rng.randint(1, 12), rng.randint(1, 12), 10**6
+        if kind == "degree-0":
+            la = 1
+        elif kind == "degree-300":
+            la = rng.randint(302, 400)
+        elif kind == "2000-digit":
+            big = 10**2000 - 1
+        a = [rng.randint(-big, big) for _ in range(la)]
+        b = [rng.randint(-big, big) for _ in range(lb)]
+        if kind == "zeros":
+            a = [x if rng.random() < 0.5 else 0 for x in a]
+            if rng.random() < 0.3:
+                b = [0] * lb
+            assert 0 in a + b, (kind, a, b)
+        elif kind == "negative":
+            a, b = [-abs(x) - 1 for x in a], [-abs(x) - 1 for x in b]
+        elif kind == "trailing-zeros":
+            a, b = a + [0] * rng.randint(1, 3), b + [0] * rng.randint(0, 3)
+        elif kind == "2000-digit":
+            assert max(len(str(abs(x))) for x in a + b) == 2000, (kind, a, b)
+        elif kind == "slot-boundary":
+            k = rng.randint(1, 300)
+            t = (1 << (8 * k - 1)) - rng.randint(0, 1)
+            a = [rng.choice((1, -1))]
+            b = [rng.choice((t, -t, 0, rng.randint(-t, t))) for _ in range(lb)]
+            b[rng.randrange(lb)] = rng.choice((t, -t))
+            assert _slot_bits(a, b) == (8 * k if t % 2 else 8 * k + 8), (kind, t)
+        elif kind == "full-slot":
+            m = rng.choice((1 << rng.randint(0, 300), (1 << rng.randint(1, 300)) - 1))
+            n = min(la, lb)
+            a = [m] * la
+            b = [rng.choice((m, -m))] * lb
+            assert abs(oracles.schoolbook_mul(a, b)[n - 1]) == n * m * m, (kind, a, b)
+        want = oracles.schoolbook_mul([Fraction(x) for x in a], [Fraction(x) for x in b])
+        assert _int_mul(a, b) == want, (kind, a, b)
     return draws

@@ -105,6 +105,21 @@ class TestJacobianCommand:
         assert obj["rank_kind"].startswith("numeric")
         assert obj["exact"] is False
 
+    def test_eval_form_huge_complex_point(self, problem_a_path, curve_a_path):
+        # one huge point leaves the other rows' columns tiny once the matrix
+        # is scaled to its largest entry; their Householder reflectors
+        # divided by an underflowed norm * (norm + |x0|)
+        _, out, _ = run_cli(["jacobian", problem_a_path, curve_a_path, "--form", "coeff"])
+        exact = json.loads(out)["rank"]
+        for point in ("1e40+1i", "1e34+1i", "1+1e35i"):
+            rc, out, err = run_cli(
+                ["jacobian", problem_a_path, curve_a_path, "--form", "eval",
+                 f"--points=0,1,2,3,4,{point}"]
+            )
+            assert rc == 0 and "Traceback" not in err, (point, err)
+            obj = json.loads(out)
+            assert obj["rank_kind"] == "numeric@1e-8" and obj["rank"] <= exact, point
+
     def test_dimension_mismatch_exits_3(self, tmp_path, problem_a_path):
         bad_curve = {
             "n": 3,

@@ -13,7 +13,12 @@ three l-roots.  A fifth pins the same family at degree 7
 recorded from the all-Bareiss ranks, which take about 52 s there, and the
 certified modular ranks reproduce it in under a second.  `through` and
 `sample` are also pinned on B and on the generated degree-3 curve
-`data/curve-d3.json`, the slowest inputs of both commands.
+`data/curve-d3.json`, the slowest inputs of both commands, and on the
+degree-2 curve `data/curve-d2x30.json`, whose coefficients are negative
+and positive, among them fractions with 30-digit numerators and
+denominators, so that restriction and kernel run on large integers.  Those
+two hashes were recorded from the `Fraction` products and back-substitution
+that the integer ones replaced.
 """
 
 import contextlib
@@ -56,6 +61,8 @@ GOLDEN = {
     "through-5-d3": "bbd07bb89ad6530b1aa25eba529b665f0825af6941c89172d2a3b13721c2ee14",
     "sample-5-3-100-B": "5e5b49241b6ae0a91662665110e90ead14a5e7caa072fda64fc426593fef2068",
     "sample-5-3-100-d3": "9947af7f905abb3f86213f0e7dd003717c9152d2e1d65dbda98759b8988be1c0",
+    "through-5-d2x30": "50893038d04bbcb463e95ef9ef8ae8d6249ae56d800b3a1528af0581be187b53",
+    "sample-5-3-100-d2x30": "d01a50364c5a948bf81205265c5ffff9c28df142fa257e0fa82ee09f57b6186a",
 }
 
 
@@ -85,6 +92,7 @@ def paths(tmp_path_factory, fixture_a, fixture_b, fixture_b_nonsplit):
     out["fixture", "d3-large"] = str(data / "fixture-d3-large.json")
     out["fixture", "d7-large"] = str(data / "fixture-d7-large.json")
     out["curve", "d3"] = str(data / "curve-d3.json")
+    out["curve", "d2x30"] = str(data / "curve-d2x30.json")
     return out
 
 

@@ -185,6 +185,16 @@ class TestRankNumeric:
             assert rank_numeric(cm, 1e-8) == 2
             assert rank_numeric(ComplexMatrix.from_rows([[big, big], [big, big]]), 1e-8) == 1
 
+    def test_tiny_columns_beside_a_large_one(self):
+        # scaled by the largest entry, the last two columns' squared norms
+        # underflow to 0: the reflector then divided by norm * (norm + |x0|)
+        rows = [[1, 1e-170, 3e-170j], [1j, 2e-170, 1e-170], [2, 5e-170, 1e-170]]
+        assert rank_numeric(ComplexMatrix.from_rows(rows), 1e-8) == 1
+        s = numpy.linalg.svd(numpy.array(rows), compute_uv=False)
+        # _singular_values scales the matrix by 2**-2, its largest part being 2
+        got = _singular_values(ComplexMatrix.from_rows(rows))
+        assert abs(got[0] * 4 - s[0]) <= 1e-13 * s[0]
+
     def test_rejects_ragged_and_empty_rows(self):
         with pytest.raises(DimensionError):
             ComplexMatrix.from_rows([[1, 2], [3]])

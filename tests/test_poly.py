@@ -196,6 +196,21 @@ class TestCoprime:
         assert coprime(lc, lc.derivative())
         assert coprime(lc, UniPoly.of(1, 0, 1))
 
+    def test_repeated_root_lifted_from_gcd_mod_p(self, monkeypatch):
+        # every prime leaves the common factor t - 1/2 of lc and lc'; its
+        # lift divides both exactly, which proves them not coprime
+        lc = UniPoly.of(-F(1, 2), 1)
+        for k in range(1, 32):
+            lc = lc * UniPoly.of(-F(k, k + 1), 1)
+
+        def refuse(a, b):
+            raise AssertionError("Euclid over Q ran")
+
+        monkeypatch.setattr("curvejac.poly.gcd_univariate", refuse)
+        assert not coprime(lc, lc.derivative())
+        square = UniPoly.of(F(-5, 7), 1) * UniPoly.of(F(-5, 7), 1)
+        assert not coprime(lc * square, square * UniPoly.of(3, 1))
+
     def test_common_factor_mod_every_prime_falls_back_to_q(self):
         # t and t + p1*p2*p3 share the factor t modulo each prime of _PRIMES
         # but are coprime over Q

@@ -32,6 +32,12 @@ def test_wide_kernel_basis_100_draws():
     assert propcheck.wide_kernel_basis_suite(seed=2028, draws=100) == 100
 
 
+def test_kernel_basis_kinds_400_draws():
+    # 100 draws of each kind of propcheck.KERNEL_KINDS but "wide"
+    kinds = propcheck.KERNEL_KINDS[1:]
+    assert propcheck.wide_kernel_basis_suite(seed=2034, draws=400, kinds=kinds) == 400
+
+
 def test_stack_rank_100_draws():
     assert propcheck.stack_rank_suite(seed=2029, draws=100) == 100
 
@@ -52,3 +58,7 @@ def test_rational_roots_100_draws():
 
 def test_numeric_rank_304_draws():
     assert propcheck.numeric_rank_suite(seed=2032, draws=304) == 304
+
+
+def test_int_mul_180_draws():
+    assert propcheck.int_mul_suite(seed=2033, draws=180) == 180
