@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import DimensionError, InputError
 from .linalg import (
@@ -28,12 +28,10 @@ from .linalg import (
     kernel_exact,
     parse_list,
     parse_size,
-    rank_exact,
 )
 from .poly import (
     MultiPoly,
     UniPoly,
-    compose_with_curve,
     gcd_univariate,
     monomial_basis,
     restrict_to_curve,
@@ -43,16 +41,12 @@ __all__ = [
     "CurveParam",
     "IncidenceProblem",
     "JacobianMatrix",
-    "TangentDim",
     "MembershipReport",
-    "coefficients_k",
-    "lies_on",
     "membership_checks",
     "jacobian_coefficient_form",
     "jacobian_evaluation_form",
     "restricted_gradient",
     "vanishes_on_curve",
-    "tangent_dim",
     "symmetry_kernel_vectors",
     "quintics_through_curve",
     "random_member",
@@ -83,22 +77,6 @@ class CurveParam:
     @property
     def dim_m(self) -> int:
         return (self.n + 1) * (self.d + 1)
-
-    def theta(self) -> tuple[Fraction, ...]:
-        """Flatten to coordinates, component-major then power-minor."""
-        out = []
-        for comp in self.components:
-            out.extend(comp.coefficient(i) for i in range(self.d + 1))
-        return tuple(out)
-
-    @classmethod
-    def from_theta(cls, n: int, d: int, vec: Sequence[Fraction]) -> "CurveParam":
-        if len(vec) != (n + 1) * (d + 1):
-            raise DimensionError("theta vector has wrong length")
-        comps = tuple(
-            UniPoly.from_coeffs(vec[m * (d + 1) : (m + 1) * (d + 1)]) for m in range(n + 1)
-        )
-        return cls(n, d, comps)
 
     def evaluate(self, t) -> tuple:
         return tuple(comp.evaluate(t) for comp in self.components)
@@ -162,11 +140,6 @@ class IncidenceProblem:
                    parse_size(e, "e", MAX_DEGREE), MultiPoly.from_obj(f))
 
 
-class TangentDim(NamedTuple):
-    value: int
-    formal: bool  # True when the basepoint is not actually on the hypersurface
-
-
 @dataclass(frozen=True)
 class MembershipReport:
     """Necessary conditions for a parameter point to be an embedded curve."""
@@ -228,17 +201,6 @@ def _point_label(t) -> str:
         return format_rational(t)
     z = complex(t)
     return f"{z.real:.12g}{z.imag:+.12g}i"
-
-
-def coefficients_k(prob: IncidenceProblem, c: CurveParam) -> tuple[Fraction, ...]:
-    """The e*d+1 coefficients of f(c(t)), zero-padded at the top."""
-    _check_curve(prob, c)
-    comp = compose_with_curve(prob.f, c.components)
-    return tuple(comp.coefficient(j) for j in range(prob.num_equations))
-
-
-def lies_on(prob: IncidenceProblem, c: CurveParam) -> bool:
-    return all(k == 0 for k in coefficients_k(prob, c))
 
 
 def membership_checks(c: CurveParam) -> MembershipReport:
@@ -335,7 +297,8 @@ def jacobian_evaluation_form(
     """Jacobian with rows indexed by evaluation points.
 
     Entry (row s, column (m, i)) is (df/dz_m)(c(t_s)) * t_s**i.  On rational
-    points this equals vandermonde(points) @ coefficient form, exactly.
+    points this is exactly V times the coefficient form, V the Vandermonde
+    matrix with entry (s, j) = t_s**j.
     `grads` is restricted_gradient(prob.f, c) when the caller already has it.
     """
     _check_curve(prob, c)
@@ -363,16 +326,6 @@ def jacobian_evaluation_form(
     else:
         matrix = ComplexMatrix.from_rows(rows)
     return JacobianMatrix(matrix, "evaluation", c, tuple(pts))
-
-
-def tangent_dim(prob: IncidenceProblem, c: CurveParam) -> TangentDim:
-    """(n+1)(d+1) minus the exact rank of the coefficient-form Jacobian.
-
-    When the curve does not lie on the hypersurface the number is only a
-    formal corank and is flagged as such.
-    """
-    jac = jacobian_coefficient_form(prob, c)
-    return TangentDim(prob.dim_m - rank_exact(jac.matrix), not lies_on(prob, c))
 
 
 def symmetry_kernel_vectors(c: CurveParam) -> list[tuple[Fraction, ...]]:

@@ -12,13 +12,13 @@ annihilates and that have full rank k.  When the rank mod one of a few
 primes just below 2**61 meets the upper bound, that is the rank; otherwise
 it falls back to the fraction-free elimination below.
 
-Kernel and determinant, and the rank's fallback, go through a single
-fraction-free elimination: each row is scaled to integers and pivoting
-follows Bareiss' scheme, which keeps intermediate entries as minors of the
-input instead of letting numerators explode.  The kernel's
-back-substitution is in integers too, each basis vector's numerators over
-one running denominator, and touches only the entries that can be nonzero:
-a basis vector's free column and the pivot columns already solved.
+The kernel and the rank's fallback go through a single fraction-free
+elimination: each row is scaled to integers and pivoting follows Bareiss'
+scheme, which keeps intermediate entries as minors of the input instead of
+letting numerators explode.  The kernel's back-substitution is in integers
+too, each basis vector's numerators over one running denominator, and
+touches only the entries that can be nonzero: a basis vector's free column
+and the pivot columns already solved.
 
 The complex path (`ComplexMatrix`, `rank_numeric`) serves only the
 evaluation-form Jacobian at user-given points that are not rational
@@ -36,6 +36,7 @@ import operator
 import re
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -53,8 +54,6 @@ __all__ = [
     "format_rational",
     "rank_exact",
     "kernel_exact",
-    "det_exact",
-    "vandermonde",
     "rank_numeric",
 ]
 
@@ -117,8 +116,18 @@ def parse_list(x, what: str) -> list:
 
 
 def format_rational(x: Fraction) -> str:
-    """Canonical 'p/q' string; the '/q' part is omitted when q = 1."""
-    return str(x)
+    """Canonical 'p/q' string; the '/q' part is omitted when q = 1.
+
+    Outputs may have far more digits than inputs (a kernel vector scaled to
+    lead 1, a sampled member), so a part beyond the interpreter's cap on
+    int-to-str digits goes through `Decimal`, whose conversion is exact and
+    has no cap; below it `str` is the fast path.
+    """
+    try:
+        return str(x)
+    except ValueError:
+        num, den = str(Decimal(x.numerator)), str(Decimal(x.denominator))
+        return num if den == "1" else f"{num}/{den}"
 
 
 @dataclass(frozen=True)
@@ -183,21 +192,6 @@ class RationalMatrix:
                         for x, y in zip(row, w) if x and y)
             out.append(Fraction(total, rden * vden))
         return tuple(out)
-
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise DimensionError("inner dimensions do not match")
-        entries = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                entries.append(
-                    sum((ri[k] * other.entry(k, j) for k in range(self.cols)), start=Fraction(0))
-                )
-        return RationalMatrix(self.rows, other.cols, tuple(entries))
-
-    def to_complex(self) -> "ComplexMatrix":
-        return ComplexMatrix.from_rows(self.to_rows())
 
     def to_obj(self) -> dict:
         return {
@@ -277,28 +271,26 @@ class KernelBasis:
         }
 
 
-def _cleared_int_rows(m: RationalMatrix) -> tuple[list[list[int]], list[Fraction]]:
-    """Scale each row to integers; returns rows and the multipliers used."""
-    rows, mults = [], []
+def _cleared_int_rows(m: RationalMatrix) -> list[list[int]]:
+    """Each row scaled to integers by the lcm of its denominators."""
+    rows = []
     for i in range(m.rows):
         r = m.row(i)
-        mult = Fraction(lcm(*(x.denominator for x in r)) if r else 1)
-        rows.append([int(x * mult) for x in r])
-        mults.append(mult)
-    return rows, mults
+        mult = lcm(*(x.denominator for x in r))
+        rows.append([x.numerator * (mult // x.denominator) for x in r])
+    return rows
 
 
-def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
+def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     """Fraction-free forward elimination.
 
-    Returns (echelon rows, pivot column indices, sign of the row permutation).
+    Returns (echelon rows, pivot column indices).
     Pivots are chosen by largest absolute value in the current column, ties
     broken by lowest row index, so elimination traces are reproducible.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     piv_cols: list[int] = []
-    sign = 1
     prev = 1
     r = 0
     for c in range(ncols):
@@ -311,9 +303,7 @@ def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int],
                 best = i
         if best is None:
             continue
-        if best != r:
-            rows[r], rows[best] = rows[best], rows[r]
-            sign = -sign
+        rows[r], rows[best] = rows[best], rows[r]
         piv = rows[r][c]
         for i in range(r + 1, nrows):
             val = rows[i][c]
@@ -324,7 +314,7 @@ def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int],
         prev = piv
         piv_cols.append(c)
         r += 1
-    return rows, piv_cols, sign
+    return rows, piv_cols
 
 
 # Moduli of rank_exact's lower bound: primes just below 2**61.
@@ -384,9 +374,7 @@ def rank_exact(m: RationalMatrix, witnesses: Sequence[Sequence[Fraction]] = ()) 
         rows = _rows_mod(m, p)
         if rows is not None and _rank_mod(rows, p) == bound:
             return bound
-    rows, _ = _cleared_int_rows(m)
-    _, piv_cols, _ = _bareiss_echelon(rows)
-    return len(piv_cols)
+    return len(_bareiss_echelon(_cleared_int_rows(m))[1])
 
 
 def kernel_exact(m: RationalMatrix) -> KernelBasis:
@@ -403,8 +391,7 @@ def kernel_exact(m: RationalMatrix) -> KernelBasis:
     the new numerator is -sum / g.  A Fraction is built only for each
     nonzero entry at the end, its numerator over the lead's.
     """
-    rows, _ = _cleared_int_rows(m)
-    ech, piv_cols, _ = _bareiss_echelon(rows)
+    ech, piv_cols = _bareiss_echelon(_cleared_int_rows(m))
     piv_set = set(piv_cols)
     vectors = []
     for fc in (c for c in range(m.cols) if c not in piv_set):
@@ -424,37 +411,6 @@ def kernel_exact(m: RationalMatrix) -> KernelBasis:
             v[j] = Fraction(x, lead)
         vectors.append(tuple(v))
     return KernelBasis(m.cols, tuple(vectors))
-
-
-def det_exact(m: RationalMatrix) -> Fraction:
-    """Exact determinant of a square matrix."""
-    if m.rows != m.cols:
-        raise DimensionError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    rows, mults = _cleared_int_rows(m)
-    ech, piv_cols, sign = _bareiss_echelon(rows)
-    if len(piv_cols) < m.rows:
-        return Fraction(0)
-    # Bareiss leaves det(permuted integer matrix) as the last pivot.
-    last_pivot = ech[m.rows - 1][piv_cols[-1]]
-    denom = Fraction(1)
-    for f in mults:
-        denom *= f
-    return Fraction(sign) * last_pivot / denom
-
-
-def vandermonde(points: Sequence[Fraction], width: int) -> RationalMatrix:
-    """Matrix with entry (s, j) = t_s**j for j = 0..width-1."""
-    pts = [Fraction(t) for t in points]
-    if len(set(pts)) != len(pts):
-        raise ValueError("vandermonde points must be pairwise distinct")
-    rows = []
-    for t in pts:
-        row, acc = [], Fraction(1)
-        for _ in range(width):
-            row.append(acc)
-            acc *= t
-        rows.append(row)
-    return RationalMatrix.from_rows(rows)
 
 
 def _reflector(x: list[complex]) -> tuple[float, list[complex], float]:

@@ -19,11 +19,11 @@ integer, which CPython multiplies by Karatsuba, and unpacked.
 Coprimality (`coprime`, also the squarefree test of f against f') is
 certified by a gcd of degree 0 modulo a prime, and a common factor by the
 gcd modulo a prime lifted to Q and confirmed by exact division, with Euclid
-over Q only as the fallback.  Rational roots are exact and use no floats:
-the roots of the squarefree part modulo a suitable prime are lifted
-p-adically and confirmed exactly (`rational_roots`, `squarefree_roots`).
-mpmath is imported only for complex roots (`roots_numeric`, and the labels
-of a polynomial that does not split).
+over Q only as the fallback.  The rational roots of a squarefree
+polynomial (`squarefree_roots`) are exact and use no floats: its roots
+modulo a suitable prime are lifted p-adically and confirmed exactly.
+mpmath is imported only for the complex labels of a polynomial that does
+not split.
 
 Canonical term order everywhere is graded lexicographic on exponent vectors
 (total degree first, then lex), serialized leading term first, which keeps
@@ -46,12 +46,9 @@ __all__ = [
     "MultiPoly",
     "gcd_univariate",
     "coprime",
-    "compose_with_curve",
     "restrict_to_curve",
     "monomial_basis",
     "grlex_key",
-    "roots_numeric",
-    "rational_roots",
     "squarefree_roots",
 ]
 
@@ -351,9 +348,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
-
     def homogeneous_degree(self) -> int | None:
         """Common total degree of all terms, or None for 0 or mixed degrees."""
         degs = {sum(e) for e in self.terms}
@@ -553,11 +547,6 @@ def restrict_to_curve(fs: Iterable[MultiPoly], components: Sequence[UniPoly]) ->
     return out
 
 
-def compose_with_curve(f: MultiPoly, components: Sequence[UniPoly]) -> UniPoly:
-    """Substitute z_m := components[m](t): restrict_to_curve of one form."""
-    return restrict_to_curve([f], components)[0]
-
-
 def _polyroots(p: UniPoly, digits: int) -> list:
     """All complex roots with multiplicity as mpmath numbers, at `digits`
     significant digits (simultaneous iteration).
@@ -598,21 +587,7 @@ def _sorted_complex(zs) -> list[complex]:
     return sorted((complex(z) for z in zs), key=lambda z: (z.real, z.imag))
 
 
-def roots_numeric(p: UniPoly, precision: int = 12) -> list[complex]:
-    """All complex roots with multiplicity, sorted by (real, imaginary).
-
-    Uses arbitrary-precision simultaneous iteration internally and rounds to
-    machine complex values, so the usable precision caps at roughly 15
-    significant digits.
-    """
-    if p.degree < 1:
-        raise ValueError("root finding needs degree >= 1")
-    if precision < 1:
-        raise ValueError("precision must be positive")
-    return _sorted_complex(_polyroots(p, precision + 20))
-
-
-# The working digits of roots_numeric at its default precision.
+# The least working digits of complex root labels.
 _LABEL_DIGITS = 32
 
 
@@ -692,26 +667,3 @@ def squarefree_roots(f: UniPoly) -> tuple[list[Fraction], list[complex]]:
     digits = len(str(_integral(f)[1])) + 10
     return roots, _sorted_complex(_polyroots(f, max(digits, _LABEL_DIGITS)))
 
-
-def rational_roots(p: UniPoly) -> tuple[list[Fraction], UniPoly]:
-    """Exactly verified rational roots (with multiplicity) plus the cofactor.
-
-    The rational roots of p's squarefree part are found exactly by p-adic
-    lifting, as in `squarefree_roots`, with no floats; each is divided out
-    of p exactly, as often as it divides.
-    """
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    if p.degree < 1:
-        return [], p
-    sqfree = p.divmod_exact(gcd_univariate(p, p.derivative()))[0]
-    rem = p
-    roots: list[Fraction] = []
-    for cand in _squarefree_rational_roots(sqfree):
-        factor = UniPoly.of(-cand, 1)
-        quot, r = rem.divmod_exact(factor)
-        while r.is_zero:
-            roots.append(cand)
-            rem = quot
-            quot, r = rem.divmod_exact(factor)
-    return roots, rem

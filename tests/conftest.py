@@ -1,8 +1,11 @@
+import contextlib
+import io
+import json
 from fractions import Fraction
 
 import pytest
 
-from curvejac import fixtures
+from curvejac import cli, fixtures
 from curvejac.construction import Fixture
 from curvejac.poly import MultiPoly
 
@@ -62,3 +65,22 @@ def fermat_quintic():
             (0, 0, 0, 0, 5): 1,
         },
     )
+
+
+@pytest.fixture()
+def jacobian_command(tmp_path):
+    """Runs the `jacobian` command on a problem and a curve, written to
+    files, and returns its JSON output."""
+
+    def run(problem, curve):
+        paths = []
+        for name, obj in (("problem.json", problem), ("curve.json", curve)):
+            path = tmp_path / name
+            path.write_text(json.dumps(obj.to_obj()))
+            paths.append(str(path))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["jacobian", *paths]) == 0
+        return json.loads(out.getvalue())
+
+    return run

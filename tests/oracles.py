@@ -3,9 +3,11 @@
 Everything here is deliberately naive and separate from the package's code
 paths: plain Gauss-Jordan over Fractions (no fraction-free tricks),
 schoolbook convolution over Fractions for polynomial products, exact Newton
-interpolation for first-order Taylor extraction, block slicing, reassembly
-and closed forms by list arithmetic, an exhaustive smoothness search over a prime field, and
-rational roots from sympy's factorization over Q.
+interpolation for first-order Taylor extraction, Vandermonde matrices,
+matrix products and cofactor determinants from their definitions, block
+slicing, reassembly and closed forms by list arithmetic, an exhaustive
+smoothness search over a prime field, and rational roots from sympy's
+factorization over Q.
 """
 
 from fractions import Fraction
@@ -106,6 +108,17 @@ def interpolate(nodes, values):
         new[0] += coef[k]
         poly = new
     return poly
+
+
+def vandermonde(points, width):
+    """Rows t**0 .. t**(width-1), one per point."""
+    return [[Fraction(t) ** j for j in range(width)] for t in points]
+
+
+def matmul(a, b):
+    """The product of two matrices given as lists of rows."""
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
+            for row in a]
 
 
 def laplace_det(rows):

@@ -1,18 +1,25 @@
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from curvejac import cli, poly
 from curvejac.construction import Fixture
-from curvejac.incidence import IncidenceProblem
+from curvejac.incidence import (CurveParam, IncidenceProblem, quintics_through_curve,
+                                random_member)
 from curvejac.poly import MultiPoly
+
+import oracles
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(argv):
@@ -259,6 +266,24 @@ def test_gc_unfrozen_after_main(monkeypatch):
         gc.unfreeze()
 
 
+@contextlib.contextmanager
+def uncapped_int_str():
+    """Lifts the interpreter's cap on int-to-str digits (4300 by default)."""
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
+def digits_above_cap(values) -> bool:
+    cap = sys.get_int_max_str_digits()
+    with uncapped_int_str():
+        return max(len(str(abs(part))) for x in values
+                   for part in (x.numerator, x.denominator)) > cap > 0
+
+
 class TestThroughCommand:
     def test_hyperplanes(self, curve_a_path):
         rc, out, _ = run_cli(["through", curve_a_path, "--degree", "1"])
@@ -274,6 +299,27 @@ class TestThroughCommand:
         assert obj["dimension"] == 120
         assert len(obj["basis"]) == 120
         assert len(obj["monomials"]) == 126
+
+    def test_entries_beyond_the_int_str_cap(self, tmp_path):
+        # a line in P^2 whose constant has 2000 digits, the most an input
+        # may have: the lead-1 kernel vectors divide by its cube, 6000 digits
+        big = "9" * 2000
+        line = {"n": 2, "d": 1, "components": [
+            {"coeffs": ["1"]}, {"coeffs": ["0", "1"]}, {"coeffs": ["-" + big, "7/3"]}]}
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps(line))
+        rc, out, err = run_cli(["through", str(path), "--degree", "3"])
+        assert rc == 0, err
+        obj = json.loads(out)
+        assert obj["dimension"] == 10 - 4
+        basis = quintics_through_curve(2, 3, CurveParam.from_obj(line))
+        assert digits_above_cap(x for v in basis.vectors for x in v)
+        with uncapped_int_str():
+            assert obj["basis"] == [[str(x) for x in v] for v in basis.vectors]
+            comps = [[F(c) for c in comp["coeffs"]] for comp in line["components"]]
+            for v in obj["basis"]:
+                terms = {tuple(m): F(x) for m, x in zip(obj["monomials"], v)}
+                assert oracles.naive_compose(terms, comps) == []
 
 
 class TestSampleCommand:
@@ -357,6 +403,30 @@ class TestSampleCommand:
         rc, _, err = run_cli(["sample", str(path), "--degree", "5", "--count", "1"])
         assert rc == 2
         assert "membership" in err
+
+    def test_members_beyond_the_int_str_cap(self, tmp_path):
+        # a third coefficient that is a fraction of two 30-digit numbers:
+        # the members' coefficients have about 12000 digits
+        curve = json.loads((DATA / "curve-d2x30.json").read_text())
+        curve["components"][3]["coeffs"][0] = (
+            "-718281828459045235360287471352/314159265358979323846264338327")
+        path = tmp_path / "x30.json"
+        path.write_text(json.dumps(curve))
+        rc, out, err = run_cli(
+            ["sample", str(path), "--degree", "5", "--count", "3", "--seed", "100"])
+        assert rc == 0, err
+        records = json.loads(out)["records"]
+        basis = quintics_through_curve(4, 5, CurveParam.from_obj(curve))
+        assert [r["rank"] for r in records] == [11] * 3
+        for r in records:
+            member = random_member(basis, 100 * 1_000_003 + r["draw"], 5, 5)
+            assert digits_above_cap(member.terms.values())
+            terms = sorted(member.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+            with uncapped_int_str():
+                doc = {"nvars": 5, "homogeneous_degree": 5,
+                       "terms": [{"exp": list(e), "coef": str(c)} for e, c in terms]}
+            blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+            assert r["poly_hash"] == hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
 class TestOutputFiles:

@@ -24,8 +24,8 @@ from curvejac.incidence import (
     restricted_gradient,
     symmetry_kernel_vectors,
 )
-from curvejac.linalg import RationalMatrix, det_exact, kernel_exact, rank_exact
-from curvejac.poly import MultiPoly, UniPoly, _polyroots, compose_with_curve
+from curvejac.linalg import RationalMatrix, kernel_exact, rank_exact
+from curvejac.poly import MultiPoly, UniPoly, _polyroots, restrict_to_curve
 
 import oracles
 import propcheck
@@ -35,7 +35,7 @@ DATA = Path(__file__).parent / "data"
 
 
 def on_curve(poly, c0):
-    return compose_with_curve(poly, c0.components)
+    return restrict_to_curve([poly], c0.components)[0]
 
 
 def special_points(c0, l, p, **kwargs):
@@ -71,17 +71,17 @@ class TestBuildSpecialHypersurface:
 
     def test_vanishes_on_any_curve_on_the_quartic(self, fixture_b):
         # any curve with q(c) = 0 and zero last component kills both summands
-        assert compose_with_curve(fixture_b.f0, fixture_b.c0.components).is_zero
+        assert on_curve(fixture_b.f0, fixture_b.c0).is_zero
 
     def test_restriction_identity_for_random_curves(self, fixture_a):
         rng = random.Random(12)
         for _ in range(10):
             c = propcheck.random_curve(rng, 4, 2)
-            lhs = compose_with_curve(fixture_a.f0, c.components)
+            lhs = on_curve(fixture_a.f0, c)
             rhs = (
-                compose_with_curve(fixture_a.l, c.components)
-                * compose_with_curve(fixture_a.q, c.components)
-                + c.components[4] * compose_with_curve(fixture_a.p, c.components)
+                on_curve(fixture_a.l, c)
+                * on_curve(fixture_a.q, c)
+                + c.components[4] * on_curve(fixture_a.p, c)
             )
             assert lhs == rhs
 
@@ -101,7 +101,7 @@ class TestSelectSpecialPoints:
         assert pts.field == "rational"
         assert pts.root_points == (F(-1, 2),)
         assert len(pts.generic_points) == 5
-        pc = compose_with_curve(fixture_a.p, fixture_a.c0.components)
+        pc = on_curve(fixture_a.p, fixture_a.c0)
         assert pc.evaluate(F(-1, 2)) == F(17, 16)
 
     def test_fixture_b(self, fixture_b):
@@ -118,9 +118,9 @@ class TestSelectSpecialPoints:
 
     def test_nonsplit_roots_computed_once(self, fixture_a, fixture_b, fixture_b_nonsplit,
                                           monkeypatch):
-        # one numeric root computation gives the complex labels, at
-        # roots_numeric's default working precision; the rational roots are
-        # exact, so the split fixtures compute none
+        # one numeric root computation gives the complex labels, at the
+        # least working digits of labels (poly._LABEL_DIGITS); the rational
+        # roots are exact, so the split fixtures compute none
         calls = []
 
         def counted(p, digits):
@@ -235,9 +235,9 @@ class TestBlocks:
     def test_a12_factorization(self, fixture_a):
         # every entry is l(c0(t_s)) * (dq/dz_m)(c0(t_s)) * t_s^i
         _, blocks = self.blocks_a(fixture_a)
-        lc = compose_with_curve(fixture_a.l, fixture_a.c0.components)
+        lc = on_curve(fixture_a.l, fixture_a.c0)
         grads = [
-            compose_with_curve(fixture_a.q.partial_derivative(m), fixture_a.c0.components)
+            on_curve(fixture_a.q.partial_derivative(m), fixture_a.c0)
             for m in range(4)
         ]
         for s, t in enumerate(A_POINTS[:2]):
@@ -250,7 +250,7 @@ class TestBlocks:
     def test_a11_closed_form_values(self, fixture_a):
         closed = oracles.a11_closed_form(on_curve(fixture_a.p, fixture_a.c0), A_POINTS[:2])
         assert closed == [[F(-17, 32), F(17, 16)], [F(2), F(2)]]
-        assert det_exact(RationalMatrix.from_rows(closed)) == F(-51, 16)
+        assert oracles.laplace_det(closed) == F(-51, 16)
 
     def test_a11_matches_extracted_up_to_column_reversal(self, fixture_a):
         _, blocks = self.blocks_a(fixture_a)
@@ -261,14 +261,14 @@ class TestBlocks:
         # det(A11 desc) = reversal sign * vandermonde det * prod p(c0(t_s))
         pts = [F(-1), F(1), F(2)]
         closed = oracles.a11_closed_form(on_curve(fixture_b.p, fixture_b.c0), pts)
-        pc = compose_with_curve(fixture_b.p, fixture_b.c0.components)
+        pc = on_curve(fixture_b.p, fixture_b.c0)
         vdet = F(1)
         for i in range(3):
             for j in range(i + 1, 3):
                 vdet *= pts[j] - pts[i]
         prod_p = pc.evaluate(pts[0]) * pc.evaluate(pts[1]) * pc.evaluate(pts[2])
         sign = -1  # column reversal on 3 columns is one transposition
-        det = det_exact(RationalMatrix.from_rows(closed))
+        det = oracles.laplace_det(closed)
         assert det == sign * vdet * prod_p == F(-23670)
 
     def test_a11_constant_p_is_vandermonde(self, fixture_a):

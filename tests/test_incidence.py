@@ -10,21 +10,20 @@ from curvejac.errors import DimensionError
 from curvejac.incidence import (
     CurveParam,
     IncidenceProblem,
-    coefficients_k,
     jacobian_coefficient_form,
     jacobian_evaluation_form,
-    lies_on,
     membership_checks,
     quintics_through_curve,
     random_member,
     restricted_gradient,
     symmetry_kernel_vectors,
-    tangent_dim,
     theta_labels,
+    vanishes_on_curve,
 )
-from curvejac.linalg import RationalMatrix, kernel_exact, rank_exact, vandermonde
-from curvejac.poly import MultiPoly, UniPoly, monomial_basis
+from curvejac.linalg import RationalMatrix, kernel_exact, rank_exact
+from curvejac.poly import MultiPoly, UniPoly, monomial_basis, restrict_to_curve
 
+import oracles
 import propcheck
 
 
@@ -39,16 +38,23 @@ def z4_problem(d=1):
     return IncidenceProblem(4, d, 1, MultiPoly.monomial((0, 0, 0, 0, 1)))
 
 
+def lies_on(prob, c):
+    """Whether f(c(t)) = 0, from the restricted gradient by Euler's identity,
+    as the `jacobian` command decides it."""
+    return vanishes_on_curve(restricted_gradient(prob.f, c), c, prob.e)
+
+
 class TestCoefficientsK:
+    # the incidence equations: the e*d+1 coefficients of f(c(t))
     def test_z4_on_line(self):
-        assert coefficients_k(z4_problem(), line_curve()) == (F(0), F(0))
+        assert propcheck.incidence_equations(z4_problem(), line_curve()) == (F(0), F(0))
 
     def test_fermat_on_line(self, fermat_quintic):
         prob = IncidenceProblem(4, 1, 5, fermat_quintic)
-        assert coefficients_k(prob, line_curve()) == (F(1), 0, 0, 0, 0, F(1))
+        assert propcheck.incidence_equations(prob, line_curve()) == (F(1), 0, 0, 0, 0, F(1))
 
     def test_fixture_vanishes(self, fixture_a):
-        assert coefficients_k(fixture_a.problem, fixture_a.c0) == (0,) * 6
+        assert propcheck.incidence_equations(fixture_a.problem, fixture_a.c0) == (0,) * 6
 
     def test_length_is_ed_plus_one(self):
         rng = random.Random(1)
@@ -56,7 +62,7 @@ class TestCoefficientsK:
             n, d, e = rng.choice((2, 3)), rng.choice((1, 2)), rng.choice((1, 2, 3))
             prob = IncidenceProblem(n, d, e, propcheck.random_homogeneous(rng, n + 1, e))
             c = propcheck.random_curve(rng, n, d)
-            assert len(coefficients_k(prob, c)) == e * d + 1
+            assert restrict_to_curve([prob.f], c.components)[0].degree <= e * d
 
 
 class TestLiesOn:
@@ -146,8 +152,8 @@ class TestJacobianEvaluationForm:
         points = [F(-1, 2), F(1), F(2), F(3), F(5), F(7)]
         j_eval = jacobian_evaluation_form(fixture_a.problem, fixture_a.c0, points)
         j_coeff = jacobian_coefficient_form(fixture_a.problem, fixture_a.c0)
-        v = vandermonde(points, 6)
-        assert (v @ j_coeff.matrix).entries == j_eval.matrix.entries
+        v = oracles.vandermonde(points, 6)
+        assert oracles.matmul(v, j_coeff.matrix.to_rows()) == j_eval.matrix.to_rows()
         assert rank_exact(j_eval.matrix) == rank_exact(j_coeff.matrix) == 6
 
     def test_vandermonde_factorization_random_points(self, fixture_b):
@@ -160,8 +166,8 @@ class TestJacobianEvaluationForm:
                 if t not in points:
                     points.append(t)
             j_eval = jacobian_evaluation_form(fixture_b.problem, fixture_b.c0, points)
-            v = vandermonde(points, 11)
-            assert (v @ j_coeff.matrix).entries == j_eval.matrix.entries
+            v = oracles.vandermonde(points, 11)
+            assert oracles.matmul(v, j_coeff.matrix.to_rows()) == j_eval.matrix.to_rows()
 
     def test_rejects_wrong_point_count(self, fixture_a):
         with pytest.raises(DimensionError):
@@ -175,26 +181,29 @@ class TestJacobianEvaluationForm:
 
 
 class TestTangentDim:
-    def test_z4_toy(self):
-        td = tangent_dim(z4_problem(), line_curve())
-        assert td == (8, False)
+    # the tangent dimension and its formal flag, as the `jacobian` command reports them
+    def test_z4_toy(self, jacobian_command):
+        out = jacobian_command(z4_problem(), line_curve())
+        assert (out["tangent_dim"], out["formal"]) == (8, False)
 
-    def test_fixture_a(self, fixture_a):
-        assert tangent_dim(fixture_a.problem, fixture_a.c0) == (4, False)
+    def test_fixture_a(self, fixture_a, jacobian_command):
+        out = jacobian_command(fixture_a.problem, fixture_a.c0)
+        assert (out["tangent_dim"], out["formal"]) == (4, False)
 
-    def test_fixture_b(self, fixture_b):
-        assert tangent_dim(fixture_b.problem, fixture_b.c0) == (4, False)
+    def test_fixture_b(self, fixture_b, jacobian_command):
+        out = jacobian_command(fixture_b.problem, fixture_b.c0)
+        assert (out["tangent_dim"], out["formal"]) == (4, False)
 
-    def test_off_scheme_is_formal(self, fermat_quintic):
-        td = tangent_dim(IncidenceProblem(4, 1, 5, fermat_quintic), line_curve())
-        assert td.formal
+    def test_off_scheme_is_formal(self, fermat_quintic, jacobian_command):
+        out = jacobian_command(IncidenceProblem(4, 1, 5, fermat_quintic), line_curve())
+        assert out["formal"]
 
 
 class TestSymmetryVectors:
     def test_line_vectors_explicit(self):
         vs = symmetry_kernel_vectors(line_curve())
         # theta layout: (c0 t^0, c0 t^1, c1 t^0, c1 t^1, ..., c4 t^1)
-        as_curves = [CurveParam.from_theta(4, 1, v) for v in vs]
+        as_curves = [propcheck.curve_from_theta(4, 1, v) for v in vs]
         expect = [
             (UniPoly.of(0), UniPoly.of(1)),
             (UniPoly.of(0), UniPoly.of(0, 1)),
@@ -264,8 +273,7 @@ class TestRandomMember:
         basis = quintics_through_curve(4, 5, fixture_a.c0)
         for seed in range(5):
             g = random_member(basis, seed, 5, 5)
-            prob = IncidenceProblem(4, 1, 5, g)
-            assert lies_on(prob, fixture_a.c0)
+            assert restrict_to_curve([g], fixture_a.c0.components)[0].is_zero
 
     def test_rejects_empty_basis(self):
         from curvejac.linalg import KernelBasis
@@ -344,13 +352,18 @@ def test_curve_and_problem_json_round_trip(fixture_b):
 
 
 def test_theta_round_trip():
+    # the coordinates of the Taylor suite follow the Jacobian's columns
     rng = random.Random(55)
     for _ in range(10):
         c = propcheck.random_curve(rng, rng.choice((2, 3, 4)), rng.choice((1, 2)))
-        assert CurveParam.from_theta(c.n, c.d, c.theta()) == c
+        coords = propcheck.theta(c)
+        assert propcheck.curve_from_theta(c.n, c.d, coords) == c
+        for label, x in zip(theta_labels(c.n, c.d), coords, strict=True):
+            m, i = map(int, label[1:-1].split("[t^"))
+            assert x == c.components[m].coefficient(i)
 
 
 def test_problem_curve_mismatch_rejected(fixture_a):
     bad = CurveParam(3, 1, (UniPoly.of(1), UniPoly.of(0, 1), UniPoly.zero(), UniPoly.zero()))
     with pytest.raises(DimensionError):
-        coefficients_k(fixture_a.problem, bad)
+        jacobian_coefficient_form(fixture_a.problem, bad)

@@ -10,11 +10,9 @@ from curvejac.linalg import (
     ComplexMatrix,
     RationalMatrix,
     _singular_values,
-    det_exact,
     kernel_exact,
     rank_exact,
     rank_numeric,
-    vandermonde,
 )
 
 import oracles
@@ -26,6 +24,10 @@ def identity(n):
 
 def zero(r, c):
     return RationalMatrix.from_rows([[0] * c for _ in range(r)])
+
+
+def to_complex(m):
+    return ComplexMatrix.from_rows(m.to_rows())
 
 
 class TestRankExact:
@@ -89,11 +91,14 @@ class TestKernelExact:
 
 
 class TestDetExact:
+    """The cofactor determinant of tests/oracles.py, from which the
+    corner-block tests (criterion 3, test_construction) take theirs."""
+
     def test_identity(self):
-        assert det_exact(identity(3)) == 1
+        assert oracles.laplace_det(identity(3).to_rows()) == 1
 
     def test_vandermonde_012(self):
-        assert det_exact(vandermonde([F(0), F(1), F(2)], 3)) == 2
+        assert oracles.laplace_det(oracles.vandermonde([F(0), F(1), F(2)], 3)) == 2
 
     def test_vandermonde_closed_form_random(self):
         rng = random.Random(11)
@@ -107,49 +112,54 @@ class TestDetExact:
             for i in range(4):
                 for j in range(i + 1, 4):
                     expected *= pts[j] - pts[i]
-            assert det_exact(vandermonde(pts, 4)) == expected
+            assert oracles.laplace_det(oracles.vandermonde(pts, 4)) == expected
 
     def test_matches_laplace_oracle(self):
+        # a square matrix has full exact rank iff its determinant is nonzero;
+        # every third draw makes a row a multiple of another, so both occur
         rng = random.Random(5)
-        for _ in range(15):
+        singular = 0
+        for draw in range(15):
             rows = [
                 [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4)]
                 for _ in range(4)
             ]
-            assert det_exact(RationalMatrix.from_rows(rows)) == oracles.laplace_det(rows)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(DimensionError):
-            det_exact(zero(2, 3))
+            if draw % 3 == 0:
+                a, b = rng.sample(range(4), 2)
+                k = F(rng.randint(-3, 3), rng.randint(1, 3))
+                rows[a] = [k * x for x in rows[b]]
+            det = oracles.laplace_det(rows)
+            singular += det == 0
+            assert (rank_exact(RationalMatrix.from_rows(rows)) == 4) == (det != 0)
+        assert 0 < singular < 15
 
 
 class TestVandermonde:
+    """The Vandermonde matrix of tests/oracles.py, which the factorization
+    tests (criterion 5, test_incidence) multiply by the coefficient form."""
+
     def test_single_point(self):
-        v = vandermonde([F(0)], 3)
-        assert v.to_rows() == [[1, 0, 0]]
+        assert oracles.vandermonde([F(0)], 3) == [[1, 0, 0]]
 
     def test_two_points(self):
-        v = vandermonde([F(1), F(2)], 2)
-        assert v.to_rows() == [[1, 1], [1, 2]]
+        assert oracles.vandermonde([F(1), F(2)], 2) == [[1, 1], [1, 2]]
 
     def test_nonsingular_on_distinct_points(self):
-        assert det_exact(vandermonde([F(-1, 2), F(1), F(3)], 3)) == F(21, 2)
-
-    def test_rejects_repeated_points(self):
-        with pytest.raises(ValueError):
-            vandermonde([F(1), F(1)], 2)
+        v = oracles.vandermonde([F(-1, 2), F(1), F(3)], 3)
+        assert oracles.laplace_det(v) == F(21, 2)
+        assert rank_exact(RationalMatrix.from_rows(v)) == 3
 
 
 class TestRankNumeric:
     def test_identity(self):
-        assert rank_numeric(identity(4).to_complex(), 1e-10) == 4
+        assert rank_numeric(to_complex(identity(4)), 1e-10) == 4
 
     def test_zero(self):
-        assert rank_numeric(zero(3, 3).to_complex(), 1e-10) == 0
+        assert rank_numeric(to_complex(zero(3, 3)), 1e-10) == 0
 
     def test_agrees_with_exact_on_fixture(self, fixture_a):
         jac = jacobian_coefficient_form(fixture_a.problem, fixture_a.c0)
-        cm = jac.matrix.to_complex()
+        cm = to_complex(jac.matrix)
         assert rank_numeric(cm, 1e-8) == rank_exact(jac.matrix) == 6
         # the fixture satisfies the stated margin: smallest nonzero singular
         # value well above 10 * tol * largest, by numpy's SVD as the reference
@@ -203,7 +213,7 @@ class TestRankNumeric:
 
     def test_rejects_negative_tol(self):
         with pytest.raises(ValueError):
-            rank_numeric(identity(2).to_complex(), -1.0)
+            rank_numeric(to_complex(identity(2)), -1.0)
 
     def test_rejects_non_finite(self):
         cm = ComplexMatrix.from_rows([[complex("inf"), 0], [0, 1]])
@@ -229,9 +239,9 @@ class TestMatrixJson:
 
 
 def test_matmul_and_matvec():
+    # the product of tests/oracles.py, and the package's matvec
     a = RationalMatrix.from_rows([[1, 2], [3, 4]])
-    b = RationalMatrix.from_rows([[0, 1], [1, 0]])
-    assert (a @ b).to_rows() == [[2, 1], [4, 3]]
+    assert oracles.matmul(a.to_rows(), [[0, 1], [1, 0]]) == [[2, 1], [4, 3]]
     assert a.matvec([F(1), F(1)]) == (F(3), F(7))
 
 

@@ -30,3 +30,36 @@ def test_third_party_imports_are_the_runtime_dependencies():
     assert third_party == declared == {"mpmath"}
     # numpy stays a test-only reference (numeric_rank_suite)
     assert "numpy" in project["optional-dependencies"]["test"]
+
+
+def referenced_names(path: Path) -> set[str]:
+    """Names that code in path reads: bare names, attributes and imported
+    names; docstrings and comments do not count."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def exported_names(path: Path) -> list[str]:
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]:
+            return ast.literal_eval(node.value)
+    return []
+
+
+def test_every_export_is_reached_or_documented():
+    # A public name must be read by the package's own code, outside
+    # __init__'s re-exports, or be named in the README; otherwise only tests
+    # reach it and it belongs in tests/oracles.py or nowhere.
+    modules = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    used = set().union(*map(referenced_names, modules))
+    readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    dead = sorted(name for path in modules for name in exported_names(path)
+                  if name not in used and name not in readme)
+    assert dead == []

@@ -8,20 +8,31 @@ import pytest
 from curvejac.errors import DimensionError, InputError
 from curvejac.linalg import _PRIMES
 from curvejac.poly import (
+    _LABEL_DIGITS,
     MultiPoly,
     UniPoly,
-    compose_with_curve,
+    _polyroots,
+    _sorted_complex,
+    _squarefree_rational_roots,
     coprime,
     gcd_univariate,
     monomial_basis,
-    rational_roots,
     restrict_to_curve,
-    roots_numeric,
     squarefree_roots,
 )
 
 import oracles
 import propcheck
+
+
+def compose_with_curve(f, components):
+    return restrict_to_curve([f], components)[0]
+
+
+def complex_roots(p, digits=_LABEL_DIGITS):
+    """All complex roots with multiplicity, sorted, at the working digits of
+    root labels."""
+    return _sorted_complex(_polyroots(p, digits))
 
 
 def line_components():
@@ -225,51 +236,57 @@ class TestCoprime:
 
 class TestRoots:
     def test_linear(self):
-        roots = roots_numeric(UniPoly.of(1, 2))
+        roots = complex_roots(UniPoly.of(1, 2))
         assert len(roots) == 1
         assert abs(roots[0] - (-0.5)) < 1e-12
 
     def test_pure_imaginary_pair_sorted(self):
-        roots = roots_numeric(UniPoly.of(1, 0, 1))
-        assert len(roots) == 2
+        rational, roots = squarefree_roots(UniPoly.of(1, 0, 1))
+        assert rational == [] and len(roots) == 2
         assert abs(roots[0] - (-1j)) < 1e-12
         assert abs(roots[1] - 1j) < 1e-12
 
     def test_rational_roots_promoted_exactly(self):
-        roots, cofactor = rational_roots(UniPoly.of(1, 0, -1))
-        assert roots == [F(-1), F(1)]
-        assert cofactor.degree == 0
+        # all roots rational: no complex labels
+        assert squarefree_roots(UniPoly.of(1, 0, -1)) == ([F(-1), F(1)], [])
 
     def test_irrational_left_unpromoted(self):
-        roots, cofactor = rational_roots(UniPoly.of(-2, 0, 1))
+        roots, labels = squarefree_roots(UniPoly.of(-2, 0, 1))
         assert roots == []
-        assert cofactor.degree == 2
+        assert labels == pytest.approx([-math.sqrt(2), math.sqrt(2)], rel=1e-15)
 
     def test_rational_roots_with_large_denominators(self):
         def linear(r):
             return UniPoly.of(-r, 1)
 
         near = linear(F(1, 1000003)) * linear(F(1, 1000033))
-        roots, cofactor = rational_roots(near * UniPoly.of(-2, 0, 1))
+        roots, labels = squarefree_roots(near * UniPoly.of(-2, 0, 1))
         assert roots == [F(1, 1000033), F(1, 1000003)]
-        assert cofactor.degree == 2
-        roots, cofactor = rational_roots(near * linear(F(7, 1000037)))
+        assert len(labels) == 4
+        roots, labels = squarefree_roots(near * linear(F(7, 1000037)))
         assert roots == [F(1, 1000033), F(1, 1000003), F(7, 1000037)]
-        assert cofactor.degree == 0
+        assert labels == []
 
     def test_rational_roots_with_multiplicity(self):
+        # a repeated root leaves the squarefree part once
         p = UniPoly.of(F(-1, 2), 1) * UniPoly.of(F(-1, 2), 1) * UniPoly.of(3, 1)
-        roots, cofactor = rational_roots(p * UniPoly.of(1, 0, 1))
-        assert roots == [F(-3), F(1, 2), F(1, 2)]
-        assert cofactor == UniPoly.of(1, 0, 1)
+        p = p * UniPoly.of(1, 0, 1)
+        sqfree = p.divmod_exact(gcd_univariate(p, p.derivative()))[0]
+        assert sqfree.monic() == (UniPoly.of(F(-1, 2), 1) * UniPoly.of(3, 1)
+                                  * UniPoly.of(1, 0, 1))
+        roots, labels = squarefree_roots(sqfree)
+        assert roots == [F(-3), F(1, 2)]
+        assert labels == pytest.approx([-3, -1j, 1j, 0.5], rel=1e-15)
 
     def test_rational_roots_run_no_numeric_root_finder(self, monkeypatch):
         def refuse(p, digits):
             raise AssertionError("numeric roots computed")
 
         monkeypatch.setattr("curvejac.poly._polyroots", refuse)
-        roots, cofactor = rational_roots(UniPoly.of(F(-1, 3), 1) * UniPoly.of(-2, 0, 1))
-        assert roots == [F(1, 3)] and cofactor == UniPoly.of(-2, 0, 1)
+        # the rational roots of a polynomial that does not split, which
+        # squarefree_roots finds before it computes any complex label
+        nonsplit = UniPoly.of(F(-1, 3), 1) * UniPoly.of(-2, 0, 1)
+        assert _squarefree_rational_roots(nonsplit) == [F(1, 3)]
         split = UniPoly.of(F(-1, 3), 1) * UniPoly.of(5, 1)
         assert squarefree_roots(split) == ([F(-5), F(1, 3)], [])
 
@@ -277,7 +294,7 @@ class TestRoots:
         # the iteration runs on p(2^k s), roots near the unit circle; on p
         # itself the roots near 1.4e30 never meet its absolute tolerance
         for p in (UniPoly.of(-(2 * 10**60 + 1), 0, 1), UniPoly.of(-2, 0, F(1, 10**60))):
-            assert [z.real for z in roots_numeric(p)] == pytest.approx(
+            assert [z.real for z in complex_roots(p)] == pytest.approx(
                 [-1.4142135623730951e30, 1.4142135623730951e30], rel=1e-15)
 
     def test_crowded_roots_converge(self):
@@ -316,14 +333,8 @@ class TestRoots:
                 continue
             precision = 12
             maxc = max(abs(float(c)) for c in p.coeffs)
-            for z in roots_numeric(p, precision):
+            for z in complex_roots(p, precision + 20):
                 assert abs(p.evaluate(z)) < 10 ** (-precision + 2) * maxc
-
-    def test_rejects_constant(self):
-        with pytest.raises(ValueError):
-            roots_numeric(UniPoly.of(3))
-        with pytest.raises(ValueError):
-            roots_numeric(UniPoly.zero())
 
 
 class TestSerialization:
