@@ -14,8 +14,9 @@ the rest, checks 7-10 by exact ranks with no kernel basis, retrying check 7
 over redrawn generic points: every check is exact even at complex roots.
 The only tolerance is the singular-value rank of an evaluation-form Jacobian
 at user-given points that are not rational, computed in pure Python
-(Golub-Kahan bidiagonalization and bisection); the one runtime dependency,
-mpmath, labels complex roots.
+(Golub-Kahan bidiagonalization and bisection).  Complex roots are labelled
+by a Durand-Kerner iteration in integers: the package needs nothing beyond
+the standard library.
 """
 
 from .construction import (

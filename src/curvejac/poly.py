@@ -21,9 +21,10 @@ certified by a gcd of degree 0 modulo a prime, and a common factor by the
 gcd modulo a prime lifted to Q and confirmed by exact division, with Euclid
 over Q only as the fallback.  The rational roots of a squarefree
 polynomial (`squarefree_roots`) are exact and use no floats: its roots
-modulo a suitable prime are lifted p-adically and confirmed exactly.
-mpmath is imported only for the complex labels of a polynomial that does
-not split.
+modulo a suitable prime are lifted p-adically and confirmed exactly.  The
+complex labels of a polynomial that does not split come from mpmath's
+Durand-Kerner iteration run in fixed-point integers (`_polyroots`), so the
+module, like the package, needs nothing beyond the standard library.
 
 Canonical term order everywhere is graded lexicographic on exponent vectors
 (total degree first, then lex), serialized leading term first, which keeps
@@ -35,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import gcd, isqrt, lcm
+from math import copysign, gcd, inf, isqrt, lcm, ldexp
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionError, InputError
@@ -547,22 +548,80 @@ def restrict_to_curve(fs: Iterable[MultiPoly], components: Sequence[UniPoly]) ->
     return out
 
 
-def _polyroots(p: UniPoly, digits: int) -> list:
-    """All complex roots with multiplicity as mpmath numbers, at `digits`
-    significant digits (simultaneous iteration).
+def _round_to_bits(v: int, bits: int) -> tuple[int, int]:
+    """(w, e): v rounded to `bits` significant bits, to nearest with ties to
+    even, as w * 2^e."""
+    drop = abs(v).bit_length() - bits
+    if drop <= 0:
+        return v, 0
+    q, r = divmod(abs(v), 1 << drop)
+    if 2 * r > 1 << drop or (2 * r == 1 << drop and q & 1):
+        q += 1
+    return (q if v > 0 else -q), drop
 
-    The iteration starts near the unit circle and stops at an absolute
-    correction below 10^-digits, which roots far from it never reach, so it
-    runs on p(2^k s), 2^k about the largest root (from max |c_i / c_n|^(1/(n-i)),
-    as in Fujiwara's bound), and scales the roots back exactly.  Roots of
-    very different sizes need more steps (1.2-2.4 per digit of the Cauchy
-    height for two sizes, more when several crowd together), so it may take
-    up to max(1000, 20 * digits) steps; raises ValueError if it has not
-    converged by then.  The cap only ends a run that has not converged: a
-    converged run stops at the same step under any cap.
+
+def _label_float(v: int, exp: int, prec: int) -> float:
+    """v * 2^exp as a float the way mpmath gives a root it returns: rounded
+    to the working `prec` bits, then to 53, both to nearest with ties to
+    even; inf beyond the float range.  The first rounding drops the noise
+    of the 80 extra bits, so a label depends on the root's first prec bits
+    only."""
+    for bits in (prec, 53):
+        v, drop = _round_to_bits(v, bits)
+        exp += drop
+    try:
+        return ldexp(v, exp)
+    except OverflowError:
+        return copysign(inf, v)
+
+
+def _dk_sweep(zs: list[tuple[int, int]], coeffs: Sequence[int], bits: int) -> int:
+    """One Gauss-Seidel sweep of Durand-Kerner on the monic polynomial whose
+    lower coefficients are `coeffs`, highest first: each z_i in turn becomes
+    z_i - f(z_i) / prod_{j != i} (z_i - z_j), the z_j already updated in this
+    sweep.  Complex numbers are (re, im) integer pairs over 2^bits; a zero
+    factor is left out, as mpmath does, and a product that rounds to zero
+    divides nothing.  Returns the largest squared correction
+    |f(z_i) / prod|^2 over 2^(2 bits)."""
+    one, worst = 1 << bits, 0
+    for i, (zr, zi) in enumerate(zs):
+        xr, xi = one, 0
+        for c in coeffs:
+            xr, xi = ((xr * zr - xi * zi) >> bits) + c, (xr * zi + xi * zr) >> bits
+        qr, qi = one, 0
+        for j, (wr, wi) in enumerate(zs):
+            dr, di = zr - wr, zi - wi
+            if j != i and (dr or di):
+                qr, qi = (qr * dr - qi * di) >> bits, (qr * di + qi * dr) >> bits
+        den = qr * qr + qi * qi
+        if den:
+            xr, xi = ((xr * qr + xi * qi) << bits) // den, ((xi * qr - xr * qi) << bits) // den
+        zs[i] = (zr - xr, zi - xi)
+        worst = max(worst, xr * xr + xi * xi)
+    return worst
+
+
+def _polyroots(p: UniPoly, digits: int) -> list[complex]:
+    """All complex roots of p with multiplicity, at `digits` significant
+    digits, as machine complex numbers sorted by real then imaginary part.
+
+    The iteration is mpmath's `polyroots` (Durand-Kerner from the points
+    (0.4+0.9j)^i, Gauss-Seidel updates, prec = round((digits+1) log2 10)
+    bits, 80 extra) run in integers, and returns the same floats.  It starts
+    near the unit circle and stops at an absolute correction below
+    2^(1-prec), which roots far from it never reach, so it runs on the monic
+    p(2^k s), 2^k about the largest root (from max |c_i / c_n|^(1/(n-i)), as
+    in Fujiwara's bound), and scales the roots back exactly.  Numbers are
+    fixed point over 2^(prec+80+g), where 2^-g is about Cauchy's lower bound
+    on the smallest nonzero scaled root, so tiny roots keep prec+80
+    significant bits.  After convergence a root, real or imaginary part
+    below the tolerance is set to zero.  Roots of very different sizes need
+    more steps (1.2-2.4 per digit of the Cauchy height for two sizes, more
+    when several crowd together), so it may take up to max(1000, 20 *
+    digits) steps; raises ValueError if it has not converged by then.  The
+    cap only ends a run that has not converged: a converged run stops at
+    the same step under any cap.
     """
-    from mpmath import ldexp, mp, mpf, polyroots
-    from mpmath.libmp import NoConvergence
 
     def size(c: Fraction) -> int:
         return abs(c.numerator).bit_length() - c.denominator.bit_length()
@@ -570,21 +629,33 @@ def _polyroots(p: UniPoly, digits: int) -> list:
     n = p.degree
     k = max(((size(c) - size(p.leading)) // (n - i)
              for i, c in enumerate(p.coeffs[:-1]) if c), default=0)
-    with mp.workdps(digits):
-        coeffs = [ldexp(mpf(c.numerator) / mpf(c.denominator), k * i)
-                  for i, c in enumerate(p.coeffs)]
-        steps = max(1000, 20 * digits)
-        try:
-            zs = polyroots(coeffs[::-1], maxsteps=steps, extraprec=80)
-        except NoConvergence as exc:
-            raise ValueError(
-                f"complex roots did not converge in {steps} steps at {digits} digits"
-            ) from exc
-        return [z * ldexp(1, k) for z in zs] if k else zs
-
-
-def _sorted_complex(zs) -> list[complex]:
-    return sorted((complex(z) for z in zs), key=lambda z: (z.real, z.imag))
+    # the integer coefficients of p(2^k s), times a power of two
+    s = [a << (k * i - min(k, 0) * n) for i, a in enumerate(_scaled(p.coeffs)[1])]
+    low = next(i for i, a in enumerate(s) if a)
+    g = ((abs(s[low]) + max(map(abs, s[low + 1 :]), default=0)) // abs(s[low])).bit_length()
+    prec = round((digits + 1) * 3.3219280948873626)
+    bits = prec + 80 + g
+    coeffs = [(a << bits) // s[-1] for a in reversed(s[:-1])]
+    starts = ((0.4 + 0.9j) ** i for i in range(n))
+    zs = [tuple((a << bits) // b for a, b in (w.real.as_integer_ratio(), w.imag.as_integer_ratio()))
+          for w in starts]
+    tol = 1 << (bits + 1 - prec)
+    steps = max(1000, 20 * digits)
+    for _ in range(steps):
+        if _dk_sweep(zs, coeffs, bits) < tol * tol:
+            break
+    else:
+        raise ValueError(f"complex roots did not converge in {steps} steps at {digits} digits")
+    roots = []
+    for zr, zi in zs:
+        if zr * zr + zi * zi < tol * tol:
+            zr = zi = 0
+        elif abs(zi) < tol:
+            zi = 0
+        elif abs(zr) < tol:
+            zr = 0
+        roots.append(complex(_label_float(zr, k - bits, prec), _label_float(zi, k - bits, prec)))
+    return sorted(roots, key=lambda z: (z.real, z.imag))
 
 
 # The least working digits of complex root labels.
@@ -649,21 +720,31 @@ def _squarefree_rational_roots(f: UniPoly) -> list[Fraction]:
     return sorted(roots)
 
 
+def _decimal_digits(h: int) -> int:
+    """len(str(h)) for h >= 1, from its bit length, without the string
+    (CPython refuses int-to-str beyond 4300 digits).  1233/4096 is below
+    log10 2, so d - 1 <= log10 h at the start, and the loop ends at the
+    least d with h < 10^d."""
+    d = ((h.bit_length() - 1) * 1233 >> 12) + 1
+    while h >= 10**d:
+        d += 1
+    return d
+
+
 def squarefree_roots(f: UniPoly) -> tuple[list[Fraction], list[complex]]:
     """The rational roots of a squarefree f of degree >= 1, sorted, and,
     unless they are all of its roots, all of its roots as sorted machine
     complex numbers (else []).
 
-    The rational roots are exact and use no floats (p-adic lifting).  Only
-    the complex roots load mpmath; they are computed at _LABEL_DIGITS
-    significant digits, or at the Cauchy-bound precision if that is higher,
-    and raise ValueError if they do not converge (`_polyroots`).  f must be
-    squarefree: with a repeated rational root the prime search of the
-    lifting does not end.
+    The rational roots are exact and use no floats (p-adic lifting).  The
+    complex roots come from an integer Durand-Kerner iteration
+    (`_polyroots`) at _LABEL_DIGITS significant digits, or at the digits of
+    the Cauchy height plus 10 if that is more, and raise ValueError if they
+    do not converge.  f must be squarefree: with a repeated rational root
+    the prime search of the lifting does not end.
     """
     roots = _squarefree_rational_roots(f)
     if len(roots) == f.degree:
         return roots, []
-    digits = len(str(_integral(f)[1])) + 10
-    return roots, _sorted_complex(_polyroots(f, max(digits, _LABEL_DIGITS)))
-
+    digits = _decimal_digits(_integral(f)[1]) + 10
+    return roots, _polyroots(f, max(digits, _LABEL_DIGITS))

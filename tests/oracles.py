@@ -6,14 +6,16 @@ schoolbook convolution over Fractions for polynomial products, exact Newton
 interpolation for first-order Taylor extraction, Vandermonde matrices,
 matrix products and cofactor determinants from their definitions, block
 slicing, reassembly and closed forms by list arithmetic, an exhaustive
-smoothness search over a prime field, and rational roots from sympy's
-factorization over Q.
+smoothness search over a prime field, rational roots from sympy's
+factorization over Q, and complex root labels from mpmath's `polyroots`.
 """
 
 from fractions import Fraction
 from itertools import product
 
+import mpmath
 import sympy
+from mpmath.libmp import NoConvergence
 
 
 def rref_rank_kernel(rows, ncols):
@@ -235,3 +237,37 @@ def sympy_rational_roots(coeffs):
             linear *= factor.monic() ** mult
     cofactor = poly.exquo(linear)
     return sorted(roots), [_fraction(c) for c in reversed(cofactor.all_coeffs())]
+
+
+def mpmath_polyroots(p, digits):
+    """All complex roots of the UniPoly p, sorted as machine complex numbers,
+    from mpmath's `polyroots` at `digits` significant digits: the labels the
+    package computed with mpmath before its integer iteration, with the same
+    scaling p(2^k s), step cap and error message."""
+
+    def size(c):
+        return abs(c.numerator).bit_length() - c.denominator.bit_length()
+
+    n = p.degree
+    k = max(((size(c) - size(p.leading)) // (n - i)
+             for i, c in enumerate(p.coeffs[:-1]) if c), default=0)
+    with mpmath.mp.workdps(digits):
+        coeffs = [mpmath.ldexp(mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator), k * i)
+                  for i, c in enumerate(p.coeffs)]
+        steps = max(1000, 20 * digits)
+        try:
+            zs = mpmath.polyroots(coeffs[::-1], maxsteps=steps, extraprec=80)
+        except NoConvergence as exc:
+            raise ValueError(
+                f"complex roots did not converge in {steps} steps at {digits} digits"
+            ) from exc
+        zs = [z * mpmath.ldexp(1, k) for z in zs] if k else zs
+        return sorted((complex(z) for z in zs), key=lambda z: (z.real, z.imag))
+
+
+def mpmath_eps(digits):
+    """mpmath's tolerance at `digits` significant digits, 2^(1-prec), as a
+    Fraction."""
+    with mpmath.mp.workdps(digits):
+        eps = +mpmath.mp.eps
+    return Fraction(int(eps.man)) * Fraction(2) ** int(eps.exp)

@@ -8,6 +8,7 @@ suite can invoke them with their own draw counts.
 import random
 from fractions import Fraction
 from itertools import pairwise
+from math import isqrt
 
 import numpy
 import sympy
@@ -27,11 +28,14 @@ from curvejac.linalg import (
     rank_numeric,
 )
 from curvejac.poly import (
+    _LABEL_DIGITS,
     MultiPoly,
     UniPoly,
     _int_mul,
     _integral,
+    _polyroots,
     _simple_roots_mod_prime,
+    coprime,
     gcd_univariate,
     monomial_basis,
     restrict_to_curve,
@@ -480,6 +484,88 @@ def rational_roots_suite(seed, draws):
         exact, numeric = squarefree_roots(sqfree)
         assert exact == sorted(set(want_roots)), (kind, sqfree, exact)
         assert len(numeric) == (sqfree.degree if cofactor.degree else 0), (kind, sqfree)
+    return draws
+
+
+LABEL_KINDS = ("small", "height-30", "height-60", "even", "zero-root", "real-irrational",
+               "crowded", "high-degree", "near-tolerance")
+
+
+def _label_draw(rng, kind):
+    """A polynomial of the given LABEL_KINDS kind, maybe not squarefree."""
+    small = [random_fraction(rng) for _ in range(rng.randint(1, 7))] + [random_fraction(rng, den=1)]
+    if kind.startswith("height-"):
+        h = 10 ** int(kind[len("height-"):])
+        return UniPoly.from_coeffs(rng.randint(-h, h) for _ in range(rng.randint(2, 9)))
+    if kind == "even":
+        p = UniPoly.one()
+        for _ in range(rng.randint(1, 4)):
+            p = p * UniPoly.of(abs(random_fraction(rng, 99, 9)) or 1, 0, 1)
+        return p
+    if kind == "zero-root":
+        return UniPoly.of(0, 1) * UniPoly.from_coeffs([Fraction(rng.randint(1, 9))] + small[1:])
+    if kind == "real-irrational":
+        a = rng.choice([k for k in range(2, 100) if isqrt(k) ** 2 != k])
+        return UniPoly.of(-a, 0, 1) * UniPoly.from_coeffs(small[rng.randint(0, len(small) - 1):])
+    if kind == "crowded":
+        m, h = rng.randint(2, 4), rng.randint(10, 24)
+        return UniPoly.from_coeffs([10**h] * (m + 1) + [1])
+    if kind == "high-degree":
+        return UniPoly.from_coeffs([rng.randint(-9, 9) for _ in range(rng.randint(9, 16))]
+                                   + [rng.choice((-1, 1))])
+    return UniPoly.from_coeffs(small)
+
+
+def root_labels_suite(seed, draws):
+    """_polyroots gives exactly the floats of mpmath's polyroots
+    (oracles.mpmath_polyroots), at the digits squarefree_roots works at,
+    _LABEL_DIGITS or the Cauchy height's digits plus 10, except where a
+    kind says otherwise.
+
+    The draws cycle through LABEL_KINDS, each redrawn until squarefree of
+    degree >= 1: small coefficients; integer coefficients up to 10^30 and
+    10^60; even polynomials prod (t^2 + a_j), a_j > 0, whose roots are all
+    pure imaginary; a root at 0; a real irrational pair +-sqrt(a) times
+    small coefficients; 10^h (1 + t + ... + t^m) + t^(m+1), one root near
+    -10^h and m crowding near 0 after scaling; degree 9 to 16; and
+    (t - eps)^2 + 1 at 32 to 80 digits, eps = +-f 2^(1-prec) with f in
+    [9/16, 7/8] or [9/8, 31/16], whose real part the cleanup drops exactly
+    when f < 1 (prec as mpmath derives it from the digits).  The even,
+    zero-root and real-irrational kinds too have roots, or parts of them,
+    that the cleanup below the tolerance sets to exactly 0.  Each draw
+    asserts it has its kind's property.
+    """
+    rng = random.Random(seed)
+    for draw in range(draws):
+        kind = LABEL_KINDS[draw % len(LABEL_KINDS)]
+        if kind == "near-tolerance":
+            digits = rng.randint(_LABEL_DIGITS, 80)
+            factor = Fraction(rng.choice([*range(9, 15), *range(18, 32)]), 16)
+            eps = rng.choice((-1, 1)) * factor * oracles.mpmath_eps(digits)
+            p = UniPoly.of(1 + eps * eps, -2 * eps, 1)
+        else:
+            p = _label_draw(rng, kind)
+            while p.degree < 1 or not coprime(p, p.derivative()):
+                p = _label_draw(rng, kind)
+            digits = max(len(str(_integral(p)[1])) + 10, _LABEL_DIGITS)
+        want = oracles.mpmath_polyroots(p, digits)
+        assert _polyroots(p, digits) == want, (kind, p, digits)
+        assert len(want) == p.degree, (kind, p, want)
+        if kind.startswith("height-"):
+            assert _integral(p)[1] > 10 ** (int(kind[len("height-"):]) - 2), (kind, p)
+        elif kind == "even":
+            assert all(z.real == 0 and z.imag for z in want), (kind, p, want)
+        elif kind == "zero-root":
+            assert 0j in want, (kind, p, want)
+        elif kind == "real-irrational":
+            assert sum(z.imag == 0 for z in want) >= 2, (kind, p, want)
+        elif kind == "crowded":
+            assert max(map(abs, want)) > 10**8 * min(map(abs, want)), (kind, p, want)
+        elif kind == "high-degree":
+            assert p.degree >= 9, (kind, p)
+        elif kind == "near-tolerance":
+            assert [z.imag for z in want] == [-1, 1], (kind, p, want)
+            assert all((z.real == 0) == (factor < 1) for z in want), (kind, p, want)
     return draws
 
 

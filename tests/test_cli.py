@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -205,22 +206,55 @@ class TestVerifyCommand:
             assert [c["status"] for c in report["checks"]] == ["pass"] * 10
             assert report["points"][:2] == roots
 
+    def test_height_beyond_int_str_cap(self, tmp_path, fixture_b):
+        # l's coefficients on z0, z1 and z2 are ratios of 2000-digit
+        # integers, the most an input may have, so l(c0(t)) = a + b t + c t^2
+        # has a 6000-digit Cauchy height; its digit count once went through
+        # str() and failed check 2 with CPython's int-to-str limit (4300)
+        rng = random.Random(3)
+        parts = [rng.randrange(10**1999, 10**2000) for _ in range(8)]
+        exps = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 0, 1)]
+        l = MultiPoly(5, {e: F(parts[2 * i], parts[2 * i + 1]) for i, e in enumerate(exps)})
+        fx = Fixture("B-2000-digit-l", fixture_b.q, l, fixture_b.p, fixture_b.c0, 2)
+        with uncapped_int_str():
+            assert len(str(poly._integral(fx.restricted[0])[1])) == 6000
+        path = tmp_path / "fixture.json"
+        path.write_text(json.dumps(fx.to_obj()))
+        rc, out, err = run_cli(["verify", str(path), "--seed", "0"])
+        assert "Exceeds the limit" not in out + err
+        assert rc == 0, err
+        report = json.loads(out)
+        assert report["passed"] is True and report["field"] == "complex"
+        assert report["points"][:2] == ["-0.354105384767-0.39139533924i",
+                                        "-0.354105384767+0.39139533924i"]
 
-@pytest.mark.parametrize("name, loaded", [("fixture_b", False), ("fixture_b_nonsplit", True)])
-def test_mpmath_loaded_only_for_complex_labels(tmp_path, request, name, loaded):
-    # the rational roots are found with integer arithmetic only
-    fx = request.getfixturevalue(name)
-    path = tmp_path / "fixture.json"
-    path.write_text(json.dumps(fx.to_obj()))
-    code = ("import sys; from curvejac import cli; "
-            f"rc = cli.main(['verify', {str(path)!r}, '--out', {str(tmp_path / 'out.json')!r}]); "
-            "print(rc, 'mpmath' in sys.modules)")
+
+def test_mpmath_never_imported(tmp_path, fixture_b, fixture_b_nonsplit, problem_a_path,
+                               curve_a_path):
+    # rational roots are lifted p-adically and complex labels come from an
+    # integer iteration, so no command loads mpmath, whether l(c0) splits
+    # or not
+    argvs = []
+    for fx in (fixture_b, fixture_b_nonsplit):
+        path = tmp_path / f"{fx.name}.json"
+        path.write_text(json.dumps(fx.to_obj()))
+        argvs.append(["verify", str(path), "--out", str(tmp_path / f"{fx.name}-report.json")])
+    out = str(tmp_path / "out.json")
+    argvs.append(["jacobian", problem_a_path, curve_a_path, "--form", "eval",
+                  "--points=0,1,-1,2,-2,1+2i", "--out", out])
+    argvs.append(["sample", curve_a_path, "--degree", "5", "--count", "1", "--out", out])
+    code = ("import json, sys; from curvejac import cli; "
+            "print(json.dumps([[cli.main(argv), 'mpmath' in sys.modules] "
+            "for argv in json.loads(sys.argv[1])]))")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, timeout=120, check=True)
-    assert run.stdout.split() == ["0", str(loaded)]
+    run = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], capture_output=True,
+                         text=True, env=env, timeout=120, check=True)
+    assert json.loads(run.stdout) == [[0, False]] * 4
+    fields = [json.loads((tmp_path / f"{fx.name}-report.json").read_text())["field"]
+              for fx in (fixture_b, fixture_b_nonsplit)]
+    assert fields == ["rational", "complex"]
 
 
 def test_numpy_never_imported(tmp_path, fixture_b_nonsplit, problem_a_path, curve_a_path):

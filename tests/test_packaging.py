@@ -1,5 +1,7 @@
 import ast
+import json
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,9 +29,30 @@ def test_third_party_imports_are_the_runtime_dependencies():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower()
                 for dep in project["dependencies"]}
-    assert third_party == declared == {"mpmath"}
-    # numpy stays a test-only reference (numeric_rank_suite)
-    assert "numpy" in project["optional-dependencies"]["test"]
+    assert third_party == declared == set()
+    # numpy (numeric_rank_suite) and mpmath (root_labels_suite) stay
+    # test-only references
+    test_names = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower()
+                  for dep in project["optional-dependencies"]["test"]}
+    assert {"numpy", "mpmath"} <= test_names
+
+
+def test_runs_on_the_standard_library_alone(tmp_path, fixture_b_nonsplit):
+    # -S leaves site-packages off the path and -E ignores PYTHONPATH, so the
+    # interpreter sees the standard library and src only; a fixture whose l
+    # does not split takes the complex path, root labels included
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(fixture_b_nonsplit.to_obj()))
+    code = ("import importlib.util, json, sys; "
+            f"sys.path.insert(0, {str(ROOT / 'src')!r}); "
+            "assert importlib.util.find_spec('mpmath') is None; "
+            "from curvejac import cli; "
+            f"rc = cli.main(['verify', {str(path)!r}, '--out', {str(tmp_path / 'out.json')!r}]); "
+            "print(rc, json.load(open(sys.argv[1]))['field'])")
+    run = subprocess.run([sys.executable, "-S", "-E", "-c", code, str(tmp_path / "out.json")],
+                         capture_output=True, text=True, cwd=tmp_path, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["0", "complex"]
 
 
 def referenced_names(path: Path) -> set[str]:

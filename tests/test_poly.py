@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -11,8 +12,9 @@ from curvejac.poly import (
     _LABEL_DIGITS,
     MultiPoly,
     UniPoly,
+    _decimal_digits,
+    _dk_sweep,
     _polyroots,
-    _sorted_complex,
     _squarefree_rational_roots,
     coprime,
     gcd_univariate,
@@ -32,7 +34,7 @@ def compose_with_curve(f, components):
 def complex_roots(p, digits=_LABEL_DIGITS):
     """All complex roots with multiplicity, sorted, at the working digits of
     root labels."""
-    return _sorted_complex(_polyroots(p, digits))
+    return _polyroots(p, digits)
 
 
 def line_components():
@@ -297,12 +299,21 @@ class TestRoots:
             assert [z.real for z in complex_roots(p)] == pytest.approx(
                 [-1.4142135623730951e30, 1.4142135623730951e30], rel=1e-15)
 
-    def test_crowded_roots_converge(self):
+    def test_crowded_roots_converge(self, monkeypatch):
         # one root near -10^60 and the six seventh roots of unity other than
-        # 1; scaled by 2^-199 the six crowd near 0 and need more than 284
-        # steps at 71 digits, the cap before it became 20 * 71
+        # 1; scaled by 2^-199 the six crowd near 0 and need 571 sweeps at 71
+        # digits, mpmath's count too, more than 284, the cap before it
+        # became 20 * 71
+        sweeps = []
+
+        def counted(zs, coeffs, bits):
+            sweeps.append(bits)
+            return _dk_sweep(zs, coeffs, bits)
+
+        monkeypatch.setattr("curvejac.poly._dk_sweep", counted)
         p = UniPoly.from_coeffs([10**60] * 7 + [1])
         rational, labels = squarefree_roots(p)
+        assert len(sweeps) == 571
         assert rational == [] and len(labels) == 7
         assert labels[0] == pytest.approx(-1e60, rel=1e-15)
         unity = [cmath.exp(2j * cmath.pi * k / 7) for k in range(1, 7)]
@@ -310,20 +321,33 @@ class TestRoots:
             assert min(abs(z - u) for u in unity) < 1e-15
 
     def test_unconverged_roots_raise_value_error(self, monkeypatch):
-        import mpmath
-        from mpmath.libmp import NoConvergence
+        # sweeps that never shrink the corrections run to the cap,
+        # max(1000, 20 * 71) at the 71 digits of this polynomial
+        sweeps = []
 
-        caps = []
+        def unconverged(zs, coeffs, bits):
+            sweeps.append(bits)
+            return 1 << 2 * bits  # a correction of 1
 
-        def unconverged(coeffs, maxsteps, extraprec):
-            caps.append(maxsteps)
-            raise NoConvergence(f"Didn't converge in maxsteps={maxsteps} steps.")
-
-        monkeypatch.setattr(mpmath, "polyroots", unconverged)
+        monkeypatch.setattr("curvejac.poly._dk_sweep", unconverged)
         p = UniPoly.from_coeffs([10**60] * 7 + [1])
         with pytest.raises(ValueError, match="did not converge in 1420 steps at 71 digits"):
             squarefree_roots(p)
-        assert caps == [1420]
+        assert len(sweeps) == 1420
+
+    def test_decimal_digits_match_str(self):
+        # the digit count of the Cauchy height sets the working digits; it
+        # is taken from the bit length, and CPython's str() of an int is
+        # capped at 4300 digits, so only the reference lifts the cap
+        cap = sys.get_int_max_str_digits()
+        for k in range(1, 5001):
+            for h in (10**k - 1, 10**k, 10**k + 1):
+                sys.set_int_max_str_digits(0)
+                try:
+                    want = len(str(h))
+                finally:
+                    sys.set_int_max_str_digits(cap)
+                assert _decimal_digits(h) == want, k
 
     def test_residual_bound(self):
         rng = random.Random(6)

@@ -62,3 +62,7 @@ def test_numeric_rank_304_draws():
 
 def test_int_mul_180_draws():
     assert propcheck.int_mul_suite(seed=2033, draws=180) == 180
+
+
+def test_root_labels_306_draws():
+    assert propcheck.root_labels_suite(seed=2035, draws=306) == 306
