@@ -229,20 +229,34 @@ class TestVerifyCommand:
                                         "-0.354105384767+0.39139533924i"]
 
 
-def test_mpmath_never_imported(tmp_path, fixture_b, fixture_b_nonsplit, problem_a_path,
-                               curve_a_path):
+@pytest.mark.parametrize("name, complex_labels",
+                         [("fixture_b", False), ("fixture_b_nonsplit", True)])
+def test_mpmath_loaded_only_for_complex_labels(tmp_path, request, name, complex_labels):
     # rational roots are lifted p-adically and complex labels come from an
-    # integer iteration, so no command loads mpmath, whether l(c0) splits
-    # or not
-    argvs = []
-    for fx in (fixture_b, fixture_b_nonsplit):
-        path = tmp_path / f"{fx.name}.json"
-        path.write_text(json.dumps(fx.to_obj()))
-        argvs.append(["verify", str(path), "--out", str(tmp_path / f"{fx.name}-report.json")])
+    # integer iteration, so verify loads mpmath for neither kind of label
+    fx = request.getfixturevalue(name)
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(fx.to_obj()))
+    out = tmp_path / "out.json"
+    code = ("import sys; from curvejac import cli; "
+            f"rc = cli.main(['verify', {str(path)!r}, '--out', {str(out)!r}]); "
+            "print(rc, 'mpmath' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    assert run.stdout.split() == ["0", "False"]
+    field = json.loads(out.read_text())["field"]
+    assert field == ("complex" if complex_labels else "rational")
+
+
+def test_mpmath_never_imported(tmp_path, problem_a_path, curve_a_path):
+    # nor do the complex evaluation points of jacobian, or sample
     out = str(tmp_path / "out.json")
-    argvs.append(["jacobian", problem_a_path, curve_a_path, "--form", "eval",
-                  "--points=0,1,-1,2,-2,1+2i", "--out", out])
-    argvs.append(["sample", curve_a_path, "--degree", "5", "--count", "1", "--out", out])
+    argvs = [["jacobian", problem_a_path, curve_a_path, "--form", "eval",
+              "--points=0,1,-1,2,-2,1+2i", "--out", out],
+             ["sample", curve_a_path, "--degree", "5", "--count", "1", "--out", out]]
     code = ("import json, sys; from curvejac import cli; "
             "print(json.dumps([[cli.main(argv), 'mpmath' in sys.modules] "
             "for argv in json.loads(sys.argv[1])]))")
@@ -251,10 +265,7 @@ def test_mpmath_never_imported(tmp_path, fixture_b, fixture_b_nonsplit, problem_
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     run = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], capture_output=True,
                          text=True, env=env, timeout=120, check=True)
-    assert json.loads(run.stdout) == [[0, False]] * 4
-    fields = [json.loads((tmp_path / f"{fx.name}-report.json").read_text())["field"]
-              for fx in (fixture_b, fixture_b_nonsplit)]
-    assert fields == ["rational", "complex"]
+    assert json.loads(run.stdout) == [[0, False]] * 2
 
 
 def test_numpy_never_imported(tmp_path, fixture_b_nonsplit, problem_a_path, curve_a_path):
