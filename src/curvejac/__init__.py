@@ -4,9 +4,9 @@ Builds the incidence equations of parametrized rational curves lying on a
 hypersurface, their Jacobian in coefficient and evaluation form, and runs the
 block-decomposition verification for the special quintic l*q + z4*p through a
 curve on a quartic surface.  The package is what the five commands of `cli`
-(fixture, jacobian, verify, through, sample) reach; the names exported here
-are the ones they use and the library API the README documents.  All core
-arithmetic is exact over the rationals.
+(fixture, jacobian, verify, through, sample) reach; every name exported here
+is one that package code reads.  All core arithmetic is exact over the
+rationals.
 The fixture restricts l, p and q's partials to the curve once and checks
 q(c0) = 0 from them; the verification derives f0's gradient from them, so
 checks 1, 3 and 6 and check 5's root rows hold by construction.  It decides
@@ -26,7 +26,6 @@ from .construction import (
     build_special_hypersurface,
     gradient_pairing_map,
     select_special_points,
-    smooth_along_curve,
     verify_construction,
 )
 from .errors import DimensionError, InputError

@@ -121,6 +121,8 @@ def cmd_jacobian(args, out) -> int:
     incidence._check_curve(prob, curve)
     grads = incidence.restricted_gradient(prob.f, curve)
     if args.form == "coeff":
+        if args.points is not None:
+            raise InputError("--points belongs to --form eval")
         jac = incidence.jacobian_coefficient_form(prob, curve, grads)
     else:
         if not args.points:

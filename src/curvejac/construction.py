@@ -18,10 +18,12 @@ ranks (7-10) are decided, by five certified ranks (`rank_exact`) with no
 evaluation Jacobian and no kernel basis.  A rank mod p is the lower bound
 and the row count the upper bound, except in check 8, where the z0..z3
 parts of the four symmetry vectors are exact kernel witnesses of the
-pairing map; Bareiss elimination decides only where the bounds disagree.
-Check 7 ranks the rescaled lower block at the 4d rational generic points
-and is the one check retried over a redraw of those points.  Every check
-is exact in both fields: complex roots of l(c0(t)) are labels.
+pairing map (`gradient_pairing_map`); Bareiss elimination decides only
+where the bounds disagree.  `select_special_points` finds the roots once;
+the generic points are drawn only in the retry loop of check 7, which ranks
+the rescaled lower block at the 4d rational generic points and is the one
+check retried over a redraw of those points.  Every check is exact in both
+fields: complex roots of l(c0(t)) are labels.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -40,12 +42,11 @@ from .incidence import (
     _convolution_matrix,
     _evaluation_rows,
     _point_label,
-    restricted_gradient,
     symmetry_kernel_vectors,
     vanishes_on_curve,
 )
 from .linalg import MAX_D, RationalMatrix, format_rational, parse_size, rank_exact
-from .poly import MultiPoly, UniPoly, coprime, gcd_univariate, restrict_to_curve, squarefree_roots
+from .poly import MultiPoly, UniPoly, coprime, restrict_to_curve, squarefree_roots
 
 __all__ = [
     "Fixture",
@@ -55,12 +56,12 @@ __all__ = [
     "build_special_hypersurface",
     "select_special_points",
     "gradient_pairing_map",
-    "smooth_along_curve",
     "verify_construction",
     "render_matrix",
 ]
 
 MAX_POINT_ATTEMPTS = 8
+MAX_RENDER_COLS = 12
 
 
 def build_special_hypersurface(l: MultiPoly, q: MultiPoly, p: MultiPoly) -> MultiPoly:
@@ -204,20 +205,15 @@ def _generic_points(lc: UniPoly, pc: UniPoly, count: int, seed: int, attempt: in
     return tuple(points)
 
 
-def select_special_points(
-    lc: UniPoly,
-    pc: UniPoly,
-    d: int,
-    seed: int = 0,
-    attempt: int = 0,
-) -> SpecialPoints:
-    """Choose the d roots of lc = l(c0(t)) plus 4d+1 generic points.
+def select_special_points(lc: UniPoly, pc: UniPoly, d: int) -> tuple[tuple, str]:
+    """The d roots of lc = l(c0(t)) and their field, "rational" or "complex".
 
     Roots are exact (p-adic lifting, no floats) when lc splits over the
     rationals, else complex labels.  Raises ValueError unless lc has degree
     d, is squarefree and is coprime to pc = p(c0(t)), or when its complex
-    roots do not converge; generic points are small rationals avoiding the
-    zeros of lc and pc.  Together these make the corner block invertible.
+    roots do not converge.  With the generic points that `_generic_points`
+    draws, avoiding the zeros of lc and pc, these make the corner block
+    invertible.
     """
     if lc.is_zero:
         raise ValueError("l vanishes identically on the curve")
@@ -228,11 +224,7 @@ def select_special_points(
     if not coprime(lc, pc):
         raise ValueError("p not generic")
     exact_roots, numeric = squarefree_roots(lc)
-    return SpecialPoints(
-        tuple(numeric or exact_roots),
-        _generic_points(lc, pc, 4 * d + 1, seed, attempt),
-        "complex" if numeric else "rational",
-    )
+    return tuple(numeric or exact_roots), "complex" if numeric else "rational"
 
 
 def _corner_rows(pc: UniPoly, points: Sequence) -> list[list]:
@@ -248,44 +240,16 @@ def _corner_det(pc: UniPoly, points: Sequence):
     )
 
 
-def _require_on_quartic(grads: Sequence[UniPoly], c0: CurveParam):
-    if not vanishes_on_curve(grads, c0, 4):
-        raise ValueError("curve does not lie on the quartic")
-
-
 def gradient_pairing_map(grads: Sequence[UniPoly], c0: CurveParam) -> RationalMatrix:
     """Matrix of v = (v0..v3) -> sum_m (dq/dz_m)(c0(t)) * v_m(t), given the
     first four entries (or all) of grads = restricted_gradient(q, c0).
 
     This is the coefficient Jacobian of q at c0 without the z4 columns:
-    shape (4d+1) x (4d+4); the kernel consists of the first-order
-    deformations of the curve inside the affine cone over the quartic.
-    Requires the curve to lie on the quartic.
+    shape (4d+1) x (4d+4); when the curve lies on the quartic, the kernel
+    consists of the first-order deformations of the curve inside the affine
+    cone over the quartic.
     """
-    _require_on_quartic(grads, c0)
     return _convolution_matrix(grads[:4], c0.d, 4 * c0.d + 1)
-
-
-def smooth_along_curve(q: MultiPoly, c0: CurveParam) -> bool:
-    """Necessary smoothness of the quartic along the curve's image.
-
-    True iff the four gradient restrictions (dq/dz_m)(c0(t)) have constant
-    gcd and do not all drop below degree 3d (no common zero at the point at
-    infinity of the degree-3d homogenizations).  This is along-curve only; it
-    says nothing about smoothness away from the curve.
-    """
-    grads = restricted_gradient(q, c0)
-    _require_on_quartic(grads, c0)
-    grads = grads[:4]
-    nonzero = [g for g in grads if not g.is_zero]
-    if not nonzero:
-        return False
-    g = nonzero[0]
-    for other in nonzero[1:]:
-        g = gcd_univariate(g, other)
-    if g.degree > 0:
-        return False
-    return max(gr.degree for gr in grads) == 3 * c0.d
 
 
 @dataclass(frozen=True)
@@ -354,13 +318,13 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def render_matrix(rows: Sequence[Sequence], label=format_rational,
-                  max_cols: int = 12) -> list[list[str]]:
-    """Entries as strings, truncating wide matrices with an elision marker."""
+def render_matrix(rows: Sequence[Sequence], label=format_rational) -> list[list[str]]:
+    """Entries as strings, truncating matrices wider than MAX_RENDER_COLS
+    with an elision marker."""
     out = [[label(x) for x in row] for row in rows]
     cols = len(out[0])
-    if cols > max_cols:
-        keep = max_cols - 1
+    if cols > MAX_RENDER_COLS:
+        keep = MAX_RENDER_COLS - 1
         out = [r[:keep] + [f"... ({cols - keep} more)"] for r in out]
     return out
 
@@ -395,18 +359,19 @@ def verify_construction(fixture: Fixture, seed: int = 0) -> VerificationReport:
     grad_f0 = [lc * g for g in grad_q] + [pc]
     record(1, "special quintic vanishes on the curve", True, {"f0_on_curve": "0"})
     try:
-        selected, error = select_special_points(lc, pc, d, seed, 0), None
+        roots, root_field = select_special_points(lc, pc, d)
+        error = None
     except ValueError as exc:
         # All-generic points keep the rest of the chain running; the
         # root-row census then has nothing to check.
-        selected, error = SpecialPoints((), (), "rational"), str(exc)
+        roots, root_field, error = (), "rational", str(exc)
 
     # (7) is the one check a fresh draw of generic points can repair: the
     # rescaled lower block, rows (dq/dz_m)(c0(t_s)) * t_s**i at the last 4d
     # points, needs full row rank 4d; rows where lc vanishes are flagged.
     for attempt in range(MAX_POINT_ATTEMPTS):
-        pts = replace(selected, generic_points=_generic_points(
-            lc, pc, 5 * d + 1 - len(selected.root_points), seed, attempt))
+        pts = SpecialPoints(roots, _generic_points(lc, pc, 5 * d + 1 - len(roots), seed, attempt),
+                            root_field)
         lower = pts.all_points[d + 1 :]
         flagged = [s for s, t in enumerate(lower) if lc.evaluate(t) == 0]
         rank0 = None if flagged else rank_exact(
@@ -465,7 +430,7 @@ def verify_construction(fixture: Fixture, seed: int = 0) -> VerificationReport:
     # z0..z3 parts are kernel witnesses: rank_exact checks them exactly and
     # then bounds the rank by 4d.
     sym = symmetry_kernel_vectors(c0)
-    pairing = _convolution_matrix(grad_q, d, 4 * d + 1)
+    pairing = gradient_pairing_map(grad_q, c0)
     rank_q = rank_exact(pairing, [v[: pairing.cols] for v in sym])
     record(8, "gradient pairing kernel is four-dimensional", pairing.cols - rank_q == 4,
            {"rank": rank_q, "kernel_dim": pairing.cols - rank_q})

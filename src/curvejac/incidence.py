@@ -74,13 +74,6 @@ class CurveParam:
                     f"component {m} has degree {comp.degree} > bound {self.d}"
                 )
 
-    @property
-    def dim_m(self) -> int:
-        return (self.n + 1) * (self.d + 1)
-
-    def evaluate(self, t) -> tuple:
-        return tuple(comp.evaluate(t) for comp in self.components)
-
     def to_obj(self) -> dict:
         return {
             "n": self.n,
@@ -163,7 +156,7 @@ class MembershipReport:
 
 @dataclass(frozen=True, eq=False)
 class JacobianMatrix:
-    """Jacobian of the incidence equations at a basepoint curve.
+    """Jacobian of the incidence equations at a curve.
 
     form is "coefficient" (rows = powers of t) or "evaluation" (rows = chosen
     points); the matrix is rational unless evaluation points are irrational.
@@ -171,7 +164,6 @@ class JacobianMatrix:
 
     matrix: RationalMatrix | ComplexMatrix
     form: str
-    basepoint: CurveParam
     points: tuple | None = None
 
     @property
@@ -285,7 +277,7 @@ def jacobian_coefficient_form(
         row_labels=[f"k{j}" for j in range(nrows)],
         col_labels=theta_labels(prob.n, prob.d),
     )
-    return JacobianMatrix(matrix, "coefficient", c)
+    return JacobianMatrix(matrix, "coefficient")
 
 
 def jacobian_evaluation_form(
@@ -325,7 +317,7 @@ def jacobian_evaluation_form(
         )
     else:
         matrix = ComplexMatrix.from_rows(rows)
-    return JacobianMatrix(matrix, "evaluation", c, tuple(pts))
+    return JacobianMatrix(matrix, "evaluation", tuple(pts))
 
 
 def symmetry_kernel_vectors(c: CurveParam) -> list[tuple[Fraction, ...]]:

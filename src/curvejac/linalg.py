@@ -203,22 +203,6 @@ class RationalMatrix:
             ],
         }
 
-    @classmethod
-    def from_obj(cls, obj) -> "RationalMatrix":
-        try:
-            rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"matrix object must carry rows/cols/entries: {exc}") from exc
-        rows, cols = parse_int(rows, "rows"), parse_int(cols, "cols")
-        if len(parse_list(entries, "entries")) != rows:
-            raise InputError(f"matrix declares {rows} rows but entries has {len(entries)}")
-        parsed = []
-        for i, r in enumerate(entries):
-            if len(parse_list(r, f"entries[{i}]")) != cols:
-                raise InputError(f"entries[{i}] has {len(r)} values, expected {cols}")
-            parsed.append([parse_rational(x) for x in r])
-        return cls.from_rows(parsed)
-
 
 @dataclass(frozen=True)
 class ComplexMatrix:

@@ -148,17 +148,12 @@ class UniPoly:
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + (-other)
 
-    def __mul__(self, other):
-        """The product with a UniPoly, as integers over the product of the
-        two denominators (`_int_mul`); any other factor scales."""
-        if isinstance(other, UniPoly):
-            (da, a), (db, b) = _scaled(self.coeffs), _scaled(other.coeffs)
-            den = da * db
-            return UniPoly(tuple(Fraction(x, den) for x in _int_mul(a, b)))
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+    def __mul__(self, other: "UniPoly") -> "UniPoly":
+        """The product, as integers over the product of the two
+        denominators (`_int_mul`); `scale` multiplies by a number."""
+        (da, a), (db, b) = _scaled(self.coeffs), _scaled(other.coeffs)
+        den = da * db
+        return UniPoly(tuple(Fraction(x, den) for x in _int_mul(a, b)))
 
     def scale(self, s) -> "UniPoly":
         s = Fraction(s)
@@ -215,21 +210,6 @@ class UniPoly:
         except (KeyError, TypeError) as exc:
             raise InputError("univariate polynomial object needs 'coeffs'") from exc
         return cls.from_coeffs(parse_rational(c) for c in parse_list(coeffs, "coeffs"))
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(format_rational(c))
-            elif i == 1:
-                parts.append(f"{format_rational(c)}*t")
-            else:
-                parts.append(f"{format_rational(c)}*t^{i}")
-        return " + ".join(parts)
 
 
 def gcd_univariate(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -370,15 +350,7 @@ class MultiPoly:
             out[e] = out.get(e, Fraction(0)) + c
         return MultiPoly(self.num_vars, out)
 
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.num_vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, MultiPoly):
-            return self.scale(other)
+    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_same_ring(other)
         out: dict[tuple[int, ...], Fraction] = {}
         for ea, ca in self.terms.items():
@@ -386,9 +358,6 @@ class MultiPoly:
                 e = tuple(x + y for x, y in zip(ea, eb))
                 out[e] = out.get(e, Fraction(0)) + ca * cb
         return MultiPoly(self.num_vars, out)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def scale(self, s) -> "MultiPoly":
         s = Fraction(s)
@@ -404,18 +373,6 @@ class MultiPoly:
                 e2[m] -= 1
                 out[tuple(e2)] = c * e[m]
         return MultiPoly(self.num_vars, out)
-
-    def evaluate(self, values: Sequence):
-        if len(values) != self.num_vars:
-            raise DimensionError("one value per variable required")
-        acc = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for v, k in zip(values, e):
-                for _ in range(k):
-                    term = term * v
-            acc = acc + term
-        return acc
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
@@ -466,22 +423,6 @@ class MultiPoly:
                 f"declared homogeneous degree {declared} does not match terms"
             )
         return poly
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for e, c in self.sorted_terms():
-            mono = "*".join(
-                f"z{m}" if k == 1 else f"z{m}^{k}" for m, k in enumerate(e) if k
-            )
-            if not mono:
-                parts.append(format_rational(c))
-            elif c == 1:
-                parts.append(mono)
-            else:
-                parts.append(f"{format_rational(c)}*{mono}")
-        return " + ".join(parts)
 
 
 def _curve_monomials(components: Sequence[UniPoly]):

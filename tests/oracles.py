@@ -6,11 +6,13 @@ schoolbook convolution over Fractions for polynomial products, exact Newton
 interpolation for first-order Taylor extraction, Vandermonde matrices,
 matrix products and cofactor determinants from their definitions, block
 slicing, reassembly and closed forms by list arithmetic, an exhaustive
-smoothness search over a prime field, rational roots from sympy's
-factorization over Q, and complex root labels from mpmath's `polyroots`.
+smoothness search over a prime field, smoothness along a curve from sympy's
+gcd, rational roots from sympy's factorization over Q, and complex root
+labels from mpmath's `polyroots`.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import mpmath
@@ -222,13 +224,31 @@ def _fraction(x) -> Fraction:
     return Fraction(int(x.p), int(x.q))
 
 
+def _sympy_poly(coeffs, t):
+    """sum coeffs[i] t^i as a sympy polynomial over Q."""
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
+                      t, domain="QQ")
+
+
+def smooth_along_curve(q, c0):
+    """Necessary smoothness of the quartic q along the curve c0: the partials
+    (dq/dz_m)(c0(t)), m < 4, have a constant gcd over Q (sympy's) and do not
+    all drop below degree 3d, so they have no common zero at t = infinity."""
+    t = sympy.Symbol("t")
+    grads = [naive_compose({e[:m] + (e[m] - 1,) + e[m + 1 :]: c * e[m]
+                            for e, c in q.terms.items() if e[m]},
+                           [c.coeffs for c in c0.components]) for m in range(4)]
+    nonzero = [_sympy_poly(g, t) for g in grads if g]
+    return (bool(nonzero) and reduce(sympy.Poly.gcd, nonzero).degree() == 0
+            and max(map(len, grads)) - 1 == 3 * c0.d)
+
+
 def sympy_rational_roots(coeffs):
     """Rational roots with multiplicity, sorted, and the cofactor's
     coefficients (constant term first), from the linear factors of sympy's
     factorization over Q of sum coeffs[i] t^i."""
     t = sympy.Symbol("t")
-    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
-                      t, domain="QQ")
+    poly = _sympy_poly(coeffs, t)
     roots, linear = [], sympy.Poly(1, t, domain="QQ")
     for factor, mult in poly.factor_list()[1]:
         if factor.degree() == 1:

@@ -13,7 +13,7 @@ import time
 from fractions import Fraction as F
 
 from curvejac import cli
-from curvejac.construction import gradient_pairing_map, select_special_points
+from curvejac.construction import _generic_points, gradient_pairing_map, select_special_points
 from curvejac.incidence import (
     IncidenceProblem,
     jacobian_coefficient_form,
@@ -139,9 +139,10 @@ def test_criterion_5_vandermonde_identity(fixture_a, fixture_b, fixture_b_nonspl
         fx = fixture_b_nonsplit
         lc = on_curve(fx.l, fx.c0)
         pc = on_curve(fx.p, fx.c0)
-        pts = select_special_points(lc, pc, fx.d, seed=0)
-        assert pts.field == "complex"
-        j_eval = jacobian_evaluation_form(fx.problem, fx.c0, pts.all_points)
+        roots, field = select_special_points(lc, pc, fx.d)
+        assert field == "complex"
+        points = roots + _generic_points(lc, pc, 4 * fx.d + 1, 0, 0)
+        j_eval = jacobian_evaluation_form(fx.problem, fx.c0, points)
         exact_rank = rank_exact(jacobian_coefficient_form(fx.problem, fx.c0).matrix)
         assert rank_numeric(j_eval.matrix, 1e-8) == exact_rank == 11
 

@@ -156,6 +156,16 @@ class TestJacobianCommand:
         assert rc == 2
         assert "distinct" in err
 
+    def test_points_belong_to_eval_form(self, problem_a_path, curve_a_path):
+        # points given to the coefficient form would be ignored yet echoed in config
+        for options in (["--points=0,1"], ["--form", "coeff", "--points", ""],
+                        ["--form", "eval"]):
+            rc, out, err = run_cli(["jacobian", problem_a_path, curve_a_path, *options])
+            assert rc == 2, options
+            assert out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("input error:"), err
+            assert "--form eval" in err and "--points" in err
+
 
 class TestVerifyCommand:
     def test_structural_error_exits_2(self, tmp_path, fixture_a):

@@ -9,11 +9,11 @@ from curvejac import cli, poly
 from curvejac.construction import (
     MAX_POINT_ATTEMPTS,
     Fixture,
+    _generic_points,
     build_special_hypersurface,
     gradient_pairing_map,
     render_matrix,
     select_special_points,
-    smooth_along_curve,
     verify_construction,
 )
 from curvejac.errors import InputError
@@ -38,8 +38,14 @@ def on_curve(poly, c0):
     return restrict_to_curve([poly], c0.components)[0]
 
 
-def special_points(c0, l, p, **kwargs):
-    return select_special_points(on_curve(l, c0), on_curve(p, c0), c0.d, **kwargs)
+def special_points(c0, l, p):
+    return select_special_points(on_curve(l, c0), on_curve(p, c0), c0.d)
+
+
+def generic_points(fix, attempt=0):
+    """The 4d+1 generic points of a successful selection at seed 0."""
+    lc, pc = on_curve(fix.l, fix.c0), on_curve(fix.p, fix.c0)
+    return _generic_points(lc, pc, 4 * fix.d + 1, 0, attempt)
 
 
 def small_p(fix):
@@ -97,24 +103,25 @@ class TestBuildSpecialHypersurface:
 
 class TestSelectSpecialPoints:
     def test_fixture_a(self, fixture_a):
-        pts = special_points(fixture_a.c0, fixture_a.l, fixture_a.p)
-        assert pts.field == "rational"
-        assert pts.root_points == (F(-1, 2),)
-        assert len(pts.generic_points) == 5
+        roots, field = special_points(fixture_a.c0, fixture_a.l, fixture_a.p)
+        assert field == "rational"
+        assert roots == (F(-1, 2),)
+        assert len(generic_points(fixture_a)) == 5
         pc = on_curve(fixture_a.p, fixture_a.c0)
         assert pc.evaluate(F(-1, 2)) == F(17, 16)
 
     def test_fixture_b(self, fixture_b):
-        pts = special_points(fixture_b.c0, fixture_b.l, fixture_b.p)
-        assert pts.root_points == (F(-1), F(1))
-        assert len(pts.all_points) == 11
-        assert len(set(pts.all_points)) == 11
+        roots, _ = special_points(fixture_b.c0, fixture_b.l, fixture_b.p)
+        assert roots == (F(-1), F(1))
+        points = roots + generic_points(fixture_b)
+        assert len(points) == 11
+        assert len(set(points)) == 11
 
     def test_nonsplit_goes_complex(self, fixture_b_nonsplit):
         fx = fixture_b_nonsplit
-        pts = special_points(fx.c0, fx.l, fx.p)
-        assert pts.field == "complex"
-        assert [round(z.imag) for z in pts.root_points] == [-1, 1]
+        roots, field = special_points(fx.c0, fx.l, fx.p)
+        assert field == "complex"
+        assert [round(z.imag) for z in roots] == [-1, 1]
 
     def test_nonsplit_roots_computed_once(self, fixture_a, fixture_b, fixture_b_nonsplit,
                                           monkeypatch):
@@ -164,10 +171,11 @@ class TestSelectSpecialPoints:
             raise AssertionError("Euclid over Q ran")
 
         monkeypatch.setattr("curvejac.poly.gcd_univariate", refuse)
-        pts = select_special_points(lc, UniPoly.of(1, 0, 1), 32)
-        assert pts.field == "rational"
-        assert pts.root_points == tuple(F(k, k + 1) for k in range(1, 33))
-        assert len(pts.generic_points) == 129
+        pc = UniPoly.of(1, 0, 1)
+        roots, field = select_special_points(lc, pc, 32)
+        assert field == "rational"
+        assert roots == tuple(F(k, k + 1) for k in range(1, 33))
+        assert len(_generic_points(lc, pc, 129, 0, 0)) == 129
 
     def test_repeated_root_rejected(self, fixture_a):
         # l restricting to (1 + 2t)^2 on the line: 1 + 4t + 4t^2 needs d >= 2,
@@ -191,11 +199,18 @@ class TestSelectSpecialPoints:
             special_points(fixture_b.c0, l, fixture_b.p)
 
     def test_seeded_retry_draws_differ(self, fixture_a):
-        p0 = special_points(fixture_a.c0, fixture_a.l, fixture_a.p, seed=0, attempt=1)
-        p1 = special_points(fixture_a.c0, fixture_a.l, fixture_a.p, seed=0, attempt=2)
-        assert p0.generic_points != p1.generic_points
-        again = special_points(fixture_a.c0, fixture_a.l, fixture_a.p, seed=0, attempt=1)
-        assert p0.generic_points == again.generic_points
+        p0 = generic_points(fixture_a, attempt=1)
+        p1 = generic_points(fixture_a, attempt=2)
+        assert p0 != p1
+        assert p0 == generic_points(fixture_a, attempt=1)
+
+    def test_one_draw_per_attempt(self, fixture_a, monkeypatch):
+        # the retry loop of check 7 is the one place generic points are drawn
+        draws = []
+        monkeypatch.setattr("curvejac.construction._generic_points",
+                            lambda *args: draws.append(args[-1]) or _generic_points(*args))
+        assert verify_construction(fixture_a, seed=0).attempts == 1
+        assert draws == [0]
 
 
 def shape(rows):
@@ -341,28 +356,23 @@ class TestGradientPairing:
                 restricted = v[: 4 * (d + 1)]
                 assert all(x == 0 for x in m.matvec(restricted))
 
-    def test_rejects_curve_off_quartic(self, fixture_a):
-        line = fixture_a.c0
-        q = MultiPoly.monomial((4, 0, 0, 0, 0))  # z0^4 does not vanish on the line
-        with pytest.raises(ValueError):
-            gradient_pairing_map(restricted_gradient(q, line), line)
-
 
 class TestSmoothAlongCurve:
+    # fixtures.fixture_b claims its quartic is smooth along the conic
     def test_fixtures_smooth(self, fixture_a, fixture_b):
-        assert smooth_along_curve(fixture_a.q, fixture_a.c0)
-        assert smooth_along_curve(fixture_b.q, fixture_b.c0)
+        assert oracles.smooth_along_curve(fixture_a.q, fixture_a.c0)
+        assert oracles.smooth_along_curve(fixture_b.q, fixture_b.c0)
 
     def test_non_reduced_fails(self, fixture_a):
         # z2^2 * (z0^2 + z1^2): gradient vanishes identically along the line
         q = MultiPoly(5, {(2, 0, 2, 0, 0): 1, (0, 2, 2, 0, 0): 1})
-        assert not smooth_along_curve(q, fixture_a.c0)
+        assert not oracles.smooth_along_curve(q, fixture_a.c0)
 
     def test_common_factor_fails(self, fixture_a):
         # q = z1^3 z2: the only gradient entry surviving on the line is
         # (dq/dz2)(c0(t)) = t^3, so the gcd is nonconstant
         q = MultiPoly(5, {(0, 3, 1, 0, 0): 1})
-        assert not smooth_along_curve(q, fixture_a.c0)
+        assert not oracles.smooth_along_curve(q, fixture_a.c0)
 
 
 class TestVerifyConstruction:
@@ -555,7 +565,8 @@ class TestFixtureBundle:
         # verify then exited 3 on a matrix with zero rows
         obj = fixture_a.to_obj()
         obj["d"] = obj["c0"]["d"] = 0
-        obj["c0"]["components"] = [UniPoly.of(x).to_obj() for x in fixture_a.c0.evaluate(F(0))]
+        obj["c0"]["components"] = [UniPoly.of(c.evaluate(F(0))).to_obj()
+                                   for c in fixture_a.c0.components]
         path = tmp_path / "fixture-d0.json"
         path.write_text(json.dumps(obj))
         with pytest.raises(InputError, match="at least 1"):
@@ -577,7 +588,7 @@ class TestFiniteFieldSmoothnessOracle:
 
 def test_render_matrix_elides_wide_matrices():
     wide = RationalMatrix.from_rows([[F(i) for i in range(15)]])
-    rows = render_matrix(wide.to_rows(), max_cols=12)
+    rows = render_matrix(wide.to_rows())
     assert len(rows[0]) == 12
     assert rows[0][-1] == "... (4 more)"
     narrow = RationalMatrix.from_rows([[F(1, 2), F(3)]])
