@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import DimensionError, InputError
@@ -32,6 +33,7 @@ from .linalg import (
 from .poly import (
     MultiPoly,
     UniPoly,
+    _curve_monomials,
     gcd_univariate,
     monomial_basis,
     restrict_to_curve,
@@ -50,7 +52,6 @@ __all__ = [
     "symmetry_kernel_vectors",
     "quintics_through_curve",
     "random_member",
-    "poly_from_vector",
     "theta_labels",
 ]
 
@@ -260,18 +261,17 @@ def _evaluation_rows(grads: Sequence[UniPoly], d: int, points: Sequence) -> list
 
 
 def jacobian_coefficient_form(
-    prob: IncidenceProblem, c: CurveParam, grads: Sequence[UniPoly] | None = None
+    prob: IncidenceProblem, c: CurveParam, grads: Sequence[UniPoly]
 ) -> JacobianMatrix:
     """Exact Jacobian with rows indexed by the coefficient equations.
 
     Entry (row j, column (m, i)) is the t**j coefficient of
-    (df/dz_m)(c(t)) * t**i; `grads` is restricted_gradient(prob.f, c) when
-    the caller already has it.
+    (df/dz_m)(c(t)) * t**i, given grads = restricted_gradient(prob.f, c).
     """
     _check_curve(prob, c)
     nrows = prob.num_equations
     matrix = _convolution_matrix(
-        restricted_gradient(prob.f, c) if grads is None else grads,
+        grads,
         prob.d,
         nrows,
         row_labels=[f"k{j}" for j in range(nrows)],
@@ -284,14 +284,14 @@ def jacobian_evaluation_form(
     prob: IncidenceProblem,
     c: CurveParam,
     points: Sequence,
-    grads: Sequence[UniPoly] | None = None,
+    grads: Sequence[UniPoly],
 ) -> JacobianMatrix:
     """Jacobian with rows indexed by evaluation points.
 
-    Entry (row s, column (m, i)) is (df/dz_m)(c(t_s)) * t_s**i.  On rational
-    points this is exactly V times the coefficient form, V the Vandermonde
-    matrix with entry (s, j) = t_s**j.
-    `grads` is restricted_gradient(prob.f, c) when the caller already has it.
+    Entry (row s, column (m, i)) is (df/dz_m)(c(t_s)) * t_s**i, given
+    grads = restricted_gradient(prob.f, c).  On rational points this is
+    exactly V times the coefficient form, V the Vandermonde matrix with
+    entry (s, j) = t_s**j.
     """
     _check_curve(prob, c)
     points = list(points)
@@ -300,8 +300,6 @@ def jacobian_evaluation_form(
             f"need exactly {prob.num_equations} evaluation points, got {len(points)}"
         )
     exact = all(isinstance(t, Fraction) for t in points)
-    if grads is None:
-        grads = restricted_gradient(prob.f, c)
     try:
         pts = [Fraction(t) if exact else complex(t) for t in points]
         if len(set(pts)) != len(pts):
@@ -350,27 +348,23 @@ def quintics_through_curve(n: int, e: int, c: CurveParam) -> KernelBasis:
 
     Builds the (e*d+1) x C(n+e, e) matrix of the linear map sending a form to
     the coefficients of its restriction to the curve, and returns the exact
-    kernel.  Basis columns follow monomial_basis(n+1, e) order.
+    kernel.  Basis columns follow monomial_basis(n+1, e) order.  The matrix
+    is in integers: column j is the entry (den_j, ints_j) of the table of
+    restricted monomials (`_curve_monomials`) scaled to L = lcm(den_j), and
+    each row is divided by its gcd, which changes neither the kernel nor the
+    pivot columns, so neither the basis.
     """
     if c.n != n:
         raise DimensionError(f"curve has n={c.n}, expected {n}")
-    cols = restrict_to_curve(
-        [MultiPoly.monomial(mono) for mono in monomial_basis(n + 1, e)], c.components
-    )
-    matrix = RationalMatrix.from_rows(
-        [[col.coefficient(j) for col in cols] for j in range(e * c.d + 1)]
-    )
-    return kernel_exact(matrix)
-
-
-def poly_from_vector(vec: Sequence[Fraction], num_vars: int, degree: int) -> MultiPoly:
-    """Interpret a coefficient vector over monomial_basis(num_vars, degree)."""
-    mons = monomial_basis(num_vars, degree)
-    if len(vec) != len(mons):
-        raise DimensionError(
-            f"vector length {len(vec)} does not match {len(mons)} monomials"
-        )
-    return MultiPoly(num_vars, {m: x for m, x in zip(mons, vec) if x != 0})
+    restrict = _curve_monomials(c.components)
+    cols = [restrict(mono) for mono in monomial_basis(n + 1, e)]
+    big, nrows = lcm(*(den for den, _ in cols)), e * c.d + 1
+    cols = [[x * (big // den) for x in xs] + [0] * (nrows - len(xs)) for den, xs in cols]
+    entries = []
+    for row in zip(*cols):
+        g = gcd(*row) or 1
+        entries.extend(x // g for x in row)
+    return kernel_exact(RationalMatrix(nrows, len(cols), tuple(entries)))
 
 
 def random_member(
@@ -381,7 +375,9 @@ def random_member(
     The monomial context (num_vars, degree) is passed explicitly because the
     bare kernel basis does not determine it.  Coefficients are drawn uniformly
     from [-9, 9], redrawing the all-zero pull, so the result is nonzero and
-    reproducible for a fixed seed.
+    reproducible for a fixed seed.  The combination is summed in integers
+    over the lcm of the denominators of the vectors it uses, one multiply-add
+    per nonzero basis entry, and each nonzero sum becomes one Fraction.
     """
     if basis.dim == 0:
         raise ValueError("cannot sample from an empty basis")
@@ -396,10 +392,11 @@ def random_member(
         coefs = [rng.randint(-9, 9) for _ in range(basis.dim)]
         if any(coefs):
             break
-    vec = [Fraction(0)] * basis.ambient_dim
-    for coef, bvec in zip(coefs, basis.vectors):
-        if coef:
-            for i, x in enumerate(bvec):
-                if x:
-                    vec[i] += coef * x
-    return poly_from_vector(vec, num_vars, degree)
+    used = [(coef, den, terms) for coef, (den, terms) in zip(coefs, basis.vectors) if coef]
+    big = lcm(*(den for _, den, _ in used))
+    acc = [0] * basis.ambient_dim
+    for coef, den, terms in used:
+        w = coef * (big // den)
+        for j, x in terms:
+            acc[j] += w * x
+    return MultiPoly._of_clean(num_vars, {m: Fraction(a, big) for m, a in zip(mons, acc) if a})

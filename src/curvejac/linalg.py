@@ -1,8 +1,8 @@
 """Exact rational linear algebra plus a floating complex companion path.
 
-All matrices here are small and dense.  Rational entries are plain
-`fractions.Fraction` values (always lowest terms, positive denominator), so
-every exact operation is exact end to end.
+All matrices here are small and dense.  Rational entries are Python ints or
+`fractions.Fraction` values (lowest terms, positive denominator), so every
+exact operation is exact end to end.
 
 `rank_exact` proves a rank from both sides.  Modulo a prime p that divides
 no denominator, the rank of the reduced matrix (entries num * den**-1 mod p)
@@ -16,9 +16,9 @@ The kernel and the rank's fallback go through a single fraction-free
 elimination: each row is scaled to integers and pivoting follows Bareiss'
 scheme, which keeps intermediate entries as minors of the input instead of
 letting numerators explode.  The kernel's back-substitution is in integers
-too, each basis vector's numerators over one running denominator, and
-touches only the entries that can be nonzero: a basis vector's free column
-and the pivot columns already solved.
+too, each basis vector's numerators over one running denominator, touches
+only the entries that can be nonzero (its free column and the pivot columns
+already solved), and the basis keeps just those integers (`KernelBasis`).
 
 The complex path (`ComplexMatrix`, `rank_numeric`) serves only the
 evaluation-form Jacobian at user-given points that are not rational
@@ -136,7 +136,7 @@ class RationalMatrix:
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    entries: tuple[Fraction | int, ...]
     row_labels: tuple[str, ...] | None = None
     col_labels: tuple[str, ...] | None = None
 
@@ -232,27 +232,32 @@ class ComplexMatrix:
 
 @dataclass(frozen=True)
 class KernelBasis:
-    """Basis of a right null space; vectors are nonzero and independent."""
+    """Basis of a right null space; vectors are nonzero and independent.
+
+    Each vector is sparse and in integers, a pair (den, terms): den > 0 and
+    terms the (column, numerator) pairs of its nonzero entries in column
+    order, entry j being numerator / den.  The first numerator is den, so
+    the vector's first nonzero entry is 1.
+    """
 
     ambient_dim: int
-    vectors: tuple[tuple[Fraction, ...], ...]
+    vectors: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
     def __post_init__(self):
-        for v in self.vectors:
-            if len(v) != self.ambient_dim:
-                raise DimensionError("kernel vector has wrong length")
-            if all(x == 0 for x in v):
-                raise ValueError("kernel basis may not contain the zero vector")
+        for _, terms in self.vectors:
+            if not terms or not 0 <= terms[0][0] <= terms[-1][0] < self.ambient_dim:
+                raise ValueError("kernel vectors must be nonzero, their columns in range")
 
     @property
     def dim(self) -> int:
         return len(self.vectors)
 
     def to_obj(self) -> dict:
-        return {
-            "ambient_dim": self.ambient_dim,
-            "vectors": [[format_rational(x) for x in v] for v in self.vectors],
-        }
+        vectors = [["0"] * self.ambient_dim for _ in self.vectors]
+        for v, (den, terms) in zip(vectors, self.vectors):
+            for j, x in terms:
+                v[j] = format_rational(Fraction(x, den))
+        return {"ambient_dim": self.ambient_dim, "vectors": vectors}
 
 
 def _cleared_int_rows(m: RationalMatrix) -> list[list[int]]:
@@ -362,7 +367,8 @@ def rank_exact(m: RationalMatrix, witnesses: Sequence[Sequence[Fraction]] = ()) 
 
 
 def kernel_exact(m: RationalMatrix) -> KernelBasis:
-    """Exact basis of the right null space.
+    """Exact basis of the right null space, each vector sparse in integers
+    (`KernelBasis`).
 
     Each basis vector is scaled so that its first nonzero entry is 1; vectors
     are ordered by their free column, so output is reproducible.  The vector
@@ -372,8 +378,9 @@ def kernel_exact(m: RationalMatrix) -> KernelBasis:
     denominator.  A row sums only over fc and those entries; the new entry
     is -sum / pivot, so with g = gcd(sum, pivot) the denominator takes the
     factor pivot / g, which multiplies the numerators already solved, and
-    the new numerator is -sum / g.  A Fraction is built only for each
-    nonzero entry at the end, its numerator over the lead's.
+    the new numerator is -sum / g.  At the end the numerators, divided by
+    their gcd and signed so that the first is positive, are the vector over
+    its first one.
     """
     ech, piv_cols = _bareiss_echelon(_cleared_int_rows(m))
     piv_set = set(piv_cols)
@@ -389,11 +396,9 @@ def kernel_exact(m: RationalMatrix) -> KernelBasis:
                 if q != 1:
                     solved = [(j, x * q) for j, x in solved]
                 solved.append((pc, -s // g))
-        lead = min(solved)[1]
-        v = [Fraction(0)] * m.cols
-        for j, x in solved:
-            v[j] = Fraction(x, lead)
-        vectors.append(tuple(v))
+        solved.sort()
+        g = gcd(*(x for _, x in solved)) * (1 if solved[0][1] > 0 else -1)
+        vectors.append((solved[0][1] // g, tuple((j, x // g) for j, x in solved)))
     return KernelBasis(m.cols, tuple(vectors))
 
 

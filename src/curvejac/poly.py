@@ -318,6 +318,14 @@ class MultiPoly:
         self.terms = clean
 
     @classmethod
+    def _of_clean(cls, num_vars: int, terms: dict) -> "MultiPoly":
+        """A polynomial whose terms are already what __init__ makes them:
+        exponent tuples of num_vars ints >= 0 to nonzero Fractions."""
+        poly = object.__new__(cls)
+        poly.num_vars, poly.terms = num_vars, terms
+        return poly
+
+    @classmethod
     def zero(cls, num_vars: int) -> "MultiPoly":
         return cls(num_vars, {})
 
@@ -369,10 +377,8 @@ class MultiPoly:
         out: dict[tuple[int, ...], Fraction] = {}
         for e, c in self.terms.items():
             if e[m] > 0:
-                e2 = list(e)
-                e2[m] -= 1
-                out[tuple(e2)] = c * e[m]
-        return MultiPoly(self.num_vars, out)
+                out[e[:m] + (e[m] - 1,) + e[m + 1 :]] = c * e[m]
+        return MultiPoly._of_clean(self.num_vars, out)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)

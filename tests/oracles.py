@@ -2,6 +2,7 @@
 
 Everything here is deliberately naive and separate from the package's code
 paths: plain Gauss-Jordan over Fractions (no fraction-free tricks),
+kernel vectors and sampled members as dense vectors of Fractions,
 schoolbook convolution over Fractions for polynomial products, exact Newton
 interpolation for first-order Taylor extraction, Vandermonde matrices,
 matrix products and cofactor determinants from their definitions, block
@@ -11,6 +12,7 @@ gcd, rational roots from sympy's factorization over Q, and complex root
 labels from mpmath's `polyroots`.
 """
 
+import random
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -51,6 +53,36 @@ def rref_rank_kernel(rows, ncols):
 
 def rref_rank(rows, ncols):
     return rref_rank_kernel(rows, ncols)[0]
+
+
+def dense_kernel(basis):
+    """A `KernelBasis` as the tuple of its vectors, each a dense tuple of
+    Fractions: entry j of a vector (den, terms) is numerator / den for the
+    pair (j, numerator) of its terms, and 0 for a column not among them."""
+    vectors = []
+    for den, terms in basis.vectors:
+        v = [Fraction(0)] * basis.ambient_dim
+        for j, x in terms:
+            v[j] = Fraction(x, den)
+        vectors.append(tuple(v))
+    return tuple(vectors)
+
+
+def dense_random_member(vectors, seed, monomials):
+    """The terms {monomial: coefficient} of the member `random_member` draws
+    from the dense basis vectors (`dense_kernel`) over monomials, summed as
+    Fractions entry by entry: the seeded coefficients in [-9, 9], redrawn
+    while all are zero, times the vectors."""
+    rng = random.Random(seed)
+    while True:
+        coefs = [rng.randint(-9, 9) for _ in vectors]
+        if any(coefs):
+            break
+    vec = [Fraction(0)] * len(monomials)
+    for coef, v in zip(coefs, vectors):
+        for i, x in enumerate(v):
+            vec[i] += coef * x
+    return {m: x for m, x in zip(monomials, vec) if x}
 
 
 def schoolbook_mul(a, b):

@@ -56,7 +56,8 @@ def run_cli(argv):
 def test_criterion_1_fixture_a_rank_and_kernel(fixture_a, jacobian_command):
     with criterion(1, "fixture A: rank 6, tangent dim 4, kernel = symmetry span"):
         start = time.perf_counter()
-        jac = jacobian_coefficient_form(fixture_a.problem, fixture_a.c0)
+        grads = restricted_gradient(fixture_a.problem.f, fixture_a.c0)
+        jac = jacobian_coefficient_form(fixture_a.problem, fixture_a.c0, grads)
         assert rank_exact(jac.matrix) == 6 == 5 * fixture_a.d + 1
         out = jacobian_command(fixture_a.problem, fixture_a.c0)
         assert (out["rank"], out["tangent_dim"], out["formal"]) == (6, 4, False)
@@ -67,7 +68,7 @@ def test_criterion_1_fixture_a_rank_and_kernel(fixture_a, jacobian_command):
         assert rank_exact(RationalMatrix.from_rows(sym)) == 4
         for v in sym:
             assert all(x == 0 for x in jac.matrix.matvec(v))
-        stack = RationalMatrix.from_rows([list(v) for v in kernel.vectors] + sym)
+        stack = RationalMatrix.from_rows([list(v) for v in oracles.dense_kernel(kernel)] + sym)
         assert rank_exact(stack) == 4
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"took {elapsed:.2f}s, limit 1s"
@@ -76,7 +77,8 @@ def test_criterion_1_fixture_a_rank_and_kernel(fixture_a, jacobian_command):
 def test_criterion_2_fixture_b_rank(fixture_b, jacobian_command):
     with criterion(2, "fixture B: rank 11, tangent dim 4"):
         start = time.perf_counter()
-        jac = jacobian_coefficient_form(fixture_b.problem, fixture_b.c0)
+        grads = restricted_gradient(fixture_b.problem.f, fixture_b.c0)
+        jac = jacobian_coefficient_form(fixture_b.problem, fixture_b.c0, grads)
         assert rank_exact(jac.matrix) == 11 == 5 * fixture_b.d + 1
         out = jacobian_command(fixture_b.problem, fixture_b.c0)
         assert (out["rank"], out["tangent_dim"], out["formal"]) == (11, 4, False)
@@ -86,7 +88,8 @@ def test_criterion_2_fixture_b_rank(fixture_b, jacobian_command):
 
 def test_criterion_3_block_suite(fixture_a):
     with criterion(3, "fixture A block suite: closed forms, det -51/16, A0 rank 4"):
-        jac = jacobian_evaluation_form(fixture_a.problem, fixture_a.c0, A_POINTS)
+        grads = restricted_gradient(fixture_a.problem.f, fixture_a.c0)
+        jac = jacobian_evaluation_form(fixture_a.problem, fixture_a.c0, A_POINTS, grads)
         lc = on_curve(fixture_a.l, fixture_a.c0)
         pc = on_curve(fixture_a.p, fixture_a.c0)
         blocks = oracles.split_blocks(jac.matrix.to_rows(), fixture_a.d)
@@ -129,9 +132,10 @@ def test_criterion_5_vandermonde_identity(fixture_a, fixture_b, fixture_b_nonspl
             ],
         }
         for fix, sets in ((fixture_a, point_sets["A"]), (fixture_b, point_sets["B"])):
-            j_coeff = jacobian_coefficient_form(fix.problem, fix.c0)
+            grads = restricted_gradient(fix.problem.f, fix.c0)
+            j_coeff = jacobian_coefficient_form(fix.problem, fix.c0, grads)
             for pts in sets:
-                j_eval = jacobian_evaluation_form(fix.problem, fix.c0, pts)
+                j_eval = jacobian_evaluation_form(fix.problem, fix.c0, pts, grads)
                 v = oracles.vandermonde(pts, len(pts))
                 assert oracles.matmul(v, j_coeff.matrix.to_rows()) == j_eval.matrix.to_rows()
                 assert rank_exact(j_eval.matrix) == rank_exact(j_coeff.matrix)
@@ -142,8 +146,9 @@ def test_criterion_5_vandermonde_identity(fixture_a, fixture_b, fixture_b_nonspl
         roots, field = select_special_points(lc, pc, fx.d)
         assert field == "complex"
         points = roots + _generic_points(lc, pc, 4 * fx.d + 1, 0, 0)
-        j_eval = jacobian_evaluation_form(fx.problem, fx.c0, points)
-        exact_rank = rank_exact(jacobian_coefficient_form(fx.problem, fx.c0).matrix)
+        grads = restricted_gradient(fx.problem.f, fx.c0)
+        j_eval = jacobian_evaluation_form(fx.problem, fx.c0, points, grads)
+        exact_rank = rank_exact(jacobian_coefficient_form(fx.problem, fx.c0, grads).matrix)
         assert rank_numeric(j_eval.matrix, 1e-8) == exact_rank == 11
 
 
@@ -156,7 +161,8 @@ def test_criterion_6_through_curve(fixture_a, fixture_b):
             assert basis.ambient_dim == 126
             assert basis.dim == expected
             f0_vec = [fix.f0.terms.get(m, F(0)) for m in mons]
-            stack = RationalMatrix.from_rows([list(v) for v in basis.vectors] + [f0_vec])
+            stack = RationalMatrix.from_rows(
+                [list(v) for v in oracles.dense_kernel(basis)] + [f0_vec])
             assert rank_exact(stack) == expected
 
 
@@ -169,7 +175,8 @@ def test_criterion_7_sampling(fixture_a):
             g = random_member(basis, 0 * 1_000_003 + draw, 5, 5)
             prob = IncidenceProblem(4, 1, 5, g)
             assert on_curve(g, fixture_a.c0).is_zero
-            rank = rank_exact(jacobian_coefficient_form(prob, fixture_a.c0).matrix)
+            grads = restricted_gradient(prob.f, fixture_a.c0)
+            rank = rank_exact(jacobian_coefficient_form(prob, fixture_a.c0, grads).matrix)
             assert rank == 6
             full += 1
         assert full == 20

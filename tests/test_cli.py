@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from curvejac import cli, poly
+from curvejac import cli, incidence, linalg, poly
 from curvejac.construction import Fixture
 from curvejac.incidence import (CurveParam, IncidenceProblem, quintics_through_curve,
                                 random_member)
@@ -368,9 +368,9 @@ class TestThroughCommand:
         obj = json.loads(out)
         assert obj["dimension"] == 10 - 4
         basis = quintics_through_curve(2, 3, CurveParam.from_obj(line))
-        assert digits_above_cap(x for v in basis.vectors for x in v)
+        assert digits_above_cap(x for v in oracles.dense_kernel(basis) for x in v)
         with uncapped_int_str():
-            assert obj["basis"] == [[str(x) for x in v] for v in basis.vectors]
+            assert obj["basis"] == [[str(x) for x in v] for v in oracles.dense_kernel(basis)]
             comps = [[F(c) for c in comp["coeffs"]] for comp in line["components"]]
             for v in obj["basis"]:
                 terms = {tuple(m): F(x) for m, x in zip(obj["monomials"], v)}
@@ -401,8 +401,27 @@ class TestSampleCommand:
             return build(components)
 
         monkeypatch.setattr(poly, "_curve_monomials", counting_build)
+        monkeypatch.setattr(incidence, "_curve_monomials", counting_build)
         assert run_cli(["sample", curve_a_path, "--count", "3"])[0] == 0
         assert tables == 2
+
+    def test_deficient_draws_take_the_bareiss_fallback(self, monkeypatch):
+        # on the conic in the plane every quintic member's 11 x 9 Jacobian has
+        # rank 5, below min(rows, cols), so no prime certifies it
+        shapes = []
+        eliminate = linalg._bareiss_echelon
+
+        def spy(rows):
+            shapes.append((len(rows), len(rows[0])))
+            return eliminate(rows)
+
+        monkeypatch.setattr(linalg, "_bareiss_echelon", spy)
+        argv = ["sample", str(DATA / "curve-conic.json"), "--count", "3", "--seed", "1"]
+        rc, out, _ = run_cli(argv)
+        obj = json.loads(out)
+        assert rc == 0 and obj["expected_rank"] == 11
+        assert [r["rank"] for r in obj["records"]] == [5] * 3
+        assert shapes == [(11, 21)] + [(11, 9)] * 3  # the kernel, then one per draw
 
     def test_zero_count(self, curve_a_path):
         rc, out, _ = run_cli(["sample", curve_a_path, "--count", "0"])

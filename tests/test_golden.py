@@ -18,7 +18,11 @@ degree-2 curve `data/curve-d2x30.json`, whose coefficients are negative
 and positive, among them fractions with 30-digit numerators and
 denominators, so that restriction and kernel run on large integers.  Those
 two hashes were recorded from the `Fraction` products and back-substitution
-that the integer ones replaced.
+that the integer ones replaced.  `sample` on the conic (1, t, t^2) in the
+plane (`data/curve-conic.json`) pins draws whose rank, 5, is below both the
+claimed e*d+1 = 11 and min(rows, cols) = 9, so every draw's rank comes from
+the Bareiss fallback; that hash was recorded from dense `Fraction` kernel
+vectors and members.
 """
 
 import contextlib
@@ -63,6 +67,7 @@ GOLDEN = {
     "sample-5-3-100-d3": "9947af7f905abb3f86213f0e7dd003717c9152d2e1d65dbda98759b8988be1c0",
     "through-5-d2x30": "50893038d04bbcb463e95ef9ef8ae8d6249ae56d800b3a1528af0581be187b53",
     "sample-5-3-100-d2x30": "d01a50364c5a948bf81205265c5ffff9c28df142fa257e0fa82ee09f57b6186a",
+    "sample-5-3-1-conic": "8b373603f936669b1346082ed1b6cc9bb8d8e7d8908d88b04163bca685545b62",
 }
 
 
@@ -93,6 +98,7 @@ def paths(tmp_path_factory, fixture_a, fixture_b, fixture_b_nonsplit):
     out["fixture", "d7-large"] = str(data / "fixture-d7-large.json")
     out["curve", "d3"] = str(data / "curve-d3.json")
     out["curve", "d2x30"] = str(data / "curve-d2x30.json")
+    out["curve", "conic"] = str(data / "curve-conic.json")
     return out
 
 

@@ -20,7 +20,7 @@ from curvejac.incidence import (
     theta_labels,
     vanishes_on_curve,
 )
-from curvejac.linalg import RationalMatrix, kernel_exact, rank_exact
+from curvejac.linalg import KernelBasis, RationalMatrix, format_rational, kernel_exact, rank_exact
 from curvejac.poly import MultiPoly, UniPoly, monomial_basis, restrict_to_curve
 
 import oracles
@@ -98,7 +98,8 @@ class TestMembership:
 
 class TestJacobianCoefficientForm:
     def test_z4_identity_block(self):
-        jac = jacobian_coefficient_form(z4_problem(), line_curve())
+        grads = restricted_gradient(z4_problem().f, line_curve())
+        jac = jacobian_coefficient_form(z4_problem(), line_curve(), grads)
         m = jac.matrix
         assert (m.rows, m.cols) == (2, 10)
         labels = theta_labels(4, 1)
@@ -109,12 +110,13 @@ class TestJacobianCoefficientForm:
         assert rank_exact(m) == 2
 
     def test_fixture_a_rank_and_kernel(self, fixture_a):
-        jac = jacobian_coefficient_form(fixture_a.problem, fixture_a.c0)
+        grads = restricted_gradient(fixture_a.problem.f, fixture_a.c0)
+        jac = jacobian_coefficient_form(fixture_a.problem, fixture_a.c0, grads)
         assert rank_exact(jac.matrix) == 6
         kernel = kernel_exact(jac.matrix)
         assert kernel.dim == 4
         sym = symmetry_kernel_vectors(fixture_a.c0)
-        stacked = RationalMatrix.from_rows([list(v) for v in kernel.vectors] + sym)
+        stacked = RationalMatrix.from_rows([list(v) for v in oracles.dense_kernel(kernel)] + sym)
         assert rank_exact(stacked) == 4
 
     def test_linearity_in_f(self):
@@ -128,9 +130,10 @@ class TestJacobianCoefficientForm:
             combo = f.scale(a) + g.scale(b)
             if combo.is_zero:
                 continue
-            m_combo = jacobian_coefficient_form(IncidenceProblem(n, d, e, combo), c).matrix
-            m_f = jacobian_coefficient_form(IncidenceProblem(n, d, e, f), c).matrix
-            m_g = jacobian_coefficient_form(IncidenceProblem(n, d, e, g), c).matrix
+            m_combo, m_f, m_g = (
+                jacobian_coefficient_form(IncidenceProblem(n, d, e, h), c,
+                                          restricted_gradient(h, c)).matrix
+                for h in (combo, f, g))
             for i in range(m_combo.rows):
                 for j in range(m_combo.cols):
                     assert m_combo.entry(i, j) == a * m_f.entry(i, j) + b * m_g.entry(i, j)
@@ -138,7 +141,8 @@ class TestJacobianCoefficientForm:
 
 class TestJacobianEvaluationForm:
     def test_z4_rows(self):
-        jac = jacobian_evaluation_form(z4_problem(), line_curve(), [F(0), F(1)])
+        grads = restricted_gradient(z4_problem().f, line_curve())
+        jac = jacobian_evaluation_form(z4_problem(), line_curve(), [F(0), F(1)], grads)
         m = jac.matrix
         labels = theta_labels(4, 1)
         z4_cols = [labels.index("c4[t^0]"), labels.index("c4[t^1]")]
@@ -150,33 +154,37 @@ class TestJacobianEvaluationForm:
 
     def test_vandermonde_factorization(self, fixture_a):
         points = [F(-1, 2), F(1), F(2), F(3), F(5), F(7)]
-        j_eval = jacobian_evaluation_form(fixture_a.problem, fixture_a.c0, points)
-        j_coeff = jacobian_coefficient_form(fixture_a.problem, fixture_a.c0)
+        grads = restricted_gradient(fixture_a.problem.f, fixture_a.c0)
+        j_eval = jacobian_evaluation_form(fixture_a.problem, fixture_a.c0, points, grads)
+        j_coeff = jacobian_coefficient_form(fixture_a.problem, fixture_a.c0, grads)
         v = oracles.vandermonde(points, 6)
         assert oracles.matmul(v, j_coeff.matrix.to_rows()) == j_eval.matrix.to_rows()
         assert rank_exact(j_eval.matrix) == rank_exact(j_coeff.matrix) == 6
 
     def test_vandermonde_factorization_random_points(self, fixture_b):
         rng = random.Random(17)
-        j_coeff = jacobian_coefficient_form(fixture_b.problem, fixture_b.c0)
+        grads = restricted_gradient(fixture_b.problem.f, fixture_b.c0)
+        j_coeff = jacobian_coefficient_form(fixture_b.problem, fixture_b.c0, grads)
         for _ in range(3):
             points = []
             while len(points) < 11:
                 t = F(rng.randint(-12, 12), rng.randint(1, 5))
                 if t not in points:
                     points.append(t)
-            j_eval = jacobian_evaluation_form(fixture_b.problem, fixture_b.c0, points)
+            j_eval = jacobian_evaluation_form(fixture_b.problem, fixture_b.c0, points, grads)
             v = oracles.vandermonde(points, 11)
             assert oracles.matmul(v, j_coeff.matrix.to_rows()) == j_eval.matrix.to_rows()
 
     def test_rejects_wrong_point_count(self, fixture_a):
+        grads = restricted_gradient(fixture_a.problem.f, fixture_a.c0)
         with pytest.raises(DimensionError):
-            jacobian_evaluation_form(fixture_a.problem, fixture_a.c0, [F(0)])
+            jacobian_evaluation_form(fixture_a.problem, fixture_a.c0, [F(0)], grads)
 
     def test_rejects_repeated_points(self, fixture_a):
+        grads = restricted_gradient(fixture_a.problem.f, fixture_a.c0)
         with pytest.raises(ValueError):
             jacobian_evaluation_form(
-                fixture_a.problem, fixture_a.c0, [F(0), F(0), F(1), F(2), F(3), F(4)]
+                fixture_a.problem, fixture_a.c0, [F(0), F(0), F(1), F(2), F(3), F(4)], grads
             )
 
 
@@ -217,7 +225,8 @@ class TestSymmetryVectors:
 
     def test_annihilated_by_jacobian(self, fixture_a, fixture_b):
         for fix in (fixture_a, fixture_b):
-            jac = jacobian_coefficient_form(fix.problem, fix.c0)
+            grads = restricted_gradient(fix.problem.f, fix.c0)
+            jac = jacobian_coefficient_form(fix.problem, fix.c0, grads)
             for v in symmetry_kernel_vectors(fix.c0):
                 assert all(x == 0 for x in jac.matrix.matvec(v))
 
@@ -238,7 +247,7 @@ class TestThroughCurve:
         basis = quintics_through_curve(4, 1, line_curve())
         assert basis.dim == 3
         mons = monomial_basis(5, 1)
-        spanned = {mons[i] for v in basis.vectors for i, x in enumerate(v) if x != 0}
+        spanned = {mons[i] for v in oracles.dense_kernel(basis) for i, x in enumerate(v) if x != 0}
         assert spanned == {(0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)}
 
     def test_quintics_through_line(self, fixture_a):
@@ -250,7 +259,7 @@ class TestThroughCurve:
         basis = quintics_through_curve(4, 5, fixture_a.c0)
         mons = monomial_basis(5, 5)
         f0_vec = [fixture_a.f0.terms.get(m, F(0)) for m in mons]
-        stack = RationalMatrix.from_rows([list(v) for v in basis.vectors] + [f0_vec])
+        stack = RationalMatrix.from_rows([list(v) for v in oracles.dense_kernel(basis)] + [f0_vec])
         assert rank_exact(stack) == basis.dim
 
     def test_rank_plus_dim_is_monomial_count(self, fixture_b):
@@ -276,10 +285,30 @@ class TestRandomMember:
             assert restrict_to_curve([g], fixture_a.c0.components)[0].is_zero
 
     def test_rejects_empty_basis(self):
-        from curvejac.linalg import KernelBasis
-
         with pytest.raises(ValueError):
             random_member(KernelBasis(5, ()), 0, 5, 1)
+
+    def test_equals_dense_reference(self, fixture_b):
+        # members summed in integers over the lcm of the vectors' denominators
+        # are the dense Fraction sums, term for term, and the sparse basis
+        # prints as the dense one; d2x30 has 30-digit fractions
+        data = Path(__file__).parent / "data"
+        curves = [fixture_b.c0] + [CurveParam.from_obj(json.loads((data / name).read_text()))
+                                   for name in ("curve-d2x30.json", "curve-d3.json")]
+        rng = random.Random(23)
+        bases = [(quintics_through_curve(4, 5, c), 5, 5) for c in curves] + [
+            (kernel_exact(propcheck.random_matrix(rng, rng.randint(1, 5), 10)), 3, 3)
+            for _ in range(20)]
+        bases.append((KernelBasis(3, ((2, ((0, 2), (2, 1))), (3, ((1, 3), (2, -2))))), 3, 1))
+        spread = [len({den for den, _ in basis.vectors}) for basis, _, _ in bases]
+        assert spread[0] == 1 and min(spread[1:]) > 1  # B's basis is integral
+        for basis, num_vars, degree in bases:
+            dense = oracles.dense_kernel(basis)
+            assert basis.to_obj()["vectors"] == [[format_rational(x) for x in v] for v in dense]
+            mons = monomial_basis(num_vars, degree)
+            for seed in range(3):
+                member = random_member(basis, seed, num_vars, degree)
+                assert member.terms == oracles.dense_random_member(dense, seed, mons)
 
 
 class TestRestrictionTable:
@@ -315,7 +344,8 @@ class TestRankInvariance:
     def test_under_f_scaling(self, fixture_a):
         f2 = fixture_a.f0.scale(F(-7, 3))
         prob = IncidenceProblem(4, 1, 5, f2)
-        assert rank_exact(jacobian_coefficient_form(prob, fixture_a.c0).matrix) == 6
+        grads = restricted_gradient(prob.f, fixture_a.c0)
+        assert rank_exact(jacobian_coefficient_form(prob, fixture_a.c0, grads).matrix) == 6
 
     def test_under_reparametrization(self, fixture_a):
         # t -> a t + b moves each component through substitution
@@ -334,7 +364,8 @@ class TestRankInvariance:
                     acc = acc + term
                 comps.append(acc)
             moved = CurveParam(4, 1, tuple(comps))
-            jac = jacobian_coefficient_form(fixture_a.problem, moved)
+            grads = restricted_gradient(fixture_a.problem.f, moved)
+            jac = jacobian_coefficient_form(fixture_a.problem, moved, grads)
             assert rank_exact(jac.matrix) == 6
 
 
@@ -365,5 +396,6 @@ def test_theta_round_trip():
 
 def test_problem_curve_mismatch_rejected(fixture_a):
     bad = CurveParam(3, 1, (UniPoly.of(1), UniPoly.of(0, 1), UniPoly.zero(), UniPoly.zero()))
+    grads = restricted_gradient(fixture_a.problem.f, fixture_a.c0)
     with pytest.raises(DimensionError):
-        jacobian_coefficient_form(fixture_a.problem, bad)
+        jacobian_coefficient_form(fixture_a.problem, bad, grads)
