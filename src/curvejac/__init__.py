@@ -10,8 +10,9 @@ rationals.
 The fixture restricts l, p and q's partials to the curve once and checks
 q(c0) = 0 from them; the verification derives f0's gradient from them, so
 checks 1, 3 and 6 and check 5's root rows hold by construction.  It decides
-the rest, checks 7-10 by exact ranks with no kernel basis, retrying check 7
-over redrawn generic points: every check is exact even at complex roots.
+the rest, checks 7-10 by exact ranks of integer matrices with no kernel
+basis, retrying check 7 over redrawn generic points: every check is exact
+even at complex roots.
 The only tolerance is the singular-value rank of an evaluation-form Jacobian
 at user-given points that are not rational, computed in pure Python
 (Golub-Kahan bidiagonalization and bisection).  Complex roots are labelled

@@ -123,21 +123,22 @@ def cmd_jacobian(args, out) -> int:
     if args.form == "coeff":
         if args.points is not None:
             raise InputError("--points belongs to --form eval")
-        jac = incidence.jacobian_coefficient_form(prob, curve, grads)
+        jac = jac_coeff = incidence.jacobian_coefficient_form(prob, curve, grads)
     else:
         if not args.points:
             raise InputError("--form eval requires --points")
         pts = _parse_points(args.points)
         jac = incidence.jacobian_evaluation_form(prob, curve, pts, grads)
+        jac_coeff = incidence.jacobian_coefficient_form(prob, curve, grads)
+    # At distinct rational points the evaluation form is an invertible
+    # Vandermonde matrix times the coefficient form: the ranks agree, and the
+    # exact rank is that of the coefficient form's integer matrix.
+    rank = coeff_rank = rank_exact(jac_coeff.matrix)
     if jac.is_exact:
-        # At distinct rational points the evaluation form is an invertible
-        # Vandermonde matrix times the coefficient form: the ranks agree.
-        rank = coeff_rank = rank_exact(jac.matrix)
         rank_kind = "exact"
     else:
         rank = rank_numeric(jac.matrix, tol)
         rank_kind = f"numeric@{args.tol}"
-        coeff_rank = rank_exact(incidence.jacobian_coefficient_form(prob, curve, grads).matrix)
     obj = jac.to_obj()
     obj.update(
         {

@@ -12,14 +12,23 @@ witnesses and reports each one.
 `Fixture` restricts l, p and q's partials once, decides q(c0) = 0 from them,
 and guarantees a zero z4 component of c0 and a q free of z4, so on the curve
 f0 vanishes, (df0/dz4)(c0) = p(c0) and (df0/dz_m)(c0) = l(c0) * (dq/dz_m)(c0),
-m < 4.  Checks 1, 3 and 6 and check 5's root rows hold by construction; the
-point selection (2), the corner determinant (4), the extra row (5) and the
-ranks (7-10) are decided, by five certified ranks (`rank_exact`) with no
-evaluation Jacobian and no kernel basis.  A rank mod p is the lower bound
-and the row count the upper bound, except in check 8, where the z0..z3
-parts of the four symmetry vectors are exact kernel witnesses of the
-pairing map (`gradient_pairing_map`); Bareiss elimination decides only
-where the bounds disagree.  `select_special_points` finds the roots once;
+m < 4; f0 itself is built only when read.  Checks 1, 3 and 6 and check 5's
+root rows hold by construction; the point selection (2), the corner
+determinant (4), the extra row (5) and the ranks (7-10) are decided, by five
+certified ranks (`rank_exact`) with no evaluation Jacobian and no kernel
+basis.  A rank mod p is the lower bound and the row count the upper bound,
+except in check 8, where the z0..z3 parts of the four symmetry vectors are
+exact kernel witnesses of the pairing map (`gradient_pairing_map`); Bareiss
+elimination decides only where the bounds disagree.
+
+Every ranked matrix is in integers.  The restrictions are scaled once to
+integer coefficient lists over their common denominator D; the Toeplitz
+blocks of checks 8 and 9 are D and D**2 times the pairing map and the
+coefficient Jacobian, and the rows of check 7 at a point a/b are the value
+rows times a positive power of b and D (`incidence._evaluation_rows`), so
+no rank changes.  The symmetry vectors are scaled to integers too.  Only
+what the report prints stays rational or complex: the points, the corner
+block and its determinant.  `select_special_points` finds the roots once;
 the generic points are drawn only in the retry loop of check 7, which ranks
 the rescaled lower block at the 4d rational generic points and is the one
 check retried over a redraw of those points.  Every check is exact in both
@@ -32,6 +41,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -39,14 +49,15 @@ from .errors import DimensionError, InputError
 from .incidence import (
     CurveParam,
     IncidenceProblem,
+    _common_ints,
     _convolution_matrix,
     _evaluation_rows,
     _point_label,
     symmetry_kernel_vectors,
     vanishes_on_curve,
 )
-from .linalg import MAX_D, RationalMatrix, format_rational, parse_size, rank_exact
-from .poly import MultiPoly, UniPoly, coprime, restrict_to_curve, squarefree_roots
+from .linalg import MAX_D, RationalMatrix, _scaled, format_rational, parse_size, rank_exact
+from .poly import MultiPoly, UniPoly, _int_mul, coprime, restrict_to_curve, squarefree_roots
 
 __all__ = [
     "Fixture",
@@ -64,8 +75,9 @@ MAX_POINT_ATTEMPTS = 8
 MAX_RENDER_COLS = 12
 
 
-def build_special_hypersurface(l: MultiPoly, q: MultiPoly, p: MultiPoly) -> MultiPoly:
-    """l*q + z4*p, the quintic through every curve on the quartic surface."""
+def _check_factors(l: MultiPoly, q: MultiPoly, p: MultiPoly):
+    """Raise unless l, q and p are forms of degree 1, 4 and 4 in z0..z4, or
+    zero, and q is free of z4."""
     for poly, deg, name in ((l, 1, "l"), (q, 4, "q"), (p, 4, "p")):
         if poly.num_vars != 5:
             raise DimensionError(f"{name} must live in 5 variables")
@@ -73,6 +85,11 @@ def build_special_hypersurface(l: MultiPoly, q: MultiPoly, p: MultiPoly) -> Mult
             raise InputError(f"{name} must be homogeneous of degree {deg}")
     if q.uses_variable(4):
         raise InputError("q must not involve z4")
+
+
+def build_special_hypersurface(l: MultiPoly, q: MultiPoly, p: MultiPoly) -> MultiPoly:
+    """l*q + z4*p, the quintic through every curve on the quartic surface."""
+    _check_factors(l, q, p)
     z4 = MultiPoly.monomial((0, 0, 0, 0, 1))
     return l * q + z4 * p
 
@@ -80,8 +97,9 @@ def build_special_hypersurface(l: MultiPoly, q: MultiPoly, p: MultiPoly) -> Mult
 @dataclass(frozen=True)
 class Fixture:
     """Input bundle for the construction: q, l, p and the curve, d >= 1.
-    Derived: f0 = l*q + z4*p and `restricted`, the restrictions (lc, pc,
-    (dq/dz_m)(c0) for m < 4) through one table, which decide q(c0) = 0."""
+    Derived: `restricted`, the restrictions (lc, pc, (dq/dz_m)(c0) for
+    m < 4) through one table, which decide q(c0) = 0, and f0 = l*q + z4*p,
+    built on first read (verification never reads it)."""
 
     name: str
     q: MultiPoly
@@ -89,11 +107,10 @@ class Fixture:
     p: MultiPoly
     c0: CurveParam
     d: int
-    f0: MultiPoly = field(init=False, repr=False, compare=False)
     restricted: tuple[UniPoly, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "f0", build_special_hypersurface(self.l, self.q, self.p))
+        _check_factors(self.l, self.q, self.p)
         if self.d < 1:
             raise InputError(f"fixture d must be at least 1, got {self.d}")
         if self.c0.n != 4 or self.c0.d != self.d:
@@ -106,6 +123,10 @@ class Fixture:
         # q is a quartic free of z4, so its partials m < 4 decide q(c0) = 0.
         if not vanishes_on_curve(restricted[2:], self.c0, 4):
             raise InputError("fixture invariant violated: q(c0(t)) == 0 (curve must lie on the quartic)")
+
+    @cached_property
+    def f0(self) -> MultiPoly:
+        return build_special_hypersurface(self.l, self.q, self.p)
 
     @property
     def problem(self) -> IncidenceProblem:
@@ -190,17 +211,22 @@ def _generic_candidates(seed: int, attempt: int):
             yield Fraction(rng.randint(-15, 15), rng.randint(1, 6))
 
 
-def _generic_points(lc: UniPoly, pc: UniPoly, count: int, seed: int, attempt: int) -> tuple:
+def _generic_points(lc: Sequence, pc: Sequence, count: int, seed: int, attempt: int) -> tuple:
     """The first `count` distinct candidates of the attempt's stream that are
-    no zero of lc or pc (a restriction that vanishes identically excludes
-    nothing, so the draw always ends)."""
-    avoid = [g for g in (lc, pc) if not g.is_zero]
+    no zero of lc or pc, given as coefficient lists, t**0 first (a
+    restriction that vanishes identically excludes nothing, so the draw
+    always ends).  A candidate a/b is a zero where its evaluation row
+    (`_evaluation_rows` at (a, b), degree 0) has a zero entry."""
+    avoid = [g for g in (lc, pc) if g]
     points: list[Fraction] = []
+    seen: set[Fraction] = set()
     for cand in _generic_candidates(seed, attempt):
         if len(points) == count:
             break
-        if cand in points or any(g.evaluate(cand) == 0 for g in avoid):
+        if cand in seen or (avoid and not all(
+                _evaluation_rows(avoid, 0, [(cand.numerator, cand.denominator)])[0])):
             continue
+        seen.add(cand)
         points.append(cand)
     return tuple(points)
 
@@ -229,8 +255,10 @@ def select_special_points(lc: UniPoly, pc: UniPoly, d: int) -> tuple[tuple, str]
 
 def _corner_rows(pc: UniPoly, points: Sequence) -> list[list]:
     """Entry (s, i) = pc(t_s) * t_s**(d-i), d + 1 = len(points): the
-    evaluation rows of pc = (df0/dz4)(c0) with their columns reversed."""
-    return [row[::-1] for row in _evaluation_rows([pc], len(points) - 1, points)]
+    evaluation rows of pc = (df0/dz4)(c0) at (t_s, 1), exact or complex as
+    t_s is, with their columns reversed."""
+    return [row[::-1] for row in
+            _evaluation_rows([pc.coeffs], len(points) - 1, [(t, 1) for t in points])]
 
 
 def _corner_det(pc: UniPoly, points: Sequence):
@@ -240,16 +268,18 @@ def _corner_det(pc: UniPoly, points: Sequence):
     )
 
 
-def gradient_pairing_map(grads: Sequence[UniPoly], c0: CurveParam) -> RationalMatrix:
-    """Matrix of v = (v0..v3) -> sum_m (dq/dz_m)(c0(t)) * v_m(t), given the
-    first four entries (or all) of grads = restricted_gradient(q, c0).
+def gradient_pairing_map(grads: Sequence[Sequence[int]], d: int) -> RationalMatrix:
+    """Matrix of v = (v0..v3) -> sum_m (dq/dz_m)(c0(t)) * v_m(t) on a curve
+    c0 of degree d, times a positive integer D, given the first four entries
+    (or all) of restricted_gradient(q, c0) as integer coefficient lists over
+    the common denominator D.
 
-    This is the coefficient Jacobian of q at c0 without the z4 columns:
-    shape (4d+1) x (4d+4); when the curve lies on the quartic, the kernel
-    consists of the first-order deformations of the curve inside the affine
-    cone over the quartic.
+    This is the coefficient Jacobian of q at c0 without the z4 columns, in
+    integers: shape (4d+1) x (4d+4); when the curve lies on the quartic, the
+    kernel consists of the first-order deformations of the curve inside the
+    affine cone over the quartic.
     """
-    return _convolution_matrix(grads[:4], c0.d, 4 * c0.d + 1)
+    return _convolution_matrix(grads[:4], d, 4 * d + 1)
 
 
 @dataclass(frozen=True)
@@ -355,8 +385,12 @@ def verify_construction(fixture: Fixture, seed: int = 0) -> VerificationReport:
 
     # By the fixture's invariants f0 = l*q + z4*p vanishes on the curve
     # (check 1) and its gradient there is lc * (dq/dz_m)(c0), m < 4, and pc.
+    # Every matrix ranked below is in integers: the restrictions scaled over
+    # their common denominator D, so D**2 times f0's gradient is lc_i * q_i
+    # and D * pc_i, and each symmetry vector scaled to integers.
     lc, pc, *grad_q = fixture.restricted
-    grad_f0 = [lc * g for g in grad_q] + [pc]
+    den, (lc_i, pc_i, *q_i) = _common_ints(fixture.restricted)
+    grad_f0 = [_int_mul(lc_i, g) for g in q_i] + [[den * x for x in pc_i]]
     record(1, "special quintic vanishes on the curve", True, {"f0_on_curve": "0"})
     try:
         roots, root_field = select_special_points(lc, pc, d)
@@ -370,12 +404,12 @@ def verify_construction(fixture: Fixture, seed: int = 0) -> VerificationReport:
     # rescaled lower block, rows (dq/dz_m)(c0(t_s)) * t_s**i at the last 4d
     # points, needs full row rank 4d; rows where lc vanishes are flagged.
     for attempt in range(MAX_POINT_ATTEMPTS):
-        pts = SpecialPoints(roots, _generic_points(lc, pc, 5 * d + 1 - len(roots), seed, attempt),
-                            root_field)
-        lower = pts.all_points[d + 1 :]
-        flagged = [s for s, t in enumerate(lower) if lc.evaluate(t) == 0]
+        pts = SpecialPoints(
+            roots, _generic_points(lc_i, pc_i, 5 * d + 1 - len(roots), seed, attempt), root_field)
+        lower = [(t.numerator, t.denominator) for t in pts.all_points[d + 1 :]]
+        flagged = [s for s, row in enumerate(_evaluation_rows([lc_i], 0, lower)) if not row[0]]
         rank0 = None if flagged else rank_exact(
-            RationalMatrix.from_rows(_evaluation_rows(grad_q[:4], d, lower))
+            RationalMatrix.from_rows(_evaluation_rows(q_i, d, lower))
         )
         if rank0 == 4 * d:
             break
@@ -412,7 +446,7 @@ def verify_construction(fixture: Fixture, seed: int = 0) -> VerificationReport:
     nroots = len(pts.root_points)
     census = [
         {"point": pts.label(t),
-         "is_zero": s < nroots or all(g.evaluate(t) == 0 for g in grad_f0[:4])}
+         "is_zero": s < nroots or lc.evaluate(t) == 0 or all(g.evaluate(t) == 0 for g in grad_q)}
         for s, t in enumerate(top)
     ]
     record(5, "mixed block rows vanish at l-roots (extra row reported)", True,
@@ -429,8 +463,8 @@ def verify_construction(fixture: Fixture, seed: int = 0) -> VerificationReport:
     # vectors have a zero z4 part and J(v) = lc * pairing(v0..v3), so their
     # z0..z3 parts are kernel witnesses: rank_exact checks them exactly and
     # then bounds the rank by 4d.
-    sym = symmetry_kernel_vectors(c0)
-    pairing = gradient_pairing_map(grad_q, c0)
+    sym = [_scaled(v)[1] for v in symmetry_kernel_vectors(c0)]
+    pairing = gradient_pairing_map(q_i, d)
     rank_q = rank_exact(pairing, [v[: pairing.cols] for v in sym])
     record(8, "gradient pairing kernel is four-dimensional", pairing.cols - rank_q == 4,
            {"rank": rank_q, "kernel_dim": pairing.cols - rank_q})

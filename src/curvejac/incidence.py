@@ -7,6 +7,15 @@ degree e imposes the e*d+1 coefficient equations of f(c(t)), and the Jacobian
 of those equations comes in two forms: the coefficient form (rows indexed by
 powers of t) and the evaluation form (rows indexed by chosen points), linked
 exactly by a Vandermonde factor.
+
+Each form is written once.  The coefficient form is a Toeplitz block per
+partial (`_convolution_matrix`), built from integer coefficient lists: the
+restricted gradient over its common denominator, so the matrix is in
+integers, that denominator times the Jacobian, with its rank and kernel.
+An evaluation row (`_evaluation_rows`) evaluates the homogenized partials by
+Horner at a point (a, b): at a rational t = a/b with integer lists it is an
+integer row, a positive multiple of the value row, and at (t, 1) the value
+row itself, exact or complex as t is.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from .linalg import (
     MAX_N,
     KernelBasis,
     RationalMatrix,
+    _scaled,
     format_rational,
     kernel_exact,
     parse_list,
@@ -161,11 +171,14 @@ class JacobianMatrix:
 
     form is "coefficient" (rows = powers of t) or "evaluation" (rows = chosen
     points); the matrix is rational unless evaluation points are irrational.
+    It is den times the Jacobian, which `to_obj` writes: the coefficient
+    form keeps its matrix in integers.
     """
 
     matrix: RationalMatrix | ComplexMatrix
     form: str
     points: tuple | None = None
+    den: int = 1
 
     @property
     def is_exact(self) -> bool:
@@ -174,7 +187,7 @@ class JacobianMatrix:
     def to_obj(self) -> dict:
         obj = {
             "form": self.form,
-            "matrix": self.matrix.to_obj(),
+            "matrix": self.matrix.to_obj(self.den) if self.is_exact else self.matrix.to_obj(),
             "exact": self.is_exact,
         }
         if isinstance(self.matrix, RationalMatrix):
@@ -190,7 +203,7 @@ def theta_labels(n: int, d: int) -> tuple[str, ...]:
 
 
 def _point_label(t) -> str:
-    if isinstance(t, Fraction):
+    if isinstance(t, (int, Fraction)):
         return format_rational(t)
     z = complex(t)
     return f"{z.real:.12g}{z.imag:+.12g}i"
@@ -233,29 +246,69 @@ def vanishes_on_curve(grads: Sequence[UniPoly], c: CurveParam, degree: int) -> b
     return degree > 0 and euler.is_zero
 
 
+def _common_ints(polys: Sequence[UniPoly]) -> tuple[int, list[list[int]]]:
+    """(den, lists): den the lcm of the denominators of all the polynomials'
+    coefficients and lists[m] = den * polys[m] as an integer coefficient
+    list, t**0 first."""
+    den, flat = _scaled([x for g in polys for x in g.coeffs])
+    lists, k = [], 0
+    for g in polys:
+        lists.append(flat[k : k + len(g.coeffs)])
+        k += len(g.coeffs)
+    return den, lists
+
+
 def _convolution_matrix(
-    grads: Sequence[UniPoly], d: int, nrows: int, row_labels=None, col_labels=None
+    ints: Sequence[Sequence[int]], d: int, nrows: int, row_labels=None, col_labels=None
 ) -> RationalMatrix:
-    """Matrix of (v_m) -> sum_m grads[m] * v_m over coefficient bases, v_m of
-    degree <= d: entry (row j, column (m, i)) is the t**j coefficient of
-    grads[m] * t**i, a Toeplitz block per m."""
-    rows = [
-        [g.coefficient(j - i) for g in grads for i in range(d + 1)] for j in range(nrows)
-    ]
-    return RationalMatrix.from_rows(rows, row_labels, col_labels)
+    """Matrix of (v_m) -> sum_m g_m * v_m over coefficient bases, v_m of
+    degree <= d and g_m the polynomial with integer coefficient list ints[m]
+    (t**0 first): entry (row j, column (m, i)) is ints[m][j - i], a Toeplitz
+    block per m, in integers."""
+    entries = tuple(g[j - i] if 0 <= j - i < len(g) else 0
+                    for j in range(nrows) for g in ints for i in range(d + 1))
+    return RationalMatrix(
+        nrows,
+        len(ints) * (d + 1),
+        entries,
+        tuple(row_labels) if row_labels is not None else None,
+        tuple(col_labels) if col_labels is not None else None,
+    )
 
 
-def _evaluation_rows(grads: Sequence[UniPoly], d: int, points: Sequence) -> list[list]:
-    """Row s, column (m, i) is grads[m](t_s) * t_s**i; exact at rational points."""
+def _evaluation_rows(coeffs: Sequence[Sequence], d: int, points: Sequence[tuple]) -> list[list]:
+    """Row s, column (m, i) is b**K * g_m(a/b) * a**i * b**(d - i) at the
+    point (a, b) = points[s], g_m the polynomial with coefficient list
+    coeffs[m] (t**0 first) and K + 1 the length of the longest list.
+
+    Each b**K * g_m(a/b) is a Horner evaluation of the homogenized g_m.  With
+    integer coefficients and t = a/b in lowest terms, b > 0, the row is in
+    integers: the value row g_m(t) * t**i times b**(K + d) > 0, so it has
+    the value rows' rank and zeros.  At (t, 1) it is the value row itself,
+    exact or complex as t is: a power of b = 1 is never multiplied in.
+    """
+    top = max(map(len, coeffs))
     rows = []
-    for t in points:
+    for a, b in points:
+        mono = [1]  # a**i * b**(d - i), i = 0..d
+        for _ in range(d):
+            mono.append(mono[-1] * a)
+        bpow = [1]
+        if b != 1:
+            for _ in range(max(top, d)):
+                bpow.append(bpow[-1] * b)
+            mono = [x * bpow[d - i] for i, x in enumerate(mono)]
         row = []
-        for g in grads:
-            gval = g.evaluate(t)
-            power = Fraction(1) if isinstance(t, Fraction) else complex(1)
-            for _ in range(d + 1):
-                row.append(gval * power)
-                power = power * t
+        for cs in coeffs:
+            acc = 0
+            if b == 1:
+                for c in reversed(cs):
+                    acc = acc * a + c
+            else:
+                for c, bk in zip(reversed(cs), bpow):
+                    acc = acc * a + c * bk
+                acc *= bpow[top - len(cs)]
+            row.extend(acc * x for x in mono)
         rows.append(row)
     return rows
 
@@ -267,17 +320,20 @@ def jacobian_coefficient_form(
 
     Entry (row j, column (m, i)) is the t**j coefficient of
     (df/dz_m)(c(t)) * t**i, given grads = restricted_gradient(prob.f, c).
+    The matrix holds it in integers, times den, the lcm of the denominators
+    of grads (`JacobianMatrix.den`): the Jacobian's rank and kernel.
     """
     _check_curve(prob, c)
     nrows = prob.num_equations
+    den, ints = _common_ints(grads)
     matrix = _convolution_matrix(
-        grads,
+        ints,
         prob.d,
         nrows,
         row_labels=[f"k{j}" for j in range(nrows)],
         col_labels=theta_labels(prob.n, prob.d),
     )
-    return JacobianMatrix(matrix, "coefficient")
+    return JacobianMatrix(matrix, "coefficient", den=den)
 
 
 def jacobian_evaluation_form(
@@ -304,7 +360,7 @@ def jacobian_evaluation_form(
         pts = [Fraction(t) if exact else complex(t) for t in points]
         if len(set(pts)) != len(pts):
             raise ValueError("evaluation points must be pairwise distinct")
-        rows = _evaluation_rows(grads, prob.d, pts)
+        rows = _evaluation_rows([g.coeffs for g in grads], prob.d, [(t, 1) for t in pts])
     except OverflowError as exc:  # only complex evaluation turns Fractions into floats
         raise ValueError("a point or a coefficient is beyond the float range") from exc
     if exact:

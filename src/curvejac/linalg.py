@@ -2,7 +2,9 @@
 
 All matrices here are small and dense.  Rational entries are Python ints or
 `fractions.Fraction` values (lowest terms, positive denominator), so every
-exact operation is exact end to end.
+exact operation is exact end to end.  Every matrix the commands eliminate
+is in ints; an int row takes no Fraction work, neither in a matrix-vector
+product nor in its reduction mod p, and `from_rows` keeps ints as they are.
 
 `rank_exact` proves a rank from both sides.  Modulo a prime p that divides
 no denominator, the rank of the reduced matrix (entries num * den**-1 mod p)
@@ -130,6 +132,20 @@ def format_rational(x: Fraction) -> str:
         return num if den == "1" else f"{num}/{den}"
 
 
+def _all_int(xs: Sequence) -> bool:
+    """Whether every entry of xs is an int."""
+    return set(map(type, xs)) <= {int}
+
+
+def _scaled(xs: Sequence) -> tuple[int, list[int]]:
+    """(den, ints): den the lcm of the denominators of the rationals xs,
+    ints or Fractions, and ints = den * xs; integers pass as they are."""
+    if _all_int(xs):
+        return 1, list(xs)
+    den = lcm(*(x.denominator for x in xs))
+    return den, [x.numerator * (den // x.denominator) for x in xs]
+
+
 @dataclass(frozen=True)
 class RationalMatrix:
     """Immutable dense matrix over the rationals, entries in row-major order."""
@@ -159,7 +175,7 @@ class RationalMatrix:
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise DimensionError("ragged rows")
-        entries = tuple(Fraction(x) for r in rows for x in r)
+        entries = tuple(x if type(x) is int else Fraction(x) for r in rows for x in r)
         return cls(
             len(rows),
             ncols,
@@ -178,27 +194,26 @@ class RationalMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def matvec(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Exact product; each row sums integers over a common denominator."""
+        """Exact product; each row sums integers over a common denominator
+        (`_scaled`), so an integer row times an integer vector is an int
+        and builds no Fraction."""
         if len(v) != self.cols:
             raise DimensionError("vector length does not match column count")
-        v = [Fraction(x) for x in v]
-        vden = lcm(*(x.denominator for x in v))
-        w = [x.numerator * (vden // x.denominator) for x in v]
+        vden, w = _scaled(v)
         out = []
         for i in range(self.rows):
-            row = self.row(i)
-            rden = lcm(*(x.denominator for x in row))
-            total = sum(x.numerator * (rden // x.denominator) * y
-                        for x, y in zip(row, w) if x and y)
-            out.append(Fraction(total, rden * vden))
+            rden, row = _scaled(self.row(i))
+            total = sum(map(operator.mul, row, w))
+            out.append(total if rden * vden == 1 else Fraction(total, rden * vden))
         return tuple(out)
 
-    def to_obj(self) -> dict:
+    def to_obj(self, den: int = 1) -> dict:
+        """The matrix divided by den, entries as canonical strings."""
         return {
             "rows": self.rows,
             "cols": self.cols,
             "entries": [
-                [format_rational(self.entry(i, j)) for j in range(self.cols)]
+                [format_rational(x if den == 1 else Fraction(x, den)) for x in self.row(i)]
                 for i in range(self.rows)
             ],
         }
@@ -262,12 +277,7 @@ class KernelBasis:
 
 def _cleared_int_rows(m: RationalMatrix) -> list[list[int]]:
     """Each row scaled to integers by the lcm of its denominators."""
-    rows = []
-    for i in range(m.rows):
-        r = m.row(i)
-        mult = lcm(*(x.denominator for x in r))
-        rows.append([x.numerator * (mult // x.denominator) for x in r])
-    return rows
+    return [_scaled(m.row(i))[1] for i in range(m.rows)]
 
 
 def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -311,12 +321,17 @@ _PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45)
 
 
 def _rows_mod(m: RationalMatrix, p: int) -> list[list[int]] | None:
-    """Rows of num * den**-1 mod p; None when p divides a denominator."""
+    """Rows of num * den**-1 mod p; None when p divides a denominator.  An
+    integer row is reduced entry by entry."""
     inverses = {1: 1}
     rows = []
     for i in range(m.rows):
+        r = m.row(i)
+        if _all_int(r):
+            rows.append([x % p for x in r])
+            continue
         row = []
-        for x in m.row(i):
+        for x in r:
             den = x.denominator
             if den not in inverses:
                 if den % p == 0:
@@ -353,8 +368,11 @@ def rank_exact(m: RationalMatrix, witnesses: Sequence[Sequence[Fraction]] = ()) 
     witnesses all lie in the kernel (checked by exact matvec) and have full
     rank k; otherwise they are ignored.  The first of _PRIMES whose rank
     meets the upper bound decides; if none does, fraction-free elimination
-    over the integers gives the rank.
+    over the integers gives the rank.  A matrix with no nonzero entry has
+    rank 0 at once.
     """
+    if not any(m.entries):
+        return 0
     bound = min(m.rows, m.cols)
     if (witnesses and all(not any(m.matvec(w)) for w in witnesses)
             and rank_exact(RationalMatrix.from_rows(witnesses)) == len(witnesses)):

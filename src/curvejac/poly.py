@@ -40,7 +40,7 @@ from math import copysign, gcd, inf, isqrt, lcm, ldexp
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionError, InputError
-from .linalg import _PRIMES, format_rational, parse_int, parse_list, parse_rational
+from .linalg import _PRIMES, _scaled, format_rational, parse_int, parse_list, parse_rational
 
 __all__ = [
     "UniPoly",
@@ -52,12 +52,6 @@ __all__ = [
     "grlex_key",
     "squarefree_roots",
 ]
-
-
-def _scaled(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(den, ints): den the lcm of the denominators, ints = den * coeffs."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return den, [c.numerator * (den // c.denominator) for c in coeffs]
 
 
 def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:

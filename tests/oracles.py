@@ -68,6 +68,12 @@ def dense_kernel(basis):
     return tuple(vectors)
 
 
+def jacobian_rows(jac):
+    """The Jacobian a `JacobianMatrix` stands for, as rows of Fractions: its
+    matrix divided by its den."""
+    return [[Fraction(x, jac.den) for x in row] for row in jac.matrix.to_rows()]
+
+
 def dense_random_member(vectors, seed, monomials):
     """The terms {monomial: coefficient} of the member `random_member` draws
     from the dense basis vectors (`dense_kernel`) over monomials, summed as
@@ -194,6 +200,21 @@ def reassemble_blocks(blocks):
 
 def _value(poly, t):
     return sum(c * t**k for k, c in enumerate(poly.coeffs))
+
+
+def value_rows(polys, d, points):
+    """Rows of values at rational points, as Fractions: entry (s, (m, i)) is
+    polys[m](t_s) * t_s**i, i <= d, each value summed term by term
+    (`_value`)."""
+    return [[_value(g, t) * t**i for g in polys for i in range(d + 1)] for t in points]
+
+
+def toeplitz_rows(polys, d, nrows):
+    """Rows of the map (v_m) -> sum_m polys[m] * v_m, v_m of degree <= d, as
+    Fractions: entry (j, (m, i)) is the t**j coefficient of the schoolbook
+    product polys[m] * t**i."""
+    cols = [schoolbook_mul(list(g.coeffs), [0] * i + [1]) for g in polys for i in range(d + 1)]
+    return [[col[j] if j < len(col) else Fraction(0) for col in cols] for j in range(nrows)]
 
 
 def a11_closed_form(pc, points):

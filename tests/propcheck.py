@@ -13,8 +13,8 @@ from math import isqrt
 import numpy
 import sympy
 
-from curvejac.incidence import (CurveParam, IncidenceProblem, jacobian_coefficient_form,
-                                restricted_gradient)
+from curvejac.incidence import (CurveParam, IncidenceProblem, _common_ints, _convolution_matrix,
+                                _evaluation_rows, jacobian_coefficient_form, restricted_gradient)
 from curvejac.linalg import (
     _PRIMES,
     ComplexMatrix,
@@ -116,7 +116,7 @@ def taylor_chain_rule_suite(seed, draws):
             moved = curve_from_theta(n, d, [t + x * dv for t, dv in zip(coords, delta)])
             samples.append(incidence_equations(prob, moved))
         jac = jacobian_coefficient_form(prob, c, restricted_gradient(prob.f, c))
-        jd = jac.matrix.matvec(delta)
+        jd = [Fraction(x, jac.den) for x in jac.matrix.matvec(delta)]
         k0 = incidence_equations(prob, c)
         for row in range(prob.num_equations):
             values = [s[row] for s in samples]
@@ -139,6 +139,58 @@ def euler_identity_suite(seed, draws):
             zm = MultiPoly.monomial(tuple(1 if i == m else 0 for i in range(num_vars)))
             acc = acc + zm * f.partial_derivative(m)
         assert acc == f.scale(degree), "Euler identity failed"
+    return draws
+
+
+def _chain_point(rng):
+    """A rational point: 0, a negative integer, a small fraction, or one with
+    a numerator and a denominator of up to 30 digits."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(-rng.randint(1, 9))
+    if kind == 2:
+        return random_fraction(rng, 15, 6)
+    return Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**30))
+
+
+def integer_chain_suite(seed, draws):
+    """The integer rows and blocks that verify ranks, against Fractions.
+
+    Each draw takes one to five polynomials (zero ones included) whose
+    coefficients have denominators of up to 12 digits, scales them over
+    their common denominator den, and checks at points from `_chain_point`:
+    every integer evaluation row is exactly den * b**(K + d) > 0 times the
+    value row (`oracles.value_rows`), t = a/b and K + 1 the longest
+    coefficient list; the rows at (t, 1) are the value rows themselves; and
+    the integer Toeplitz block is den times the Fraction block
+    (`oracles.toeplitz_rows`).
+    """
+    rng = random.Random(seed)
+    for _ in range(draws):
+        polys = []
+        for _ in range(rng.randint(1, 5)):
+            size = 10 ** rng.choice((1, 6, 12))
+            polys.append(UniPoly.from_coeffs(random_fraction(rng, size, size)
+                                             for _ in range(rng.randint(0, 7))))
+        d = rng.randint(0, 5)
+        points = [_chain_point(rng) for _ in range(rng.randint(1, 4))]
+        den, ints = _common_ints(polys)
+        assert den > 0 and all(type(x) is int for g in ints for x in g)
+        top = max(len(g.coeffs) for g in polys)
+        rows = _evaluation_rows(ints, d, [(t.numerator, t.denominator) for t in points])
+        for t, row, ref in zip(points, rows, oracles.value_rows(polys, d, points)):
+            assert all(type(x) is int for x in row), (polys, t)
+            mult = den * Fraction(t.denominator) ** (top - 1 + d)
+            assert row == [mult * x for x in ref], (polys, d, t)
+        exact = _evaluation_rows([g.coeffs for g in polys], d, [(t, 1) for t in points])
+        assert exact == oracles.value_rows(polys, d, points), (polys, d, points)
+        nrows = top + d + rng.randint(0, 2)
+        block = _convolution_matrix(ints, d, nrows)
+        assert all(type(x) is int for x in block.entries)
+        assert block.to_rows() == [[den * x for x in row]
+                                   for row in oracles.toeplitz_rows(polys, d, nrows)]
     return draws
 
 

@@ -16,6 +16,7 @@ from curvejac import cli
 from curvejac.construction import _generic_points, gradient_pairing_map, select_special_points
 from curvejac.incidence import (
     IncidenceProblem,
+    _common_ints,
     jacobian_coefficient_form,
     jacobian_evaluation_form,
     quintics_through_curve,
@@ -112,7 +113,7 @@ def test_criterion_3_block_suite(fixture_a):
 def test_criterion_4_gradient_pairing(fixture_a, fixture_b):
     with criterion(4, "gradient pairing kernel dimension 4 on both fixtures"):
         for fix, shape in ((fixture_a, (5, 8)), (fixture_b, (9, 12))):
-            m = gradient_pairing_map(restricted_gradient(fix.q, fix.c0), fix.c0)
+            m = gradient_pairing_map(_common_ints(restricted_gradient(fix.q, fix.c0))[1], fix.d)
             assert (m.rows, m.cols) == shape == (4 * fix.d + 1, 4 * fix.d + 4)
             assert kernel_exact(m).dim == 4
 
@@ -137,7 +138,7 @@ def test_criterion_5_vandermonde_identity(fixture_a, fixture_b, fixture_b_nonspl
             for pts in sets:
                 j_eval = jacobian_evaluation_form(fix.problem, fix.c0, pts, grads)
                 v = oracles.vandermonde(pts, len(pts))
-                assert oracles.matmul(v, j_coeff.matrix.to_rows()) == j_eval.matrix.to_rows()
+                assert oracles.matmul(v, oracles.jacobian_rows(j_coeff)) == j_eval.matrix.to_rows()
                 assert rank_exact(j_eval.matrix) == rank_exact(j_coeff.matrix)
         # complex path: l restricting to 1 + t^2 forces roots at +-i
         fx = fixture_b_nonsplit
@@ -145,7 +146,7 @@ def test_criterion_5_vandermonde_identity(fixture_a, fixture_b, fixture_b_nonspl
         pc = on_curve(fx.p, fx.c0)
         roots, field = select_special_points(lc, pc, fx.d)
         assert field == "complex"
-        points = roots + _generic_points(lc, pc, 4 * fx.d + 1, 0, 0)
+        points = roots + _generic_points(lc.coeffs, pc.coeffs, 4 * fx.d + 1, 0, 0)
         grads = restricted_gradient(fx.problem.f, fx.c0)
         j_eval = jacobian_evaluation_form(fx.problem, fx.c0, points, grads)
         exact_rank = rank_exact(jacobian_coefficient_form(fx.problem, fx.c0, grads).matrix)

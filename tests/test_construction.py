@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from curvejac import cli, poly
+from curvejac import cli, linalg, poly
 from curvejac.construction import (
     MAX_POINT_ATTEMPTS,
     Fixture,
@@ -19,6 +19,7 @@ from curvejac.construction import (
 from curvejac.errors import InputError
 from curvejac.incidence import (
     CurveParam,
+    _common_ints,
     jacobian_coefficient_form,
     jacobian_evaluation_form,
     restricted_gradient,
@@ -45,7 +46,7 @@ def special_points(c0, l, p):
 def generic_points(fix, attempt=0):
     """The 4d+1 generic points of a successful selection at seed 0."""
     lc, pc = on_curve(fix.l, fix.c0), on_curve(fix.p, fix.c0)
-    return _generic_points(lc, pc, 4 * fix.d + 1, 0, attempt)
+    return _generic_points(lc.coeffs, pc.coeffs, 4 * fix.d + 1, 0, attempt)
 
 
 def small_p(fix):
@@ -175,7 +176,7 @@ class TestSelectSpecialPoints:
         roots, field = select_special_points(lc, pc, 32)
         assert field == "rational"
         assert roots == tuple(F(k, k + 1) for k in range(1, 33))
-        assert len(_generic_points(lc, pc, 129, 0, 0)) == 129
+        assert len(_generic_points(lc.coeffs, pc.coeffs, 129, 0, 0)) == 129
 
     def test_repeated_root_rejected(self, fixture_a):
         # l restricting to (1 + 2t)^2 on the line: 1 + 4t + 4t^2 needs d >= 2,
@@ -333,7 +334,7 @@ class TestBlocks:
 
 class TestGradientPairing:
     def test_fixture_a_matrix(self, fixture_a):
-        m = gradient_pairing_map(restricted_gradient(fixture_a.q, fixture_a.c0), fixture_a.c0)
+        m = gradient_pairing_map(_common_ints(restricted_gradient(fixture_a.q, fixture_a.c0))[1], fixture_a.d)
         assert (m.rows, m.cols) == (5, 8)
         # map is (v0..v3) -> v2(t) + t^3 v3(t): columns for m=2 hit rows 0,1;
         # columns for m=3 hit rows 3,4
@@ -344,14 +345,14 @@ class TestGradientPairing:
         assert kernel_exact(m).dim == 4
 
     def test_fixture_b_kernel(self, fixture_b):
-        m = gradient_pairing_map(restricted_gradient(fixture_b.q, fixture_b.c0), fixture_b.c0)
+        m = gradient_pairing_map(_common_ints(restricted_gradient(fixture_b.q, fixture_b.c0))[1], fixture_b.d)
         assert (m.rows, m.cols) == (9, 12)
         assert rank_exact(m) == 8
         assert kernel_exact(m).dim == 4
 
     def test_kernel_contains_restricted_symmetry_vectors(self, fixture_a, fixture_b):
         for fix in (fixture_a, fixture_b):
-            m = gradient_pairing_map(restricted_gradient(fix.q, fix.c0), fix.c0)
+            m = gradient_pairing_map(_common_ints(restricted_gradient(fix.q, fix.c0))[1], fix.d)
             d = fix.d
             for v in symmetry_kernel_vectors(fix.c0):
                 restricted = v[: 4 * (d + 1)]
@@ -441,6 +442,58 @@ class TestVerifyConstruction:
         assert cli.main(["verify", str(path)]) == 0
         assert tables == 1
 
+    @pytest.fixture()
+    def integer_chain_fixtures(self, fixture_a, fixture_b, fixture_b_nonsplit):
+        # small_p(B) has the common denominator 10^4; the two data fixtures
+        # have large heights and complex roots
+        fixtures = [fixture_a, fixture_b, fixture_b_nonsplit, small_p(fixture_b)]
+        for name in ("fixture-d3-large.json", "fixture-d4-nonsplit.json"):
+            fixtures.append(Fixture.from_obj(json.loads((DATA / name).read_text())))
+        return fixtures
+
+    def test_ranks_only_integer_matrices(self, integer_chain_fixtures, monkeypatch):
+        # every matrix verify hands to rank_exact, witnesses included, is in
+        # ints, and so are the vectors rank_exact multiplies by it
+        seen = []
+        rank = linalg.rank_exact
+
+        def spy(m, witnesses=()):
+            seen.append(m)
+            assert all(type(x) is int for x in m.entries)
+            assert all(type(x) is int for w in witnesses for x in w)
+            return rank(m, witnesses)
+
+        monkeypatch.setattr(linalg, "rank_exact", spy)
+        monkeypatch.setattr("curvejac.construction.rank_exact", spy)
+        for fix in integer_chain_fixtures:
+            seen.clear()
+            rep = verify_construction(fix, seed=0)
+            assert rep.passed, fix.name
+            # checks 7, 8 (and its witnesses), 9 and 10 (two ranks)
+            assert len(seen) == 6, fix.name
+
+    def test_no_bareiss_elimination(self, fixture_a, fixture_b, fixture_b_nonsplit, monkeypatch):
+        # every rank is certified mod p, and check 10's image matrix, all
+        # zero on a passing fixture, has rank 0 without any elimination
+        def refuse(rows):
+            raise AssertionError("Bareiss elimination ran")
+
+        monkeypatch.setattr(linalg, "_bareiss_echelon", refuse)
+        for fix in (fixture_a, fixture_b, fixture_b_nonsplit):
+            rep = verify_construction(fix, seed=0)
+            assert rep.passed, fix.name
+            assert rep.checks[9].details["symmetry_annihilated"] is True
+
+    def test_fixture_f0_built_on_first_read(self, fixture_b):
+        # verify never reads f0; the checks on l, q and p run at load
+        fix = Fixture("B-copy", fixture_b.q, fixture_b.l, fixture_b.p, fixture_b.c0, 2)
+        verify_construction(fix, seed=0)
+        assert "f0" not in vars(fix)
+        assert fix.f0 == fixture_b.f0
+        with pytest.raises(InputError, match="q must not involve z4"):
+            Fixture("bad", MultiPoly.monomial((0, 0, 0, 3, 1)), fixture_b.l, fixture_b.p,
+                    fixture_b.c0, 2)
+
     def test_byte_stable(self, fixture_b):
         a = verify_construction(fixture_b, seed=3).to_json()
         b = verify_construction(fixture_b, seed=3).to_json()
@@ -522,7 +575,7 @@ class TestDerivedGradient:
         # the reference
         for fix in shipped_test_and_data_fixtures:
             by_id = {c.check_id: c.details for c in verify_construction(fix, seed=0).checks}
-            pairing = gradient_pairing_map(restricted_gradient(fix.q, fix.c0), fix.c0)
+            pairing = gradient_pairing_map(_common_ints(restricted_gradient(fix.q, fix.c0))[1], fix.d)
             assert by_id[8]["kernel_dim"] == kernel_exact(pairing).dim, fix.name
             grads = restricted_gradient(fix.problem.f, fix.c0)
             jac = jacobian_coefficient_form(fix.problem, fix.c0, grads).matrix

@@ -119,6 +119,23 @@ class TestJacobianCoefficientForm:
         stacked = RationalMatrix.from_rows([list(v) for v in oracles.dense_kernel(kernel)] + sym)
         assert rank_exact(stacked) == 4
 
+    def test_integer_matrix_is_den_times_the_jacobian(self):
+        # fractional coefficients in f and in the curve: the matrix is in
+        # ints, den times the schoolbook Fraction block, and to_obj writes
+        # the Jacobian itself
+        rng = random.Random(32)
+        for _ in range(10):
+            n, d, e = 3, rng.randint(1, 3), rng.randint(1, 3)
+            f = propcheck.random_homogeneous(rng, n + 1, e)
+            c = propcheck.random_curve(rng, n, d)
+            grads = restricted_gradient(f, c)
+            jac = jacobian_coefficient_form(IncidenceProblem(n, d, e, f), c, grads)
+            want = oracles.toeplitz_rows(grads, d, e * d + 1)
+            assert all(type(x) is int for x in jac.matrix.entries)
+            assert jac.matrix.to_rows() == [[jac.den * x for x in row] for row in want]
+            entries = jac.to_obj()["matrix"]["entries"]
+            assert entries == [[format_rational(x) for x in row] for row in want]
+
     def test_linearity_in_f(self):
         rng = random.Random(31)
         for _ in range(10):
@@ -131,12 +148,12 @@ class TestJacobianCoefficientForm:
             if combo.is_zero:
                 continue
             m_combo, m_f, m_g = (
-                jacobian_coefficient_form(IncidenceProblem(n, d, e, h), c,
-                                          restricted_gradient(h, c)).matrix
+                oracles.jacobian_rows(jacobian_coefficient_form(
+                    IncidenceProblem(n, d, e, h), c, restricted_gradient(h, c)))
                 for h in (combo, f, g))
-            for i in range(m_combo.rows):
-                for j in range(m_combo.cols):
-                    assert m_combo.entry(i, j) == a * m_f.entry(i, j) + b * m_g.entry(i, j)
+            for i, row in enumerate(m_combo):
+                for j, x in enumerate(row):
+                    assert x == a * m_f[i][j] + b * m_g[i][j]
 
 
 class TestJacobianEvaluationForm:
@@ -158,7 +175,7 @@ class TestJacobianEvaluationForm:
         j_eval = jacobian_evaluation_form(fixture_a.problem, fixture_a.c0, points, grads)
         j_coeff = jacobian_coefficient_form(fixture_a.problem, fixture_a.c0, grads)
         v = oracles.vandermonde(points, 6)
-        assert oracles.matmul(v, j_coeff.matrix.to_rows()) == j_eval.matrix.to_rows()
+        assert oracles.matmul(v, oracles.jacobian_rows(j_coeff)) == j_eval.matrix.to_rows()
         assert rank_exact(j_eval.matrix) == rank_exact(j_coeff.matrix) == 6
 
     def test_vandermonde_factorization_random_points(self, fixture_b):
@@ -173,7 +190,7 @@ class TestJacobianEvaluationForm:
                     points.append(t)
             j_eval = jacobian_evaluation_form(fixture_b.problem, fixture_b.c0, points, grads)
             v = oracles.vandermonde(points, 11)
-            assert oracles.matmul(v, j_coeff.matrix.to_rows()) == j_eval.matrix.to_rows()
+            assert oracles.matmul(v, oracles.jacobian_rows(j_coeff)) == j_eval.matrix.to_rows()
 
     def test_rejects_wrong_point_count(self, fixture_a):
         grads = restricted_gradient(fixture_a.problem.f, fixture_a.c0)

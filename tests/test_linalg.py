@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import numpy
 import pytest
 
+from curvejac import linalg
 from curvejac.errors import DimensionError
 from curvejac.incidence import jacobian_coefficient_form, restricted_gradient
 from curvejac.linalg import (
@@ -33,6 +34,16 @@ def to_complex(m):
 class TestRankExact:
     def test_zero_matrix(self):
         assert rank_exact(zero(3, 5)) == 0
+
+    def test_zero_matrix_takes_no_elimination(self, monkeypatch):
+        # check 10's image matrix is all zero on every passing fixture
+        def refuse(*args):
+            raise AssertionError("a zero matrix was eliminated")
+
+        monkeypatch.setattr(linalg, "_rows_mod", refuse)
+        monkeypatch.setattr(linalg, "_bareiss_echelon", refuse)
+        assert rank_exact(zero(4, 31)) == 0
+        assert rank_exact(RationalMatrix.from_rows([[F(0)] * 6] * 4)) == 0
 
     def test_identity(self):
         assert rank_exact(identity(4)) == 4
@@ -235,6 +246,24 @@ def test_matmul_and_matvec():
     a = RationalMatrix.from_rows([[1, 2], [3, 4]])
     assert oracles.matmul(a.to_rows(), [[0, 1], [1, 0]]) == [[2, 1], [4, 3]]
     assert a.matvec([F(1), F(1)]) == (F(3), F(7))
+
+
+def test_integer_rows_take_no_fraction_work():
+    # from_rows keeps ints; an int row's reduction mod p and its product
+    # with an int vector are the Fraction paths' values, as ints
+    rng = random.Random(14)
+    for _ in range(30):
+        rows = [[rng.randint(-10**30, 10**30) for _ in range(5)] for _ in range(4)]
+        v = [rng.randint(-9, 9) for _ in range(5)]
+        m = RationalMatrix.from_rows(rows)
+        as_fractions = RationalMatrix(4, 5, tuple(map(F, m.entries)))
+        assert all(type(x) is int for x in m.entries)
+        product = m.matvec(v)
+        assert all(type(x) is int for x in product)
+        assert product == as_fractions.matvec(list(map(F, v)))
+        for p in linalg._PRIMES:
+            assert linalg._rows_mod(m, p) == linalg._rows_mod(as_fractions, p)
+        assert rank_exact(m) == rank_exact(as_fractions)
 
 
 def test_matvec_equals_fraction_sums():

@@ -16,6 +16,10 @@ def test_taylor_chain_rule_100_draws():
     assert propcheck.taylor_chain_rule_suite(seed=2024, draws=100) == 100
 
 
+def test_integer_chain_100_draws():
+    assert propcheck.integer_chain_suite(seed=2037, draws=100) == 100
+
+
 def test_euler_identity_100_draws():
     assert propcheck.euler_identity_suite(seed=2025, draws=100) == 100
 
