@@ -185,11 +185,12 @@ class JacobianMatrix:
         return isinstance(self.matrix, RationalMatrix)
 
     def to_obj(self) -> dict:
-        obj = {
-            "form": self.form,
-            "matrix": self.matrix.to_obj(self.den) if self.is_exact else self.matrix.to_obj(),
-            "exact": self.is_exact,
-        }
+        matrix = self.matrix.to_obj()
+        if self.den != 1:
+            m = self.matrix
+            matrix["entries"] = [[format_rational(Fraction(x, self.den)) for x in m.row(i)]
+                                 for i in range(m.rows)]
+        obj = {"form": self.form, "matrix": matrix, "exact": self.is_exact}
         if isinstance(self.matrix, RationalMatrix):
             obj["row_labels"] = list(self.matrix.row_labels or ())
             obj["col_labels"] = list(self.matrix.col_labels or ())

@@ -7,12 +7,13 @@ is in ints; an int row takes no Fraction work, neither in a matrix-vector
 product nor in its reduction mod p, and `from_rows` keeps ints as they are.
 
 `rank_exact` proves a rank from both sides.  Modulo a prime p that divides
-no denominator, the rank of the reduced matrix (entries num * den**-1 mod p)
-is a lower bound on the rank over Q.  An upper bound is min(rows, cols), or
-cols - k when the caller hands in k kernel witnesses that an exact matvec
-annihilates and that have full rank k.  When the rank mod one of a few
-primes just below 2**61 meets the upper bound, that is the rank; otherwise
-it falls back to the fraction-free elimination below.
+no denominator, the rank of the reduced matrix (each row scaled to integers
+by the lcm of its denominators, then reduced mod p) is a lower bound on the
+rank over Q.  An upper bound is min(rows, cols), or cols - k when the
+caller hands in k kernel witnesses that an exact matvec annihilates and
+that have full rank k.  When the rank mod one of a few primes just below
+2**61 meets the upper bound, that is the rank; otherwise it falls back to
+the fraction-free elimination below.
 
 The kernel and the rank's fallback go through a single fraction-free
 elimination: each row is scaled to integers and pivoting follows Bareiss'
@@ -132,15 +133,10 @@ def format_rational(x: Fraction) -> str:
         return num if den == "1" else f"{num}/{den}"
 
 
-def _all_int(xs: Sequence) -> bool:
-    """Whether every entry of xs is an int."""
-    return set(map(type, xs)) <= {int}
-
-
 def _scaled(xs: Sequence) -> tuple[int, list[int]]:
     """(den, ints): den the lcm of the denominators of the rationals xs,
     ints or Fractions, and ints = den * xs; integers pass as they are."""
-    if _all_int(xs):
+    if set(map(type, xs)) <= {int}:
         return 1, list(xs)
     den = lcm(*(x.denominator for x in xs))
     return den, [x.numerator * (den // x.denominator) for x in xs]
@@ -207,15 +203,11 @@ class RationalMatrix:
             out.append(total if rden * vden == 1 else Fraction(total, rden * vden))
         return tuple(out)
 
-    def to_obj(self, den: int = 1) -> dict:
-        """The matrix divided by den, entries as canonical strings."""
+    def to_obj(self) -> dict:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [
-                [format_rational(x if den == 1 else Fraction(x, den)) for x in self.row(i)]
-                for i in range(self.rows)
-            ],
+            "entries": [[format_rational(x) for x in self.row(i)] for i in range(self.rows)],
         }
 
 
@@ -321,24 +313,15 @@ _PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45)
 
 
 def _rows_mod(m: RationalMatrix, p: int) -> list[list[int]] | None:
-    """Rows of num * den**-1 mod p; None when p divides a denominator.  An
-    integer row is reduced entry by entry."""
-    inverses = {1: 1}
+    """Each row scaled to integers by the lcm L of its denominators, reduced
+    mod p; None when p divides some L.  Scaling a row by L, a unit mod p,
+    keeps the rank mod p."""
     rows = []
     for i in range(m.rows):
-        r = m.row(i)
-        if _all_int(r):
-            rows.append([x % p for x in r])
-            continue
-        row = []
-        for x in r:
-            den = x.denominator
-            if den not in inverses:
-                if den % p == 0:
-                    return None
-                inverses[den] = pow(den, -1, p)
-            row.append(x.numerator * inverses[den] % p)
-        rows.append(row)
+        den, r = _scaled(m.row(i))
+        if den % p == 0:
+            return None
+        rows.append([x % p for x in r])
     return rows
 
 
