@@ -54,7 +54,6 @@ from .linalg import (
 from .poly import (
     MultiPoly,
     UniPoly,
-    gcd_univariate,
     monomial_basis,
 )
 

@@ -44,7 +44,7 @@ from .poly import (
     MultiPoly,
     UniPoly,
     _curve_monomials,
-    gcd_univariate,
+    coprime,
     monomial_basis,
     restrict_to_curve,
 )
@@ -185,15 +185,16 @@ class JacobianMatrix:
         return isinstance(self.matrix, RationalMatrix)
 
     def to_obj(self) -> dict:
-        matrix = self.matrix.to_obj()
-        if self.den != 1:
-            m = self.matrix
-            matrix["entries"] = [[format_rational(Fraction(x, self.den)) for x in m.row(i)]
-                                 for i in range(m.rows)]
-        obj = {"form": self.form, "matrix": matrix, "exact": self.is_exact}
-        if isinstance(self.matrix, RationalMatrix):
-            obj["row_labels"] = list(self.matrix.row_labels or ())
-            obj["col_labels"] = list(self.matrix.col_labels or ())
+        m = self.matrix
+        obj = {"form": self.form, "exact": self.is_exact}
+        if self.is_exact:
+            entries = [[format_rational(Fraction(x, self.den)) for x in m.row(i)]
+                       for i in range(m.rows)]
+            obj["matrix"] = {"rows": m.rows, "cols": m.cols, "entries": entries}
+            obj["row_labels"] = list(m.row_labels or ())
+            obj["col_labels"] = list(m.col_labels or ())
+        else:
+            obj["matrix"] = m.to_obj()
         if self.points is not None:
             obj["points"] = [_point_label(t) for t in self.points]
         return obj
@@ -211,13 +212,10 @@ def _point_label(t) -> str:
 
 
 def membership_checks(c: CurveParam) -> MembershipReport:
-    nonzero = [comp for comp in c.components if not comp.is_zero]
-    if not nonzero:
+    """Base-point-free means the components are coprime (`coprime`)."""
+    if all(comp.is_zero for comp in c.components):
         return MembershipReport(False, False, False)
-    g = nonzero[0]
-    for comp in nonzero[1:]:
-        g = gcd_univariate(g, comp)
-    base_point_free = g.degree == 0
+    base_point_free = coprime(*c.components)
     attains_degree = max(comp.degree for comp in c.components) == c.d
     nonconstant = any(comp.degree >= 1 for comp in c.components)
     return MembershipReport(base_point_free, attains_degree, nonconstant)

@@ -203,13 +203,6 @@ class RationalMatrix:
             out.append(total if rden * vden == 1 else Fraction(total, rden * vden))
         return tuple(out)
 
-    def to_obj(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[format_rational(x) for x in self.row(i)] for i in range(self.rows)],
-        }
-
 
 @dataclass(frozen=True)
 class ComplexMatrix:

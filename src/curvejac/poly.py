@@ -16,13 +16,13 @@ table's and `UniPoly.__mul__`'s, is one product of integer polynomials by
 Kronecker substitution (`_int_mul`): the coefficients are packed into one
 integer, which CPython multiplies by Karatsuba, and unpacked.
 
-Coprimality (`coprime`, also the squarefree test of f against f') is
-certified by a gcd of degree 0 modulo a prime, and a common factor by the
-gcd modulo a prime lifted to Q and confirmed by exact division, with Euclid
-over Q only as the fallback.  The rational roots of a squarefree
-polynomial (`squarefree_roots`) are exact and use no floats: its roots
-modulo a suitable prime are lifted p-adically and confirmed exactly.  The
-complex labels of a polynomial that does not split come from mpmath's
+Coprimality of any number of polynomials (`coprime`: f against f', a
+curve's components) is decided modulo a prime, a common factor lifted to Q
+and confirmed by exact division; Euclid over Q is only its private
+fallback, which gives just the gcd's degree.  The rational roots of a
+squarefree polynomial (`squarefree_roots`) are exact and use no floats: its
+roots modulo a suitable prime are lifted p-adically and confirmed exactly.
+The complex labels of a polynomial that does not split come from mpmath's
 Durand-Kerner iteration run in fixed-point integers (`_polyroots`), so the
 module, like the package, needs nothing beyond the standard library.
 
@@ -45,7 +45,6 @@ from .linalg import _PRIMES, _scaled, format_rational, parse_int, parse_list, pa
 __all__ = [
     "UniPoly",
     "MultiPoly",
-    "gcd_univariate",
     "coprime",
     "restrict_to_curve",
     "monomial_basis",
@@ -109,10 +108,6 @@ class UniPoly:
     def zero(cls) -> "UniPoly":
         return cls(())
 
-    @classmethod
-    def one(cls) -> "UniPoly":
-        return cls((Fraction(1),))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -171,11 +166,6 @@ class UniPoly:
             acc = acc * t + c
         return acc
 
-    def monic(self) -> "UniPoly":
-        if self.is_zero:
-            raise ValueError("zero polynomial cannot be made monic")
-        return self.scale(1 / self.leading)
-
     def divmod_exact(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
@@ -206,19 +196,10 @@ class UniPoly:
         return cls.from_coeffs(parse_rational(c) for c in parse_list(coeffs, "coeffs"))
 
 
-def gcd_univariate(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic exact gcd; rejects the (0, 0) pair."""
-    if a.is_zero and b.is_zero:
-        raise ValueError("gcd(0, 0) is undefined")
-    while not b.is_zero:
-        a, b = b, a.divmod_exact(b)[1]
-    return a.monic()
-
-
 def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
     """The monic gcd(a, b) over Z/p, coefficients from t^0 up; a and b list
-    integer coefficients from t^0 up, and p divides neither lead."""
-    a, b = [x % p for x in a], [x % p for x in b]
+    coefficients mod p from t^0 up, a's lead and b's, unless b is [], are
+    nonzero, and both lists are overwritten."""
     while b:
         inv = pow(b[-1], -1, p)
         while len(a) >= len(b):
@@ -245,33 +226,49 @@ def _rational_mod(x: int, p: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
-def coprime(a: UniPoly, b: UniPoly) -> bool:
-    """Whether gcd(a, b) is constant; rejects the (0, 0) pair.
+def _gcd_degree(polys: Sequence[UniPoly]) -> int:
+    """The degree of the gcd over Q of nonzero polys, by Euclid over
+    Fractions: `coprime`'s fallback."""
+    a = polys[0]
+    for b in polys[1:]:
+        while not b.is_zero:
+            a, b = b, a.divmod_exact(b)[1]
+    return a.degree
+
+
+def coprime(*polys: UniPoly) -> bool:
+    """Whether the gcd of polys, zero ones left out and not all zero, is
+    constant.
 
     A common factor over Q of degree k >= 1 is, by Gauss's lemma, a
-    primitive integer polynomial whose lead divides the leads of a and b
-    scaled to integers; so modulo a prime dividing neither lead it keeps
-    degree k.  A gcd of degree 0 modulo such a prime therefore proves a and
-    b coprime.  A gcd of higher degree is lifted to Q, each coefficient of
-    the monic gcd mod p by rational reconstruction, and when that candidate
-    divides a and b exactly it proves a common factor.  Euclid over Q
-    decides only when every prime of _PRIMES divides a lead or leaves a
-    common factor that does not lift.
+    primitive integer polynomial whose lead divides the lead of each poly
+    scaled to integers; so modulo a prime p that divides no denominator and
+    no lead's numerator it keeps degree k.  Each coefficient reduces mod p
+    as its numerator times its denominator's inverse, so no common
+    denominator is formed, and a gcd of degree 0 mod p proves the polys
+    coprime.  A gcd of higher degree is lifted to Q, each coefficient of the
+    monic gcd mod p by rational reconstruction, and when that candidate
+    divides every poly exactly it proves a common factor.  Euclid over Q
+    decides only when no prime of _PRIMES decides.
     """
-    if not (a.is_zero or b.is_zero):
-        ia, ib = _integral(a)[0], _integral(b)[0]
-        for p in _PRIMES:
-            if ia[-1] % p == 0 or ib[-1] % p == 0:
-                continue
-            g = _gcd_mod(ia, ib, p)
-            if len(g) == 1:
-                return True
-            lifted = [_rational_mod(x, p) for x in g]
-            if None not in lifted:
-                common = UniPoly(tuple(lifted))
-                if all(f.divmod_exact(common)[1].is_zero for f in (a, b)):
-                    return False
-    return gcd_univariate(a, b).degree == 0
+    polys = [f for f in polys if not f.is_zero]
+    if not polys:
+        raise ValueError("the gcd of zero polynomials only is undefined")
+    for p in _PRIMES:
+        if any(f.leading.numerator % p == 0 or any(c.denominator % p == 0 for c in f.coeffs)
+               for f in polys):
+            continue
+        g: list[int] = []
+        for f in polys:
+            g = _gcd_mod([c.numerator * pow(c.denominator, -1, p) % p for c in f.coeffs], g, p)
+        if len(g) == 1:
+            return True
+        lifted = [_rational_mod(x, p) for x in g]
+        if None not in lifted:
+            common = UniPoly(tuple(lifted))
+            if all(f.divmod_exact(common)[1].is_zero for f in polys):
+                return False
+    return _gcd_degree(polys) == 0
 
 
 def grlex_key(exps: tuple[int, ...]) -> tuple:
@@ -485,7 +482,9 @@ def restrict_to_curve(fs: Iterable[MultiPoly], components: Sequence[UniPoly]) ->
             for i, x in enumerate(xs):
                 if x:
                     acc[i] += w * x
-        out.append(UniPoly.from_coeffs(Fraction(a, den) for a in acc))
+        while acc and not acc[-1]:
+            acc.pop()
+        out.append(UniPoly(tuple(Fraction(a, den) for a in acc)))
     return out
 
 

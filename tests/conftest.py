@@ -10,6 +10,16 @@ from curvejac.construction import Fixture
 from curvejac.poly import MultiPoly
 
 
+@pytest.fixture()
+def no_euclid(monkeypatch):
+    """Make coprime's fallback, Euclid over Q, raise."""
+
+    def refuse(polys):
+        raise AssertionError("Euclid over Q ran")
+
+    monkeypatch.setattr("curvejac.poly._gcd_degree", refuse)
+
+
 @pytest.fixture(scope="session")
 def fixture_a():
     return fixtures.fixture_a()

@@ -7,8 +7,8 @@ schoolbook convolution over Fractions for polynomial products, exact Newton
 interpolation for first-order Taylor extraction, Vandermonde matrices,
 matrix products and cofactor determinants from their definitions, block
 slicing, reassembly and closed forms by list arithmetic, an exhaustive
-smoothness search over a prime field, smoothness along a curve from sympy's
-gcd, rational roots from sympy's factorization over Q, and complex root
+smoothness search over a prime field, gcds over Q (coprimality, smoothness
+along a curve) from sympy's, rational roots from sympy's factorization over Q, and complex root
 labels from mpmath's `polyroots`.
 """
 
@@ -283,17 +283,23 @@ def _sympy_poly(coeffs, t):
                       t, domain="QQ")
 
 
+def sympy_gcd(*coeff_lists):
+    """sympy's monic gcd over Q of the polynomials sum coeffs[i] t^i, zero
+    ones included, as Fractions, constant term first; [] when all are
+    zero."""
+    t = sympy.Symbol("t")
+    g = reduce(sympy.Poly.gcd, [_sympy_poly(c, t) for c in coeff_lists])
+    return [] if g.is_zero else [_fraction(c) for c in reversed(g.all_coeffs())]
+
+
 def smooth_along_curve(q, c0):
     """Necessary smoothness of the quartic q along the curve c0: the partials
     (dq/dz_m)(c0(t)), m < 4, have a constant gcd over Q (sympy's) and do not
     all drop below degree 3d, so they have no common zero at t = infinity."""
-    t = sympy.Symbol("t")
     grads = [naive_compose({e[:m] + (e[m] - 1,) + e[m + 1 :]: c * e[m]
                             for e, c in q.terms.items() if e[m]},
                            [c.coeffs for c in c0.components]) for m in range(4)]
-    nonzero = [_sympy_poly(g, t) for g in grads if g]
-    return (bool(nonzero) and reduce(sympy.Poly.gcd, nonzero).degree() == 0
-            and max(map(len, grads)) - 1 == 3 * c0.d)
+    return len(sympy_gcd(*grads)) == 1 and max(map(len, grads)) - 1 == 3 * c0.d
 
 
 def sympy_rational_roots(coeffs):

@@ -32,12 +32,12 @@ from curvejac.poly import (
     _LABEL_DIGITS,
     MultiPoly,
     UniPoly,
+    _gcd_degree,
     _int_mul,
     _integral,
     _polyroots,
     _simple_roots_mod_prime,
     coprime,
-    gcd_univariate,
     monomial_basis,
     restrict_to_curve,
     squarefree_roots,
@@ -52,6 +52,19 @@ def random_fraction(rng, num=9, den=4):
 
 def random_unipoly(rng, max_deg):
     return UniPoly.from_coeffs(random_fraction(rng) for _ in range(max_deg + 1))
+
+
+def fractional_curve(seed, n, d, digits):
+    """A seeded curve in P^n of degree d whose coefficients are fractions
+    of two random integers of up to `digits` digits, the leads nonzero."""
+    rng = random.Random(seed)
+    h = 10**digits - 1
+
+    def coef():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, h), rng.randint(1, h))
+
+    return CurveParam(n, d, tuple(UniPoly.from_coeffs([coef() for _ in range(d + 1)])
+                                  for _ in range(n + 1)))
 
 
 def random_homogeneous(rng, num_vars, degree, max_terms=5):
@@ -485,6 +498,32 @@ def _irreducible(rng):
             return p
 
 
+def coprime_suite(seed, draws):
+    """coprime(*polys) against sympy's gcd over Q.
+
+    Each draw has 1-9 polynomials with fractional coefficients, about a
+    quarter of them zero (never all), each a random multiple of one planted
+    common factor whose degree cycles through 0-3.  coprime must hold
+    exactly when sympy's gcd is 1, and its fallback, Euclid over Q, must give
+    the degree of sympy's gcd.
+    """
+    rng = random.Random(seed)
+    for draw in range(draws):
+        k = draw % 4
+        planted = UniPoly.from_coeffs([random_fraction(rng, 99, 9) for _ in range(k)]
+                                      + [random_fraction(rng, 99, 9) or 1])
+        polys = [UniPoly.zero() if rng.random() < 0.25
+                 else planted * random_unipoly(rng, rng.randint(0, 4))
+                 for _ in range(rng.randint(1, 9))]
+        if all(f.is_zero for f in polys):
+            polys[0] = planted
+        want = oracles.sympy_gcd(*(f.coeffs for f in polys))
+        assert len(want) > k, (polys, want)
+        assert coprime(*polys) == (len(want) == 1), (polys, want)
+        assert _gcd_degree([f for f in polys if not f.is_zero]) == len(want) - 1, (polys, want)
+    return draws
+
+
 def rational_roots_suite(seed, draws):
     """The roots of sympy's factorization over Q are the drawn roots, with
     multiplicity; the squarefree part p / gcd(p, p') is the product of the
@@ -503,7 +542,7 @@ def rational_roots_suite(seed, draws):
     for draw in range(draws):
         kind = ROOT_KINDS[draw % len(ROOT_KINDS)]
         roots = [random_fraction(rng, 99, 9) for _ in range(rng.randint(0, 3))]
-        cofactor = UniPoly.one()
+        cofactor = UniPoly.of(1)
         if kind == "30-digit":
             roots.append(Fraction(rng.choice([-1, 1]) * rng.randint(10**29, 10**30 - 1),
                                   rng.randint(1, 99)))
@@ -534,8 +573,9 @@ def rational_roots_suite(seed, draws):
         want_roots, want_cofactor = oracles.sympy_rational_roots(p.coeffs)
         assert want_roots == sorted(roots), (kind, p)
         assert (len(want_cofactor) > 1) == (cofactor.degree > 0), (kind, p, want_cofactor)
-        sqfree = p.divmod_exact(gcd_univariate(p, p.derivative()))[0]
-        assert sqfree.monic() == distinct.monic(), (kind, p, sqfree)
+        common = UniPoly.from_coeffs(oracles.sympy_gcd(p.coeffs, p.derivative().coeffs))
+        sqfree = p.divmod_exact(common)[0]
+        assert sqfree.scale(distinct.leading / sqfree.leading) == distinct, (kind, p, sqfree)
         exact, numeric = squarefree_roots(sqfree)
         assert exact == sorted(set(want_roots)), (kind, sqfree, exact)
         assert len(numeric) == (sqfree.degree if cofactor.degree else 0), (kind, sqfree)
@@ -553,7 +593,7 @@ def _label_draw(rng, kind):
         h = 10 ** int(kind[len("height-"):])
         return UniPoly.from_coeffs(rng.randint(-h, h) for _ in range(rng.randint(2, 9)))
     if kind == "even":
-        p = UniPoly.one()
+        p = UniPoly.of(1)
         for _ in range(rng.randint(1, 4)):
             p = p * UniPoly.of(abs(random_fraction(rng, 99, 9)) or 1, 0, 1)
         return p

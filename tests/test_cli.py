@@ -19,6 +19,7 @@ from curvejac.incidence import (CurveParam, IncidenceProblem, quintics_through_c
 from curvejac.poly import MultiPoly
 
 import oracles
+import propcheck
 
 DATA = Path(__file__).parent / "data"
 
@@ -477,6 +478,16 @@ class TestSampleCommand:
         rc, _, err = run_cli(["sample", str(path), "--degree", "5", "--count", "1"])
         assert rc == 2
         assert "membership" in err
+
+    def test_fractional_d16_curve_exits_4(self, tmp_path, no_euclid):
+        # base-point-freeness of a curve with 20-digit fractions is decided
+        # modulo a prime, with Euclid over Q refused; no linear form
+        # contains the curve
+        path = tmp_path / "d16.json"
+        path.write_text(json.dumps(propcheck.fractional_curve(16, 4, 16, 20).to_obj()))
+        rc, out, err = run_cli(["sample", str(path), "--degree", "1", "--count", "1"])
+        assert rc == 4 and out == ""
+        assert err == "no forms of this degree contain the curve\n"
 
     def test_members_beyond_the_int_str_cap(self, tmp_path):
         # a third coefficient that is a fraction of two 30-digit numbers:

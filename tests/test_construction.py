@@ -160,18 +160,13 @@ class TestSelectSpecialPoints:
         assert rep.checks[1].status == "fail"
         assert rep.checks[1].details["error"] == message
 
-    def test_degree_32_fractional_roots_certified_mod_p(self, monkeypatch):
+    def test_degree_32_fractional_roots_certified_mod_p(self, no_euclid):
         # lc = prod (t - k/(k+1)), k <= 32: Euclid over Q on lc and lc' takes
         # seconds; a gcd of degree 0 modulo one prime proves lc squarefree
         # and coprime to pc
         lc = UniPoly.of(1)
         for k in range(1, 33):
             lc = lc * UniPoly.of(-F(k, k + 1), 1)
-
-        def refuse(a, b):
-            raise AssertionError("Euclid over Q ran")
-
-        monkeypatch.setattr("curvejac.poly.gcd_univariate", refuse)
         pc = UniPoly.of(1, 0, 1)
         roots, field = select_special_points(lc, pc, 32)
         assert field == "rational"

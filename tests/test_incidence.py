@@ -20,7 +20,8 @@ from curvejac.incidence import (
     theta_labels,
     vanishes_on_curve,
 )
-from curvejac.linalg import KernelBasis, RationalMatrix, format_rational, kernel_exact, rank_exact
+from curvejac.linalg import (_PRIMES, KernelBasis, RationalMatrix, format_rational, kernel_exact,
+                             rank_exact)
 from curvejac.poly import MultiPoly, UniPoly, monomial_basis, restrict_to_curve
 
 import oracles
@@ -94,6 +95,25 @@ class TestMembership:
         rep = membership_checks(c)
         assert not rep.attains_degree
         assert rep.base_point_free and rep.nonconstant
+
+    def test_fractional_curves_decided_mod_a_prime(self, no_euclid):
+        # 20-digit fractions at n=4, d=16 and 2000-digit fractions at the
+        # input limit n=8, d=32: Euclid over Q, refused here, takes seconds
+        # on the first and does not end on the second
+        curves = [propcheck.fractional_curve(d, n, d, digits)
+                  for n, d, digits in ((4, 16, 20), (8, 32, 2000))]
+        # _PRIMES[0] divides a denominator of component 1: the next prime
+        # decides
+        comps = list(curves[0].components)
+        comps[1] = UniPoly.from_coeffs((F(1, _PRIMES[0]),) + comps[1].coeffs[1:])
+        curves.append(CurveParam(4, 16, tuple(comps)))
+        for c in curves:
+            assert membership_checks(c).all_pass
+        # a common factor t - 1/3, lifted from its image mod p
+        low = propcheck.fractional_curve(15, 4, 15, 20)
+        factor = UniPoly.of(F(-1, 3), 1)
+        rep = membership_checks(CurveParam(4, 16, tuple(comp * factor for comp in low.components)))
+        assert rep.attains_degree and not rep.base_point_free
 
 
 class TestJacobianCoefficientForm:
@@ -375,7 +395,7 @@ class TestRankInvariance:
             for comp in fixture_a.c0.components:
                 acc = UniPoly.zero()
                 for i, coef in enumerate(comp.coeffs):
-                    term = UniPoly.one().scale(coef)
+                    term = UniPoly.of(coef)
                     for _ in range(i):
                         term = term * sub
                     acc = acc + term

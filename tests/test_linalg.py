@@ -6,7 +6,7 @@ import pytest
 
 from curvejac import linalg
 from curvejac.errors import DimensionError
-from curvejac.incidence import jacobian_coefficient_form, restricted_gradient
+from curvejac.incidence import JacobianMatrix, jacobian_coefficient_form, restricted_gradient
 from curvejac.linalg import (
     ComplexMatrix,
     RationalMatrix,
@@ -236,9 +236,11 @@ class TestRankNumeric:
 
 class TestMatrixJson:
     def test_round_trip(self):
-        m = RationalMatrix.from_rows([[F(1, 2), F(-3)], [F(0), F(7, 5)]])
-        obj = m.to_obj()
-        assert obj["entries"] == [["1/2", "-3"], ["0", "7/5"]]
+        # a Jacobian writes its matrix over its denominator, each entry once
+        want = [["1/2", "-3"], ["0", "7/5"]]
+        for rows, den in (([[F(1, 2), F(-3)], [F(0), F(7, 5)]], 1), ([[5, -30], [0, 14]], 10)):
+            obj = JacobianMatrix(RationalMatrix.from_rows(rows), "coefficient", den=den).to_obj()
+            assert obj["matrix"] == {"rows": 2, "cols": 2, "entries": want}
 
 
 def test_matmul_and_matvec():

@@ -14,10 +14,10 @@ from curvejac.poly import (
     UniPoly,
     _decimal_digits,
     _dk_sweep,
+    _gcd_degree,
     _polyroots,
     _squarefree_rational_roots,
     coprime,
-    gcd_univariate,
     monomial_basis,
     restrict_to_curve,
     squarefree_roots,
@@ -168,20 +168,29 @@ class TestComposeWithCurve:
 
 
 class TestGcd:
+    # coprime and its fallback, Euclid over Q, against sympy's gcd
     def test_common_factor(self):
-        g = gcd_univariate(UniPoly.of(-1, 0, 1), UniPoly.of(-1, 1))
-        assert g == UniPoly.of(-1, 1)
+        a, b = UniPoly.of(-1, 0, 1), UniPoly.of(-1, 1)
+        assert oracles.sympy_gcd(a.coeffs, b.coeffs) == [-1, 1]
+        assert _gcd_degree([a, b]) == 1 and not coprime(a, b)
 
     def test_coprime(self):
-        assert gcd_univariate(UniPoly.of(1, 2), UniPoly.of(1, 0, 0, 0, 1)) == UniPoly.one()
+        a, b = UniPoly.of(1, 2), UniPoly.of(1, 0, 0, 0, 1)
+        assert oracles.sympy_gcd(a.coeffs, b.coeffs) == [1]
+        assert _gcd_degree([a, b]) == 0 and coprime(a, b)
 
     def test_gcd_with_zero(self):
-        p = UniPoly.of(2, 4)
-        assert gcd_univariate(p, UniPoly.zero()) == UniPoly.of(F(1, 2), 1)
+        # a zero polynomial is left out: gcd(p, 0) is p
+        p, zero = UniPoly.of(2, 4), UniPoly.zero()
+        assert oracles.sympy_gcd(p.coeffs, zero.coeffs) == [F(1, 2), 1]
+        assert not coprime(p, zero) and not coprime(zero, p, zero)
+        assert coprime(UniPoly.of(F(1, 3)), zero)
 
     def test_rejects_both_zero(self):
-        with pytest.raises(ValueError):
-            gcd_univariate(UniPoly.zero(), UniPoly.zero())
+        assert oracles.sympy_gcd((), ()) == []
+        for polys in ((), (UniPoly.zero(),) * 3):
+            with pytest.raises(ValueError):
+                coprime(*polys)
 
 
 class TestCoprime:
@@ -195,31 +204,21 @@ class TestCoprime:
             (UniPoly.of(F(1, 3)), UniPoly.zero()),
             (UniPoly.of(0, F(1, 7)), UniPoly.of(0, 0, 5)),
         ]:
-            assert coprime(a, b) == (gcd_univariate(a, b).degree == 0)
+            assert coprime(a, b) == (len(oracles.sympy_gcd(a.coeffs, b.coeffs)) == 1)
 
-    def test_high_degree_fractional_roots_certified_mod_p(self, monkeypatch):
+    def test_high_degree_fractional_roots_certified_mod_p(self, no_euclid):
         lc = UniPoly.of(1)
         for k in range(1, 33):
             lc = lc * UniPoly.of(-F(k, k + 1), 1)
-
-        def refuse(a, b):
-            raise AssertionError("Euclid over Q ran")
-
-        monkeypatch.setattr("curvejac.poly.gcd_univariate", refuse)
         assert coprime(lc, lc.derivative())
         assert coprime(lc, UniPoly.of(1, 0, 1))
 
-    def test_repeated_root_lifted_from_gcd_mod_p(self, monkeypatch):
+    def test_repeated_root_lifted_from_gcd_mod_p(self, no_euclid):
         # every prime leaves the common factor t - 1/2 of lc and lc'; its
         # lift divides both exactly, which proves them not coprime
         lc = UniPoly.of(-F(1, 2), 1)
         for k in range(1, 32):
             lc = lc * UniPoly.of(-F(k, k + 1), 1)
-
-        def refuse(a, b):
-            raise AssertionError("Euclid over Q ran")
-
-        monkeypatch.setattr("curvejac.poly.gcd_univariate", refuse)
         assert not coprime(lc, lc.derivative())
         square = UniPoly.of(F(-5, 7), 1) * UniPoly.of(F(-5, 7), 1)
         assert not coprime(lc * square, square * UniPoly.of(3, 1))
@@ -234,6 +233,18 @@ class TestCoprime:
     def test_rejects_both_zero(self):
         with pytest.raises(ValueError):
             coprime(UniPoly.zero(), UniPoly.zero())
+
+    def test_first_prime_in_a_denominator_or_lead_decided_by_the_next(self, no_euclid):
+        # _PRIMES[0] divides a denominator, then a lead's numerator: the
+        # next prime proves coprimality, and lifts the common factor t - 1/3
+        p0 = _PRIMES[0]
+        for odd in (UniPoly.of(F(1, p0), 0, 1), UniPoly.of(1, 0, 2 * p0)):
+            assert coprime(odd, UniPoly.of(-1, 1), UniPoly.of(2, 0, 0, 1))
+            factor = UniPoly.of(F(-1, 3), 1)
+            assert not coprime(odd * factor, factor * UniPoly.of(5, 1), UniPoly.zero())
+
+    def test_agrees_with_sympy_200_draws(self):
+        assert propcheck.coprime_suite(seed=17, draws=200) == 200
 
 
 class TestRoots:
@@ -273,9 +284,9 @@ class TestRoots:
         # a repeated root leaves the squarefree part once
         p = UniPoly.of(F(-1, 2), 1) * UniPoly.of(F(-1, 2), 1) * UniPoly.of(3, 1)
         p = p * UniPoly.of(1, 0, 1)
-        sqfree = p.divmod_exact(gcd_univariate(p, p.derivative()))[0]
-        assert sqfree.monic() == (UniPoly.of(F(-1, 2), 1) * UniPoly.of(3, 1)
-                                  * UniPoly.of(1, 0, 1))
+        common = UniPoly.from_coeffs(oracles.sympy_gcd(p.coeffs, p.derivative().coeffs))
+        sqfree = p.divmod_exact(common)[0]
+        assert sqfree == UniPoly.of(F(-1, 2), 1) * UniPoly.of(3, 1) * UniPoly.of(1, 0, 1)
         roots, labels = squarefree_roots(sqfree)
         assert roots == [F(-3), F(1, 2)]
         assert labels == pytest.approx([-3, -1j, 1j, 0.5], rel=1e-15)
