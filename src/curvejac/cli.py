@@ -23,18 +23,14 @@ import sys
 
 from . import construction, fixtures, incidence
 from .errors import DimensionError, InputError
-from .linalg import (MAX_COUNT, MAX_DEGREE, MAX_RATIONAL_DIGITS, parse_rational, parse_size,
-                     rank_exact, rank_numeric)
+from .linalg import (MAX_COUNT, MAX_DEGREE, MAX_RATIONAL_DIGITS, _dump, parse_rational,
+                     parse_size, rank_exact, rank_numeric)
 from .poly import restrict_to_curve
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_DIMENSION = 3
 EXIT_EMPTY = 4
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _read_json(path: str):

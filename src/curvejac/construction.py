@@ -37,7 +37,6 @@ fields: complex roots of l(c0(t)) are labels.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -56,7 +55,8 @@ from .incidence import (
     symmetry_kernel_vectors,
     vanishes_on_curve,
 )
-from .linalg import MAX_D, RationalMatrix, _scaled, format_rational, parse_size, rank_exact
+from .linalg import (MAX_D, RationalMatrix, _dump, _scaled, format_rational, parse_size,
+                     rank_exact)
 from .poly import MultiPoly, UniPoly, _int_mul, coprime, restrict_to_curve, squarefree_roots
 
 __all__ = [
@@ -325,7 +325,7 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_obj(), indent=2, sort_keys=True) + "\n"
+        return _dump(self.to_obj())
 
     def render_text(self) -> str:
         lines = [

@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 from typing import Sequence
 
@@ -44,6 +45,7 @@ from .poly import (
     MultiPoly,
     UniPoly,
     _curve_monomials,
+    _int_mul,
     coprime,
     monomial_basis,
     restrict_to_curve,
@@ -240,9 +242,15 @@ def vanishes_on_curve(grads: Sequence[UniPoly], c: CurveParam, degree: int) -> b
 
     Euler: sum_m z_m * df/dz_m = degree * f, so for positive degree f(c(t))
     vanishes iff sum_m c_m(t) * grads[m] does; a nonzero constant never does.
+    The sum is taken in integers, times a positive scale that leaves its
+    vanishing as it is: the components over their common denominator and
+    grads over theirs (`_common_ints`), multiplied by `_int_mul`.
     """
-    euler = sum((comp * g for comp, g in zip(c.components, grads)), UniPoly.zero())
-    return degree > 0 and euler.is_zero
+    if degree <= 0:
+        return False
+    comps, ints = _common_ints(c.components)[1], _common_ints(grads)[1]
+    products = [_int_mul(a, g) for a, g in zip(comps, ints)]
+    return not any(map(sum, zip_longest(*products, fillvalue=0)))
 
 
 def _common_ints(polys: Sequence[UniPoly]) -> tuple[int, list[list[int]]]:

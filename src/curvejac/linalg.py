@@ -8,12 +8,12 @@ product nor in its reduction mod p, and `from_rows` keeps ints as they are.
 
 `rank_exact` proves a rank from both sides.  Modulo a prime p that divides
 no denominator, the rank of the reduced matrix (each row scaled to integers
-by the lcm of its denominators, then reduced mod p) is a lower bound on the
-rank over Q.  An upper bound is min(rows, cols), or cols - k when the
-caller hands in k kernel witnesses that an exact matvec annihilates and
-that have full rank k.  When the rank mod one of a few primes just below
-2**61 meets the upper bound, that is the rank; otherwise it falls back to
-the fraction-free elimination below.
+by the lcm of its denominators, then reduced mod p and packed into one int)
+is a lower bound on the rank over Q.  An upper bound is min(rows, cols), or
+cols - k when the caller hands in k kernel witnesses that an exact matvec
+annihilates and that have full rank k.  When the rank mod one of a few
+primes just below 2**61 meets the upper bound, that is the rank; otherwise
+it falls back to the fraction-free elimination below.
 
 The kernel and the rank's fallback go through a single fraction-free
 elimination: each row is scaled to integers and pivoting follows Bareiss'
@@ -29,11 +29,16 @@ evaluation-form Jacobian at user-given points that are not rational
 tolerance times the largest, in pure Python: Householder reflections bring
 the matrix to bidiagonal form, and bisection on a Sturm count finds the
 largest singular value and counts those above the threshold.
+
+The module also holds what every other one shares to read and write
+documents: the input parsers and size limits, `format_rational`, and
+`_dump`, the one writer of the commands' JSON.
 """
 
 from __future__ import annotations
 
 import cmath
+import json
 import math
 import operator
 import re
@@ -131,6 +136,64 @@ def format_rational(x: Fraction) -> str:
     except ValueError:
         num, den = str(Decimal(x.numerator)), str(Decimal(x.denominator))
         return num if den == "1" else f"{num}/{den}"
+
+
+def _float_text(x: float) -> str:
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+# How json's encoder writes a scalar of each type that `_dump` writes itself.
+_SCALAR_TEXT = {str: _encode_str, int: int.__repr__, float: _float_text}
+
+
+def _dump(obj) -> str:
+    """The JSON document json.dumps(obj, indent=2, sort_keys=True) writes,
+    byte for byte, and a newline.
+
+    CPython's C encoder serves only documents without indent, so the
+    containers are laid out here: a string, int or float, and a list of
+    only strings, only ints or only floats, is written in one call
+    (`_SCALAR_TEXT`).  Any other scalar goes through json.dumps, and so does
+    any other container (empty, of a subclass, or a dict with a key that is
+    not a string), its newlines indented to its depth.
+    """
+    parts: list[str] = []
+    _dump_into(obj, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _dump_into(x, nl: str, parts: list[str]) -> None:
+    """Append x's JSON text to parts, nl being a newline and the indent of
+    x's depth."""
+    inner = nl + "  "
+    text = _SCALAR_TEXT.get(type(x))
+    if text:
+        parts.append(text(x))
+    elif type(x) is dict and x and all(type(k) is str for k in x):
+        sep = "{" + inner
+        for k, v in sorted(x.items()):
+            parts += (sep, _encode_str(k), ": ")
+            _dump_into(v, inner, parts)
+            sep = "," + inner
+        parts += (nl, "}")
+    elif type(x) in (list, tuple) and x:
+        kinds = set(map(type, x))
+        text = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+        if text:
+            parts += ("[", inner, ("," + inner).join(map(text, x)), nl, "]")
+            return
+        sep = "[" + inner
+        for v in x:
+            parts.append(sep)
+            _dump_into(v, inner, parts)
+            sep = "," + inner
+        parts += (nl, "]")
+    elif isinstance(x, (dict, list, tuple)):
+        parts.append(json.dumps(x, indent=2, sort_keys=True).replace("\n", nl))
+    else:
+        parts.append(json.dumps(x))
 
 
 def _scaled(xs: Sequence) -> tuple[int, list[int]]:
@@ -305,34 +368,74 @@ def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]
 _PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45)
 
 
-def _rows_mod(m: RationalMatrix, p: int) -> list[list[int]] | None:
+def _slot_bytes(p: int, nrows: int, ncols: int) -> int:
+    """Bytes per slot of a packed row mod p (`_rank_mod`): enough for
+    min(nrows, ncols) * 2**(2 bitlen(p))."""
+    return (2 * p.bit_length() + min(nrows, ncols).bit_length() + 7) // 8
+
+
+def _rows_mod(m: RationalMatrix, p: int) -> list[int] | None:
     """Each row scaled to integers by the lcm L of its denominators, reduced
-    mod p; None when p divides some L.  Scaling a row by L, a unit mod p,
-    keeps the rank mod p."""
+    mod p and packed into one int, column c in slot c of `_slot_bytes`
+    bytes counted from the least significant end; None when p divides some
+    L.  Scaling a row by L, a unit mod p, keeps the rank mod p."""
+    size = _slot_bytes(p, m.rows, m.cols)
     rows = []
     for i in range(m.rows):
         den, r = _scaled(m.row(i))
         if den % p == 0:
             return None
-        rows.append([x % p for x in r])
+        rows.append(int.from_bytes(b"".join([(x % p).to_bytes(size) for x in reversed(r)])))
     return rows
 
 
-def _rank_mod(rows: list[list[int]], p: int) -> int:
-    """Rank over Z/p of rows reduced mod p, by elimination in place."""
+def _rank_mod(rows: list[int], p: int, ncols: int) -> int:
+    """Rank over Z/p of ncols-column rows packed by `_rows_mod`.
+
+    Gaussian elimination on whole rows, reduction mod p delayed (Dumas,
+    Giorgi and Pernet, ACM TOMS 35(3), 2008): the current column is always
+    slot 0.  Each row's slot 0 is read mod p, v; the first row where v is
+    nonzero is the pivot, and every other row drops slot 0 and adds
+    (-v / pivot mod p) times the pivot row's other slots (the tail): one
+    shift and one multiply-add per row and pivot, and only a shift when no
+    other row has a nonzero v.  The tail is folded below 2**b in all its
+    slots at once, b = bitlen(p) and p = 2**b - delta: each slot's bits from
+    b up, times delta, are added to its low b bits, which keeps it mod p,
+    until no slot has a bit from b up.
+
+    Slots never borrow, being non-negative, and never carry: a slot starts
+    below p and takes at most one addition below p * 2**b per pivot taken
+    while its row and column remain, at most k - 1 of them for
+    k = min(rows, cols), so it stays below k * 2**(2b), which `_slot_bytes`
+    holds.
+    """
+    size = _slot_bytes(p, len(rows), ncols)
+    bits, b = 8 * size, p.bit_length()
+    mask, delta = (1 << bits) - 1, (1 << b) - p
+    # In every slot: its low b bits, and its bits from b up once shifted down by b.
+    low = int.from_bytes(((1 << b) - 1).to_bytes(size) * ncols)
+    high = int.from_bytes(((1 << (bits - b)) - 1).to_bytes(size) * ncols)
     rank = 0
-    for c in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if piv is None:
+    for _ in range(ncols):
+        if not rows:
+            break
+        vals = [(r & mask) % p for r in rows]
+        for piv, v in enumerate(vals):
+            if v:
+                break
+        else:
+            rows = [r >> bits for r in rows]
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], -1, p)
-        head = [x * inv % p for x in rows[rank][c:]]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][c]
-            if f:
-                rows[i][c:] = [(x - f * y) % p for x, y in zip(rows[i][c:], head)]
         rank += 1
+        pivot, tail = vals.pop(piv), rows.pop(piv) >> bits
+        if not any(vals):
+            rows = [r >> bits for r in rows]
+            continue
+        minus_inv = p - pow(pivot, -1, p)
+        while over := (tail >> b) & high:
+            tail = (tail & low) + delta * over
+        rows = [(r >> bits) + v * minus_inv % p * tail if v else r >> bits
+                for r, v in zip(rows, vals)]
     return rank
 
 
@@ -346,6 +449,11 @@ def rank_exact(m: RationalMatrix, witnesses: Sequence[Sequence[Fraction]] = ()) 
     meets the upper bound decides; if none does, fraction-free elimination
     over the integers gives the rank.  A matrix with no nonzero entry has
     rank 0 at once.
+
+    The rank mod p eliminates rows packed one int each (`_rank_mod`), in
+    slots of whole bytes that hold k * 2**(2 bitlen(p)), k = min(rows,
+    cols): 16 bytes for k < 64 and the primes just below 2**61, 17 up to
+    k = 255.
     """
     if not any(m.entries):
         return 0
@@ -355,7 +463,7 @@ def rank_exact(m: RationalMatrix, witnesses: Sequence[Sequence[Fraction]] = ()) 
         bound = min(bound, m.cols - len(witnesses))
     for p in _PRIMES:
         rows = _rows_mod(m, p)
-        if rows is not None and _rank_mod(rows, p) == bound:
+        if rows is not None and _rank_mod(rows, p, m.cols) == bound:
             return bound
     return len(_bareiss_echelon(_cleared_int_rows(m))[1])
 

@@ -2,6 +2,7 @@
 
 Everything here is deliberately naive and separate from the package's code
 paths: plain Gauss-Jordan over Fractions (no fraction-free tricks),
+elimination mod p on lists of reduced entries (no packed rows),
 kernel vectors and sampled members as dense vectors of Fractions,
 schoolbook convolution over Fractions for polynomial products, exact Newton
 interpolation for first-order Taylor extraction, Vandermonde matrices,
@@ -53,6 +54,26 @@ def rref_rank_kernel(rows, ncols):
 
 def rref_rank(rows, ncols):
     return rref_rank_kernel(rows, ncols)[0]
+
+
+def rank_mod_lists(rows, p):
+    """Rank over Z/p of rows of ints in [0, p), by Gaussian elimination on
+    lists, each entry reduced after every update."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        head = [x * inv % p for x in rows[rank][c:]]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c]
+            if f:
+                rows[i][c:] = [(x - f * y) % p for x, y in zip(rows[i][c:], head)]
+        rank += 1
+    return rank
 
 
 def dense_kernel(basis):

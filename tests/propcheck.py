@@ -5,6 +5,7 @@ the number of draws it ran, so both the property tests and the acceptance
 suite can invoke them with their own draw counts.
 """
 
+import json
 import random
 from fractions import Fraction
 from itertools import pairwise
@@ -21,6 +22,7 @@ from curvejac.linalg import (
     RationalMatrix,
     _bareiss_echelon,
     _cleared_int_rows,
+    _dump,
     _rank_mod,
     _rows_mod,
     _singular_values,
@@ -353,7 +355,8 @@ def _product(rng, rows, inner, cols):
 
 def _ranks_mod(m):
     """The rank of m mod each listed prime; None where a denominator is 0 mod p."""
-    return [None if (rows := _rows_mod(m, p)) is None else _rank_mod(rows, p) for p in _PRIMES]
+    return [None if (rows := _rows_mod(m, p)) is None else _rank_mod(rows, p, m.cols)
+            for p in _PRIMES]
 
 
 MODULAR_RANK_KINDS = ("plain", "den-first-prime", "singular-first-prime",
@@ -417,6 +420,107 @@ def modular_rank_suite(seed, draws):
             witnesses = kernel + [dependent]
             assert all(r == cols - len(witnesses) for r in mod), (kind, rows)
         assert rank_exact(m, witnesses) == rank, (kind, rows, witnesses)
+    return draws
+
+
+PACKED_RANK_KINDS = ("small", "tall", "wide", "zero-rows", "zero-columns", "deficient",
+                     "large", "worst")
+
+
+def _mod(x, p):
+    """A rational x mod p, its denominator a unit."""
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def _worst_rows(rng, p, n):
+    """Rows mod p whose packed elimination adds (p - 1)**2 to every slot it
+    updates: n rows L * U, L lower triangular of ones and U unit upper
+    triangular with p - 1 above the diagonal, so that every pivot is 1 and
+    every multiplier p - 1, then the negation of row n - 1 (rank n).  Row
+    n - 1 takes n - 1 updates; its negation takes the tails only, so a
+    carry out of a slot of row n - 1 leaves it nonzero.  Wide or tall, each
+    extra row another negation of row n - 1."""
+    cols = n + 1 + (rng.randint(0, 24) if rng.random() < 0.5 else 0)
+    u = [[1 if j == t else (p - 1 if j > t else 0) for j in range(cols)] for t in range(n)]
+    rows, acc = [], [0] * cols
+    for t in range(n):
+        acc = [(x + y) % p for x, y in zip(acc, u[t])]
+        rows.append(acc)
+    extra = 1 if cols > n + 1 else rng.randint(1, 24)
+    return rows + [[-x % p for x in rows[-1]] for _ in range(extra)], cols
+
+
+def packed_rank_suite(seed, draws):
+    """_rank_mod on packed rows (`_rows_mod`) equals the list elimination mod
+    p of oracles.rank_mod_lists, modulo each prime of _PRIMES in turn.
+
+    The draws cycle through PACKED_RANK_KINDS: random shapes from 1x1 up to
+    12x12, tall and wide ones up to 40 rows or columns, rows or columns that
+    are all zero (the first column among them), rank-deficient matrices
+    whose entries exceed p (each row a combination of at most three of a few
+    random rows, plus p times anything), such matrices up to 129x153 (the
+    first of each prime exactly 129x153 or 153x129), and the worst slot case
+    (`_worst_rows`), sized so that its largest slot, (n - 1)(p - 1)**2 plus
+    an entry, needs every byte of a slot wide enough for min(rows, cols) *
+    2**(2 bitlen(p)).  Entries are ints of up to 40 digits, some rows
+    Fractions.  Each draw asserts it has its kind's property.
+    """
+    rng = random.Random(seed)
+    first_large = set()
+    for draw in range(draws):
+        kind = PACKED_RANK_KINDS[draw % len(PACKED_RANK_KINDS)]
+        p = _PRIMES[draw // len(PACKED_RANK_KINDS) % len(_PRIMES)]
+        nrows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        if kind == "tall":
+            nrows = rng.randint(13, 40)
+        elif kind == "wide":
+            cols = rng.randint(13, 40)
+        elif kind == "large":
+            nrows, cols = rng.randint(41, 129), rng.randint(41, 153)
+            if p not in first_large:
+                first_large.add(p)
+                nrows, cols = (129, 153) if len(first_large) % 2 else (153, 129)
+            if rng.random() < 0.5:
+                nrows, cols = cols, nrows
+        big = 10**rng.randint(1, 40)
+        rows = [[rng.randint(-big, big) for _ in range(cols)] for _ in range(nrows)]
+        if kind in ("zero-rows", "deficient", "large"):
+            # each row a combination of at most three of inner random rows,
+            # plus p times anything
+            inner = rng.randint(0, min(nrows, cols))
+            right = [[rng.randint(-big, big) for _ in range(cols)] for _ in range(inner)]
+            rows = []
+            for _ in range(nrows):
+                row = [p * rng.randint(-big, big) for _ in range(cols)]
+                for b in rng.sample(right, min(inner, 3)):
+                    a = rng.randint(-9, 9)
+                    row = [x + a * y for x, y in zip(row, b)]
+                rows.append(row)
+        if kind == "zero-rows":
+            for i in rng.sample(range(nrows), rng.randint(1, nrows)):
+                rows[i] = [0] * cols
+            assert any(not any(r) for r in rows), kind
+        elif kind == "zero-columns":
+            zero = {0} | set(rng.sample(range(cols), rng.randint(0, cols - 1)))
+            rows = [[0 if j in zero else x for j, x in enumerate(r)] for r in rows]
+            assert not any(r[0] for r in rows), kind
+        elif kind == "worst":
+            n = rng.choice((rng.randint(2, 62), rng.randint(66, 128)))
+            rows, cols = _worst_rows(rng, p, n)
+            k = min(len(rows), cols)
+            size = (2 * p.bit_length() + k.bit_length() + 7) // 8
+            assert (n - 1) * (p - 1) ** 2 >= 1 << (8 * size - 8), (kind, n, size)
+        if kind in ("small", "tall", "wide"):
+            for i in rng.sample(range(nrows), rng.randint(0, nrows)):
+                rows[i] = [Fraction(x, rng.randint(1, 9)) for x in rows[i]]
+        want = oracles.rank_mod_lists([[_mod(x, p) for x in r] for r in rows], p)
+        if kind == "deficient":
+            assert want <= inner, (kind, inner, want)
+        elif kind == "worst":
+            assert want == n, (kind, n, want)
+        m = RationalMatrix.from_rows(rows)
+        assert _rank_mod(_rows_mod(m, p), p, m.cols) == want, (kind, p, rows)
     return draws
 
 
@@ -728,4 +832,71 @@ def int_mul_suite(seed, draws):
             assert abs(oracles.schoolbook_mul(a, b)[n - 1]) == n * m * m, (kind, a, b)
         want = oracles.schoolbook_mul([Fraction(x) for x in a], [Fraction(x) for x in b])
         assert _int_mul(a, b) == want, (kind, a, b)
+    return draws
+
+
+JSON_CHARS = "ab z09/\\\"\n\t\r\b\f\x00\x1f\x7f\u00e9\u2028\U0001f600"
+
+
+def _json_float(rng):
+    return rng.choice((0.0, -0.0, 1e-300, 1.5, -2.5e40, float("inf"), float("-inf"),
+                       float("nan"), rng.uniform(-1e6, 1e6), rng.uniform(-1e6, 1e6)))
+
+
+def _json_scalar(rng):
+    kind = rng.randrange(8)
+    if kind == 0:
+        return "".join(rng.choice(JSON_CHARS) for _ in range(rng.randint(0, 6)))
+    if kind == 1:
+        return rng.randint(-10**rng.randint(0, 60), 10**rng.randint(0, 60))
+    if kind == 2:
+        return _json_float(rng)
+    if kind == 3:
+        return rng.choice((True, False, None))
+    return str(rng.randint(-99, 99)) + rng.choice(("", "/7"))
+
+
+def _json_value(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return _json_scalar(rng)
+    size = rng.choice((0, 1, 2, rng.randint(3, 8)))
+    kind = rng.randrange(6)
+    if kind == 0:
+        return {str(_json_scalar(rng)): _json_value(rng, depth - 1) for _ in range(size)}
+    if kind == 1:
+        keys = rng.choice(([rng.randint(-9, 9) for _ in range(size)],
+                           [rng.uniform(-9, 9) for _ in range(size)],
+                           [True, False, 2, "x"][:size], [None]))
+        return {k: _json_value(rng, depth - 1) for k in keys}
+    if kind == 2:
+        return [str(_json_scalar(rng)) for _ in range(size)]
+    if kind == 3:
+        if rng.random() < 0.5:
+            return [rng.randint(-10**30, 10**30) for _ in range(size)]
+        return [_json_float(rng) for _ in range(size)]
+    seq = [_json_value(rng, depth - 1) for _ in range(size)]
+    return tuple(seq) if kind == 4 else seq
+
+
+def json_document_suite(seed, draws):
+    """_dump(obj) is json.dumps(obj, indent=2, sort_keys=True) and a newline,
+    byte for byte, on random nested documents: dicts keyed by strings, by
+    ints, by floats, by None, or by bools, ints and a string together (which
+    both refuse to sort, raising TypeError), lists of strings, of ints, of
+    floats and of anything, tuples, empty containers, floats (signed zeros,
+    infinities, NaN), bools, None, big ints, and strings with escapes,
+    control characters and characters beyond ASCII."""
+    rng = random.Random(seed)
+    for _ in range(draws):
+        obj = _json_value(rng, rng.randint(0, 5))
+        want, got = TypeError, TypeError  # keys that cannot be sorted together
+        try:
+            want = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        except TypeError:
+            pass
+        try:
+            got = _dump(obj)
+        except TypeError:
+            pass
+        assert got == want, obj
     return draws

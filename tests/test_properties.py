@@ -50,6 +50,14 @@ def test_modular_rank_100_draws():
     assert propcheck.modular_rank_suite(seed=2030, draws=100) == 100
 
 
+def test_packed_rank_48_draws():
+    assert propcheck.packed_rank_suite(seed=2038, draws=48) == 48
+
+
+def test_json_document_300_draws():
+    assert propcheck.json_document_suite(seed=2039, draws=300) == 300
+
+
 def test_moduli_are_prime():
     # A composite modulus would make the inverse of a unit-looking entry
     # raise, and its ranks would certify nothing.
