@@ -368,53 +368,51 @@ def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]
 _PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45)
 
 
-def _slot_bytes(p: int, nrows: int, ncols: int) -> int:
-    """Bytes per slot of a packed row mod p (`_rank_mod`): enough for
-    min(nrows, ncols) * 2**(2 bitlen(p))."""
-    return (2 * p.bit_length() + min(nrows, ncols).bit_length() + 7) // 8
-
-
-def _rows_mod(m: RationalMatrix, p: int) -> list[int] | None:
+def _rows_mod(m: RationalMatrix, p: int, size: int) -> list[int] | None:
     """Each row scaled to integers by the lcm L of its denominators, reduced
-    mod p and packed into one int, column c in slot c of `_slot_bytes`
-    bytes counted from the least significant end; None when p divides some
-    L.  Scaling a row by L, a unit mod p, keeps the rank mod p."""
-    size = _slot_bytes(p, m.rows, m.cols)
+    mod p and packed into one int, column c in slot c of `size` bytes
+    counted from the least significant end; None when p divides some L.
+    Scaling a row by L, a unit mod p, keeps the rank mod p."""
     rows = []
     for i in range(m.rows):
         den, r = _scaled(m.row(i))
         if den % p == 0:
             return None
-        rows.append(int.from_bytes(b"".join([(x % p).to_bytes(size) for x in reversed(r)])))
+        rows.append(int.from_bytes(b"".join([(x % p).to_bytes(size, "big") for x in reversed(r)]),
+                                   "big"))
     return rows
 
 
-def _rank_mod(rows: list[int], p: int, ncols: int) -> int:
-    """Rank over Z/p of ncols-column rows packed by `_rows_mod`.
+def _rank_mod(m: RationalMatrix, p: int) -> int | None:
+    """Rank of m over Z/p, None when p divides a denominator.
 
-    Gaussian elimination on whole rows, reduction mod p delayed (Dumas,
-    Giorgi and Pernet, ACM TOMS 35(3), 2008): the current column is always
-    slot 0.  Each row's slot 0 is read mod p, v; the first row where v is
-    nonzero is the pivot, and every other row drops slot 0 and adds
-    (-v / pivot mod p) times the pivot row's other slots (the tail): one
-    shift and one multiply-add per row and pivot, and only a shift when no
-    other row has a nonzero v.  The tail is folded below 2**b in all its
-    slots at once, b = bitlen(p) and p = 2**b - delta: each slot's bits from
-    b up, times delta, are added to its low b bits, which keeps it mod p,
-    until no slot has a bit from b up.
+    Gaussian elimination on rows packed one int each by `_rows_mod`, with
+    reduction mod p delayed (Dumas, Giorgi and Pernet, ACM TOMS 35(3),
+    2008): the current column is always slot 0.  Each row's slot 0 is read
+    mod p, v; the first row where v is nonzero is the pivot, and every other
+    row drops slot 0 and adds (-v / pivot mod p) times the pivot row's other
+    slots (the tail): one shift and one multiply-add per row and pivot, and
+    only a shift when no other row has a nonzero v.  The tail is folded
+    below 2**b in all its slots at once, b = bitlen(p) and p = 2**b - delta:
+    each slot's bits from b up, times delta, are added to its low b bits,
+    which keeps it mod p, until no slot has a bit from b up.
 
     Slots never borrow, being non-negative, and never carry: a slot starts
     below p and takes at most one addition below p * 2**b per pivot taken
     while its row and column remain, at most k - 1 of them for
-    k = min(rows, cols), so it stays below k * 2**(2b), which `_slot_bytes`
-    holds.
+    k = min(rows, cols), so it stays below k * 2**(2b), which a slot of
+    ceil((2b + bitlen(k)) / 8) bytes holds.
     """
-    size = _slot_bytes(p, len(rows), ncols)
-    bits, b = 8 * size, p.bit_length()
+    ncols, b = m.cols, p.bit_length()
+    size = (2 * b + min(m.rows, ncols).bit_length() + 7) // 8
+    rows = _rows_mod(m, p, size)
+    if rows is None:
+        return None
+    bits = 8 * size
     mask, delta = (1 << bits) - 1, (1 << b) - p
     # In every slot: its low b bits, and its bits from b up once shifted down by b.
-    low = int.from_bytes(((1 << b) - 1).to_bytes(size) * ncols)
-    high = int.from_bytes(((1 << (bits - b)) - 1).to_bytes(size) * ncols)
+    low = int.from_bytes(((1 << b) - 1).to_bytes(size, "big") * ncols, "big")
+    high = int.from_bytes(((1 << (bits - b)) - 1).to_bytes(size, "big") * ncols, "big")
     rank = 0
     for _ in range(ncols):
         if not rows:
@@ -462,8 +460,7 @@ def rank_exact(m: RationalMatrix, witnesses: Sequence[Sequence[Fraction]] = ()) 
             and rank_exact(RationalMatrix.from_rows(witnesses)) == len(witnesses)):
         bound = min(bound, m.cols - len(witnesses))
     for p in _PRIMES:
-        rows = _rows_mod(m, p)
-        if rows is not None and _rank_mod(rows, p, m.cols) == bound:
+        if _rank_mod(m, p) == bound:
             return bound
     return len(_bareiss_echelon(_cleared_int_rows(m))[1])
 

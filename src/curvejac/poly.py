@@ -12,8 +12,8 @@ denominator and builds each power of a component and each restricted
 monomial once, as an integer polynomial over a denominator, and multiplies
 each term's coefficient into its restricted monomial once, summing integers
 over a common denominator.  Every polynomial product in the package, the
-table's and `UniPoly.__mul__`'s, is one product of integer polynomials by
-Kronecker substitution (`_int_mul`): the coefficients are packed into one
+table's among them, is one product of integer polynomials by Kronecker
+substitution (`_int_mul`): the coefficients are packed into one
 integer, which CPython multiplies by Karatsuba, and unpacked.
 
 Coprimality of any number of polynomials (`coprime`: f against f', a
@@ -136,13 +136,6 @@ class UniPoly:
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + (-other)
-
-    def __mul__(self, other: "UniPoly") -> "UniPoly":
-        """The product, as integers over the product of the two
-        denominators (`_int_mul`); `scale` multiplies by a number."""
-        (da, a), (db, b) = _scaled(self.coeffs), _scaled(other.coeffs)
-        den = da * db
-        return UniPoly(tuple(Fraction(x, den) for x in _int_mul(a, b)))
 
     def scale(self, s) -> "UniPoly":
         s = Fraction(s)

@@ -114,8 +114,7 @@ def dense_random_member(vectors, seed, monomials):
 
 def schoolbook_mul(a, b):
     """Coefficient-list product over Fractions, all len(a) + len(b) - 1
-    coefficients: the schoolbook loop `UniPoly.__mul__` ran before it
-    multiplied integers by Kronecker substitution."""
+    coefficients, by the schoolbook loop."""
     if not a or not b:
         return []
     out = [Fraction(0)] * (len(a) + len(b) - 1)

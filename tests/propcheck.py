@@ -24,7 +24,6 @@ from curvejac.linalg import (
     _cleared_int_rows,
     _dump,
     _rank_mod,
-    _rows_mod,
     _singular_values,
     kernel_exact,
     rank_exact,
@@ -54,6 +53,14 @@ def random_fraction(rng, num=9, den=4):
 
 def random_unipoly(rng, max_deg):
     return UniPoly.from_coeffs(random_fraction(rng) for _ in range(max_deg + 1))
+
+
+def unipoly_product(*factors):
+    """The product of UniPolys by the schoolbook oracle (`oracles.naive_mul`)."""
+    out = [Fraction(1)]
+    for f in factors:
+        out = oracles.naive_mul(out, list(f.coeffs))
+    return UniPoly.from_coeffs(out)
 
 
 def fractional_curve(seed, n, d, digits):
@@ -355,8 +362,7 @@ def _product(rng, rows, inner, cols):
 
 def _ranks_mod(m):
     """The rank of m mod each listed prime; None where a denominator is 0 mod p."""
-    return [None if (rows := _rows_mod(m, p)) is None else _rank_mod(rows, p, m.cols)
-            for p in _PRIMES]
+    return [_rank_mod(m, p) for p in _PRIMES]
 
 
 MODULAR_RANK_KINDS = ("plain", "den-first-prime", "singular-first-prime",
@@ -452,7 +458,7 @@ def _worst_rows(rng, p, n):
 
 
 def packed_rank_suite(seed, draws):
-    """_rank_mod on packed rows (`_rows_mod`) equals the list elimination mod
+    """_rank_mod, on rows packed by `_rows_mod`, equals the list elimination mod
     p of oracles.rank_mod_lists, modulo each prime of _PRIMES in turn.
 
     The draws cycle through PACKED_RANK_KINDS: random shapes from 1x1 up to
@@ -520,7 +526,7 @@ def packed_rank_suite(seed, draws):
         elif kind == "worst":
             assert want == n, (kind, n, want)
         m = RationalMatrix.from_rows(rows)
-        assert _rank_mod(_rows_mod(m, p), p, m.cols) == want, (kind, p, rows)
+        assert _rank_mod(m, p) == want, (kind, p, rows)
     return draws
 
 
@@ -617,7 +623,7 @@ def coprime_suite(seed, draws):
         planted = UniPoly.from_coeffs([random_fraction(rng, 99, 9) for _ in range(k)]
                                       + [random_fraction(rng, 99, 9) or 1])
         polys = [UniPoly.zero() if rng.random() < 0.25
-                 else planted * random_unipoly(rng, rng.randint(0, 4))
+                 else unipoly_product(planted, random_unipoly(rng, rng.randint(0, 4)))
                  for _ in range(rng.randint(1, 9))]
         if all(f.is_zero for f in polys):
             polys[0] = planted
@@ -661,11 +667,9 @@ def rational_roots_suite(seed, draws):
             roots = [Fraction(k) for k in range(1, 41)]
         else:
             cofactor = _irreducible(rng)
-        p = distinct = cofactor.scale(random_fraction(rng) or 1)
-        for r in roots:
-            p = p * UniPoly.of(-r, 1)
-        for r in set(roots):
-            distinct = distinct * UniPoly.of(-r, 1)
+        cofactor = cofactor.scale(random_fraction(rng) or 1)
+        p = unipoly_product(cofactor, *(UniPoly.of(-r, 1) for r in roots))
+        distinct = unipoly_product(cofactor, *(UniPoly.of(-r, 1) for r in set(roots)))
         if kind == "lead-primes":
             ints = _integral(p)[0]
             assert all(ints[-1] % q == 0 for q in FIRST_PRIMES), (kind, p)
@@ -697,15 +701,15 @@ def _label_draw(rng, kind):
         h = 10 ** int(kind[len("height-"):])
         return UniPoly.from_coeffs(rng.randint(-h, h) for _ in range(rng.randint(2, 9)))
     if kind == "even":
-        p = UniPoly.of(1)
-        for _ in range(rng.randint(1, 4)):
-            p = p * UniPoly.of(abs(random_fraction(rng, 99, 9)) or 1, 0, 1)
-        return p
+        return unipoly_product(*(UniPoly.of(abs(random_fraction(rng, 99, 9)) or 1, 0, 1)
+                                 for _ in range(rng.randint(1, 4))))
     if kind == "zero-root":
-        return UniPoly.of(0, 1) * UniPoly.from_coeffs([Fraction(rng.randint(1, 9))] + small[1:])
+        return unipoly_product(UniPoly.of(0, 1),
+                               UniPoly.from_coeffs([Fraction(rng.randint(1, 9))] + small[1:]))
     if kind == "real-irrational":
         a = rng.choice([k for k in range(2, 100) if isqrt(k) ** 2 != k])
-        return UniPoly.of(-a, 0, 1) * UniPoly.from_coeffs(small[rng.randint(0, len(small) - 1):])
+        return unipoly_product(UniPoly.of(-a, 0, 1),
+                               UniPoly.from_coeffs(small[rng.randint(0, len(small) - 1):]))
     if kind == "crowded":
         m, h = rng.randint(2, 4), rng.randint(10, 24)
         return UniPoly.from_coeffs([10**h] * (m + 1) + [1])

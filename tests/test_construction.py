@@ -86,9 +86,8 @@ class TestBuildSpecialHypersurface:
             c = propcheck.random_curve(rng, 4, 2)
             lhs = on_curve(fixture_a.f0, c)
             rhs = (
-                on_curve(fixture_a.l, c)
-                * on_curve(fixture_a.q, c)
-                + c.components[4] * on_curve(fixture_a.p, c)
+                propcheck.unipoly_product(on_curve(fixture_a.l, c), on_curve(fixture_a.q, c))
+                + propcheck.unipoly_product(c.components[4], on_curve(fixture_a.p, c))
             )
             assert lhs == rhs
 
@@ -164,9 +163,7 @@ class TestSelectSpecialPoints:
         # lc = prod (t - k/(k+1)), k <= 32: Euclid over Q on lc and lc' takes
         # seconds; a gcd of degree 0 modulo one prime proves lc squarefree
         # and coprime to pc
-        lc = UniPoly.of(1)
-        for k in range(1, 33):
-            lc = lc * UniPoly.of(-F(k, k + 1), 1)
+        lc = propcheck.unipoly_product(*(UniPoly.of(-F(k, k + 1), 1) for k in range(1, 33)))
         pc = UniPoly.of(1, 0, 1)
         roots, field = select_special_points(lc, pc, 32)
         assert field == "rational"
@@ -533,7 +530,8 @@ def _derived_gradient(fix):
     """[l(c0) * (dq/dz_m)(c0), m < 4] + [p(c0)]: the gradient of f0 on the
     curve that verify_construction uses in place of restricting f0."""
     lc, pc = on_curve(fix.l, fix.c0), on_curve(fix.p, fix.c0)
-    return [lc * on_curve(fix.q.partial_derivative(m), fix.c0) for m in range(4)] + [pc]
+    return [propcheck.unipoly_product(lc, on_curve(fix.q.partial_derivative(m), fix.c0))
+            for m in range(4)] + [pc]
 
 
 class TestDerivedGradient:

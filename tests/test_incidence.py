@@ -112,7 +112,8 @@ class TestMembership:
         # a common factor t - 1/3, lifted from its image mod p
         low = propcheck.fractional_curve(15, 4, 15, 20)
         factor = UniPoly.of(F(-1, 3), 1)
-        rep = membership_checks(CurveParam(4, 16, tuple(comp * factor for comp in low.components)))
+        comps = tuple(propcheck.unipoly_product(comp, factor) for comp in low.components)
+        rep = membership_checks(CurveParam(4, 16, comps))
         assert rep.attains_degree and not rep.base_point_free
 
 
@@ -395,10 +396,7 @@ class TestRankInvariance:
             for comp in fixture_a.c0.components:
                 acc = UniPoly.zero()
                 for i, coef in enumerate(comp.coeffs):
-                    term = UniPoly.of(coef)
-                    for _ in range(i):
-                        term = term * sub
-                    acc = acc + term
+                    acc = acc + propcheck.unipoly_product(UniPoly.of(coef), *[sub] * i)
                 comps.append(acc)
             moved = CurveParam(4, 1, tuple(comps))
             grads = restricted_gradient(fixture_a.problem.f, moved)

@@ -264,7 +264,7 @@ def test_integer_rows_take_no_fraction_work():
         assert all(type(x) is int for x in product)
         assert product == as_fractions.matvec(list(map(F, v)))
         for p in linalg._PRIMES:
-            assert linalg._rows_mod(m, p) == linalg._rows_mod(as_fractions, p)
+            assert linalg._rows_mod(m, p, 16) == linalg._rows_mod(as_fractions, p, 16)
         assert rank_exact(m) == rank_exact(as_fractions)
 
 
