@@ -26,9 +26,10 @@ integer coefficient lists over their common denominator D; the Toeplitz
 blocks of checks 8 and 9 are D and D**2 times the pairing map and the
 coefficient Jacobian, and the rows of check 7 at a point a/b are the value
 rows times a positive power of b and D (`incidence._evaluation_rows`), so
-no rank changes.  The symmetry vectors are scaled to integers too.  Only
-what the report prints stays rational or complex: the points, the corner
-block and its determinant.  `select_special_points` finds the roots once;
+no rank changes.  The symmetry vectors are integer lists read off the
+curve's coefficients over their common denominator.  Only what the report
+prints stays rational or complex: the points, the corner block and its
+determinant.  `select_special_points` finds the roots once;
 the generic points are drawn only in the retry loop of check 7, which ranks
 the rescaled lower block at the 4d rational generic points and is the one
 check retried over a redraw of those points.  Every check is exact in both
@@ -55,8 +56,7 @@ from .incidence import (
     symmetry_kernel_vectors,
     vanishes_on_curve,
 )
-from .linalg import (MAX_D, RationalMatrix, _dump, _scaled, format_rational, parse_size,
-                     rank_exact)
+from .linalg import MAX_D, RationalMatrix, _dump, format_rational, parse_size, rank_exact
 from .poly import MultiPoly, UniPoly, _int_mul, coprime, restrict_to_curve, squarefree_roots
 
 __all__ = [
@@ -387,7 +387,7 @@ def verify_construction(fixture: Fixture, seed: int = 0) -> VerificationReport:
     # (check 1) and its gradient there is lc * (dq/dz_m)(c0), m < 4, and pc.
     # Every matrix ranked below is in integers: the restrictions scaled over
     # their common denominator D, so D**2 times f0's gradient is lc_i * q_i
-    # and D * pc_i, and each symmetry vector scaled to integers.
+    # and D * pc_i, and the symmetry vectors are integer lists already.
     lc, pc, *grad_q = fixture.restricted
     den, (lc_i, pc_i, *q_i) = _common_ints(fixture.restricted)
     grad_f0 = [_int_mul(lc_i, g) for g in q_i] + [[den * x for x in pc_i]]
@@ -463,7 +463,7 @@ def verify_construction(fixture: Fixture, seed: int = 0) -> VerificationReport:
     # vectors have a zero z4 part and J(v) = lc * pairing(v0..v3), so their
     # z0..z3 parts are kernel witnesses: rank_exact checks them exactly and
     # then bounds the rank by 4d.
-    sym = [_scaled(v)[1] for v in symmetry_kernel_vectors(c0)]
+    sym = symmetry_kernel_vectors(c0)
     pairing = gradient_pairing_map(q_i, d)
     rank_q = rank_exact(pairing, [v[: pairing.cols] for v in sym])
     record(8, "gradient pairing kernel is four-dimensional", pairing.cols - rank_q == 4,

@@ -381,29 +381,24 @@ def jacobian_evaluation_form(
     return JacobianMatrix(matrix, "evaluation", tuple(pts))
 
 
-def symmetry_kernel_vectors(c: CurveParam) -> list[tuple[Fraction, ...]]:
-    """Theta images of c', t*c', t^2*c' - d*t*c, and c.
+def symmetry_kernel_vectors(c: CurveParam) -> list[tuple[int, ...]]:
+    """Theta images of D*c', D*t*c', D*(t^2*c' - d*t*c) and D*c, in integers.
 
+    D is the common denominator of the components (`_common_ints`).  With
+    D*c_m = sum_k c_k t**k, the four t**k coefficients, k = 0..d, are
+    (k+1)*c_{k+1}, k*c_k, (k-1-d)*c_{k-1} and c_k: the third family's
+    t**(d+1) coefficient is 0*c_d, so every image keeps the degree bound.
     These span the reparametrization-plus-scaling directions; whenever the
     curve lies on the hypersurface they are annihilated by the Jacobian.
     """
-    d = c.d
-    deriv = [comp.derivative() for comp in c.components]
-    families = [
-        deriv,
-        [g.shift(1) for g in deriv],
-        [g.shift(2) - comp.shift(1).scale(d) for g, comp in zip(deriv, c.components)],
-        list(c.components),
-    ]
-    out = []
-    for fam in families:
-        vec = []
-        for comp in fam:
-            if comp.degree > d:
-                raise AssertionError("symmetry vector exceeds degree bound")
-            vec.extend(comp.coefficient(i) for i in range(d + 1))
-        out.append(tuple(vec))
-    return out
+    d, out = c.d, ([], [], [], [])
+    for cs in _common_ints(c.components)[1]:
+        p = [0, *cs] + [0] * (d + 2 - len(cs))  # p[k + 1] = c_k, k = -1..d+1
+        out[0].extend((k + 1) * p[k + 2] for k in range(d + 1))
+        out[1].extend(k * p[k + 1] for k in range(d + 1))
+        out[2].extend((k - 1 - d) * p[k] for k in range(d + 1))
+        out[3].extend(p[1 : d + 2])
+    return [tuple(v) for v in out]
 
 
 def quintics_through_curve(n: int, e: int, c: CurveParam) -> KernelBasis:

@@ -243,14 +243,8 @@ class RationalMatrix:
             tuple(col_labels) if col_labels is not None else None,
         )
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
 
     def matvec(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Exact product; each row sums integers over a common denominator

@@ -122,33 +122,6 @@ class UniPoly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coefficient(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly.from_coeffs(
-            self.coefficient(i) + other.coefficient(i) for i in range(n)
-        )
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def scale(self, s) -> "UniPoly":
-        s = Fraction(s)
-        if s == 0:
-            return UniPoly.zero()
-        return UniPoly(tuple(c * s for c in self.coeffs))
-
-    def shift(self, k: int) -> "UniPoly":
-        """Multiply by t**k."""
-        if self.is_zero:
-            return self
-        return UniPoly((Fraction(0),) * k + self.coeffs)
-
     def derivative(self) -> "UniPoly":
         return UniPoly.from_coeffs(i * c for i, c in enumerate(self.coeffs) if i >= 1)
 
@@ -310,10 +283,6 @@ class MultiPoly:
         return poly
 
     @classmethod
-    def zero(cls, num_vars: int) -> "MultiPoly":
-        return cls(num_vars, {})
-
-    @classmethod
     def monomial(cls, exps: Sequence[int], coef=1) -> "MultiPoly":
         return cls(len(exps), {tuple(exps): coef})
 
@@ -350,10 +319,6 @@ class MultiPoly:
                 e = tuple(x + y for x, y in zip(ea, eb))
                 out[e] = out.get(e, Fraction(0)) + ca * cb
         return MultiPoly(self.num_vars, out)
-
-    def scale(self, s) -> "MultiPoly":
-        s = Fraction(s)
-        return MultiPoly(self.num_vars, {e: c * s for e, c in self.terms.items()})
 
     def partial_derivative(self, m: int) -> "MultiPoly":
         if not 0 <= m < self.num_vars:

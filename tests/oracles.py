@@ -3,8 +3,10 @@
 Everything here is deliberately naive and separate from the package's code
 paths: plain Gauss-Jordan over Fractions (no fraction-free tricks),
 elimination mod p on lists of reduced entries (no packed rows),
-kernel vectors and sampled members as dense vectors of Fractions,
-schoolbook convolution over Fractions for polynomial products, exact Newton
+kernel vectors and sampled members as dense vectors of Fractions, matrix
+rows cut from the row-major entries, coefficient lists padded, combined and
+multiplied over Fractions by the schoolbook loop, the symmetry directions of
+a curve from those products, exact Newton
 interpolation for first-order Taylor extraction, Vandermonde matrices,
 matrix products and cofactor determinants from their definitions, block
 slicing, reassembly and closed forms by list arithmetic, an exhaustive
@@ -89,10 +91,15 @@ def dense_kernel(basis):
     return tuple(vectors)
 
 
+def matrix_rows(m):
+    """A `RationalMatrix` as a list of rows, cut from its row-major entries."""
+    return [list(m.entries[i * m.cols : (i + 1) * m.cols]) for i in range(m.rows)]
+
+
 def jacobian_rows(jac):
     """The Jacobian a `JacobianMatrix` stands for, as rows of Fractions: its
     matrix divided by its den."""
-    return [[Fraction(x, jac.den) for x in row] for row in jac.matrix.to_rows()]
+    return [[Fraction(x, jac.den) for x in row] for row in matrix_rows(jac.matrix)]
 
 
 def dense_random_member(vectors, seed, monomials):
@@ -132,6 +139,43 @@ def naive_mul(a, b):
     while out and out[-1] == 0:
         out.pop()
     return out
+
+
+def padded(coeffs, n):
+    """The t**0 .. t**(n-1) coefficients of the polynomial listed by coeffs
+    (t**0 first), as Fractions: cut at n, or padded with zeros."""
+    return [Fraction(x) for x in coeffs[:n]] + [Fraction(0)] * (n - len(coeffs))
+
+
+def linear_combination(*pairs):
+    """sum s * coeffs over the (s, coeffs) pairs, coefficient lists t**0
+    first, as Fractions with trailing zeros trimmed."""
+    out = [Fraction(0)] * max((len(cs) for _, cs in pairs), default=0)
+    for s, cs in pairs:
+        for i, x in enumerate(cs):
+            out[i] += s * x
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def symmetry_images(comps, d):
+    """The theta images of c', t*c', t^2*c' - d*t*c and c for the curve with
+    coefficient lists comps (t**0 first), each a tuple of Fractions: the
+    derivative term by term, the products by the schoolbook loop, and an
+    AssertionError if an image leaves the degree bound d."""
+    t = [0, 1]
+    families = ([], [], [], [])
+    for cs in comps:
+        deriv = [k * x for k, x in enumerate(cs)][1:]
+        t_deriv = schoolbook_mul(deriv, t)
+        images = (deriv, t_deriv,
+                  linear_combination((1, schoolbook_mul(t_deriv, t)), (-d, schoolbook_mul(cs, t))),
+                  cs)
+        for fam, image in zip(families, images):
+            assert not any(image[d + 1 :]), "symmetry image exceeds the degree bound"
+            fam.extend(padded(image, d + 1))
+    return [tuple(v) for v in families]
 
 
 def naive_compose(terms, comps):
@@ -258,7 +302,7 @@ def permute_z4_first(matrix, d):
     """Rows of an exact (n=4) Jacobian with the z4-component columns moved to
     the front, matching the block order."""
     order = list(range(4 * (d + 1), 5 * (d + 1))) + list(range(4 * (d + 1)))
-    return [[matrix.entry(i, j) for j in order] for i in range(matrix.rows)]
+    return [[row[j] for j in order] for row in matrix_rows(matrix)]
 
 
 def _eval_mod(poly, point, prime):

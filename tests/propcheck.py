@@ -9,13 +9,14 @@ import json
 import random
 from fractions import Fraction
 from itertools import pairwise
-from math import isqrt
+from math import isqrt, lcm
 
 import numpy
 import sympy
 
 from curvejac.incidence import (CurveParam, IncidenceProblem, _common_ints, _convolution_matrix,
-                                _evaluation_rows, jacobian_coefficient_form, restricted_gradient)
+                                _evaluation_rows, jacobian_coefficient_form, quintics_through_curve,
+                                random_member, restricted_gradient, symmetry_kernel_vectors)
 from curvejac.linalg import (
     _PRIMES,
     ComplexMatrix,
@@ -63,6 +64,17 @@ def unipoly_product(*factors):
     return UniPoly.from_coeffs(out)
 
 
+def unipoly_combination(*pairs):
+    """sum s * f over the (s, UniPoly f) pairs, coefficient by coefficient
+    (`oracles.linear_combination`)."""
+    return UniPoly.from_coeffs(oracles.linear_combination(*((s, f.coeffs) for s, f in pairs)))
+
+
+def scaled_form(f, s):
+    """The MultiPoly f times the rational s, term by term."""
+    return MultiPoly(f.num_vars, {e: c * s for e, c in f.terms.items()})
+
+
 def fractional_curve(seed, n, d, digits):
     """A seeded curve in P^n of degree d whose coefficients are fractions
     of two random integers of up to `digits` digits, the leads nonzero."""
@@ -90,14 +102,14 @@ def random_curve(rng, n, d):
     comps = [random_unipoly(rng, d) for _ in range(n + 1)]
     # force the degree bound to be attained so problems stay non-degenerate
     if all(c.degree < d for c in comps):
-        comps[0] = comps[0] + UniPoly.from_coeffs([0] * d + [1])
+        comps[0] = unipoly_combination((1, comps[0]), (1, UniPoly.from_coeffs([0] * d + [1])))
     return CurveParam(n, d, tuple(comps))
 
 
 def theta(c):
     """A curve's coordinates, component-major then power-minor: the column
     order of its Jacobian (`theta_labels`)."""
-    return [comp.coefficient(i) for comp in c.components for i in range(c.d + 1)]
+    return [x for comp in c.components for x in oracles.padded(comp.coeffs, c.d + 1)]
 
 
 def curve_from_theta(n, d, vec):
@@ -109,7 +121,7 @@ def curve_from_theta(n, d, vec):
 def incidence_equations(prob, c):
     """The e*d+1 coefficients of f(c(t)), zero-padded at the top."""
     restricted = restrict_to_curve([prob.f], c.components)[0]
-    return tuple(restricted.coefficient(j) for j in range(prob.num_equations))
+    return tuple(oracles.padded(restricted.coeffs, prob.num_equations))
 
 
 def taylor_chain_rule_suite(seed, draws):
@@ -156,11 +168,11 @@ def euler_identity_suite(seed, draws):
         num_vars = rng.randint(2, 5)
         degree = rng.randint(1, 4)
         f = random_homogeneous(rng, num_vars, degree)
-        acc = MultiPoly.zero(num_vars)
+        acc = MultiPoly(num_vars, {})
         for m in range(num_vars):
             zm = MultiPoly.monomial(tuple(1 if i == m else 0 for i in range(num_vars)))
             acc = acc + zm * f.partial_derivative(m)
-        assert acc == f.scale(degree), "Euler identity failed"
+        assert acc == scaled_form(f, degree), "Euler identity failed"
     return draws
 
 
@@ -211,8 +223,67 @@ def integer_chain_suite(seed, draws):
         nrows = top + d + rng.randint(0, 2)
         block = _convolution_matrix(ints, d, nrows)
         assert all(type(x) is int for x in block.entries)
-        assert block.to_rows() == [[den * x for x in row]
-                                   for row in oracles.toeplitz_rows(polys, d, nrows)]
+        assert oracles.matrix_rows(block) == [[den * x for x in row]
+                                              for row in oracles.toeplitz_rows(polys, d, nrows)]
+    return draws
+
+
+SYMMETRY_KINDS = ("zero", "below-d", "degree-d")
+
+
+def _symmetry_curve(rng, n, d):
+    """A curve in P^n of degree bound d, each component of a random
+    SYMMETRY_KINDS kind: zero, of a random degree below d, or of degree d.
+    Its coefficients have numerators and denominators of up to 1, 6 or 30
+    digits."""
+    comps = []
+    for _ in range(n + 1):
+        kind = rng.choice(SYMMETRY_KINDS)
+        size = 10 ** rng.choice((1, 6, 30))
+        length = {"zero": 0, "below-d": rng.randint(1, d), "degree-d": d + 1}[kind]
+        coeffs = [random_fraction(rng, size, size) for _ in range(length)]
+        if kind == "degree-d":
+            coeffs[-1] = coeffs[-1] or Fraction(1)
+        comps.append(UniPoly.from_coeffs(coeffs))
+    return CurveParam(n, d, tuple(comps))
+
+
+def symmetry_vectors_suite(seed, draws):
+    """symmetry_kernel_vectors(c) against the schoolbook theta images.
+
+    d cycles through 1..32 and n is drawn from 1..8; the curves come from
+    `_symmetry_curve`.  The four vectors must be tuples of ints equal to D
+    times `oracles.symmetry_images(c)`, D the lcm of the denominators of
+    all of c's coefficients.
+    """
+    rng = random.Random(seed)
+    for draw in range(draws):
+        c = _symmetry_curve(rng, rng.randint(1, 8), draw % 32 + 1)
+        den = lcm(*(x.denominator for comp in c.components for x in comp.coeffs))
+        got = symmetry_kernel_vectors(c)
+        want = oracles.symmetry_images([comp.coeffs for comp in c.components], c.d)
+        assert all(type(x) is int for v in got for x in v), c
+        assert got == [tuple(den * x for x in v) for v in want], c
+    return draws
+
+
+def symmetry_annihilation_suite(seed, draws):
+    """Every vector of symmetry_kernel_vectors(c) is annihilated by the
+    coefficient Jacobian of a form through c: a random member of
+    `quintics_through_curve` at n = 3, 4, e = 2, 3 and d cycling through
+    1..3, which leaves more monomials than equations, so the basis is
+    never empty.  The curves come from `_symmetry_curve`, and the vectors
+    of a nonzero curve are not all zero."""
+    rng = random.Random(seed)
+    for draw in range(draws):
+        n, e, d = rng.choice((3, 4)), rng.choice((2, 3)), draw % 3 + 1
+        c = _symmetry_curve(rng, n, d)
+        f = random_member(quintics_through_curve(n, e, c), draw, n + 1, e)
+        jac = jacobian_coefficient_form(IncidenceProblem(n, d, e, f), c, restricted_gradient(f, c))
+        vectors = symmetry_kernel_vectors(c)
+        assert any(map(any, vectors)) == any(not comp.is_zero for comp in c.components), c
+        for v in vectors:
+            assert not any(jac.matrix.matvec(v)), (c, f, v)
     return draws
 
 
@@ -233,7 +304,7 @@ def rank_nullity_suite(seed, draws):
         rank = rank_exact(m)
         kernel = kernel_exact(m)
         assert rank + kernel.dim == cols
-        assert rank == oracles.rref_rank(m.to_rows(), cols)
+        assert rank == oracles.rref_rank(oracles.matrix_rows(m), cols)
     return draws
 
 
@@ -667,7 +738,7 @@ def rational_roots_suite(seed, draws):
             roots = [Fraction(k) for k in range(1, 41)]
         else:
             cofactor = _irreducible(rng)
-        cofactor = cofactor.scale(random_fraction(rng) or 1)
+        cofactor = unipoly_combination((random_fraction(rng) or 1, cofactor))
         p = unipoly_product(cofactor, *(UniPoly.of(-r, 1) for r in roots))
         distinct = unipoly_product(cofactor, *(UniPoly.of(-r, 1) for r in set(roots)))
         if kind == "lead-primes":
@@ -683,7 +754,8 @@ def rational_roots_suite(seed, draws):
         assert (len(want_cofactor) > 1) == (cofactor.degree > 0), (kind, p, want_cofactor)
         common = UniPoly.from_coeffs(oracles.sympy_gcd(p.coeffs, p.derivative().coeffs))
         sqfree = p.divmod_exact(common)[0]
-        assert sqfree.scale(distinct.leading / sqfree.leading) == distinct, (kind, p, sqfree)
+        assert unipoly_combination((distinct.leading / sqfree.leading, sqfree)) == distinct, (
+            kind, p, sqfree)
         exact, numeric = squarefree_roots(sqfree)
         assert exact == sorted(set(want_roots)), (kind, sqfree, exact)
         assert len(numeric) == (sqfree.degree if cofactor.degree else 0), (kind, sqfree)

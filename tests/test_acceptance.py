@@ -93,7 +93,7 @@ def test_criterion_3_block_suite(fixture_a):
         jac = jacobian_evaluation_form(fixture_a.problem, fixture_a.c0, A_POINTS, grads)
         lc = on_curve(fixture_a.l, fixture_a.c0)
         pc = on_curve(fixture_a.p, fixture_a.c0)
-        blocks = oracles.split_blocks(jac.matrix.to_rows(), fixture_a.d)
+        blocks = oracles.split_blocks(oracles.matrix_rows(jac.matrix), fixture_a.d)
         closed11 = oracles.a11_closed_form(pc, A_POINTS[:2])
         extracted11 = [row[::-1] for row in blocks["a11"]]  # descending powers
         assert extracted11 == closed11
@@ -138,7 +138,8 @@ def test_criterion_5_vandermonde_identity(fixture_a, fixture_b, fixture_b_nonspl
             for pts in sets:
                 j_eval = jacobian_evaluation_form(fix.problem, fix.c0, pts, grads)
                 v = oracles.vandermonde(pts, len(pts))
-                assert oracles.matmul(v, oracles.jacobian_rows(j_coeff)) == j_eval.matrix.to_rows()
+                assert (oracles.matmul(v, oracles.jacobian_rows(j_coeff))
+                        == oracles.matrix_rows(j_eval.matrix))
                 assert rank_exact(j_eval.matrix) == rank_exact(j_coeff.matrix)
         # complex path: l restricting to 1 + t^2 forces roots at +-i
         fx = fixture_b_nonsplit

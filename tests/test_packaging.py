@@ -85,3 +85,22 @@ def test_every_export_is_reached():
     dead = sorted(name for path in modules for name in exported_names(path)
                   if name not in used)
     assert dead == []
+
+
+def public_methods(path: Path) -> list[str]:
+    """Class.method for each public method, property and classmethod of
+    each class that path defines."""
+    return [f"{node.name}.{item.name}" for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+
+
+def test_every_public_method_is_reached():
+    # The same rule for the public methods of the package's classes, by
+    # name: a method that only tests call belongs in tests/oracles.py.
+    modules = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    used = set().union(*map(referenced_names, modules))
+    dead = sorted(name for path in modules for name in public_methods(path)
+                  if name.split(".")[1] not in used)
+    assert dead == []

@@ -136,9 +136,9 @@ class TestComposeWithCurve:
             comps = [UniPoly.from_coeffs(F(rng.randint(-9, 9), rng.choice([1, 2, 3, 10**6]))
                                          for _ in range(3)) for _ in range(3)]
             comps[rng.randrange(3)] = rng.choice([comps[0], UniPoly.zero()])
-            forms = [propcheck.random_homogeneous(rng, 3, rng.randint(1, 3))
-                     .scale(F(1, rng.randint(1, 10**9))) for _ in range(4)]
-            forms += [MultiPoly.zero(3), MultiPoly.monomial((1, 1, 0))]
+            forms = [propcheck.scaled_form(propcheck.random_homogeneous(rng, 3, rng.randint(1, 3)),
+                                           F(1, rng.randint(1, 10**9))) for _ in range(4)]
+            forms += [MultiPoly(3, {}), MultiPoly.monomial((1, 1, 0))]
             want = [oracles.naive_compose(f.terms, [list(c.coeffs) for c in comps])
                     for f in forms]
             assert [list(g.coeffs) for g in restrict_to_curve(forms, comps)] == want
@@ -150,8 +150,10 @@ class TestComposeWithCurve:
             g = propcheck.random_homogeneous(rng, 3, 2)
             comps = [propcheck.random_unipoly(rng, 2) for _ in range(3)]
             a, b = propcheck.random_fraction(rng), propcheck.random_fraction(rng)
-            lhs = compose_with_curve(f.scale(a) + g.scale(b), comps)
-            rhs = compose_with_curve(f, comps).scale(a) + compose_with_curve(g, comps).scale(b)
+            lhs = compose_with_curve(propcheck.scaled_form(f, a) + propcheck.scaled_form(g, b),
+                                     comps)
+            rhs = propcheck.unipoly_combination((a, compose_with_curve(f, comps)),
+                                                (b, compose_with_curve(g, comps)))
             assert lhs == rhs
 
     def test_homogeneity_in_curve(self):
@@ -161,8 +163,9 @@ class TestComposeWithCurve:
             f = propcheck.random_homogeneous(rng, 3, e)
             comps = [propcheck.random_unipoly(rng, 2) for _ in range(3)]
             lam = propcheck.random_fraction(rng)
-            scaled = [c.scale(lam) for c in comps]
-            assert compose_with_curve(f, scaled) == compose_with_curve(f, comps).scale(lam**e)
+            scaled = [propcheck.unipoly_combination((lam, c)) for c in comps]
+            assert compose_with_curve(f, scaled) == propcheck.unipoly_combination(
+                (lam**e, compose_with_curve(f, comps)))
 
     def test_rejects_wrong_component_count(self, fermat_quintic):
         with pytest.raises(DimensionError):

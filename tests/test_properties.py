@@ -20,6 +20,15 @@ def test_integer_chain_100_draws():
     assert propcheck.integer_chain_suite(seed=2037, draws=100) == 100
 
 
+def test_symmetry_vectors_128_draws():
+    # four draws at each d = 1..32
+    assert propcheck.symmetry_vectors_suite(seed=2040, draws=128) == 128
+
+
+def test_symmetry_annihilation_60_draws():
+    assert propcheck.symmetry_annihilation_suite(seed=2041, draws=60) == 60
+
+
 def test_euler_identity_100_draws():
     assert propcheck.euler_identity_suite(seed=2025, draws=100) == 100
 
