@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Commands: fixture, jacobian, verify, through, sample.  Machine-readable JSON
+Commands: fixture, jacobian, verify, through, sample, read from the table
+COMMANDS by `parse_args`.  Options take `--opt value` or `--opt=value`, under
+their full names only, and each command has `--help`.  Machine-readable JSON
 goes to stdout (or --out); human-readable tables go to stderr.  Every command
 is deterministic given its inputs, flags and seed, and each JSON document
 embeds the effective configuration.
@@ -12,14 +14,15 @@ system.  Every error ends with one line on stderr.
 
 from __future__ import annotations
 
-import argparse
 import cmath
 import contextlib
 import gc
 import hashlib
 import json
 import math
+import re
 import sys
+import types
 
 from . import construction, fixtures, incidence
 from .errors import DimensionError, InputError
@@ -106,12 +109,7 @@ def cmd_jacobian(args, out) -> int:
     prob = incidence.IncidenceProblem.from_obj(_read_json(args.problem))
     curve = incidence.CurveParam.from_obj(_read_json(args.curve))
     tol = _parse_tol(args.tol)
-    config = {
-        "command": "jacobian",
-        "form": args.form,
-        "points": args.points,
-        "tol": args.tol,
-    }
+    config = {"command": "jacobian", "form": args.form, "points": args.points, "tol": args.tol}
     # One restriction of the gradient serves the matrix, the exact rank and,
     # through Euler's identity, whether the curve lies on the hypersurface.
     incidence._check_curve(prob, curve)
@@ -212,84 +210,81 @@ def cmd_sample(args, out) -> int:
         rank = rank_exact(jac.matrix)
         is_full = rank == expected_rank
         full += is_full
-        records.append(
-            {
-                "draw": draw,
-                "poly_hash": _poly_hash(member),
-                "rank": rank,
-                "tangent_dim": prob.dim_m - rank,
-                "full_rank": is_full,
-            }
-        )
+        records.append({"draw": draw, "poly_hash": _poly_hash(member), "rank": rank,
+                        "tangent_dim": prob.dim_m - rank, "full_rank": is_full})
     obj = {
-        "config": {
-            "command": "sample",
-            "degree": args.degree,
-            "count": args.count,
-            "seed": args.seed,
-        },
+        "config": {"command": "sample", "degree": args.degree, "count": args.count,
+                   "seed": args.seed},
         "expected_rank": expected_rank,
         "records": records,
-        "summary": {
-            "samples": args.count,
-            "full_rank": full,
-            "fraction": f"{full}/{args.count}",
-        },
+        "summary": {"samples": args.count, "full_rank": full, "fraction": f"{full}/{args.count}"},
     }
     sys.stderr.write(f"full rank in {full}/{args.count} samples\n")
     _write_output(_dump(obj), out)
     return EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a bad command line as an input error, in one line."""
+# A word is a value, a positional or an option's, unless it starts with '-'
+# and is neither '-' (stdin) nor a negative number, as in argparse.
+_VALUE = re.compile(r"(?s)-|-\d+|-\d*\.\d+|(?!-).*")
 
-    def error(self, message):
-        raise InputError(f"{self.prog}: {message}")
+# Each command's positional names, and its options with their defaults: an
+# option whose default is an int takes an int, and a tuple lists the option's
+# choices, the default first.
+COMMANDS = {
+    "fixture": (("name",), {"--out": None}),
+    "jacobian": (("problem", "curve"),
+                 {"--form": ("coeff", "eval"), "--points": None, "--tol": "1e-8", "--out": None}),
+    "verify": (("fixture",), {"--seed": 0, "--out": None}),
+    "through": (("curve",), {"--degree": 5, "--out": None}),
+    "sample": (("curve",), {"--degree": 5, "--count": 20, "--seed": 0, "--out": None}),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="curvejac",
-        description="Exact Jacobian toolkit for curves on hypersurfaces",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_fix = sub.add_parser("fixture", help="emit a shipped fixture bundle")
-    p_fix.add_argument("name")
-    p_fix.add_argument("--out")
-    p_fix.set_defaults(func=cmd_fixture)
-
-    p_jac = sub.add_parser("jacobian", help="Jacobian, rank, tangent dimension")
-    p_jac.add_argument("problem", help="problem JSON path or -")
-    p_jac.add_argument("curve", help="curve JSON path or -")
-    p_jac.add_argument("--form", choices=("coeff", "eval"), default="coeff")
-    p_jac.add_argument("--points", help="comma-separated points for --form eval")
-    p_jac.add_argument("--tol", default="1e-8")
-    p_jac.add_argument("--out")
-    p_jac.set_defaults(func=cmd_jacobian)
-
-    p_ver = sub.add_parser("verify", help="run the construction check chain")
-    p_ver.add_argument("fixture", help="fixture JSON path or -")
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--out")
-    p_ver.set_defaults(func=cmd_verify)
-
-    p_thr = sub.add_parser("through", help="forms of a degree containing the curve")
-    p_thr.add_argument("curve", help="curve JSON path or -")
-    p_thr.add_argument("--degree", type=int, default=5)
-    p_thr.add_argument("--out")
-    p_thr.set_defaults(func=cmd_through)
-
-    p_smp = sub.add_parser("sample", help="rank experiment over random members")
-    p_smp.add_argument("curve", help="curve JSON path or -")
-    p_smp.add_argument("--degree", type=int, default=5)
-    p_smp.add_argument("--count", type=int, default=20)
-    p_smp.add_argument("--seed", type=int, default=0)
-    p_smp.add_argument("--out")
-    p_smp.set_defaults(func=cmd_sample)
-
-    return parser
+def parse_args(argv):
+    """Reads a command line against COMMANDS: the command, then its
+    positionals (`-` for stdin) and options in any order, an option as
+    `--opt value` or `--opt=value` under its exact name.  `-h` or `--help`
+    prints one usage line and exits 0; any other fault raises InputError."""
+    if argv[:1] in (["-h"], ["--help"]):
+        sys.stdout.write(f"usage: curvejac {{{','.join(COMMANDS)}}} ...\n")
+        raise SystemExit(EXIT_OK)
+    if not argv or argv[0] not in COMMANDS:
+        raise InputError(f"curvejac: expected a command, one of {', '.join(COMMANDS)}")
+    command, words, positionals = argv[0], iter(argv[1:]), []
+    names, options = COMMANDS[command]
+    values = {opt[2:]: d[0] if isinstance(d, tuple) else d for opt, d in options.items()}
+    fault = f"curvejac {command}:"
+    for word in words:
+        if word in ("-h", "--help"):
+            shown = (f"[{opt} {{{','.join(d)}}}]" if isinstance(d, tuple)
+                     else f"[{opt} {opt[2:].upper()}]" for opt, d in options.items())
+            sys.stdout.write(f"usage: curvejac {' '.join((command, *names, *shown))} [--help]\n")
+            raise SystemExit(EXIT_OK)
+        if _VALUE.fullmatch(word):
+            positionals.append(word)
+            continue
+        opt, eq, value = word.partition("=")
+        if opt not in options:
+            raise InputError(f"{fault} unknown option {opt}")
+        if not eq:
+            value = next(words, None)
+            if value is None or not _VALUE.fullmatch(value):
+                raise InputError(f"{fault} {opt} expects a value")
+        default = options[opt]
+        if isinstance(default, int):
+            try:
+                value = int(value)
+            except ValueError:
+                raise InputError(f"{fault} {opt} expects an integer, got {value[:40]!r}") from None
+        elif isinstance(default, tuple) and value not in default:
+            raise InputError(f"{fault} {opt} must be one of {', '.join(default)}, "
+                             f"got {value[:40]!r}")
+        values[opt[2:]] = value
+    if len(positionals) != len(names):
+        raise InputError(f"{fault} expected {len(names)} positional argument(s) "
+                         f"({' '.join(names)}), got {len(positionals)}")
+    return types.SimpleNamespace(command=command, **values, **dict(zip(names, positionals)))
 
 
 def main(argv=None) -> int:
@@ -302,9 +297,10 @@ def main(argv=None) -> int:
     try:
         if freeze:
             gc.freeze()
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         with _open_output(args.out) as out:
-            return args.func(args, out)
+            # looked up per call, so that a replaced handler is the one run
+            return globals()[f"cmd_{args.command}"](args, out)
     except DimensionError as exc:
         sys.stderr.write(f"dimension error: {exc}\n")
         return EXIT_DIMENSION

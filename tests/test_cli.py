@@ -262,21 +262,27 @@ def test_mpmath_loaded_only_for_complex_labels(tmp_path, request, name, complex_
     assert field == ("complex" if complex_labels else "rational")
 
 
-def test_mpmath_never_imported(tmp_path, problem_a_path, curve_a_path):
-    # nor do the complex evaluation points of jacobian, or sample
+def test_mpmath_never_imported(tmp_path, fixture_a_path, problem_a_path, curve_a_path):
+    # nor do the complex evaluation points of jacobian, or sample; and no
+    # command loads a command-line library (argparse, with the gettext and
+    # locale that its messages load), in an interpreter without site's imports
     out = str(tmp_path / "out.json")
-    argvs = [["jacobian", problem_a_path, curve_a_path, "--form", "eval",
+    argvs = [["fixture", "A", "--out", out],
+             ["jacobian", problem_a_path, curve_a_path, "--form", "eval",
               "--points=0,1,-1,2,-2,1+2i", "--out", out],
+             ["verify", fixture_a_path, "--seed=0", "--out", out],
+             ["through", curve_a_path, "--degree", "2", "--out", out],
              ["sample", curve_a_path, "--degree", "5", "--count", "1", "--out", out]]
     code = ("import json, sys; from curvejac import cli; "
             "print(json.dumps([[cli.main(argv), 'mpmath' in sys.modules] "
-            "for argv in json.loads(sys.argv[1])]))")
+            "for argv in json.loads(sys.argv[1])] "
+            "+ [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules]))")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], capture_output=True,
-                         text=True, env=env, timeout=120, check=True)
-    assert json.loads(run.stdout) == [[0, False]] * 2
+    run = subprocess.run([sys.executable, "-S", "-c", code, json.dumps(argvs)],
+                         capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert json.loads(run.stdout) == [[0, False]] * 5
 
 
 def test_numpy_never_imported(tmp_path, fixture_b_nonsplit, problem_a_path, curve_a_path):
@@ -525,14 +531,6 @@ class TestOutputFiles:
         assert rc == 0
         assert json.loads(target.read_text())["dimension"] == 3
 
-    def test_verify_help_lists_seed_and_out(self):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "--help"])
-        assert exc.value.code == 0
-        options = {w.strip("[],") for w in out.getvalue().split() if w.startswith(("[--", "--"))}
-        assert options == {"--help", "--seed", "--out"}
-
     def test_out_flag_writes_file(self, tmp_path, curve_a_path):
         target = tmp_path / "result.json"
         rc, out, _ = run_cli(["through", curve_a_path, "--degree", "1", "--out", str(target)])
@@ -559,20 +557,6 @@ class TestInputFaults:
         assert len(err.splitlines()) == 1
         assert err.startswith("i/o error") and str(target) in err
 
-    def test_bad_command_line_exits_2_in_one_line(self, fixture_a_path, problem_a_path,
-                                                  curve_a_path):
-        for argv, words in (
-            (["jacobian", problem_a_path, curve_a_path, "--tol", "-1e-8"], "--tol"),
-            (["verify", fixture_a_path, "--tol", "1e-8"], "--tol"),
-            (["verify", fixture_a_path, "--precision", "12"], "--precision"),
-            (["verify", fixture_a_path, "--seed", "x"], "--seed"),
-            ([], "command"),
-        ):
-            rc, out, err = run_cli(argv)
-            assert rc == 2, argv
-            assert out == ""
-            assert len(err.splitlines()) == 1 and words in err, err
-
     def test_deeply_nested_json_exits_2_in_one_line(self, tmp_path, curve_a_path):
         # json.loads recurses once per bracket, so this used to end in a
         # RecursionError traceback; json.dumps cannot build such a document
@@ -595,6 +579,91 @@ class TestInputFaults:
             assert rc == 2, argv
             assert out == ""
             assert len(err.splitlines()) == 1 and "--tol" in err
+
+
+# Each command's options, as its --help lists them.
+OPTIONS = {
+    "fixture": {"--out"},
+    "jacobian": {"--form", "--points", "--tol", "--out"},
+    "verify": {"--seed", "--out"},
+    "through": {"--degree", "--out"},
+    "sample": {"--degree", "--count", "--seed", "--out"},
+}
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", list(OPTIONS))
+def test_help_lists_the_command_options(command, flag):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        cli.main([command, flag])
+    assert exc.value.code == 0
+    assert len(out.getvalue().splitlines()) == 1
+    options = {w.strip("[],") for w in out.getvalue().split() if w.startswith(("[--", "--"))}
+    assert options == {"--help"} | OPTIONS[command]
+
+
+# Command lines that exit 2 with one `input error:` line naming the fault;
+# {fixture}, {problem} and {curve} stand for fixture A's documents.
+BAD_LINES = {
+    "no-command": ([], "command"),
+    "unknown-command": (["verfy", "{fixture}"], "command"),
+    "unknown-option": (["verify", "{fixture}", "--precision", "12"], "--precision"),
+    "option-of-another-command": (["verify", "{fixture}", "--tol", "1e-8"], "--tol"),
+    "option-prefix": (["through", "{curve}", "--deg", "5"], "--deg"),
+    "option-prefix-with-equals": (["sample", "{curve}", "--cou=2"], "--cou"),
+    "single-dash-option": (["verify", "{fixture}", "-s", "0"], "-s"),
+    "option-without-value": (["verify", "{fixture}", "--seed"], "--seed"),
+    "option-before-option": (["verify", "{fixture}", "--out", "--seed", "0"], "--out"),
+    "degree-not-an-integer": (["through", "{curve}", "--degree", "x"], "--degree"),
+    "seed-not-an-integer": (["verify", "{fixture}", "--seed", "x"], "--seed"),
+    "count-empty": (["sample", "{curve}", "--count="], "--count"),
+    "form-not-a-choice": (["jacobian", "{problem}", "{curve}", "--form", "bogus"], "--form"),
+    "negative-tol": (["jacobian", "{problem}", "{curve}", "--tol", "-1e-8"], "--tol"),
+    "missing-positional": (["jacobian", "{problem}", "--form", "coeff"], "positional"),
+    "extra-positional": (["verify", "{fixture}", "{fixture}"], "positional"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_LINES))
+def test_bad_command_line_exits_2_in_one_line(case, fixture_a_path, problem_a_path,
+                                              curve_a_path):
+    template, words = BAD_LINES[case]
+    paths = {"fixture": fixture_a_path, "problem": problem_a_path, "curve": curve_a_path}
+    rc, out, err = run_cli([arg.format(**paths) for arg in template])
+    assert rc == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("input error:"), err
+    assert words in err, err
+
+
+# A good command line of each command: its positionals, then its options.
+GOOD_LINES = {
+    "fixture": (["fixture", "B"], {}),
+    "jacobian": (["jacobian", "{problem}", "{curve}"],
+                 {"--form": "eval", "--points": "1/2,-1,2,3,5,7", "--tol": "1e-6"}),
+    "verify": (["verify", "{fixture}"], {"--seed": "-3"}),
+    "through": (["through", "{curve}"], {"--degree": "2"}),
+    "sample": (["sample", "{curve}"], {"--degree": "5", "--count": "2", "--seed": "7"}),
+}
+
+
+@pytest.mark.parametrize("command", list(GOOD_LINES))
+def test_option_spelling_and_order_keep_stdout(command, fixture_a_path, problem_a_path,
+                                               curve_a_path):
+    # `--opt value` and `--opt=value`, before, between or after the
+    # positionals, give the same stdout bytes
+    template, options = GOOD_LINES[command]
+    paths = {"fixture": fixture_a_path, "problem": problem_a_path, "curve": curve_a_path}
+    head, *positionals = [arg.format(**paths) for arg in template]
+    spaced = [word for opt, value in options.items() for word in (opt, value)]
+    joined = [f"{opt}={value}" for opt, value in options.items()]
+    lines = [[head, *positionals, *joined], [head, *spaced, *positionals],
+             [head, *joined, *positionals], [head, positionals[0], *spaced, *positionals[1:]]]
+    first = run_cli([head, *positionals, *spaced])
+    assert first[0] == 0 and first[1], first[2]
+    for argv in lines:
+        assert run_cli(argv)[:2] == first[:2], argv
 
 
 def _points(last: str) -> tuple:
