@@ -24,7 +24,6 @@ from .construction import (
     Fixture,
     SpecialPoints,
     VerificationReport,
-    build_special_hypersurface,
     gradient_pairing_map,
     select_special_points,
     verify_construction,

@@ -200,13 +200,12 @@ def cmd_sample(args, out) -> int:
                for draw in range(args.count)]
     # Every draw's gradient is restricted through the one table of the curve.
     grads = restrict_to_curve(
-        (f.partial_derivative(m) for f in members for m in range(nvars)), curve.components)
+        ([f.partial_derivative(m) for m in range(nvars)] for f in members), curve.components)
     records = []
     full = 0
     for draw, member in enumerate(members):
         prob = incidence.IncidenceProblem(curve.n, curve.d, args.degree, member)
-        jac = incidence.jacobian_coefficient_form(
-            prob, curve, grads[draw * nvars : (draw + 1) * nvars])
+        jac = incidence.jacobian_coefficient_form(prob, curve, grads[draw])
         rank = rank_exact(jac.matrix)
         is_full = rank == expected_rank
         full += is_full

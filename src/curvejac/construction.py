@@ -12,7 +12,7 @@ witnesses and reports each one.
 `Fixture` restricts l, p and q's partials once, decides q(c0) = 0 from them,
 and guarantees a zero z4 component of c0 and a q free of z4, so on the curve
 f0 vanishes, (df0/dz4)(c0) = p(c0) and (df0/dz_m)(c0) = l(c0) * (dq/dz_m)(c0),
-m < 4; f0 itself is built only when read.  Checks 1, 3 and 6 and check 5's
+m < 4; f0 itself is never built.  Checks 1, 3 and 6 and check 5's
 root rows hold by construction; the point selection (2), the corner
 determinant (4), the extra row (5) and the ranks (7-10) are decided, by five
 certified ranks (`rank_exact`) with no evaluation Jacobian and no kernel
@@ -21,13 +21,15 @@ except in check 8, where the z0..z3 parts of the four symmetry vectors are
 exact kernel witnesses of the pairing map (`gradient_pairing_map`); Bareiss
 elimination decides only where the bounds disagree.
 
-Every ranked matrix is in integers.  The restrictions are scaled once to
-integer coefficient lists over their common denominator D; the Toeplitz
-blocks of checks 8 and 9 are D and D**2 times the pairing map and the
-coefficient Jacobian, and the rows of check 7 at a point a/b are the value
-rows times a positive power of b and D (`incidence._evaluation_rows`), so
-no rank changes.  The symmetry vectors are integer lists read off the
-curve's coefficients over their common denominator.  Only what the report
+Every ranked matrix is in integers.  The restrictions are one pair of
+`restrict_to_curve`, integer coefficient lists over their least common
+denominator D: the Toeplitz blocks of checks 8 and 9 are D and D**2 times
+the pairing map and the coefficient Jacobian, and the rows of check 7 at a
+point a/b, like check 5's extra row, are the value rows times a positive
+power of b and D (`incidence._evaluation_rows`), so no rank and no zero
+changes.  The symmetry vectors are integer lists read off the curve's
+coefficients over their common denominator.  Only lc and pc, for the roots
+and the corner block, are rational polynomials, and only what the report
 prints stays rational or complex: the points, the corner block and its
 determinant.  `select_special_points` finds the roots once;
 the generic points are drawn only in the retry loop of check 7, which ranks
@@ -41,15 +43,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionError, InputError
 from .incidence import (
     CurveParam,
-    IncidenceProblem,
-    _common_ints,
     _convolution_matrix,
     _evaluation_rows,
     _point_label,
@@ -64,7 +63,6 @@ __all__ = [
     "SpecialPoints",
     "CheckResult",
     "VerificationReport",
-    "build_special_hypersurface",
     "select_special_points",
     "gradient_pairing_map",
     "verify_construction",
@@ -87,19 +85,12 @@ def _check_factors(l: MultiPoly, q: MultiPoly, p: MultiPoly):
         raise InputError("q must not involve z4")
 
 
-def build_special_hypersurface(l: MultiPoly, q: MultiPoly, p: MultiPoly) -> MultiPoly:
-    """l*q + z4*p, the quintic through every curve on the quartic surface."""
-    _check_factors(l, q, p)
-    z4 = MultiPoly.monomial((0, 0, 0, 0, 1))
-    return l * q + z4 * p
-
-
 @dataclass(frozen=True)
 class Fixture:
     """Input bundle for the construction: q, l, p and the curve, d >= 1.
-    Derived: `restricted`, the restrictions (lc, pc, (dq/dz_m)(c0) for
-    m < 4) through one table, which decide q(c0) = 0, and f0 = l*q + z4*p,
-    built on first read (verification never reads it)."""
+    Derived: `restricted`, the pair (den, lists) of `restrict_to_curve` for
+    lc = l(c0), pc = p(c0) and (dq/dz_m)(c0), m < 4, in that order, which
+    decides q(c0) = 0.  f0 = l*q + z4*p is never built."""
 
     name: str
     q: MultiPoly
@@ -107,7 +98,7 @@ class Fixture:
     p: MultiPoly
     c0: CurveParam
     d: int
-    restricted: tuple[UniPoly, ...] = field(init=False, repr=False, compare=False)
+    restricted: tuple[int, list[list[int]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_factors(self.l, self.q, self.p)
@@ -117,20 +108,13 @@ class Fixture:
             raise InputError("fixture invariant violated: c0 must have n=4 and the stated d")
         if not self.c0.components[4].is_zero:
             raise InputError("fixture invariant violated: c0's z4-component must be zero")
-        restricted = tuple(restrict_to_curve(
-            [self.l, self.p, *(self.q.partial_derivative(m) for m in range(4))], self.c0.components))
-        object.__setattr__(self, "restricted", restricted)
+        den, lists = restrict_to_curve(
+            [[self.l, self.p, *(self.q.partial_derivative(m) for m in range(4))]],
+            self.c0.components)[0]
+        object.__setattr__(self, "restricted", (den, lists))
         # q is a quartic free of z4, so its partials m < 4 decide q(c0) = 0.
-        if not vanishes_on_curve(restricted[2:], self.c0, 4):
+        if not vanishes_on_curve((den, lists[2:]), self.c0, 4):
             raise InputError("fixture invariant violated: q(c0(t)) == 0 (curve must lie on the quartic)")
-
-    @cached_property
-    def f0(self) -> MultiPoly:
-        return build_special_hypersurface(self.l, self.q, self.p)
-
-    @property
-    def problem(self) -> IncidenceProblem:
-        return IncidenceProblem(4, self.d, 5, self.f0)
 
     def to_obj(self) -> dict:
         return {
@@ -385,11 +369,11 @@ def verify_construction(fixture: Fixture, seed: int = 0) -> VerificationReport:
 
     # By the fixture's invariants f0 = l*q + z4*p vanishes on the curve
     # (check 1) and its gradient there is lc * (dq/dz_m)(c0), m < 4, and pc.
-    # Every matrix ranked below is in integers: the restrictions scaled over
-    # their common denominator D, so D**2 times f0's gradient is lc_i * q_i
-    # and D * pc_i, and the symmetry vectors are integer lists already.
-    lc, pc, *grad_q = fixture.restricted
-    den, (lc_i, pc_i, *q_i) = _common_ints(fixture.restricted)
+    # Every matrix ranked below is in integers: the restrictions over their
+    # common denominator D, so D**2 times f0's gradient is lc_i * q_i and
+    # D * pc_i, and the symmetry vectors are integer lists already.
+    den, (lc_i, pc_i, *q_i) = fixture.restricted
+    lc, pc = (UniPoly(tuple(Fraction(x, den) for x in xs)) for xs in (lc_i, pc_i))
     grad_f0 = [_int_mul(lc_i, g) for g in q_i] + [[den * x for x in pc_i]]
     record(1, "special quintic vanishes on the curve", True, {"f0_on_curve": "0"})
     try:
@@ -442,13 +426,15 @@ def verify_construction(fixture: Fixture, seed: int = 0) -> VerificationReport:
     # (5) lc divides each (df0/dz_m)(c0(t)), m < 4, so the mixed block rows
     # vanish at the roots of l(c0(t)), which a successful selection uses.
     # The extra row (at the d+1-th point) is reported as found, never
-    # failing; it vanishes iff every (df0/dz_m)(c0(t)) does there.
+    # failing; it vanishes iff every (df0/dz_m)(c0(t)) does there, that is
+    # iff lc or every (dq/dz_m)(c0) has a zero integer evaluation there.
+    def row_vanishes(t: Fraction) -> bool:
+        values = _evaluation_rows([lc_i, *q_i], 0, [(t.numerator, t.denominator)])[0]
+        return not values[0] or not any(values[1:])
+
     nroots = len(pts.root_points)
-    census = [
-        {"point": pts.label(t),
-         "is_zero": s < nroots or lc.evaluate(t) == 0 or all(g.evaluate(t) == 0 for g in grad_q)}
-        for s, t in enumerate(top)
-    ]
+    census = [{"point": pts.label(t), "is_zero": s < nroots or row_vanishes(t)}
+              for s, t in enumerate(top)]
     record(5, "mixed block rows vanish at l-roots (extra row reported)", True,
            {"rows": census, "root_rows": nroots})
 

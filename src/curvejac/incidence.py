@@ -8,14 +8,15 @@ of those equations comes in two forms: the coefficient form (rows indexed by
 powers of t) and the evaluation form (rows indexed by chosen points), linked
 exactly by a Vandermonde factor.
 
-Each form is written once.  The coefficient form is a Toeplitz block per
-partial (`_convolution_matrix`), built from integer coefficient lists: the
-restricted gradient over its common denominator, so the matrix is in
-integers, that denominator times the Jacobian, with its rank and kernel.
-An evaluation row (`_evaluation_rows`) evaluates the homogenized partials by
-Horner at a point (a, b): at a rational t = a/b with integer lists it is an
-integer row, a positive multiple of the value row, and at (t, 1) the value
-row itself, exact or complex as t is.
+Each form is written once, from the restricted gradient (den, lists) of
+`restrict_to_curve`: integer coefficient lists over their least common
+denominator.  The coefficient form is a Toeplitz block per partial
+(`_convolution_matrix`) of those lists, so the matrix is in integers, den
+times the Jacobian, with its rank and kernel.  An evaluation row
+(`_evaluation_rows`) evaluates the homogenized partials by Horner at a point
+(a, b): at a rational t = a/b with integer lists it is an integer row, a
+positive multiple of the value row, and at (t, 1) the value row itself,
+exact or complex as t is.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .linalg import (
     MAX_N,
     KernelBasis,
     RationalMatrix,
-    _scaled,
     format_rational,
     kernel_exact,
     parse_list,
@@ -230,39 +230,37 @@ def _check_curve(prob: IncidenceProblem, c: CurveParam):
         )
 
 
-def restricted_gradient(f: MultiPoly, c: CurveParam) -> list[UniPoly]:
+def restricted_gradient(f: MultiPoly, c: CurveParam) -> tuple[int, list[list[int]]]:
     """The partials (df/dz_m)(c(t)), one per variable of f, restricted
-    together by `restrict_to_curve`."""
-    return restrict_to_curve([f.partial_derivative(m) for m in range(f.num_vars)], c.components)
+    together by `restrict_to_curve`: (den, lists), lists[m] the integer
+    coefficients of den * (df/dz_m)(c(t)), den least."""
+    return restrict_to_curve([[f.partial_derivative(m) for m in range(f.num_vars)]],
+                             c.components)[0]
 
 
-def vanishes_on_curve(grads: Sequence[UniPoly], c: CurveParam, degree: int) -> bool:
+def vanishes_on_curve(grads: tuple[int, list[list[int]]], c: CurveParam, degree: int) -> bool:
     """Whether f(c(t)) = 0, given grads = restricted_gradient(f, c) of a form
     f of the given degree.
 
     Euler: sum_m z_m * df/dz_m = degree * f, so for positive degree f(c(t))
-    vanishes iff sum_m c_m(t) * grads[m] does; a nonzero constant never does.
-    The sum is taken in integers, times a positive scale that leaves its
-    vanishing as it is: the components over their common denominator and
-    grads over theirs (`_common_ints`), multiplied by `_int_mul`.
+    vanishes iff sum_m c_m(t) * (df/dz_m)(c(t)) does; a nonzero constant
+    never does.  The sum is taken in integers, times a positive scale that
+    leaves its vanishing as it is: the components over their common
+    denominator (`_common_ints`) times the lists of grads, by `_int_mul`.
     """
     if degree <= 0:
         return False
-    comps, ints = _common_ints(c.components)[1], _common_ints(grads)[1]
-    products = [_int_mul(a, g) for a, g in zip(comps, ints)]
+    comps = _common_ints(c.components)[1]
+    products = [_int_mul(a, g) for a, g in zip(comps, grads[1])]
     return not any(map(sum, zip_longest(*products, fillvalue=0)))
 
 
 def _common_ints(polys: Sequence[UniPoly]) -> tuple[int, list[list[int]]]:
-    """(den, lists): den the lcm of the denominators of all the polynomials'
-    coefficients and lists[m] = den * polys[m] as an integer coefficient
-    list, t**0 first."""
-    den, flat = _scaled([x for g in polys for x in g.coeffs])
-    lists, k = [], 0
-    for g in polys:
-        lists.append(flat[k : k + len(g.coeffs)])
-        k += len(g.coeffs)
-    return den, lists
+    """(den, lists) for a curve's components polys: den the lcm of the
+    denominators of all their coefficients and lists[m] = den * polys[m] as
+    an integer coefficient list, t**0 first."""
+    den = lcm(*(x.denominator for g in polys for x in g.coeffs))
+    return den, [[x.numerator * (den // x.denominator) for x in g.coeffs] for g in polys]
 
 
 def _convolution_matrix(
@@ -321,18 +319,18 @@ def _evaluation_rows(coeffs: Sequence[Sequence], d: int, points: Sequence[tuple]
 
 
 def jacobian_coefficient_form(
-    prob: IncidenceProblem, c: CurveParam, grads: Sequence[UniPoly]
+    prob: IncidenceProblem, c: CurveParam, grads: tuple[int, list[list[int]]]
 ) -> JacobianMatrix:
     """Exact Jacobian with rows indexed by the coefficient equations.
 
     Entry (row j, column (m, i)) is the t**j coefficient of
-    (df/dz_m)(c(t)) * t**i, given grads = restricted_gradient(prob.f, c).
-    The matrix holds it in integers, times den, the lcm of the denominators
-    of grads (`JacobianMatrix.den`): the Jacobian's rank and kernel.
+    (df/dz_m)(c(t)) * t**i, given grads = (den, ints) =
+    restricted_gradient(prob.f, c).  The matrix holds it in integers, times
+    den (`JacobianMatrix.den`): the Jacobian's rank and kernel.
     """
     _check_curve(prob, c)
     nrows = prob.num_equations
-    den, ints = _common_ints(grads)
+    den, ints = grads
     matrix = _convolution_matrix(
         ints,
         prob.d,
@@ -347,14 +345,14 @@ def jacobian_evaluation_form(
     prob: IncidenceProblem,
     c: CurveParam,
     points: Sequence,
-    grads: Sequence[UniPoly],
+    grads: tuple[int, list[list[int]]],
 ) -> JacobianMatrix:
     """Jacobian with rows indexed by evaluation points.
 
     Entry (row s, column (m, i)) is (df/dz_m)(c(t_s)) * t_s**i, given
-    grads = restricted_gradient(prob.f, c).  On rational points this is
-    exactly V times the coefficient form, V the Vandermonde matrix with
-    entry (s, j) = t_s**j.
+    grads = (den, ints) = restricted_gradient(prob.f, c), from the
+    coefficients x / den.  On rational points this is exactly V times the
+    coefficient form, V the Vandermonde matrix with entry (s, j) = t_s**j.
     """
     _check_curve(prob, c)
     points = list(points)
@@ -363,11 +361,13 @@ def jacobian_evaluation_form(
             f"need exactly {prob.num_equations} evaluation points, got {len(points)}"
         )
     exact = all(isinstance(t, Fraction) for t in points)
+    den, ints = grads
+    coeffs = [[Fraction(x, den) for x in g] for g in ints]
     try:
         pts = [Fraction(t) if exact else complex(t) for t in points]
         if len(set(pts)) != len(pts):
             raise ValueError("evaluation points must be pairwise distinct")
-        rows = _evaluation_rows([g.coeffs for g in grads], prob.d, [(t, 1) for t in pts])
+        rows = _evaluation_rows(coeffs, prob.d, [(t, 1) for t in pts])
     except OverflowError as exc:  # only complex evaluation turns Fractions into floats
         raise ValueError("a point or a coefficient is beyond the float range") from exc
     if exact:

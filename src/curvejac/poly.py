@@ -6,12 +6,14 @@ polynomial in the affine coordinate t of the parametrizing line.  Both are
 immutable; all arithmetic is exact.
 
 Restriction to a parametrized curve, f(c(t)), has one entry point,
-`restrict_to_curve`: it restricts several forms through one table
+`restrict_to_curve`: it restricts groups of forms through one table
 (`_curve_monomials`), which scales each component to integers over its own
 denominator and builds each power of a component and each restricted
 monomial once, as an integer polynomial over a denominator, and multiplies
 each term's coefficient into its restricted monomial once, summing integers
-over a common denominator.  Every polynomial product in the package, the
+over a common denominator.  A group of forms comes back as one pair (den,
+lists), its least common denominator and integer coefficient lists, which
+every matrix is built from.  Every polynomial product in the package, the
 table's among them, is one product of integer polynomials by Kronecker
 substitution (`_int_mul`): the coefficients are packed into one
 integer, which CPython multiplies by Karatsuba, and unpacked.
@@ -419,30 +421,40 @@ def _curve_monomials(components: Sequence[UniPoly]):
     return restrict
 
 
-def restrict_to_curve(fs: Iterable[MultiPoly], components: Sequence[UniPoly]) -> list[UniPoly]:
-    """The restrictions f(c(t)), z_m := components[m](t), of the forms fs,
-    exact; fs may be any iterable, read once.  They share one integer table
-    of restricted monomials (`_curve_monomials`); each term's coefficient
-    multiplies its table entry once, as integers over the form's common
-    denominator, so each output coefficient takes one gcd."""
+def restrict_to_curve(groups: Iterable[Iterable[MultiPoly]],
+                      components: Sequence[UniPoly]) -> list[tuple[int, list[list[int]]]]:
+    """The restrictions f(c(t)), z_m := components[m](t), of each group of
+    forms as one pair (den, lists): den the least common denominator of the
+    group's restrictions, lists[k] den times its k-th form's as integer
+    coefficients, t**0 first, no trailing zero.  The groups (any iterables,
+    read once) share one integer table of restricted monomials
+    (`_curve_monomials`); each term multiplies its entry once, over the lcm
+    L of the group's term denominators, and one gcd of L with every sum
+    makes den least.  No Fraction is built."""
     restrict = _curve_monomials(components)
     out = []
-    for f in fs:
-        if f.num_vars != len(components):
-            raise DimensionError(
-                f"curve has {len(components)} components, polynomial has {f.num_vars} variables"
-            )
-        terms = [(c, *restrict(e)) for e, c in f.terms.items()]
-        den = lcm(*(c.denominator * d for c, d, _ in terms))
-        acc = [0] * max((len(xs) for _, _, xs in terms), default=0)
-        for c, d, xs in terms:
-            w = c.numerator * (den // (c.denominator * d))
-            for i, x in enumerate(xs):
-                if x:
-                    acc[i] += w * x
-        while acc and not acc[-1]:
-            acc.pop()
-        out.append(UniPoly(tuple(Fraction(a, den) for a in acc)))
+    for group in groups:
+        terms = []
+        for f in group:
+            if f.num_vars != len(components):
+                raise DimensionError(
+                    f"curve has {len(components)} components, polynomial has {f.num_vars} variables"
+                )
+            terms.append([(c, *restrict(e)) for e, c in f.terms.items()])
+        den = lcm(*(c.denominator * d for form in terms for c, d, _ in form))
+        lists = []
+        for form in terms:
+            acc = [0] * max((len(xs) for _, _, xs in form), default=0)
+            for c, d, xs in form:
+                w = c.numerator * (den // (c.denominator * d))
+                for i, x in enumerate(xs):
+                    if x:
+                        acc[i] += w * x
+            while acc and not acc[-1]:
+                acc.pop()
+            lists.append(acc)
+        g = gcd(den, *(x for acc in lists for x in acc))
+        out.append((den // g, [[x // g for x in acc] for acc in lists]))
     return out
 
 

@@ -12,7 +12,9 @@ matrix products and cofactor determinants from their definitions, block
 slicing, reassembly and closed forms by list arithmetic, an exhaustive
 smoothness search over a prime field, gcds over Q (coprimality, smoothness
 along a curve) from sympy's, rational roots from sympy's factorization over Q, and complex root
-labels from mpmath's `polyroots`.
+labels from mpmath's `polyroots`.  It also builds what no command builds: the
+special quintic f0 = l*q + z4*p of a fixture with its incidence problem, and
+the rational polynomials of a restriction pair (den, lists).
 """
 
 import random
@@ -23,6 +25,9 @@ from itertools import product
 import mpmath
 import sympy
 from mpmath.libmp import NoConvergence
+
+from curvejac.incidence import IncidenceProblem
+from curvejac.poly import MultiPoly, UniPoly
 
 
 def rref_rank_kernel(rows, ncols):
@@ -194,6 +199,29 @@ def naive_compose(terms, comps):
     while total and total[-1] == 0:
         total.pop()
     return total
+
+
+def unipolys(pair):
+    """The restrictions of a pair (den, lists) of `restrict_to_curve` as
+    UniPolys with coefficients x / den, trailing zeros kept, so a list that
+    keeps one never equals the trimmed polynomial."""
+    den, lists = pair
+    return [UniPoly(tuple(Fraction(x, den) for x in xs)) for xs in lists]
+
+
+def build_special_hypersurface(l, q, p):
+    """l*q + z4*p, the quintic through every curve on the quartic surface."""
+    return l * q + MultiPoly.monomial((0, 0, 0, 0, 1)) * p
+
+
+def f0(fix):
+    """The special quintic of a fixture."""
+    return build_special_hypersurface(fix.l, fix.q, fix.p)
+
+
+def problem(fix):
+    """The incidence problem of a fixture's special quintic: n = 4, e = 5."""
+    return IncidenceProblem(4, fix.d, 5, f0(fix))
 
 
 def interpolate(nodes, values):

@@ -120,7 +120,7 @@ def curve_from_theta(n, d, vec):
 
 def incidence_equations(prob, c):
     """The e*d+1 coefficients of f(c(t)), zero-padded at the top."""
-    restricted = restrict_to_curve([prob.f], c.components)[0]
+    restricted = oracles.unipolys(restrict_to_curve([[prob.f]], c.components)[0])[0]
     return tuple(oracles.padded(restricted.coeffs, prob.num_equations))
 
 

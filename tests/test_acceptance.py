@@ -16,7 +16,6 @@ from curvejac import cli
 from curvejac.construction import _generic_points, gradient_pairing_map, select_special_points
 from curvejac.incidence import (
     IncidenceProblem,
-    _common_ints,
     jacobian_coefficient_form,
     jacobian_evaluation_form,
     quintics_through_curve,
@@ -44,7 +43,7 @@ def criterion(num, desc):
 
 
 def on_curve(poly, c0):
-    return restrict_to_curve([poly], c0.components)[0]
+    return oracles.unipolys(restrict_to_curve([[poly]], c0.components)[0])[0]
 
 
 def run_cli(argv):
@@ -57,10 +56,11 @@ def run_cli(argv):
 def test_criterion_1_fixture_a_rank_and_kernel(fixture_a, jacobian_command):
     with criterion(1, "fixture A: rank 6, tangent dim 4, kernel = symmetry span"):
         start = time.perf_counter()
-        grads = restricted_gradient(fixture_a.problem.f, fixture_a.c0)
-        jac = jacobian_coefficient_form(fixture_a.problem, fixture_a.c0, grads)
+        prob = oracles.problem(fixture_a)
+        grads = restricted_gradient(prob.f, fixture_a.c0)
+        jac = jacobian_coefficient_form(prob, fixture_a.c0, grads)
         assert rank_exact(jac.matrix) == 6 == 5 * fixture_a.d + 1
-        out = jacobian_command(fixture_a.problem, fixture_a.c0)
+        out = jacobian_command(prob, fixture_a.c0)
         assert (out["rank"], out["tangent_dim"], out["formal"]) == (6, 4, False)
         kernel = kernel_exact(jac.matrix)
         sym = symmetry_kernel_vectors(fixture_a.c0)
@@ -78,10 +78,11 @@ def test_criterion_1_fixture_a_rank_and_kernel(fixture_a, jacobian_command):
 def test_criterion_2_fixture_b_rank(fixture_b, jacobian_command):
     with criterion(2, "fixture B: rank 11, tangent dim 4"):
         start = time.perf_counter()
-        grads = restricted_gradient(fixture_b.problem.f, fixture_b.c0)
-        jac = jacobian_coefficient_form(fixture_b.problem, fixture_b.c0, grads)
+        prob = oracles.problem(fixture_b)
+        grads = restricted_gradient(prob.f, fixture_b.c0)
+        jac = jacobian_coefficient_form(prob, fixture_b.c0, grads)
         assert rank_exact(jac.matrix) == 11 == 5 * fixture_b.d + 1
-        out = jacobian_command(fixture_b.problem, fixture_b.c0)
+        out = jacobian_command(prob, fixture_b.c0)
         assert (out["rank"], out["tangent_dim"], out["formal"]) == (11, 4, False)
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"took {elapsed:.2f}s, limit 5s"
@@ -89,8 +90,9 @@ def test_criterion_2_fixture_b_rank(fixture_b, jacobian_command):
 
 def test_criterion_3_block_suite(fixture_a):
     with criterion(3, "fixture A block suite: closed forms, det -51/16, A0 rank 4"):
-        grads = restricted_gradient(fixture_a.problem.f, fixture_a.c0)
-        jac = jacobian_evaluation_form(fixture_a.problem, fixture_a.c0, A_POINTS, grads)
+        prob = oracles.problem(fixture_a)
+        grads = restricted_gradient(prob.f, fixture_a.c0)
+        jac = jacobian_evaluation_form(prob, fixture_a.c0, A_POINTS, grads)
         lc = on_curve(fixture_a.l, fixture_a.c0)
         pc = on_curve(fixture_a.p, fixture_a.c0)
         blocks = oracles.split_blocks(oracles.matrix_rows(jac.matrix), fixture_a.d)
@@ -99,7 +101,7 @@ def test_criterion_3_block_suite(fixture_a):
         assert extracted11 == closed11
         det11 = oracles.laplace_det(extracted11)
         assert det11 == F(-51, 16) and det11 != 0
-        grads = restricted_gradient(fixture_a.q, fixture_a.c0)
+        grads = oracles.unipolys(restricted_gradient(fixture_a.q, fixture_a.c0))
         closed22 = oracles.a22_closed_form(lc, grads, A_POINTS[2:])
         assert blocks["a22"] == closed22
         a0 = [[x / lc.evaluate(t) for x in row] for row, t in zip(blocks["a22"], A_POINTS[2:])]
@@ -113,7 +115,7 @@ def test_criterion_3_block_suite(fixture_a):
 def test_criterion_4_gradient_pairing(fixture_a, fixture_b):
     with criterion(4, "gradient pairing kernel dimension 4 on both fixtures"):
         for fix, shape in ((fixture_a, (5, 8)), (fixture_b, (9, 12))):
-            m = gradient_pairing_map(_common_ints(restricted_gradient(fix.q, fix.c0))[1], fix.d)
+            m = gradient_pairing_map(restricted_gradient(fix.q, fix.c0)[1], fix.d)
             assert (m.rows, m.cols) == shape == (4 * fix.d + 1, 4 * fix.d + 4)
             assert kernel_exact(m).dim == 4
 
@@ -133,10 +135,10 @@ def test_criterion_5_vandermonde_identity(fixture_a, fixture_b, fixture_b_nonspl
             ],
         }
         for fix, sets in ((fixture_a, point_sets["A"]), (fixture_b, point_sets["B"])):
-            grads = restricted_gradient(fix.problem.f, fix.c0)
-            j_coeff = jacobian_coefficient_form(fix.problem, fix.c0, grads)
+            grads = restricted_gradient(oracles.problem(fix).f, fix.c0)
+            j_coeff = jacobian_coefficient_form(oracles.problem(fix), fix.c0, grads)
             for pts in sets:
-                j_eval = jacobian_evaluation_form(fix.problem, fix.c0, pts, grads)
+                j_eval = jacobian_evaluation_form(oracles.problem(fix), fix.c0, pts, grads)
                 v = oracles.vandermonde(pts, len(pts))
                 assert (oracles.matmul(v, oracles.jacobian_rows(j_coeff))
                         == oracles.matrix_rows(j_eval.matrix))
@@ -148,9 +150,9 @@ def test_criterion_5_vandermonde_identity(fixture_a, fixture_b, fixture_b_nonspl
         roots, field = select_special_points(lc, pc, fx.d)
         assert field == "complex"
         points = roots + _generic_points(lc.coeffs, pc.coeffs, 4 * fx.d + 1, 0, 0)
-        grads = restricted_gradient(fx.problem.f, fx.c0)
-        j_eval = jacobian_evaluation_form(fx.problem, fx.c0, points, grads)
-        exact_rank = rank_exact(jacobian_coefficient_form(fx.problem, fx.c0, grads).matrix)
+        grads = restricted_gradient(oracles.problem(fx).f, fx.c0)
+        j_eval = jacobian_evaluation_form(oracles.problem(fx), fx.c0, points, grads)
+        exact_rank = rank_exact(jacobian_coefficient_form(oracles.problem(fx), fx.c0, grads).matrix)
         assert rank_numeric(j_eval.matrix, 1e-8) == exact_rank == 11
 
 
@@ -162,7 +164,7 @@ def test_criterion_6_through_curve(fixture_a, fixture_b):
             basis = quintics_through_curve(4, 5, fix.c0)
             assert basis.ambient_dim == 126
             assert basis.dim == expected
-            f0_vec = [fix.f0.terms.get(m, F(0)) for m in mons]
+            f0_vec = [oracles.f0(fix).terms.get(m, F(0)) for m in mons]
             stack = RationalMatrix.from_rows(
                 [list(v) for v in oracles.dense_kernel(basis)] + [f0_vec])
             assert rank_exact(stack) == expected
@@ -203,7 +205,7 @@ def test_criterion_9_determinism(tmp_path, fixture_a):
         curve_path = tmp_path / "c.json"
         curve_path.write_text(json.dumps(fixture_a.c0.to_obj()))
         problem_path = tmp_path / "p.json"
-        problem_path.write_text(json.dumps(fixture_a.problem.to_obj()))
+        problem_path.write_text(json.dumps(oracles.problem(fixture_a).to_obj()))
         commands = [
             ["fixture", "A"],
             ["fixture", "B"],

@@ -50,7 +50,7 @@ def curve_a_path(tmp_path, fixture_a):
 @pytest.fixture()
 def problem_a_path(tmp_path, fixture_a):
     path = tmp_path / "problem_a.json"
-    path.write_text(json.dumps(fixture_a.problem.to_obj()))
+    path.write_text(json.dumps(oracles.problem(fixture_a).to_obj()))
     return str(path)
 
 
@@ -228,7 +228,7 @@ class TestVerifyCommand:
         l = MultiPoly(5, {e: F(parts[2 * i], parts[2 * i + 1]) for i, e in enumerate(exps)})
         fx = Fixture("B-2000-digit-l", fixture_b.q, l, fixture_b.p, fixture_b.c0, 2)
         with uncapped_int_str():
-            assert len(str(poly._integral(fx.restricted[0])[1])) == 6000
+            assert len(str(poly._integral(oracles.unipolys(fx.restricted)[0])[1])) == 6000
         path = tmp_path / "fixture.json"
         path.write_text(json.dumps(fx.to_obj()))
         rc, out, err = run_cli(["verify", str(path), "--seed", "0"])
@@ -730,7 +730,7 @@ def run_on_faulty_documents(tmp_path, fixture_a, kind, command, path, value, opt
     """Run `command` on fixture A's documents, with the value at `path` of
     the `kind` document replaced (kind None: no replacement) and `options`
     appended to the command line."""
-    docs = {"curve": fixture_a.c0.to_obj(), "problem": fixture_a.problem.to_obj(),
+    docs = {"curve": fixture_a.c0.to_obj(), "problem": oracles.problem(fixture_a).to_obj(),
             "fixture": fixture_a.to_obj()}
     if kind is not None:
         target = docs[kind]

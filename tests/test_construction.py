@@ -10,7 +10,6 @@ from curvejac.construction import (
     MAX_POINT_ATTEMPTS,
     Fixture,
     _generic_points,
-    build_special_hypersurface,
     gradient_pairing_map,
     render_matrix,
     select_special_points,
@@ -19,7 +18,6 @@ from curvejac.construction import (
 from curvejac.errors import InputError
 from curvejac.incidence import (
     CurveParam,
-    _common_ints,
     jacobian_coefficient_form,
     jacobian_evaluation_form,
     restricted_gradient,
@@ -36,7 +34,7 @@ DATA = Path(__file__).parent / "data"
 
 
 def on_curve(poly, c0):
-    return restrict_to_curve([poly], c0.components)[0]
+    return oracles.unipolys(restrict_to_curve([[poly]], c0.components)[0])[0]
 
 
 def special_points(c0, l, p):
@@ -68,37 +66,40 @@ class TestBuildSpecialHypersurface:
     def test_zero_quartic(self):
         z4 = MultiPoly.monomial((0, 0, 0, 0, 1))
         p = fermat_quartic()
-        f = build_special_hypersurface(z4, MultiPoly(5, {}), p)
+        f = oracles.build_special_hypersurface(z4, MultiPoly(5, {}), p)
         assert f == z4 * p
 
     def test_fixture_inputs_give_quintic(self, fixture_a):
-        f = build_special_hypersurface(fixture_a.l, fixture_a.q, fixture_a.p)
+        f = oracles.build_special_hypersurface(fixture_a.l, fixture_a.q, fixture_a.p)
         assert f.homogeneous_degree() == 5
-        assert f == fixture_a.f0
+        assert f == oracles.f0(fixture_a)
 
     def test_vanishes_on_any_curve_on_the_quartic(self, fixture_b):
         # any curve with q(c) = 0 and zero last component kills both summands
-        assert on_curve(fixture_b.f0, fixture_b.c0).is_zero
+        assert on_curve(oracles.f0(fixture_b), fixture_b.c0).is_zero
 
     def test_restriction_identity_for_random_curves(self, fixture_a):
         rng = random.Random(12)
         for _ in range(10):
             c = propcheck.random_curve(rng, 4, 2)
-            lhs = on_curve(fixture_a.f0, c)
+            lhs = on_curve(oracles.f0(fixture_a), c)
             rhs = propcheck.unipoly_combination(
                 (1, propcheck.unipoly_product(on_curve(fixture_a.l, c), on_curve(fixture_a.q, c))),
                 (1, propcheck.unipoly_product(c.components[4], on_curve(fixture_a.p, c))),
             )
             assert lhs == rhs
 
-    def test_rejects_q_with_z4(self):
+    # the factors are checked where a fixture is built, as the package never
+    # builds the quintic
+    def test_rejects_q_with_z4(self, fixture_a):
         q_bad = MultiPoly.monomial((0, 0, 0, 3, 1))
-        with pytest.raises(InputError):
-            build_special_hypersurface(MultiPoly.monomial((1, 0, 0, 0, 0)), q_bad, fermat_quartic())
+        with pytest.raises(InputError, match="q must not involve z4"):
+            Fixture("bad", q_bad, MultiPoly.monomial((1, 0, 0, 0, 0)), fermat_quartic(),
+                    fixture_a.c0, 1)
 
     def test_rejects_wrong_degrees(self, fixture_a):
-        with pytest.raises(InputError):
-            build_special_hypersurface(fixture_a.q, fixture_a.q, fixture_a.p)
+        with pytest.raises(InputError, match="l must be homogeneous of degree 1"):
+            Fixture("bad", fixture_a.q, fixture_a.q, fixture_a.p, fixture_a.c0, 1)
 
 
 class TestSelectSpecialPoints:
@@ -212,8 +213,9 @@ def shape(rows):
 
 class TestBlocks:
     def blocks_a(self, fixture_a):
-        grads = restricted_gradient(fixture_a.problem.f, fixture_a.c0)
-        jac = jacobian_evaluation_form(fixture_a.problem, fixture_a.c0, A_POINTS, grads)
+        prob = oracles.problem(fixture_a)
+        grads = restricted_gradient(prob.f, fixture_a.c0)
+        jac = jacobian_evaluation_form(prob, fixture_a.c0, A_POINTS, grads)
         return jac, oracles.split_blocks(oracles.matrix_rows(jac.matrix), fixture_a.d)
 
     def a0_a(self, fixture_a):
@@ -288,7 +290,7 @@ class TestBlocks:
     def test_a22_closed_form_row(self, fixture_a):
         lc = on_curve(fixture_a.l, fixture_a.c0)
         closed = oracles.a22_closed_form(
-            lc, restricted_gradient(fixture_a.q, fixture_a.c0), A_POINTS[2:]
+            lc, oracles.unipolys(restricted_gradient(fixture_a.q, fixture_a.c0)), A_POINTS[2:]
         )
         # at t = 2: l(c0(2)) = 5, gradient = (0, 0, 1, 8)
         assert closed[0] == [0, 0, 0, 0, 5, 10, 40, 80]
@@ -297,14 +299,15 @@ class TestBlocks:
         _, blocks = self.blocks_a(fixture_a)
         lc = on_curve(fixture_a.l, fixture_a.c0)
         closed = oracles.a22_closed_form(
-            lc, restricted_gradient(fixture_a.q, fixture_a.c0), A_POINTS[2:]
+            lc, oracles.unipolys(restricted_gradient(fixture_a.q, fixture_a.c0)), A_POINTS[2:]
         )
         assert blocks["a22"] == closed
 
     def test_a22_zero_when_gradient_vanishes_along_curve(self, fixture_a):
         q = MultiPoly.monomial((0, 0, 0, 4, 0))  # z3^4; gradient dies on the line
         lc = on_curve(fixture_a.l, fixture_a.c0)
-        closed = oracles.a22_closed_form(lc, restricted_gradient(q, fixture_a.c0), A_POINTS[2:])
+        closed = oracles.a22_closed_form(lc, oracles.unipolys(restricted_gradient(q, fixture_a.c0)),
+                                         A_POINTS[2:])
         assert all(x == 0 for row in closed for x in row)
 
     def test_a0_rank(self, fixture_a):
@@ -319,14 +322,14 @@ class TestBlocks:
         for s, lval in enumerate(l_values):
             assert blocks["a22"][s] == [lval * x for x in a0[s]]
         # a0 is the evaluation of q's restricted gradient, the rows check 7 ranks
-        grads = restricted_gradient(fixture_a.q, fixture_a.c0)
+        grads = oracles.unipolys(restricted_gradient(fixture_a.q, fixture_a.c0))
         assert a0 == [[g.evaluate(t) * t**i for g in grads[:4] for i in range(2)]
                       for t in A_POINTS[2:]]
 
 
 class TestGradientPairing:
     def test_fixture_a_matrix(self, fixture_a):
-        m = gradient_pairing_map(_common_ints(restricted_gradient(fixture_a.q, fixture_a.c0))[1], fixture_a.d)
+        m = gradient_pairing_map(restricted_gradient(fixture_a.q, fixture_a.c0)[1], fixture_a.d)
         assert (m.rows, m.cols) == (5, 8)
         # map is (v0..v3) -> v2(t) + t^3 v3(t): columns for m=2 hit rows 0,1;
         # columns for m=3 hit rows 3,4
@@ -337,14 +340,14 @@ class TestGradientPairing:
         assert kernel_exact(m).dim == 4
 
     def test_fixture_b_kernel(self, fixture_b):
-        m = gradient_pairing_map(_common_ints(restricted_gradient(fixture_b.q, fixture_b.c0))[1], fixture_b.d)
+        m = gradient_pairing_map(restricted_gradient(fixture_b.q, fixture_b.c0)[1], fixture_b.d)
         assert (m.rows, m.cols) == (9, 12)
         assert rank_exact(m) == 8
         assert kernel_exact(m).dim == 4
 
     def test_kernel_contains_restricted_symmetry_vectors(self, fixture_a, fixture_b):
         for fix in (fixture_a, fixture_b):
-            m = gradient_pairing_map(_common_ints(restricted_gradient(fix.q, fix.c0))[1], fix.d)
+            m = gradient_pairing_map(restricted_gradient(fix.q, fix.c0)[1], fix.d)
             d = fix.d
             for v in symmetry_kernel_vectors(fix.c0):
                 restricted = v[: 4 * (d + 1)]
@@ -476,12 +479,16 @@ class TestVerifyConstruction:
             assert rep.passed, fix.name
             assert rep.checks[9].details["symmetry_annihilated"] is True
 
-    def test_fixture_f0_built_on_first_read(self, fixture_b):
-        # verify never reads f0; the checks on l, q and p run at load
+    def test_fixture_and_verify_build_no_f0(self, fixture_b, monkeypatch):
+        # neither load nor verify multiplies forms, so f0 = l*q + z4*p is
+        # never built; the checks on l, q and p run at load
+        def refuse(*args):
+            raise AssertionError("a product of forms was built")
+
+        monkeypatch.setattr(MultiPoly, "__mul__", refuse)
         fix = Fixture("B-copy", fixture_b.q, fixture_b.l, fixture_b.p, fixture_b.c0, 2)
-        verify_construction(fix, seed=0)
-        assert "f0" not in vars(fix)
-        assert fix.f0 == fixture_b.f0
+        assert verify_construction(fix, seed=0).passed
+        assert not hasattr(fix, "f0")
         with pytest.raises(InputError, match="q must not involve z4"):
             Fixture("bad", MultiPoly.monomial((0, 0, 0, 3, 1)), fixture_b.l, fixture_b.p,
                     fixture_b.c0, 2)
@@ -539,9 +546,9 @@ class TestDerivedGradient:
     reference for the gradient verify derives from l, p and q."""
 
     def assert_matches_restriction(self, fix):
-        assert on_curve(fix.f0, fix.c0).is_zero
-        assert restricted_gradient(fix.f0, fix.c0) == _derived_gradient(fix)
-        assert list(fix.restricted) == [on_curve(fix.l, fix.c0), on_curve(fix.p, fix.c0)] + [
+        assert on_curve(oracles.f0(fix), fix.c0).is_zero
+        assert oracles.unipolys(restricted_gradient(oracles.f0(fix), fix.c0)) == _derived_gradient(fix)
+        assert oracles.unipolys(fix.restricted) == [on_curve(fix.l, fix.c0), on_curve(fix.p, fix.c0)] + [
             on_curve(fix.q.partial_derivative(m), fix.c0) for m in range(4)]
 
     @pytest.fixture()
@@ -568,10 +575,11 @@ class TestDerivedGradient:
         # the reference
         for fix in shipped_test_and_data_fixtures:
             by_id = {c.check_id: c.details for c in verify_construction(fix, seed=0).checks}
-            pairing = gradient_pairing_map(_common_ints(restricted_gradient(fix.q, fix.c0))[1], fix.d)
+            pairing = gradient_pairing_map(restricted_gradient(fix.q, fix.c0)[1], fix.d)
             assert by_id[8]["kernel_dim"] == kernel_exact(pairing).dim, fix.name
-            grads = restricted_gradient(fix.problem.f, fix.c0)
-            jac = jacobian_coefficient_form(fix.problem, fix.c0, grads).matrix
+            prob = oracles.problem(fix)
+            grads = restricted_gradient(prob.f, fix.c0)
+            jac = jacobian_coefficient_form(prob, fix.c0, grads).matrix
             kernel = kernel_exact(jac)
             assert by_id[9]["tangent_dim"] == kernel.dim, fix.name
             sym = symmetry_kernel_vectors(fix.c0)
@@ -593,7 +601,7 @@ class TestFixtureBundle:
     def test_round_trip(self, fixture_a, fixture_b):
         for fix in (fixture_a, fixture_b):
             back = Fixture.from_obj(fix.to_obj())
-            assert back.f0 == fix.f0
+            assert oracles.f0(back) == oracles.f0(fix)
             assert back.c0 == fix.c0
 
     def test_off_quartic_curve_rejected(self, fixture_a):

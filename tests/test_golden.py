@@ -36,6 +36,8 @@ import pytest
 from curvejac import cli
 from curvejac.poly import MultiPoly
 
+import oracles
+
 A_RATIONAL = "-1/2,1,2,3,5,7"
 A_COMPLEX = "0,1,-1,2,-2,0.5+0.5i"
 B_RATIONAL = "-5,-4,-3,-2,-1,0,1,2,3,4,5"
@@ -76,7 +78,7 @@ def paths(tmp_path_factory, fixture_a, fixture_b, fixture_b_nonsplit):
     root = tmp_path_factory.mktemp("golden")
     out = {}
     for fix in (fixture_a, fixture_b, fixture_b_nonsplit):
-        for kind, obj in (("fixture", fix.to_obj()), ("problem", fix.problem.to_obj()),
+        for kind, obj in (("fixture", fix.to_obj()), ("problem", oracles.problem(fix).to_obj()),
                           ("curve", fix.c0.to_obj())):
             path = root / f"{kind}-{fix.name}.json"
             path.write_text(json.dumps(obj))

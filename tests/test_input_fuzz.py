@@ -28,10 +28,12 @@ from hypothesis import strategies as st
 from curvejac import cli, fixtures
 from curvejac.linalg import MAX_COUNT, MAX_D, MAX_DEGREE, MAX_N, MAX_RATIONAL_DIGITS
 
+import oracles
+
 FIXTURE_A = fixtures.fixture_a()
 DOCUMENTS = {
     "curve": FIXTURE_A.c0.to_obj(),
-    "problem": FIXTURE_A.problem.to_obj(),
+    "problem": oracles.problem(FIXTURE_A).to_obj(),
     "fixture": FIXTURE_A.to_obj(),
 }
 # One small value per JSON type; a swap picks one whose type differs.
@@ -148,7 +150,7 @@ LIMITS = {
     "json-integer-digits": tuple((curve_doc(coeff=k), through())
                                  for k in (10**DIGITS - 1, 10**DIGITS)),
     "complex-point-digits": tuple(
-        (FIXTURE_A.problem.to_obj(),
+        (oracles.problem(FIXTURE_A).to_obj(),
          ["jacobian", "{doc}", "{curve}", "--form", "eval",
           "--points=0,1,2,3,4,1." + "0" * (k - 2) + "+1i"])
         for k in (DIGITS, DIGITS + 1)),

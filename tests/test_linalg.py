@@ -49,8 +49,9 @@ class TestRankExact:
         assert rank_exact(identity(4)) == 4
 
     def test_fixture_a_jacobian(self, fixture_a):
-        grads = restricted_gradient(fixture_a.problem.f, fixture_a.c0)
-        jac = jacobian_coefficient_form(fixture_a.problem, fixture_a.c0, grads)
+        prob = oracles.problem(fixture_a)
+        grads = restricted_gradient(prob.f, fixture_a.c0)
+        jac = jacobian_coefficient_form(prob, fixture_a.c0, grads)
         assert rank_exact(jac.matrix) == 6
         # cross-check with plain Gauss-Jordan and with the kernel dimension
         assert oracles.rref_rank(oracles.matrix_rows(jac.matrix), jac.matrix.cols) == 6
@@ -170,8 +171,9 @@ class TestRankNumeric:
         assert rank_numeric(to_complex(zero(3, 3)), 1e-10) == 0
 
     def test_agrees_with_exact_on_fixture(self, fixture_a):
-        grads = restricted_gradient(fixture_a.problem.f, fixture_a.c0)
-        jac = jacobian_coefficient_form(fixture_a.problem, fixture_a.c0, grads)
+        prob = oracles.problem(fixture_a)
+        grads = restricted_gradient(prob.f, fixture_a.c0)
+        jac = jacobian_coefficient_form(prob, fixture_a.c0, grads)
         cm = to_complex(jac.matrix)
         assert rank_numeric(cm, 1e-8) == rank_exact(jac.matrix) == 6
         # the fixture satisfies the stated margin: smallest nonzero singular

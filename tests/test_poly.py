@@ -29,7 +29,7 @@ import propcheck
 
 
 def compose_with_curve(f, components):
-    return restrict_to_curve([f], components)[0]
+    return oracles.unipolys(restrict_to_curve([[f]], components)[0])[0]
 
 
 def complex_roots(p, digits=_LABEL_DIGITS):
@@ -51,7 +51,7 @@ class TestRingOps:
         assert _int_mul([1, 1], [1, -1]) == [1, 0, -1]
 
     def test_special_quintic_is_homogeneous(self, fixture_a):
-        assert fixture_a.f0.homogeneous_degree() == 5
+        assert oracles.f0(fixture_a).homogeneous_degree() == 5
 
     def test_mul_degree_additivity(self):
         # the product of integer coefficient lists has every coefficient,
@@ -112,7 +112,7 @@ class TestComposeWithCurve:
         )
 
     def test_special_quintic_vanishes_on_curve(self, fixture_a):
-        assert compose_with_curve(fixture_a.f0, fixture_a.c0.components).is_zero
+        assert compose_with_curve(oracles.f0(fixture_a), fixture_a.c0.components).is_zero
 
     def test_linear_form_on_line(self, fixture_a):
         assert compose_with_curve(fixture_a.l, line_components()) == UniPoly.of(1, 2)
@@ -127,10 +127,10 @@ class TestComposeWithCurve:
             assert list(got.coeffs) == want
 
     def test_restrict_to_curve_equals_fraction_sums(self):
-        # restrict_to_curve sums integers over each form's common
-        # denominator; the plain Fraction sum is the reference, for forms of
-        # mixed denominators (a zero form and a bare monomial among them)
-        # sharing one table, on curves with a zero component
+        # restrict_to_curve sums integers over each group's common
+        # denominator; the plain Fraction sum is the reference, for groups of
+        # forms of mixed denominators (a zero form and a bare monomial among
+        # them) sharing one table, on curves with a zero component
         rng = random.Random(14)
         for _ in range(20):
             comps = [UniPoly.from_coeffs(F(rng.randint(-9, 9), rng.choice([1, 2, 3, 10**6]))
@@ -139,9 +139,58 @@ class TestComposeWithCurve:
             forms = [propcheck.scaled_form(propcheck.random_homogeneous(rng, 3, rng.randint(1, 3)),
                                            F(1, rng.randint(1, 10**9))) for _ in range(4)]
             forms += [MultiPoly(3, {}), MultiPoly.monomial((1, 1, 0))]
-            want = [oracles.naive_compose(f.terms, [list(c.coeffs) for c in comps])
-                    for f in forms]
-            assert [list(g.coeffs) for g in restrict_to_curve(forms, comps)] == want
+            rng.shuffle(forms)
+            cut = rng.randint(0, len(forms))
+            groups = [forms[:cut], forms[cut:], [forms[0]]]
+            pairs = restrict_to_curve(iter(map(iter, groups)), comps)
+            assert len(pairs) == 3
+            for group, pair in zip(groups, pairs):
+                want = [oracles.naive_compose(f.terms, [list(c.coeffs) for c in comps])
+                        for f in group]
+                assert [list(g.coeffs) for g in oracles.unipolys(pair)] == want
+
+    def test_restriction_denominator_is_least(self):
+        # den has no factor in common with every entry of the group, and a
+        # group that restricts to zero, or has no form, has den 1
+        rng = random.Random(15)
+        line = line_components()
+        for _ in range(20):
+            comps = [propcheck.random_unipoly(rng, 3) for _ in range(3)]
+            group = [propcheck.scaled_form(propcheck.random_homogeneous(rng, 3, 2),
+                                           F(rng.randint(1, 50), rng.randint(1, 10**6)))
+                     for _ in range(rng.randint(1, 3))]
+            (den, lists), = restrict_to_curve([group], comps)
+            assert den > 0 and math.gcd(den, *(x for xs in lists for x in xs)) == 1
+            assert all(type(x) is int for xs in lists for x in xs)
+            assert all(xs[-1] for xs in lists if xs)
+        z4 = MultiPoly.monomial((0, 0, 0, 0, 1), F(1, 7))
+        z3z4 = MultiPoly.monomial((0, 0, 0, 1, 1), F(5, 3))
+        assert restrict_to_curve([[z4, z3z4], [], [MultiPoly(5, {})]], line) == [
+            (1, [[], []]), (1, []), (1, [[]])]
+
+    def test_groups_keep_their_own_denominators(self):
+        # one draw's matrix never grows with another's: each group's pair is
+        # what restricting that group alone gives, although they share a table
+        rng = random.Random(16)
+        for _ in range(10):
+            comps = [propcheck.random_unipoly(rng, 2) for _ in range(3)]
+            small = [propcheck.random_homogeneous(rng, 3, 2) for _ in range(2)]
+            big = [propcheck.scaled_form(f, F(1, 10**40 + 3)) for f in small]
+            together = restrict_to_curve([small, big], comps)
+            assert together == [restrict_to_curve([g], comps)[0] for g in (small, big)]
+            assert together[1][0] % together[0][0] == 0
+            assert together[1][0] > together[0][0]
+            assert together[0][1] == together[1][1]
+
+    def test_restriction_builds_no_fraction(self, monkeypatch, fixture_b):
+        def refuse(*args):
+            raise AssertionError("restrict_to_curve built a Fraction")
+
+        forms = [fixture_b.l, fixture_b.p, *(fixture_b.q.partial_derivative(m) for m in range(5)),
+                 propcheck.scaled_form(fixture_b.p, F(-3, 7))]
+        want = restrict_to_curve([forms, forms[:2]], fixture_b.c0.components)
+        monkeypatch.setattr("curvejac.poly.Fraction", refuse)
+        assert restrict_to_curve([forms, forms[:2]], fixture_b.c0.components) == want
 
     def test_linearity_in_f(self):
         rng = random.Random(21)
@@ -386,7 +435,7 @@ class TestSerialization:
         assert UniPoly.from_obj({"coeffs": []}).is_zero
 
     def test_multipoly_round_trip(self, fixture_a):
-        for poly in (fixture_a.q, fixture_a.l, fixture_a.p, fixture_a.f0):
+        for poly in (fixture_a.q, fixture_a.l, fixture_a.p, oracles.f0(fixture_a)):
             assert MultiPoly.from_obj(poly.to_obj()) == poly
 
     def test_terms_sorted_leading_first(self):
