@@ -6,7 +6,8 @@ block-decomposition verification for the special quintic l*q + z4*p through a
 curve on a quartic surface.  The package is what the five commands of `cli`
 (fixture, jacobian, verify, through, sample) reach; every name exported here
 is one that package code reads.  All core arithmetic is exact over the
-rationals.
+rationals; a curve's components and every restriction to it are integer
+coefficient lists over a least denominator, one per component and group.
 The fixture restricts l, p and q's partials to the curve once and checks
 q(c0) = 0 from them; the verification derives f0's gradient from them, so
 checks 1, 3 and 6 and check 5's root rows hold by construction.  It decides
@@ -50,10 +51,6 @@ from .linalg import (
     rank_exact,
     rank_numeric,
 )
-from .poly import (
-    MultiPoly,
-    UniPoly,
-    monomial_basis,
-)
+from .poly import MultiPoly, monomial_basis
 
 __version__ = "0.1.0"

@@ -27,24 +27,24 @@ denominator D: the Toeplitz blocks of checks 8 and 9 are D and D**2 times
 the pairing map and the coefficient Jacobian, and the rows of check 7 at a
 point a/b, like check 5's extra row, are the value rows times a positive
 power of b and D (`incidence._evaluation_rows`), so no rank and no zero
-changes.  The symmetry vectors are integer lists read off the curve's
-coefficients over their common denominator.  Only lc and pc, for the roots
-and the corner block, are rational polynomials, and only what the report
-prints stays rational or complex: the points, the corner block and its
-determinant.  `select_special_points` finds the roots once;
-the generic points are drawn only in the retry loop of check 7, which ranks
-the rescaled lower block at the 4d rational generic points and is the one
-check retried over a redraw of those points.  Every check is exact in both
-fields: complex roots of l(c0(t)) are labels.
+changes.  The symmetry vectors are integer lists read off the curve.  The
+roots and the corner block read lc and pc off the same pair, and only what
+the report prints is rational or complex: the points, the corner block and
+its determinant, whose factors pc(t_s) are the block's last column.
+`select_special_points` finds the roots once; the generic points are drawn
+only in the retry loop of check 7, which ranks the rescaled lower block at
+the 4d rational generic points and is the one check retried over a redraw
+of those points.  Every check is exact in both fields: complex roots of
+l(c0(t)) are labels.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import DimensionError, InputError
 from .incidence import (
@@ -56,7 +56,7 @@ from .incidence import (
     vanishes_on_curve,
 )
 from .linalg import MAX_D, RationalMatrix, _dump, format_rational, parse_size, rank_exact
-from .poly import MultiPoly, UniPoly, _int_mul, coprime, restrict_to_curve, squarefree_roots
+from .poly import MultiPoly, _int_mul, coprime, restrict_to_curve, squarefree_roots
 
 __all__ = [
     "Fixture",
@@ -106,7 +106,7 @@ class Fixture:
             raise InputError(f"fixture d must be at least 1, got {self.d}")
         if self.c0.n != 4 or self.c0.d != self.d:
             raise InputError("fixture invariant violated: c0 must have n=4 and the stated d")
-        if not self.c0.components[4].is_zero:
+        if self.c0.components[4][1]:
             raise InputError("fixture invariant violated: c0's z4-component must be zero")
         den, lists = restrict_to_curve(
             [[self.l, self.p, *(self.q.partial_derivative(m) for m in range(4))]],
@@ -215,8 +215,9 @@ def _generic_points(lc: Sequence, pc: Sequence, count: int, seed: int, attempt: 
     return tuple(points)
 
 
-def select_special_points(lc: UniPoly, pc: UniPoly, d: int) -> tuple[tuple, str]:
-    """The d roots of lc = l(c0(t)) and their field, "rational" or "complex".
+def select_special_points(restricted: tuple, d: int) -> tuple[tuple, str]:
+    """The d roots of lc = l(c0(t)) and their field, "rational" or "complex",
+    given restricted = (den, [lc, pc = p(c0(t)), ...]) (`Fixture.restricted`).
 
     Roots are exact (p-adic lifting, no floats) when lc splits over the
     rationals, else complex labels.  Raises ValueError unless lc has degree
@@ -225,31 +226,36 @@ def select_special_points(lc: UniPoly, pc: UniPoly, d: int) -> tuple[tuple, str]
     draws, avoiding the zeros of lc and pc, these make the corner block
     invertible.
     """
-    if lc.is_zero:
+    den, (lc, pc, *_) = restricted
+    if not lc:
         raise ValueError("l vanishes identically on the curve")
-    if lc.degree < d:
+    if len(lc) - 1 < d:
         raise ValueError("root at infinity, choose another l")
-    if not coprime(lc, lc.derivative()):
+    if not coprime(lc, [i * x for i, x in enumerate(lc)][1:]):
         raise ValueError("l not generic for c0")
     if not coprime(lc, pc):
         raise ValueError("p not generic")
-    exact_roots, numeric = squarefree_roots(lc)
+    exact_roots, numeric = squarefree_roots((den, lc))
     return tuple(numeric or exact_roots), "complex" if numeric else "rational"
 
 
-def _corner_rows(pc: UniPoly, points: Sequence) -> list[list]:
-    """Entry (s, i) = pc(t_s) * t_s**(d-i), d + 1 = len(points): the
-    evaluation rows of pc = (df0/dz4)(c0) at (t_s, 1), exact or complex as
-    t_s is, with their columns reversed."""
-    return [row[::-1] for row in
-            _evaluation_rows([pc.coeffs], len(points) - 1, [(t, 1) for t in points])]
-
-
-def _corner_det(pc: UniPoly, points: Sequence):
-    """det of _corner_rows: prod pc(t_s) * prod_{s<s'} (t_s - t_s')."""
-    return math.prod(pc.evaluate(t) for t in points) * math.prod(
-        t - u for s, t in enumerate(points) for u in points[s + 1 :]
-    )
+def _corner_rows(den: int, pc: Sequence[int], points: Sequence) -> list[list]:
+    """Entry (s, i) = pc(t_s) * t_s**(d-i), d + 1 = len(points), pc =
+    (df0/dz4)(c0) as integer coefficients over den: the evaluation rows
+    (`_evaluation_rows`), columns reversed, at a rational t_s = a/b the
+    integer row at (a, b) over den * b**(K+d), K + 1 = len(pc), so exact,
+    and at a complex t_s the row at (t_s, 1) of the floats x / den.  Entry
+    i = d is pc(t_s)."""
+    d, rows = len(points) - 1, []
+    for t in points:
+        if isinstance(t, Fraction):
+            scale = den * t.denominator ** (len(pc) - 1 + d)
+            row = [Fraction(x, scale) for x in
+                   _evaluation_rows([pc], d, [(t.numerator, t.denominator)])[0]]
+        else:
+            row = _evaluation_rows([[x / den for x in pc]], d, [(t, 1)])[0]
+        rows.append(row[::-1])
+    return rows
 
 
 def gradient_pairing_map(grads: Sequence[Sequence[int]], d: int) -> RationalMatrix:
@@ -373,11 +379,10 @@ def verify_construction(fixture: Fixture, seed: int = 0) -> VerificationReport:
     # common denominator D, so D**2 times f0's gradient is lc_i * q_i and
     # D * pc_i, and the symmetry vectors are integer lists already.
     den, (lc_i, pc_i, *q_i) = fixture.restricted
-    lc, pc = (UniPoly(tuple(Fraction(x, den) for x in xs)) for xs in (lc_i, pc_i))
     grad_f0 = [_int_mul(lc_i, g) for g in q_i] + [[den * x for x in pc_i]]
     record(1, "special quintic vanishes on the curve", True, {"f0_on_curve": "0"})
     try:
-        roots, root_field = select_special_points(lc, pc, d)
+        roots, root_field = select_special_points(fixture.restricted, d)
         error = None
     except ValueError as exc:
         # All-generic points keep the rest of the chain running; the
@@ -413,15 +418,17 @@ def verify_construction(fixture: Fixture, seed: int = 0) -> VerificationReport:
 
     # (4) on the curve df0/dz4 = p, so the corner block is pc(t_s) *
     # t_s**(d-i) up to column order, with det prod pc(t_s) * prod (t_s -
-    # t_s').  It is invertible when the d+1 points are distinct and no
-    # zero of pc, which the selection establishes: lc is squarefree of
-    # degree d and coprime to pc, and the extra point avoids the zeros of
-    # lc*pc.  The all-generic fallback has rational points only and is
+    # t_s'), pc(t_s) its last column.  It is invertible when the d+1 points
+    # are distinct and no zero of pc, which the selection establishes: lc is
+    # squarefree of degree d and coprime to pc, and the extra point avoids
+    # the zeros of lc*pc.  The all-generic fallback has rational points only and is
     # decided by its exact determinant.
-    det11 = _corner_det(pc, top)
+    corner = _corner_rows(den, pc_i, top)
+    det11 = math.prod(row[-1] for row in corner) * math.prod(
+        t - u for s, t in enumerate(top) for u in top[s + 1 :])
     record(4, "corner block matches closed form and is invertible",
            error is None or det11 != 0,
-           {"det": pts.label(det11), "matrix": render_matrix(_corner_rows(pc, top), pts.label)})
+           {"det": pts.label(det11), "matrix": render_matrix(corner, pts.label)})
 
     # (5) lc divides each (df0/dz_m)(c0(t)), m < 4, so the mixed block rows
     # vanish at the roots of l(c0(t)), which a successful selection uses.

@@ -13,7 +13,7 @@ from __future__ import annotations
 from .construction import Fixture
 from .errors import InputError
 from .incidence import CurveParam
-from .poly import MultiPoly, UniPoly
+from .poly import MultiPoly
 
 __all__ = [
     "fixture_a",
@@ -53,10 +53,7 @@ def fixture_a() -> Fixture:
         {(1, 0, 0, 0, 0): 1, (0, 1, 0, 0, 0): 2, (0, 0, 1, 0, 0): 3,
          (0, 0, 0, 1, 0): 5, (0, 0, 0, 0, 1): 7},
     )
-    c0 = CurveParam(
-        4, 1,
-        (UniPoly.of(1), UniPoly.of(0, 1), UniPoly.zero(), UniPoly.zero(), UniPoly.zero()),
-    )
+    c0 = CurveParam.from_rationals(4, 1, ([1], [0, 1], [], [], []))
     return Fixture("A", q, l, _P_SHARED, c0, 1)
 
 
@@ -76,10 +73,7 @@ def fixture_b() -> Fixture:
         5,
         {(1, 0, 0, 0, 0): 1, (0, 0, 1, 0, 0): -1, (0, 0, 0, 1, 0): 2, (0, 0, 0, 0, 1): 3},
     )
-    c0 = CurveParam(
-        4, 2,
-        (UniPoly.of(1), UniPoly.of(0, 1), UniPoly.of(0, 0, 1), UniPoly.zero(), UniPoly.zero()),
-    )
+    c0 = CurveParam.from_rationals(4, 2, ([1], [0, 1], [0, 0, 1], [], []))
     return Fixture("B", q, l, _P_SHARED, c0, 2)
 
 

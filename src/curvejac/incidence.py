@@ -8,25 +8,26 @@ of those equations comes in two forms: the coefficient form (rows indexed by
 powers of t) and the evaluation form (rows indexed by chosen points), linked
 exactly by a Vandermonde factor.
 
-Each form is written once, from the restricted gradient (den, lists) of
-`restrict_to_curve`: integer coefficient lists over their least common
-denominator.  The coefficient form is a Toeplitz block per partial
-(`_convolution_matrix`) of those lists, so the matrix is in integers, den
-times the Jacobian, with its rank and kernel.  An evaluation row
-(`_evaluation_rows`) evaluates the homogenized partials by Horner at a point
-(a, b): at a rational t = a/b with integer lists it is an integer row, a
-positive multiple of the value row, and at (t, 1) the value row itself,
-exact or complex as t is.
+A curve's components are pairs (den, ints), each an integer coefficient
+list over its own least denominator.  The restricted gradient of
+`restrict_to_curve`, which each form is written from, is one pair (den,
+lists): integer coefficient lists over their least common denominator.  The
+coefficient form is a Toeplitz block per partial (`_convolution_matrix`) of
+those lists, so the matrix is in integers, den times the Jacobian, with its
+rank and kernel.  An evaluation row (`_evaluation_rows`) evaluates the
+homogenized partials by Horner at a point (a, b): at a rational t = a/b
+with integer lists it is an integer row, a positive multiple of the value
+row, and at (t, 1) the value row itself, exact or complex as t is.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
-from typing import Sequence
 
 from .errors import DimensionError, InputError
 from .linalg import (
@@ -36,14 +37,15 @@ from .linalg import (
     MAX_N,
     KernelBasis,
     RationalMatrix,
+    _scaled,
     format_rational,
     kernel_exact,
     parse_list,
+    parse_rational,
     parse_size,
 )
 from .poly import (
     MultiPoly,
-    UniPoly,
     _curve_monomials,
     _int_mul,
     coprime,
@@ -70,28 +72,46 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CurveParam:
-    """A point of the curve parameter space: n+1 components of degree <= d."""
+    """A point of the curve parameter space: n+1 components of degree <= d,
+    components[m] = (den, ints) with c_m(t) = sum_i ints[i] t**i / den, as
+    `from_rationals` builds it: den > 0 least, ints a tuple of ints, t**0
+    first, no trailing zero (a zero component is (1, ())).  Only a common
+    factor of den and ints goes unchecked: at the input limits its gcd
+    costs more than reading the curve."""
 
     n: int
     d: int
-    components: tuple[UniPoly, ...]
+    components: tuple[tuple[int, tuple[int, ...]], ...]
 
     def __post_init__(self):
         if len(self.components) != self.n + 1:
-            raise InputError(
-                f"curve needs {self.n + 1} components, got {len(self.components)}"
-            )
-        for m, comp in enumerate(self.components):
-            if comp.degree > self.d:
-                raise InputError(
-                    f"component {m} has degree {comp.degree} > bound {self.d}"
-                )
+            raise InputError(f"curve needs {self.n + 1} components, got {len(self.components)}")
+        for m, (den, xs) in enumerate(self.components):
+            if len(xs) - 1 > self.d:
+                raise InputError(f"component {m} has degree {len(xs) - 1} > bound {self.d}")
+            if not (type(xs) is tuple and all(type(x) is int for x in (den, *xs))
+                    and den > 0 and (not xs or xs[-1])):
+                raise InputError(f"component {m} is not (den > 0, ints) without a trailing zero")
+
+    @classmethod
+    def from_rationals(cls, n: int, d: int, comps) -> "CurveParam":
+        """The curve whose components have the rational coefficient lists
+        comps[m] (ints or Fractions, t**0 first; trailing zeros dropped),
+        each over its own least denominator."""
+        pairs = []
+        for cs in comps:
+            den, ints = _scaled(cs)
+            while ints and not ints[-1]:
+                ints.pop()
+            pairs.append((den, tuple(ints)))
+        return cls(n, d, tuple(pairs))
 
     def to_obj(self) -> dict:
         return {
             "n": self.n,
             "d": self.d,
-            "components": [c.to_obj() for c in self.components],
+            "components": [{"coeffs": [format_rational(Fraction(x, den)) for x in xs]}
+                           for den, xs in self.components],
         }
 
     @classmethod
@@ -100,8 +120,15 @@ class CurveParam:
             n, d, comps = obj["n"], obj["d"], obj["components"]
         except (KeyError, TypeError) as exc:
             raise InputError("curve object needs 'n', 'd', 'components'") from exc
-        return cls(parse_size(n, "n", MAX_N), parse_size(d, "d", MAX_D),
-                   tuple(UniPoly.from_obj(c) for c in parse_list(comps, "components")))
+        n, d = parse_size(n, "n", MAX_N), parse_size(d, "d", MAX_D)
+        parsed = []
+        for comp in parse_list(comps, "components"):
+            try:
+                coeffs = comp["coeffs"]
+            except (KeyError, TypeError) as exc:
+                raise InputError("univariate polynomial object needs 'coeffs'") from exc
+            parsed.append([parse_rational(c) for c in parse_list(coeffs, "coeffs")])
+        return cls.from_rationals(n, d, parsed)
 
 
 @dataclass(frozen=True)
@@ -215,11 +242,12 @@ def _point_label(t) -> str:
 
 def membership_checks(c: CurveParam) -> MembershipReport:
     """Base-point-free means the components are coprime (`coprime`)."""
-    if all(comp.is_zero for comp in c.components):
+    lists = [xs for _, xs in c.components]
+    if not any(lists):
         return MembershipReport(False, False, False)
-    base_point_free = coprime(*c.components)
-    attains_degree = max(comp.degree for comp in c.components) == c.d
-    nonconstant = any(comp.degree >= 1 for comp in c.components)
+    base_point_free = coprime(*lists)
+    attains_degree = max(map(len, lists)) - 1 == c.d
+    nonconstant = any(len(xs) >= 2 for xs in lists)
     return MembershipReport(base_point_free, attains_degree, nonconstant)
 
 
@@ -250,17 +278,15 @@ def vanishes_on_curve(grads: tuple[int, list[list[int]]], c: CurveParam, degree:
     """
     if degree <= 0:
         return False
-    comps = _common_ints(c.components)[1]
-    products = [_int_mul(a, g) for a, g in zip(comps, grads[1])]
+    products = [_int_mul(a, g) for a, g in zip(_common_ints(c), grads[1])]
     return not any(map(sum, zip_longest(*products, fillvalue=0)))
 
 
-def _common_ints(polys: Sequence[UniPoly]) -> tuple[int, list[list[int]]]:
-    """(den, lists) for a curve's components polys: den the lcm of the
-    denominators of all their coefficients and lists[m] = den * polys[m] as
-    an integer coefficient list, t**0 first."""
-    den = lcm(*(x.denominator for g in polys for x in g.coeffs))
-    return den, [[x.numerator * (den // x.denominator) for x in g.coeffs] for g in polys]
+def _common_ints(c: CurveParam) -> list[list[int]]:
+    """The integer lists D * c_m(t) of the curve's components, D the lcm of
+    their denominators."""
+    big = lcm(*(den for den, _ in c.components))
+    return [[x * (big // den) for x in xs] for den, xs in c.components]
 
 
 def _convolution_matrix(
@@ -384,7 +410,7 @@ def jacobian_evaluation_form(
 def symmetry_kernel_vectors(c: CurveParam) -> list[tuple[int, ...]]:
     """Theta images of D*c', D*t*c', D*(t^2*c' - d*t*c) and D*c, in integers.
 
-    D is the common denominator of the components (`_common_ints`).  With
+    D is the lcm of the components' denominators (`_common_ints`).  With
     D*c_m = sum_k c_k t**k, the four t**k coefficients, k = 0..d, are
     (k+1)*c_{k+1}, k*c_k, (k-1-d)*c_{k-1} and c_k: the third family's
     t**(d+1) coefficient is 0*c_d, so every image keeps the degree bound.
@@ -392,7 +418,7 @@ def symmetry_kernel_vectors(c: CurveParam) -> list[tuple[int, ...]]:
     curve lies on the hypersurface they are annihilated by the Jacobian.
     """
     d, out = c.d, ([], [], [], [])
-    for cs in _common_ints(c.components)[1]:
+    for cs in _common_ints(c):
         p = [0, *cs] + [0] * (d + 2 - len(cs))  # p[k + 1] = c_k, k = -1..d+1
         out[0].extend((k + 1) * p[k + 2] for k in range(d + 1))
         out[1].extend(k * p[k + 1] for k in range(d + 1))

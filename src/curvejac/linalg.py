@@ -43,11 +43,11 @@ import math
 import operator
 import re
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
 
 from .errors import DimensionError, InputError
 

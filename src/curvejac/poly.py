@@ -1,32 +1,34 @@
 """Polynomials over exact rationals.
 
-Two flavors: `MultiPoly`, a sparse multivariate polynomial in the ambient
-homogeneous coordinates z_0..z_n, and `UniPoly`, a dense univariate
-polynomial in the affine coordinate t of the parametrizing line.  Both are
-immutable; all arithmetic is exact.
+`MultiPoly` is a sparse multivariate polynomial in the ambient homogeneous
+coordinates z_0..z_n.  A univariate polynomial in the affine coordinate t of
+the parametrizing line, a curve's component or a restriction f(c(t)), has
+one representation: a pair (den, ints), integer coefficients ints (t^0
+first, no trailing zero) over a positive denominator den, least for the
+group of polynomials that shares it.  All arithmetic is exact.
 
 Restriction to a parametrized curve, f(c(t)), has one entry point,
 `restrict_to_curve`: it restricts groups of forms through one table
-(`_curve_monomials`), which scales each component to integers over its own
+(`_curve_monomials`), which takes each component over its own least
 denominator and builds each power of a component and each restricted
 monomial once, as an integer polynomial over a denominator, and multiplies
 each term's coefficient into its restricted monomial once, summing integers
 over a common denominator.  A group of forms comes back as one pair (den,
-lists), its least common denominator and integer coefficient lists, which
-every matrix is built from.  Every polynomial product in the package, the
-table's among them, is one product of integer polynomials by Kronecker
-substitution (`_int_mul`): the coefficients are packed into one
+lists), which every matrix is built from.  Every polynomial product in the
+package, the table's among them, is one product of integer polynomials by
+Kronecker substitution (`_int_mul`): the coefficients are packed into one
 integer, which CPython multiplies by Karatsuba, and unpacked.
 
-Coprimality of any number of polynomials (`coprime`: f against f', a
+Coprimality of any number of integer lists (`coprime`: f against f', a
 curve's components) is decided modulo a prime, a common factor lifted to Q
-and confirmed by exact division; Euclid over Q is only its private
-fallback, which gives just the gcd's degree.  The rational roots of a
-squarefree polynomial (`squarefree_roots`) are exact and use no floats: its
-roots modulo a suitable prime are lifted p-adically and confirmed exactly.
-The complex labels of a polynomial that does not split come from mpmath's
-Durand-Kerner iteration run in fixed-point integers (`_polyroots`), so the
-module, like the package, needs nothing beyond the standard library.
+and confirmed by an integer pseudo-remainder (`_prem`); Euclid on those
+remainders is only its private fallback, which gives just the gcd's degree.
+The rational roots of a squarefree polynomial (`squarefree_roots`) are
+exact and use no floats: its roots modulo a suitable prime are lifted
+p-adically and confirmed exactly.  The complex labels of a polynomial that
+does not split come from mpmath's Durand-Kerner iteration run in
+fixed-point integers (`_polyroots`), so the module, like the package, needs
+nothing beyond the standard library.
 
 Canonical term order everywhere is graded lexicographic on exponent vectors
 (total degree first, then lex), serialized leading term first, which keeps
@@ -35,17 +37,15 @@ JSON output byte-stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import count
 from math import copysign, gcd, inf, isqrt, lcm, ldexp
-from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionError, InputError
 from .linalg import _PRIMES, _scaled, format_rational, parse_int, parse_list, parse_rational
 
 __all__ = [
-    "UniPoly",
     "MultiPoly",
     "coprime",
     "restrict_to_curve",
@@ -85,85 +85,6 @@ def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, size * n, size)]
 
 
-@dataclass(frozen=True)
-class UniPoly:
-    """Dense univariate polynomial; coeffs[i] is the coefficient of t**i.
-
-    The trailing coefficient is nonzero unless the polynomial is zero, in
-    which case coeffs is empty and the degree is -1.
-    """
-
-    coeffs: tuple[Fraction, ...]
-
-    @classmethod
-    def of(cls, *coeffs) -> "UniPoly":
-        return cls.from_coeffs(coeffs)
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable) -> "UniPoly":
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return cls(tuple(cs))
-
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls(())
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def leading(self) -> Fraction:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly.from_coeffs(i * c for i, c in enumerate(self.coeffs) if i >= 1)
-
-    def evaluate(self, t):
-        """Horner evaluation; exact for rational t, complex otherwise."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
-    def divmod_exact(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        div = other.coeffs
-        dq = len(rem) - len(div)
-        if dq < 0:
-            return UniPoly.zero(), self
-        quot = [Fraction(0)] * (dq + 1)
-        inv_lead = 1 / other.leading
-        for k in range(dq, -1, -1):
-            coef = rem[k + len(div) - 1] * inv_lead
-            quot[k] = coef
-            if coef != 0:
-                for j, b in enumerate(div):
-                    rem[k + j] -= coef * b
-        return UniPoly.from_coeffs(quot), UniPoly.from_coeffs(rem)
-
-    def to_obj(self) -> dict:
-        return {"coeffs": [format_rational(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_obj(cls, obj) -> "UniPoly":
-        try:
-            coeffs = obj["coeffs"]
-        except (KeyError, TypeError) as exc:
-            raise InputError("univariate polynomial object needs 'coeffs'") from exc
-        return cls.from_coeffs(parse_rational(c) for c in parse_list(coeffs, "coeffs"))
-
-
 def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
     """The monic gcd(a, b) over Z/p, coefficients from t^0 up; a and b list
     coefficients mod p from t^0 up, a's lead and b's, unless b is [], are
@@ -194,47 +115,60 @@ def _rational_mod(x: int, p: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
-def _gcd_degree(polys: Sequence[UniPoly]) -> int:
-    """The degree of the gcd over Q of nonzero polys, by Euclid over
-    Fractions: `coprime`'s fallback."""
+def _prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The primitive part of the pseudo-remainder lead(b)**k * a mod b, for
+    integer lists a and b, b nonzero: [] iff b divides a over Q, and with
+    the gcd of a and b over Q as its gcd with b."""
+    r, lead = list(a), b[-1]
+    while len(r) >= len(b):
+        f, off = r[-1], len(r) - len(b)
+        r = [x * lead for x in r]
+        for i, y in enumerate(b):
+            r[off + i] -= f * y
+        while r and not r[-1]:
+            r.pop()
+    g = gcd(*r)
+    return [x // g for x in r] if g > 1 else r
+
+
+def _gcd_degree(polys: Sequence[Sequence[int]]) -> int:
+    """The degree of the gcd over Q of nonzero integer lists, by Euclid on
+    primitive pseudo-remainders (`_prem`): `coprime`'s fallback."""
     a = polys[0]
     for b in polys[1:]:
-        while not b.is_zero:
-            a, b = b, a.divmod_exact(b)[1]
-    return a.degree
+        while b:
+            a, b = b, _prem(a, b)
+    return len(a) - 1
 
 
-def coprime(*polys: UniPoly) -> bool:
-    """Whether the gcd of polys, zero ones left out and not all zero, is
-    constant.
+def coprime(*polys: Sequence[int]) -> bool:
+    """Whether the gcd of polys, integer coefficient lists (t**0 first, no
+    trailing zero), zero ones ([]) left out and not all zero, is constant.
 
     A common factor over Q of degree k >= 1 is, by Gauss's lemma, a
-    primitive integer polynomial whose lead divides the lead of each poly
-    scaled to integers; so modulo a prime p that divides no denominator and
-    no lead's numerator it keeps degree k.  Each coefficient reduces mod p
-    as its numerator times its denominator's inverse, so no common
-    denominator is formed, and a gcd of degree 0 mod p proves the polys
-    coprime.  A gcd of higher degree is lifted to Q, each coefficient of the
-    monic gcd mod p by rational reconstruction, and when that candidate
-    divides every poly exactly it proves a common factor.  Euclid over Q
-    decides only when no prime of _PRIMES decides.
+    primitive integer polynomial whose lead divides the lead of each poly;
+    so modulo a prime p that divides no lead it keeps degree k, and a gcd of
+    degree 0 mod p proves the polys coprime.  A gcd of higher degree is
+    lifted to Q, each coefficient of the monic gcd mod p by rational
+    reconstruction, and when that candidate divides every poly exactly (a
+    zero pseudo-remainder, `_prem`) it proves a common factor.  Euclid over
+    Q decides only when no prime of _PRIMES decides.
     """
-    polys = [f for f in polys if not f.is_zero]
+    polys = [f for f in polys if f]
     if not polys:
         raise ValueError("the gcd of zero polynomials only is undefined")
     for p in _PRIMES:
-        if any(f.leading.numerator % p == 0 or any(c.denominator % p == 0 for c in f.coeffs)
-               for f in polys):
+        if any(f[-1] % p == 0 for f in polys):
             continue
         g: list[int] = []
         for f in polys:
-            g = _gcd_mod([c.numerator * pow(c.denominator, -1, p) % p for c in f.coeffs], g, p)
+            g = _gcd_mod([x % p for x in f], g, p)
         if len(g) == 1:
             return True
         lifted = [_rational_mod(x, p) for x in g]
         if None not in lifted:
-            common = UniPoly(tuple(lifted))
-            if all(f.divmod_exact(common)[1].is_zero for f in polys):
+            common = _scaled(lifted)[1]
+            if not any(_prem(f, common) for f in polys):
                 return False
     return _gcd_degree(polys) == 0
 
@@ -382,19 +316,19 @@ class MultiPoly:
         return poly
 
 
-def _curve_monomials(components: Sequence[UniPoly]):
-    """restrict(e) = (den, ints), den * prod_m components[m] ** e[m] as integer
-    coefficients: the restriction of the monomial z**e to the curve, from one
-    table per curve.
+def _curve_monomials(components: Sequence[tuple[int, Sequence[int]]]):
+    """restrict(e) = (den, ints), den * prod_m c_m ** e[m] as integer
+    coefficients: the restriction of the monomial z**e to the curve with
+    `CurveParam.components` components, from one table per curve.
 
-    Each component is scaled to integers over its own denominator D_m, so
-    the entry of z**e has the denominator prod_m D_m ** e[m] and integer
+    Each component c_m is held over its own least denominator D_m, so the
+    entry of z**e has the denominator prod_m D_m ** e[m] and integer
     coefficients.  Each power is built once from the one below, and each
     monomial once, as its restriction without the last variable times that
     variable's power, so every entry of the table costs at most one product
     of integer polynomials (`_int_mul`).
     """
-    powers = [[(1, [1]), _scaled(comp.coeffs)] for comp in components]
+    powers = [[(1, [1]), (den, list(xs))] for den, xs in components]
     table: dict[tuple[int, ...], tuple[int, list[int]]] = {}
 
     def power(m: int, k: int) -> tuple[int, list[int]]:
@@ -422,10 +356,11 @@ def _curve_monomials(components: Sequence[UniPoly]):
 
 
 def restrict_to_curve(groups: Iterable[Iterable[MultiPoly]],
-                      components: Sequence[UniPoly]) -> list[tuple[int, list[list[int]]]]:
-    """The restrictions f(c(t)), z_m := components[m](t), of each group of
-    forms as one pair (den, lists): den the least common denominator of the
-    group's restrictions, lists[k] den times its k-th form's as integer
+                      components: tuple) -> list[tuple[int, list[list[int]]]]:
+    """The restrictions f(c(t)), z_m := c_m(t), the curve's components given
+    as `CurveParam.components` holds them, of each group of forms as one
+    pair (den, lists): den the least common denominator of the group's
+    restrictions, lists[k] den times its k-th form's as integer
     coefficients, t**0 first, no trailing zero.  The groups (any iterables,
     read once) share one integer table of restricted monomials
     (`_curve_monomials`); each term multiplies its entry once, over the lcm
@@ -437,9 +372,8 @@ def restrict_to_curve(groups: Iterable[Iterable[MultiPoly]],
         terms = []
         for f in group:
             if f.num_vars != len(components):
-                raise DimensionError(
-                    f"curve has {len(components)} components, polynomial has {f.num_vars} variables"
-                )
+                raise DimensionError(f"curve has {len(components)} components, "
+                                     f"polynomial has {f.num_vars} variables")
             terms.append([(c, *restrict(e)) for e, c in f.terms.items()])
         den = lcm(*(c.denominator * d for form in terms for c, d, _ in form))
         lists = []
@@ -511,9 +445,10 @@ def _dk_sweep(zs: list[tuple[int, int]], coeffs: Sequence[int], bits: int) -> in
     return worst
 
 
-def _polyroots(p: UniPoly, digits: int) -> list[complex]:
-    """All complex roots of p with multiplicity, at `digits` significant
-    digits, as machine complex numbers sorted by real then imaginary part.
+def _polyroots(p: tuple[int, Sequence[int]], digits: int) -> list[complex]:
+    """All complex roots with multiplicity of p = (den, ints), at `digits`
+    significant digits, as machine complex numbers sorted by real then
+    imaginary part.
 
     The iteration is mpmath's `polyroots` (Durand-Kerner from the points
     (0.4+0.9j)^i, Gauss-Seidel updates, prec = round((digits+1) log2 10)
@@ -521,10 +456,11 @@ def _polyroots(p: UniPoly, digits: int) -> list[complex]:
     near the unit circle and stops at an absolute correction below
     2^(1-prec), which roots far from it never reach, so it runs on the monic
     p(2^k s), 2^k about the largest root (from max |c_i / c_n|^(1/(n-i)), as
-    in Fujiwara's bound), and scales the roots back exactly.  Numbers are
-    fixed point over 2^(prec+80+g), where 2^-g is about Cauchy's lower bound
-    on the smallest nonzero scaled root, so tiny roots keep prec+80
-    significant bits.  After convergence a root, real or imaginary part
+    in Fujiwara's bound, each c_i = ints[i] / den in lowest terms, so a
+    factor common to den and ints changes no step), and scales the roots
+    back exactly.  Numbers are fixed point over 2^(prec+80+g), where 2^-g
+    is about Cauchy's lower bound on the smallest nonzero scaled root, so
+    tiny roots keep prec+80 significant bits.  After convergence a root, real or imaginary part
     below the tolerance is set to zero.  Roots of very different sizes need
     more steps (1.2-2.4 per digit of the Cauchy height for two sizes, more
     when several crowd together), so it may take up to max(1000, 20 *
@@ -533,14 +469,17 @@ def _polyroots(p: UniPoly, digits: int) -> list[complex]:
     the same step under any cap.
     """
 
-    def size(c: Fraction) -> int:
-        return abs(c.numerator).bit_length() - c.denominator.bit_length()
+    den, ints = p
 
-    n = p.degree
-    k = max(((size(c) - size(p.leading)) // (n - i)
-             for i, c in enumerate(p.coeffs[:-1]) if c), default=0)
+    def size(x: int) -> int:  # of x / den in lowest terms
+        g = gcd(x, den)
+        return abs(x // g).bit_length() - (den // g).bit_length()
+
+    n = len(ints) - 1
+    k = max(((size(c) - size(ints[-1])) // (n - i)
+             for i, c in enumerate(ints[:-1]) if c), default=0)
     # the integer coefficients of p(2^k s), times a power of two
-    s = [a << (k * i - min(k, 0) * n) for i, a in enumerate(_scaled(p.coeffs)[1])]
+    s = [a << (k * i - min(k, 0) * n) for i, a in enumerate(ints)]
     low = next(i for i, a in enumerate(s) if a)
     g = ((abs(s[low]) + max(map(abs, s[low + 1 :]), default=0)) // abs(s[low])).bit_length()
     prec = round((digits + 1) * 3.3219280948873626)
@@ -572,11 +511,12 @@ def _polyroots(p: UniPoly, digits: int) -> list[complex]:
 _LABEL_DIGITS = 32
 
 
-def _integral(f: UniPoly) -> tuple[list[int], int]:
-    """f's coefficients times the lcm of their denominators, integers
-    a_0..a_n, and the height 2 (|a_n| + max |a_i|): every root r has |a_n r|
-    below half of it (Cauchy's bound)."""
-    ints = _scaled(f.coeffs)[1]
+def _integral(f: tuple[int, Sequence[int]]) -> tuple[list[int], int]:
+    """The integer coefficients a_0..a_n of f = (den, ints) over its least
+    denominator, and the height 2 (|a_n| + max |a_i|): every root r has
+    |a_n r| below half of it (Cauchy's bound)."""
+    g = gcd(f[0], *f[1])
+    ints = [x // g for x in f[1]]
     return ints, 2 * (abs(ints[-1]) + max(abs(a) for a in ints))
 
 
@@ -602,16 +542,17 @@ def _simple_roots_mod_prime(ints: Sequence[int]) -> tuple[int, list[int]]:
             return p, roots
 
 
-def _squarefree_rational_roots(f: UniPoly) -> list[Fraction]:
-    """The rational roots of a squarefree f of degree >= 1, sorted, exactly.
+def _squarefree_rational_roots(f: tuple[int, Sequence[int]]) -> list[Fraction]:
+    """The rational roots of a squarefree f = (den, ints) of degree >= 1,
+    sorted, exactly.
 
     Rational zeros by p-adic lifting (Loos, SIAM J. Comput. 12, 1983): a
     rational root r of sum a_i t^i is k / a_n for an integer k with 2|k|
     below the height (`_integral`), and reduces mod p to a simple root
     (`_simple_roots_mod_prime`), whose Newton lift mod p^(2^j) is unique.
     So reading a_n times each lift, once p^(2^j) exceeds the height, in the
-    symmetric range gives every k; a candidate counts only when it is an
-    exact root.
+    symmetric range gives every k; a candidate counts only when a_n t - k
+    divides the polynomial exactly (`_prem`).
     """
     ints, height = _integral(f)
     lead = ints[-1]
@@ -624,9 +565,9 @@ def _squarefree_rational_roots(f: UniPoly) -> list[Fraction]:
             m *= m
             r = (r - _horner(ints, r, m) * pow(_horner(deriv, r, m), -1, m)) % m
         k = lead * r % m
-        cand = Fraction(k - m if 2 * k > m else k, lead)
-        if f.evaluate(cand) == 0:
-            roots.append(cand)
+        k = k - m if 2 * k > m else k
+        if not _prem(ints, [-k, lead]):
+            roots.append(Fraction(k, lead))
     return sorted(roots)
 
 
@@ -641,10 +582,10 @@ def _decimal_digits(h: int) -> int:
     return d
 
 
-def squarefree_roots(f: UniPoly) -> tuple[list[Fraction], list[complex]]:
-    """The rational roots of a squarefree f of degree >= 1, sorted, and,
-    unless they are all of its roots, all of its roots as sorted machine
-    complex numbers (else []).
+def squarefree_roots(f: tuple[int, Sequence[int]]) -> tuple[list[Fraction], list[complex]]:
+    """The rational roots of a squarefree f = (den, ints) of degree >= 1,
+    sorted, and, unless they are all of its roots, all of its roots as
+    sorted machine complex numbers (else []).
 
     The rational roots are exact and use no floats (p-adic lifting).  The
     complex roots come from an integer Durand-Kerner iteration
@@ -654,7 +595,7 @@ def squarefree_roots(f: UniPoly) -> tuple[list[Fraction], list[complex]]:
     the prime search of the lifting does not end.
     """
     roots = _squarefree_rational_roots(f)
-    if len(roots) == f.degree:
+    if len(roots) == len(f[1]) - 1:
         return roots, []
     digits = _decimal_digits(_integral(f)[1]) + 10
     return roots, _polyroots(f, max(digits, _LABEL_DIGITS))

@@ -14,7 +14,8 @@ smoothness search over a prime field, gcds over Q (coprimality, smoothness
 along a curve) from sympy's, rational roots from sympy's factorization over Q, and complex root
 labels from mpmath's `polyroots`.  It also builds what no command builds: the
 special quintic f0 = l*q + z4*p of a fixture with its incidence problem, and
-the rational polynomials of a restriction pair (den, lists).
+the Fraction coefficient lists of a pair (den, lists), the package's form
+of a univariate polynomial.
 """
 
 import random
@@ -27,7 +28,7 @@ import sympy
 from mpmath.libmp import NoConvergence
 
 from curvejac.incidence import IncidenceProblem
-from curvejac.poly import MultiPoly, UniPoly
+from curvejac.poly import MultiPoly
 
 
 def rref_rank_kernel(rows, ncols):
@@ -146,6 +147,18 @@ def naive_mul(a, b):
     return out
 
 
+def naive_divmod(a, b):
+    """Quotient and remainder of coefficient lists (t**0 first, b's last
+    entry nonzero) by schoolbook long division over Fractions, trailing
+    zeros trimmed."""
+    rem, quot = [Fraction(x) for x in a], [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        quot[k] = rem[k + len(b) - 1] / b[-1]
+        for j, y in enumerate(b):
+            rem[k + j] -= quot[k] * y
+    return naive_mul(quot, [1]), naive_mul(rem, [1])
+
+
 def padded(coeffs, n):
     """The t**0 .. t**(n-1) coefficients of the polynomial listed by coeffs
     (t**0 first), as Fractions: cut at n, or padded with zeros."""
@@ -202,11 +215,17 @@ def naive_compose(terms, comps):
 
 
 def unipolys(pair):
-    """The restrictions of a pair (den, lists) of `restrict_to_curve` as
-    UniPolys with coefficients x / den, trailing zeros kept, so a list that
-    keeps one never equals the trimmed polynomial."""
+    """The polynomials of a pair (den, lists), the restrictions of
+    `restrict_to_curve`, as lists of Fractions
+    x / den, t**0 first, trailing zeros kept, so a list that keeps one never
+    equals the trimmed polynomial."""
     den, lists = pair
-    return [UniPoly(tuple(Fraction(x, den) for x in xs)) for xs in lists]
+    return [[Fraction(x, den) for x in xs] for xs in lists]
+
+
+def components(c):
+    """A curve's components as lists of Fractions, t**0 first."""
+    return [[Fraction(x, den) for x in xs] for den, xs in c.components]
 
 
 def build_special_hypersurface(l, q, p):
@@ -291,7 +310,7 @@ def reassemble_blocks(blocks):
 
 
 def _value(poly, t):
-    return sum(c * t**k for k, c in enumerate(poly.coeffs))
+    return sum(c * t**k for k, c in enumerate(poly))
 
 
 def value_rows(polys, d, points):
@@ -305,7 +324,7 @@ def toeplitz_rows(polys, d, nrows):
     """Rows of the map (v_m) -> sum_m polys[m] * v_m, v_m of degree <= d, as
     Fractions: entry (j, (m, i)) is the t**j coefficient of the schoolbook
     product polys[m] * t**i."""
-    cols = [schoolbook_mul(list(g.coeffs), [0] * i + [1]) for g in polys for i in range(d + 1)]
+    cols = [schoolbook_mul(list(g), [0] * i + [1]) for g in polys for i in range(d + 1)]
     return [[col[j] if j < len(col) else Fraction(0) for col in cols] for j in range(nrows)]
 
 
@@ -390,7 +409,7 @@ def smooth_along_curve(q, c0):
     all drop below degree 3d, so they have no common zero at t = infinity."""
     grads = [naive_compose({e[:m] + (e[m] - 1,) + e[m + 1 :]: c * e[m]
                             for e, c in q.terms.items() if e[m]},
-                           [c.coeffs for c in c0.components]) for m in range(4)]
+                           components(c0)) for m in range(4)]
     return len(sympy_gcd(*grads)) == 1 and max(map(len, grads)) - 1 == 3 * c0.d
 
 
@@ -411,20 +430,21 @@ def sympy_rational_roots(coeffs):
 
 
 def mpmath_polyroots(p, digits):
-    """All complex roots of the UniPoly p, sorted as machine complex numbers,
-    from mpmath's `polyroots` at `digits` significant digits: the labels the
-    package computed with mpmath before its integer iteration, with the same
-    scaling p(2^k s), step cap and error message."""
+    """All complex roots of p, a list of Fractions (t**0 first, no trailing
+    zero), sorted as machine complex numbers, from mpmath's `polyroots` at
+    `digits` significant digits: the labels the package computed with mpmath
+    before its integer iteration, with the same scaling p(2^k s), step cap
+    and error message."""
 
     def size(c):
         return abs(c.numerator).bit_length() - c.denominator.bit_length()
 
-    n = p.degree
-    k = max(((size(c) - size(p.leading)) // (n - i)
-             for i, c in enumerate(p.coeffs[:-1]) if c), default=0)
+    n = len(p) - 1
+    k = max(((size(c) - size(p[-1])) // (n - i)
+             for i, c in enumerate(p[:-1]) if c), default=0)
     with mpmath.mp.workdps(digits):
         coeffs = [mpmath.ldexp(mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator), k * i)
-                  for i, c in enumerate(p.coeffs)]
+                  for i, c in enumerate(p)]
         steps = max(1000, 20 * digits)
         try:
             zs = mpmath.polyroots(coeffs[::-1], maxsteps=steps, extraprec=80)

@@ -14,7 +14,7 @@ from math import isqrt, lcm
 import numpy
 import sympy
 
-from curvejac.incidence import (CurveParam, IncidenceProblem, _common_ints, _convolution_matrix,
+from curvejac.incidence import (CurveParam, IncidenceProblem, _convolution_matrix,
                                 _evaluation_rows, jacobian_coefficient_form, quintics_through_curve,
                                 random_member, restricted_gradient, symmetry_kernel_vectors)
 from curvejac.linalg import (
@@ -33,7 +33,6 @@ from curvejac.linalg import (
 from curvejac.poly import (
     _LABEL_DIGITS,
     MultiPoly,
-    UniPoly,
     _gcd_degree,
     _int_mul,
     _integral,
@@ -52,22 +51,56 @@ def random_fraction(rng, num=9, den=4):
     return Fraction(rng.randint(-num, num), rng.randint(1, den))
 
 
+def trimmed(coeffs):
+    """The rationals coeffs (t**0 first) as Fractions without trailing
+    zeros: a univariate polynomial as the tests write it."""
+    return oracles.linear_combination((1, [Fraction(x) for x in coeffs]))
+
+
+def common(polys):
+    """The Fraction lists polys as the package holds them, one pair (den,
+    lists): den the lcm of their denominators, lists[m] = den * polys[m] as
+    integers."""
+    den = lcm(*(Fraction(x).denominator for f in polys for x in f))
+    return den, [[int(den * Fraction(x)) for x in f] for f in polys]
+
+
+def pairs(polys):
+    """The Fraction lists polys as the package holds a curve's components,
+    each a pair (den, ints) (`pair`)."""
+    return tuple(pair(p) for p in polys)
+
+
+def pair(p):
+    """The Fraction list p as the package holds one polynomial, (den, ints)."""
+    den, (ints,) = common([p])
+    return den, ints
+
+
+def derivative(p):
+    return [k * x for k, x in enumerate(p)][1:]
+
+
+def evaluate(p, t):
+    """p(t) for the coefficient list p (t**0 first), by Horner's rule: exact
+    for rational t, complex otherwise."""
+    value = Fraction(0)
+    for c in reversed(p):
+        value = value * t + c
+    return value
+
+
 def random_unipoly(rng, max_deg):
-    return UniPoly.from_coeffs(random_fraction(rng) for _ in range(max_deg + 1))
+    return trimmed(random_fraction(rng) for _ in range(max_deg + 1))
 
 
 def unipoly_product(*factors):
-    """The product of UniPolys by the schoolbook oracle (`oracles.naive_mul`)."""
+    """The product of Fraction lists by the schoolbook oracle
+    (`oracles.naive_mul`)."""
     out = [Fraction(1)]
     for f in factors:
-        out = oracles.naive_mul(out, list(f.coeffs))
-    return UniPoly.from_coeffs(out)
-
-
-def unipoly_combination(*pairs):
-    """sum s * f over the (s, UniPoly f) pairs, coefficient by coefficient
-    (`oracles.linear_combination`)."""
-    return UniPoly.from_coeffs(oracles.linear_combination(*((s, f.coeffs) for s, f in pairs)))
+        out = oracles.naive_mul(out, list(f))
+    return out
 
 
 def scaled_form(f, s):
@@ -75,17 +108,22 @@ def scaled_form(f, s):
     return MultiPoly(f.num_vars, {e: c * s for e, c in f.terms.items()})
 
 
-def fractional_curve(seed, n, d, digits):
-    """A seeded curve in P^n of degree d whose coefficients are fractions
-    of two random integers of up to `digits` digits, the leads nonzero."""
+def fractional_lists(seed, n, d, digits):
+    """The n+1 seeded coefficient lists of length d+1 of `fractional_curve`:
+    fractions of two random integers of up to `digits` digits."""
     rng = random.Random(seed)
     h = 10**digits - 1
 
     def coef():
         return Fraction(rng.choice([-1, 1]) * rng.randint(1, h), rng.randint(1, h))
 
-    return CurveParam(n, d, tuple(UniPoly.from_coeffs([coef() for _ in range(d + 1)])
-                                  for _ in range(n + 1)))
+    return [[coef() for _ in range(d + 1)] for _ in range(n + 1)]
+
+
+def fractional_curve(seed, n, d, digits):
+    """A seeded curve in P^n of degree d whose coefficients are fractions
+    of two random integers of up to `digits` digits, the leads nonzero."""
+    return CurveParam.from_rationals(n, d, fractional_lists(seed, n, d, digits))
 
 
 def random_homogeneous(rng, num_vars, degree, max_terms=5):
@@ -101,27 +139,27 @@ def random_homogeneous(rng, num_vars, degree, max_terms=5):
 def random_curve(rng, n, d):
     comps = [random_unipoly(rng, d) for _ in range(n + 1)]
     # force the degree bound to be attained so problems stay non-degenerate
-    if all(c.degree < d for c in comps):
-        comps[0] = unipoly_combination((1, comps[0]), (1, UniPoly.from_coeffs([0] * d + [1])))
-    return CurveParam(n, d, tuple(comps))
+    if all(len(c) <= d for c in comps):
+        comps[0] = oracles.linear_combination((1, comps[0]), (1, [0] * d + [1]))
+    return CurveParam.from_rationals(n, d, comps)
 
 
 def theta(c):
     """A curve's coordinates, component-major then power-minor: the column
     order of its Jacobian (`theta_labels`)."""
-    return [x for comp in c.components for x in oracles.padded(comp.coeffs, c.d + 1)]
+    return [x for comp in oracles.components(c) for x in oracles.padded(comp, c.d + 1)]
 
 
 def curve_from_theta(n, d, vec):
     """The curve in P^n of degree bound d with coordinates vec (`theta`)."""
-    return CurveParam(n, d, tuple(UniPoly.from_coeffs(vec[m * (d + 1) : (m + 1) * (d + 1)])
-                                  for m in range(n + 1)))
+    return CurveParam.from_rationals(n, d, [vec[m * (d + 1) : (m + 1) * (d + 1)]
+                                            for m in range(n + 1)])
 
 
 def incidence_equations(prob, c):
     """The e*d+1 coefficients of f(c(t)), zero-padded at the top."""
     restricted = oracles.unipolys(restrict_to_curve([[prob.f]], c.components)[0])[0]
-    return tuple(oracles.padded(restricted.coeffs, prob.num_equations))
+    return tuple(oracles.padded(restricted, prob.num_equations))
 
 
 def taylor_chain_rule_suite(seed, draws):
@@ -206,19 +244,19 @@ def integer_chain_suite(seed, draws):
         polys = []
         for _ in range(rng.randint(1, 5)):
             size = 10 ** rng.choice((1, 6, 12))
-            polys.append(UniPoly.from_coeffs(random_fraction(rng, size, size)
-                                             for _ in range(rng.randint(0, 7))))
+            polys.append(trimmed(random_fraction(rng, size, size)
+                                 for _ in range(rng.randint(0, 7))))
         d = rng.randint(0, 5)
         points = [_chain_point(rng) for _ in range(rng.randint(1, 4))]
-        den, ints = _common_ints(polys)
+        den, ints = common(polys)
         assert den > 0 and all(type(x) is int for g in ints for x in g)
-        top = max(len(g.coeffs) for g in polys)
+        top = max(len(g) for g in polys)
         rows = _evaluation_rows(ints, d, [(t.numerator, t.denominator) for t in points])
         for t, row, ref in zip(points, rows, oracles.value_rows(polys, d, points)):
             assert all(type(x) is int for x in row), (polys, t)
             mult = den * Fraction(t.denominator) ** (top - 1 + d)
             assert row == [mult * x for x in ref], (polys, d, t)
-        exact = _evaluation_rows([g.coeffs for g in polys], d, [(t, 1) for t in points])
+        exact = _evaluation_rows(polys, d, [(t, 1) for t in points])
         assert exact == oracles.value_rows(polys, d, points), (polys, d, points)
         nrows = top + d + rng.randint(0, 2)
         block = _convolution_matrix(ints, d, nrows)
@@ -244,8 +282,8 @@ def _symmetry_curve(rng, n, d):
         coeffs = [random_fraction(rng, size, size) for _ in range(length)]
         if kind == "degree-d":
             coeffs[-1] = coeffs[-1] or Fraction(1)
-        comps.append(UniPoly.from_coeffs(coeffs))
-    return CurveParam(n, d, tuple(comps))
+        comps.append(coeffs)
+    return CurveParam.from_rationals(n, d, comps)
 
 
 def symmetry_vectors_suite(seed, draws):
@@ -259,9 +297,10 @@ def symmetry_vectors_suite(seed, draws):
     rng = random.Random(seed)
     for draw in range(draws):
         c = _symmetry_curve(rng, rng.randint(1, 8), draw % 32 + 1)
-        den = lcm(*(x.denominator for comp in c.components for x in comp.coeffs))
+        comps = oracles.components(c)
+        den = lcm(*(x.denominator for comp in comps for x in comp))
         got = symmetry_kernel_vectors(c)
-        want = oracles.symmetry_images([comp.coeffs for comp in c.components], c.d)
+        want = oracles.symmetry_images(comps, c.d)
         assert all(type(x) is int for v in got for x in v), c
         assert got == [tuple(den * x for x in v) for v in want], c
     return draws
@@ -281,7 +320,7 @@ def symmetry_annihilation_suite(seed, draws):
         f = random_member(quintics_through_curve(n, e, c), draw, n + 1, e)
         jac = jacobian_coefficient_form(IncidenceProblem(n, d, e, f), c, restricted_gradient(f, c))
         vectors = symmetry_kernel_vectors(c)
-        assert any(map(any, vectors)) == any(not comp.is_zero for comp in c.components), c
+        assert any(map(any, vectors)) == any(xs for _, xs in c.components), c
         for v in vectors:
             assert not any(jac.matrix.matvec(v)), (c, f, v)
     return draws
@@ -673,8 +712,8 @@ FIRST_PRIMES = (2, 3, 5, 7, 11, 13)
 def _irreducible(rng):
     """A random irreducible polynomial over Q of degree 2..4."""
     while True:
-        p = UniPoly.from_coeffs([rng.randint(-9, 9) for _ in range(rng.randint(2, 4))] + [1])
-        coeffs = [int(c) for c in reversed(p.coeffs)]
+        p = trimmed([rng.randint(-9, 9) for _ in range(rng.randint(2, 4))] + [1])
+        coeffs = [int(c) for c in reversed(p)]
         if sympy.Poly(coeffs, sympy.Symbol("t")).is_irreducible:
             return p
 
@@ -691,17 +730,18 @@ def coprime_suite(seed, draws):
     rng = random.Random(seed)
     for draw in range(draws):
         k = draw % 4
-        planted = UniPoly.from_coeffs([random_fraction(rng, 99, 9) for _ in range(k)]
-                                      + [random_fraction(rng, 99, 9) or 1])
-        polys = [UniPoly.zero() if rng.random() < 0.25
+        planted = trimmed([random_fraction(rng, 99, 9) for _ in range(k)]
+                          + [random_fraction(rng, 99, 9) or 1])
+        polys = [[] if rng.random() < 0.25
                  else unipoly_product(planted, random_unipoly(rng, rng.randint(0, 4)))
                  for _ in range(rng.randint(1, 9))]
-        if all(f.is_zero for f in polys):
+        if not any(polys):
             polys[0] = planted
-        want = oracles.sympy_gcd(*(f.coeffs for f in polys))
+        want = oracles.sympy_gcd(*polys)
+        ints = [pair(f)[1] for f in polys]
         assert len(want) > k, (polys, want)
-        assert coprime(*polys) == (len(want) == 1), (polys, want)
-        assert _gcd_degree([f for f in polys if not f.is_zero]) == len(want) - 1, (polys, want)
+        assert coprime(*ints) == (len(want) == 1), (polys, want)
+        assert _gcd_degree([f for f in ints if f]) == len(want) - 1, (polys, want)
     return draws
 
 
@@ -723,7 +763,7 @@ def rational_roots_suite(seed, draws):
     for draw in range(draws):
         kind = ROOT_KINDS[draw % len(ROOT_KINDS)]
         roots = [random_fraction(rng, 99, 9) for _ in range(rng.randint(0, 3))]
-        cofactor = UniPoly.of(1)
+        cofactor = [Fraction(1)]
         if kind == "30-digit":
             roots.append(Fraction(rng.choice([-1, 1]) * rng.randint(10**29, 10**30 - 1),
                                   rng.randint(1, 99)))
@@ -738,27 +778,26 @@ def rational_roots_suite(seed, draws):
             roots = [Fraction(k) for k in range(1, 41)]
         else:
             cofactor = _irreducible(rng)
-        cofactor = unipoly_combination((random_fraction(rng) or 1, cofactor))
-        p = unipoly_product(cofactor, *(UniPoly.of(-r, 1) for r in roots))
-        distinct = unipoly_product(cofactor, *(UniPoly.of(-r, 1) for r in set(roots)))
+        cofactor = oracles.linear_combination((random_fraction(rng) or 1, cofactor))
+        p = unipoly_product(cofactor, *([-r, 1] for r in roots))
+        distinct = unipoly_product(cofactor, *([-r, 1] for r in set(roots)))
         if kind == "lead-primes":
-            ints = _integral(p)[0]
+            ints = _integral(pair(p))[0]
             assert all(ints[-1] % q == 0 for q in FIRST_PRIMES), (kind, p)
             assert _simple_roots_mod_prime(ints)[0] > FIRST_PRIMES[-1], (kind, p)
         if kind == "one-to-forty":
-            assert _simple_roots_mod_prime(_integral(p)[0])[0] == 41, (kind, p)
+            assert _simple_roots_mod_prime(_integral(pair(p))[0])[0] == 41, (kind, p)
         if kind == "repeated":
             assert len(set(roots)) < len(roots), (kind, roots)
-        want_roots, want_cofactor = oracles.sympy_rational_roots(p.coeffs)
+        want_roots, want_cofactor = oracles.sympy_rational_roots(p)
         assert want_roots == sorted(roots), (kind, p)
-        assert (len(want_cofactor) > 1) == (cofactor.degree > 0), (kind, p, want_cofactor)
-        common = UniPoly.from_coeffs(oracles.sympy_gcd(p.coeffs, p.derivative().coeffs))
-        sqfree = p.divmod_exact(common)[0]
-        assert unipoly_combination((distinct.leading / sqfree.leading, sqfree)) == distinct, (
+        assert (len(want_cofactor) > 1) == (len(cofactor) > 1), (kind, p, want_cofactor)
+        sqfree = oracles.naive_divmod(p, oracles.sympy_gcd(p, derivative(p)))[0]
+        assert oracles.linear_combination((distinct[-1] / sqfree[-1], sqfree)) == distinct, (
             kind, p, sqfree)
-        exact, numeric = squarefree_roots(sqfree)
+        exact, numeric = squarefree_roots(pair(sqfree))
         assert exact == sorted(set(want_roots)), (kind, sqfree, exact)
-        assert len(numeric) == (sqfree.degree if cofactor.degree else 0), (kind, sqfree)
+        assert len(numeric) == (len(sqfree) - 1 if len(cofactor) > 1 else 0), (kind, sqfree)
     return draws
 
 
@@ -771,24 +810,22 @@ def _label_draw(rng, kind):
     small = [random_fraction(rng) for _ in range(rng.randint(1, 7))] + [random_fraction(rng, den=1)]
     if kind.startswith("height-"):
         h = 10 ** int(kind[len("height-"):])
-        return UniPoly.from_coeffs(rng.randint(-h, h) for _ in range(rng.randint(2, 9)))
+        return trimmed(rng.randint(-h, h) for _ in range(rng.randint(2, 9)))
     if kind == "even":
-        return unipoly_product(*(UniPoly.of(abs(random_fraction(rng, 99, 9)) or 1, 0, 1)
+        return unipoly_product(*([abs(random_fraction(rng, 99, 9)) or 1, 0, 1]
                                  for _ in range(rng.randint(1, 4))))
     if kind == "zero-root":
-        return unipoly_product(UniPoly.of(0, 1),
-                               UniPoly.from_coeffs([Fraction(rng.randint(1, 9))] + small[1:]))
+        return unipoly_product([0, 1], trimmed([Fraction(rng.randint(1, 9))] + small[1:]))
     if kind == "real-irrational":
         a = rng.choice([k for k in range(2, 100) if isqrt(k) ** 2 != k])
-        return unipoly_product(UniPoly.of(-a, 0, 1),
-                               UniPoly.from_coeffs(small[rng.randint(0, len(small) - 1):]))
+        return unipoly_product([-a, 0, 1], trimmed(small[rng.randint(0, len(small) - 1):]))
     if kind == "crowded":
         m, h = rng.randint(2, 4), rng.randint(10, 24)
-        return UniPoly.from_coeffs([10**h] * (m + 1) + [1])
+        return trimmed([10**h] * (m + 1) + [1])
     if kind == "high-degree":
-        return UniPoly.from_coeffs([rng.randint(-9, 9) for _ in range(rng.randint(9, 16))]
-                                   + [rng.choice((-1, 1))])
-    return UniPoly.from_coeffs(small)
+        return trimmed([rng.randint(-9, 9) for _ in range(rng.randint(9, 16))]
+                       + [rng.choice((-1, 1))])
+    return trimmed(small)
 
 
 def root_labels_suite(seed, draws):
@@ -817,17 +854,17 @@ def root_labels_suite(seed, draws):
             digits = rng.randint(_LABEL_DIGITS, 80)
             factor = Fraction(rng.choice([*range(9, 15), *range(18, 32)]), 16)
             eps = rng.choice((-1, 1)) * factor * oracles.mpmath_eps(digits)
-            p = UniPoly.of(1 + eps * eps, -2 * eps, 1)
+            p = trimmed([1 + eps * eps, -2 * eps, 1])
         else:
             p = _label_draw(rng, kind)
-            while p.degree < 1 or not coprime(p, p.derivative()):
+            while len(p) < 2 or not coprime(pair(p)[1], pair(derivative(p))[1]):
                 p = _label_draw(rng, kind)
-            digits = max(len(str(_integral(p)[1])) + 10, _LABEL_DIGITS)
+            digits = max(len(str(_integral(pair(p))[1])) + 10, _LABEL_DIGITS)
         want = oracles.mpmath_polyroots(p, digits)
-        assert _polyroots(p, digits) == want, (kind, p, digits)
-        assert len(want) == p.degree, (kind, p, want)
+        assert _polyroots(pair(p), digits) == want, (kind, p, digits)
+        assert len(want) == len(p) - 1, (kind, p, want)
         if kind.startswith("height-"):
-            assert _integral(p)[1] > 10 ** (int(kind[len("height-"):]) - 2), (kind, p)
+            assert _integral(pair(p))[1] > 10 ** (int(kind[len("height-"):]) - 2), (kind, p)
         elif kind == "even":
             assert all(z.real == 0 and z.imag for z in want), (kind, p, want)
         elif kind == "zero-root":
@@ -837,7 +874,7 @@ def root_labels_suite(seed, draws):
         elif kind == "crowded":
             assert max(map(abs, want)) > 10**8 * min(map(abs, want)), (kind, p, want)
         elif kind == "high-degree":
-            assert p.degree >= 9, (kind, p)
+            assert len(p) - 1 >= 9, (kind, p)
         elif kind == "near-tolerance":
             assert [z.imag for z in want] == [-1, 1], (kind, p, want)
             assert all((z.real == 0) == (factor < 1) for z in want), (kind, p, want)

@@ -228,7 +228,8 @@ class TestVerifyCommand:
         l = MultiPoly(5, {e: F(parts[2 * i], parts[2 * i + 1]) for i, e in enumerate(exps)})
         fx = Fixture("B-2000-digit-l", fixture_b.q, l, fixture_b.p, fixture_b.c0, 2)
         with uncapped_int_str():
-            assert len(str(poly._integral(oracles.unipolys(fx.restricted)[0])[1])) == 6000
+            den, (lc, *_) = fx.restricted
+            assert len(str(poly._integral((den, lc))[1])) == 6000
         path = tmp_path / "fixture.json"
         path.write_text(json.dumps(fx.to_obj()))
         rc, out, err = run_cli(["verify", str(path), "--seed", "0"])
@@ -265,7 +266,8 @@ def test_mpmath_loaded_only_for_complex_labels(tmp_path, request, name, complex_
 def test_mpmath_never_imported(tmp_path, fixture_a_path, problem_a_path, curve_a_path):
     # nor do the complex evaluation points of jacobian, or sample; and no
     # command loads a command-line library (argparse, with the gettext and
-    # locale that its messages load), in an interpreter without site's imports
+    # locale that its messages load) or typing, in an interpreter without
+    # site's imports
     out = str(tmp_path / "out.json")
     argvs = [["fixture", "A", "--out", out],
              ["jacobian", problem_a_path, curve_a_path, "--form", "eval",
@@ -276,7 +278,7 @@ def test_mpmath_never_imported(tmp_path, fixture_a_path, problem_a_path, curve_a
     code = ("import json, sys; from curvejac import cli; "
             "print(json.dumps([[cli.main(argv), 'mpmath' in sys.modules] "
             "for argv in json.loads(sys.argv[1])] "
-            "+ [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules]))")
+            "+ [m for m in ('argparse', 'gettext', 'locale', 'typing') if m in sys.modules]))")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -9,6 +10,7 @@ from curvejac import cli, linalg, poly
 from curvejac.construction import (
     MAX_POINT_ATTEMPTS,
     Fixture,
+    _corner_rows,
     _generic_points,
     gradient_pairing_map,
     render_matrix,
@@ -18,13 +20,14 @@ from curvejac.construction import (
 from curvejac.errors import InputError
 from curvejac.incidence import (
     CurveParam,
+    _evaluation_rows,
     jacobian_coefficient_form,
     jacobian_evaluation_form,
     restricted_gradient,
     symmetry_kernel_vectors,
 )
 from curvejac.linalg import RationalMatrix, kernel_exact, rank_exact
-from curvejac.poly import MultiPoly, UniPoly, _polyroots, restrict_to_curve
+from curvejac.poly import MultiPoly, _polyroots, restrict_to_curve
 
 import oracles
 import propcheck
@@ -37,14 +40,20 @@ def on_curve(poly, c0):
     return oracles.unipolys(restrict_to_curve([[poly]], c0.components)[0])[0]
 
 
+def restricted(c0, l, p):
+    """(den, [lc, pc]): l and p restricted to c0 as `Fixture.restricted`
+    begins."""
+    return restrict_to_curve([[l, p]], c0.components)[0]
+
+
 def special_points(c0, l, p):
-    return select_special_points(on_curve(l, c0), on_curve(p, c0), c0.d)
+    return select_special_points(restricted(c0, l, p), c0.d)
 
 
 def generic_points(fix, attempt=0):
     """The 4d+1 generic points of a successful selection at seed 0."""
-    lc, pc = on_curve(fix.l, fix.c0), on_curve(fix.p, fix.c0)
-    return _generic_points(lc.coeffs, pc.coeffs, 4 * fix.d + 1, 0, attempt)
+    lc, pc = restricted(fix.c0, fix.l, fix.p)[1]
+    return _generic_points(lc, pc, 4 * fix.d + 1, 0, attempt)
 
 
 def small_p(fix):
@@ -76,16 +85,17 @@ class TestBuildSpecialHypersurface:
 
     def test_vanishes_on_any_curve_on_the_quartic(self, fixture_b):
         # any curve with q(c) = 0 and zero last component kills both summands
-        assert on_curve(oracles.f0(fixture_b), fixture_b.c0).is_zero
+        assert on_curve(oracles.f0(fixture_b), fixture_b.c0) == []
 
     def test_restriction_identity_for_random_curves(self, fixture_a):
         rng = random.Random(12)
         for _ in range(10):
             c = propcheck.random_curve(rng, 4, 2)
             lhs = on_curve(oracles.f0(fixture_a), c)
-            rhs = propcheck.unipoly_combination(
+            rhs = oracles.linear_combination(
                 (1, propcheck.unipoly_product(on_curve(fixture_a.l, c), on_curve(fixture_a.q, c))),
-                (1, propcheck.unipoly_product(c.components[4], on_curve(fixture_a.p, c))),
+                (1, propcheck.unipoly_product(oracles.components(c)[4],
+                                              on_curve(fixture_a.p, c))),
             )
             assert lhs == rhs
 
@@ -109,7 +119,7 @@ class TestSelectSpecialPoints:
         assert roots == (F(-1, 2),)
         assert len(generic_points(fixture_a)) == 5
         pc = on_curve(fixture_a.p, fixture_a.c0)
-        assert pc.evaluate(F(-1, 2)) == F(17, 16)
+        assert propcheck.evaluate(pc, F(-1, 2)) == F(17, 16)
 
     def test_fixture_b(self, fixture_b):
         roots, _ = special_points(fixture_b.c0, fixture_b.l, fixture_b.p)
@@ -132,7 +142,7 @@ class TestSelectSpecialPoints:
         calls = []
 
         def counted(p, digits):
-            calls.append((p.degree, digits))
+            calls.append((len(p[1]) - 1, digits))
             return _polyroots(p, digits)
 
         monkeypatch.setattr("curvejac.poly._polyroots", counted)
@@ -164,21 +174,18 @@ class TestSelectSpecialPoints:
         # lc = prod (t - k/(k+1)), k <= 32: Euclid over Q on lc and lc' takes
         # seconds; a gcd of degree 0 modulo one prime proves lc squarefree
         # and coprime to pc
-        lc = propcheck.unipoly_product(*(UniPoly.of(-F(k, k + 1), 1) for k in range(1, 33)))
-        pc = UniPoly.of(1, 0, 1)
-        roots, field = select_special_points(lc, pc, 32)
+        lc = propcheck.unipoly_product(*([-F(k, k + 1), 1] for k in range(1, 33)))
+        den, (lc, pc) = propcheck.common([lc, [1, 0, 1]])
+        roots, field = select_special_points((den, [lc, pc]), 32)
         assert field == "rational"
         assert roots == tuple(F(k, k + 1) for k in range(1, 33))
-        assert len(_generic_points(lc.coeffs, pc.coeffs, 129, 0, 0)) == 129
+        assert len(_generic_points(lc, pc, 129, 0, 0)) == 129
 
     def test_repeated_root_rejected(self, fixture_a):
         # l restricting to (1 + 2t)^2 on the line: 1 + 4t + 4t^2 needs d >= 2,
         # so use the conic fixture's curve with z0 + 4 z1 + 4 z2.
         l = MultiPoly(5, {(1, 0, 0, 0, 0): 1, (0, 1, 0, 0, 0): 4, (0, 0, 1, 0, 0): 4})
-        conic = CurveParam(
-            4, 2,
-            (UniPoly.of(1), UniPoly.of(0, 1), UniPoly.of(0, 0, 1), UniPoly.zero(), UniPoly.zero()),
-        )
+        conic = CurveParam.from_rationals(4, 2, ([1], [0, 1], [0, 0, 1], [], []))
         with pytest.raises(ValueError, match="l not generic"):
             special_points(conic, l, fermat_quartic())
 
@@ -222,7 +229,7 @@ class TestBlocks:
         """l(c0(t_s)) at the lower points, and a22 with each row divided by it."""
         _, blocks = self.blocks_a(fixture_a)
         lc = on_curve(fixture_a.l, fixture_a.c0)
-        l_values = [lc.evaluate(t) for t in A_POINTS[2:]]
+        l_values = [propcheck.evaluate(lc, t) for t in A_POINTS[2:]]
         return l_values, [[x / v for x in row] for row, v in zip(blocks["a22"], l_values)]
 
     def test_shapes(self, fixture_a):
@@ -255,7 +262,8 @@ class TestBlocks:
             col = 0
             for m in range(4):
                 for i in range(2):
-                    assert blocks["a12"][s][col] == lc.evaluate(t) * grads[m].evaluate(t) * t**i
+                    assert blocks["a12"][s][col] == (
+                        propcheck.evaluate(lc, t) * propcheck.evaluate(grads[m], t) * t**i)
                     col += 1
 
     def test_a11_closed_form_values(self, fixture_a):
@@ -277,10 +285,35 @@ class TestBlocks:
         for i in range(3):
             for j in range(i + 1, 3):
                 vdet *= pts[j] - pts[i]
-        prod_p = pc.evaluate(pts[0]) * pc.evaluate(pts[1]) * pc.evaluate(pts[2])
+        prod_p = math.prod(propcheck.evaluate(pc, t) for t in pts)
         sign = -1  # column reversal on 3 columns is one transposition
         det = oracles.laplace_det(closed)
         assert det == sign * vdet * prod_p == F(-23670)
+
+    def test_corner_rows_from_the_integer_lists(self, fixture_b_nonsplit):
+        # check 4's block from pc's integer lists over den: exact at rational
+        # points, the closed form; at complex ones the floats, to the bit,
+        # of the rows at (t, 1) of pc's Fraction coefficients; and the last
+        # column is pc(t_s), the factors of the determinant
+        nonsplit = fixture_b_nonsplit
+        roots = list(special_points(nonsplit.c0, nonsplit.l, nonsplit.p)[0])
+        assert all(isinstance(t, complex) for t in roots)
+        for s in (1, F(1, 3), F(-7, 10**4)):
+            den, (_, pc) = restricted(nonsplit.c0, nonsplit.l,
+                                      propcheck.scaled_form(nonsplit.p, s))
+            assert den == s.denominator
+            values = oracles.unipolys((den, [pc]))[0]
+            rational = [F(-1), F(1, 3), F(-7, 2)]
+            rows = _corner_rows(den, pc, rational)
+            assert rows == oracles.a11_closed_form(values, rational)
+            assert all(type(x) is F for row in rows for x in row)
+            for points in (roots + [F(1)], [0.5 + 0.25j, -3j, 1e10 + 1j]):
+                want = [row[::-1] for row in
+                        _evaluation_rows([values], 2, [(t, 1) for t in points])]
+                rows = _corner_rows(den, pc, points)
+                assert repr(rows) == repr(want)
+                assert [repr(row[-1]) for row in rows] == [
+                    repr(propcheck.evaluate(values, t)) for t in points]
 
     def test_a11_constant_p_is_vandermonde(self, fixture_a):
         one = MultiPoly.monomial((0, 0, 0, 0, 0))
@@ -323,7 +356,7 @@ class TestBlocks:
             assert blocks["a22"][s] == [lval * x for x in a0[s]]
         # a0 is the evaluation of q's restricted gradient, the rows check 7 ranks
         grads = oracles.unipolys(restricted_gradient(fixture_a.q, fixture_a.c0))
-        assert a0 == [[g.evaluate(t) * t**i for g in grads[:4] for i in range(2)]
+        assert a0 == [[propcheck.evaluate(g, t) * t**i for g in grads[:4] for i in range(2)]
                       for t in A_POINTS[2:]]
 
 
@@ -546,7 +579,7 @@ class TestDerivedGradient:
     reference for the gradient verify derives from l, p and q."""
 
     def assert_matches_restriction(self, fix):
-        assert on_curve(oracles.f0(fix), fix.c0).is_zero
+        assert on_curve(oracles.f0(fix), fix.c0) == []
         assert oracles.unipolys(restricted_gradient(oracles.f0(fix), fix.c0)) == _derived_gradient(fix)
         assert oracles.unipolys(fix.restricted) == [on_curve(fix.l, fix.c0), on_curve(fix.p, fix.c0)] + [
             on_curve(fix.q.partial_derivative(m), fix.c0) for m in range(4)]
@@ -621,8 +654,8 @@ class TestFixtureBundle:
         # verify then exited 3 on a matrix with zero rows
         obj = fixture_a.to_obj()
         obj["d"] = obj["c0"]["d"] = 0
-        obj["c0"]["components"] = [UniPoly.of(c.evaluate(F(0))).to_obj()
-                                   for c in fixture_a.c0.components]
+        obj["c0"]["components"] = [{"coeffs": [str(c[0])] if c and c[0] else []}
+                                   for c in oracles.components(fixture_a.c0)]
         path = tmp_path / "fixture-d0.json"
         path.write_text(json.dumps(obj))
         with pytest.raises(InputError, match="at least 1"):

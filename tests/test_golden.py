@@ -22,7 +22,9 @@ that the integer ones replaced.  `sample` on the conic (1, t, t^2) in the
 plane (`data/curve-conic.json`) pins draws whose rank, 5, is below both the
 claimed e*d+1 = 11 and min(rows, cols) = 9, so every draw's rank comes from
 the Bareiss fallback; that hash was recorded from dense `Fraction` kernel
-vectors and members.
+vectors and members.  The two `fixture` cases pin the bundles of A and B,
+whose `c0` block is what `CurveParam.to_obj` writes; they were recorded
+while curve components were still `Fraction` polynomials.
 """
 
 import contextlib
@@ -70,6 +72,8 @@ GOLDEN = {
     "through-5-d2x30": "50893038d04bbcb463e95ef9ef8ae8d6249ae56d800b3a1528af0581be187b53",
     "sample-5-3-100-d2x30": "d01a50364c5a948bf81205265c5ffff9c28df142fa257e0fa82ee09f57b6186a",
     "sample-5-3-1-conic": "8b373603f936669b1346082ed1b6cc9bb8d8e7d8908d88b04163bca685545b62",
+    "fixture-A": "006e538f54ab144b12d1d7a60e0b73fe39e3031be8d18420efb0fe8c588aa433",
+    "fixture-B": "6c500a4dbb2695a2a65aac04f2d42ccb8a117e3c410802d8ddb69224534310c8",
 }
 
 
@@ -106,6 +110,8 @@ def paths(tmp_path_factory, fixture_a, fixture_b, fixture_b_nonsplit):
 
 def argv_for(case: str, paths) -> list[str]:
     kind, _, rest = case.partition("-")
+    if kind == "fixture":
+        return ["fixture", rest]
     if kind == "verify":
         name, _, seed = rest.rpartition("-")
         return ["verify", paths["fixture", name], "--seed", seed]

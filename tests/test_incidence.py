@@ -1,12 +1,14 @@
 import json
+import math
 import random
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from curvejac import poly
-from curvejac.errors import DimensionError
+from curvejac.errors import DimensionError, InputError
 from curvejac.incidence import (
     CurveParam,
     IncidenceProblem,
@@ -22,17 +24,14 @@ from curvejac.incidence import (
 )
 from curvejac.linalg import (_PRIMES, KernelBasis, RationalMatrix, format_rational, kernel_exact,
                              rank_exact)
-from curvejac.poly import MultiPoly, UniPoly, monomial_basis, restrict_to_curve
+from curvejac.poly import MultiPoly, monomial_basis, restrict_to_curve
 
 import oracles
 import propcheck
 
 
 def line_curve():
-    return CurveParam(
-        4, 1,
-        (UniPoly.of(1), UniPoly.of(0, 1), UniPoly.zero(), UniPoly.zero(), UniPoly.zero()),
-    )
+    return CurveParam.from_rationals(4, 1, ([1], [0, 1], [], [], []))
 
 
 def z4_problem(d=1):
@@ -79,19 +78,13 @@ class TestMembership:
         assert membership_checks(line_curve()).all_pass
 
     def test_common_factor_fails(self):
-        c = CurveParam(
-            4, 1,
-            (UniPoly.of(0, 1), UniPoly.of(0, 1), UniPoly.zero(), UniPoly.zero(), UniPoly.zero()),
-        )
+        c = CurveParam.from_rationals(4, 1, ([0, 1], [0, 1], [], [], []))
         rep = membership_checks(c)
         assert not rep.base_point_free
         assert rep.attains_degree
 
     def test_degree_not_attained(self):
-        c = CurveParam(
-            4, 3,
-            (UniPoly.of(1), UniPoly.of(0, 1), UniPoly.of(0, 0, 1), UniPoly.zero(), UniPoly.zero()),
-        )
+        c = CurveParam.from_rationals(4, 3, ([1], [0, 1], [0, 0, 1], [], []))
         rep = membership_checks(c)
         assert not rep.attains_degree
         assert rep.base_point_free and rep.nonconstant
@@ -102,18 +95,20 @@ class TestMembership:
         # on the first and does not end on the second
         curves = [propcheck.fractional_curve(d, n, d, digits)
                   for n, d, digits in ((4, 16, 20), (8, 32, 2000))]
-        # _PRIMES[0] divides a denominator of component 1: the next prime
-        # decides
-        comps = list(curves[0].components)
-        comps[1] = UniPoly.from_coeffs((F(1, _PRIMES[0]),) + comps[1].coeffs[1:])
-        curves.append(CurveParam(4, 16, tuple(comps)))
+        # _PRIMES[0] divides a denominator of component 1, so its least
+        # denominator and its integer lead over it: the next prime decides
+        comps = oracles.components(curves[0])
+        comps[1] = [F(1, _PRIMES[0])] + comps[1][1:]
+        curves.append(CurveParam.from_rationals(4, 16, comps))
+        assert curves[-1].components[1][1][-1] % _PRIMES[0] == 0
         for c in curves:
             assert membership_checks(c).all_pass
         # a common factor t - 1/3, lifted from its image mod p
         low = propcheck.fractional_curve(15, 4, 15, 20)
-        factor = UniPoly.of(F(-1, 3), 1)
-        comps = tuple(propcheck.unipoly_product(comp, factor) for comp in low.components)
-        rep = membership_checks(CurveParam(4, 16, comps))
+        factor = [F(-1, 3), 1]
+        comps = [propcheck.unipoly_product(comp, factor)
+                 for comp in oracles.components(low)]
+        rep = membership_checks(CurveParam.from_rationals(4, 16, comps))
         assert rep.attains_degree and not rep.base_point_free
 
 
@@ -258,15 +253,16 @@ class TestSymmetryVectors:
         # theta layout: (c0 t^0, c0 t^1, c1 t^0, c1 t^1, ..., c4 t^1)
         as_curves = [propcheck.curve_from_theta(4, 1, v) for v in vs]
         expect = [
-            (UniPoly.of(0), UniPoly.of(1)),
-            (UniPoly.of(0), UniPoly.of(0, 1)),
-            (UniPoly.of(0, -1), UniPoly.of(0)),
-            (UniPoly.of(1), UniPoly.of(0, 1)),
+            ([], [1]),
+            ([], [0, 1]),
+            ([0, -1], []),
+            ([1], [0, 1]),
         ]
         for curve, (e0, e1) in zip(as_curves, expect):
-            assert curve.components[0] == e0
-            assert curve.components[1] == e1
-            assert all(c.is_zero for c in curve.components[2:])
+            comps = oracles.components(curve)
+            assert comps[0] == e0
+            assert comps[1] == e1
+            assert all(c == [] for c in comps[2:])
 
     def test_annihilated_by_jacobian(self, fixture_a, fixture_b):
         for fix in (fixture_a, fixture_b):
@@ -398,13 +394,13 @@ class TestRankInvariance:
         for _ in range(5):
             a = F(rng.choice([1, 2, 3, -1, -2]))
             b = F(rng.randint(-3, 3))
-            sub = UniPoly.of(b, a)
+            sub = [b, a]
             comps = []
-            for comp in fixture_a.c0.components:
-                comps.append(propcheck.unipoly_combination(
+            for comp in oracles.components(fixture_a.c0):
+                comps.append(oracles.linear_combination(
                     *((coef, propcheck.unipoly_product(*[sub] * i))
-                      for i, coef in enumerate(comp.coeffs))))
-            moved = CurveParam(4, 1, tuple(comps))
+                      for i, coef in enumerate(comp))))
+            moved = CurveParam.from_rationals(4, 1, comps)
             grads = restricted_gradient(oracles.problem(fixture_a).f, moved)
             jac = jacobian_coefficient_form(oracles.problem(fixture_a), moved, grads)
             assert rank_exact(jac.matrix) == 6
@@ -423,6 +419,67 @@ def test_curve_and_problem_json_round_trip(fixture_b):
     assert back.f == prob.f
 
 
+def test_curve_documents_round_trip():
+    # every curve and fixture c0 under data/, among them curve-d2x30.json,
+    # whose components have distinct 30-digit denominators, is written back
+    # as it was read
+    paths = sorted((Path(__file__).parent / "data").glob("*.json"))
+    assert any(p.name == "curve-d2x30.json" for p in paths)
+    for path in paths:
+        obj = json.loads(path.read_text())
+        obj = obj.get("c0", obj)
+        assert CurveParam.from_obj(obj).to_obj() == obj, path.name
+
+
+def test_parsed_components_are_least_integer_lists():
+    # a pair (den, ints) per component: den least (its gcd with every entry
+    # is 1), integer tuples without a trailing zero, a zero component (1, ())
+    obj = {"n": 3, "d": 2, "components": [
+        {"coeffs": ["1/6", "-3/4", "0"]}, {"coeffs": ["0", "0"]}, {"coeffs": []},
+        {"coeffs": ["2/9", "0", "5/2"]}]}
+    assert CurveParam.from_obj(obj).components == (
+        (12, (2, -9)), (1, ()), (1, ()), (18, (4, 0, 45)))
+    curves = [CurveParam.from_obj(obj)]
+    for path in sorted((Path(__file__).parent / "data").glob("*.json")):
+        doc = json.loads(path.read_text())
+        curves.append(CurveParam.from_obj(doc.get("c0", doc)))
+    for c in curves:
+        assert type(c.components) is tuple
+        for den, xs in c.components:
+            assert type(den) is int and den > 0 and math.gcd(den, *xs) == 1, c
+            assert type(xs) is tuple and all(type(x) is int for x in xs)
+            assert not xs or xs[-1], c
+        assert hash(c) == hash(CurveParam.from_obj(c.to_obj()))
+
+
+@pytest.mark.parametrize("pair", [(1, (1, 0)), (1, (0,)), (0, (1,)), (-1, (1,)),
+                                  (1, [1]), (1, (1.0,)), (F(1), (1,)), (1, (True,))])
+def test_malformed_components_rejected(pair):
+    # a trailing zero would read a constant as degree 1, a denominator
+    # below 1 or an entry that is not an int would break to_obj or equality
+    with pytest.raises(InputError, match="without a trailing zero"):
+        CurveParam(1, 1, ((1, (0, 1)), pair))
+
+
+def test_components_keep_their_own_denominators():
+    # at the input limits, n=8, d=32 with 2000-digit fractions, each
+    # component is read over its own least denominator (about 66,000
+    # digits), not over the curve's common one (about 600,000), whose gcds
+    # took minutes: reading, membership and a restriction take seconds
+    comps = propcheck.fractional_lists(32, 8, 32, 2000)
+    doc = {"n": 8, "d": 32,
+           "components": [{"coeffs": [format_rational(x) for x in cs]} for cs in comps]}
+    start = time.perf_counter()
+    c = CurveParam.from_obj(doc)
+    assert membership_checks(c).all_pass
+    z0 = MultiPoly.monomial((1,) + (0,) * 8)
+    den, xs = c.components[0]
+    assert restrict_to_curve([[z0]], c.components) == [(den, [list(xs)])]
+    assert time.perf_counter() - start < 20
+    for (den, xs), cs in zip(c.components, comps, strict=True):
+        assert den == math.lcm(*(x.denominator for x in cs))
+
+
 def test_theta_round_trip():
     # the coordinates of the Taylor suite follow the Jacobian's columns
     rng = random.Random(55)
@@ -432,11 +489,11 @@ def test_theta_round_trip():
         assert propcheck.curve_from_theta(c.n, c.d, coords) == c
         for label, x in zip(theta_labels(c.n, c.d), coords, strict=True):
             m, i = map(int, label[1:-1].split("[t^"))
-            assert x == oracles.padded(c.components[m].coeffs, c.d + 1)[i]
+            assert x == oracles.padded(oracles.components(c)[m], c.d + 1)[i]
 
 
 def test_problem_curve_mismatch_rejected(fixture_a):
-    bad = CurveParam(3, 1, (UniPoly.of(1), UniPoly.of(0, 1), UniPoly.zero(), UniPoly.zero()))
+    bad = CurveParam.from_rationals(3, 1, ([1], [0, 1], [], []))
     grads = restricted_gradient(oracles.problem(fixture_a).f, fixture_a.c0)
     with pytest.raises(DimensionError):
         jacobian_coefficient_form(oracles.problem(fixture_a), bad, grads)
