@@ -7,18 +7,19 @@ curve on a quartic surface.  The package is what the five commands of `cli`
 (fixture, jacobian, verify, through, sample) reach; every name exported here
 is one that package code reads.  All core arithmetic is exact over the
 rationals; a curve's components and every restriction to it are integer
-coefficient lists over a least denominator, one per component and group.
+coefficient lists over a least denominator, one per component and group,
+and every matrix ranked or reduced to a kernel is an `IntMatrix` of ints.
 The fixture restricts l, p and q's partials to the curve once and checks
 q(c0) = 0 from them; the verification derives f0's gradient from them, so
 checks 1, 3 and 6 and check 5's root rows hold by construction.  It decides
 the rest, checks 7-10 by exact ranks of integer matrices with no kernel
 basis, retrying check 7 over redrawn generic points: every check is exact
 even at complex roots.
-The only tolerance is the singular-value rank of an evaluation-form Jacobian
-at user-given points that are not rational, computed in pure Python
-(Golub-Kahan bidiagonalization and bisection).  Complex roots are labelled
-by a Durand-Kerner iteration in integers: the package needs nothing beyond
-the standard library.
+The only tolerance is the singular-value rank of an evaluation-form
+Jacobian's rows of values at user-given points that are not rational,
+computed in pure Python (Golub-Kahan bidiagonalization and bisection).
+Complex roots are labelled by a Durand-Kerner iteration in integers: the
+package needs nothing beyond the standard library.
 """
 
 from .construction import (
@@ -43,14 +44,7 @@ from .incidence import (
     restricted_gradient,
     symmetry_kernel_vectors,
 )
-from .linalg import (
-    ComplexMatrix,
-    KernelBasis,
-    RationalMatrix,
-    kernel_exact,
-    rank_exact,
-    rank_numeric,
-)
+from .linalg import IntMatrix, KernelBasis, kernel_exact, rank_exact, rank_numeric
 from .poly import MultiPoly, monomial_basis
 
 __version__ = "0.1.0"

@@ -131,7 +131,7 @@ def cmd_jacobian(args, out) -> int:
     if jac.is_exact:
         rank_kind = "exact"
     else:
-        rank = rank_numeric(jac.matrix, tol)
+        rank = rank_numeric(jac.rows, tol)
         rank_kind = f"numeric@{args.tol}"
     obj = jac.to_obj()
     obj.update(

@@ -55,7 +55,7 @@ from .incidence import (
     symmetry_kernel_vectors,
     vanishes_on_curve,
 )
-from .linalg import MAX_D, RationalMatrix, _dump, format_rational, parse_size, rank_exact
+from .linalg import MAX_D, IntMatrix, _dump, format_rational, parse_size, rank_exact
 from .poly import MultiPoly, _int_mul, coprime, restrict_to_curve, squarefree_roots
 
 __all__ = [
@@ -258,7 +258,7 @@ def _corner_rows(den: int, pc: Sequence[int], points: Sequence) -> list[list]:
     return rows
 
 
-def gradient_pairing_map(grads: Sequence[Sequence[int]], d: int) -> RationalMatrix:
+def gradient_pairing_map(grads: Sequence[Sequence[int]], d: int) -> IntMatrix:
     """Matrix of v = (v0..v3) -> sum_m (dq/dz_m)(c0(t)) * v_m(t) on a curve
     c0 of degree d, times a positive integer D, given the first four entries
     (or all) of restricted_gradient(q, c0) as integer coefficient lists over
@@ -398,8 +398,7 @@ def verify_construction(fixture: Fixture, seed: int = 0) -> VerificationReport:
         lower = [(t.numerator, t.denominator) for t in pts.all_points[d + 1 :]]
         flagged = [s for s, row in enumerate(_evaluation_rows([lc_i], 0, lower)) if not row[0]]
         rank0 = None if flagged else rank_exact(
-            RationalMatrix.from_rows(_evaluation_rows(q_i, d, lower))
-        )
+            IntMatrix.from_rows(_evaluation_rows(q_i, d, lower)))
         if rank0 == 4 * d:
             break
 
@@ -476,8 +475,8 @@ def verify_construction(fixture: Fixture, seed: int = 0) -> VerificationReport:
     # kernel basis, only the rank of the images J(v).
     images = [jac_coeff.matvec(v) for v in sym]
     annihilated = all(x == 0 for image in images for x in image)
-    sym_rank = rank_exact(RationalMatrix.from_rows(sym))
-    stack_rank = kernel_dim + rank_exact(RationalMatrix.from_rows(images))
+    sym_rank = rank_exact(IntMatrix.from_rows(sym))
+    stack_rank = kernel_dim + rank_exact(IntMatrix.from_rows(images))
     record(10, "Jacobian kernel equals the symmetry span",
            annihilated and sym_rank == 4 and kernel_dim == 4 and stack_rank == 4,
            {"kernel_dim": kernel_dim, "symmetry_rank": sym_rank, "stack_rank": stack_rank,

@@ -13,11 +13,13 @@ list over its own least denominator.  The restricted gradient of
 `restrict_to_curve`, which each form is written from, is one pair (den,
 lists): integer coefficient lists over their least common denominator.  The
 coefficient form is a Toeplitz block per partial (`_convolution_matrix`) of
-those lists, so the matrix is in integers, den times the Jacobian, with its
-rank and kernel.  An evaluation row (`_evaluation_rows`) evaluates the
-homogenized partials by Horner at a point (a, b): at a rational t = a/b
-with integer lists it is an integer row, a positive multiple of the value
-row, and at (t, 1) the value row itself, exact or complex as t is.
+those lists, an `IntMatrix`, den times the Jacobian, with its rank and
+kernel.  An evaluation row (`_evaluation_rows`) evaluates the homogenized
+partials by Horner at a point (a, b): at a rational t = a/b with integer
+lists it is an integer row, a positive multiple of the value row, and at
+(t, 1) the value row itself, exact or complex as t is.  The evaluation form
+keeps such rows of values, which are printed and never eliminated exactly;
+`JacobianMatrix` alone labels rows and columns.
 """
 
 from __future__ import annotations
@@ -31,13 +33,11 @@ from math import gcd, lcm
 
 from .errors import DimensionError, InputError
 from .linalg import (
-    ComplexMatrix,
     MAX_D,
     MAX_DEGREE,
     MAX_N,
+    IntMatrix,
     KernelBasis,
-    RationalMatrix,
-    _scaled,
     format_rational,
     kernel_exact,
     parse_list,
@@ -48,6 +48,7 @@ from .poly import (
     MultiPoly,
     _curve_monomials,
     _int_mul,
+    _scaled,
     coprime,
     monomial_basis,
     restrict_to_curve,
@@ -196,35 +197,45 @@ class MembershipReport:
 
 @dataclass(frozen=True, eq=False)
 class JacobianMatrix:
-    """Jacobian of the incidence equations at a curve.
+    """Jacobian of the incidence equations at a curve, times den.
 
-    form is "coefficient" (rows = powers of t) or "evaluation" (rows = chosen
-    points); the matrix is rational unless evaluation points are irrational.
-    It is den times the Jacobian, which `to_obj` writes: the coefficient
-    form keeps its matrix in integers.
+    form is "coefficient" or "evaluation".  The coefficient form holds den
+    times the Jacobian as an `IntMatrix`, `matrix`, whose rank and kernel
+    are the Jacobian's; its rows are labelled by the powers of t.  The
+    evaluation form holds `rows`, one row of values per point of `points`:
+    Fractions at rational points, den times the Jacobian, the rows labelled
+    by the points; complex numbers otherwise, the Jacobian itself (den =
+    1), written as [real, imag] pairs without labels.  The columns are
+    labelled `col_labels`, and `to_obj` writes each exact entry x as x / den.
     """
 
-    matrix: RationalMatrix | ComplexMatrix
     form: str
-    points: tuple | None = None
+    col_labels: tuple[str, ...]
     den: int = 1
+    matrix: IntMatrix | None = None
+    rows: tuple = ()
+    points: tuple = ()
 
     @property
     def is_exact(self) -> bool:
-        return isinstance(self.matrix, RationalMatrix)
+        return all(isinstance(t, Fraction) for t in self.points)
 
     def to_obj(self) -> dict:
         m = self.matrix
-        obj = {"form": self.form, "exact": self.is_exact}
-        if self.is_exact:
-            entries = [[format_rational(Fraction(x, self.den)) for x in m.row(i)]
-                       for i in range(m.rows)]
-            obj["matrix"] = {"rows": m.rows, "cols": m.cols, "entries": entries}
-            obj["row_labels"] = list(m.row_labels or ())
-            obj["col_labels"] = list(m.col_labels or ())
+        if m is None:
+            rows, row_labels = self.rows, [f"t={_point_label(t)}" for t in self.points]
         else:
-            obj["matrix"] = m.to_obj()
-        if self.points is not None:
+            rows, row_labels = [m.row(i) for i in range(m.rows)], [f"k{j}" for j in range(m.rows)]
+        obj = {"form": self.form, "exact": self.is_exact,
+               "matrix": {"rows": len(rows), "cols": len(self.col_labels)}}
+        if self.is_exact:
+            obj["matrix"]["entries"] = [[format_rational(Fraction(x, self.den)) for x in row]
+                                        for row in rows]
+            obj["row_labels"], obj["col_labels"] = row_labels, list(self.col_labels)
+        else:
+            obj["matrix"]["entries"] = [[[float(z.real), float(z.imag)] for z in row]
+                                        for row in rows]
+        if self.points:
             obj["points"] = [_point_label(t) for t in self.points]
         return obj
 
@@ -289,22 +300,14 @@ def _common_ints(c: CurveParam) -> list[list[int]]:
     return [[x * (big // den) for x in xs] for den, xs in c.components]
 
 
-def _convolution_matrix(
-    ints: Sequence[Sequence[int]], d: int, nrows: int, row_labels=None, col_labels=None
-) -> RationalMatrix:
+def _convolution_matrix(ints: Sequence[Sequence[int]], d: int, nrows: int) -> IntMatrix:
     """Matrix of (v_m) -> sum_m g_m * v_m over coefficient bases, v_m of
     degree <= d and g_m the polynomial with integer coefficient list ints[m]
     (t**0 first): entry (row j, column (m, i)) is ints[m][j - i], a Toeplitz
     block per m, in integers."""
     entries = tuple(g[j - i] if 0 <= j - i < len(g) else 0
                     for j in range(nrows) for g in ints for i in range(d + 1))
-    return RationalMatrix(
-        nrows,
-        len(ints) * (d + 1),
-        entries,
-        tuple(row_labels) if row_labels is not None else None,
-        tuple(col_labels) if col_labels is not None else None,
-    )
+    return IntMatrix(nrows, len(ints) * (d + 1), entries)
 
 
 def _evaluation_rows(coeffs: Sequence[Sequence], d: int, points: Sequence[tuple]) -> list[list]:
@@ -355,16 +358,9 @@ def jacobian_coefficient_form(
     den (`JacobianMatrix.den`): the Jacobian's rank and kernel.
     """
     _check_curve(prob, c)
-    nrows = prob.num_equations
     den, ints = grads
-    matrix = _convolution_matrix(
-        ints,
-        prob.d,
-        nrows,
-        row_labels=[f"k{j}" for j in range(nrows)],
-        col_labels=theta_labels(prob.n, prob.d),
-    )
-    return JacobianMatrix(matrix, "coefficient", den=den)
+    matrix = _convolution_matrix(ints, prob.d, prob.num_equations)
+    return JacobianMatrix("coefficient", theta_labels(prob.n, prob.d), den, matrix=matrix)
 
 
 def jacobian_evaluation_form(
@@ -376,9 +372,12 @@ def jacobian_evaluation_form(
     """Jacobian with rows indexed by evaluation points.
 
     Entry (row s, column (m, i)) is (df/dz_m)(c(t_s)) * t_s**i, given
-    grads = (den, ints) = restricted_gradient(prob.f, c), from the
-    coefficients x / den.  On rational points this is exactly V times the
+    grads = (den, ints) = restricted_gradient(prob.f, c).  At rational
+    points the rows evaluate the integer lists exactly and keep den, as the
+    coefficient form does: they are den times V times the Jacobian's
     coefficient form, V the Vandermonde matrix with entry (s, j) = t_s**j.
+    At complex points they evaluate the floats x / den, each correctly
+    rounded.
     """
     _check_curve(prob, c)
     points = list(points)
@@ -388,23 +387,16 @@ def jacobian_evaluation_form(
         )
     exact = all(isinstance(t, Fraction) for t in points)
     den, ints = grads
-    coeffs = [[Fraction(x, den) for x in g] for g in ints]
     try:
         pts = [Fraction(t) if exact else complex(t) for t in points]
         if len(set(pts)) != len(pts):
             raise ValueError("evaluation points must be pairwise distinct")
+        coeffs = ints if exact else [[x / den for x in g] for g in ints]
         rows = _evaluation_rows(coeffs, prob.d, [(t, 1) for t in pts])
-    except OverflowError as exc:  # only complex evaluation turns Fractions into floats
+    except OverflowError as exc:  # only complex evaluation divides into floats
         raise ValueError("a point or a coefficient is beyond the float range") from exc
-    if exact:
-        matrix = RationalMatrix.from_rows(
-            rows,
-            row_labels=[f"t={_point_label(t)}" for t in pts],
-            col_labels=theta_labels(prob.n, prob.d),
-        )
-    else:
-        matrix = ComplexMatrix.from_rows(rows)
-    return JacobianMatrix(matrix, "evaluation", tuple(pts))
+    return JacobianMatrix("evaluation", theta_labels(prob.n, prob.d), den if exact else 1,
+                          rows=tuple(rows), points=tuple(pts))
 
 
 def symmetry_kernel_vectors(c: CurveParam) -> list[tuple[int, ...]]:
@@ -448,7 +440,7 @@ def quintics_through_curve(n: int, e: int, c: CurveParam) -> KernelBasis:
     for row in zip(*cols):
         g = gcd(*row) or 1
         entries.extend(x // g for x in row)
-    return kernel_exact(RationalMatrix(nrows, len(cols), tuple(entries)))
+    return kernel_exact(IntMatrix(nrows, len(cols), tuple(entries)))
 
 
 def random_member(

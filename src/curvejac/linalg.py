@@ -1,34 +1,33 @@
-"""Exact rational linear algebra plus a floating complex companion path.
+"""Exact linear algebra over the integers, plus a floating complex rank.
 
-All matrices here are small and dense.  Rational entries are Python ints or
-`fractions.Fraction` values (lowest terms, positive denominator), so every
-exact operation is exact end to end.  Every matrix the commands eliminate
-is in ints; an int row takes no Fraction work, neither in a matrix-vector
-product nor in its reduction mod p, and `from_rows` keeps ints as they are.
+All matrices here are small and dense.  The one matrix type, `IntMatrix`,
+holds Python ints: every matrix the commands eliminate is in integers, and
+rational rows are scaled to integers before they become one, which keeps
+the rank, the kernel and its lead-1 basis.  Every exact operation is exact
+end to end and builds no Fraction.
 
-`rank_exact` proves a rank from both sides.  Modulo a prime p that divides
-no denominator, the rank of the reduced matrix (each row scaled to integers
-by the lcm of its denominators, then reduced mod p and packed into one int)
-is a lower bound on the rank over Q.  An upper bound is min(rows, cols), or
-cols - k when the caller hands in k kernel witnesses that an exact matvec
+`rank_exact` proves a rank from both sides.  Modulo a prime p, the rank of
+the matrix reduced mod p (each row packed into one int) is a lower bound
+on the rank over Q.  An upper bound is min(rows, cols), or cols - k when
+the caller hands in k integer kernel witnesses that an exact matvec
 annihilates and that have full rank k.  When the rank mod one of a few
 primes just below 2**61 meets the upper bound, that is the rank; otherwise
 it falls back to the fraction-free elimination below.
 
 The kernel and the rank's fallback go through a single fraction-free
-elimination: each row is scaled to integers and pivoting follows Bareiss'
-scheme, which keeps intermediate entries as minors of the input instead of
-letting numerators explode.  The kernel's back-substitution is in integers
+elimination on a copy of the rows: pivoting follows Bareiss' scheme, which
+keeps intermediate entries as minors of the input instead of letting
+numerators explode.  The kernel's back-substitution is in integers
 too, each basis vector's numerators over one running denominator, touches
 only the entries that can be nonzero (its free column and the pivot columns
 already solved), and the basis keeps just those integers (`KernelBasis`).
 
-The complex path (`ComplexMatrix`, `rank_numeric`) serves only the
-evaluation-form Jacobian at user-given points that are not rational
-(`jacobian --form eval`); its rank counts the singular values above a
-tolerance times the largest, in pure Python: Householder reflections bring
-the matrix to bidiagonal form, and bisection on a Sturm count finds the
-largest singular value and counts those above the threshold.
+`rank_numeric` serves only the evaluation-form Jacobian at user-given
+points that are not rational (`jacobian --form eval`): it reads the rows of
+complex values and counts the singular values above a tolerance times the
+largest, in pure Python.  Householder reflections bring the rows to
+bidiagonal form, and bisection on a Sturm count finds the largest singular
+value and counts those above the threshold.
 
 The module also holds what every other one shares to read and write
 documents: the input parsers and size limits, `format_rational`, and
@@ -47,13 +46,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import DimensionError, InputError
 
 __all__ = [
-    "RationalMatrix",
-    "ComplexMatrix",
+    "IntMatrix",
     "KernelBasis",
     "parse_rational",
     "parse_int",
@@ -196,24 +194,14 @@ def _dump_into(x, nl: str, parts: list[str]) -> None:
         parts.append(json.dumps(x))
 
 
-def _scaled(xs: Sequence) -> tuple[int, list[int]]:
-    """(den, ints): den the lcm of the denominators of the rationals xs,
-    ints or Fractions, and ints = den * xs; integers pass as they are."""
-    if set(map(type, xs)) <= {int}:
-        return 1, list(xs)
-    den = lcm(*(x.denominator for x in xs))
-    return den, [x.numerator * (den // x.denominator) for x in xs]
-
-
 @dataclass(frozen=True)
-class RationalMatrix:
-    """Immutable dense matrix over the rationals, entries in row-major order."""
+class IntMatrix:
+    """Immutable dense matrix of Python ints, entries in row-major order; a
+    Fraction, float or bool entry is refused."""
 
     rows: int
     cols: int
-    entries: tuple[Fraction | int, ...]
-    row_labels: tuple[str, ...] | None = None
-    col_labels: tuple[str, ...] | None = None
+    entries: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.entries) != self.rows * self.cols:
@@ -221,70 +209,26 @@ class RationalMatrix:
                 f"matrix {self.rows}x{self.cols} needs {self.rows * self.cols} "
                 f"entries, got {len(self.entries)}"
             )
-        if self.row_labels is not None and len(self.row_labels) != self.rows:
-            raise DimensionError("row_labels length does not match row count")
-        if self.col_labels is not None and len(self.col_labels) != self.cols:
-            raise DimensionError("col_labels length does not match column count")
+        if not set(map(type, self.entries)) <= {int}:
+            raise TypeError("matrix entries must be ints")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], row_labels=None, col_labels=None):
-        rows = [list(r) for r in rows]
+    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
         if not rows:
             raise DimensionError("cannot build a matrix from zero rows")
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise DimensionError("ragged rows")
-        entries = tuple(x if type(x) is int else Fraction(x) for r in rows for x in r)
-        return cls(
-            len(rows),
-            ncols,
-            entries,
-            tuple(row_labels) if row_labels is not None else None,
-            tuple(col_labels) if col_labels is not None else None,
-        )
+        return cls(len(rows), ncols, tuple(x for r in rows for x in r))
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
+    def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def matvec(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Exact product; each row sums integers over a common denominator
-        (`_scaled`), so an integer row times an integer vector is an int
-        and builds no Fraction."""
+    def matvec(self, v: Sequence) -> tuple:
+        """Exact product; an int vector gives ints."""
         if len(v) != self.cols:
             raise DimensionError("vector length does not match column count")
-        vden, w = _scaled(v)
-        out = []
-        for i in range(self.rows):
-            rden, row = _scaled(self.row(i))
-            total = sum(map(operator.mul, row, w))
-            out.append(total if rden * vden == 1 else Fraction(total, rden * vden))
-        return tuple(out)
-
-
-@dataclass(frozen=True)
-class ComplexMatrix:
-    """Dense complex matrix for evaluation points outside the rationals,
-    a tuple of rows of Python complex numbers."""
-
-    rows: int
-    cols: int
-    data: tuple[tuple[complex, ...], ...]
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[complex]]) -> "ComplexMatrix":
-        data = tuple(tuple(complex(x) for x in r) for r in rows)
-        if not data:
-            raise DimensionError("cannot build a matrix from zero rows")
-        if any(len(r) != len(data[0]) for r in data):
-            raise DimensionError("ragged rows")
-        return cls(len(data), len(data[0]), data)
-
-    def to_obj(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[[float(z.real), float(z.imag)] for z in row] for row in self.data],
-        }
+        return tuple(sum(map(operator.mul, self.row(i), v)) for i in range(self.rows))
 
 
 @dataclass(frozen=True)
@@ -317,20 +261,15 @@ class KernelBasis:
         return {"ambient_dim": self.ambient_dim, "vectors": vectors}
 
 
-def _cleared_int_rows(m: RationalMatrix) -> list[list[int]]:
-    """Each row scaled to integers by the lcm of its denominators."""
-    return [_scaled(m.row(i))[1] for i in range(m.rows)]
-
-
-def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free forward elimination.
+def _bareiss_echelon(m: IntMatrix) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free forward elimination on a copy of m's rows.
 
     Returns (echelon rows, pivot column indices).
     Pivots are chosen by largest absolute value in the current column, ties
     broken by lowest row index, so elimination traces are reproducible.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    nrows, ncols = m.rows, m.cols
     piv_cols: list[int] = []
     prev = 1
     r = 0
@@ -362,23 +301,17 @@ def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]
 _PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45)
 
 
-def _rows_mod(m: RationalMatrix, p: int, size: int) -> list[int] | None:
-    """Each row scaled to integers by the lcm L of its denominators, reduced
-    mod p and packed into one int, column c in slot c of `size` bytes
-    counted from the least significant end; None when p divides some L.
-    Scaling a row by L, a unit mod p, keeps the rank mod p."""
-    rows = []
-    for i in range(m.rows):
-        den, r = _scaled(m.row(i))
-        if den % p == 0:
-            return None
-        rows.append(int.from_bytes(b"".join([(x % p).to_bytes(size, "big") for x in reversed(r)]),
-                                   "big"))
-    return rows
+def _rows_mod(m: IntMatrix, p: int, size: int) -> list[int]:
+    """Each row reduced mod p and packed into one int, column c in slot c of
+    `size` bytes counted from the least significant end: the entries are
+    written little-endian into one byte string, cut into rows."""
+    data = b"".join([(x % p).to_bytes(size, "little") for x in m.entries])
+    step = size * m.cols
+    return [int.from_bytes(data[i * step : (i + 1) * step], "little") for i in range(m.rows)]
 
 
-def _rank_mod(m: RationalMatrix, p: int) -> int | None:
-    """Rank of m over Z/p, None when p divides a denominator.
+def _rank_mod(m: IntMatrix, p: int) -> int:
+    """Rank of m over Z/p.
 
     Gaussian elimination on rows packed one int each by `_rows_mod`, with
     reduction mod p delayed (Dumas, Giorgi and Pernet, ACM TOMS 35(3),
@@ -400,8 +333,6 @@ def _rank_mod(m: RationalMatrix, p: int) -> int | None:
     ncols, b = m.cols, p.bit_length()
     size = (2 * b + min(m.rows, ncols).bit_length() + 7) // 8
     rows = _rows_mod(m, p, size)
-    if rows is None:
-        return None
     bits = 8 * size
     mask, delta = (1 << bits) - 1, (1 << b) - p
     # In every slot: its low b bits, and its bits from b up once shifted down by b.
@@ -431,13 +362,13 @@ def _rank_mod(m: RationalMatrix, p: int) -> int | None:
     return rank
 
 
-def rank_exact(m: RationalMatrix, witnesses: Sequence[Sequence[Fraction]] = ()) -> int:
+def rank_exact(m: IntMatrix, witnesses: Sequence[Sequence[int]] = ()) -> int:
     """Exact rank over the rationals, certified from both sides.
 
-    The rank mod a prime that divides no denominator is a lower bound.  The
-    upper bound is min(rows, cols), or min(rows, cols - k) when the k
-    witnesses all lie in the kernel (checked by exact matvec) and have full
-    rank k; otherwise they are ignored.  The first of _PRIMES whose rank
+    The rank mod a prime is a lower bound.  The upper bound is min(rows,
+    cols), or min(rows, cols - k) when the k integer witnesses all lie in
+    the kernel (checked by exact matvec) and have full rank k; otherwise
+    they are ignored.  The first of _PRIMES whose rank
     meets the upper bound decides; if none does, fraction-free elimination
     over the integers gives the rank.  A matrix with no nonzero entry has
     rank 0 at once.
@@ -451,15 +382,15 @@ def rank_exact(m: RationalMatrix, witnesses: Sequence[Sequence[Fraction]] = ()) 
         return 0
     bound = min(m.rows, m.cols)
     if (witnesses and all(not any(m.matvec(w)) for w in witnesses)
-            and rank_exact(RationalMatrix.from_rows(witnesses)) == len(witnesses)):
+            and rank_exact(IntMatrix.from_rows(witnesses)) == len(witnesses)):
         bound = min(bound, m.cols - len(witnesses))
     for p in _PRIMES:
         if _rank_mod(m, p) == bound:
             return bound
-    return len(_bareiss_echelon(_cleared_int_rows(m))[1])
+    return len(_bareiss_echelon(m)[1])
 
 
-def kernel_exact(m: RationalMatrix) -> KernelBasis:
+def kernel_exact(m: IntMatrix) -> KernelBasis:
     """Exact basis of the right null space, each vector sparse in integers
     (`KernelBasis`).
 
@@ -475,7 +406,7 @@ def kernel_exact(m: RationalMatrix) -> KernelBasis:
     their gcd and signed so that the first is positive, are the vector over
     its first one.
     """
-    ech, piv_cols = _bareiss_echelon(_cleared_int_rows(m))
+    ech, piv_cols = _bareiss_echelon(m)
     piv_set = set(piv_cols)
     vectors = []
     for fc in (c for c in range(m.cols) if c not in piv_set):
@@ -516,8 +447,8 @@ def _reflector(x: list[complex]) -> tuple[float, list[complex], float]:
     return math.ldexp(norm, e), [phase * (a0 + norm)] + x[1:], 1.0 / (norm * (norm + a0))
 
 
-def _bidiagonal(m: ComplexMatrix) -> list[float]:
-    """The Golub-Kahan bidiagonal form of m scaled by the power of two 2**-e
+def _bidiagonal(m: Sequence[Sequence[complex]]) -> list[float]:
+    """The Golub-Kahan bidiagonal form of the matrix of rows m scaled by the power of two 2**-e
     that brings its largest entry part into [1/2, 1), as the moduli
     d0, e0, d1, e1, ..., d_{k-1} of its diagonal and superdiagonal
     interleaved, k = min(rows, cols); its singular values are m's, so
@@ -528,7 +459,7 @@ def _bidiagonal(m: ComplexMatrix) -> list[float]:
     row and one column per step (Golub and Kahan, SIAM J. Numer. Anal. 2,
     1965); each row takes both reflections of a step in one pass.
     """
-    w = [list(r) for r in m.data] if m.rows >= m.cols else [list(c) for c in zip(*m.data)]
+    w = [list(r) for r in m] if len(m) >= len(m[0]) else [list(c) for c in zip(*m)]
     big = max((max(abs(z.real), abs(z.imag)) for r in w for z in r), default=0.0)
     if not big:
         return [0.0] * (2 * len(w[0]) - 1)
@@ -590,19 +521,20 @@ def _bisect(b: Sequence[float], k: int) -> float:
     return (lo + hi) / 2
 
 
-def _singular_values(m: ComplexMatrix) -> list[float]:
-    """Singular values of m scaled as in `_bidiagonal`, in descending order,
+def _singular_values(m: Sequence[Sequence[complex]]) -> list[float]:
+    """Singular values of the matrix of rows m scaled as in `_bidiagonal`, in descending order,
     each by bisection to within a rounding of the largest (`_bisect`)."""
     b = _bidiagonal(m)
     return [_bisect(b, k) for k in range(1, (len(b) + 3) // 2)]
 
 
-def rank_numeric(m: ComplexMatrix, tol: float = 1e-8) -> int:
-    """Count singular values above tol times the largest one: the largest
-    by `_bisect`, then one Sturm count (`_below`), pure Python."""
+def rank_numeric(m: Sequence[Sequence[complex]], tol: float = 1e-8) -> int:
+    """Count the singular values of the matrix of rows m above tol times the
+    largest one: the largest by `_bisect`, then one Sturm count (`_below`),
+    pure Python."""
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    if not all(cmath.isfinite(z) for row in m.data for z in row):
+    if not all(cmath.isfinite(z) for row in m for z in row):
         raise ValueError("matrix has non-finite entries")
     b = _bidiagonal(m)
     top = _bisect(b, 1)

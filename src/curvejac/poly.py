@@ -43,7 +43,7 @@ from itertools import count
 from math import copysign, gcd, inf, isqrt, lcm, ldexp
 
 from .errors import DimensionError, InputError
-from .linalg import _PRIMES, _scaled, format_rational, parse_int, parse_list, parse_rational
+from .linalg import _PRIMES, format_rational, parse_int, parse_list, parse_rational
 
 __all__ = [
     "MultiPoly",
@@ -53,6 +53,15 @@ __all__ = [
     "grlex_key",
     "squarefree_roots",
 ]
+
+
+def _scaled(xs: Sequence) -> tuple[int, list[int]]:
+    """(den, ints): den the lcm of the denominators of the rationals xs,
+    ints or Fractions, and ints = den * xs; integers pass as they are."""
+    if set(map(type, xs)) <= {int}:
+        return 1, list(xs)
+    den = lcm(*(x.denominator for x in xs))
+    return den, [x.numerator * (den // x.denominator) for x in xs]
 
 
 def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:

@@ -2,12 +2,14 @@
 
 Everything here is deliberately naive and separate from the package's code
 paths: plain Gauss-Jordan over Fractions (no fraction-free tricks),
-elimination mod p on lists of reduced entries (no packed rows),
+elimination mod p on lists of reduced entries (no packed rows), rows of
+rationals scaled to the integer rows the package's one matrix type holds,
 kernel vectors and sampled members as dense vectors of Fractions, matrix
 rows cut from the row-major entries, coefficient lists padded, combined and
 multiplied over Fractions by the schoolbook loop, the symmetry directions of
 a curve from those products, exact Newton
 interpolation for first-order Taylor extraction, Vandermonde matrices,
+evaluation rows at complex points from Fraction coefficients,
 matrix products and cofactor determinants from their definitions, block
 slicing, reassembly and closed forms by list arithmetic, an exhaustive
 smoothness search over a prime field, gcds over Q (coprimality, smoothness
@@ -22,6 +24,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 from itertools import product
+from math import lcm
 
 import mpmath
 import sympy
@@ -97,15 +100,53 @@ def dense_kernel(basis):
     return tuple(vectors)
 
 
+def int_rows(rows):
+    """Rows of rationals as rows of ints, each scaled by the lcm of its
+    denominators: the rows an `IntMatrix` takes.  Scaling a row keeps the
+    rank, the kernel and its lead-1 basis, and a scaled kernel vector is a
+    kernel vector."""
+    out = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        den = lcm(*(x.denominator for x in row))
+        out.append([int(x * den) for x in row])
+    return out
+
+
 def matrix_rows(m):
-    """A `RationalMatrix` as a list of rows, cut from its row-major entries."""
+    """An `IntMatrix` as a list of rows, cut from its row-major entries."""
     return [list(m.entries[i * m.cols : (i + 1) * m.cols]) for i in range(m.rows)]
 
 
 def jacobian_rows(jac):
-    """The Jacobian a `JacobianMatrix` stands for, as rows of Fractions: its
-    matrix divided by its den."""
-    return [[Fraction(x, jac.den) for x in row] for row in matrix_rows(jac.matrix)]
+    """The exact Jacobian a `JacobianMatrix` stands for, as rows of
+    Fractions: the coefficient form's matrix, or the evaluation form's rows,
+    divided by its den."""
+    rows = jac.rows if jac.matrix is None else matrix_rows(jac.matrix)
+    return [[Fraction(x, jac.den) for x in row] for row in rows]
+
+
+def fraction_complex_rows(pair, d, points):
+    """Evaluation rows at complex points from the Fraction coefficients
+    x / den of a pair (den, lists), the restricted gradient: entry (s, (m,
+    i)) is g_m(t_s) * t_s**i, g_m(t_s) by Horner's rule with each Fraction
+    added into a complex accumulator and t_s**i the running product of
+    t_s's.  The evaluation form built these rows from Fractions before it
+    read the integer lists."""
+    den, lists = pair
+    rows = []
+    for t in points:
+        powers = [1]
+        for _ in range(d):
+            powers.append(powers[-1] * t)
+        row = []
+        for xs in lists:
+            acc = 0
+            for x in reversed(xs):
+                acc = acc * t + Fraction(x, den)
+            row.extend(acc * w for w in powers)
+        rows.append(row)
+    return rows
 
 
 def dense_random_member(vectors, seed, monomials):
@@ -345,11 +386,11 @@ def a22_closed_form(lc, grads, points):
             for t in points]
 
 
-def permute_z4_first(matrix, d):
+def permute_z4_first(rows, d):
     """Rows of an exact (n=4) Jacobian with the z4-component columns moved to
     the front, matching the block order."""
     order = list(range(4 * (d + 1), 5 * (d + 1))) + list(range(4 * (d + 1)))
-    return [[row[j] for j in order] for row in matrix_rows(matrix)]
+    return [[row[j] for j in order] for row in rows]
 
 
 def _eval_mod(poly, point, prime):

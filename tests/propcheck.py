@@ -19,10 +19,8 @@ from curvejac.incidence import (CurveParam, IncidenceProblem, _convolution_matri
                                 random_member, restricted_gradient, symmetry_kernel_vectors)
 from curvejac.linalg import (
     _PRIMES,
-    ComplexMatrix,
-    RationalMatrix,
+    IntMatrix,
     _bareiss_echelon,
-    _cleared_int_rows,
     _dump,
     _rank_mod,
     _singular_values,
@@ -327,8 +325,9 @@ def symmetry_annihilation_suite(seed, draws):
 
 
 def random_matrix(rng, rows, cols):
-    return RationalMatrix.from_rows(
-        [[random_fraction(rng) for _ in range(cols)] for _ in range(rows)]
+    """Random rational rows, scaled to integers (`oracles.int_rows`)."""
+    return IntMatrix.from_rows(
+        oracles.int_rows([[random_fraction(rng) for _ in range(cols)] for _ in range(rows)])
     )
 
 
@@ -364,7 +363,7 @@ KERNEL_KINDS = ("wide", "non-dividing-pivots", "200-bit", "zero-columns", "defic
 
 def _bareiss_pivots(rows):
     """The pivot columns and pivots of kernel_exact's elimination."""
-    ech, piv_cols = _bareiss_echelon(_cleared_int_rows(RationalMatrix.from_rows(rows)))
+    ech, piv_cols = _bareiss_echelon(IntMatrix.from_rows(oracles.int_rows(rows)))
     return piv_cols, [ech[i][c] for i, c in enumerate(piv_cols)]
 
 
@@ -428,7 +427,7 @@ def wide_kernel_basis_suite(seed, draws, kinds=KERNEL_KINDS[:1]):
             for v in oracle_kernel
             for lead in [next(x for x in v if x != 0)]
         )
-        got = oracles.dense_kernel(kernel_exact(RationalMatrix.from_rows(rows)))
+        got = oracles.dense_kernel(kernel_exact(IntMatrix.from_rows(oracles.int_rows(rows))))
         assert got == want, (kind, rows)
     return draws
 
@@ -453,10 +452,9 @@ def stack_rank_suite(seed, draws):
                             for j in range(cols)])
             else:
                 sym.append([random_fraction(rng) for _ in range(cols)])
-        images = RationalMatrix.from_rows([m.matvec(v) for v in sym])
-        image_rank = rank_exact(images)
+        image_rank = rank_exact(IntMatrix.from_rows(oracles.int_rows([m.matvec(v) for v in sym])))
         kinds.add(image_rank == 0)
-        stack = RationalMatrix.from_rows([list(v) for v in vectors] + sym)
+        stack = IntMatrix.from_rows(oracles.int_rows([*vectors, *sym]))
         assert rank_exact(stack) == kernel.dim + image_rank
     assert kinds == {True, False}, "the draws did not cover both J*S = 0 and J*S != 0"
     return draws
@@ -471,11 +469,11 @@ def _product(rng, rows, inner, cols):
 
 
 def _ranks_mod(m):
-    """The rank of m mod each listed prime; None where a denominator is 0 mod p."""
+    """The rank of m mod each listed prime."""
     return [_rank_mod(m, p) for p in _PRIMES]
 
 
-MODULAR_RANK_KINDS = ("plain", "den-first-prime", "singular-first-prime",
+MODULAR_RANK_KINDS = ("plain", "singular-first-prime",
                       "singular-every-prime", "bogus-witness", "dependent-witnesses",
                       "kernel-witnesses")
 
@@ -486,13 +484,14 @@ def modular_rank_suite(seed, draws):
     The draws cycle through MODULAR_RANK_KINDS.  A low-rank product L is
     perturbed by P * S, S random integers, with P the first listed prime or
     the product of all of them: mod those primes the matrix is L, over Q it
-    is generically of full rank, so the modular rank falls short and the
-    next prime or the fraction-free fallback must decide.  One kind puts the
-    first prime in a denominator.  The witness kinds hand in the oracle's
-    kernel basis, alone or with one vector outside the kernel, or with one
-    dependent vector, on matrices singular mod every prime: a witness taken
-    on trust would bound the rank by exactly its rank mod p, one too low.
-    Each draw asserts that it has the property its kind names.
+    is of full rank (S is redrawn until it is), so the modular rank falls
+    short and the next prime or the fraction-free fallback must decide.
+    Rows and witnesses are scaled to integers (`oracles.int_rows`).  The
+    witness kinds hand in the oracle's kernel basis, alone or with one
+    vector outside the kernel, or with one dependent vector, on matrices
+    singular mod every prime: a witness taken on trust would bound the rank
+    by exactly its rank mod p, one too low.  Each draw asserts that it has
+    the property its kind names.
     """
     rng = random.Random(seed)
     every = 1
@@ -505,20 +504,15 @@ def modular_rank_suite(seed, draws):
         witnesses = []
         if kind in ("plain", "kernel-witnesses"):
             rows = _product(rng, nrows, rng.randint(0, full), cols)
-        elif kind == "den-first-prime":
-            rows = _product(rng, nrows, rng.randint(1, full), cols)
-            den = Fraction(rng.randint(1, 9), _PRIMES[0])
-            rows[rng.randrange(nrows)][rng.randrange(cols)] = den
         else:
             scale = _PRIMES[0] if kind == "singular-first-prime" else every
             low = _product(rng, nrows, full - 1, cols)
-            rows = [[x + scale * rng.randint(-9, 9) for x in row] for row in low]
+            rows = low
+            while oracles.rref_rank(rows, cols) < full:
+                rows = [[x + scale * rng.randint(-9, 9) for x in row] for row in low]
         rank, kernel = oracles.rref_rank_kernel(rows, cols)
-        m = RationalMatrix.from_rows(rows)
+        m = IntMatrix.from_rows(oracles.int_rows(rows))
         mod = _ranks_mod(m)
-        if kind == "den-first-prime":
-            assert mod[0] is None and rank_exact(m) == rank
-            continue
         if kind == "singular-first-prime":
             assert mod[0] < rank, (kind, rows)
         if kind in ("singular-every-prime", "bogus-witness", "dependent-witnesses"):
@@ -535,18 +529,12 @@ def modular_rank_suite(seed, draws):
             dependent = [sum(col, Fraction(0)) for col in zip(*kernel)] or [Fraction(0)] * cols
             witnesses = kernel + [dependent]
             assert all(r == cols - len(witnesses) for r in mod), (kind, rows)
-        assert rank_exact(m, witnesses) == rank, (kind, rows, witnesses)
+        assert rank_exact(m, oracles.int_rows(witnesses)) == rank, (kind, rows, witnesses)
     return draws
 
 
 PACKED_RANK_KINDS = ("small", "tall", "wide", "zero-rows", "zero-columns", "deficient",
                      "large", "worst")
-
-
-def _mod(x, p):
-    """A rational x mod p, its denominator a unit."""
-    x = Fraction(x)
-    return x.numerator * pow(x.denominator, -1, p) % p
 
 
 def _worst_rows(rng, p, n):
@@ -579,8 +567,8 @@ def packed_rank_suite(seed, draws):
     first of each prime exactly 129x153 or 153x129), and the worst slot case
     (`_worst_rows`), sized so that its largest slot, (n - 1)(p - 1)**2 plus
     an entry, needs every byte of a slot wide enough for min(rows, cols) *
-    2**(2 bitlen(p)).  Entries are ints of up to 40 digits, some rows
-    Fractions.  Each draw asserts it has its kind's property.
+    2**(2 bitlen(p)).  Entries are ints of up to 40 digits.  Each draw
+    asserts it has its kind's property.
     """
     rng = random.Random(seed)
     first_large = set()
@@ -627,16 +615,12 @@ def packed_rank_suite(seed, draws):
             k = min(len(rows), cols)
             size = (2 * p.bit_length() + k.bit_length() + 7) // 8
             assert (n - 1) * (p - 1) ** 2 >= 1 << (8 * size - 8), (kind, n, size)
-        if kind in ("small", "tall", "wide"):
-            for i in rng.sample(range(nrows), rng.randint(0, nrows)):
-                rows[i] = [Fraction(x, rng.randint(1, 9)) for x in rows[i]]
-        want = oracles.rank_mod_lists([[_mod(x, p) for x in r] for r in rows], p)
+        want = oracles.rank_mod_lists([[x % p for x in r] for r in rows], p)
         if kind == "deficient":
             assert want <= inner, (kind, inner, want)
         elif kind == "worst":
             assert want == n, (kind, n, want)
-        m = RationalMatrix.from_rows(rows)
-        assert _rank_mod(m, p) == want, (kind, p, rows)
+        assert _rank_mod(IntMatrix.from_rows(rows), p) == want, (kind, p, rows)
     return draws
 
 
@@ -689,12 +673,11 @@ def numeric_rank_suite(seed, draws, tol=1e-8):
             rows = [[0j] * cols for _ in range(nrows)]
         else:
             rows = _gaussian(rng, nrows, cols)
-        cm = ComplexMatrix.from_rows(rows)
         ref = numpy.linalg.svd(numpy.array(rows, dtype=complex), compute_uv=False)
-        s = _singular_values(cm)
+        s = _singular_values(rows)
         assert len(s) == len(ref), (kind, rows)
         rank = int(numpy.count_nonzero(ref > tol * ref[0])) if ref[0] else 0
-        assert rank_numeric(cm, tol) == rank, (kind, rows)
+        assert rank_numeric(rows, tol) == rank, (kind, rows)
         if kind == "product":
             assert rank == r, (kind, rows)
         if not ref[0]:

@@ -23,7 +23,7 @@ from curvejac.incidence import (
     restricted_gradient,
     symmetry_kernel_vectors,
 )
-from curvejac.linalg import RationalMatrix, kernel_exact, rank_exact, rank_numeric
+from curvejac.linalg import IntMatrix, kernel_exact, rank_exact, rank_numeric
 from curvejac.poly import monomial_basis, restrict_to_curve
 
 import oracles
@@ -66,10 +66,10 @@ def test_criterion_1_fixture_a_rank_and_kernel(fixture_a, jacobian_command):
         sym = symmetry_kernel_vectors(fixture_a.c0)
         # mutual containment of two exact 4-dimensional spaces
         assert kernel.dim == 4
-        assert rank_exact(RationalMatrix.from_rows(sym)) == 4
+        assert rank_exact(IntMatrix.from_rows(sym)) == 4
         for v in sym:
             assert all(x == 0 for x in jac.matrix.matvec(v))
-        stack = RationalMatrix.from_rows([list(v) for v in oracles.dense_kernel(kernel)] + sym)
+        stack = IntMatrix.from_rows(oracles.int_rows(oracles.dense_kernel(kernel)) + sym)
         assert rank_exact(stack) == 4
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"took {elapsed:.2f}s, limit 1s"
@@ -95,7 +95,7 @@ def test_criterion_3_block_suite(fixture_a):
         jac = jacobian_evaluation_form(prob, fixture_a.c0, A_POINTS, grads)
         lc = on_curve(fixture_a.l, fixture_a.c0)
         pc = on_curve(fixture_a.p, fixture_a.c0)
-        blocks = oracles.split_blocks(oracles.matrix_rows(jac.matrix), fixture_a.d)
+        blocks = oracles.split_blocks(oracles.jacobian_rows(jac), fixture_a.d)
         closed11 = oracles.a11_closed_form(pc, A_POINTS[:2])
         extracted11 = [row[::-1] for row in blocks["a11"]]  # descending powers
         assert extracted11 == closed11
@@ -106,7 +106,7 @@ def test_criterion_3_block_suite(fixture_a):
         assert blocks["a22"] == closed22
         a0 = [[x / propcheck.evaluate(lc, t) for x in row]
               for row, t in zip(blocks["a22"], A_POINTS[2:])]
-        assert rank_exact(RationalMatrix.from_rows(a0)) == 4 == 4 * fixture_a.d
+        assert rank_exact(IntMatrix.from_rows(oracles.int_rows(a0))) == 4 == 4 * fixture_a.d
         # rows of the mixed block at roots of l(c0(t)) vanish exactly
         assert all(x == 0 for x in blocks["a12"][0])
         extra_zero = all(x == 0 for x in blocks["a12"][1])
@@ -142,8 +142,9 @@ def test_criterion_5_vandermonde_identity(fixture_a, fixture_b, fixture_b_nonspl
                 j_eval = jacobian_evaluation_form(oracles.problem(fix), fix.c0, pts, grads)
                 v = oracles.vandermonde(pts, len(pts))
                 assert (oracles.matmul(v, oracles.jacobian_rows(j_coeff))
-                        == oracles.matrix_rows(j_eval.matrix))
-                assert rank_exact(j_eval.matrix) == rank_exact(j_coeff.matrix)
+                        == oracles.jacobian_rows(j_eval))
+                eval_matrix = IntMatrix.from_rows(oracles.int_rows(j_eval.rows))
+                assert rank_exact(eval_matrix) == rank_exact(j_coeff.matrix)
         # complex path: l restricting to 1 + t^2 forces roots at +-i
         fx = fixture_b_nonsplit
         pair = restrict_to_curve([[fx.l, fx.p]], fx.c0.components)[0]
@@ -153,7 +154,7 @@ def test_criterion_5_vandermonde_identity(fixture_a, fixture_b, fixture_b_nonspl
         grads = restricted_gradient(oracles.problem(fx).f, fx.c0)
         j_eval = jacobian_evaluation_form(oracles.problem(fx), fx.c0, points, grads)
         exact_rank = rank_exact(jacobian_coefficient_form(oracles.problem(fx), fx.c0, grads).matrix)
-        assert rank_numeric(j_eval.matrix, 1e-8) == exact_rank == 11
+        assert rank_numeric(j_eval.rows, 1e-8) == exact_rank == 11
 
 
 def test_criterion_6_through_curve(fixture_a, fixture_b):
@@ -165,8 +166,7 @@ def test_criterion_6_through_curve(fixture_a, fixture_b):
             assert basis.ambient_dim == 126
             assert basis.dim == expected
             f0_vec = [oracles.f0(fix).terms.get(m, F(0)) for m in mons]
-            stack = RationalMatrix.from_rows(
-                [list(v) for v in oracles.dense_kernel(basis)] + [f0_vec])
+            stack = IntMatrix.from_rows(oracles.int_rows([*oracles.dense_kernel(basis), f0_vec]))
             assert rank_exact(stack) == expected
 
 

@@ -420,9 +420,9 @@ class TestSampleCommand:
         shapes = []
         eliminate = linalg._bareiss_echelon
 
-        def spy(rows):
-            shapes.append((len(rows), len(rows[0])))
-            return eliminate(rows)
+        def spy(m):
+            shapes.append((m.rows, m.cols))
+            return eliminate(m)
 
         monkeypatch.setattr(linalg, "_bareiss_echelon", spy)
         argv = ["sample", str(DATA / "curve-conic.json"), "--count", "3", "--seed", "1"]

@@ -26,7 +26,7 @@ from curvejac.incidence import (
     restricted_gradient,
     symmetry_kernel_vectors,
 )
-from curvejac.linalg import RationalMatrix, kernel_exact, rank_exact
+from curvejac.linalg import IntMatrix, kernel_exact, rank_exact
 from curvejac.poly import MultiPoly, _polyroots, restrict_to_curve
 
 import oracles
@@ -223,7 +223,7 @@ class TestBlocks:
         prob = oracles.problem(fixture_a)
         grads = restricted_gradient(prob.f, fixture_a.c0)
         jac = jacobian_evaluation_form(prob, fixture_a.c0, A_POINTS, grads)
-        return jac, oracles.split_blocks(oracles.matrix_rows(jac.matrix), fixture_a.d)
+        return jac, oracles.split_blocks(oracles.jacobian_rows(jac), fixture_a.d)
 
     def a0_a(self, fixture_a):
         """l(c0(t_s)) at the lower points, and a22 with each row divided by it."""
@@ -242,7 +242,8 @@ class TestBlocks:
 
     def test_reassembly(self, fixture_a):
         jac, blocks = self.blocks_a(fixture_a)
-        assert oracles.reassemble_blocks(blocks) == oracles.permute_z4_first(jac.matrix, 1)
+        assert (oracles.reassemble_blocks(blocks)
+                == oracles.permute_z4_first(oracles.jacobian_rows(jac), 1))
 
     def test_a12_row_at_root_vanishes(self, fixture_a):
         _, blocks = self.blocks_a(fixture_a)
@@ -345,7 +346,7 @@ class TestBlocks:
 
     def test_a0_rank(self, fixture_a):
         l_values, a0 = self.a0_a(fixture_a)
-        assert rank_exact(RationalMatrix.from_rows(a0)) == 4
+        assert rank_exact(IntMatrix.from_rows(oracles.int_rows(a0))) == 4
         assert oracles.rref_rank(a0, 8) == 4
         assert all(v != 0 for v in l_values)  # no flagged rows
 
@@ -616,7 +617,7 @@ class TestDerivedGradient:
             kernel = kernel_exact(jac)
             assert by_id[9]["tangent_dim"] == kernel.dim, fix.name
             sym = symmetry_kernel_vectors(fix.c0)
-            stack = RationalMatrix.from_rows(list(oracles.dense_kernel(kernel)) + sym)
+            stack = IntMatrix.from_rows(oracles.int_rows(oracles.dense_kernel(kernel)) + sym)
             assert by_id[10]["stack_rank"] == rank_exact(stack), fix.name
             annihilated = all(not any(jac.matvec(v)) for v in sym)
             assert by_id[10]["symmetry_annihilated"] is annihilated, fix.name
@@ -676,9 +677,7 @@ class TestFiniteFieldSmoothnessOracle:
 
 
 def test_render_matrix_elides_wide_matrices():
-    wide = RationalMatrix.from_rows([[F(i) for i in range(15)]])
-    rows = render_matrix(oracles.matrix_rows(wide))
+    rows = render_matrix([[F(i) for i in range(15)]])
     assert len(rows[0]) == 12
     assert rows[0][-1] == "... (4 more)"
-    narrow = RationalMatrix.from_rows([[F(1, 2), F(3)]])
-    assert render_matrix(oracles.matrix_rows(narrow)) == [["1/2", "3"]]
+    assert render_matrix([[F(1, 2), F(3)]]) == [["1/2", "3"]]

@@ -22,7 +22,7 @@ from curvejac.incidence import (
     theta_labels,
     vanishes_on_curve,
 )
-from curvejac.linalg import (_PRIMES, KernelBasis, RationalMatrix, format_rational, kernel_exact,
+from curvejac.linalg import (_PRIMES, IntMatrix, KernelBasis, format_rational, kernel_exact,
                              rank_exact)
 from curvejac.poly import MultiPoly, monomial_basis, restrict_to_curve
 
@@ -133,7 +133,7 @@ class TestJacobianCoefficientForm:
         kernel = kernel_exact(jac.matrix)
         assert kernel.dim == 4
         sym = symmetry_kernel_vectors(fixture_a.c0)
-        stacked = RationalMatrix.from_rows([list(v) for v in oracles.dense_kernel(kernel)] + sym)
+        stacked = IntMatrix.from_rows(oracles.int_rows(oracles.dense_kernel(kernel)) + sym)
         assert rank_exact(stacked) == 4
 
     def test_integer_matrix_is_den_times_the_jacobian(self):
@@ -177,7 +177,7 @@ class TestJacobianEvaluationForm:
     def test_z4_rows(self):
         grads = restricted_gradient(z4_problem().f, line_curve())
         jac = jacobian_evaluation_form(z4_problem(), line_curve(), [F(0), F(1)], grads)
-        rows = oracles.matrix_rows(jac.matrix)
+        rows = oracles.jacobian_rows(jac)
         labels = theta_labels(4, 1)
         z4_cols = [labels.index("c4[t^0]"), labels.index("c4[t^1]")]
         assert [rows[0][c] for c in z4_cols] == [1, 0]
@@ -194,8 +194,9 @@ class TestJacobianEvaluationForm:
         j_coeff = jacobian_coefficient_form(prob, fixture_a.c0, grads)
         v = oracles.vandermonde(points, 6)
         assert (oracles.matmul(v, oracles.jacobian_rows(j_coeff))
-                == oracles.matrix_rows(j_eval.matrix))
-        assert rank_exact(j_eval.matrix) == rank_exact(j_coeff.matrix) == 6
+                == oracles.jacobian_rows(j_eval))
+        eval_matrix = IntMatrix.from_rows(oracles.int_rows(j_eval.rows))
+        assert rank_exact(eval_matrix) == rank_exact(j_coeff.matrix) == 6
 
     def test_vandermonde_factorization_random_points(self, fixture_b):
         rng = random.Random(17)
@@ -211,7 +212,30 @@ class TestJacobianEvaluationForm:
             j_eval = jacobian_evaluation_form(prob, fixture_b.c0, points, grads)
             v = oracles.vandermonde(points, 11)
             assert (oracles.matmul(v, oracles.jacobian_rows(j_coeff))
-                    == oracles.matrix_rows(j_eval.matrix))
+                    == oracles.jacobian_rows(j_eval))
+
+    def test_complex_rows_match_fraction_coefficients(self):
+        # at complex points the rows evaluate the floats x / den, each
+        # correctly rounded as Fraction(x, den) is in complex arithmetic, so
+        # every printed part equals that of the Fraction-coefficient rows;
+        # fractional curves make den > 1
+        rng = random.Random(23)
+        dens = set()
+        for _ in range(30):
+            n, d, e = rng.choice((2, 3)), rng.randint(1, 3), rng.randint(1, 3)
+            f = propcheck.random_homogeneous(rng, n + 1, e)
+            c = propcheck.random_curve(rng, n, d)
+            prob = IncidenceProblem(n, d, e, f)
+            grads = restricted_gradient(f, c)
+            points = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) * 10.0 ** rng.randint(-3, 3)
+                      for _ in range(prob.num_equations)]
+            jac = jacobian_evaluation_form(prob, c, points, grads)
+            want = oracles.fraction_complex_rows(grads, d, points)
+            got = jac.to_obj()["matrix"]["entries"]
+            assert json.dumps(got) == json.dumps([[[float(z.real), float(z.imag)] for z in row]
+                                                  for row in want])
+            dens.add(grads[0])
+        assert len(dens) > 1 and max(dens) > 1
 
     def test_rejects_wrong_point_count(self, fixture_a):
         prob = oracles.problem(fixture_a)
@@ -280,7 +304,7 @@ class TestSymmetryVectors:
                 continue
             count += 1
             vs = symmetry_kernel_vectors(c)
-            assert rank_exact(RationalMatrix.from_rows(vs)) == 4
+            assert rank_exact(IntMatrix.from_rows(vs)) == 4
 
 
 class TestThroughCurve:
@@ -300,7 +324,7 @@ class TestThroughCurve:
         basis = quintics_through_curve(4, 5, fixture_a.c0)
         mons = monomial_basis(5, 5)
         f0_vec = [oracles.f0(fixture_a).terms.get(m, F(0)) for m in mons]
-        stack = RationalMatrix.from_rows([list(v) for v in oracles.dense_kernel(basis)] + [f0_vec])
+        stack = IntMatrix.from_rows(oracles.int_rows([*oracles.dense_kernel(basis), f0_vec]))
         assert rank_exact(stack) == basis.dim
 
     def test_rank_plus_dim_is_monomial_count(self, fixture_b):
