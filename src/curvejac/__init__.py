@@ -24,9 +24,8 @@ package needs nothing beyond the standard library.
 
 from .construction import (
     Fixture,
-    SpecialPoints,
-    VerificationReport,
     gradient_pairing_map,
+    render_text,
     select_special_points,
     verify_construction,
 )
@@ -34,8 +33,6 @@ from .errors import DimensionError, InputError
 from .incidence import (
     CurveParam,
     IncidenceProblem,
-    JacobianMatrix,
-    MembershipReport,
     jacobian_coefficient_form,
     jacobian_evaluation_form,
     membership_checks,

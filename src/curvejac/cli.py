@@ -23,11 +23,12 @@ import math
 import re
 import sys
 import types
+from fractions import Fraction
 
 from . import construction, fixtures, incidence
 from .errors import DimensionError, InputError
-from .linalg import (MAX_COUNT, MAX_DEGREE, MAX_RATIONAL_DIGITS, _dump, parse_rational,
-                     parse_size, rank_exact, rank_numeric)
+from .linalg import (MAX_COUNT, MAX_DEGREE, MAX_RATIONAL_DIGITS, _dump, format_rational,
+                     parse_rational, parse_size, rank_exact, rank_numeric)
 from .poly import restrict_to_curve
 
 EXIT_OK = 0
@@ -117,32 +118,38 @@ def cmd_jacobian(args, out) -> int:
     if args.form == "coeff":
         if args.points is not None:
             raise InputError("--points belongs to --form eval")
-        jac = jac_coeff = incidence.jacobian_coefficient_form(prob, curve, grads)
+        coeff = incidence.jacobian_coefficient_form(prob, curve, grads)
+        form, rows, points = "coefficient", [coeff.row(i) for i in range(coeff.rows)], []
+        row_labels = [f"k{j}" for j in range(coeff.rows)]
     else:
         if not args.points:
             raise InputError("--form eval requires --points")
-        pts = _parse_points(args.points)
-        jac = incidence.jacobian_evaluation_form(prob, curve, pts, grads)
-        jac_coeff = incidence.jacobian_coefficient_form(prob, curve, grads)
+        rows, points = incidence.jacobian_evaluation_form(
+            prob, curve, _parse_points(args.points), grads)
+        coeff = incidence.jacobian_coefficient_form(prob, curve, grads)
+        form, row_labels = "evaluation", [f"t={incidence._point_label(t)}" for t in points]
     # At distinct rational points the evaluation form is an invertible
     # Vandermonde matrix times the coefficient form: the ranks agree, and the
-    # exact rank is that of the coefficient form's integer matrix.
-    rank = coeff_rank = rank_exact(jac_coeff.matrix)
-    if jac.is_exact:
+    # exact rank is that of the coefficient form's integer matrix.  Exact
+    # rows are den times the Jacobian and written as x / den; complex rows
+    # are the Jacobian itself, written as [real, imag] pairs without labels.
+    rank = coeff_rank = rank_exact(coeff)
+    exact = all(isinstance(t, Fraction) for t in points)
+    matrix = {"rows": len(rows), "cols": coeff.cols}
+    obj = {"form": form, "exact": exact, "matrix": matrix, "config": config}
+    if exact:
+        den = grads[0]
+        matrix["entries"] = [[format_rational(Fraction(x, den)) for x in row] for row in rows]
+        obj["row_labels"], obj["col_labels"] = row_labels, incidence.theta_labels(prob.n, prob.d)
         rank_kind = "exact"
     else:
-        rank = rank_numeric(jac.rows, tol)
+        matrix["entries"] = [[[float(z.real), float(z.imag)] for z in row] for row in rows]
+        rank = rank_numeric(rows, tol)
         rank_kind = f"numeric@{args.tol}"
-    obj = jac.to_obj()
-    obj.update(
-        {
-            "config": config,
-            "rank": rank,
-            "rank_kind": rank_kind,
-            "tangent_dim": prob.dim_m - coeff_rank,
-            "formal": not incidence.vanishes_on_curve(grads, curve, prob.e),
-        }
-    )
+    if points:
+        obj["points"] = [incidence._point_label(t) for t in points]
+    obj.update({"rank": rank, "rank_kind": rank_kind, "tangent_dim": prob.dim_m - coeff_rank,
+                "formal": not incidence.vanishes_on_curve(grads, curve, prob.e)})
     _write_output(_dump(obj), out)
     return EXIT_OK
 
@@ -150,9 +157,9 @@ def cmd_jacobian(args, out) -> int:
 def cmd_verify(args, out) -> int:
     fix = construction.Fixture.from_obj(_read_json(args.fixture))
     report = construction.verify_construction(fix, seed=args.seed)
-    sys.stderr.write(report.render_text())
-    _write_output(report.to_json(), out)
-    return EXIT_OK if report.passed else EXIT_INPUT
+    sys.stderr.write(construction.render_text(report))
+    _write_output(_dump(report), out)
+    return EXIT_OK if report["passed"] else EXIT_INPUT
 
 
 def _check_degree(degree: int):
@@ -188,8 +195,8 @@ def cmd_sample(args, out) -> int:
     parse_size(args.count, "--count", MAX_COUNT)
     curve = incidence.CurveParam.from_obj(_read_json(args.curve))
     membership = incidence.membership_checks(curve)
-    if not membership.all_pass:
-        raise InputError(f"curve fails membership checks: {membership.to_obj()}")
+    if not membership["all_pass"]:
+        raise InputError(f"curve fails membership checks: {membership}")
     basis = incidence.quintics_through_curve(curve.n, args.degree, curve)
     if basis.dim == 0:
         sys.stderr.write("no forms of this degree contain the curve\n")
@@ -204,13 +211,12 @@ def cmd_sample(args, out) -> int:
     records = []
     full = 0
     for draw, member in enumerate(members):
-        prob = incidence.IncidenceProblem(curve.n, curve.d, args.degree, member)
-        jac = incidence.jacobian_coefficient_form(prob, curve, grads[draw])
-        rank = rank_exact(jac.matrix)
+        # the coefficient Jacobian times den, as `jacobian_coefficient_form` builds it
+        rank = rank_exact(incidence._convolution_matrix(grads[draw][1], curve.d, expected_rank))
         is_full = rank == expected_rank
         full += is_full
         records.append({"draw": draw, "poly_hash": _poly_hash(member), "rank": rank,
-                        "tangent_dim": prob.dim_m - rank, "full_rank": is_full})
+                        "tangent_dim": nvars * (curve.d + 1) - rank, "full_rank": is_full})
     obj = {
         "config": {"command": "sample", "degree": args.degree, "count": args.count,
                    "seed": args.seed},

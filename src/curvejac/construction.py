@@ -55,17 +55,15 @@ from .incidence import (
     symmetry_kernel_vectors,
     vanishes_on_curve,
 )
-from .linalg import MAX_D, IntMatrix, _dump, format_rational, parse_size, rank_exact
+from .linalg import MAX_D, IntMatrix, format_rational, parse_size, rank_exact
 from .poly import MultiPoly, _int_mul, coprime, restrict_to_curve, squarefree_roots
 
 __all__ = [
     "Fixture",
-    "SpecialPoints",
-    "CheckResult",
-    "VerificationReport",
     "select_special_points",
     "gradient_pairing_map",
     "verify_construction",
+    "render_text",
     "render_matrix",
 ]
 
@@ -140,33 +138,6 @@ class Fixture:
         if not isinstance(name, str):
             raise InputError(f"fixture name must be a string, got {name!r}")
         return cls(name, q, l, p, c0, d)
-
-
-@dataclass(frozen=True)
-class SpecialPoints:
-    """The 5d+1 evaluation points: d roots of l(c0(t)) first, then generics.
-
-    Generic points are always rational; in the complex field they are
-    labelled as complex numbers, like the roots.
-    """
-
-    root_points: tuple
-    generic_points: tuple
-    field: str  # "rational" | "complex"
-
-    @property
-    def all_points(self) -> tuple:
-        return self.root_points + self.generic_points
-
-    def label(self, t) -> str:
-        return _point_label(complex(t) if self.field == "complex" else t)
-
-    def to_obj(self) -> dict:
-        return {
-            "field": self.field,
-            "root_points": [self.label(t) for t in self.root_points],
-            "generic_points": [self.label(t) for t in self.generic_points],
-        }
 
 
 def _generic_candidates(seed: int, attempt: int):
@@ -272,70 +243,27 @@ def gradient_pairing_map(grads: Sequence[Sequence[int]], d: int) -> IntMatrix:
     return _convolution_matrix(grads[:4], d, 4 * d + 1)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: int
-    name: str
-    status: str  # "pass" | "fail" | "info"
-    details: dict
-
-    def to_obj(self) -> dict:
-        return {
-            "id": self.check_id,
-            "name": self.name,
-            "status": self.status,
-            "details": self.details,
-        }
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    fixture_name: str
-    d: int
-    seed: int
-    field: str
-    points: tuple[str, ...]
-    attempts: int
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.status != "fail" for c in self.checks)
-
-    def to_obj(self) -> dict:
-        return {
-            "fixture": self.fixture_name,
-            "d": self.d,
-            "seed": self.seed,
-            "field": self.field,
-            "points": list(self.points),
-            "attempts": self.attempts,
-            "passed": self.passed,
-            "checks": [c.to_obj() for c in self.checks],
-        }
-
-    def to_json(self) -> str:
-        return _dump(self.to_obj())
-
-    def render_text(self) -> str:
-        lines = [
-            f"fixture {self.fixture_name or '<unnamed>'}  d={self.d}  seed={self.seed}  "
-            f"field={self.field}  attempts={self.attempts}",
-            f"points: {', '.join(self.points)}",
-            "-" * 72,
-        ]
-        for c in self.checks:
-            tag = {"pass": "PASS", "fail": "FAIL", "info": "INFO"}[c.status]
-            lines.append(f"[{c.check_id:>2}] {tag}  {c.name}")
-            for key, val in c.details.items():
-                if isinstance(val, list) and val and isinstance(val[0], list):
-                    lines.append(f"      {key}:")
-                    lines.extend("        " + row for row in _render_string_rows(val))
-                else:
-                    lines.append(f"      {key}: {val}")
-        lines.append("-" * 72)
-        lines.append("RESULT: " + ("all mandatory checks passed" if self.passed else "FAILED"))
-        return "\n".join(lines) + "\n"
+def render_text(report: dict) -> str:
+    """The table `verify` writes to stderr, from the document of
+    `verify_construction`: a header, each check's status and details, and
+    the verdict."""
+    lines = [
+        f"fixture {report['fixture'] or '<unnamed>'}  d={report['d']}  seed={report['seed']}  "
+        f"field={report['field']}  attempts={report['attempts']}",
+        f"points: {', '.join(report['points'])}",
+        "-" * 72,
+    ]
+    for c in report["checks"]:
+        lines.append(f"[{c['id']:>2}] {c['status'].upper()}  {c['name']}")
+        for key, val in c["details"].items():
+            if isinstance(val, list) and val and isinstance(val[0], list):
+                lines.append(f"      {key}:")
+                lines.extend("        " + row for row in _render_string_rows(val))
+            else:
+                lines.append(f"      {key}: {val}")
+    lines.append("-" * 72)
+    lines.append("RESULT: " + ("all mandatory checks passed" if report["passed"] else "FAILED"))
+    return "\n".join(lines) + "\n"
 
 
 def render_matrix(rows: Sequence[Sequence], label=format_rational) -> list[list[str]]:
@@ -356,8 +284,11 @@ def _render_string_rows(rows: list[list[str]]) -> list[str]:
     ]
 
 
-def verify_construction(fixture: Fixture, seed: int = 0) -> VerificationReport:
-    """Run the full check chain on a fixture and report exact witnesses.
+def verify_construction(fixture: Fixture, seed: int = 0) -> dict:
+    """Run the full check chain on a fixture and return the document
+    `verify` prints: the fixture's name, d, the seed, the field, the point
+    labels, the attempts, "passed" and the checks, each with its "id",
+    "name", "status" ("pass" or "fail") and "details", exact witnesses.
 
     Reads `fixture.restricted` and restricts nothing; checks 1, 3 and 6 and
     check 5's root rows hold by the fixture's invariants.  The only
@@ -368,10 +299,11 @@ def verify_construction(fixture: Fixture, seed: int = 0) -> VerificationReport:
     """
     d = fixture.d
     c0 = fixture.c0
-    checks: list[CheckResult] = []
+    checks: list[dict] = []
 
     def record(check_id: int, name: str, ok: bool, details: dict):
-        checks.append(CheckResult(check_id, name, "pass" if ok else "fail", details))
+        checks.append({"id": check_id, "name": name, "status": "pass" if ok else "fail",
+                       "details": details})
 
     # By the fixture's invariants f0 = l*q + z4*p vanishes on the curve
     # (check 1) and its gradient there is lc * (dq/dz_m)(c0), m < 4, and pc.
@@ -393,23 +325,27 @@ def verify_construction(fixture: Fixture, seed: int = 0) -> VerificationReport:
     # rescaled lower block, rows (dq/dz_m)(c0(t_s)) * t_s**i at the last 4d
     # points, needs full row rank 4d; rows where lc vanishes are flagged.
     for attempt in range(MAX_POINT_ATTEMPTS):
-        pts = SpecialPoints(
-            roots, _generic_points(lc_i, pc_i, 5 * d + 1 - len(roots), seed, attempt), root_field)
-        lower = [(t.numerator, t.denominator) for t in pts.all_points[d + 1 :]]
+        points = roots + _generic_points(lc_i, pc_i, 5 * d + 1 - len(roots), seed, attempt)
+        lower = [(t.numerator, t.denominator) for t in points[d + 1 :]]
         flagged = [s for s, row in enumerate(_evaluation_rows([lc_i], 0, lower)) if not row[0]]
         rank0 = None if flagged else rank_exact(
             IntMatrix.from_rows(_evaluation_rows(q_i, d, lower)))
         if rank0 == 4 * d:
             break
 
-    # (2) special point selection; retries redraw only the generic points.
+    # (2) special point selection; retries redraw only the generic points,
+    # which are rational and, in the complex field, labelled like the roots.
+    def label(t) -> str:
+        return _point_label(complex(t) if root_field == "complex" else t)
+
+    selection = {"field": root_field, "root_points": [label(t) for t in roots],
+                 "generic_points": [label(t) for t in points[len(roots) :]]}
     record(2, "special point selection", error is None,
-           pts.to_obj() if error is None else {"error": error, "fallback": pts.to_obj()})
+           selection if error is None else {"error": error, "fallback": selection})
 
     # (3) rows split after the first d+1 points, columns into the z4
     # component and the rest: the four blocks tile the evaluation Jacobian,
     # since the points always number 5d+1.
-    points = pts.all_points
     top = points[: d + 1]
     record(3, "blocks reassemble to the evaluation Jacobian", True,
            {"shapes": {"a11": [len(top), d + 1], "a12": [len(top), 4 * (d + 1)],
@@ -427,7 +363,7 @@ def verify_construction(fixture: Fixture, seed: int = 0) -> VerificationReport:
         t - u for s, t in enumerate(top) for u in top[s + 1 :])
     record(4, "corner block matches closed form and is invertible",
            error is None or det11 != 0,
-           {"det": pts.label(det11), "matrix": render_matrix(corner, pts.label)})
+           {"det": label(det11), "matrix": render_matrix(corner, label)})
 
     # (5) lc divides each (df0/dz_m)(c0(t)), m < 4, so the mixed block rows
     # vanish at the roots of l(c0(t)), which a successful selection uses.
@@ -438,8 +374,8 @@ def verify_construction(fixture: Fixture, seed: int = 0) -> VerificationReport:
         values = _evaluation_rows([lc_i, *q_i], 0, [(t.numerator, t.denominator)])[0]
         return not values[0] or not any(values[1:])
 
-    nroots = len(pts.root_points)
-    census = [{"point": pts.label(t), "is_zero": s < nroots or row_vanishes(t)}
+    nroots = len(roots)
+    census = [{"point": label(t), "is_zero": s < nroots or row_vanishes(t)}
               for s, t in enumerate(top)]
     record(5, "mixed block rows vanish at l-roots (extra row reported)", True,
            {"rows": census, "root_rows": nroots})
@@ -482,12 +418,6 @@ def verify_construction(fixture: Fixture, seed: int = 0) -> VerificationReport:
            {"kernel_dim": kernel_dim, "symmetry_rank": sym_rank, "stack_rank": stack_rank,
             "symmetry_annihilated": annihilated})
 
-    return VerificationReport(
-        fixture_name=fixture.name,
-        d=d,
-        seed=seed,
-        field=pts.field,
-        points=tuple(pts.label(t) for t in points),
-        attempts=attempt + 1,
-        checks=tuple(checks),
-    )
+    return {"fixture": fixture.name, "d": d, "seed": seed, "field": root_field,
+            "points": [label(t) for t in points], "attempts": attempt + 1,
+            "passed": all(c["status"] == "pass" for c in checks), "checks": checks}

@@ -18,8 +18,8 @@ kernel.  An evaluation row (`_evaluation_rows`) evaluates the homogenized
 partials by Horner at a point (a, b): at a rational t = a/b with integer
 lists it is an integer row, a positive multiple of the value row, and at
 (t, 1) the value row itself, exact or complex as t is.  The evaluation form
-keeps such rows of values, which are printed and never eliminated exactly;
-`JacobianMatrix` alone labels rows and columns.
+is such rows of values, never eliminated exactly.  The `jacobian` command
+alone prints either form and labels its rows and columns.
 """
 
 from __future__ import annotations
@@ -57,8 +57,6 @@ from .poly import (
 __all__ = [
     "CurveParam",
     "IncidenceProblem",
-    "JacobianMatrix",
-    "MembershipReport",
     "membership_checks",
     "jacobian_coefficient_form",
     "jacobian_evaluation_form",
@@ -174,72 +172,6 @@ class IncidenceProblem:
                    parse_size(e, "e", MAX_DEGREE), MultiPoly.from_obj(f))
 
 
-@dataclass(frozen=True)
-class MembershipReport:
-    """Necessary conditions for a parameter point to be an embedded curve."""
-
-    base_point_free: bool
-    attains_degree: bool
-    nonconstant: bool
-
-    @property
-    def all_pass(self) -> bool:
-        return self.base_point_free and self.attains_degree and self.nonconstant
-
-    def to_obj(self) -> dict:
-        return {
-            "base_point_free": self.base_point_free,
-            "attains_degree": self.attains_degree,
-            "nonconstant": self.nonconstant,
-            "all_pass": self.all_pass,
-        }
-
-
-@dataclass(frozen=True, eq=False)
-class JacobianMatrix:
-    """Jacobian of the incidence equations at a curve, times den.
-
-    form is "coefficient" or "evaluation".  The coefficient form holds den
-    times the Jacobian as an `IntMatrix`, `matrix`, whose rank and kernel
-    are the Jacobian's; its rows are labelled by the powers of t.  The
-    evaluation form holds `rows`, one row of values per point of `points`:
-    Fractions at rational points, den times the Jacobian, the rows labelled
-    by the points; complex numbers otherwise, the Jacobian itself (den =
-    1), written as [real, imag] pairs without labels.  The columns are
-    labelled `col_labels`, and `to_obj` writes each exact entry x as x / den.
-    """
-
-    form: str
-    col_labels: tuple[str, ...]
-    den: int = 1
-    matrix: IntMatrix | None = None
-    rows: tuple = ()
-    points: tuple = ()
-
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(t, Fraction) for t in self.points)
-
-    def to_obj(self) -> dict:
-        m = self.matrix
-        if m is None:
-            rows, row_labels = self.rows, [f"t={_point_label(t)}" for t in self.points]
-        else:
-            rows, row_labels = [m.row(i) for i in range(m.rows)], [f"k{j}" for j in range(m.rows)]
-        obj = {"form": self.form, "exact": self.is_exact,
-               "matrix": {"rows": len(rows), "cols": len(self.col_labels)}}
-        if self.is_exact:
-            obj["matrix"]["entries"] = [[format_rational(Fraction(x, self.den)) for x in row]
-                                        for row in rows]
-            obj["row_labels"], obj["col_labels"] = row_labels, list(self.col_labels)
-        else:
-            obj["matrix"]["entries"] = [[[float(z.real), float(z.imag)] for z in row]
-                                        for row in rows]
-        if self.points:
-            obj["points"] = [_point_label(t) for t in self.points]
-        return obj
-
-
 def theta_labels(n: int, d: int) -> tuple[str, ...]:
     return tuple(f"c{m}[t^{i}]" for m in range(n + 1) for i in range(d + 1))
 
@@ -251,15 +183,17 @@ def _point_label(t) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}i"
 
 
-def membership_checks(c: CurveParam) -> MembershipReport:
-    """Base-point-free means the components are coprime (`coprime`)."""
+def membership_checks(c: CurveParam) -> dict:
+    """Necessary conditions for a parameter point to be an embedded curve,
+    each a bool, and "all_pass", their conjunction.  Base-point-free means
+    the components are coprime (`coprime`)."""
     lists = [xs for _, xs in c.components]
-    if not any(lists):
-        return MembershipReport(False, False, False)
-    base_point_free = coprime(*lists)
-    attains_degree = max(map(len, lists)) - 1 == c.d
-    nonconstant = any(len(xs) >= 2 for xs in lists)
-    return MembershipReport(base_point_free, attains_degree, nonconstant)
+    checks = {"base_point_free": False, "attains_degree": False, "nonconstant": False}
+    if any(lists):
+        checks = {"base_point_free": coprime(*lists),
+                  "attains_degree": max(map(len, lists)) - 1 == c.d,
+                  "nonconstant": any(len(xs) >= 2 for xs in lists)}
+    return {**checks, "all_pass": all(checks.values())}
 
 
 def _check_curve(prob: IncidenceProblem, c: CurveParam):
@@ -349,18 +283,16 @@ def _evaluation_rows(coeffs: Sequence[Sequence], d: int, points: Sequence[tuple]
 
 def jacobian_coefficient_form(
     prob: IncidenceProblem, c: CurveParam, grads: tuple[int, list[list[int]]]
-) -> JacobianMatrix:
-    """Exact Jacobian with rows indexed by the coefficient equations.
+) -> IntMatrix:
+    """Exact Jacobian with rows indexed by the coefficient equations, times
+    den, in integers: the Jacobian's rank and kernel.
 
-    Entry (row j, column (m, i)) is the t**j coefficient of
+    Entry (row j, column (m, i)) is den times the t**j coefficient of
     (df/dz_m)(c(t)) * t**i, given grads = (den, ints) =
-    restricted_gradient(prob.f, c).  The matrix holds it in integers, times
-    den (`JacobianMatrix.den`): the Jacobian's rank and kernel.
+    restricted_gradient(prob.f, c).
     """
     _check_curve(prob, c)
-    den, ints = grads
-    matrix = _convolution_matrix(ints, prob.d, prob.num_equations)
-    return JacobianMatrix("coefficient", theta_labels(prob.n, prob.d), den, matrix=matrix)
+    return _convolution_matrix(grads[1], prob.d, prob.num_equations)
 
 
 def jacobian_evaluation_form(
@@ -368,8 +300,9 @@ def jacobian_evaluation_form(
     c: CurveParam,
     points: Sequence,
     grads: tuple[int, list[list[int]]],
-) -> JacobianMatrix:
-    """Jacobian with rows indexed by evaluation points.
+) -> tuple[list[list], list]:
+    """Jacobian with rows indexed by evaluation points: its rows and the
+    points, each a Fraction when every point is rational, else complex.
 
     Entry (row s, column (m, i)) is (df/dz_m)(c(t_s)) * t_s**i, given
     grads = (den, ints) = restricted_gradient(prob.f, c).  At rational
@@ -377,7 +310,7 @@ def jacobian_evaluation_form(
     coefficient form does: they are den times V times the Jacobian's
     coefficient form, V the Vandermonde matrix with entry (s, j) = t_s**j.
     At complex points they evaluate the floats x / den, each correctly
-    rounded.
+    rounded: the Jacobian itself.
     """
     _check_curve(prob, c)
     points = list(points)
@@ -395,8 +328,7 @@ def jacobian_evaluation_form(
         rows = _evaluation_rows(coeffs, prob.d, [(t, 1) for t in pts])
     except OverflowError as exc:  # only complex evaluation divides into floats
         raise ValueError("a point or a coefficient is beyond the float range") from exc
-    return JacobianMatrix("evaluation", theta_labels(prob.n, prob.d), den if exact else 1,
-                          rows=tuple(rows), points=tuple(pts))
+    return rows, pts
 
 
 def symmetry_kernel_vectors(c: CurveParam) -> list[tuple[int, ...]]:

@@ -80,9 +80,9 @@ def fermat_quintic():
 @pytest.fixture()
 def jacobian_command(tmp_path):
     """Runs the `jacobian` command on a problem and a curve, written to
-    files, and returns its JSON output."""
+    files, with the given options, and returns its JSON output."""
 
-    def run(problem, curve):
+    def run(problem, curve, *options):
         paths = []
         for name, obj in (("problem.json", problem), ("curve.json", curve)):
             path = tmp_path / name
@@ -90,7 +90,7 @@ def jacobian_command(tmp_path):
             paths.append(str(path))
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            assert cli.main(["jacobian", *paths]) == 0
+            assert cli.main(["jacobian", *paths, *options]) == 0
         return json.loads(out.getvalue())
 
     return run

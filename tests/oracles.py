@@ -31,6 +31,7 @@ import sympy
 from mpmath.libmp import NoConvergence
 
 from curvejac.incidence import IncidenceProblem
+from curvejac.linalg import IntMatrix
 from curvejac.poly import MultiPoly
 
 
@@ -118,12 +119,12 @@ def matrix_rows(m):
     return [list(m.entries[i * m.cols : (i + 1) * m.cols]) for i in range(m.rows)]
 
 
-def jacobian_rows(jac):
-    """The exact Jacobian a `JacobianMatrix` stands for, as rows of
-    Fractions: the coefficient form's matrix, or the evaluation form's rows,
-    divided by its den."""
-    rows = jac.rows if jac.matrix is None else matrix_rows(jac.matrix)
-    return [[Fraction(x, jac.den) for x in row] for row in rows]
+def jacobian_rows(jac, den):
+    """The exact Jacobian as rows of Fractions, given den times it: the
+    coefficient form's `IntMatrix` or the evaluation form's rows at rational
+    points, den the restricted gradient's."""
+    rows = matrix_rows(jac) if isinstance(jac, IntMatrix) else jac
+    return [[Fraction(x, den) for x in row] for row in rows]
 
 
 def fraction_complex_rows(pair, d, points):

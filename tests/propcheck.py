@@ -185,8 +185,9 @@ def taylor_chain_rule_suite(seed, draws):
         for x in nodes:
             moved = curve_from_theta(n, d, [t + x * dv for t, dv in zip(coords, delta)])
             samples.append(incidence_equations(prob, moved))
-        jac = jacobian_coefficient_form(prob, c, restricted_gradient(prob.f, c))
-        jd = [Fraction(x, jac.den) for x in jac.matrix.matvec(delta)]
+        grads = restricted_gradient(prob.f, c)
+        jac = jacobian_coefficient_form(prob, c, grads)
+        jd = [Fraction(x, grads[0]) for x in jac.matvec(delta)]
         k0 = incidence_equations(prob, c)
         for row in range(prob.num_equations):
             values = [s[row] for s in samples]
@@ -320,7 +321,7 @@ def symmetry_annihilation_suite(seed, draws):
         vectors = symmetry_kernel_vectors(c)
         assert any(map(any, vectors)) == any(xs for _, xs in c.components), c
         for v in vectors:
-            assert not any(jac.matrix.matvec(v)), (c, f, v)
+            assert not any(jac.matvec(v)), (c, f, v)
     return draws
 
 

@@ -59,16 +59,16 @@ def test_criterion_1_fixture_a_rank_and_kernel(fixture_a, jacobian_command):
         prob = oracles.problem(fixture_a)
         grads = restricted_gradient(prob.f, fixture_a.c0)
         jac = jacobian_coefficient_form(prob, fixture_a.c0, grads)
-        assert rank_exact(jac.matrix) == 6 == 5 * fixture_a.d + 1
+        assert rank_exact(jac) == 6 == 5 * fixture_a.d + 1
         out = jacobian_command(prob, fixture_a.c0)
         assert (out["rank"], out["tangent_dim"], out["formal"]) == (6, 4, False)
-        kernel = kernel_exact(jac.matrix)
+        kernel = kernel_exact(jac)
         sym = symmetry_kernel_vectors(fixture_a.c0)
         # mutual containment of two exact 4-dimensional spaces
         assert kernel.dim == 4
         assert rank_exact(IntMatrix.from_rows(sym)) == 4
         for v in sym:
-            assert all(x == 0 for x in jac.matrix.matvec(v))
+            assert all(x == 0 for x in jac.matvec(v))
         stack = IntMatrix.from_rows(oracles.int_rows(oracles.dense_kernel(kernel)) + sym)
         assert rank_exact(stack) == 4
         elapsed = time.perf_counter() - start
@@ -81,7 +81,7 @@ def test_criterion_2_fixture_b_rank(fixture_b, jacobian_command):
         prob = oracles.problem(fixture_b)
         grads = restricted_gradient(prob.f, fixture_b.c0)
         jac = jacobian_coefficient_form(prob, fixture_b.c0, grads)
-        assert rank_exact(jac.matrix) == 11 == 5 * fixture_b.d + 1
+        assert rank_exact(jac) == 11 == 5 * fixture_b.d + 1
         out = jacobian_command(prob, fixture_b.c0)
         assert (out["rank"], out["tangent_dim"], out["formal"]) == (11, 4, False)
         elapsed = time.perf_counter() - start
@@ -92,10 +92,10 @@ def test_criterion_3_block_suite(fixture_a):
     with criterion(3, "fixture A block suite: closed forms, det -51/16, A0 rank 4"):
         prob = oracles.problem(fixture_a)
         grads = restricted_gradient(prob.f, fixture_a.c0)
-        jac = jacobian_evaluation_form(prob, fixture_a.c0, A_POINTS, grads)
+        rows, _ = jacobian_evaluation_form(prob, fixture_a.c0, A_POINTS, grads)
         lc = on_curve(fixture_a.l, fixture_a.c0)
         pc = on_curve(fixture_a.p, fixture_a.c0)
-        blocks = oracles.split_blocks(oracles.jacobian_rows(jac), fixture_a.d)
+        blocks = oracles.split_blocks(oracles.jacobian_rows(rows, grads[0]), fixture_a.d)
         closed11 = oracles.a11_closed_form(pc, A_POINTS[:2])
         extracted11 = [row[::-1] for row in blocks["a11"]]  # descending powers
         assert extracted11 == closed11
@@ -139,12 +139,12 @@ def test_criterion_5_vandermonde_identity(fixture_a, fixture_b, fixture_b_nonspl
             grads = restricted_gradient(oracles.problem(fix).f, fix.c0)
             j_coeff = jacobian_coefficient_form(oracles.problem(fix), fix.c0, grads)
             for pts in sets:
-                j_eval = jacobian_evaluation_form(oracles.problem(fix), fix.c0, pts, grads)
+                j_eval, _ = jacobian_evaluation_form(oracles.problem(fix), fix.c0, pts, grads)
                 v = oracles.vandermonde(pts, len(pts))
-                assert (oracles.matmul(v, oracles.jacobian_rows(j_coeff))
-                        == oracles.jacobian_rows(j_eval))
-                eval_matrix = IntMatrix.from_rows(oracles.int_rows(j_eval.rows))
-                assert rank_exact(eval_matrix) == rank_exact(j_coeff.matrix)
+                assert (oracles.matmul(v, oracles.jacobian_rows(j_coeff, grads[0]))
+                        == oracles.jacobian_rows(j_eval, grads[0]))
+                eval_matrix = IntMatrix.from_rows(oracles.int_rows(j_eval))
+                assert rank_exact(eval_matrix) == rank_exact(j_coeff)
         # complex path: l restricting to 1 + t^2 forces roots at +-i
         fx = fixture_b_nonsplit
         pair = restrict_to_curve([[fx.l, fx.p]], fx.c0.components)[0]
@@ -152,9 +152,9 @@ def test_criterion_5_vandermonde_identity(fixture_a, fixture_b, fixture_b_nonspl
         assert field == "complex"
         points = roots + _generic_points(*pair[1], 4 * fx.d + 1, 0, 0)
         grads = restricted_gradient(oracles.problem(fx).f, fx.c0)
-        j_eval = jacobian_evaluation_form(oracles.problem(fx), fx.c0, points, grads)
-        exact_rank = rank_exact(jacobian_coefficient_form(oracles.problem(fx), fx.c0, grads).matrix)
-        assert rank_numeric(j_eval.rows, 1e-8) == exact_rank == 11
+        j_eval, _ = jacobian_evaluation_form(oracles.problem(fx), fx.c0, points, grads)
+        exact_rank = rank_exact(jacobian_coefficient_form(oracles.problem(fx), fx.c0, grads))
+        assert rank_numeric(j_eval, 1e-8) == exact_rank == 11
 
 
 def test_criterion_6_through_curve(fixture_a, fixture_b):
@@ -180,7 +180,7 @@ def test_criterion_7_sampling(fixture_a):
             prob = IncidenceProblem(4, 1, 5, g)
             assert on_curve(g, fixture_a.c0) == []
             grads = restricted_gradient(prob.f, fixture_a.c0)
-            rank = rank_exact(jacobian_coefficient_form(prob, fixture_a.c0, grads).matrix)
+            rank = rank_exact(jacobian_coefficient_form(prob, fixture_a.c0, grads))
             assert rank == 6
             full += 1
         assert full == 20

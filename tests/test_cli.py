@@ -483,9 +483,10 @@ class TestSampleCommand:
         }
         path = tmp_path / "badmember.json"
         path.write_text(json.dumps(curve))
-        rc, _, err = run_cli(["sample", str(path), "--degree", "5", "--count", "1"])
-        assert rc == 2
-        assert "membership" in err
+        rc, out, err = run_cli(["sample", str(path), "--degree", "5", "--count", "1"])
+        assert rc == 2 and out == ""
+        assert err == ("input error: curve fails membership checks: {'base_point_free': False, "
+                       "'attains_degree': True, 'nonconstant': True, 'all_pass': False}\n")
 
     def test_fractional_d16_curve_exits_4(self, tmp_path, no_euclid):
         # base-point-freeness of a curve with 20-digit fractions is decided

@@ -147,13 +147,13 @@ class TestSelectSpecialPoints:
 
         monkeypatch.setattr("curvejac.poly._polyroots", counted)
         rep = verify_construction(fixture_b_nonsplit, seed=0)
-        assert rep.field == "complex"
+        assert rep["field"] == "complex"
         assert calls == [(2, 32)]
-        assert rep.points[:2] == ("0-1i", "0+1i")
+        assert rep["points"][:2] == ["0-1i", "0+1i"]
         d3 = Fixture.from_obj(json.loads((DATA / "fixture-d3-large.json").read_text()))
         for fx in (fixture_a, fixture_b, d3):
             calls.clear()
-            assert verify_construction(fx, seed=0).field == "rational"
+            assert verify_construction(fx, seed=0)["field"] == "rational"
             assert calls == [], fx.name
 
     def test_unconverged_labels_fail_check_2(self, fixture_b_nonsplit, monkeypatch):
@@ -166,9 +166,9 @@ class TestSelectSpecialPoints:
 
         monkeypatch.setattr("curvejac.poly._polyroots", unconverged)
         rep = verify_construction(fixture_b_nonsplit, seed=0)
-        assert not rep.passed and len(rep.checks) == 10
-        assert rep.checks[1].status == "fail"
-        assert rep.checks[1].details["error"] == message
+        assert not rep["passed"] and len(rep["checks"]) == 10
+        assert rep["checks"][1]["status"] == "fail"
+        assert rep["checks"][1]["details"]["error"] == message
 
     def test_degree_32_fractional_roots_certified_mod_p(self, no_euclid):
         # lc = prod (t - k/(k+1)), k <= 32: Euclid over Q on lc and lc' takes
@@ -210,7 +210,7 @@ class TestSelectSpecialPoints:
         draws = []
         monkeypatch.setattr("curvejac.construction._generic_points",
                             lambda *args: draws.append(args[-1]) or _generic_points(*args))
-        assert verify_construction(fixture_a, seed=0).attempts == 1
+        assert verify_construction(fixture_a, seed=0)["attempts"] == 1
         assert draws == [0]
 
 
@@ -222,8 +222,9 @@ class TestBlocks:
     def blocks_a(self, fixture_a):
         prob = oracles.problem(fixture_a)
         grads = restricted_gradient(prob.f, fixture_a.c0)
-        jac = jacobian_evaluation_form(prob, fixture_a.c0, A_POINTS, grads)
-        return jac, oracles.split_blocks(oracles.jacobian_rows(jac), fixture_a.d)
+        rows, _ = jacobian_evaluation_form(prob, fixture_a.c0, A_POINTS, grads)
+        jac = oracles.jacobian_rows(rows, grads[0])
+        return jac, oracles.split_blocks(jac, fixture_a.d)
 
     def a0_a(self, fixture_a):
         """l(c0(t_s)) at the lower points, and a22 with each row divided by it."""
@@ -243,7 +244,7 @@ class TestBlocks:
     def test_reassembly(self, fixture_a):
         jac, blocks = self.blocks_a(fixture_a)
         assert (oracles.reassemble_blocks(blocks)
-                == oracles.permute_z4_first(oracles.jacobian_rows(jac), 1))
+                == oracles.permute_z4_first(jac, 1))
 
     def test_a12_row_at_root_vanishes(self, fixture_a):
         _, blocks = self.blocks_a(fixture_a)
@@ -409,24 +410,24 @@ class TestSmoothAlongCurve:
 class TestVerifyConstruction:
     def test_fixture_a_all_pass(self, fixture_a):
         rep = verify_construction(fixture_a, seed=0)
-        assert rep.passed
-        assert [c.check_id for c in rep.checks] == list(range(1, 11))
-        assert all(c.status == "pass" for c in rep.checks)
-        assert rep.attempts == 1
-        det = next(c for c in rep.checks if c.check_id == 4).details["det"]
+        assert rep["passed"]
+        assert [c["id"] for c in rep["checks"]] == list(range(1, 11))
+        assert all(c["status"] == "pass" for c in rep["checks"])
+        assert rep["attempts"] == 1
+        det = next(c for c in rep["checks"] if c["id"] == 4)["details"]["det"]
         assert det == "-51/16"
 
     def test_fixture_b_all_pass(self, fixture_b):
         rep = verify_construction(fixture_b, seed=0)
-        assert rep.passed
-        by_id = {c.check_id: c for c in rep.checks}
-        assert by_id[7].details["rank"] == 8
-        assert by_id[9].details["rank"] == 11
-        assert by_id[9].details["tangent_dim"] == 4
-        assert by_id[4].details["det"] == "-23670"
+        assert rep["passed"]
+        by_id = {c["id"]: c for c in rep["checks"]}
+        assert by_id[7]["details"]["rank"] == 8
+        assert by_id[9]["details"]["rank"] == 11
+        assert by_id[9]["details"]["tangent_dim"] == 4
+        assert by_id[4]["details"]["det"] == "-23670"
         small = verify_construction(small_p(fixture_b), seed=0)
-        assert small.passed
-        assert small.checks[3].details["det"] == "-2367/100000000000"
+        assert small["passed"]
+        assert small["checks"][3]["details"]["det"] == "-2367/100000000000"
 
     def test_complex_path(self, fixture_b_nonsplit):
         # check 4 is decided exactly, so a small determinant (|det| = 1.56e-10
@@ -434,10 +435,10 @@ class TestVerifyConstruction:
         for fx, det in ((fixture_b_nonsplit, "0-156i"),
                         (small_p(fixture_b_nonsplit), "0-1.56e-10i")):
             rep = verify_construction(fx, seed=0)
-            assert rep.field == "complex"
-            assert rep.passed
-            assert all(c.status == "pass" for c in rep.checks)
-            assert rep.checks[3].details["det"] == det
+            assert rep["field"] == "complex"
+            assert rep["passed"]
+            assert all(c["status"] == "pass" for c in rep["checks"])
+            assert rep["checks"][3]["details"]["det"] == det
 
     def test_complex_field_lower_checks_are_exact(self):
         # l(c0(t)) does not split, so the roots are complex; the generic
@@ -445,13 +446,13 @@ class TestVerifyConstruction:
         # rank of this rescaled block at tol 1e-8 falls below 16).
         fx = Fixture.from_obj(json.loads((DATA / "fixture-d4-nonsplit.json").read_text()))
         rep = verify_construction(fx, seed=100)
-        assert rep.field == "complex"
-        assert rep.passed
-        assert rep.attempts == 1
-        by_id = {c.check_id: c for c in rep.checks}
-        assert by_id[7].details["rank"] == 16 == 4 * fx.d
-        assert by_id[5].details["root_rows"] == 4
-        assert rep.points[4] == "1+0i"  # generic points keep complex labels
+        assert rep["field"] == "complex"
+        assert rep["passed"]
+        assert rep["attempts"] == 1
+        by_id = {c["id"]: c for c in rep["checks"]}
+        assert by_id[7]["details"]["rank"] == 16 == 4 * fx.d
+        assert by_id[5]["details"]["root_rows"] == 4
+        assert rep["points"][4] == "1+0i"  # generic points keep complex labels
 
     def test_one_restriction_table(self, fixture_a, monkeypatch, tmp_path):
         # a whole verify run, load included, restricts l, p and the partials
@@ -497,7 +498,7 @@ class TestVerifyConstruction:
         for fix in integer_chain_fixtures:
             seen.clear()
             rep = verify_construction(fix, seed=0)
-            assert rep.passed, fix.name
+            assert rep["passed"], fix.name
             # checks 7, 8 (and its witnesses), 9 and 10 (two ranks)
             assert len(seen) == 6, fix.name
 
@@ -510,8 +511,8 @@ class TestVerifyConstruction:
         monkeypatch.setattr(linalg, "_bareiss_echelon", refuse)
         for fix in (fixture_a, fixture_b, fixture_b_nonsplit):
             rep = verify_construction(fix, seed=0)
-            assert rep.passed, fix.name
-            assert rep.checks[9].details["symmetry_annihilated"] is True
+            assert rep["passed"], fix.name
+            assert rep["checks"][9]["details"]["symmetry_annihilated"] is True
 
     def test_fixture_and_verify_build_no_f0(self, fixture_b, monkeypatch):
         # neither load nor verify multiplies forms, so f0 = l*q + z4*p is
@@ -521,22 +522,22 @@ class TestVerifyConstruction:
 
         monkeypatch.setattr(MultiPoly, "__mul__", refuse)
         fix = Fixture("B-copy", fixture_b.q, fixture_b.l, fixture_b.p, fixture_b.c0, 2)
-        assert verify_construction(fix, seed=0).passed
+        assert verify_construction(fix, seed=0)["passed"]
         assert not hasattr(fix, "f0")
         with pytest.raises(InputError, match="q must not involve z4"):
             Fixture("bad", MultiPoly.monomial((0, 0, 0, 3, 1)), fixture_b.l, fixture_b.p,
                     fixture_b.c0, 2)
 
     def test_byte_stable(self, fixture_b):
-        a = verify_construction(fixture_b, seed=3).to_json()
-        b = verify_construction(fixture_b, seed=3).to_json()
+        a = linalg._dump(verify_construction(fixture_b, seed=3))
+        b = linalg._dump(verify_construction(fixture_b, seed=3))
         assert a == b
         json.loads(a)  # valid JSON
 
     def test_extra_row_census_reported(self, fixture_a):
         rep = verify_construction(fixture_a, seed=0)
-        census = next(c for c in rep.checks if c.check_id == 5)
-        rows = census.details["rows"]
+        census = next(c for c in rep["checks"] if c["id"] == 5)
+        rows = census["details"]["rows"]
         assert rows[0]["is_zero"] is True  # root of l(c0)
         assert rows[1]["is_zero"] is False  # the extra point, reported as-is
 
@@ -545,12 +546,12 @@ class TestVerifyConstruction:
         p_bad = MultiPoly(5, {(4, 0, 0, 0, 0): 1, (3, 1, 0, 0, 0): 2})
         fx = Fixture("A-bad-p", fixture_a.q, fixture_a.l, p_bad, fixture_a.c0, 1)
         rep = verify_construction(fx, seed=0)
-        by_id = {c.check_id: c for c in rep.checks}
-        assert by_id[2].status == "fail"
-        assert "p not generic" in by_id[2].details["error"]
+        by_id = {c["id"]: c for c in rep["checks"]}
+        assert by_id[2]["status"] == "fail"
+        assert "p not generic" in by_id[2]["details"]["error"]
         # the remaining checks still ran on fallback points
         assert set(by_id) == set(range(1, 11))
-        assert not rep.passed
+        assert not rep["passed"]
 
 
     def test_l_vanishing_on_curve_ends_with_failed_report(self, fixture_a):
@@ -559,12 +560,12 @@ class TestVerifyConstruction:
         z4 = MultiPoly.monomial((0, 0, 0, 0, 1))
         fx = Fixture("A-l-z4", fixture_a.q, z4, fixture_a.p, fixture_a.c0, 1)
         rep = verify_construction(fx, seed=0)
-        by_id = {c.check_id: c for c in rep.checks}
-        assert "vanishes identically" in by_id[2].details["error"]
-        assert by_id[7].status == "fail"
-        assert by_id[7].details["flagged_rows"] == [0, 1, 2, 3]
-        assert rep.attempts == MAX_POINT_ATTEMPTS
-        assert not rep.passed
+        by_id = {c["id"]: c for c in rep["checks"]}
+        assert "vanishes identically" in by_id[2]["details"]["error"]
+        assert by_id[7]["status"] == "fail"
+        assert by_id[7]["details"]["flagged_rows"] == [0, 1, 2, 3]
+        assert rep["attempts"] == MAX_POINT_ATTEMPTS
+        assert not rep["passed"]
 
 
 def _derived_gradient(fix):
@@ -608,12 +609,12 @@ class TestDerivedGradient:
         # checks 8-10 report ranks only; the kernel bases they replaced are
         # the reference
         for fix in shipped_test_and_data_fixtures:
-            by_id = {c.check_id: c.details for c in verify_construction(fix, seed=0).checks}
+            by_id = {c["id"]: c["details"] for c in verify_construction(fix, seed=0)["checks"]}
             pairing = gradient_pairing_map(restricted_gradient(fix.q, fix.c0)[1], fix.d)
             assert by_id[8]["kernel_dim"] == kernel_exact(pairing).dim, fix.name
             prob = oracles.problem(fix)
             grads = restricted_gradient(prob.f, fix.c0)
-            jac = jacobian_coefficient_form(prob, fix.c0, grads).matrix
+            jac = jacobian_coefficient_form(prob, fix.c0, grads)
             kernel = kernel_exact(jac)
             assert by_id[9]["tangent_dim"] == kernel.dim, fix.name
             sym = symmetry_kernel_vectors(fix.c0)

@@ -1,11 +1,12 @@
-"""Pinned stdout bytes of every command on the shipped fixtures.
+"""Pinned stdout and stderr bytes of every command on the shipped fixtures.
 
-Each case runs one CLI command and compares the sha256 of its stdout with a
-recorded value, so any change to the documented JSON output, however small,
-fails here.  Three `verify` cases pin the paths the shipped fixtures never
-take: the all-generic fallback (A with p vanishing at the l-root), the run
-that uses up every point attempt (A with l = z4), and a curve of degree 4
-whose l-roots are complex.  A fourth pins a split rational fixture of degree
+Each case runs one CLI command and compares the sha256 of its stdout and of
+its stderr with recorded values, so any change to the documented JSON output
+or to the human-readable `verify` table, however small, fails here.  Three
+`verify` cases pin the paths the shipped fixtures never take: the
+all-generic fallback (A with p vanishing at the l-root), the run that uses
+up every point attempt (A with l = z4), and a curve of degree 4 whose
+l-roots are complex.  A fourth pins a split rational fixture of degree
 3 with a large-height q (`data/fixture-d3-large.json`), so check 5 reports
 three l-roots.  A fifth pins the same family at degree 7
 (`data/fixture-d7-large.json`, what `bench/gen.py`'s
@@ -27,10 +28,12 @@ whose `c0` block is what `CurveParam.to_obj` writes; they were recorded
 while curve components were still `Fraction` polynomials.
 """
 
+import ast
 import contextlib
 import hashlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,6 +77,42 @@ GOLDEN = {
     "sample-5-3-1-conic": "8b373603f936669b1346082ed1b6cc9bb8d8e7d8908d88b04163bca685545b62",
     "fixture-A": "006e538f54ab144b12d1d7a60e0b73fe39e3031be8d18420efb0fe8c588aa433",
     "fixture-B": "6c500a4dbb2695a2a65aac04f2d42ccb8a117e3c410802d8ddb69224534310c8",
+}
+
+
+# The sha256 of each case's stderr: the verify table, sample's summary line,
+# and nothing for the other commands.
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+GOLDEN_STDERR = {
+    "fixture-A": EMPTY,
+    "fixture-B": EMPTY,
+    "jacobian-coeff-A": EMPTY,
+    "jacobian-coeff-B": EMPTY,
+    "jacobian-eval-complex-A": EMPTY,
+    "jacobian-eval-complex-B": EMPTY,
+    "jacobian-eval-rational-A": EMPTY,
+    "jacobian-eval-rational-B": EMPTY,
+    "sample-5-2-A": "45435079a55e93ad5b5eec5f7503f1d04d10b9d553e4a6fe497b84647a7b3398",
+    "sample-5-3-1-conic": "d50b508092d559537e3c69522df4743b0830e13fe4aa03a8b1b8083cb6bbb53e",
+    "sample-5-3-100-B": "3ed0b515ff36bc4fb20ce8c91447b170709fd3f589e9019517b795756bac0c47",
+    "sample-5-3-100-d2x30": "3ed0b515ff36bc4fb20ce8c91447b170709fd3f589e9019517b795756bac0c47",
+    "sample-5-3-100-d3": "3ed0b515ff36bc4fb20ce8c91447b170709fd3f589e9019517b795756bac0c47",
+    "through-5-A": EMPTY,
+    "through-5-B": EMPTY,
+    "through-5-d2x30": EMPTY,
+    "through-5-d3": EMPTY,
+    "verify-A-0": "a9ef6572c803fd1d4ad726b80a0c4849a8f34b7a6b584e3f54a76c636a533990",
+    "verify-A-3": "2ea7487455e08841a1ceb95ff5b4fb483e629daf5191a8132b7ce068abedddb2",
+    "verify-A-bad-p-0": "c37df691c28312b1cebf18104778e68e7fae15be14ccb12eafad4741b4036b69",
+    "verify-A-l-z4-0": "282dfa125bec2b89fa2d7c0370bca5e9b6941d895d750c7c7a863485bb5e19e6",
+    "verify-B-0": "43d26f1dc367fd8064bb85df5a64e033f9262a854a56642353f62919d270ebe5",
+    "verify-B-3": "2f5712b8889f4d4e299e470aeba1fa91decdb5200950b24bedbb4d7158c7c7e6",
+    "verify-B-nonsplit-0": "a2594415cdd3e38c0eb6c75aab6d2f41087303362151340f45d80d31f7c562b1",
+    "verify-B-nonsplit-3": "1fd047a4890cb8837d6ff27f69b9727f1e9ebb1256d69add471d9bf917129a8f",
+    "verify-d3-large-0": "1d64dcf4139dae1ad359114eaf70ee683270affc934521acd2c1353c45282c34",
+    "verify-d4-nonsplit-0": "2c31e98067cf476a481fe6f320454a76cfbd269e4482e58e20427cee3a7b4ebd",
+    "verify-d7-large-0": "212ce1c556e8cbc4e44f25dd3c10280b7b3e68fa35072b47577ebdd7243270db",
 }
 
 
@@ -131,13 +170,71 @@ def argv_for(case: str, paths) -> list[str]:
     return argv + ["--seed", seed[0]] if seed else argv
 
 
-def stdout_sha256(argv) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def output_sha256(argv) -> tuple[str, str]:
+    """The sha256 of the command's stdout and of its stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         cli.main(argv)
-    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return tuple(hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err))
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_stdout_bytes_pinned(case, paths):
-    assert stdout_sha256(argv_for(case, paths)) == GOLDEN[case]
+    stdout, stderr = output_sha256(argv_for(case, paths))
+    assert stdout == GOLDEN[case]
+    assert stderr == GOLDEN_STDERR[case]
+
+
+# Each function or method of src/curvejac that no golden case calls, with why
+# it stays.  Methods that @dataclass writes are not in the source, so not here.
+UNCALLED = {
+    "IncidenceProblem.to_obj": "writes a problem document; tests and the README write them",
+    "MultiPoly.__eq__": "form equality, for tests and library callers; no command compares forms",
+    "linalg._singular_values": "the values rank_numeric counts; tests compare them with numpy's",
+    "poly._gcd_degree": "coprime's fallback, Euclid over Q, when no prime of _PRIMES serves",
+}
+
+
+def defined_functions() -> dict[tuple[str, int], str]:
+    """(file, first line) -> name of each function and method that
+    src/curvejac writes out, nested ones included: module.function,
+    Class.method and outer.inner.  The first line is the first decorator's,
+    as in the code object's co_firstlineno."""
+    found = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, path, child.name)
+            elif isinstance(child, ast.FunctionDef):
+                name = f"{prefix}.{child.name}"
+                found[path, min(x.lineno for x in [child, *child.decorator_list])] = name
+                visit(child, path, name)
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(Path(cli.__file__).resolve().parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), str(path), path.stem)
+    return found
+
+
+def test_every_function_is_called(paths):
+    # a line-free trace: the profiler sees each call of a Python function,
+    # and a function that no command calls is either pinned above or dead
+    argvs = [argv_for(case, paths) for case in sorted(GOLDEN)]
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        for argv in argvs:
+            output_sha256(argv)
+    finally:
+        sys.setprofile(None)
+    reached = {(str(Path(code.co_filename).resolve()), code.co_firstlineno) for code in called}
+    functions = defined_functions()
+    assert len(functions) > 100
+    assert sorted(name for key, name in functions.items() if key not in reached) == sorted(UNCALLED)

@@ -75,19 +75,19 @@ class TestLiesOn:
 
 class TestMembership:
     def test_line_passes(self):
-        assert membership_checks(line_curve()).all_pass
+        assert membership_checks(line_curve())["all_pass"]
 
     def test_common_factor_fails(self):
         c = CurveParam.from_rationals(4, 1, ([0, 1], [0, 1], [], [], []))
         rep = membership_checks(c)
-        assert not rep.base_point_free
-        assert rep.attains_degree
+        assert not rep["base_point_free"]
+        assert rep["attains_degree"]
 
     def test_degree_not_attained(self):
         c = CurveParam.from_rationals(4, 3, ([1], [0, 1], [0, 0, 1], [], []))
         rep = membership_checks(c)
-        assert not rep.attains_degree
-        assert rep.base_point_free and rep.nonconstant
+        assert not rep["attains_degree"]
+        assert rep["base_point_free"] and rep["nonconstant"]
 
     def test_fractional_curves_decided_mod_a_prime(self, no_euclid):
         # 20-digit fractions at n=4, d=16 and 2000-digit fractions at the
@@ -102,21 +102,20 @@ class TestMembership:
         curves.append(CurveParam.from_rationals(4, 16, comps))
         assert curves[-1].components[1][1][-1] % _PRIMES[0] == 0
         for c in curves:
-            assert membership_checks(c).all_pass
+            assert membership_checks(c)["all_pass"]
         # a common factor t - 1/3, lifted from its image mod p
         low = propcheck.fractional_curve(15, 4, 15, 20)
         factor = [F(-1, 3), 1]
         comps = [propcheck.unipoly_product(comp, factor)
                  for comp in oracles.components(low)]
         rep = membership_checks(CurveParam.from_rationals(4, 16, comps))
-        assert rep.attains_degree and not rep.base_point_free
+        assert rep["attains_degree"] and not rep["base_point_free"]
 
 
 class TestJacobianCoefficientForm:
     def test_z4_identity_block(self):
         grads = restricted_gradient(z4_problem().f, line_curve())
-        jac = jacobian_coefficient_form(z4_problem(), line_curve(), grads)
-        m = jac.matrix
+        m = jacobian_coefficient_form(z4_problem(), line_curve(), grads)
         assert (m.rows, m.cols) == (2, 10)
         labels, rows = theta_labels(4, 1), oracles.matrix_rows(m)
         for j in range(2):
@@ -129,28 +128,29 @@ class TestJacobianCoefficientForm:
         prob = oracles.problem(fixture_a)
         grads = restricted_gradient(prob.f, fixture_a.c0)
         jac = jacobian_coefficient_form(prob, fixture_a.c0, grads)
-        assert rank_exact(jac.matrix) == 6
-        kernel = kernel_exact(jac.matrix)
+        assert rank_exact(jac) == 6
+        kernel = kernel_exact(jac)
         assert kernel.dim == 4
         sym = symmetry_kernel_vectors(fixture_a.c0)
         stacked = IntMatrix.from_rows(oracles.int_rows(oracles.dense_kernel(kernel)) + sym)
         assert rank_exact(stacked) == 4
 
-    def test_integer_matrix_is_den_times_the_jacobian(self):
+    def test_integer_matrix_is_den_times_the_jacobian(self, jacobian_command):
         # fractional coefficients in f and in the curve: the matrix is in
-        # ints, den times the schoolbook Fraction block, and to_obj writes
-        # the Jacobian itself
+        # ints, den times the schoolbook Fraction block, and the `jacobian`
+        # command writes the Jacobian itself
         rng = random.Random(32)
         for _ in range(10):
             n, d, e = 3, rng.randint(1, 3), rng.randint(1, 3)
             f = propcheck.random_homogeneous(rng, n + 1, e)
             c = propcheck.random_curve(rng, n, d)
             grads = restricted_gradient(f, c)
-            jac = jacobian_coefficient_form(IncidenceProblem(n, d, e, f), c, grads)
+            prob = IncidenceProblem(n, d, e, f)
+            jac = jacobian_coefficient_form(prob, c, grads)
             want = oracles.toeplitz_rows(oracles.unipolys(grads), d, e * d + 1)
-            assert all(type(x) is int for x in jac.matrix.entries)
-            assert oracles.matrix_rows(jac.matrix) == [[jac.den * x for x in row] for row in want]
-            entries = jac.to_obj()["matrix"]["entries"]
+            assert all(type(x) is int for x in jac.entries)
+            assert oracles.matrix_rows(jac) == [[grads[0] * x for x in row] for row in want]
+            entries = jacobian_command(prob, c)["matrix"]["entries"]
             assert entries == [[format_rational(x) for x in row] for row in want]
 
     def test_linearity_in_f(self):
@@ -166,8 +166,8 @@ class TestJacobianCoefficientForm:
                 continue
             m_combo, m_f, m_g = (
                 oracles.jacobian_rows(jacobian_coefficient_form(
-                    IncidenceProblem(n, d, e, h), c, restricted_gradient(h, c)))
-                for h in (combo, f, g))
+                    IncidenceProblem(n, d, e, h), c, grads), grads[0])
+                for h in (combo, f, g) for grads in [restricted_gradient(h, c)])
             for i, row in enumerate(m_combo):
                 for j, x in enumerate(row):
                     assert x == a * m_f[i][j] + b * m_g[i][j]
@@ -176,8 +176,8 @@ class TestJacobianCoefficientForm:
 class TestJacobianEvaluationForm:
     def test_z4_rows(self):
         grads = restricted_gradient(z4_problem().f, line_curve())
-        jac = jacobian_evaluation_form(z4_problem(), line_curve(), [F(0), F(1)], grads)
-        rows = oracles.jacobian_rows(jac)
+        rows, _ = jacobian_evaluation_form(z4_problem(), line_curve(), [F(0), F(1)], grads)
+        rows = oracles.jacobian_rows(rows, grads[0])
         labels = theta_labels(4, 1)
         z4_cols = [labels.index("c4[t^0]"), labels.index("c4[t^1]")]
         assert [rows[0][c] for c in z4_cols] == [1, 0]
@@ -190,13 +190,13 @@ class TestJacobianEvaluationForm:
         points = [F(-1, 2), F(1), F(2), F(3), F(5), F(7)]
         prob = oracles.problem(fixture_a)
         grads = restricted_gradient(prob.f, fixture_a.c0)
-        j_eval = jacobian_evaluation_form(prob, fixture_a.c0, points, grads)
+        j_eval, _ = jacobian_evaluation_form(prob, fixture_a.c0, points, grads)
         j_coeff = jacobian_coefficient_form(prob, fixture_a.c0, grads)
         v = oracles.vandermonde(points, 6)
-        assert (oracles.matmul(v, oracles.jacobian_rows(j_coeff))
-                == oracles.jacobian_rows(j_eval))
-        eval_matrix = IntMatrix.from_rows(oracles.int_rows(j_eval.rows))
-        assert rank_exact(eval_matrix) == rank_exact(j_coeff.matrix) == 6
+        assert (oracles.matmul(v, oracles.jacobian_rows(j_coeff, grads[0]))
+                == oracles.jacobian_rows(j_eval, grads[0]))
+        eval_matrix = IntMatrix.from_rows(oracles.int_rows(j_eval))
+        assert rank_exact(eval_matrix) == rank_exact(j_coeff) == 6
 
     def test_vandermonde_factorization_random_points(self, fixture_b):
         rng = random.Random(17)
@@ -209,16 +209,16 @@ class TestJacobianEvaluationForm:
                 t = F(rng.randint(-12, 12), rng.randint(1, 5))
                 if t not in points:
                     points.append(t)
-            j_eval = jacobian_evaluation_form(prob, fixture_b.c0, points, grads)
+            j_eval, _ = jacobian_evaluation_form(prob, fixture_b.c0, points, grads)
             v = oracles.vandermonde(points, 11)
-            assert (oracles.matmul(v, oracles.jacobian_rows(j_coeff))
-                    == oracles.jacobian_rows(j_eval))
+            assert (oracles.matmul(v, oracles.jacobian_rows(j_coeff, grads[0]))
+                    == oracles.jacobian_rows(j_eval, grads[0]))
 
-    def test_complex_rows_match_fraction_coefficients(self):
+    def test_complex_rows_match_fraction_coefficients(self, jacobian_command):
         # at complex points the rows evaluate the floats x / den, each
         # correctly rounded as Fraction(x, den) is in complex arithmetic, so
-        # every printed part equals that of the Fraction-coefficient rows;
-        # fractional curves make den > 1
+        # every part the `jacobian` command prints equals that of the
+        # Fraction-coefficient rows; fractional curves make den > 1
         rng = random.Random(23)
         dens = set()
         for _ in range(30):
@@ -229,9 +229,11 @@ class TestJacobianEvaluationForm:
             grads = restricted_gradient(f, c)
             points = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) * 10.0 ** rng.randint(-3, 3)
                       for _ in range(prob.num_equations)]
-            jac = jacobian_evaluation_form(prob, c, points, grads)
+            # each float part is written as its repr, which reads back exactly
+            text = ",".join(f"{z.real!r}{z.imag:+}i" for z in points)
+            out = jacobian_command(prob, c, "--form", "eval", f"--points={text}")
+            got = out["matrix"]["entries"]
             want = oracles.fraction_complex_rows(grads, d, points)
-            got = jac.to_obj()["matrix"]["entries"]
             assert json.dumps(got) == json.dumps([[[float(z.real), float(z.imag)] for z in row]
                                                   for row in want])
             dens.add(grads[0])
@@ -293,14 +295,14 @@ class TestSymmetryVectors:
             grads = restricted_gradient(oracles.problem(fix).f, fix.c0)
             jac = jacobian_coefficient_form(oracles.problem(fix), fix.c0, grads)
             for v in symmetry_kernel_vectors(fix.c0):
-                assert all(x == 0 for x in jac.matrix.matvec(v))
+                assert all(x == 0 for x in jac.matvec(v))
 
     def test_independent_for_membership_curves(self):
         rng = random.Random(41)
         count = 0
         while count < 20:
             c = propcheck.random_curve(rng, rng.choice((2, 3, 4)), rng.choice((1, 2)))
-            if not membership_checks(c).all_pass:
+            if not membership_checks(c)["all_pass"]:
                 continue
             count += 1
             vs = symmetry_kernel_vectors(c)
@@ -410,7 +412,7 @@ class TestRankInvariance:
         f2 = propcheck.scaled_form(oracles.f0(fixture_a), F(-7, 3))
         prob = IncidenceProblem(4, 1, 5, f2)
         grads = restricted_gradient(prob.f, fixture_a.c0)
-        assert rank_exact(jacobian_coefficient_form(prob, fixture_a.c0, grads).matrix) == 6
+        assert rank_exact(jacobian_coefficient_form(prob, fixture_a.c0, grads)) == 6
 
     def test_under_reparametrization(self, fixture_a):
         # t -> a t + b moves each component through substitution
@@ -427,7 +429,7 @@ class TestRankInvariance:
             moved = CurveParam.from_rationals(4, 1, comps)
             grads = restricted_gradient(oracles.problem(fixture_a).f, moved)
             jac = jacobian_coefficient_form(oracles.problem(fixture_a), moved, grads)
-            assert rank_exact(jac.matrix) == 6
+            assert rank_exact(jac) == 6
 
 
 def test_taylor_first_order_small():
@@ -495,7 +497,7 @@ def test_components_keep_their_own_denominators():
            "components": [{"coeffs": [format_rational(x) for x in cs]} for cs in comps]}
     start = time.perf_counter()
     c = CurveParam.from_obj(doc)
-    assert membership_checks(c).all_pass
+    assert membership_checks(c)["all_pass"]
     z0 = MultiPoly.monomial((1,) + (0,) * 8)
     den, xs = c.components[0]
     assert restrict_to_curve([[z0]], c.components) == [(den, [list(xs)])]

@@ -6,8 +6,10 @@ import pytest
 
 from curvejac import linalg
 from curvejac.errors import DimensionError
-from curvejac.incidence import JacobianMatrix, jacobian_coefficient_form, restricted_gradient
+from curvejac.incidence import (CurveParam, IncidenceProblem, jacobian_coefficient_form,
+                                restricted_gradient)
 from curvejac.linalg import IntMatrix, _singular_values, kernel_exact, rank_exact, rank_numeric
+from curvejac.poly import MultiPoly
 
 import oracles
 
@@ -61,10 +63,10 @@ class TestRankExact:
         prob = oracles.problem(fixture_a)
         grads = restricted_gradient(prob.f, fixture_a.c0)
         jac = jacobian_coefficient_form(prob, fixture_a.c0, grads)
-        assert rank_exact(jac.matrix) == 6
+        assert rank_exact(jac) == 6
         # cross-check with plain Gauss-Jordan and with the kernel dimension
-        assert oracles.rref_rank(oracles.matrix_rows(jac.matrix), jac.matrix.cols) == 6
-        assert kernel_exact(jac.matrix).dim == 4
+        assert oracles.rref_rank(oracles.matrix_rows(jac), jac.cols) == 6
+        assert kernel_exact(jac).dim == 4
 
     def test_invariance_under_permutation_and_scaling(self):
         rng = random.Random(7)
@@ -181,8 +183,8 @@ class TestRankNumeric:
         prob = oracles.problem(fixture_a)
         grads = restricted_gradient(prob.f, fixture_a.c0)
         jac = jacobian_coefficient_form(prob, fixture_a.c0, grads)
-        cm = to_complex(jac.matrix)
-        assert rank_numeric(cm, 1e-8) == rank_exact(jac.matrix) == 6
+        cm = to_complex(jac)
+        assert rank_numeric(cm, 1e-8) == rank_exact(jac) == 6
         # the fixture satisfies the stated margin: smallest nonzero singular
         # value well above 10 * tol * largest, by numpy's SVD as the reference
         ref = numpy.linalg.svd(numpy.array(cm), compute_uv=False)
@@ -239,16 +241,23 @@ class TestRankNumeric:
 
 
 class TestMatrixJson:
-    def test_round_trip(self):
-        # a Jacobian writes its matrix over its denominator, each entry once
-        want = [["1/2", "-3"], ["0", "7/5"]]
-        labels = ("c0[t^0]", "c0[t^1]")
-        coeff = JacobianMatrix("coefficient", labels, 10,
-                               matrix=IntMatrix.from_rows([[5, -30], [0, 14]]))
-        evaluation = JacobianMatrix("evaluation", labels, 2, rows=((1, F(-6)), (0, F(14, 5))),
-                                    points=(F(0), F(1)))
-        for jac in (coeff, evaluation):
-            assert jac.to_obj()["matrix"] == {"rows": 2, "cols": 2, "entries": want}
+    def test_round_trip(self, jacobian_command):
+        # the `jacobian` document writes den times the Jacobian over den, each
+        # entry once: f = z0^2/2 - 3 z0 z1 + 7/5 z1^2 on the line (1, t) has
+        # the gradient (1 - 3t, -3 + 14/5 t), den 5
+        f = MultiPoly(2, {(2, 0): F(1, 2), (1, 1): -3, (0, 2): F(7, 5)})
+        prob, line = IncidenceProblem(1, 1, 2, f), CurveParam.from_rationals(1, 1, ([1], [0, 1]))
+        assert restricted_gradient(f, line)[0] == 5
+        labels = ["c0[t^0]", "c0[t^1]", "c1[t^0]", "c1[t^1]"]
+        coeff = jacobian_command(prob, line)
+        assert coeff["matrix"] == {"rows": 3, "cols": 4, "entries": [
+            ["1", "0", "-3", "0"], ["-3", "1", "14/5", "-3"], ["0", "-3", "0", "14/5"]]}
+        assert (coeff["row_labels"], coeff["col_labels"]) == (["k0", "k1", "k2"], labels)
+        evaluation = jacobian_command(prob, line, "--form", "eval", "--points=0,1,-1/2")
+        assert evaluation["matrix"] == {"rows": 3, "cols": 4, "entries": [
+            ["1", "0", "-3", "0"], ["-2", "-2", "-1/5", "-1/5"], ["5/2", "-5/4", "-22/5", "11/5"]]}
+        assert evaluation["row_labels"] == ["t=0", "t=1", "t=-1/2"]
+        assert (evaluation["col_labels"], evaluation["points"]) == (labels, ["0", "1", "-1/2"])
 
 
 def test_matmul_and_matvec():

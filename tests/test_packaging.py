@@ -39,8 +39,9 @@ def test_third_party_imports_are_the_runtime_dependencies():
 
 def test_runs_on_the_standard_library_alone(tmp_path, fixture_b_nonsplit):
     # -S leaves site-packages off the path and -E ignores PYTHONPATH, so the
-    # interpreter sees the standard library and src only; a fixture whose l
-    # does not split takes the complex path, root labels included
+    # interpreter sees the standard library and src only; -E also ignores
+    # PYTHONDONTWRITEBYTECODE, so -B keeps src free of __pycache__.  A fixture
+    # whose l does not split takes the complex path, root labels included
     path = tmp_path / "fixture.json"
     path.write_text(json.dumps(fixture_b_nonsplit.to_obj()))
     code = ("import importlib.util, json, sys; "
@@ -49,7 +50,8 @@ def test_runs_on_the_standard_library_alone(tmp_path, fixture_b_nonsplit):
             "from curvejac import cli; "
             f"rc = cli.main(['verify', {str(path)!r}, '--out', {str(tmp_path / 'out.json')!r}]); "
             "print(rc, json.load(open(sys.argv[1]))['field'])")
-    run = subprocess.run([sys.executable, "-S", "-E", "-c", code, str(tmp_path / "out.json")],
+    run = subprocess.run([sys.executable, "-S", "-E", "-B", "-c", code,
+                          str(tmp_path / "out.json")],
                          capture_output=True, text=True, cwd=tmp_path, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["0", "complex"]
