@@ -29,7 +29,7 @@ from . import construction, fixtures, incidence
 from .errors import DimensionError, InputError
 from .linalg import (MAX_COUNT, MAX_DEGREE, MAX_RATIONAL_DIGITS, _dump, format_rational,
                      parse_rational, parse_size, rank_exact, rank_numeric)
-from .poly import restrict_to_curve
+from .poly import _curve_monomials, restrict_to_curve
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -171,7 +171,8 @@ def _check_degree(degree: int):
 def cmd_through(args, out) -> int:
     _check_degree(args.degree)
     curve = incidence.CurveParam.from_obj(_read_json(args.curve))
-    basis = incidence.quintics_through_curve(curve.n, args.degree, curve)
+    basis = incidence.quintics_through_curve(curve.n, args.degree, curve,
+                                             _curve_monomials(curve.components))
     obj = {
         "config": {"command": "through", "degree": args.degree},
         "ambient_dim": basis.ambient_dim,
@@ -197,7 +198,10 @@ def cmd_sample(args, out) -> int:
     membership = incidence.membership_checks(curve)
     if not membership["all_pass"]:
         raise InputError(f"curve fails membership checks: {membership}")
-    basis = incidence.quintics_through_curve(curve.n, args.degree, curve)
+    # One table of the curve restricts the monomials of the forms through it
+    # and every draw's gradient.
+    table = _curve_monomials(curve.components)
+    basis = incidence.quintics_through_curve(curve.n, args.degree, curve, table)
     if basis.dim == 0:
         sys.stderr.write("no forms of this degree contain the curve\n")
         return EXIT_EMPTY
@@ -205,9 +209,8 @@ def cmd_sample(args, out) -> int:
     nvars = curve.n + 1
     members = [incidence.random_member(basis, args.seed * 1_000_003 + draw, nvars, args.degree)
                for draw in range(args.count)]
-    # Every draw's gradient is restricted through the one table of the curve.
     grads = restrict_to_curve(
-        ([f.partial_derivative(m) for m in range(nvars)] for f in members), curve.components)
+        ([f.partial_derivative(m) for m in range(nvars)] for f in members), table)
     records = []
     full = 0
     for draw, member in enumerate(members):

@@ -56,7 +56,8 @@ from .incidence import (
     vanishes_on_curve,
 )
 from .linalg import MAX_D, IntMatrix, format_rational, parse_size, rank_exact
-from .poly import MultiPoly, _int_mul, coprime, restrict_to_curve, squarefree_roots
+from .poly import (MultiPoly, _curve_monomials, _int_mul, coprime, restrict_to_curve,
+                   squarefree_roots)
 
 __all__ = [
     "Fixture",
@@ -108,7 +109,7 @@ class Fixture:
             raise InputError("fixture invariant violated: c0's z4-component must be zero")
         den, lists = restrict_to_curve(
             [[self.l, self.p, *(self.q.partial_derivative(m) for m in range(4))]],
-            self.c0.components)[0]
+            _curve_monomials(self.c0.components))[0]
         object.__setattr__(self, "restricted", (den, lists))
         # q is a quartic free of z4, so its partials m < 4 decide q(c0) = 0.
         if not vanishes_on_curve((den, lists[2:]), self.c0, 4):

@@ -36,8 +36,10 @@ from .linalg import (
     MAX_D,
     MAX_DEGREE,
     MAX_N,
+    _PRIMES,
     IntMatrix,
     KernelBasis,
+    _rank_mod,
     format_rational,
     kernel_exact,
     parse_list,
@@ -205,10 +207,11 @@ def _check_curve(prob: IncidenceProblem, c: CurveParam):
 
 def restricted_gradient(f: MultiPoly, c: CurveParam) -> tuple[int, list[list[int]]]:
     """The partials (df/dz_m)(c(t)), one per variable of f, restricted
-    together by `restrict_to_curve`: (den, lists), lists[m] the integer
-    coefficients of den * (df/dz_m)(c(t)), den least."""
+    together by `restrict_to_curve` through a table of c's own: (den,
+    lists), lists[m] the integer coefficients of den * (df/dz_m)(c(t)), den
+    least."""
     return restrict_to_curve([[f.partial_derivative(m) for m in range(f.num_vars)]],
-                             c.components)[0]
+                             _curve_monomials(c.components))[0]
 
 
 def vanishes_on_curve(grads: tuple[int, list[list[int]]], c: CurveParam, degree: int) -> bool:
@@ -351,41 +354,61 @@ def symmetry_kernel_vectors(c: CurveParam) -> list[tuple[int, ...]]:
     return [tuple(v) for v in out]
 
 
-def quintics_through_curve(n: int, e: int, c: CurveParam) -> KernelBasis:
+def quintics_through_curve(n: int, e: int, c: CurveParam, table) -> KernelBasis:
     """All degree-e forms vanishing on the curve, over the monomial basis.
 
     Builds the (e*d+1) x C(n+e, e) matrix of the linear map sending a form to
     the coefficients of its restriction to the curve, and returns the exact
-    kernel.  Basis columns follow monomial_basis(n+1, e) order.  The matrix
-    is in integers: column j is the entry (den_j, ints_j) of the table of
-    restricted monomials (`_curve_monomials`) scaled to L = lcm(den_j), and
-    each row is divided by its gcd, which changes neither the kernel nor the
-    pivot columns, so neither the basis.
+    kernel.  Basis columns follow monomial_basis(n+1, e) order.  Column j is
+    the entry (den_j, ints_j) of the curve's table of restricted monomials,
+    table = `_curve_monomials`(c.components), which the caller builds.
+
+    When the matrix has at least as many rows as columns, it is first
+    reduced modulo the first of _PRIMES that divides no den_j, each entry
+    ints_j * den_j**-1 mod p; a rank mod p equal to the column count proves
+    the kernel {0} at once, since the rank over Q is at least that.
+    Otherwise the matrix is taken in integers: each column scaled to L =
+    lcm(den_j), and each row divided by its gcd, which changes neither the
+    kernel nor the pivot columns, so neither the basis.
     """
     if c.n != n:
         raise DimensionError(f"curve has n={c.n}, expected {n}")
-    restrict = _curve_monomials(c.components)
-    cols = [restrict(mono) for mono in monomial_basis(n + 1, e)]
-    big, nrows = lcm(*(den for den, _ in cols)), e * c.d + 1
+    cols = [table(mono) for mono in monomial_basis(n + 1, e)]
+    nrows, ncols = e * c.d + 1, len(cols)
+    if nrows >= ncols:
+        p = next((p for p in _PRIMES if all(den % p for den, _ in cols)), None)
+        if p is not None:
+            reduced = []
+            for den, xs in cols:
+                inv = pow(den, -1, p)
+                reduced.append([x * inv % p for x in xs] + [0] * (nrows - len(xs)))
+            mod_p = IntMatrix(nrows, ncols, tuple(x for row in zip(*reduced) for x in row))
+            if _rank_mod(mod_p, p) == ncols:
+                return KernelBasis(ncols, ())
+    big = lcm(*(den for den, _ in cols))
     cols = [[x * (big // den) for x in xs] + [0] * (nrows - len(xs)) for den, xs in cols]
     entries = []
     for row in zip(*cols):
         g = gcd(*row) or 1
         entries.extend(x // g for x in row)
-    return kernel_exact(IntMatrix(nrows, len(cols), tuple(entries)))
+    return kernel_exact(IntMatrix(nrows, ncols, tuple(entries)))
 
 
 def random_member(
     basis: KernelBasis, seed: int, num_vars: int, degree: int
 ) -> MultiPoly:
-    """Seeded random small-integer combination of the basis, as a polynomial.
+    """Seeded random small-integer combination of the basis, as a polynomial
+    with integer coefficients.
 
     The monomial context (num_vars, degree) is passed explicitly because the
-    bare kernel basis does not determine it.  Coefficients are drawn uniformly
-    from [-9, 9], redrawing the all-zero pull, so the result is nonzero and
-    reproducible for a fixed seed.  The combination is summed in integers
-    over the lcm of the denominators of the vectors it uses, one multiply-add
-    per nonzero basis entry, and each nonzero sum becomes one Fraction.
+    bare kernel basis does not determine it.  Coefficients c_k are drawn
+    uniformly from [-9, 9], redrawing the all-zero pull, so the result is
+    nonzero and reproducible for a fixed seed.  The member is sum_k c_k *
+    w_k, w_k the integer numerators `KernelBasis` keeps for vector k, which
+    are the vector in primitive integer form, lead positive.  It is summed
+    with one multiply-add per nonzero basis entry and no division, and no
+    coefficient exceeds 9 * dim times the largest numerator of the basis:
+    at most bit_length(9 * dim) bits more.
     """
     if basis.dim == 0:
         raise ValueError("cannot sample from an empty basis")
@@ -400,11 +423,9 @@ def random_member(
         coefs = [rng.randint(-9, 9) for _ in range(basis.dim)]
         if any(coefs):
             break
-    used = [(coef, den, terms) for coef, (den, terms) in zip(coefs, basis.vectors) if coef]
-    big = lcm(*(den for _, den, _ in used))
     acc = [0] * basis.ambient_dim
-    for coef, den, terms in used:
-        w = coef * (big // den)
-        for j, x in terms:
-            acc[j] += w * x
-    return MultiPoly._of_clean(num_vars, {m: Fraction(a, big) for m, a in zip(mons, acc) if a})
+    for coef, (_, terms) in zip(coefs, basis.vectors):
+        if coef:
+            for j, x in terms:
+                acc[j] += coef * x
+    return MultiPoly._of_clean(num_vars, {m: a for m, a in zip(mons, acc) if a})

@@ -124,10 +124,12 @@ def parse_list(x, what: str) -> list:
 def format_rational(x: Fraction) -> str:
     """Canonical 'p/q' string; the '/q' part is omitted when q = 1.
 
-    Outputs may have far more digits than inputs (a kernel vector scaled to
-    lead 1, a sampled member), so a part beyond the interpreter's cap on
-    int-to-str digits goes through `Decimal`, whose conversion is exact and
-    has no cap; below it `str` is the fast path.
+    An int is written as the equal Fraction is.  Outputs may have far more
+    digits than inputs: a `through` basis vector scaled to lead 1 can pass
+    the interpreter's cap on int-to-str digits, while a sampled member,
+    integer and of about one primitive vector's height, stays far below it.
+    A part beyond the cap goes through `Decimal`, whose conversion is exact
+    and has no cap; below it `str` is the fast path.
     """
     try:
         return str(x)
@@ -238,7 +240,8 @@ class KernelBasis:
     Each vector is sparse and in integers, a pair (den, terms): den > 0 and
     terms the (column, numerator) pairs of its nonzero entries in column
     order, entry j being numerator / den.  The first numerator is den, so
-    the vector's first nonzero entry is 1.
+    the vector's first nonzero entry is 1, and the numerators have gcd 1:
+    they are the vector in primitive integer form, lead positive.
     """
 
     ambient_dim: int

@@ -8,13 +8,14 @@ first, no trailing zero) over a positive denominator den, least for the
 group of polynomials that shares it.  All arithmetic is exact.
 
 Restriction to a parametrized curve, f(c(t)), has one entry point,
-`restrict_to_curve`: it restricts groups of forms through one table
-(`_curve_monomials`), which takes each component over its own least
-denominator and builds each power of a component and each restricted
-monomial once, as an integer polynomial over a denominator, and multiplies
-each term's coefficient into its restricted monomial once, summing integers
-over a common denominator.  A group of forms comes back as one pair (den,
-lists), which every matrix is built from.  Every polynomial product in the
+`restrict_to_curve`: it restricts groups of forms through a table of the
+curve (`_curve_monomials`) that its caller builds once and passes in.  The
+table takes each component over its own least denominator and builds each
+power of a component and each restricted monomial once, as an integer
+polynomial over a denominator; `restrict_to_curve` multiplies each term's
+coefficient into its restricted monomial once, summing integers over a
+common denominator.  A group of forms comes back as one pair (den, lists),
+which every matrix is built from.  Every polynomial product in the
 package, the table's among them, is one product of integer polynomials by
 Kronecker substitution (`_int_mul`): the coefficients are packed into one
 integer, which CPython multiplies by Karatsuba, and unpacked.
@@ -221,8 +222,10 @@ class MultiPoly:
 
     @classmethod
     def _of_clean(cls, num_vars: int, terms: dict) -> "MultiPoly":
-        """A polynomial whose terms are already what __init__ makes them:
-        exponent tuples of num_vars ints >= 0 to nonzero Fractions."""
+        """A polynomial whose terms are already clean: exponent tuples of
+        num_vars ints >= 0 to nonzero coefficients, each a Fraction or an
+        int.  An int coefficient reads, sums and prints as the equal
+        Fraction does, with no denominator to carry."""
         poly = object.__new__(cls)
         poly.num_vars, poly.terms = num_vars, terms
         return poly
@@ -326,16 +329,18 @@ class MultiPoly:
 
 
 def _curve_monomials(components: Sequence[tuple[int, Sequence[int]]]):
-    """restrict(e) = (den, ints), den * prod_m c_m ** e[m] as integer
-    coefficients: the restriction of the monomial z**e to the curve with
-    `CurveParam.components` components, from one table per curve.
+    """The table of a curve, given by its `CurveParam.components`: restrict(e)
+    = (den, ints), den * prod_m c_m ** e[m] as integer coefficients, the
+    restriction of the monomial z**e to the curve.  Each command builds one
+    table per curve and passes it to every restriction it makes.
 
     Each component c_m is held over its own least denominator D_m, so the
     entry of z**e has the denominator prod_m D_m ** e[m] and integer
     coefficients.  Each power is built once from the one below, and each
     monomial once, as its restriction without the last variable times that
     variable's power, so every entry of the table costs at most one product
-    of integer polynomials (`_int_mul`).
+    of integer polynomials (`_int_mul`).  An exponent vector whose length is
+    not the number of components raises DimensionError.
     """
     powers = [[(1, [1]), (den, list(xs))] for den, xs in components]
     table: dict[tuple[int, ...], tuple[int, list[int]]] = {}
@@ -349,6 +354,9 @@ def _curve_monomials(components: Sequence[tuple[int, Sequence[int]]]):
 
     def restrict(e: tuple[int, ...]) -> tuple[int, list[int]]:
         if e not in table:
+            if len(e) != len(powers):
+                raise DimensionError(f"curve has {len(powers)} components, "
+                                     f"monomial has {len(e)} variables")
             m = max((i for i, k in enumerate(e) if k), default=None)
             if m is None:
                 table[e] = 1, [1]
@@ -365,25 +373,20 @@ def _curve_monomials(components: Sequence[tuple[int, Sequence[int]]]):
 
 
 def restrict_to_curve(groups: Iterable[Iterable[MultiPoly]],
-                      components: tuple) -> list[tuple[int, list[list[int]]]]:
-    """The restrictions f(c(t)), z_m := c_m(t), the curve's components given
-    as `CurveParam.components` holds them, of each group of forms as one
+                      table) -> list[tuple[int, list[list[int]]]]:
+    """The restrictions f(c(t)), z_m := c_m(t), of each group of forms as one
     pair (den, lists): den the least common denominator of the group's
     restrictions, lists[k] den times its k-th form's as integer
     coefficients, t**0 first, no trailing zero.  The groups (any iterables,
-    read once) share one integer table of restricted monomials
-    (`_curve_monomials`); each term multiplies its entry once, over the lcm
-    L of the group's term denominators, and one gcd of L with every sum
-    makes den least.  No Fraction is built."""
-    restrict = _curve_monomials(components)
+    read once) read the one table of the curve, table = `_curve_monomials`
+    (components), which the caller builds; each term multiplies its entry
+    once, over the lcm L of the group's term denominators, and one gcd of L
+    with every sum makes den least.  Coefficients may be Fractions or ints;
+    no Fraction is built.  A form whose variables are not the curve's
+    components raises DimensionError from the table."""
     out = []
     for group in groups:
-        terms = []
-        for f in group:
-            if f.num_vars != len(components):
-                raise DimensionError(f"curve has {len(components)} components, "
-                                     f"polynomial has {f.num_vars} variables")
-            terms.append([(c, *restrict(e)) for e, c in f.terms.items()])
+        terms = [[(c, *table(e)) for e, c in f.terms.items()] for f in group]
         den = lcm(*(c.denominator * d for form in terms for c, d, _ in form))
         lists = []
         for form in terms:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,25 @@ def no_euclid(monkeypatch):
         raise AssertionError("Euclid over Q ran")
 
     monkeypatch.setattr("curvejac.poly._gcd_degree", refuse)
+
+
+@pytest.fixture()
+def table_builds(monkeypatch):
+    """Counts the restriction tables built (`poly._curve_monomials`): the
+    builder is replaced in every curvejac module that binds it, and the
+    returned list gets one entry per table."""
+    from curvejac import poly
+
+    builds, build = [], poly._curve_monomials
+
+    def counting_build(components):
+        builds.append(len(components))
+        return build(components)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "curvejac" and getattr(module, "_curve_monomials", None) is build:
+            monkeypatch.setattr(module, "_curve_monomials", counting_build)
+    return builds
 
 
 @pytest.fixture(scope="session")

@@ -24,7 +24,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 import mpmath
 import sympy
@@ -152,17 +152,24 @@ def fraction_complex_rows(pair, d, points):
 
 def dense_random_member(vectors, seed, monomials):
     """The terms {monomial: coefficient} of the member `random_member` draws
-    from the dense basis vectors (`dense_kernel`) over monomials, summed as
-    Fractions entry by entry: the seeded coefficients in [-9, 9], redrawn
-    while all are zero, times the vectors."""
+    from the dense Fraction basis vectors (`dense_kernel`) over monomials:
+    each vector brought to primitive integer form (times the lcm of its
+    denominators, over the gcd of the result, its first nonzero entry made
+    positive), then the seeded coefficients in [-9, 9], redrawn while all
+    are zero, times those integer vectors, summed entry by entry."""
     rng = random.Random(seed)
     while True:
         coefs = [rng.randint(-9, 9) for _ in vectors]
         if any(coefs):
             break
-    vec = [Fraction(0)] * len(monomials)
+    vec = [0] * len(monomials)
     for coef, v in zip(coefs, vectors):
-        for i, x in enumerate(v):
+        scale = lcm(*(Fraction(x).denominator for x in v))
+        ints = [int(x * scale) for x in v]
+        g = gcd(*ints)
+        lead = next(x for x in ints if x)
+        w = [x // g if lead > 0 else -x // g for x in ints]
+        for i, x in enumerate(w):
             vec[i] += coef * x
     return {m: x for m, x in zip(monomials, vec) if x}
 

@@ -31,6 +31,7 @@ from curvejac.linalg import (
 from curvejac.poly import (
     _LABEL_DIGITS,
     MultiPoly,
+    _curve_monomials,
     _gcd_degree,
     _int_mul,
     _integral,
@@ -156,7 +157,8 @@ def curve_from_theta(n, d, vec):
 
 def incidence_equations(prob, c):
     """The e*d+1 coefficients of f(c(t)), zero-padded at the top."""
-    restricted = oracles.unipolys(restrict_to_curve([[prob.f]], c.components)[0])[0]
+    table = _curve_monomials(c.components)
+    restricted = oracles.unipolys(restrict_to_curve([[prob.f]], table)[0])[0]
     return tuple(oracles.padded(restricted, prob.num_equations))
 
 
@@ -316,7 +318,8 @@ def symmetry_annihilation_suite(seed, draws):
     for draw in range(draws):
         n, e, d = rng.choice((3, 4)), rng.choice((2, 3)), draw % 3 + 1
         c = _symmetry_curve(rng, n, d)
-        f = random_member(quintics_through_curve(n, e, c), draw, n + 1, e)
+        basis = quintics_through_curve(n, e, c, _curve_monomials(c.components))
+        f = random_member(basis, draw, n + 1, e)
         jac = jacobian_coefficient_form(IncidenceProblem(n, d, e, f), c, restricted_gradient(f, c))
         vectors = symmetry_kernel_vectors(c)
         assert any(map(any, vectors)) == any(xs for _, xs in c.components), c

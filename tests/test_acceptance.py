@@ -24,7 +24,7 @@ from curvejac.incidence import (
     symmetry_kernel_vectors,
 )
 from curvejac.linalg import IntMatrix, kernel_exact, rank_exact, rank_numeric
-from curvejac.poly import monomial_basis, restrict_to_curve
+from curvejac.poly import _curve_monomials, monomial_basis, restrict_to_curve
 
 import oracles
 import propcheck
@@ -43,7 +43,7 @@ def criterion(num, desc):
 
 
 def on_curve(poly, c0):
-    return oracles.unipolys(restrict_to_curve([[poly]], c0.components)[0])[0]
+    return oracles.unipolys(restrict_to_curve([[poly]], _curve_monomials(c0.components))[0])[0]
 
 
 def run_cli(argv):
@@ -147,7 +147,7 @@ def test_criterion_5_vandermonde_identity(fixture_a, fixture_b, fixture_b_nonspl
                 assert rank_exact(eval_matrix) == rank_exact(j_coeff)
         # complex path: l restricting to 1 + t^2 forces roots at +-i
         fx = fixture_b_nonsplit
-        pair = restrict_to_curve([[fx.l, fx.p]], fx.c0.components)[0]
+        pair = restrict_to_curve([[fx.l, fx.p]], _curve_monomials(fx.c0.components))[0]
         roots, field = select_special_points(pair, fx.d)
         assert field == "complex"
         points = roots + _generic_points(*pair[1], 4 * fx.d + 1, 0, 0)
@@ -159,10 +159,11 @@ def test_criterion_5_vandermonde_identity(fixture_a, fixture_b, fixture_b_nonspl
 
 def test_criterion_6_through_curve(fixture_a, fixture_b):
     with criterion(6, "through-curve dimensions 3 / 120 / 115 and f0 membership"):
-        assert quintics_through_curve(4, 1, fixture_a.c0).dim == 3
+        table = _curve_monomials(fixture_a.c0.components)
+        assert quintics_through_curve(4, 1, fixture_a.c0, table).dim == 3
         mons = monomial_basis(5, 5)
         for fix, expected in ((fixture_a, 120), (fixture_b, 115)):
-            basis = quintics_through_curve(4, 5, fix.c0)
+            basis = quintics_through_curve(4, 5, fix.c0, _curve_monomials(fix.c0.components))
             assert basis.ambient_dim == 126
             assert basis.dim == expected
             f0_vec = [oracles.f0(fix).terms.get(m, F(0)) for m in mons]
@@ -173,7 +174,8 @@ def test_criterion_6_through_curve(fixture_a, fixture_b):
 def test_criterion_7_sampling(fixture_a):
     with criterion(7, "20 seeded random quintics through the line all have rank 6"):
         start = time.perf_counter()
-        basis = quintics_through_curve(4, 5, fixture_a.c0)
+        table = _curve_monomials(fixture_a.c0.components)
+        basis = quintics_through_curve(4, 5, fixture_a.c0, table)
         full = 0
         for draw in range(20):
             g = random_member(basis, 0 * 1_000_003 + draw, 5, 5)

@@ -12,11 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from curvejac import cli, incidence, linalg, poly
+from curvejac import cli, linalg, poly
 from curvejac.construction import Fixture
 from curvejac.incidence import (CurveParam, IncidenceProblem, quintics_through_curve,
                                 random_member)
-from curvejac.poly import MultiPoly
+from curvejac.poly import MultiPoly, _curve_monomials
 
 import oracles
 import propcheck
@@ -376,7 +376,8 @@ class TestThroughCommand:
         assert rc == 0, err
         obj = json.loads(out)
         assert obj["dimension"] == 10 - 4
-        basis = quintics_through_curve(2, 3, CurveParam.from_obj(line))
+        curve = CurveParam.from_obj(line)
+        basis = quintics_through_curve(2, 3, curve, _curve_monomials(curve.components))
         assert digits_above_cap(x for v in oracles.dense_kernel(basis) for x in v)
         with uncapped_int_str():
             assert obj["basis"] == [[str(x) for x in v] for v in oracles.dense_kernel(basis)]
@@ -398,21 +399,11 @@ class TestSampleCommand:
         assert all(r["rank"] == 6 for r in obj["records"])
         assert "5/5" in err
 
-    def test_one_restriction_table_per_command(self, curve_a_path, monkeypatch):
-        # one table for the forms through the curve and one for every
+    def test_one_restriction_table_per_command(self, curve_a_path, table_builds):
+        # one table of the curve serves the forms through it and every
         # draw's gradient, however many draws
-        tables = 0
-        build = poly._curve_monomials
-
-        def counting_build(components):
-            nonlocal tables
-            tables += 1
-            return build(components)
-
-        monkeypatch.setattr(poly, "_curve_monomials", counting_build)
-        monkeypatch.setattr(incidence, "_curve_monomials", counting_build)
         assert run_cli(["sample", curve_a_path, "--count", "3"])[0] == 0
-        assert tables == 2
+        assert table_builds == [5]
 
     def test_deficient_draws_take_the_bareiss_fallback(self, monkeypatch):
         # on the conic in the plane every quintic member's 11 x 9 Jacobian has
@@ -498,9 +489,32 @@ class TestSampleCommand:
         assert rc == 4 and out == ""
         assert err == "no forms of this degree contain the curve\n"
 
-    def test_members_beyond_the_int_str_cap(self, tmp_path):
-        # a third coefficient that is a fraction of two 30-digit numbers:
-        # the members' coefficients have about 12000 digits
+    def test_empty_kernel_at_the_input_limit(self, tmp_path, monkeypatch, no_euclid):
+        # a curve in P^8 of degree 32 whose coefficients are fractions of two
+        # numbers of up to 2000 digits, the most an input may have: its 33 x 9
+        # matrix of linear forms has rank 9 mod a prime, so the kernel is {0}
+        # with no elimination over the integers
+        lists = propcheck.fractional_lists(32, 8, 32, 2000)
+        path = tmp_path / "d32.json"
+        path.write_text(json.dumps({"n": 8, "d": 32, "components": [
+            {"coeffs": [str(x) for x in xs]} for xs in lists]}))
+
+        def refuse(m):
+            raise AssertionError("Bareiss ran")
+
+        monkeypatch.setattr(linalg, "_bareiss_echelon", refuse)
+        rc, out, err = run_cli(["through", str(path), "--degree", "1"])
+        assert rc == 0, err
+        assert json.loads(out)["dimension"] == 0
+        rc, out, err = run_cli(["sample", str(path), "--degree", "1", "--count", "1"])
+        assert rc == 4 and out == ""
+        assert err == "no forms of this degree contain the curve\n"
+
+    def test_members_of_bounded_height(self, tmp_path):
+        # a third coefficient that is a fraction of two 30-digit numbers: the
+        # lead-1 basis vectors have large denominators, yet each member is an
+        # integer combination of the primitive ones, its height that of one
+        # vector times at most 9 * dim, and its hash the sha256 of its document
         curve = json.loads((DATA / "curve-d2x30.json").read_text())
         curve["components"][3]["coeffs"][0] = (
             "-718281828459045235360287471352/314159265358979323846264338327")
@@ -510,15 +524,19 @@ class TestSampleCommand:
             ["sample", str(path), "--degree", "5", "--count", "3", "--seed", "100"])
         assert rc == 0, err
         records = json.loads(out)["records"]
-        basis = quintics_through_curve(4, 5, CurveParam.from_obj(curve))
+        parsed = CurveParam.from_obj(curve)
+        basis = quintics_through_curve(4, 5, parsed, _curve_monomials(parsed.components))
+        assert max(den for den, _ in basis.vectors) > 1
+        bound = (max(abs(x).bit_length() for _, terms in basis.vectors for _, x in terms)
+                 + (9 * basis.dim).bit_length())
         assert [r["rank"] for r in records] == [11] * 3
         for r in records:
             member = random_member(basis, 100 * 1_000_003 + r["draw"], 5, 5)
-            assert digits_above_cap(member.terms.values())
+            assert all(type(c) is int and abs(c).bit_length() <= bound
+                       for c in member.terms.values())
             terms = sorted(member.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
-            with uncapped_int_str():
-                doc = {"nvars": 5, "homogeneous_degree": 5,
-                       "terms": [{"exp": list(e), "coef": str(c)} for e, c in terms]}
+            doc = {"nvars": 5, "homogeneous_degree": 5,
+                   "terms": [{"exp": list(e), "coef": str(c)} for e, c in terms]}
             blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
             assert r["poly_hash"] == hashlib.sha256(blob.encode()).hexdigest()[:12]
 

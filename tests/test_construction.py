@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from curvejac import cli, linalg, poly
+from curvejac import cli, linalg
 from curvejac.construction import (
     MAX_POINT_ATTEMPTS,
     Fixture,
@@ -27,7 +27,7 @@ from curvejac.incidence import (
     symmetry_kernel_vectors,
 )
 from curvejac.linalg import IntMatrix, kernel_exact, rank_exact
-from curvejac.poly import MultiPoly, _polyroots, restrict_to_curve
+from curvejac.poly import MultiPoly, _curve_monomials, _polyroots, restrict_to_curve
 
 import oracles
 import propcheck
@@ -37,13 +37,13 @@ DATA = Path(__file__).parent / "data"
 
 
 def on_curve(poly, c0):
-    return oracles.unipolys(restrict_to_curve([[poly]], c0.components)[0])[0]
+    return oracles.unipolys(restrict_to_curve([[poly]], _curve_monomials(c0.components))[0])[0]
 
 
 def restricted(c0, l, p):
     """(den, [lc, pc]): l and p restricted to c0 as `Fixture.restricted`
     begins."""
-    return restrict_to_curve([[l, p]], c0.components)[0]
+    return restrict_to_curve([[l, p]], _curve_monomials(c0.components))[0]
 
 
 def special_points(c0, l, p):
@@ -454,23 +454,14 @@ class TestVerifyConstruction:
         assert by_id[5]["details"]["root_rows"] == 4
         assert rep["points"][4] == "1+0i"  # generic points keep complex labels
 
-    def test_one_restriction_table(self, fixture_a, monkeypatch, tmp_path):
+    def test_one_restriction_table(self, fixture_a, table_builds, tmp_path):
         # a whole verify run, load included, restricts l, p and the partials
         # of q through one table; f0 is never restricted, and q(c0) = 0 is
         # decided from those restrictions
         path = tmp_path / "fixture-a.json"
         path.write_text(json.dumps(fixture_a.to_obj()))
-        tables = 0
-        build = poly._curve_monomials
-
-        def counting_build(components):
-            nonlocal tables
-            tables += 1
-            return build(components)
-
-        monkeypatch.setattr(poly, "_curve_monomials", counting_build)
         assert cli.main(["verify", str(path)]) == 0
-        assert tables == 1
+        assert len(table_builds) == 1
 
     @pytest.fixture()
     def integer_chain_fixtures(self, fixture_a, fixture_b, fixture_b_nonsplit):

@@ -18,9 +18,15 @@ certified modular ranks reproduce it in under a second.  `through` and
 degree-2 curve `data/curve-d2x30.json`, whose coefficients are negative
 and positive, among them fractions with 30-digit numerators and
 denominators, so that restriction and kernel run on large integers.  Those
-two hashes were recorded from the `Fraction` products and back-substitution
-that the integer ones replaced.  `sample` on the conic (1, t, t^2) in the
-plane (`data/curve-conic.json`) pins draws whose rank, 5, is below both the
+two `through` hashes were recorded from the `Fraction` products and
+back-substitution that the integer ones replaced.  The two `sample` hashes
+on those curves were re-pinned when members became integer combinations of
+the primitive basis vectors: their bases have denominators above 1, so only
+each record's `poly_hash` moved, and every rank, `tangent_dim` and
+`full_rank` stayed.  On A, B and the conic every basis vector has
+denominator 1, so the member, and with it the hash, is what the lead-1
+combination gave.  `sample` on the conic (1, t, t^2) in the plane
+(`data/curve-conic.json`) pins draws whose rank, 5, is below both the
 claimed e*d+1 = 11 and min(rows, cols) = 9, so every draw's rank comes from
 the Bareiss fallback; that hash was recorded from dense `Fraction` kernel
 vectors and members.  The two `fixture` cases pin the bundles of A and B,
@@ -71,9 +77,9 @@ GOLDEN = {
     "through-5-B": "6a1544ebf1c8da4fe5b51dc11f0e2738bc7bd291f919bf5fabe147e5e30b1895",
     "through-5-d3": "bbd07bb89ad6530b1aa25eba529b665f0825af6941c89172d2a3b13721c2ee14",
     "sample-5-3-100-B": "5e5b49241b6ae0a91662665110e90ead14a5e7caa072fda64fc426593fef2068",
-    "sample-5-3-100-d3": "9947af7f905abb3f86213f0e7dd003717c9152d2e1d65dbda98759b8988be1c0",
+    "sample-5-3-100-d3": "b3df1804efb3f41b0792da0bfab7f6fefb78d1070f024a3ccdf4ae5f3044f75f",
     "through-5-d2x30": "50893038d04bbcb463e95ef9ef8ae8d6249ae56d800b3a1528af0581be187b53",
-    "sample-5-3-100-d2x30": "d01a50364c5a948bf81205265c5ffff9c28df142fa257e0fa82ee09f57b6186a",
+    "sample-5-3-100-d2x30": "5a80f5051b9926dd7d0a451719aa6150d28d75b9fb09ad2562cd9a1d847d0b46",
     "sample-5-3-1-conic": "8b373603f936669b1346082ed1b6cc9bb8d8e7d8908d88b04163bca685545b62",
     "fixture-A": "006e538f54ab144b12d1d7a60e0b73fe39e3031be8d18420efb0fe8c588aa433",
     "fixture-B": "6c500a4dbb2695a2a65aac04f2d42ccb8a117e3c410802d8ddb69224534310c8",

@@ -12,6 +12,7 @@ from curvejac.linalg import _PRIMES
 from curvejac.poly import (
     _LABEL_DIGITS,
     MultiPoly,
+    _curve_monomials,
     _decimal_digits,
     _dk_sweep,
     _gcd_degree,
@@ -31,7 +32,8 @@ import propcheck
 def compose_with_curve(f, components):
     """f(c(t)) as a list of Fractions, for components given as Fraction
     lists."""
-    return oracles.unipolys(restrict_to_curve([[f]], propcheck.pairs(components))[0])[0]
+    table = _curve_monomials(propcheck.pairs(components))
+    return oracles.unipolys(restrict_to_curve([[f]], table)[0])[0]
 
 
 def complex_roots(p, digits=_LABEL_DIGITS):
@@ -153,7 +155,8 @@ class TestComposeWithCurve:
             rng.shuffle(forms)
             cut = rng.randint(0, len(forms))
             groups = [forms[:cut], forms[cut:], [forms[0]]]
-            pairs = restrict_to_curve(iter(map(iter, groups)), propcheck.pairs(comps))
+            table = _curve_monomials(propcheck.pairs(comps))
+            pairs = restrict_to_curve(iter(map(iter, groups)), table)
             assert len(pairs) == 3
             for group, pair in zip(groups, pairs):
                 want = [oracles.naive_compose(f.terms, comps) for f in group]
@@ -169,13 +172,13 @@ class TestComposeWithCurve:
             group = [propcheck.scaled_form(propcheck.random_homogeneous(rng, 3, 2),
                                            F(rng.randint(1, 50), rng.randint(1, 10**6)))
                      for _ in range(rng.randint(1, 3))]
-            (den, lists), = restrict_to_curve([group], comps)
+            (den, lists), = restrict_to_curve([group], _curve_monomials(comps))
             assert den > 0 and math.gcd(den, *(x for xs in lists for x in xs)) == 1
             assert all(type(x) is int for xs in lists for x in xs)
             assert all(xs[-1] for xs in lists if xs)
         z4 = MultiPoly.monomial((0, 0, 0, 0, 1), F(1, 7))
         z3z4 = MultiPoly.monomial((0, 0, 0, 1, 1), F(5, 3))
-        assert restrict_to_curve([[z4, z3z4], [], [MultiPoly(5, {})]], line) == [
+        assert restrict_to_curve([[z4, z3z4], [], [MultiPoly(5, {})]], _curve_monomials(line)) == [
             (1, [[], []]), (1, []), (1, [[]])]
 
     def test_groups_keep_their_own_denominators(self):
@@ -186,8 +189,9 @@ class TestComposeWithCurve:
             comps = propcheck.pairs([propcheck.random_unipoly(rng, 2) for _ in range(3)])
             small = [propcheck.random_homogeneous(rng, 3, 2) for _ in range(2)]
             big = [propcheck.scaled_form(f, F(1, 10**40 + 3)) for f in small]
-            together = restrict_to_curve([small, big], comps)
-            assert together == [restrict_to_curve([g], comps)[0] for g in (small, big)]
+            together = restrict_to_curve([small, big], _curve_monomials(comps))
+            assert together == [restrict_to_curve([g], _curve_monomials(comps))[0]
+                                for g in (small, big)]
             assert together[1][0] % together[0][0] == 0
             assert together[1][0] > together[0][0]
             assert together[0][1] == together[1][1]
@@ -198,9 +202,11 @@ class TestComposeWithCurve:
 
         forms = [fixture_b.l, fixture_b.p, *(fixture_b.q.partial_derivative(m) for m in range(5)),
                  propcheck.scaled_form(fixture_b.p, F(-3, 7))]
-        want = restrict_to_curve([forms, forms[:2]], fixture_b.c0.components)
+        table = _curve_monomials(fixture_b.c0.components)
+        want = restrict_to_curve([forms, forms[:2]], table)
         monkeypatch.setattr("curvejac.poly.Fraction", refuse)
-        assert restrict_to_curve([forms, forms[:2]], fixture_b.c0.components) == want
+        again = _curve_monomials(fixture_b.c0.components)
+        assert restrict_to_curve([forms, forms[:2]], again) == want
 
     def test_linearity_in_f(self):
         rng = random.Random(21)
