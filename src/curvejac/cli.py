@@ -25,11 +25,11 @@ import sys
 import types
 from fractions import Fraction
 
-from . import construction, fixtures, incidence
+from . import construction, incidence
 from .errors import DimensionError, InputError
 from .linalg import (MAX_COUNT, MAX_DEGREE, MAX_RATIONAL_DIGITS, _dump, format_rational,
                      parse_rational, parse_size, rank_exact, rank_numeric)
-from .poly import _curve_monomials, restrict_to_curve
+from .poly import _curve_monomials, monomial_basis, restrict_to_curve
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -101,6 +101,8 @@ def _parse_points(text: str):
 
 
 def cmd_fixture(args, out) -> int:
+    from . import fixtures  # only this command reads the shipped fixtures
+
     fix = fixtures.get(args.name)
     _write_output(_dump(fix.to_obj()), out)
     return EXIT_OK
@@ -171,13 +173,13 @@ def _check_degree(degree: int):
 def cmd_through(args, out) -> int:
     _check_degree(args.degree)
     curve = incidence.CurveParam.from_obj(_read_json(args.curve))
-    basis = incidence.quintics_through_curve(curve.n, args.degree, curve,
-                                             _curve_monomials(curve.components))
+    mons = monomial_basis(curve.n + 1, args.degree)
+    basis = incidence.quintics_through_curve(curve, mons, _curve_monomials(curve.components))
     obj = {
         "config": {"command": "through", "degree": args.degree},
         "ambient_dim": basis.ambient_dim,
         "dimension": basis.dim,
-        "monomials": [list(m) for m in incidence.monomial_basis(curve.n + 1, args.degree)],
+        "monomials": [list(m) for m in mons],
         "basis": basis.to_obj()["vectors"],
     }
     _write_output(_dump(obj), out)
@@ -199,15 +201,17 @@ def cmd_sample(args, out) -> int:
     if not membership["all_pass"]:
         raise InputError(f"curve fails membership checks: {membership}")
     # One table of the curve restricts the monomials of the forms through it
-    # and every draw's gradient.
+    # and every draw's gradient; one list of those monomials indexes the
+    # basis and every draw.
+    nvars = curve.n + 1
     table = _curve_monomials(curve.components)
-    basis = incidence.quintics_through_curve(curve.n, args.degree, curve, table)
+    mons = monomial_basis(nvars, args.degree)
+    basis = incidence.quintics_through_curve(curve, mons, table)
     if basis.dim == 0:
         sys.stderr.write("no forms of this degree contain the curve\n")
         return EXIT_EMPTY
     expected_rank = args.degree * curve.d + 1
-    nvars = curve.n + 1
-    members = [incidence.random_member(basis, args.seed * 1_000_003 + draw, nvars, args.degree)
+    members = [incidence.random_member(basis, args.seed * 1_000_003 + draw, mons)
                for draw in range(args.count)]
     grads = restrict_to_curve(
         ([f.partial_derivative(m) for m in range(nvars)] for f in members), table)

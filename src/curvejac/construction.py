@@ -43,10 +43,9 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DimensionError, InputError
+from .errors import DimensionError, InputError, Record
 from .incidence import (
     CurveParam,
     _convolution_matrix,
@@ -84,22 +83,16 @@ def _check_factors(l: MultiPoly, q: MultiPoly, p: MultiPoly):
         raise InputError("q must not involve z4")
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(Record):
     """Input bundle for the construction: q, l, p and the curve, d >= 1.
     Derived: `restricted`, the pair (den, lists) of `restrict_to_curve` for
     lc = l(c0), pc = p(c0) and (dq/dz_m)(c0), m < 4, in that order, which
     decides q(c0) = 0.  f0 = l*q + z4*p is never built."""
 
-    name: str
-    q: MultiPoly
-    l: MultiPoly
-    p: MultiPoly
-    c0: CurveParam
-    d: int
-    restricted: tuple[int, list[list[int]]] = field(init=False, repr=False, compare=False)
+    _fields = ("name", "q", "l", "p", "c0", "d")
+    __slots__ = (*_fields, "restricted")
 
-    def __post_init__(self):
+    def _check(self):
         _check_factors(self.l, self.q, self.p)
         if self.d < 1:
             raise InputError(f"fixture d must be at least 1, got {self.d}")

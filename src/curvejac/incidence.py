@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 
-from .errors import DimensionError, InputError
+from .errors import DimensionError, InputError, Record
 from .linalg import (
     MAX_D,
     MAX_DEGREE,
@@ -52,7 +51,6 @@ from .poly import (
     _int_mul,
     _scaled,
     coprime,
-    monomial_basis,
     restrict_to_curve,
 )
 
@@ -71,8 +69,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CurveParam:
+class CurveParam(Record):
     """A point of the curve parameter space: n+1 components of degree <= d,
     components[m] = (den, ints) with c_m(t) = sum_i ints[i] t**i / den, as
     `from_rationals` builds it: den > 0 least, ints a tuple of ints, t**0
@@ -80,11 +77,9 @@ class CurveParam:
     factor of den and ints goes unchecked: at the input limits its gcd
     costs more than reading the curve."""
 
-    n: int
-    d: int
-    components: tuple[tuple[int, tuple[int, ...]], ...]
+    __slots__ = _fields = ("n", "d", "components")
 
-    def __post_init__(self):
+    def _check(self):
         if len(self.components) != self.n + 1:
             raise InputError(f"curve needs {self.n + 1} components, got {len(self.components)}")
         for m, (den, xs) in enumerate(self.components):
@@ -132,16 +127,12 @@ class CurveParam:
         return cls.from_rationals(n, d, parsed)
 
 
-@dataclass(frozen=True)
-class IncidenceProblem:
+class IncidenceProblem(Record):
     """A hypersurface div(f) of degree e together with the curve degree bound."""
 
-    n: int
-    d: int
-    e: int
-    f: MultiPoly
+    __slots__ = _fields = ("n", "d", "e", "f")
 
-    def __post_init__(self):
+    def _check(self):
         if self.f.num_vars != self.n + 1:
             raise DimensionError(
                 f"f has {self.f.num_vars} variables, ambient dimension wants {self.n + 1}"
@@ -354,14 +345,16 @@ def symmetry_kernel_vectors(c: CurveParam) -> list[tuple[int, ...]]:
     return [tuple(v) for v in out]
 
 
-def quintics_through_curve(n: int, e: int, c: CurveParam, table) -> KernelBasis:
-    """All degree-e forms vanishing on the curve, over the monomial basis.
+def quintics_through_curve(c: CurveParam, mons: Sequence[tuple[int, ...]],
+                           table) -> KernelBasis:
+    """All degree-e forms vanishing on the curve, over the monomials mons =
+    monomial_basis(n+1, e), which the caller builds.
 
     Builds the (e*d+1) x C(n+e, e) matrix of the linear map sending a form to
     the coefficients of its restriction to the curve, and returns the exact
-    kernel.  Basis columns follow monomial_basis(n+1, e) order.  Column j is
-    the entry (den_j, ints_j) of the curve's table of restricted monomials,
-    table = `_curve_monomials`(c.components), which the caller builds.
+    kernel.  Basis columns follow the order of mons.  Column j is the entry
+    (den_j, ints_j) of the curve's table of restricted monomials, table =
+    `_curve_monomials`(c.components), which the caller builds too.
 
     When the matrix has at least as many rows as columns, it is first
     reduced modulo the first of _PRIMES that divides no den_j, each entry
@@ -371,10 +364,10 @@ def quintics_through_curve(n: int, e: int, c: CurveParam, table) -> KernelBasis:
     lcm(den_j), and each row divided by its gcd, which changes neither the
     kernel nor the pivot columns, so neither the basis.
     """
-    if c.n != n:
-        raise DimensionError(f"curve has n={c.n}, expected {n}")
-    cols = [table(mono) for mono in monomial_basis(n + 1, e)]
-    nrows, ncols = e * c.d + 1, len(cols)
+    if len(mons[0]) != c.n + 1:
+        raise DimensionError(f"curve has n={c.n}, monomials are in {len(mons[0])} variables")
+    cols = [table(mono) for mono in mons]
+    nrows, ncols = sum(mons[0]) * c.d + 1, len(cols)
     if nrows >= ncols:
         p = next((p for p in _PRIMES if all(den % p for den, _ in cols)), None)
         if p is not None:
@@ -394,30 +387,25 @@ def quintics_through_curve(n: int, e: int, c: CurveParam, table) -> KernelBasis:
     return kernel_exact(IntMatrix(nrows, ncols, tuple(entries)))
 
 
-def random_member(
-    basis: KernelBasis, seed: int, num_vars: int, degree: int
-) -> MultiPoly:
+def random_member(basis: KernelBasis, seed: int, mons: Sequence[tuple[int, ...]]) -> MultiPoly:
     """Seeded random small-integer combination of the basis, as a polynomial
     with integer coefficients.
 
-    The monomial context (num_vars, degree) is passed explicitly because the
-    bare kernel basis does not determine it.  Coefficients c_k are drawn
-    uniformly from [-9, 9], redrawing the all-zero pull, so the result is
-    nonzero and reproducible for a fixed seed.  The member is sum_k c_k *
-    w_k, w_k the integer numerators `KernelBasis` keeps for vector k, which
-    are the vector in primitive integer form, lead positive.  It is summed
-    with one multiply-add per nonzero basis entry and no division, and no
-    coefficient exceeds 9 * dim times the largest numerator of the basis:
-    at most bit_length(9 * dim) bits more.
+    The monomials mons that index the basis columns are passed explicitly
+    because the bare kernel basis does not determine them.  Coefficients c_k
+    are drawn uniformly from [-9, 9], redrawing the all-zero pull, so the
+    result is nonzero and reproducible for a fixed seed.  The member is
+    sum_k c_k * w_k, w_k the integer numerators `KernelBasis` keeps for
+    vector k, which are the vector in primitive integer form, lead positive.
+    It is summed with one multiply-add per nonzero basis entry and no
+    division, and no coefficient exceeds 9 * dim times the largest numerator
+    of the basis: at most bit_length(9 * dim) bits more.
     """
     if basis.dim == 0:
         raise ValueError("cannot sample from an empty basis")
-    mons = monomial_basis(num_vars, degree)
     if basis.ambient_dim != len(mons):
         raise DimensionError(
-            f"basis ambient dimension {basis.ambient_dim} does not match "
-            f"{len(mons)} monomials of degree {degree} in {num_vars} variables"
-        )
+            f"basis ambient dimension {basis.ambient_dim} does not match {len(mons)} monomials")
     rng = random.Random(seed)
     while True:
         coefs = [rng.randint(-9, 9) for _ in range(basis.dim)]
@@ -428,4 +416,4 @@ def random_member(
         if coef:
             for j, x in terms:
                 acc[j] += coef * x
-    return MultiPoly._of_clean(num_vars, {m: a for m, a in zip(mons, acc) if a})
+    return MultiPoly._of_clean(len(mons[0]), {m: a for m, a in zip(mons, acc) if a})

@@ -43,12 +43,11 @@ import operator
 import re
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
-from .errors import DimensionError, InputError
+from .errors import DimensionError, InputError, Record
 
 __all__ = [
     "IntMatrix",
@@ -196,16 +195,13 @@ def _dump_into(x, nl: str, parts: list[str]) -> None:
         parts.append(json.dumps(x))
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
     """Immutable dense matrix of Python ints, entries in row-major order; a
     Fraction, float or bool entry is refused."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = _fields = ("rows", "cols", "entries")
 
-    def __post_init__(self):
+    def _check(self):
         if len(self.entries) != self.rows * self.cols:
             raise DimensionError(
                 f"matrix {self.rows}x{self.cols} needs {self.rows * self.cols} "
@@ -233,8 +229,7 @@ class IntMatrix:
         return tuple(sum(map(operator.mul, self.row(i), v)) for i in range(self.rows))
 
 
-@dataclass(frozen=True)
-class KernelBasis:
+class KernelBasis(Record):
     """Basis of a right null space; vectors are nonzero and independent.
 
     Each vector is sparse and in integers, a pair (den, terms): den > 0 and
@@ -244,10 +239,9 @@ class KernelBasis:
     they are the vector in primitive integer form, lead positive.
     """
 
-    ambient_dim: int
-    vectors: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    __slots__ = _fields = ("ambient_dim", "vectors")
 
-    def __post_init__(self):
+    def _check(self):
         for _, terms in self.vectors:
             if not terms or not 0 <= terms[0][0] <= terms[-1][0] < self.ambient_dim:
                 raise ValueError("kernel vectors must be nonzero, their columns in range")

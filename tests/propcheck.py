@@ -318,8 +318,9 @@ def symmetry_annihilation_suite(seed, draws):
     for draw in range(draws):
         n, e, d = rng.choice((3, 4)), rng.choice((2, 3)), draw % 3 + 1
         c = _symmetry_curve(rng, n, d)
-        basis = quintics_through_curve(n, e, c, _curve_monomials(c.components))
-        f = random_member(basis, draw, n + 1, e)
+        mons = monomial_basis(n + 1, e)
+        basis = quintics_through_curve(c, mons, _curve_monomials(c.components))
+        f = random_member(basis, draw, mons)
         jac = jacobian_coefficient_form(IncidenceProblem(n, d, e, f), c, restricted_gradient(f, c))
         vectors = symmetry_kernel_vectors(c)
         assert any(map(any, vectors)) == any(xs for _, xs in c.components), c

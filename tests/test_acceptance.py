@@ -160,10 +160,10 @@ def test_criterion_5_vandermonde_identity(fixture_a, fixture_b, fixture_b_nonspl
 def test_criterion_6_through_curve(fixture_a, fixture_b):
     with criterion(6, "through-curve dimensions 3 / 120 / 115 and f0 membership"):
         table = _curve_monomials(fixture_a.c0.components)
-        assert quintics_through_curve(4, 1, fixture_a.c0, table).dim == 3
+        assert quintics_through_curve(fixture_a.c0, monomial_basis(5, 1), table).dim == 3
         mons = monomial_basis(5, 5)
         for fix, expected in ((fixture_a, 120), (fixture_b, 115)):
-            basis = quintics_through_curve(4, 5, fix.c0, _curve_monomials(fix.c0.components))
+            basis = quintics_through_curve(fix.c0, mons, _curve_monomials(fix.c0.components))
             assert basis.ambient_dim == 126
             assert basis.dim == expected
             f0_vec = [oracles.f0(fix).terms.get(m, F(0)) for m in mons]
@@ -174,11 +174,11 @@ def test_criterion_6_through_curve(fixture_a, fixture_b):
 def test_criterion_7_sampling(fixture_a):
     with criterion(7, "20 seeded random quintics through the line all have rank 6"):
         start = time.perf_counter()
-        table = _curve_monomials(fixture_a.c0.components)
-        basis = quintics_through_curve(4, 5, fixture_a.c0, table)
+        table, mons = _curve_monomials(fixture_a.c0.components), monomial_basis(5, 5)
+        basis = quintics_through_curve(fixture_a.c0, mons, table)
         full = 0
         for draw in range(20):
-            g = random_member(basis, 0 * 1_000_003 + draw, 5, 5)
+            g = random_member(basis, 0 * 1_000_003 + draw, mons)
             prob = IncidenceProblem(4, 1, 5, g)
             assert on_curve(g, fixture_a.c0) == []
             grads = restricted_gradient(prob.f, fixture_a.c0)

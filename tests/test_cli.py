@@ -16,7 +16,7 @@ from curvejac import cli, linalg, poly
 from curvejac.construction import Fixture
 from curvejac.incidence import (CurveParam, IncidenceProblem, quintics_through_curve,
                                 random_member)
-from curvejac.poly import MultiPoly, _curve_monomials
+from curvejac.poly import MultiPoly, _curve_monomials, monomial_basis
 
 import oracles
 import propcheck
@@ -267,16 +267,20 @@ def test_mpmath_never_imported(tmp_path, fixture_a_path, problem_a_path, curve_a
     # nor do the complex evaluation points of jacobian, or sample; and no
     # command loads a command-line library (argparse, with the gettext and
     # locale that its messages load) or typing, in an interpreter without
-    # site's imports
+    # site's imports.  Start-up stays lean: neither the import nor any
+    # command loads dataclasses or what it imports (inspect, ast, dis), and
+    # only the fixture command, run last, loads the shipped fixtures.
     out = str(tmp_path / "out.json")
-    argvs = [["fixture", "A", "--out", out],
-             ["jacobian", problem_a_path, curve_a_path, "--form", "eval",
+    argvs = [["jacobian", problem_a_path, curve_a_path, "--form", "eval",
               "--points=0,1,-1,2,-2,1+2i", "--out", out],
              ["verify", fixture_a_path, "--seed=0", "--out", out],
              ["through", curve_a_path, "--degree", "2", "--out", out],
-             ["sample", curve_a_path, "--degree", "5", "--count", "1", "--out", out]]
+             ["sample", curve_a_path, "--degree", "5", "--count", "1", "--out", out],
+             ["fixture", "A", "--out", out]]
     code = ("import json, sys; from curvejac import cli; "
-            "print(json.dumps([[cli.main(argv), 'mpmath' in sys.modules] "
+            "lean = ('dataclasses', 'inspect', 'ast', 'dis', 'curvejac.fixtures'); "
+            "loaded = lambda: [m for m in lean if m in sys.modules]; "
+            "print(json.dumps([loaded()] + [[cli.main(argv), 'mpmath' in sys.modules, loaded()] "
             "for argv in json.loads(sys.argv[1])] "
             "+ [m for m in ('argparse', 'gettext', 'locale', 'typing') if m in sys.modules]))")
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -284,7 +288,8 @@ def test_mpmath_never_imported(tmp_path, fixture_a_path, problem_a_path, curve_a
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     run = subprocess.run([sys.executable, "-S", "-c", code, json.dumps(argvs)],
                          capture_output=True, text=True, env=env, timeout=120, check=True)
-    assert json.loads(run.stdout) == [[0, False]] * 5
+    assert json.loads(run.stdout) == ([[]] + [[0, False, []]] * 4
+                                      + [[0, False, ["curvejac.fixtures"]]])
 
 
 def test_numpy_never_imported(tmp_path, fixture_b_nonsplit, problem_a_path, curve_a_path):
@@ -377,7 +382,8 @@ class TestThroughCommand:
         obj = json.loads(out)
         assert obj["dimension"] == 10 - 4
         curve = CurveParam.from_obj(line)
-        basis = quintics_through_curve(2, 3, curve, _curve_monomials(curve.components))
+        basis = quintics_through_curve(curve, monomial_basis(3, 3),
+                                       _curve_monomials(curve.components))
         assert digits_above_cap(x for v in oracles.dense_kernel(basis) for x in v)
         with uncapped_int_str():
             assert obj["basis"] == [[str(x) for x in v] for v in oracles.dense_kernel(basis)]
@@ -524,14 +530,14 @@ class TestSampleCommand:
             ["sample", str(path), "--degree", "5", "--count", "3", "--seed", "100"])
         assert rc == 0, err
         records = json.loads(out)["records"]
-        parsed = CurveParam.from_obj(curve)
-        basis = quintics_through_curve(4, 5, parsed, _curve_monomials(parsed.components))
+        parsed, mons = CurveParam.from_obj(curve), monomial_basis(5, 5)
+        basis = quintics_through_curve(parsed, mons, _curve_monomials(parsed.components))
         assert max(den for den, _ in basis.vectors) > 1
         bound = (max(abs(x).bit_length() for _, terms in basis.vectors for _, x in terms)
                  + (9 * basis.dim).bit_length())
         assert [r["rank"] for r in records] == [11] * 3
         for r in records:
-            member = random_member(basis, 100 * 1_000_003 + r["draw"], 5, 5)
+            member = random_member(basis, 100 * 1_000_003 + r["draw"], mons)
             assert all(type(c) is int and abs(c).bit_length() <= bound
                        for c in member.terms.values())
             terms = sorted(member.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)

@@ -192,10 +192,15 @@ def test_stdout_bytes_pinned(case, paths):
 
 
 # Each function or method of src/curvejac that no golden case calls, with why
-# it stays.  Methods that @dataclass writes are not in the source, so not here.
+# it stays.
 UNCALLED = {
     "IncidenceProblem.to_obj": "writes a problem document; tests and the README write them",
     "MultiPoly.__eq__": "form equality, for tests and library callers; no command compares forms",
+    "Record.__eq__": "value equality of records, for tests and library callers",
+    "Record.__hash__": "curves, matrices and kernel bases hash; tests hash parsed curves",
+    "Record.__repr__": "shows a record's fields in assertion messages and at the prompt",
+    "Record.__setattr__": "refuses assignment and deletion: records are immutable",
+    "Record._values": "the fields that __eq__ and __hash__ read",
     "linalg._singular_values": "the values rank_numeric counts; tests compare them with numpy's",
     "poly._gcd_degree": "coprime's fallback, Euclid over Q, when no prime of _PRIMES serves",
 }

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from curvejac import poly
+from curvejac.construction import Fixture
 from curvejac.errors import DimensionError, InputError
 from curvejac.incidence import (
     CurveParam,
@@ -35,7 +36,7 @@ def line_curve():
 
 
 def forms_through(n, e, c):
-    return quintics_through_curve(n, e, c, _curve_monomials(c.components))
+    return quintics_through_curve(c, monomial_basis(n + 1, e), _curve_monomials(c.components))
 
 
 def z4_problem(d=1):
@@ -342,24 +343,25 @@ class TestThroughCurve:
 class TestRandomMember:
     def test_deterministic(self):
         basis = forms_through(4, 1, line_curve())
-        a = random_member(basis, 0, 5, 1)
-        b = random_member(basis, 0, 5, 1)
+        a = random_member(basis, 0, monomial_basis(5, 1))
+        b = random_member(basis, 0, monomial_basis(5, 1))
         assert a == b
 
     def test_seeds_differ(self):
         basis = forms_through(4, 1, line_curve())
-        assert random_member(basis, 0, 5, 1) != random_member(basis, 1, 5, 1)
+        mons = monomial_basis(5, 1)
+        assert random_member(basis, 0, mons) != random_member(basis, 1, mons)
 
     def test_member_lies_on_curve(self, fixture_a):
         table = _curve_monomials(fixture_a.c0.components)
-        basis = quintics_through_curve(4, 5, fixture_a.c0, table)
+        basis = quintics_through_curve(fixture_a.c0, monomial_basis(5, 5), table)
         for seed in range(5):
-            g = random_member(basis, seed, 5, 5)
+            g = random_member(basis, seed, monomial_basis(5, 5))
             assert restrict_to_curve([[g]], table) == [(1, [[]])]
 
     def test_rejects_empty_basis(self):
         with pytest.raises(ValueError):
-            random_member(KernelBasis(5, ()), 0, 5, 1)
+            random_member(KernelBasis(5, ()), 0, monomial_basis(5, 1))
 
     def test_equals_dense_reference(self, fixture_b):
         # members summed from the kept integer numerators are the sums of the
@@ -381,7 +383,7 @@ class TestRandomMember:
             assert basis.to_obj()["vectors"] == [[format_rational(x) for x in v] for v in dense]
             mons = monomial_basis(num_vars, degree)
             for seed in range(3):
-                member = random_member(basis, seed, num_vars, degree)
+                member = random_member(basis, seed, mons)
                 assert member.terms == oracles.dense_random_member(dense, seed, mons)
 
 
@@ -389,7 +391,7 @@ class TestRestrictionTable:
     def test_one_product_per_power_and_monomial(self, monkeypatch):
         path = Path(__file__).parent / "data" / "curve-d3.json"
         curve = CurveParam.from_obj(json.loads(path.read_text()))
-        member = random_member(forms_through(4, 5, curve), 100, 5, 5)
+        member = random_member(forms_through(4, 5, curve), 100, monomial_basis(5, 5))
         exps = {e for m in range(5) for e in member.partial_derivative(m).terms}
         # One table serves all partials.  It builds components[m] ** k (k >= 2)
         # from the power below, and the restriction of each monomial with two
@@ -530,3 +532,51 @@ def test_problem_curve_mismatch_rejected(fixture_a):
     grads = restricted_gradient(oracles.problem(fixture_a).f, fixture_a.c0)
     with pytest.raises(DimensionError):
         jacobian_coefficient_form(oracles.problem(fixture_a), bad, grads)
+
+
+def test_records_are_immutable_values(fixture_a):
+    # Each record: its class and fields; a field; a record that differs;
+    # whether it hashes (a MultiPoly field does not); fields that its
+    # validation refuses, and with what.
+    fa, z4 = fixture_a, MultiPoly.monomial((0, 0, 0, 0, 1))
+    line = ((1, (1,)), (1, (0, 1)), (1, ()), (1, ()), (1, ()))
+    cases = [
+        (IntMatrix, (2, 2, (1, 2, 3, 4)), "rows", IntMatrix(2, 2, (1, 2, 3, 5)), True,
+         (2, 2, (1, 2, 3)), DimensionError),
+        (IntMatrix, (1, 1, (7,)), "entries", IntMatrix(1, 1, (8,)), True,
+         (1, 1, (F(1, 2),)), TypeError),
+        (KernelBasis, (3, ((2, ((0, 2), (2, 1))),)), "vectors", KernelBasis(3, ()), True,
+         (1, ((1, ((1, 1),)),)), ValueError),
+        (CurveParam, (4, 1, line), "components", CurveParam(4, 2, line), True,
+         (4, 1, line[:1]), InputError),
+        (IncidenceProblem, (4, 1, 1, z4), "f", IncidenceProblem(4, 2, 1, z4), False,
+         (3, 1, 1, z4), DimensionError),
+        (Fixture, (fa.name, fa.q, fa.l, fa.p, fa.c0, fa.d), "q",
+         Fixture("B", fa.q, fa.l, fa.p, fa.c0, fa.d), False,
+         (fa.name, fa.q, fa.l, fa.p, fa.c0, 2), InputError),
+    ]
+    for cls, fields, field, other, hashes, refused, error in cases:
+        a, b = cls(*fields), cls(*fields)
+        assert a == b and a is not b and a != other and a != fields
+        if hashes:
+            assert hash(a) == hash(b)
+        else:
+            with pytest.raises(TypeError):
+                hash(a)
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(other, field))
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+        with pytest.raises(AttributeError):
+            a.extra = 1
+        assert a == b
+        with pytest.raises(error):
+            cls(*refused)
+        with pytest.raises(TypeError):
+            cls(*fields[1:])
+    assert repr(IntMatrix(1, 2, (3, 4))) == "IntMatrix(rows=1, cols=2, entries=(3, 4))"
+    # the derived restriction of a fixture is left out of equality and repr
+    fix = Fixture(fa.name, fa.q, fa.l, fa.p, fa.c0, fa.d)
+    object.__setattr__(fix, "restricted", None)
+    assert fix == fa and repr(fix) == repr(fa) and "restricted" not in repr(fa)
+    assert repr(fa).startswith("Fixture(name='A', q=")
