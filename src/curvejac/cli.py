@@ -135,7 +135,11 @@ def cmd_jacobian(args, out) -> int:
     # exact rank is that of the coefficient form's integer matrix.  Exact
     # rows are den times the Jacobian and written as x / den; complex rows
     # are the Jacobian itself, written as [real, imag] pairs without labels.
-    rank = coeff_rank = rank_exact(coeff)
+    # On its hypersurface the curve's four symmetry directions are kernel
+    # witnesses, which certify a rank below min(rows, cols).
+    on_curve = incidence.vanishes_on_curve(grads, curve, prob.e)
+    rank = coeff_rank = rank_exact(
+        coeff, incidence.symmetry_kernel_vectors(curve) if on_curve else ())
     exact = all(isinstance(t, Fraction) for t in points)
     matrix = {"rows": len(rows), "cols": coeff.cols}
     obj = {"form": form, "exact": exact, "matrix": matrix, "config": config}
@@ -151,7 +155,7 @@ def cmd_jacobian(args, out) -> int:
     if points:
         obj["points"] = [incidence._point_label(t) for t in points]
     obj.update({"rank": rank, "rank_kind": rank_kind, "tangent_dim": prob.dim_m - coeff_rank,
-                "formal": not incidence.vanishes_on_curve(grads, curve, prob.e)})
+                "formal": not on_curve})
     _write_output(_dump(obj), out)
     return EXIT_OK
 
@@ -215,11 +219,15 @@ def cmd_sample(args, out) -> int:
                for draw in range(args.count)]
     grads = restrict_to_curve(
         ([f.partial_derivative(m) for m in range(nvars)] for f in members), table)
+    # every member contains the curve, so the symmetry directions witness
+    # each draw's kernel
+    sym = incidence.symmetry_kernel_vectors(curve)
     records = []
     full = 0
     for draw, member in enumerate(members):
         # the coefficient Jacobian times den, as `jacobian_coefficient_form` builds it
-        rank = rank_exact(incidence._convolution_matrix(grads[draw][1], curve.d, expected_rank))
+        jac = incidence._convolution_matrix(grads[draw][1], curve.d, expected_rank)
+        rank = rank_exact(jac, sym)
         is_full = rank == expected_rank
         full += is_full
         records.append({"draw": draw, "poly_hash": _poly_hash(member), "rank": rank,

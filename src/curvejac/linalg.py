@@ -9,18 +9,20 @@ end to end and builds no Fraction.
 `rank_exact` proves a rank from both sides.  Modulo a prime p, the rank of
 the matrix reduced mod p (each row packed into one int) is a lower bound
 on the rank over Q.  An upper bound is min(rows, cols), or cols - k when
-the caller hands in k integer kernel witnesses that an exact matvec
-annihilates and that have full rank k.  When the rank mod one of a few
-primes just below 2**61 meets the upper bound, that is the rank; otherwise
-it falls back to the fraction-free elimination below.
+that is lower and the caller hands in k integer kernel witnesses that an
+exact matvec annihilates and that have full rank k.  When the rank mod one
+of a few primes just below 2**61 meets the upper bound, that is the rank;
+otherwise it falls back to the fraction-free elimination below.
 
 The kernel and the rank's fallback go through a single fraction-free
 elimination on a copy of the rows: pivoting follows Bareiss' scheme, which
 keeps intermediate entries as minors of the input instead of letting
-numerators explode.  The kernel's back-substitution is in integers
-too, each basis vector's numerators over one running denominator, touches
-only the entries that can be nonzero (its free column and the pivot columns
-already solved), and the basis keeps just those integers (`KernelBasis`).
+numerators explode.  The kernel eliminates only the nonzero columns: a
+zero column is free, and its basis vector is the unit vector.  The
+back-substitution is in integers too, each basis vector's numerators over
+one running denominator, touches only the entries that can be nonzero (its
+free column and the pivot columns already solved), and the basis keeps
+just those integers (`KernelBasis`).
 
 `rank_numeric` serves only the evaluation-form Jacobian at user-given
 points that are not rational (`jacobian --form eval`): it reads the rows of
@@ -153,9 +155,11 @@ def _dump(obj) -> str:
     CPython's C encoder serves only documents without indent, so the
     containers are laid out here: a string, int or float, and a list of
     only strings, only ints or only floats, is written in one call
-    (`_SCALAR_TEXT`).  Any other scalar goes through json.dumps, and so does
-    any other container (empty, of a subclass, or a dict with a key that is
-    not a string), its newlines indented to its depth.
+    (`_SCALAR_TEXT`); a list of strings that need no escape (printable
+    ASCII without '"' or '\\', checked once on their join) is written in one
+    join, each in quotes.  Any other scalar goes through json.dumps, and so
+    does any other container (empty, of a subclass, or a dict with a key
+    that is not a string), its newlines indented to its depth.
     """
     parts: list[str] = []
     _dump_into(obj, "\n", parts)
@@ -180,6 +184,11 @@ def _dump_into(x, nl: str, parts: list[str]) -> None:
     elif type(x) in (list, tuple) and x:
         kinds = set(map(type, x))
         text = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+        if text is _encode_str:
+            s = "".join(x)
+            if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+                parts += ("[", inner, '"', ('",' + inner + '"').join(x), '"', nl, "]")
+                return
         if text:
             parts += ("[", inner, ("," + inner).join(map(text, x)), nl, "]")
             return
@@ -363,11 +372,12 @@ def rank_exact(m: IntMatrix, witnesses: Sequence[Sequence[int]] = ()) -> int:
     """Exact rank over the rationals, certified from both sides.
 
     The rank mod a prime is a lower bound.  The upper bound is min(rows,
-    cols), or min(rows, cols - k) when the k integer witnesses all lie in
-    the kernel (checked by exact matvec) and have full rank k; otherwise
-    they are ignored.  The first of _PRIMES whose rank
-    meets the upper bound decides; if none does, fraction-free elimination
-    over the integers gives the rank.  A matrix with no nonzero entry has
+    cols), or cols - k when that is lower and the k integer witnesses all
+    lie in the kernel (checked by exact matvec) and have full rank k;
+    otherwise they are ignored, and when cols - k is not lower they are not
+    even checked.  The first of _PRIMES whose rank meets the upper bound
+    decides; if none does, fraction-free elimination over the integers
+    gives the rank.  A matrix with no nonzero entry has
     rank 0 at once.
 
     The rank mod p eliminates rows packed one int each (`_rank_mod`), in
@@ -378,9 +388,9 @@ def rank_exact(m: IntMatrix, witnesses: Sequence[Sequence[int]] = ()) -> int:
     if not any(m.entries):
         return 0
     bound = min(m.rows, m.cols)
-    if (witnesses and all(not any(m.matvec(w)) for w in witnesses)
+    if (m.cols - len(witnesses) < bound and all(not any(m.matvec(w)) for w in witnesses)
             and rank_exact(IntMatrix.from_rows(witnesses)) == len(witnesses)):
-        bound = min(bound, m.cols - len(witnesses))
+        bound = m.cols - len(witnesses)
     for p in _PRIMES:
         if _rank_mod(m, p) == bound:
             return bound
@@ -393,9 +403,12 @@ def kernel_exact(m: IntMatrix) -> KernelBasis:
 
     Each basis vector is scaled so that its first nonzero entry is 1; vectors
     are ordered by their free column, so output is reproducible.  The vector
-    of free column fc is 1 at fc and 0 at the other free columns.  Its pivot
-    entries are solved from the last pivot row up, in integers: the vector
-    keeps the numerators of its nonzero entries over one running
+    of free column fc is 1 at fc and 0 at the other free columns.  A zero
+    column j is free and its vector is e_j, (1, ((j, 1),)); the elimination
+    and back-substitution run on the matrix of the other columns, whose
+    pivots Bareiss chooses as over all of them, so the basis is the same.
+    The pivot entries are solved from the last pivot row up, in integers:
+    the vector keeps the numerators of its nonzero entries over one running
     denominator.  A row sums only over fc and those entries; the new entry
     is -sum / pivot, so with g = gcd(sum, pivot) the denominator takes the
     factor pivot / g, which multiplies the numerators already solved, and
@@ -403,10 +416,13 @@ def kernel_exact(m: IntMatrix) -> KernelBasis:
     their gcd and signed so that the first is positive, are the vector over
     its first one.
     """
-    ech, piv_cols = _bareiss_echelon(m)
+    nz = [c for c in range(m.cols) if any(m.entries[c :: m.cols])]
+    rows = [m.row(i) for i in range(m.rows)]
+    ech, piv_cols = _bareiss_echelon(
+        IntMatrix(m.rows, len(nz), tuple(r[c] for r in rows for c in nz)))
     piv_set = set(piv_cols)
-    vectors = []
-    for fc in (c for c in range(m.cols) if c not in piv_set):
+    vectors = {c: (1, ((c, 1),)) for c in set(range(m.cols)).difference(nz)}
+    for fc in (c for c in range(len(nz)) if c not in piv_set):
         solved = [(fc, 1)]
         for r in range(len(piv_cols) - 1, -1, -1):
             row, pc = ech[r], piv_cols[r]
@@ -419,8 +435,8 @@ def kernel_exact(m: IntMatrix) -> KernelBasis:
                 solved.append((pc, -s // g))
         solved.sort()
         g = gcd(*(x for _, x in solved)) * (1 if solved[0][1] > 0 else -1)
-        vectors.append((solved[0][1] // g, tuple((j, x // g) for j, x in solved)))
-    return KernelBasis(m.cols, tuple(vectors))
+        vectors[nz[fc]] = (solved[0][1] // g, tuple((nz[j], x // g) for j, x in solved))
+    return KernelBasis(m.cols, tuple(vectors[c] for c in sorted(vectors)))
 
 
 def _reflector(x: list[complex]) -> tuple[float, list[complex], float]:

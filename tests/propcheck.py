@@ -363,7 +363,8 @@ def kernel_annihilation_suite(seed, draws):
     return draws
 
 
-KERNEL_KINDS = ("wide", "non-dividing-pivots", "200-bit", "zero-columns", "deficient-pivot-block")
+KERNEL_KINDS = ("wide", "non-dividing-pivots", "200-bit", "zero-columns", "deficient-pivot-block",
+                "mostly-zero")
 
 
 def _bareiss_pivots(rows):
@@ -384,7 +385,11 @@ def wide_kernel_basis_suite(seed, draws, kinds=KERNEL_KINDS[:1]):
     numerators and denominators (up to 5 x 8), zero columns (the first and
     the third among them) before and between the pivot columns, and a
     leading block of columns of rank below its width, so the pivot columns
-    skip some of it.  Each draw asserts it has its kind's property.
+    skip some of it.  "mostly-zero" matrices have 1-16 rows and 3-60
+    columns of which at most a third are nonzero, as in the through-curve
+    kernels of a curve in a hyperplane; their draws cycle through no
+    nonzero column, one, and a random number up to a third.  Each draw
+    asserts it has its kind's property.
     """
     rng = random.Random(seed)
     for draw in range(draws):
@@ -398,6 +403,16 @@ def wide_kernel_basis_suite(seed, draws, kinds=KERNEL_KINDS[:1]):
             for i in range(1, nrows):
                 if rng.random() < 0.3:
                     rows[i] = list(rows[rng.randrange(i)])
+        elif kind == "mostly-zero":
+            nrows, cols = rng.randint(1, 16), rng.randint(3, 60)
+            width = (0, 1, rng.randint(0, cols // 3))[draw // len(kinds) % 3]
+            live = rng.sample(range(cols), width)
+            rows = [[random_fraction(rng) if j in live else Fraction(0) for j in range(cols)]
+                    for _ in range(nrows)]
+            for j in live:
+                rows[0][j] = rows[0][j] or Fraction(1)
+            nonzero = [j for j in range(cols) if any(row[j] for row in rows)]
+            assert sorted(live) == nonzero and 3 * len(nonzero) <= cols, (kind, rows)
         else:
             nrows, cols = rng.randint(2, 8), rng.randint(4, 16)
             big = 9
@@ -937,6 +952,8 @@ def int_mul_suite(seed, draws):
 
 
 JSON_CHARS = "ab z09/\\\"\n\t\r\b\f\x00\x1f\x7f\u00e9\u2028\U0001f600"
+# Printable ASCII but '"' and '\\': the characters json writes as they are.
+JSON_PLAIN = "".join(chr(i) for i in range(32, 127) if chr(i) not in "\"\\")
 
 
 def _json_float(rng):
@@ -986,7 +1003,12 @@ def json_document_suite(seed, draws):
     both refuse to sort, raising TypeError), lists of strings, of ints, of
     floats and of anything, tuples, empty containers, floats (signed zeros,
     infinities, NaN), bools, None, big ints, and strings with escapes,
-    control characters and characters beyond ASCII."""
+    control characters and characters beyond ASCII.
+
+    Then, for each character that json escapes ('"', '\\', control
+    characters, DEL and characters beyond ASCII), a list of strings of
+    printable ASCII, written as it is, and the same list with that
+    character put into one of its strings."""
     rng = random.Random(seed)
     for _ in range(draws):
         obj = _json_value(rng, rng.randint(0, 5))
@@ -1000,4 +1022,11 @@ def json_document_suite(seed, draws):
         except TypeError:
             pass
         assert got == want, obj
+    for ch in (c for c in JSON_CHARS + "\x1b\x80\xff" if c not in JSON_PLAIN):
+        strings = ["".join(rng.choices(JSON_PLAIN, k=rng.randint(0, 5))) for _ in range(4)]
+        k = rng.randrange(4)
+        i = rng.randint(0, len(strings[k]))
+        escaped = [*strings[:k], strings[k][:i] + ch + strings[k][i:], *strings[k + 1:]]
+        for obj in ({"v": strings}, {"v": escaped}):
+            assert _dump(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n", obj
     return draws

@@ -95,6 +95,27 @@ class TestJacobianCommand:
         obj = json.loads(out)
         assert rc == 0 and obj["rank"] == 2 and obj["tangent_dim"] == 8
 
+    def test_rank_below_min_certified_by_witnesses(self, tmp_path, monkeypatch):
+        # a quintic through the plane conic: its 11 x 9 Jacobian has rank
+        # 9 - 4, which the curve's symmetry witnesses certify, with no
+        # elimination
+        conic = DATA / "curve-conic.json"
+        curve = CurveParam.from_obj(json.loads(conic.read_text()))
+        mons = monomial_basis(3, 5)
+        basis = quintics_through_curve(curve, mons, _curve_monomials(curve.components))
+        path = tmp_path / "problem.json"
+        prob = IncidenceProblem(2, 2, 5, random_member(basis, 1, mons))
+        path.write_text(json.dumps(prob.to_obj()))
+
+        def refuse(m):
+            raise AssertionError("Bareiss ran")
+
+        monkeypatch.setattr(linalg, "_bareiss_echelon", refuse)
+        rc, out, err = run_cli(["jacobian", str(path), str(conic)])
+        assert rc == 0, err
+        obj = json.loads(out)
+        assert (obj["rank"], obj["tangent_dim"], obj["formal"]) == (5, 4, False)
+
     def test_eval_form_matches_coeff_rank(self, problem_a_path, curve_a_path):
         rc, out, _ = run_cli(
             ["jacobian", problem_a_path, curve_a_path, "--form", "eval",
@@ -369,6 +390,26 @@ class TestThroughCommand:
         assert len(obj["basis"]) == 120
         assert len(obj["monomials"]) == 126
 
+    def test_the_kernel_eliminates_only_nonzero_columns(self, tmp_path, fixture_a, fixture_b,
+                                                        monkeypatch):
+        # both curves lie in z4 = 0, so every quintic with z4 restricts to
+        # zero: 120 of the 126 columns on the line A and 105 on the conic B
+        # are free columns e_j, and Bareiss runs on the rest
+        shapes = []
+        eliminate = linalg._bareiss_echelon
+
+        def spy(m):
+            shapes.append((m.rows, m.cols))
+            return eliminate(m)
+
+        monkeypatch.setattr(linalg, "_bareiss_echelon", spy)
+        for fix, dim in ((fixture_a, 120), (fixture_b, 115)):
+            path = tmp_path / f"curve-{fix.name}.json"
+            path.write_text(json.dumps(fix.c0.to_obj()))
+            rc, out, _ = run_cli(["through", str(path), "--degree", "5"])
+            assert rc == 0 and json.loads(out)["dimension"] == dim
+        assert shapes == [(6, 6), (11, 21)]
+
     def test_entries_beyond_the_int_str_cap(self, tmp_path):
         # a line in P^2 whose constant has 2000 digits, the most an input
         # may have: the lead-1 kernel vectors divide by its cube, 6000 digits
@@ -411,9 +452,12 @@ class TestSampleCommand:
         assert run_cli(["sample", curve_a_path, "--count", "3"])[0] == 0
         assert table_builds == [5]
 
-    def test_deficient_draws_take_the_bareiss_fallback(self, monkeypatch):
+    def test_deficient_draws_are_certified_by_symmetry_witnesses(self, monkeypatch):
         # on the conic in the plane every quintic member's 11 x 9 Jacobian has
-        # rank 5, below min(rows, cols), so no prime certifies it
+        # rank 5, below min(rows, cols): the curve's four symmetry directions
+        # lower the bound to 9 - 4, which a prime meets, so only the kernel
+        # of the forms through the conic, which has no zero column, is
+        # eliminated
         shapes = []
         eliminate = linalg._bareiss_echelon
 
@@ -427,7 +471,48 @@ class TestSampleCommand:
         obj = json.loads(out)
         assert rc == 0 and obj["expected_rank"] == 11
         assert [r["rank"] for r in obj["records"]] == [5] * 3
-        assert shapes == [(11, 21)] + [(11, 9)] * 3  # the kernel, then one per draw
+        assert shapes == [(11, 21)]
+
+    def test_symmetry_witnesses_spare_bareiss(self, tmp_path, monkeypatch):
+        # random curves in P^2 and P^3 and form degrees e on both sides of
+        # n + 1: every draw's rank is the oracle's, and the rank of a draw of
+        # tangent dimension 4, the least, eliminates nothing, also where
+        # e*d + 1 > (n + 1)(d + 1) - 4 and only the four symmetry witnesses
+        # bound it
+        calls, ranks = [], []
+        eliminate, certify = linalg._bareiss_echelon, cli.rank_exact
+
+        def spy(m):
+            calls.append((m.rows, m.cols))
+            return eliminate(m)
+
+        def rank(m, witnesses=()):
+            before = len(calls)
+            r = certify(m, witnesses)
+            ranks.append((m, r, len(calls) > before))
+            return r
+
+        monkeypatch.setattr(linalg, "_bareiss_echelon", spy)
+        monkeypatch.setattr(cli, "rank_exact", rank)
+        rng = random.Random(2044)
+        path = tmp_path / "curve.json"
+        sides, witnessed = set(), 0
+        for _ in range(24):
+            n, d = rng.choice((2, 3)), rng.randint(1, 3)
+            e = rng.randint(1, n + 3)
+            path.write_text(json.dumps(propcheck.random_curve(rng, n, d).to_obj()))
+            ranks.clear()
+            rc, out, _ = run_cli(["sample", str(path), "--degree", str(e), "--count", "2"])
+            if rc:
+                assert rc in (cli.EXIT_INPUT, cli.EXIT_EMPTY)  # not embedded, or no form
+                continue
+            sides.add(e > n + 1)
+            for rec, (m, r, eliminated) in zip(json.loads(out)["records"], ranks, strict=True):
+                assert r == rec["rank"] == oracles.rref_rank(oracles.matrix_rows(m), m.cols)
+                if rec["tangent_dim"] == 4:
+                    assert not eliminated, (n, d, e)
+                    witnessed += m.cols - 4 < min(m.rows, m.cols)
+        assert sides == {False, True} and witnessed
 
     def test_zero_count(self, curve_a_path):
         rc, out, _ = run_cli(["sample", curve_a_path, "--count", "0"])

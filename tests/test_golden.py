@@ -27,11 +27,13 @@ each record's `poly_hash` moved, and every rank, `tangent_dim` and
 denominator 1, so the member, and with it the hash, is what the lead-1
 combination gave.  `sample` on the conic (1, t, t^2) in the plane
 (`data/curve-conic.json`) pins draws whose rank, 5, is below both the
-claimed e*d+1 = 11 and min(rows, cols) = 9, so every draw's rank comes from
-the Bareiss fallback; that hash was recorded from dense `Fraction` kernel
-vectors and members.  The two `fixture` cases pin the bundles of A and B,
-whose `c0` block is what `CurveParam.to_obj` writes; they were recorded
-while curve components were still `Fraction` polynomials.
+claimed e*d+1 = 11 and min(rows, cols) = 9, so no prime meets min(rows,
+cols); the curve's four symmetry witnesses lower the bound to 9 - 4, which
+a prime meets.  That hash was recorded from the Bareiss fallback's ranks
+and from dense `Fraction` kernel vectors and members.  The two `fixture`
+cases pin the bundles of A and B, whose `c0` block is what
+`CurveParam.to_obj` writes; they were recorded while curve components were
+still `Fraction` polynomials.
 """
 
 import ast

@@ -46,9 +46,16 @@ def test_wide_kernel_basis_100_draws():
 
 
 def test_kernel_basis_kinds_400_draws():
-    # 100 draws of each kind of propcheck.KERNEL_KINDS but "wide"
-    kinds = propcheck.KERNEL_KINDS[1:]
+    # 100 draws of each kind of propcheck.KERNEL_KINDS but "wide" and
+    # "mostly-zero", which run apart
+    kinds = propcheck.KERNEL_KINDS[1:-1]
     assert propcheck.wide_kernel_basis_suite(seed=2034, draws=400, kinds=kinds) == 400
+
+
+def test_mostly_zero_kernel_basis_120_draws():
+    # 40 all-zero matrices, 40 with one nonzero column, 40 with up to a third
+    kinds = ("mostly-zero",)
+    assert propcheck.wide_kernel_basis_suite(seed=2042, draws=120, kinds=kinds) == 120
 
 
 def test_stack_rank_100_draws():
