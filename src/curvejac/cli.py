@@ -27,8 +27,8 @@ from fractions import Fraction
 
 from . import construction, incidence
 from .errors import DimensionError, InputError
-from .linalg import (MAX_COUNT, MAX_DEGREE, MAX_RATIONAL_DIGITS, _dump, format_rational,
-                     parse_rational, parse_size, rank_exact, rank_numeric)
+from .linalg import (MAX_COUNT, MAX_DEGREE, MAX_RATIONAL_DIGITS, IntMatrix, _dump,
+                     format_rational, parse_rational, parse_size, rank_exact, rank_numeric)
 from .poly import _curve_monomials, monomial_basis, restrict_to_curve
 
 EXIT_OK = 0
@@ -197,8 +197,6 @@ def _poly_hash(poly) -> str:
 
 def cmd_sample(args, out) -> int:
     _check_degree(args.degree)
-    if args.count < 0:
-        raise InputError("--count must be nonnegative")
     parse_size(args.count, "--count", MAX_COUNT)
     curve = incidence.CurveParam.from_obj(_read_json(args.curve))
     membership = incidence.membership_checks(curve)
@@ -214,19 +212,20 @@ def cmd_sample(args, out) -> int:
     if basis.dim == 0:
         sys.stderr.write("no forms of this degree contain the curve\n")
         return EXIT_EMPTY
-    expected_rank = args.degree * curve.d + 1
+    # every member contains the curve, so the symmetry directions witness
+    # each draw's kernel and bound its rank
+    sym = incidence.symmetry_kernel_vectors(curve)
+    nrows = args.degree * curve.d + 1
+    expected_rank = min(nrows, nvars * (curve.d + 1) - rank_exact(IntMatrix.from_rows(sym)))
     members = [incidence.random_member(basis, args.seed * 1_000_003 + draw, mons)
                for draw in range(args.count)]
     grads = restrict_to_curve(
         ([f.partial_derivative(m) for m in range(nvars)] for f in members), table)
-    # every member contains the curve, so the symmetry directions witness
-    # each draw's kernel
-    sym = incidence.symmetry_kernel_vectors(curve)
     records = []
     full = 0
     for draw, member in enumerate(members):
         # the coefficient Jacobian times den, as `jacobian_coefficient_form` builds it
-        jac = incidence._convolution_matrix(grads[draw][1], curve.d, expected_rank)
+        jac = incidence._convolution_matrix(grads[draw][1], curve.d, nrows)
         rank = rank_exact(jac, sym)
         is_full = rank == expected_rank
         full += is_full

@@ -35,10 +35,8 @@ from .linalg import (
     MAX_D,
     MAX_DEGREE,
     MAX_N,
-    _PRIMES,
     IntMatrix,
     KernelBasis,
-    _rank_mod,
     format_rational,
     kernel_exact,
     parse_list,
@@ -350,41 +348,32 @@ def quintics_through_curve(c: CurveParam, mons: Sequence[tuple[int, ...]],
     """All degree-e forms vanishing on the curve, over the monomials mons =
     monomial_basis(n+1, e), which the caller builds.
 
-    Builds the (e*d+1) x C(n+e, e) matrix of the linear map sending a form to
-    the coefficients of its restriction to the curve, and returns the exact
-    kernel.  Basis columns follow the order of mons.  Column j is the entry
-    (den_j, ints_j) of the curve's table of restricted monomials, table =
-    `_curve_monomials`(c.components), which the caller builds too.
-
-    When the matrix has at least as many rows as columns, it is first
-    reduced modulo the first of _PRIMES that divides no den_j, each entry
-    ints_j * den_j**-1 mod p; a rank mod p equal to the column count proves
-    the kernel {0} at once, since the rank over Q is at least that.
-    Otherwise the matrix is taken in integers: each column scaled to L =
-    lcm(den_j), and each row divided by its gcd, which changes neither the
-    kernel nor the pivot columns, so neither the basis.
+    The linear map sending a form to the coefficients of its restriction to
+    the curve is an (e*d+1) x C(n+e, e) matrix, column j the restriction of
+    mons[j], and the result is its exact kernel, columns in the order of
+    mons.  The curve's table of restricted monomials, table =
+    `_curve_monomials`(c.components), which the caller builds too, gives
+    column j as (den_j, ints_j), ints_j = den_j times the column.  The
+    kernel is taken of the integer matrix of the ints_j: scaling column j by
+    den_j > 0 keeps the pivot columns, and each of its basis vectors is a
+    basis vector of the map's with entry j divided by den_j, up to a scale.
+    So entry j times den_j, the vector divided by its gcd, is the map's
+    basis vector in primitive form, its lead still positive.
     """
     if len(mons[0]) != c.n + 1:
         raise DimensionError(f"curve has n={c.n}, monomials are in {len(mons[0])} variables")
     cols = [table(mono) for mono in mons]
-    nrows, ncols = sum(mons[0]) * c.d + 1, len(cols)
-    if nrows >= ncols:
-        p = next((p for p in _PRIMES if all(den % p for den, _ in cols)), None)
-        if p is not None:
-            reduced = []
-            for den, xs in cols:
-                inv = pow(den, -1, p)
-                reduced.append([x * inv % p for x in xs] + [0] * (nrows - len(xs)))
-            mod_p = IntMatrix(nrows, ncols, tuple(x for row in zip(*reduced) for x in row))
-            if _rank_mod(mod_p, p) == ncols:
-                return KernelBasis(ncols, ())
-    big = lcm(*(den for den, _ in cols))
-    cols = [[x * (big // den) for x in xs] + [0] * (nrows - len(xs)) for den, xs in cols]
-    entries = []
-    for row in zip(*cols):
-        g = gcd(*row) or 1
-        entries.extend(x // g for x in row)
-    return kernel_exact(IntMatrix(nrows, ncols, tuple(entries)))
+    nrows = sum(mons[0]) * c.d + 1
+    ints = [xs + [0] * (nrows - len(xs)) for _, xs in cols]
+    basis = kernel_exact(IntMatrix(nrows, len(cols), tuple(x for row in zip(*ints) for x in row)))
+    vectors = []
+    for terms in basis.vectors:
+        if len(terms) > 1:  # a unit vector stays one
+            terms = [(j, x * cols[j][0]) for j, x in terms]
+            g = gcd(*(x for _, x in terms))
+            terms = tuple((j, x // g) for j, x in terms)
+        vectors.append(terms)
+    return KernelBasis(len(cols), tuple(vectors))
 
 
 def random_member(basis: KernelBasis, seed: int, mons: Sequence[tuple[int, ...]]) -> MultiPoly:
@@ -412,7 +401,7 @@ def random_member(basis: KernelBasis, seed: int, mons: Sequence[tuple[int, ...]]
         if any(coefs):
             break
     acc = [0] * basis.ambient_dim
-    for coef, (_, terms) in zip(coefs, basis.vectors):
+    for coef, terms in zip(coefs, basis.vectors):
         if coef:
             for j, x in terms:
                 acc[j] += coef * x

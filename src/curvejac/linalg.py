@@ -1,10 +1,12 @@
 """Exact linear algebra over the integers, plus a floating complex rank.
 
 All matrices here are small and dense.  The one matrix type, `IntMatrix`,
-holds Python ints: every matrix the commands eliminate is in integers, and
-rational rows are scaled to integers before they become one, which keeps
-the rank, the kernel and its lead-1 basis.  Every exact operation is exact
-end to end and builds no Fraction.
+holds Python ints: every matrix the commands eliminate is in integers.  A
+rational matrix becomes one by positive scales: a row's scale keeps the
+rank, the kernel and its lead-1 basis; a column's scale s_j keeps the rank
+and the pivot columns, and takes each kernel vector v to the one with
+entries v_j / s_j, which a caller maps back.  Every exact operation is
+exact end to end and builds no Fraction.
 
 `rank_exact` proves a rank from both sides.  Modulo a prime p, the rank of
 the matrix reduced mod p (each row packed into one int) is a lower bound
@@ -18,11 +20,12 @@ The kernel and the rank's fallback go through a single fraction-free
 elimination on a copy of the rows: pivoting follows Bareiss' scheme, which
 keeps intermediate entries as minors of the input instead of letting
 numerators explode.  The kernel eliminates only the nonzero columns: a
-zero column is free, and its basis vector is the unit vector.  The
-back-substitution is in integers too, each basis vector's numerators over
-one running denominator, touches only the entries that can be nonzero (its
-free column and the pivot columns already solved), and the basis keeps
-just those integers (`KernelBasis`).
+zero column is free, and its basis vector is the unit vector.  When the
+nonzero columns have full rank mod a prime, they have it over Q, and
+nothing is eliminated.  The back-substitution is in integers too, each
+basis vector's numerators over one running denominator, touches only the
+entries that can be nonzero (its free column and the pivot columns
+already solved), and the basis keeps just those integers (`KernelBasis`).
 
 `rank_numeric` serves only the evaluation-form Jacobian at user-given
 points that are not rational (`jacobian --form eval`): it reads the rows of
@@ -241,19 +244,20 @@ class IntMatrix(Record):
 class KernelBasis(Record):
     """Basis of a right null space; vectors are nonzero and independent.
 
-    Each vector is sparse and in integers, a pair (den, terms): den > 0 and
-    terms the (column, numerator) pairs of its nonzero entries in column
-    order, entry j being numerator / den.  The first numerator is den, so
-    the vector's first nonzero entry is 1, and the numerators have gcd 1:
-    they are the vector in primitive integer form, lead positive.
+    Each vector is sparse and in integers: the (column, numerator) pairs of
+    its nonzero entries in column order, the vector in primitive integer
+    form with a positive lead.  Printed, each entry is divided by the lead,
+    so the vector's first nonzero entry is 1.
     """
 
     __slots__ = _fields = ("ambient_dim", "vectors")
 
     def _check(self):
-        for _, terms in self.vectors:
+        for terms in self.vectors:
             if not terms or not 0 <= terms[0][0] <= terms[-1][0] < self.ambient_dim:
                 raise ValueError("kernel vectors must be nonzero, their columns in range")
+            if terms[0][1] <= 0:
+                raise ValueError("kernel vectors must have a positive lead")
 
     @property
     def dim(self) -> int:
@@ -261,9 +265,10 @@ class KernelBasis(Record):
 
     def to_obj(self) -> dict:
         vectors = [["0"] * self.ambient_dim for _ in self.vectors]
-        for v, (den, terms) in zip(vectors, self.vectors):
+        for v, terms in zip(vectors, self.vectors):
+            lead = terms[0][1]
             for j, x in terms:
-                v[j] = format_rational(Fraction(x, den))
+                v[j] = format_rational(Fraction(x, lead))
         return {"ambient_dim": self.ambient_dim, "vectors": vectors}
 
 
@@ -401,27 +406,31 @@ def kernel_exact(m: IntMatrix) -> KernelBasis:
     """Exact basis of the right null space, each vector sparse in integers
     (`KernelBasis`).
 
-    Each basis vector is scaled so that its first nonzero entry is 1; vectors
-    are ordered by their free column, so output is reproducible.  The vector
-    of free column fc is 1 at fc and 0 at the other free columns.  A zero
-    column j is free and its vector is e_j, (1, ((j, 1),)); the elimination
-    and back-substitution run on the matrix of the other columns, whose
-    pivots Bareiss chooses as over all of them, so the basis is the same.
-    The pivot entries are solved from the last pivot row up, in integers:
-    the vector keeps the numerators of its nonzero entries over one running
-    denominator.  A row sums only over fc and those entries; the new entry
-    is -sum / pivot, so with g = gcd(sum, pivot) the denominator takes the
-    factor pivot / g, which multiplies the numerators already solved, and
-    the new numerator is -sum / g.  At the end the numerators, divided by
-    their gcd and signed so that the first is positive, are the vector over
-    its first one.
+    Each basis vector is the one whose first nonzero entry is 1; vectors are
+    ordered by their free column, so output is reproducible.  The vector of
+    free column fc is 1 at fc and 0 at the other free columns.  A zero
+    column j is free and its vector is e_j, ((j, 1),); the rest runs on the
+    matrix of the other columns.  When those are at most as many as the
+    rows and their rank mod _PRIMES[0] is their count, they are independent
+    over Q too, so the zero columns are the only free ones and nothing is
+    eliminated.  Otherwise Bareiss chooses the pivots as over all columns,
+    so the basis is the same.  The pivot entries are solved from the last
+    pivot row up, in integers: the vector keeps the numerators of its
+    nonzero entries over one running denominator.  A row sums only over fc
+    and those entries; the new entry is -sum / pivot, so with g = gcd(sum,
+    pivot) the denominator takes the factor pivot / g, which multiplies the
+    numerators already solved, and the new numerator is -sum / g.  At the
+    end the numerators, divided by their gcd and signed so that the first
+    is positive, are the vector in primitive form.
     """
     nz = [c for c in range(m.cols) if any(m.entries[c :: m.cols])]
     rows = [m.row(i) for i in range(m.rows)]
-    ech, piv_cols = _bareiss_echelon(
-        IntMatrix(m.rows, len(nz), tuple(r[c] for r in rows for c in nz)))
+    compact = IntMatrix(m.rows, len(nz), tuple(r[c] for r in rows for c in nz))
+    vectors = {c: ((c, 1),) for c in set(range(m.cols)).difference(nz)}
+    if len(nz) <= m.rows and _rank_mod(compact, _PRIMES[0]) == len(nz):
+        return KernelBasis(m.cols, tuple(vectors[c] for c in sorted(vectors)))
+    ech, piv_cols = _bareiss_echelon(compact)
     piv_set = set(piv_cols)
-    vectors = {c: (1, ((c, 1),)) for c in set(range(m.cols)).difference(nz)}
     for fc in (c for c in range(len(nz)) if c not in piv_set):
         solved = [(fc, 1)]
         for r in range(len(piv_cols) - 1, -1, -1):
@@ -435,7 +444,7 @@ def kernel_exact(m: IntMatrix) -> KernelBasis:
                 solved.append((pc, -s // g))
         solved.sort()
         g = gcd(*(x for _, x in solved)) * (1 if solved[0][1] > 0 else -1)
-        vectors[nz[fc]] = (solved[0][1] // g, tuple((nz[j], x // g) for j, x in solved))
+        vectors[nz[fc]] = tuple((nz[j], x // g) for j, x in solved)
     return KernelBasis(m.cols, tuple(vectors[c] for c in sorted(vectors)))
 
 

@@ -90,13 +90,14 @@ def rank_mod_lists(rows, p):
 
 def dense_kernel(basis):
     """A `KernelBasis` as the tuple of its vectors, each a dense tuple of
-    Fractions: entry j of a vector (den, terms) is numerator / den for the
-    pair (j, numerator) of its terms, and 0 for a column not among them."""
+    Fractions: entry j of a vector of terms is numerator / lead for the pair
+    (j, numerator) of its terms, lead the first numerator, and 0 for a
+    column not among them."""
     vectors = []
-    for den, terms in basis.vectors:
+    for terms in basis.vectors:
         v = [Fraction(0)] * basis.ambient_dim
         for j, x in terms:
-            v[j] = Fraction(x, den)
+            v[j] = Fraction(x, terms[0][1])
         vectors.append(tuple(v))
     return tuple(vectors)
 

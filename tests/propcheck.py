@@ -9,7 +9,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import pairwise
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 import numpy
 import sympy
@@ -449,6 +449,42 @@ def wide_kernel_basis_suite(seed, draws, kinds=KERNEL_KINDS[:1]):
         )
         got = oracles.dense_kernel(kernel_exact(IntMatrix.from_rows(oracles.int_rows(rows))))
         assert got == want, (kind, rows)
+    return draws
+
+
+def through_kernel_suite(seed, draws):
+    """quintics_through_curve's basis is the oracle's Gauss-Jordan kernel
+    of the Fraction matrix of the restricted monomials
+    (`oracles.naive_compose`), each vector divided by its first nonzero
+    entry, in the same order, exactly; each vector is primitive with a
+    positive lead.
+
+    The curves are `fractional_curve`s of one- or two-digit fractions, n in
+    2..4 and d in 1..4, whose components have pairwise distinct
+    denominators, and the form degree e is in 1..3.  The draws alternate
+    between matrices with at least as many rows (e*d+1) as columns
+    (C(n+e, e)) and with fewer.
+    """
+    rng = random.Random(seed)
+    for draw in range(draws):
+        tall = draw % 2 == 0
+        while True:
+            n, d, e = rng.randint(2, 4), rng.randint(1, 4), rng.randint(1, 3)
+            c = fractional_curve(rng.randrange(2**32), n, d, rng.randint(1, 2))
+            mons = monomial_basis(n + 1, e)
+            if ((e * d + 1 >= len(mons)) == tall
+                    and len({den for den, _ in c.components}) == n + 1):
+                break
+        basis = quintics_through_curve(c, mons, _curve_monomials(c.components))
+        comps = oracles.components(c)
+        cols = [oracles.padded(oracles.naive_compose({mono: 1}, comps), e * d + 1)
+                for mono in mons]
+        _, oracle_kernel = oracles.rref_rank_kernel(list(zip(*cols)), len(mons))
+        want = tuple(tuple(x / lead for x in v)
+                     for v in oracle_kernel for lead in [next(x for x in v if x != 0)])
+        assert oracles.dense_kernel(basis) == want, (n, d, e, c)
+        for terms in basis.vectors:
+            assert terms[0][1] > 0 and gcd(*(x for _, x in terms)) == 1, (n, d, e, c)
     return draws
 
 

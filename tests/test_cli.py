@@ -394,7 +394,8 @@ class TestThroughCommand:
                                                         monkeypatch):
         # both curves lie in z4 = 0, so every quintic with z4 restricts to
         # zero: 120 of the 126 columns on the line A and 105 on the conic B
-        # are free columns e_j, and Bareiss runs on the rest
+        # are free columns e_j.  A's other six columns have full rank mod a
+        # prime, so nothing is eliminated; Bareiss runs on B's other 21
         shapes = []
         eliminate = linalg._bareiss_echelon
 
@@ -408,7 +409,7 @@ class TestThroughCommand:
             path.write_text(json.dumps(fix.c0.to_obj()))
             rc, out, _ = run_cli(["through", str(path), "--degree", "5"])
             assert rc == 0 and json.loads(out)["dimension"] == dim
-        assert shapes == [(6, 6), (11, 21)]
+        assert shapes == [(11, 21)]
 
     def test_entries_beyond_the_int_str_cap(self, tmp_path):
         # a line in P^2 whose constant has 2000 digits, the most an input
@@ -469,8 +470,8 @@ class TestSampleCommand:
         argv = ["sample", str(DATA / "curve-conic.json"), "--count", "3", "--seed", "1"]
         rc, out, _ = run_cli(argv)
         obj = json.loads(out)
-        assert rc == 0 and obj["expected_rank"] == 11
-        assert [r["rank"] for r in obj["records"]] == [5] * 3
+        assert rc == 0 and obj["expected_rank"] == 9 - 4
+        assert [(r["rank"], r["full_rank"]) for r in obj["records"]] == [(5, True)] * 3
         assert shapes == [(11, 21)]
 
     def test_symmetry_witnesses_spare_bareiss(self, tmp_path, monkeypatch):
@@ -478,7 +479,8 @@ class TestSampleCommand:
         # n + 1: every draw's rank is the oracle's, and the rank of a draw of
         # tangent dimension 4, the least, eliminates nothing, also where
         # e*d + 1 > (n + 1)(d + 1) - 4 and only the four symmetry witnesses
-        # bound it
+        # bound it; the first rank is the witnesses' own, s, and such a draw
+        # reaches the expected rank min(e*d + 1, (n + 1)(d + 1) - s)
         calls, ranks = [], []
         eliminate, certify = linalg._bareiss_echelon, cli.rank_exact
 
@@ -507,10 +509,15 @@ class TestSampleCommand:
                 assert rc in (cli.EXIT_INPUT, cli.EXIT_EMPTY)  # not embedded, or no form
                 continue
             sides.add(e > n + 1)
-            for rec, (m, r, eliminated) in zip(json.loads(out)["records"], ranks, strict=True):
+            obj = json.loads(out)
+            (sym, s, _), *draws = ranks
+            assert sym.rows == 4 and s == oracles.rref_rank(oracles.matrix_rows(sym), sym.cols)
+            assert obj["expected_rank"] == min(e * d + 1, (n + 1) * (d + 1) - s)
+            for rec, (m, r, eliminated) in zip(obj["records"], draws, strict=True):
                 assert r == rec["rank"] == oracles.rref_rank(oracles.matrix_rows(m), m.cols)
+                assert rec["full_rank"] == (r == obj["expected_rank"])
                 if rec["tangent_dim"] == 4:
-                    assert not eliminated, (n, d, e)
+                    assert not eliminated and rec["full_rank"], (n, d, e)
                     witnessed += m.cols - 4 < min(m.rows, m.cols)
         assert sides == {False, True} and witnessed
 
@@ -617,8 +624,8 @@ class TestSampleCommand:
         records = json.loads(out)["records"]
         parsed, mons = CurveParam.from_obj(curve), monomial_basis(5, 5)
         basis = quintics_through_curve(parsed, mons, _curve_monomials(parsed.components))
-        assert max(den for den, _ in basis.vectors) > 1
-        bound = (max(abs(x).bit_length() for _, terms in basis.vectors for _, x in terms)
+        assert max(terms[0][1] for terms in basis.vectors) > 1
+        bound = (max(abs(x).bit_length() for terms in basis.vectors for _, x in terms)
                  + (9 * basis.dim).bit_length())
         assert [r["rank"] for r in records] == [11] * 3
         for r in records:
@@ -783,7 +790,8 @@ def _points(last: str) -> tuple:
 
 
 # Each fault replaces one value of fixture A's curve, problem or fixture
-# document, or is the last of fixture A's six --points.
+# document, is the last of fixture A's six --points, or is an option's value
+# below its least.
 MALFORMED = {
     "curve-d-string": ("curve", "through", ("d",), "1"),
     "curve-components-scalar": ("curve", "sample", ("components",), 5),
@@ -818,6 +826,8 @@ MALFORMED = {
     "problem-huge-coefficient-complex-points": ("problem", "jacobian", ("f", "terms", 0, "coef"),
                                                 "1" + "0" * 400,
                                                 ("--form", "eval", "--points=0,1,2,3,4,1+2i")),
+    "sample-negative-count": (None, "sample", (), None, ("--count", "-1")),
+    "through-degree-zero": (None, "through", (), None, ("--degree", "0")),
 }
 
 # Each value is one above its documented limit; d = 10**9 must be refused

@@ -26,11 +26,14 @@ each record's `poly_hash` moved, and every rank, `tangent_dim` and
 `full_rank` stayed.  On A, B and the conic every basis vector has
 denominator 1, so the member, and with it the hash, is what the lead-1
 combination gave.  `sample` on the conic (1, t, t^2) in the plane
-(`data/curve-conic.json`) pins draws whose rank, 5, is below both the
-claimed e*d+1 = 11 and min(rows, cols) = 9, so no prime meets min(rows,
-cols); the curve's four symmetry witnesses lower the bound to 9 - 4, which
-a prime meets.  That hash was recorded from the Bareiss fallback's ranks
-and from dense `Fraction` kernel vectors and members.  The two `fixture`
+(`data/curve-conic.json`) pins draws whose rank, 5, is below both e*d+1 =
+11 and min(rows, cols) = 9, so no prime meets min(rows, cols); the curve's
+four symmetry witnesses lower the bound to 9 - 4, which a prime meets.
+That bound is its `expected_rank`, min(e*d+1, (n+1)(d+1) - s) with s = 4
+the rank of the witnesses, so every draw reads `full_rank` true.  The
+ranks were recorded from the Bareiss fallback and from dense `Fraction`
+kernel vectors and members; the hash was re-pinned when `expected_rank`
+went 11 -> 5 and the summary 0/3 -> 3/3.  The two `fixture`
 cases pin the bundles of A and B, whose `c0` block is what
 `CurveParam.to_obj` writes; they were recorded while curve components were
 still `Fraction` polynomials.
@@ -82,7 +85,7 @@ GOLDEN = {
     "sample-5-3-100-d3": "b3df1804efb3f41b0792da0bfab7f6fefb78d1070f024a3ccdf4ae5f3044f75f",
     "through-5-d2x30": "50893038d04bbcb463e95ef9ef8ae8d6249ae56d800b3a1528af0581be187b53",
     "sample-5-3-100-d2x30": "5a80f5051b9926dd7d0a451719aa6150d28d75b9fb09ad2562cd9a1d847d0b46",
-    "sample-5-3-1-conic": "8b373603f936669b1346082ed1b6cc9bb8d8e7d8908d88b04163bca685545b62",
+    "sample-5-3-1-conic": "93cff6b54899cf18eb3867dfd01bef61ae54014c76db30982fcd4e6db39c3c39",
     "fixture-A": "006e538f54ab144b12d1d7a60e0b73fe39e3031be8d18420efb0fe8c588aa433",
     "fixture-B": "6c500a4dbb2695a2a65aac04f2d42ccb8a117e3c410802d8ddb69224534310c8",
 }
@@ -102,7 +105,7 @@ GOLDEN_STDERR = {
     "jacobian-eval-rational-A": EMPTY,
     "jacobian-eval-rational-B": EMPTY,
     "sample-5-2-A": "45435079a55e93ad5b5eec5f7503f1d04d10b9d553e4a6fe497b84647a7b3398",
-    "sample-5-3-1-conic": "d50b508092d559537e3c69522df4743b0830e13fe4aa03a8b1b8083cb6bbb53e",
+    "sample-5-3-1-conic": "3ed0b515ff36bc4fb20ce8c91447b170709fd3f589e9019517b795756bac0c47",
     "sample-5-3-100-B": "3ed0b515ff36bc4fb20ce8c91447b170709fd3f589e9019517b795756bac0c47",
     "sample-5-3-100-d2x30": "3ed0b515ff36bc4fb20ce8c91447b170709fd3f589e9019517b795756bac0c47",
     "sample-5-3-100-d3": "3ed0b515ff36bc4fb20ce8c91447b170709fd3f589e9019517b795756bac0c47",

@@ -8,7 +8,8 @@ from curvejac import linalg
 from curvejac.errors import DimensionError
 from curvejac.incidence import (CurveParam, IncidenceProblem, jacobian_coefficient_form,
                                 restricted_gradient)
-from curvejac.linalg import IntMatrix, _singular_values, kernel_exact, rank_exact, rank_numeric
+from curvejac.linalg import (IntMatrix, KernelBasis, _singular_values, kernel_exact, rank_exact,
+                             rank_numeric)
 from curvejac.poly import MultiPoly
 
 import oracles
@@ -105,6 +106,50 @@ class TestKernelExact:
             for v in oracles.dense_kernel(k):
                 assert all(x == 0 for x in m.matvec(v))
                 assert next(x for x in v if x != 0) == 1
+
+    def test_bareiss_runs_unless_nonzero_columns_have_full_rank_mod_p(self, monkeypatch):
+        # nonzero columns of full column rank mod the first prime are
+        # independent over Q, so the zero columns are the only free ones and
+        # nothing is eliminated; otherwise Bareiss runs, also where only the
+        # prime makes the rank deficient, and the basis is the oracle's
+        calls = []
+        eliminate = linalg._bareiss_echelon
+
+        def spy(m):
+            calls.append(m)
+            return eliminate(m)
+
+        monkeypatch.setattr(linalg, "_bareiss_echelon", spy)
+        p = linalg._PRIMES[0]
+        rng = random.Random(2047)
+        cases = [IntMatrix.from_rows([[1, 0], [0, p]]), IntMatrix.from_rows([[0, 3], [0, 5]]),
+                 IntMatrix(2, 3, (0,) * 6)]
+        for _ in range(80):
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 8)
+            zeros = rng.sample(range(ncols), rng.randint(0, ncols))
+            cases.append(IntMatrix.from_rows(
+                [[0 if j in zeros else rng.randint(-2, 2) for j in range(ncols)]
+                 for _ in range(nrows)]))
+        seen = set()
+        for m in cases:
+            calls.clear()
+            basis = kernel_exact(m)
+            rows = oracles.matrix_rows(m)
+            nz = [j for j in range(m.cols) if any(r[j] for r in rows)]
+            full = oracles.rank_mod_lists([[r[j] % p for j in nz] for r in rows], p) == len(nz)
+            assert (len(calls) == 0) == full, rows
+            seen.add(full)
+            want = tuple(tuple(x / next(y for y in v if y) for x in v)
+                         for v in oracles.rref_rank_kernel(rows, m.cols)[1])
+            assert oracles.dense_kernel(basis) == want, rows
+        assert seen == {False, True}
+
+    def test_vectors_have_a_positive_lead(self):
+        # a vector is its primitive integer terms; printed over its lead
+        assert KernelBasis(3, (((0, 2), (2, -1)),)).to_obj()["vectors"] == [["1", "0", "-1/2"]]
+        for terms in (((0, -2), (2, 1)), ((1, 0),)):
+            with pytest.raises(ValueError):
+                KernelBasis(3, (terms,))
 
     def test_basis_vectors_independent(self):
         k = kernel_exact(IntMatrix.from_rows([[1, 2, 3, 4], [0, 0, 1, 1]]))

@@ -58,6 +58,11 @@ def test_mostly_zero_kernel_basis_120_draws():
     assert propcheck.wide_kernel_basis_suite(seed=2042, draws=120, kinds=kinds) == 120
 
 
+def test_through_kernel_100_draws():
+    # 50 with at least as many rows as columns, 50 with fewer
+    assert propcheck.through_kernel_suite(seed=2045, draws=100) == 100
+
+
 def test_stack_rank_100_draws():
     assert propcheck.stack_rank_suite(seed=2029, draws=100) == 100
 
