@@ -14,7 +14,8 @@ class Record:
     """An immutable value.  A subclass's `__slots__` are its fields, then any
     slot that its `_check` derives; `_fields` names the fields.  `__init__`
     sets the fields from positional values and runs `_check`, which validates
-    them.  Equality, hash and repr read the fields only."""
+    them.  Equality, hash and repr read the fields only, and a copy or an
+    unpickled record is built from them by `__init__`, checked again."""
 
     __slots__ = ()
 
@@ -32,6 +33,9 @@ class Record:
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
+
+    def __reduce__(self):
+        return type(self), self._values()
 
     def __eq__(self, other):
         return self._values() == other._values() if type(other) is type(self) else NotImplemented

@@ -82,17 +82,20 @@ MAX_DEGREE = 12
 MAX_COUNT = 1000
 
 
-def parse_rational(s) -> Fraction:
+def parse_rational(s) -> int | Fraction:
     """Parse a 'p/q' (or plain 'p') string of decimal digits, p optionally
-    signed with '-', or an integer, into an exact rational.  Each part has at
+    signed with '-', or an integer, into an exact rational: an int for an
+    integer or a string without '/', else a Fraction.  Each part has at
     most MAX_RATIONAL_DIGITS digits.  Floats, whose value is binary, and
     decimal points, exponents, '+', spaces and underscores are refused."""
     if type(s) is int:
         if abs(s) < _INT_BOUND:
-            return Fraction(s)
+            return s
     elif isinstance(s, str):
         match = _RATIONAL.fullmatch(s)
         if match and all(len(part or "") <= MAX_RATIONAL_DIGITS for part in match.groups()):
+            if match[2] is None:
+                return int(s)
             try:
                 return Fraction(s)
             except ZeroDivisionError as exc:
@@ -125,7 +128,7 @@ def parse_list(x, what: str) -> list:
     return x
 
 
-def format_rational(x: Fraction) -> str:
+def format_rational(x: int | Fraction) -> str:
     """Canonical 'p/q' string; the '/q' part is omitted when q = 1.
 
     An int is written as the equal Fraction is.  Outputs may have far more
@@ -396,6 +399,13 @@ def rank_exact(m: IntMatrix, witnesses: Sequence[Sequence[int]] = ()) -> int:
     if (m.cols - len(witnesses) < bound and all(not any(m.matvec(w)) for w in witnesses)
             and rank_exact(IntMatrix.from_rows(witnesses)) == len(witnesses)):
         bound = m.cols - len(witnesses)
+    return _rank_at_most(m, bound)
+
+
+def _rank_at_most(m: IntMatrix, bound: int) -> int:
+    """The rank of m, given a proven upper bound on it: the bound when the
+    rank mod one of _PRIMES meets it, else that of fraction-free
+    elimination over the integers."""
     for p in _PRIMES:
         if _rank_mod(m, p) == bound:
             return bound

@@ -1,11 +1,14 @@
-"""Polynomials over exact rationals.
+"""Polynomials over exact rationals, in ints where the input is integral.
 
 `MultiPoly` is a sparse multivariate polynomial in the ambient homogeneous
-coordinates z_0..z_n.  A univariate polynomial in the affine coordinate t of
-the parametrizing line, a curve's component or a restriction f(c(t)), has
-one representation: a pair (den, ints), integer coefficients ints (t^0
-first, no trailing zero) over a positive denominator den, least for the
-group of polynomials that shares it.  All arithmetic is exact.
+coordinates z_0..z_n.  Its coefficients are ints or Fractions: a
+coefficient read as an integer stays an int, from the reader through
+restriction, and only one written 'p/q' is a Fraction.  A univariate
+polynomial in the affine coordinate t of the parametrizing line, a curve's
+component or a restriction f(c(t)), has one representation: a pair (den,
+ints), integer coefficients ints (t^0 first, no trailing zero) over a
+positive denominator den, least for the group of polynomials that shares
+it.  All arithmetic is exact.
 
 Restriction to a parametrized curve, f(c(t)), has one entry point,
 `restrict_to_curve`: it restricts groups of forms through a table of the
@@ -200,12 +203,14 @@ def monomial_basis(num_vars: int, degree: int) -> list[tuple[int, ...]]:
 
 class MultiPoly:
     """Sparse multivariate polynomial; terms map exponent tuples to nonzero
-    rational coefficients."""
+    rational coefficients, each an int or a Fraction.  The constructor and
+    the reader keep an int coefficient an int, and build a Fraction only
+    for any other value."""
 
     __slots__ = ("num_vars", "terms")
 
     def __init__(self, num_vars: int, terms: Mapping[tuple[int, ...], object]):
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], int | Fraction] = {}
         for exps, coef in terms.items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != num_vars:
@@ -214,7 +219,8 @@ class MultiPoly:
                 )
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            coef = Fraction(coef)
+            if type(coef) is not int:
+                coef = Fraction(coef)
             if coef != 0:
                 clean[exps] = coef
         self.num_vars = num_vars
@@ -256,28 +262,28 @@ class MultiPoly:
         self._check_same_ring(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return MultiPoly(self.num_vars, out)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_same_ring(other)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, Fraction(0)) + ca * cb
+                out[e] = out.get(e, 0) + ca * cb
         return MultiPoly(self.num_vars, out)
 
     def partial_derivative(self, m: int) -> "MultiPoly":
         if not 0 <= m < self.num_vars:
             raise DimensionError(f"no variable with index {m}")
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
         for e, c in self.terms.items():
             if e[m] > 0:
                 out[e[:m] + (e[m] - 1,) + e[m + 1 :]] = c * e[m]
         return MultiPoly._of_clean(self.num_vars, out)
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
 
     def __eq__(self, other):
@@ -306,7 +312,7 @@ class MultiPoly:
         except (KeyError, TypeError) as exc:
             raise InputError("polynomial object needs 'nvars' and 'terms'") from exc
         nvars = parse_int(nvars, "nvars")
-        parsed: dict[tuple[int, ...], Fraction] = {}
+        parsed: dict[tuple[int, ...], int | Fraction] = {}
         for i, t in enumerate(parse_list(terms, "terms")):
             try:
                 exps, coef = t["exp"], parse_rational(t["coef"])
@@ -316,8 +322,9 @@ class MultiPoly:
                          for e in parse_list(exps, f"terms[{i}].exp"))
             if len(exps) != nvars:
                 raise InputError(f"terms[{i}].exp has length {len(exps)}, expected {nvars}")
-            parsed[exps] = parsed.get(exps, Fraction(0)) + coef
-        poly = cls(nvars, parsed)
+            parsed[exps] = parsed.get(exps, 0) + coef
+        # the exponents are checked above, and a repeated term may sum to 0
+        poly = cls._of_clean(nvars, {e: c for e, c in parsed.items() if c})
         declared = obj.get("homogeneous_degree")
         if declared is not None and poly.homogeneous_degree() != parse_int(
             declared, "homogeneous_degree"
@@ -339,10 +346,13 @@ def _curve_monomials(components: Sequence[tuple[int, Sequence[int]]]):
     coefficients.  Each power is built once from the one below, and each
     monomial once, as its restriction without the last variable times that
     variable's power, so every entry of the table costs at most one product
-    of integer polynomials (`_int_mul`).  An exponent vector whose length is
-    not the number of components raises DimensionError.
+    of integer polynomials (`_int_mul`).  A monomial with a positive
+    exponent on a zero component restricts to zero, (1, []), at once.  An
+    exponent vector whose length is not the number of components raises
+    DimensionError.
     """
     powers = [[(1, [1]), (den, list(xs))] for den, xs in components]
+    zero = [m for m, (_, xs) in enumerate(components) if not xs]
     table: dict[tuple[int, ...], tuple[int, list[int]]] = {}
 
     def power(m: int, k: int) -> tuple[int, list[int]]:
@@ -360,6 +370,8 @@ def _curve_monomials(components: Sequence[tuple[int, Sequence[int]]]):
             m = max((i for i, k in enumerate(e) if k), default=None)
             if m is None:
                 table[e] = 1, [1]
+            elif any(e[i] for i in zero):
+                table[e] = 1, []
             else:
                 head = e[:m] + (0,) * (len(e) - m)
                 if any(head):
@@ -379,14 +391,16 @@ def restrict_to_curve(groups: Iterable[Iterable[MultiPoly]],
     restrictions, lists[k] den times its k-th form's as integer
     coefficients, t**0 first, no trailing zero.  The groups (any iterables,
     read once) read the one table of the curve, table = `_curve_monomials`
-    (components), which the caller builds; each term multiplies its entry
-    once, over the lcm L of the group's term denominators, and one gcd of L
-    with every sum makes den least.  Coefficients may be Fractions or ints;
-    no Fraction is built.  A form whose variables are not the curve's
-    components raises DimensionError from the table."""
+    (components), which the caller builds; a term whose entry is zero is
+    dropped, and each other term multiplies its entry once, over the lcm L
+    of their denominators, and one gcd of L with every sum makes den least.
+    Coefficients may be Fractions or ints; no Fraction is built.  A form
+    whose variables are not the curve's components raises DimensionError
+    from the table."""
     out = []
     for group in groups:
-        terms = [[(c, *table(e)) for e, c in f.terms.items()] for f in group]
+        terms = [[(c, d, xs) for e, c in f.terms.items() for d, xs in (table(e),) if xs]
+                 for f in group]
         den = lcm(*(c.denominator * d for form in terms for c, d, _ in form))
         lists = []
         for form in terms:

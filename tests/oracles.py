@@ -13,8 +13,9 @@ evaluation rows at complex points from Fraction coefficients,
 matrix products and cofactor determinants from their definitions, block
 slicing, reassembly and closed forms by list arithmetic, an exhaustive
 smoothness search over a prime field, gcds over Q (coprimality, smoothness
-along a curve) from sympy's, rational roots from sympy's factorization over Q, and complex root
-labels from mpmath's `polyroots`.  It also builds what no command builds: the
+along a curve) from sympy's, rational roots from sympy's factorization over Q, complex root
+labels from mpmath's `polyroots`, and the value of a document's coefficient entry from
+splitting its string.  It also builds what no command builds: the
 special quintic f0 = l*q + z4*p of a fixture with its incidence problem, and
 the Fraction coefficient lists of a pair (den, lists), the package's form
 of a univariate polynomial.
@@ -31,7 +32,7 @@ import sympy
 from mpmath.libmp import NoConvergence
 
 from curvejac.incidence import IncidenceProblem
-from curvejac.linalg import IntMatrix
+from curvejac.linalg import MAX_RATIONAL_DIGITS, IntMatrix
 from curvejac.poly import MultiPoly
 
 
@@ -512,3 +513,24 @@ def mpmath_eps(digits):
     with mpmath.mp.workdps(digits):
         eps = +mpmath.mp.eps
     return Fraction(int(eps.man)) * Fraction(2) ** int(eps.exp)
+
+
+def rational_value(s):
+    """The Fraction a coefficient entry of a document stands for, or the
+    one-line message it is refused with: an int of at most
+    MAX_RATIONAL_DIGITS digits, or a string of ASCII digits 'p' or 'p/q',
+    p optionally signed with '-', each part of at most that many digits,
+    q nonzero."""
+    digits = MAX_RATIONAL_DIGITS
+    if type(s) is int and len(str(abs(s))) <= digits:
+        return Fraction(s)
+    if isinstance(s, str):
+        parts = s.removeprefix("-").split("/")
+        if len(parts) <= 2 and all(p.isascii() and p.isdigit() and len(p) <= digits
+                                   for p in parts):
+            if len(parts) == 2 and not int(parts[1]):
+                return f"invalid rational value {s!r}: zero denominator"
+            return Fraction(int(s.split("/")[0]), int(parts[1]) if len(parts) == 2 else 1)
+    shown = repr(s) if len(repr(s)) <= 40 else repr(s)[:40] + "..."
+    return (f"invalid rational value {shown}: expected a string 'p' or 'p/q' of at most "
+            f"{digits} decimal digits each, p optionally signed with '-'")

@@ -14,17 +14,20 @@ from math import gcd, isqrt, lcm
 import numpy
 import sympy
 
+from curvejac.errors import InputError
 from curvejac.incidence import (CurveParam, IncidenceProblem, _convolution_matrix,
                                 _evaluation_rows, jacobian_coefficient_form, quintics_through_curve,
                                 random_member, restricted_gradient, symmetry_kernel_vectors)
 from curvejac.linalg import (
     _PRIMES,
+    MAX_RATIONAL_DIGITS,
     IntMatrix,
     _bareiss_echelon,
     _dump,
     _rank_mod,
     _singular_values,
     kernel_exact,
+    parse_rational,
     rank_exact,
     rank_numeric,
 )
@@ -1066,3 +1069,58 @@ def json_document_suite(seed, draws):
         for obj in ({"v": strings}, {"v": escaped}):
             assert _dump(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n", obj
     return draws
+
+
+# Strings that are not 'p' or 'p/q' in ASCII digits, and values of other types.
+MALFORMED_RATIONALS = ("", "-", "--1", "+3", " 3", "3 ", "1.5", "1e3", "1_000", "3/-4", "/3",
+                       "3/", "1/2/3", "0x10", "\u0661\u0662", "\u00bd", "2\u00b2", "1/\u0663",
+                       1.0, 0.5, True, False, None, [], [1], {})
+# Entries at and just beyond the digit limit.
+LIMIT_RATIONALS = (10**MAX_RATIONAL_DIGITS - 1, -(10**MAX_RATIONAL_DIGITS - 1),
+                   10**MAX_RATIONAL_DIGITS, "9" * MAX_RATIONAL_DIGITS,
+                   "-" + "9" * MAX_RATIONAL_DIGITS, "1" + "0" * MAX_RATIONAL_DIGITS,
+                   "0" * (MAX_RATIONAL_DIGITS + 1), "1/" + "7" * MAX_RATIONAL_DIGITS,
+                   "1/" + "7" * (MAX_RATIONAL_DIGITS + 1))
+RATIONAL_DIGITS = (1, 1, 2, 3, 20, 300, MAX_RATIONAL_DIGITS, MAX_RATIONAL_DIGITS + 1)
+
+
+def _digits(rng, count):
+    return "".join(rng.choice("0123456789") for _ in range(count))
+
+
+def _rational_input(rng):
+    """A coefficient entry: an int or a string 'p' or 'p/q', each part of 1
+    to MAX_RATIONAL_DIGITS + 1 digits (at and just above the limit among
+    them), leading zeros, a zero numerator or denominator and '-0' among
+    them; or an entry of `MALFORMED_RATIONALS`."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.choice((1, -1)) * int(_digits(rng, rng.choice(RATIONAL_DIGITS)))
+    sign = rng.choice(("", "", "-"))
+    if kind == 1:
+        return sign + _digits(rng, rng.choice(RATIONAL_DIGITS))
+    if kind == 2:
+        return sign + rng.choice(("0", "00", "7")) + "/" + rng.choice(("0", "1", "0001"))
+    if kind == 3:
+        num, den = (_digits(rng, rng.choice(RATIONAL_DIGITS)) for _ in range(2))
+        return f"{sign}{num}/{den}"
+    return rng.choice(MALFORMED_RATIONALS)
+
+
+def parse_rational_suite(seed, draws):
+    """parse_rational against `oracles.rational_value`: an int or a string
+    without '/' reads as an int equal to the value, any other accepted
+    string as the Fraction, and a refused entry raises InputError with the
+    oracle's one-line message.  The entries of `LIMIT_RATIONALS` and
+    `MALFORMED_RATIONALS` come first, then random draws."""
+    rng = random.Random(seed)
+    fixed = LIMIT_RATIONALS + MALFORMED_RATIONALS
+    for s in (*fixed, *(_rational_input(rng) for _ in range(draws))):
+        want = oracles.rational_value(s)
+        try:
+            got = parse_rational(s)
+        except InputError as exc:
+            got = str(exc)
+        kind = str if isinstance(want, str) else int if "/" not in str(s) else Fraction
+        assert got == want and type(got) is kind, (s, got, want)
+    return len(fixed) + draws

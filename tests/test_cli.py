@@ -12,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from curvejac import cli, linalg, poly
+from curvejac import cli, incidence, linalg, poly
 from curvejac.construction import Fixture
 from curvejac.incidence import (CurveParam, IncidenceProblem, quintics_through_curve,
                                 random_member)
+from curvejac.linalg import IntMatrix
 from curvejac.poly import MultiPoly, _curve_monomials, monomial_basis
 
 import oracles
@@ -480,9 +481,10 @@ class TestSampleCommand:
         # tangent dimension 4, the least, eliminates nothing, also where
         # e*d + 1 > (n + 1)(d + 1) - 4 and only the four symmetry witnesses
         # bound it; the first rank is the witnesses' own, s, and such a draw
-        # reaches the expected rank min(e*d + 1, (n + 1)(d + 1) - s)
+        # reaches the expected rank min(e*d + 1, (n + 1)(d + 1) - s), the
+        # bound each draw's rank is taken under
         calls, ranks = [], []
-        eliminate, certify = linalg._bareiss_echelon, cli.rank_exact
+        eliminate, certify, bounded = linalg._bareiss_echelon, cli.rank_exact, cli._rank_at_most
 
         def spy(m):
             calls.append((m.rows, m.cols))
@@ -494,8 +496,15 @@ class TestSampleCommand:
             ranks.append((m, r, len(calls) > before))
             return r
 
+        def rank_at_most(m, bound):
+            before = len(calls)
+            r = bounded(m, bound)
+            ranks.append((m, r, len(calls) > before))
+            return r
+
         monkeypatch.setattr(linalg, "_bareiss_echelon", spy)
         monkeypatch.setattr(cli, "rank_exact", rank)
+        monkeypatch.setattr(cli, "_rank_at_most", rank_at_most)
         rng = random.Random(2044)
         path = tmp_path / "curve.json"
         sides, witnessed = set(), 0
@@ -520,6 +529,54 @@ class TestSampleCommand:
                     assert not eliminated and rec["full_rank"], (n, d, e)
                     witnessed += m.cols - 4 < min(m.rows, m.cols)
         assert sides == {False, True} and witnessed
+
+    def test_witness_rank_is_proven_once_per_command(self, monkeypatch):
+        # the symmetry witnesses' own rank is proven once, for expected_rank,
+        # however many draws; each draw still finds every witness in its
+        # kernel by an exact matvec before its rank is taken under the bound
+        path = DATA / "curve-d3.json"
+        curve = CurveParam.from_obj(json.loads(path.read_text()))
+        sym = incidence.symmetry_kernel_vectors(curve)
+        witnesses, ranked, products = IntMatrix.from_rows(sym), [], []
+        certify, matvec = linalg.rank_exact, IntMatrix.matvec
+
+        def rank(m, w=()):
+            ranked.append(m == witnesses)
+            return certify(m, w)
+
+        def product(m, v):
+            products.append((m.rows, tuple(v)))
+            return matvec(m, v)
+
+        monkeypatch.setattr(linalg, "rank_exact", rank)
+        monkeypatch.setattr(cli, "rank_exact", rank)
+        monkeypatch.setattr(IntMatrix, "matvec", product)
+        rc, out, _ = run_cli(["sample", str(path), "--count", "3"])
+        assert rc == 0 and [r["full_rank"] for r in json.loads(out)["records"]] == [True] * 3
+        assert witnesses.rows == 4 and ranked.count(True) == 1
+        assert products == [(16, w) for _ in range(3) for w in sym]
+
+    def test_witnesses_outside_the_kernel_bound_nothing(self, monkeypatch):
+        # four independent vectors that lie in no draw's kernel, in place of
+        # the conic's symmetry witnesses, lower no draw's bound: each draw's
+        # rank 5 is below min(rows, cols) = 9, so no prime meets the bound and
+        # each draw is eliminated, to the same rank
+        unit = [tuple(int(i == j) for i in range(9)) for j in range(4)]
+        monkeypatch.setattr(incidence, "symmetry_kernel_vectors", lambda curve: unit)
+        shapes = []
+        eliminate = linalg._bareiss_echelon
+
+        def spy(m):
+            shapes.append((m.rows, m.cols))
+            return eliminate(m)
+
+        monkeypatch.setattr(linalg, "_bareiss_echelon", spy)
+        argv = ["sample", str(DATA / "curve-conic.json"), "--count", "3", "--seed", "1"]
+        rc, out, _ = run_cli(argv)
+        obj = json.loads(out)
+        assert rc == 0 and obj["expected_rank"] == 9 - 4
+        assert [r["rank"] for r in obj["records"]] == [5] * 3
+        assert shapes == [(11, 21)] + [(11, 9)] * 3
 
     def test_zero_count(self, curve_a_path):
         rc, out, _ = run_cli(["sample", curve_a_path, "--count", "0"])

@@ -203,6 +203,7 @@ UNCALLED = {
     "MultiPoly.__eq__": "form equality, for tests and library callers; no command compares forms",
     "Record.__eq__": "value equality of records, for tests and library callers",
     "Record.__hash__": "curves, matrices and kernel bases hash; tests hash parsed curves",
+    "Record.__reduce__": "copies and pickles of records; tests use it, no command copies one",
     "Record.__repr__": "shows a record's fields in assertion messages and at the prompt",
     "Record.__setattr__": "refuses assignment and deletion: records are immutable",
     "Record._values": "the fields that __eq__ and __hash__ read",

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import random
 import time
 from fractions import Fraction as F
@@ -7,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from curvejac import poly
+from curvejac import linalg, poly
 from curvejac.construction import Fixture
 from curvejac.errors import DimensionError, InputError
 from curvejac.incidence import (
@@ -585,3 +587,55 @@ def test_records_are_immutable_values(fixture_a):
     object.__setattr__(fix, "restricted", None)
     assert fix == fa and repr(fix) == repr(fa) and "restricted" not in repr(fa)
     assert repr(fa).startswith("Fixture(name='A', q=")
+
+
+def test_records_copy_and_pickle(fixture_a):
+    # a copy, a deep copy and an unpickled record equal the record; each is
+    # built by the constructor again, so a fixture's derived restriction is
+    # rebuilt and a refused payload raises as the constructor does
+    fa = fixture_a
+    records = [IntMatrix(1, 2, (1, 2)), KernelBasis(3, (((0, 2), (2, 1)),)), fa.c0,
+               IncidenceProblem(4, 1, 1, MultiPoly.monomial((0, 0, 0, 0, 1))),
+               Fixture(fa.name, fa.q, fa.l, fa.p, fa.c0, fa.d)]
+    for record in records:
+        for back in (copy.copy(record), copy.deepcopy(record),
+                     pickle.loads(pickle.dumps(record))):
+            assert type(back) is type(record) and back == record
+    back = pickle.loads(pickle.dumps(records[-1]))
+    assert back.restricted == fa.restricted
+
+    class Ragged:
+        def __reduce__(self):
+            return IntMatrix, (2, 2, (1, 2, 3))
+
+    with pytest.raises(DimensionError):
+        pickle.loads(pickle.dumps(Ragged()))
+
+
+@pytest.mark.parametrize("name", ["A", "d3-small"])
+def test_reading_integral_coefficients_builds_no_fraction(name, monkeypatch, fixture_a):
+    # fixture A, and the degree-3 fixture bench/gen.py writes for verify-degree
+    # (`generated("d3-small", 3, 100, "small", L_SPLIT)`), whose q, l, p are
+    # integral and whose curve has 'p/q' coefficients: reading the fixture,
+    # the problem of its quintic and the quintics through its curve builds a
+    # Fraction for each 'p/q' entry of the curve and for nothing else
+    path = Path(__file__).parent / "data" / "fixture-d3-small.json"
+    doc = fixture_a.to_obj() if name == "A" else json.loads(path.read_text())
+    problem = oracles.problem(Fixture.from_obj(doc)).to_obj()
+    built = []
+
+    def spy(*args):
+        built.append(args)
+        return F(*args)
+
+    monkeypatch.setattr(linalg, "Fraction", spy)
+    monkeypatch.setattr(poly, "Fraction", spy)
+    fix, prob = Fixture.from_obj(doc), IncidenceProblem.from_obj(problem)
+    restricted_gradient(prob.f, fix.c0)
+    quintics = [MultiPoly.monomial(e) for e in monomial_basis(5, 5)]
+    restrict_to_curve([quintics], _curve_monomials(fix.c0.components))
+    fractions = [c for comp in doc["c0"]["components"] for c in comp["coeffs"] if "/" in c]
+    assert built == [(c,) for c in fractions]
+    assert bool(fractions) == (name == "d3-small")
+    forms = (fix.q, fix.l, fix.p, prob.f)
+    assert all(type(c) is int for f in forms for c in f.terms.values())

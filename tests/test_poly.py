@@ -208,6 +208,26 @@ class TestComposeWithCurve:
         again = _curve_monomials(fixture_b.c0.components)
         assert restrict_to_curve([forms, forms[:2]], again) == want
 
+    def test_a_zero_component_restricts_its_monomials_to_zero_at_once(self, monkeypatch):
+        # on A's line (1, t, 0, 0, 0) 120 of the 126 quintics have a positive
+        # exponent on a zero component: each restricts to (1, []) with no
+        # product, and a form's terms on them, whatever their denominators,
+        # add nothing to its restriction's
+        products = []
+
+        def counting_mul(a, b):
+            products.append((a, b))
+            return _int_mul(a, b)
+
+        monkeypatch.setattr("curvejac.poly._int_mul", counting_mul)
+        table = _curve_monomials(propcheck.pairs(line_components()))
+        zero = [e for e in monomial_basis(5, 5) if any(e[2:])]
+        assert len(zero) == 120 and all(table(e) == (1, []) for e in zero)
+        assert products == []
+        f = MultiPoly(5, {(5, 0, 0, 0, 0): 3, (0, 0, 5, 0, 0): F(1, 3), (1, 0, 0, 0, 4): F(2, 7)})
+        assert restrict_to_curve([[f], [f.partial_derivative(4)]], table) == [
+            (1, [[3]]), (1, [[]])]
+
     def test_linearity_in_f(self):
         rng = random.Random(21)
         for _ in range(15):
@@ -496,6 +516,31 @@ class TestSerialization:
     def test_multipoly_round_trip(self, fixture_a):
         for poly in (fixture_a.q, fixture_a.l, fixture_a.p, oracles.f0(fixture_a)):
             assert MultiPoly.from_obj(poly.to_obj()) == poly
+
+    def test_integral_coefficients_stay_ints(self):
+        # random documents of repeated terms with int, integral string and
+        # 'p/q' coefficients: a term read from integral entries only is an
+        # int, repeated terms are summed and a zero sum is dropped, and the
+        # polynomial and its text are those of the all-Fraction reading
+        rng = random.Random(46)
+        for _ in range(100):
+            exps = [[rng.randint(0, 2) for _ in range(3)] for _ in range(4)]
+            terms, sums, fractional = [], {}, set()
+            for _ in range(rng.randint(0, 10)):
+                e, k = rng.choice(exps), rng.randint(-3, 3)
+                coef = rng.choice((k, str(k), f"{k}/{rng.randint(1, 3)}"))
+                terms.append({"exp": e, "coef": coef})
+                sums[tuple(e)] = sums.get(tuple(e), F(0)) + F(coef)
+                if "/" in str(coef):
+                    fractional.add(tuple(e))
+            f = MultiPoly.from_obj({"nvars": 3, "terms": terms})
+            want = MultiPoly(3, sums)
+            assert f == want and f.to_obj() == want.to_obj()
+            assert all(type(c) is (F if e in fractional else int) for e, c in f.terms.items())
+        # the constructor keeps an int too, and turns any other value into a Fraction
+        f = MultiPoly(2, {(1, 0): 3, (0, 1): F(1, 2), (1, 1): 0, (2, 0): F(4, 2), (0, 2): 1.5})
+        assert [(c, type(c)) for c in f.terms.values()] == [
+            (3, int), (F(1, 2), F), (2, F), (F(3, 2), F)]
 
     def test_terms_sorted_leading_first(self):
         f = MultiPoly(3, {(0, 0, 2): 1, (2, 0, 0): 1, (1, 1, 0): 1})

@@ -75,6 +75,11 @@ def test_packed_rank_48_draws():
     assert propcheck.packed_rank_suite(seed=2038, draws=48) == 48
 
 
+def test_parse_rational_300_draws():
+    # 35 fixed entries at the digit limit and malformed, then 300 draws
+    assert propcheck.parse_rational_suite(seed=2046, draws=300) == 335
+
+
 def test_json_document_300_draws():
     assert propcheck.json_document_suite(seed=2039, draws=300) == 300
 
