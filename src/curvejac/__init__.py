@@ -6,9 +6,10 @@ block-decomposition verification for the special quintic l*q + z4*p through a
 curve on a quartic surface.  The package is what the five commands of `cli`
 (fixture, jacobian, verify, through, sample) reach; every name exported here
 is one that package code reads.  All core arithmetic is exact over the
-rationals; a curve's components and every restriction to it are integer
-coefficient lists over a least denominator, one per component and group,
-and every matrix ranked or reduced to a kernel is an `IntMatrix` of ints.
+rationals, in ints: a rational (a coefficient read, a point, a root) is a
+pair (num, den) in lowest terms, den > 0; a form's coefficients, a curve's
+components and each restriction to it are integers over a least
+denominator; every matrix ranked or reduced to a kernel is an `IntMatrix`.
 The fixture restricts l, p and q's partials to the curve once and checks
 q(c0) = 0 from them; the verification derives f0's gradient from them, so
 checks 1, 3 and 6 and check 5's root rows hold by construction.  It decides

@@ -23,7 +23,6 @@ import math
 import re
 import sys
 import types
-from fractions import Fraction
 
 from . import construction, incidence
 from .errors import DimensionError, InputError
@@ -79,16 +78,16 @@ def _parse_tol(text: str) -> float:
 
 
 def _parse_points(text: str):
-    """--points: a token without 'i' is a rational (`parse_rational`), kept
-    as a Fraction, which marks an exact point; one with 'i' a finite complex
-    number a+bi of at most MAX_RATIONAL_DIGITS digits."""
+    """--points: a token without 'i' is a rational, the pair (a, b) of
+    `parse_rational`, which marks an exact point; one with 'i' a finite
+    complex number a+bi of at most MAX_RATIONAL_DIGITS digits."""
     points = []
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
             continue
         if "i" not in tok:
-            points.append(Fraction(parse_rational(tok)))
+            points.append(parse_rational(tok))
             continue
         try:
             z = complex(tok.replace("i", "j"))
@@ -134,19 +133,21 @@ def cmd_jacobian(args, out) -> int:
     # At distinct rational points the evaluation form is an invertible
     # Vandermonde matrix times the coefficient form: the ranks agree, and the
     # exact rank is that of the coefficient form's integer matrix.  Exact
-    # rows are den times the Jacobian and written as x / den; complex rows
-    # are the Jacobian itself, written as [real, imag] pairs without labels.
+    # rows are den times the Jacobian's, at a/b times b**(K + d), K + 1 the
+    # longest list of grads (any K if all are zero), written over that;
+    # complex rows are the Jacobian, as [real, imag] pairs without labels.
     # On its hypersurface the curve's four symmetry directions are kernel
     # witnesses, which certify a rank below min(rows, cols).
     on_curve = incidence.vanishes_on_curve(grads, curve, prob.e)
     rank = coeff_rank = rank_exact(
         coeff, incidence.symmetry_kernel_vectors(curve) if on_curve else ())
-    exact = all(isinstance(t, Fraction) for t in points)
+    exact = all(isinstance(t, tuple) for t in points)
     matrix = {"rows": len(rows), "cols": coeff.cols}
     obj = {"form": form, "exact": exact, "matrix": matrix, "config": config}
     if exact:
-        den = grads[0]
-        matrix["entries"] = [[format_rational(Fraction(x, den)) for x in row] for row in rows]
+        k = max(1, *map(len, grads[1])) - 1 + prob.d
+        dens = [grads[0] * b**k for _, b in points] or [grads[0]] * len(rows)
+        matrix["entries"] = [[format_rational(x, den) for x in row] for row, den in zip(rows, dens)]
         obj["row_labels"], obj["col_labels"] = row_labels, incidence.theta_labels(prob.n, prob.d)
         rank_kind = "exact"
     else:

@@ -43,18 +43,18 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Sequence
-from fractions import Fraction
 
 from .errors import DimensionError, InputError, Record
 from .incidence import (
     CurveParam,
+    _complex,
     _convolution_matrix,
     _evaluation_rows,
     _point_label,
     symmetry_kernel_vectors,
     vanishes_on_curve,
 )
-from .linalg import MAX_D, IntMatrix, format_rational, parse_size, rank_exact
+from .linalg import MAX_D, IntMatrix, parse_size, rank_exact
 from .poly import (MultiPoly, _curve_monomials, _int_mul, coprime, restrict_to_curve,
                    squarefree_roots)
 
@@ -135,29 +135,31 @@ class Fixture(Record):
 
 
 def _generic_candidates(seed: int, attempt: int):
-    """Deterministic stream of small rationals for the generic points.
+    """Deterministic stream of small rationals (a, b) for the generic points.
 
-    The first attempt walks reduced fractions ordered by height, 1, -1, 2,
+    The first attempt walks reduced rationals ordered by height, 1, -1, 2,
     -2, 1/2, -1/2, ..., so reports are easy to reproduce by hand and point
     magnitudes stay near 1 (which keeps the complex path well conditioned);
     retries draw seeded random small rationals.
     """
     if attempt == 0:
-        yield Fraction(1)
-        yield Fraction(-1)
+        yield 1, 1
+        yield -1, 1
         h = 2
         while True:
             pairs = [(h, 1)]
             pairs += [(h, k) for k in range(2, h) if math.gcd(h, k) == 1]
             pairs += [(k, h) for k in range(1, h) if math.gcd(h, k) == 1]
             for num, den in pairs:
-                yield Fraction(num, den)
-                yield Fraction(-num, den)
+                yield num, den
+                yield -num, den
             h += 1
     else:
         rng = random.Random(seed * 1_000_003 + attempt)
         while True:
-            yield Fraction(rng.randint(-15, 15), rng.randint(1, 6))
+            num, den = rng.randint(-15, 15), rng.randint(1, 6)
+            g = math.gcd(num, den)
+            yield num // g, den // g
 
 
 def _generic_points(lc: Sequence, pc: Sequence, count: int, seed: int, attempt: int) -> tuple:
@@ -167,13 +169,11 @@ def _generic_points(lc: Sequence, pc: Sequence, count: int, seed: int, attempt: 
     always ends).  A candidate a/b is a zero where its evaluation row
     (`_evaluation_rows` at (a, b), degree 0) has a zero entry."""
     avoid = [g for g in (lc, pc) if g]
-    points: list[Fraction] = []
-    seen: set[Fraction] = set()
+    points, seen = [], set()
     for cand in _generic_candidates(seed, attempt):
         if len(points) == count:
             break
-        if cand in seen or (avoid and not all(
-                _evaluation_rows(avoid, 0, [(cand.numerator, cand.denominator)])[0])):
+        if cand in seen or (avoid and not all(_evaluation_rows(avoid, 0, [cand])[0])):
             continue
         seen.add(cand)
         points.append(cand)
@@ -184,10 +184,10 @@ def select_special_points(restricted: tuple, d: int) -> tuple[tuple, str]:
     """The d roots of lc = l(c0(t)) and their field, "rational" or "complex",
     given restricted = (den, [lc, pc = p(c0(t)), ...]) (`Fixture.restricted`).
 
-    Roots are exact (p-adic lifting, no floats) when lc splits over the
-    rationals, else complex labels.  Raises ValueError unless lc has degree
-    d, is squarefree and is coprime to pc = p(c0(t)), or when its complex
-    roots do not converge.  With the generic points that `_generic_points`
+    Roots are exact pairs (a, b) (p-adic lifting, no floats) when lc splits
+    over the rationals, else complex labels.  Raises ValueError unless lc
+    has degree d, is squarefree and is coprime to pc = p(c0(t)), or when its
+    complex roots do not converge.  With the generic points that `_generic_points`
     draws, avoiding the zeros of lc and pc, these make the corner block
     invertible.
     """
@@ -207,16 +207,15 @@ def select_special_points(restricted: tuple, d: int) -> tuple[tuple, str]:
 def _corner_rows(den: int, pc: Sequence[int], points: Sequence) -> list[list]:
     """Entry (s, i) = pc(t_s) * t_s**(d-i), d + 1 = len(points), pc =
     (df0/dz4)(c0) as integer coefficients over den: the evaluation rows
-    (`_evaluation_rows`), columns reversed, at a rational t_s = a/b the
-    integer row at (a, b) over den * b**(K+d), K + 1 = len(pc), so exact,
-    and at a complex t_s the row at (t_s, 1) of the floats x / den.  Entry
-    i = d is pc(t_s)."""
+    (`_evaluation_rows`), columns reversed, at a rational t_s = (a, b) the
+    integer row at (a, b), each entry a pair over den * b**(K+d), K + 1 =
+    len(pc), so exact, and at a complex t_s the row at (t_s, 1) of the
+    floats x / den.  Entry i = d is pc(t_s)."""
     d, rows = len(points) - 1, []
     for t in points:
-        if isinstance(t, Fraction):
-            scale = den * t.denominator ** (len(pc) - 1 + d)
-            row = [Fraction(x, scale) for x in
-                   _evaluation_rows([pc], d, [(t.numerator, t.denominator)])[0]]
+        if isinstance(t, tuple):
+            scale = den * t[1] ** (len(pc) - 1 + d)
+            row = [(x, scale) for x in _evaluation_rows([pc], d, [t])[0]]
         else:
             row = _evaluation_rows([[x / den for x in pc]], d, [(t, 1)])[0]
         rows.append(row[::-1])
@@ -260,7 +259,7 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_matrix(rows: Sequence[Sequence], label=format_rational) -> list[list[str]]:
+def render_matrix(rows: Sequence[Sequence], label=_point_label) -> list[list[str]]:
     """Entries as strings, truncating matrices wider than MAX_RENDER_COLS
     with an elision marker."""
     out = [[label(x) for x in row] for row in rows]
@@ -320,7 +319,7 @@ def verify_construction(fixture: Fixture, seed: int = 0) -> dict:
     # points, needs full row rank 4d; rows where lc vanishes are flagged.
     for attempt in range(MAX_POINT_ATTEMPTS):
         points = roots + _generic_points(lc_i, pc_i, 5 * d + 1 - len(roots), seed, attempt)
-        lower = [(t.numerator, t.denominator) for t in points[d + 1 :]]
+        lower = points[d + 1 :]
         flagged = [s for s, row in enumerate(_evaluation_rows([lc_i], 0, lower)) if not row[0]]
         rank0 = None if flagged else rank_exact(
             IntMatrix.from_rows(_evaluation_rows(q_i, d, lower)))
@@ -330,7 +329,7 @@ def verify_construction(fixture: Fixture, seed: int = 0) -> dict:
     # (2) special point selection; retries redraw only the generic points,
     # which are rational and, in the complex field, labelled like the roots.
     def label(t) -> str:
-        return _point_label(complex(t) if root_field == "complex" else t)
+        return _point_label(_complex(t) if root_field == "complex" else t)
 
     selection = {"field": root_field, "root_points": [label(t) for t in roots],
                  "generic_points": [label(t) for t in points[len(roots) :]]}
@@ -351,12 +350,18 @@ def verify_construction(fixture: Fixture, seed: int = 0) -> dict:
     # are distinct and no zero of pc, which the selection establishes: lc is
     # squarefree of degree d and coprime to pc, and the extra point avoids
     # the zeros of lc*pc.  The all-generic fallback has rational points only and is
-    # decided by its exact determinant.
+    # decided by its exact determinant, a pair (num, den).
     corner = _corner_rows(den, pc_i, top)
-    det11 = math.prod(row[-1] for row in corner) * math.prod(
-        t - u for s, t in enumerate(top) for u in top[s + 1 :])
+    if root_field == "complex":
+        values = [_complex(t) for t in top]
+        det11 = math.prod(_complex(row[-1]) for row in corner) * math.prod(
+            t - u for s, t in enumerate(values) for u in values[s + 1 :])
+    else:
+        factors = [row[-1] for row in corner] + [
+            (a * y - x * b, b * y) for s, (a, b) in enumerate(top) for x, y in top[s + 1 :]]
+        det11 = math.prod(a for a, _ in factors), math.prod(b for _, b in factors)
     record(4, "corner block matches closed form and is invertible",
-           error is None or det11 != 0,
+           error is None or det11[0] != 0,
            {"det": label(det11), "matrix": render_matrix(corner, label)})
 
     # (5) lc divides each (df0/dz_m)(c0(t)), m < 4, so the mixed block rows
@@ -364,8 +369,8 @@ def verify_construction(fixture: Fixture, seed: int = 0) -> dict:
     # The extra row (at the d+1-th point) is reported as found, never
     # failing; it vanishes iff every (df0/dz_m)(c0(t)) does there, that is
     # iff lc or every (dq/dz_m)(c0) has a zero integer evaluation there.
-    def row_vanishes(t: Fraction) -> bool:
-        values = _evaluation_rows([lc_i, *q_i], 0, [(t.numerator, t.denominator)])[0]
+    def row_vanishes(t: tuple[int, int]) -> bool:
+        values = _evaluation_rows([lc_i, *q_i], 0, [t])[0]
         return not values[0] or not any(values[1:])
 
     nroots = len(roots)

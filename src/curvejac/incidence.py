@@ -15,18 +15,18 @@ lists): integer coefficient lists over their least common denominator.  The
 coefficient form is a Toeplitz block per partial (`_convolution_matrix`) of
 those lists, an `IntMatrix`, den times the Jacobian, with its rank and
 kernel.  An evaluation row (`_evaluation_rows`) evaluates the homogenized
-partials by Horner at a point (a, b): at a rational t = a/b with integer
-lists it is an integer row, a positive multiple of the value row, and at
-(t, 1) the value row itself, exact or complex as t is.  The evaluation form
-is such rows of values, never eliminated exactly.  The `jacobian` command
-alone prints either form and labels its rows and columns.
+partials by Horner at a point (a, b): at a rational t = a/b, the pair (a,
+b) in lowest terms, b > 0, with integer lists it is an integer row, a
+positive multiple of the value row, and at (t, 1), t complex, the value
+row itself.  The evaluation form is such rows, never eliminated exactly.
+The `jacobian` command alone prints either form and labels its rows and
+columns.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 
@@ -89,22 +89,17 @@ class CurveParam(Record):
 
     @classmethod
     def from_rationals(cls, n: int, d: int, comps) -> "CurveParam":
-        """The curve whose components have the rational coefficient lists
-        comps[m] (ints or Fractions, t**0 first; trailing zeros dropped),
-        each over its own least denominator."""
-        pairs = []
-        for cs in comps:
-            den, ints = _scaled(cs)
-            while ints and not ints[-1]:
-                ints.pop()
-            pairs.append((den, tuple(ints)))
-        return cls(n, d, tuple(pairs))
+        """The curve whose components have the coefficient lists comps[m]
+        (t**0 first; trailing zeros dropped), ints or other rationals with a
+        numerator and a denominator, each over its own least denominator."""
+        return cls(n, d, tuple(_scaled([(x.numerator, x.denominator) for x in cs])
+                               for cs in comps))
 
     def to_obj(self) -> dict:
         return {
             "n": self.n,
             "d": self.d,
-            "components": [{"coeffs": [format_rational(Fraction(x, den)) for x in xs]}
+            "components": [{"coeffs": [format_rational(x, den) for x in xs]}
                            for den, xs in self.components],
         }
 
@@ -121,8 +116,8 @@ class CurveParam(Record):
                 coeffs = comp["coeffs"]
             except (KeyError, TypeError) as exc:
                 raise InputError("univariate polynomial object needs 'coeffs'") from exc
-            parsed.append([parse_rational(c) for c in parse_list(coeffs, "coeffs")])
-        return cls.from_rationals(n, d, parsed)
+            parsed.append(_scaled([parse_rational(c) for c in parse_list(coeffs, "coeffs")]))
+        return cls(n, d, tuple(parsed))
 
 
 class IncidenceProblem(Record):
@@ -168,10 +163,16 @@ def theta_labels(n: int, d: int) -> tuple[str, ...]:
 
 
 def _point_label(t) -> str:
-    if isinstance(t, (int, Fraction)):
-        return format_rational(t)
+    if isinstance(t, tuple):
+        return format_rational(*t)
     z = complex(t)
     return f"{z.real:.12g}{z.imag:+.12g}i"
+
+
+def _complex(t) -> complex:
+    """A point as a complex number: a rational (a, b) as the float a / b,
+    which int division rounds correctly."""
+    return complex(t[0] / t[1]) if isinstance(t, tuple) else complex(t)
 
 
 def membership_checks(c: CurveParam) -> dict:
@@ -294,15 +295,17 @@ def jacobian_evaluation_form(
     grads: tuple[int, list[list[int]]],
 ) -> tuple[list[list], list]:
     """Jacobian with rows indexed by evaluation points: its rows and the
-    points, each a Fraction when every point is rational, else complex.
+    points, all rational pairs (a, b) in lowest terms, b > 0, or else all
+    taken as complex.
 
     Entry (row s, column (m, i)) is (df/dz_m)(c(t_s)) * t_s**i, given
     grads = (den, ints) = restricted_gradient(prob.f, c).  At rational
-    points the rows evaluate the integer lists exactly and keep den, as the
-    coefficient form does: they are den times V times the Jacobian's
-    coefficient form, V the Vandermonde matrix with entry (s, j) = t_s**j.
-    At complex points they evaluate the floats x / den, each correctly
-    rounded: the Jacobian itself.
+    points the rows evaluate the integer lists at (a, b) exactly: row s is
+    den * b**(K + d) times the Jacobian's, K + 1 the longest list, so at
+    points (a, 1) they are den times V times the Jacobian's coefficient
+    form, V the Vandermonde matrix with entry (s, j) = t_s**j.  At complex
+    points they evaluate the floats x / den, each correctly rounded: the
+    Jacobian itself.
     """
     _check_curve(prob, c)
     points = list(points)
@@ -310,14 +313,14 @@ def jacobian_evaluation_form(
         raise DimensionError(
             f"need exactly {prob.num_equations} evaluation points, got {len(points)}"
         )
-    exact = all(isinstance(t, Fraction) for t in points)
+    exact = all(isinstance(t, tuple) for t in points)
     den, ints = grads
     try:
-        pts = [Fraction(t) if exact else complex(t) for t in points]
+        pts = points if exact else [_complex(t) for t in points]
         if len(set(pts)) != len(pts):
             raise ValueError("evaluation points must be pairwise distinct")
         coeffs = ints if exact else [[x / den for x in g] for g in ints]
-        rows = _evaluation_rows(coeffs, prob.d, [(t, 1) for t in pts])
+        rows = _evaluation_rows(coeffs, prob.d, pts if exact else [(t, 1) for t in pts])
     except OverflowError as exc:  # only complex evaluation divides into floats
         raise ValueError("a point or a coefficient is beyond the float range") from exc
     return rows, pts
@@ -405,4 +408,4 @@ def random_member(basis: KernelBasis, seed: int, mons: Sequence[tuple[int, ...]]
         if coef:
             for j, x in terms:
                 acc[j] += coef * x
-    return MultiPoly._of_clean(len(mons[0]), {m: a for m, a in zip(mons, acc) if a})
+    return MultiPoly._of_items(len(mons[0]), 1, list(zip(mons, acc)))

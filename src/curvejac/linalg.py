@@ -6,7 +6,7 @@ rational matrix becomes one by positive scales: a row's scale keeps the
 rank, the kernel and its lead-1 basis; a column's scale s_j keeps the rank
 and the pivot columns, and takes each kernel vector v to the one with
 entries v_j / s_j, which a caller maps back.  Every exact operation is
-exact end to end and builds no Fraction.
+exact end to end, in ints.
 
 `rank_exact` proves a rank from both sides.  Modulo a prime p, the rank of
 the matrix reduced mod p (each row packed into one int) is a lower bound
@@ -35,8 +35,8 @@ bidiagonal form, and bisection on a Sturm count finds the largest singular
 value and counts those above the threshold.
 
 The module also holds what every other one shares to read and write
-documents: the input parsers and size limits, `format_rational`, and
-`_dump`, the one writer of the commands' JSON.
+documents: the input parsers (a rational reads as a pair of ints) and size
+limits, `format_rational`, and `_dump`, the one writer of the JSON.
 """
 
 from __future__ import annotations
@@ -48,8 +48,6 @@ import operator
 import re
 import sys
 from collections.abc import Sequence
-from decimal import Decimal
-from fractions import Fraction
 from math import gcd
 
 from .errors import DimensionError, InputError, Record
@@ -82,24 +80,23 @@ MAX_DEGREE = 12
 MAX_COUNT = 1000
 
 
-def parse_rational(s) -> int | Fraction:
+def parse_rational(s) -> tuple[int, int]:
     """Parse a 'p/q' (or plain 'p') string of decimal digits, p optionally
-    signed with '-', or an integer, into an exact rational: an int for an
-    integer or a string without '/', else a Fraction.  Each part has at
-    most MAX_RATIONAL_DIGITS digits.  Floats, whose value is binary, and
-    decimal points, exponents, '+', spaces and underscores are refused."""
+    signed with '-', or an integer, into an exact rational: the pair (num,
+    den) of ints in lowest terms, den > 0.  Each part has at most
+    MAX_RATIONAL_DIGITS digits.  Floats, whose value is binary, and decimal
+    points, exponents, '+', spaces and underscores are refused."""
     if type(s) is int:
         if abs(s) < _INT_BOUND:
-            return s
+            return s, 1
     elif isinstance(s, str):
         match = _RATIONAL.fullmatch(s)
         if match and all(len(part or "") <= MAX_RATIONAL_DIGITS for part in match.groups()):
-            if match[2] is None:
-                return int(s)
-            try:
-                return Fraction(s)
-            except ZeroDivisionError as exc:
-                raise InputError(f"invalid rational value {s!r}: zero denominator") from exc
+            num, den = int(s[: match.end(1)]), int(match[2] or 1)
+            if not den:
+                raise InputError(f"invalid rational value {s!r}: zero denominator")
+            g = gcd(num, den)
+            return num // g, den // g
     shown = repr(s) if len(repr(s)) <= 40 else repr(s)[:40] + "..."
     raise InputError(
         f"invalid rational value {shown}: expected a string 'p' or 'p/q' of at most "
@@ -128,21 +125,20 @@ def parse_list(x, what: str) -> list:
     return x
 
 
-def format_rational(x: int | Fraction) -> str:
-    """Canonical 'p/q' string; the '/q' part is omitted when q = 1.
-
-    An int is written as the equal Fraction is.  Outputs may have far more
-    digits than inputs: a `through` basis vector scaled to lead 1 can pass
-    the interpreter's cap on int-to-str digits, while a sampled member,
-    integer and of about one primitive vector's height, stays far below it.
-    A part beyond the cap goes through `Decimal`, whose conversion is exact
-    and has no cap; below it `str` is the fast path.
-    """
+def format_rational(num: int, den: int = 1) -> str:
+    """Canonical 'p/q' string of num / den, den > 0, in lowest terms; the
+    '/q' part is omitted when q = 1.  A part beyond the interpreter's cap on
+    int-to-str digits, which a `through` basis vector scaled to lead 1 can
+    pass, goes through the `decimal` module, imported there only, whose
+    exact conversion has no cap; below it `str` is the fast path."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
     try:
-        return str(x)
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
-        num, den = str(Decimal(x.numerator)), str(Decimal(x.denominator))
-        return num if den == "1" else f"{num}/{den}"
+        import decimal
+        exact = decimal.Context(prec=decimal.MAX_PREC).create_decimal
+        return str(exact(num)) if den == 1 else f"{exact(num)!s}/{exact(den)!s}"
 
 
 def _float_text(x: float) -> str:
@@ -212,7 +208,7 @@ def _dump_into(x, nl: str, parts: list[str]) -> None:
 
 class IntMatrix(Record):
     """Immutable dense matrix of Python ints, entries in row-major order; a
-    Fraction, float or bool entry is refused."""
+    rational, float or bool entry is refused."""
 
     __slots__ = _fields = ("rows", "cols", "entries")
 
@@ -271,12 +267,12 @@ class KernelBasis(Record):
         for v, terms in zip(vectors, self.vectors):
             lead = terms[0][1]
             for j, x in terms:
-                v[j] = format_rational(Fraction(x, lead))
+                v[j] = format_rational(x, lead)
         return {"ambient_dim": self.ambient_dim, "vectors": vectors}
 
 
 def _bareiss_echelon(m: IntMatrix) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free forward elimination on a copy of m's rows.
+    """Bareiss forward elimination in integers on a copy of m's rows.
 
     Returns (echelon rows, pivot column indices).
     Pivots are chosen by largest absolute value in the current column, ties

@@ -1,14 +1,13 @@
-"""Polynomials over exact rationals, in ints where the input is integral.
+"""Polynomials over exact rationals, as integers over a denominator.
 
+A rational is a pair (num, den) of ints in lowest terms, den > 0.
 `MultiPoly` is a sparse multivariate polynomial in the ambient homogeneous
-coordinates z_0..z_n.  Its coefficients are ints or Fractions: a
-coefficient read as an integer stays an int, from the reader through
-restriction, and only one written 'p/q' is a Fraction.  A univariate
-polynomial in the affine coordinate t of the parametrizing line, a curve's
-component or a restriction f(c(t)), has one representation: a pair (den,
-ints), integer coefficients ints (t^0 first, no trailing zero) over a
-positive denominator den, least for the group of polynomials that shares
-it.  All arithmetic is exact.
+coordinates z_0..z_n, its coefficients integers over one least `den`.  A
+univariate polynomial in the affine coordinate t of the parametrizing line,
+a curve's component or a restriction f(c(t)), is a pair (den, ints),
+integer coefficients ints (t^0 first, no trailing zero) over a positive
+denominator den, least for the group of polynomials that shares it.  All
+arithmetic is exact.
 
 Restriction to a parametrized curve, f(c(t)), has one entry point,
 `restrict_to_curve`: it restricts groups of forms through a table of the
@@ -42,7 +41,6 @@ JSON output byte-stable.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from fractions import Fraction
 from itertools import count
 from math import copysign, gcd, inf, isqrt, lcm, ldexp
 
@@ -59,13 +57,15 @@ __all__ = [
 ]
 
 
-def _scaled(xs: Sequence) -> tuple[int, list[int]]:
+def _scaled(xs: Sequence[tuple[int, int]]) -> tuple[int, tuple[int, ...]]:
     """(den, ints): den the lcm of the denominators of the rationals xs,
-    ints or Fractions, and ints = den * xs; integers pass as they are."""
-    if set(map(type, xs)) <= {int}:
-        return 1, list(xs)
-    den = lcm(*(x.denominator for x in xs))
-    return den, [x.numerator * (den // x.denominator) for x in xs]
+    (num, den) pairs in lowest terms, so the least, and ints = den * xs
+    without trailing zeros."""
+    den = lcm(*(b for _, b in xs))
+    ints = [a * (den // b) for a, b in xs]
+    while ints and not ints[-1]:
+        ints.pop()
+    return den, tuple(ints)
 
 
 def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -115,9 +115,10 @@ def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
     return [x * inv % p for x in a]
 
 
-def _rational_mod(x: int, p: int) -> Fraction | None:
-    """The fraction u/v with |u|, v <= sqrt(p/2) and u = v x mod p, if any
-    (rational reconstruction by the half extended Euclid, Wang 1981)."""
+def _rational_mod(x: int, p: int) -> tuple[int, int] | None:
+    """The rational (u, v), v > 0, with |u|, v <= sqrt(p/2) and u = v x mod
+    p, if any (rational reconstruction by the half extended Euclid, Wang
+    1981)."""
     bound = isqrt(p // 2)
     r0, r1, s0, s1 = p, x % p, 0, 1
     while r1 > bound:
@@ -125,7 +126,7 @@ def _rational_mod(x: int, p: int) -> Fraction | None:
         r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
     if abs(s1) > bound or gcd(r1, s1) != 1:
         return None
-    return Fraction(r1, s1)
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
 def _prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -202,38 +203,38 @@ def monomial_basis(num_vars: int, degree: int) -> list[tuple[int, ...]]:
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial; terms map exponent tuples to nonzero
-    rational coefficients, each an int or a Fraction.  The constructor and
-    the reader keep an int coefficient an int, and build a Fraction only
-    for any other value."""
+    """Sparse multivariate polynomial: terms map exponent tuples to nonzero
+    integer coefficients over one least den > 0.  The constructor takes
+    ints or any values with a numerator and a denominator in lowest terms."""
 
-    __slots__ = ("num_vars", "terms")
+    __slots__ = ("num_vars", "terms", "den")
 
     def __init__(self, num_vars: int, terms: Mapping[tuple[int, ...], object]):
-        clean: dict[tuple[int, ...], int | Fraction] = {}
+        den, items = lcm(*(c.denominator for c in terms.values())), []
         for exps, coef in terms.items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != num_vars:
                 raise DimensionError(
-                    f"exponent vector {exps} has length {len(exps)}, expected {num_vars}"
-                )
+                    f"exponent vector {exps} has length {len(exps)}, expected {num_vars}")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            if type(coef) is not int:
-                coef = Fraction(coef)
-            if coef != 0:
-                clean[exps] = coef
-        self.num_vars = num_vars
-        self.terms = clean
+            items.append((exps, coef.numerator * (den // coef.denominator)))
+        poly = MultiPoly._of_items(num_vars, den, items)
+        self.num_vars, self.terms, self.den = num_vars, poly.terms, poly.den
 
     @classmethod
-    def _of_clean(cls, num_vars: int, terms: dict) -> "MultiPoly":
-        """A polynomial whose terms are already clean: exponent tuples of
-        num_vars ints >= 0 to nonzero coefficients, each a Fraction or an
-        int.  An int coefficient reads, sums and prints as the equal
-        Fraction does, with no denominator to carry."""
-        poly = object.__new__(cls)
-        poly.num_vars, poly.terms = num_vars, terms
+    def _of_items(cls, num_vars: int, den: int, items: list) -> "MultiPoly":
+        """The polynomial of items, pairs (exps, num) of checked exponent
+        tuples and integers over den > 0, a repeated exps summed: zero terms
+        dropped, den and the terms divided by their gcd."""
+        terms = dict(items)
+        if len(terms) < len(items):
+            terms = {}
+            for e, c in items:
+                terms[e] = terms.get(e, 0) + c
+        g, poly = gcd(den, *terms.values()), object.__new__(cls)
+        poly.num_vars, poly.den = num_vars, den // g
+        poly.terms = {e: c // g for e, c in terms.items() if c}
         return poly
 
     @classmethod
@@ -260,36 +261,30 @@ class MultiPoly:
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_same_ring(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return MultiPoly(self.num_vars, out)
+        den = lcm(self.den, other.den)
+        return MultiPoly._of_items(self.num_vars, den, [
+            (e, c * (den // f.den)) for f in (self, other) for e, c in f.terms.items()])
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_same_ring(other)
-        out: dict[tuple[int, ...], int | Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, 0) + ca * cb
-        return MultiPoly(self.num_vars, out)
+        return MultiPoly._of_items(self.num_vars, self.den * other.den, [
+            (tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+            for ea, ca in self.terms.items() for eb, cb in other.terms.items()])
 
     def partial_derivative(self, m: int) -> "MultiPoly":
         if not 0 <= m < self.num_vars:
             raise DimensionError(f"no variable with index {m}")
-        out: dict[tuple[int, ...], int | Fraction] = {}
-        for e, c in self.terms.items():
-            if e[m] > 0:
-                out[e[:m] + (e[m] - 1,) + e[m + 1 :]] = c * e[m]
-        return MultiPoly._of_clean(self.num_vars, out)
+        return MultiPoly._of_items(self.num_vars, self.den, [
+            (e[:m] + (e[m] - 1,) + e[m + 1 :], c * e[m]) for e, c in self.terms.items() if e[m]])
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
 
     def __eq__(self, other):
         return (
             isinstance(other, MultiPoly)
             and self.num_vars == other.num_vars
+            and self.den == other.den
             and self.terms == other.terms
         )
 
@@ -299,9 +294,8 @@ class MultiPoly:
         return {
             "nvars": self.num_vars,
             "homogeneous_degree": self.homogeneous_degree(),
-            "terms": [
-                {"exp": list(e), "coef": format_rational(c)} for e, c in self.sorted_terms()
-            ],
+            "terms": [{"exp": list(e), "coef": format_rational(c, self.den)}
+                      for e, c in self.sorted_terms()],
         }
 
     @classmethod
@@ -312,7 +306,7 @@ class MultiPoly:
         except (KeyError, TypeError) as exc:
             raise InputError("polynomial object needs 'nvars' and 'terms'") from exc
         nvars = parse_int(nvars, "nvars")
-        parsed: dict[tuple[int, ...], int | Fraction] = {}
+        items = []
         for i, t in enumerate(parse_list(terms, "terms")):
             try:
                 exps, coef = t["exp"], parse_rational(t["coef"])
@@ -322,9 +316,9 @@ class MultiPoly:
                          for e in parse_list(exps, f"terms[{i}].exp"))
             if len(exps) != nvars:
                 raise InputError(f"terms[{i}].exp has length {len(exps)}, expected {nvars}")
-            parsed[exps] = parsed.get(exps, 0) + coef
-        # the exponents are checked above, and a repeated term may sum to 0
-        poly = cls._of_clean(nvars, {e: c for e, c in parsed.items() if c})
+            items.append((exps, coef))
+        den = lcm(*(b for _, (_, b) in items))
+        poly = cls._of_items(nvars, den, [(e, a * (den // b)) for e, (a, b) in items])
         declared = obj.get("homogeneous_degree")
         if declared is not None and poly.homogeneous_degree() != parse_int(
             declared, "homogeneous_degree"
@@ -393,20 +387,20 @@ def restrict_to_curve(groups: Iterable[Iterable[MultiPoly]],
     read once) read the one table of the curve, table = `_curve_monomials`
     (components), which the caller builds; a term whose entry is zero is
     dropped, and each other term multiplies its entry once, over the lcm L
-    of their denominators, and one gcd of L with every sum makes den least.
-    Coefficients may be Fractions or ints; no Fraction is built.  A form
+    of the products of their and their form's dens, and one gcd of L with
+    every sum makes den least.  A form
     whose variables are not the curve's components raises DimensionError
     from the table."""
     out = []
     for group in groups:
-        terms = [[(c, d, xs) for e, c in f.terms.items() for d, xs in (table(e),) if xs]
+        terms = [[(c, f.den * d, xs) for e, c in f.terms.items() for d, xs in (table(e),) if xs]
                  for f in group]
-        den = lcm(*(c.denominator * d for form in terms for c, d, _ in form))
+        den = lcm(*(d for form in terms for _, d, _ in form))
         lists = []
         for form in terms:
             acc = [0] * max((len(xs) for _, _, xs in form), default=0)
             for c, d, xs in form:
-                w = c.numerator * (den // (c.denominator * d))
+                w = c * (den // d)
                 for i, x in enumerate(xs):
                     if x:
                         acc[i] += w * x
@@ -539,9 +533,9 @@ _LABEL_DIGITS = 32
 
 def _integral(f: tuple[int, Sequence[int]]) -> tuple[list[int], int]:
     """The integer coefficients a_0..a_n of f = (den, ints) over its least
-    denominator, and the height 2 (|a_n| + max |a_i|): every root r has
-    |a_n r| below half of it (Cauchy's bound)."""
-    g = gcd(f[0], *f[1])
+    denominator, a_n > 0 (times -1 if need be), and the height 2 (a_n + max
+    |a_i|): every root r has |a_n r| below half of it (Cauchy's bound)."""
+    g = gcd(f[0], *f[1]) if f[1][-1] > 0 else -gcd(f[0], *f[1])
     ints = [x // g for x in f[1]]
     return ints, 2 * (abs(ints[-1]) + max(abs(a) for a in ints))
 
@@ -568,9 +562,9 @@ def _simple_roots_mod_prime(ints: Sequence[int]) -> tuple[int, list[int]]:
             return p, roots
 
 
-def _squarefree_rational_roots(f: tuple[int, Sequence[int]]) -> list[Fraction]:
+def _squarefree_rational_roots(f: tuple[int, Sequence[int]]) -> list[tuple[int, int]]:
     """The rational roots of a squarefree f = (den, ints) of degree >= 1,
-    sorted, exactly.
+    sorted, exactly, each a pair (num, den) in lowest terms, den > 0.
 
     Rational zeros by p-adic lifting (Loos, SIAM J. Comput. 12, 1983): a
     rational root r of sum a_i t^i is k / a_n for an integer k with 2|k|
@@ -593,8 +587,8 @@ def _squarefree_rational_roots(f: tuple[int, Sequence[int]]) -> list[Fraction]:
         k = lead * r % m
         k = k - m if 2 * k > m else k
         if not _prem(ints, [-k, lead]):
-            roots.append(Fraction(k, lead))
-    return sorted(roots)
+            roots.append(k)
+    return [(k // g, lead // g) for k in sorted(roots) for g in (gcd(k, lead),)]
 
 
 def _decimal_digits(h: int) -> int:
@@ -608,9 +602,9 @@ def _decimal_digits(h: int) -> int:
     return d
 
 
-def squarefree_roots(f: tuple[int, Sequence[int]]) -> tuple[list[Fraction], list[complex]]:
+def squarefree_roots(f: tuple[int, Sequence[int]]) -> tuple[list[tuple[int, int]], list[complex]]:
     """The rational roots of a squarefree f = (den, ints) of degree >= 1,
-    sorted, and, unless they are all of its roots, all of its roots as
+    sorted, as (num, den) pairs, and, unless they are all of its roots, all of its roots as
     sorted machine complex numbers (else []).
 
     The rational roots are exact and use no floats (p-adic lifting).  The

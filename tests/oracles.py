@@ -279,6 +279,28 @@ def components(c):
     return [[Fraction(x, den) for x in xs] for den, xs in c.components]
 
 
+def coefficients(f):
+    """A `MultiPoly`'s terms as Fractions, each integer coefficient over den."""
+    return {e: Fraction(c, f.den) for e, c in f.terms.items()}
+
+
+def as_pair(x):
+    """The rational x as the package holds one value: (num, den) in lowest
+    terms, den > 0."""
+    x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def evaluation_values(rows, pair, d, points):
+    """The exact Jacobian's rows at rational points (a, b), given the
+    evaluation form's integer rows there and the restricted gradient pair
+    (den, lists): row s divided by den * b**(K + d), K + 1 the length of the
+    longest list (the homogenized Horner rows of `_evaluation_rows`)."""
+    den, lists = pair
+    k = max(map(len, lists)) - 1 + d
+    return [[Fraction(x, den * b**k) for x in row] for row, (_, b) in zip(rows, points)]
+
+
 def build_special_hypersurface(l, q, p):
     """l*q + z4*p, the quintic through every curve on the quartic surface."""
     return l * q + MultiPoly.monomial((0, 0, 0, 0, 1)) * p
@@ -405,7 +427,7 @@ def permute_z4_first(rows, d):
 
 def _eval_mod(poly, point, prime):
     total = 0
-    for exps, coef in poly.terms.items():
+    for exps, coef in coefficients(poly).items():
         c = coef.numerator % prime * pow(coef.denominator, -1, prime) % prime
         v = c
         for x, k in zip(point, exps):
@@ -459,7 +481,7 @@ def smooth_along_curve(q, c0):
     (dq/dz_m)(c0(t)), m < 4, have a constant gcd over Q (sympy's) and do not
     all drop below degree 3d, so they have no common zero at t = infinity."""
     grads = [naive_compose({e[:m] + (e[m] - 1,) + e[m + 1 :]: c * e[m]
-                            for e, c in q.terms.items() if e[m]},
+                            for e, c in coefficients(q).items() if e[m]},
                            components(c0)) for m in range(4)]
     return len(sympy_gcd(*grads)) == 1 and max(map(len, grads)) - 1 == 3 * c0.d
 

@@ -107,7 +107,7 @@ def unipoly_product(*factors):
 
 def scaled_form(f, s):
     """The MultiPoly f times the rational s, term by term."""
-    return MultiPoly(f.num_vars, {e: c * s for e, c in f.terms.items()})
+    return MultiPoly(f.num_vars, {e: c * s for e, c in oracles.coefficients(f).items()})
 
 
 def fractional_lists(seed, n, d, digits):
@@ -838,7 +838,7 @@ def rational_roots_suite(seed, draws):
         assert oracles.linear_combination((distinct[-1] / sqfree[-1], sqfree)) == distinct, (
             kind, p, sqfree)
         exact, numeric = squarefree_roots(pair(sqfree))
-        assert exact == sorted(set(want_roots)), (kind, sqfree, exact)
+        assert exact == [oracles.as_pair(r) for r in sorted(set(want_roots))], (kind, sqfree, exact)
         assert len(numeric) == (len(sqfree) - 1 if len(cofactor) > 1 else 0), (kind, sqfree)
     return draws
 
@@ -1108,9 +1108,9 @@ def _rational_input(rng):
 
 
 def parse_rational_suite(seed, draws):
-    """parse_rational against `oracles.rational_value`: an int or a string
-    without '/' reads as an int equal to the value, any other accepted
-    string as the Fraction, and a refused entry raises InputError with the
+    """parse_rational against `oracles.rational_value`: every accepted entry
+    reads as the pair (num, den) of ints of the oracle's Fraction, in lowest
+    terms with den > 0, and a refused entry raises InputError with the
     oracle's one-line message.  The entries of `LIMIT_RATIONALS` and
     `MALFORMED_RATIONALS` come first, then random draws."""
     rng = random.Random(seed)
@@ -1121,6 +1121,8 @@ def parse_rational_suite(seed, draws):
             got = parse_rational(s)
         except InputError as exc:
             got = str(exc)
-        kind = str if isinstance(want, str) else int if "/" not in str(s) else Fraction
-        assert got == want and type(got) is kind, (s, got, want)
+        if not isinstance(want, str):
+            want = oracles.as_pair(want)
+            assert type(got) is tuple and set(map(type, got)) == {int}, (s, got)
+        assert got == want, (s, got, want)
     return len(fixed) + draws

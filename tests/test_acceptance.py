@@ -30,6 +30,7 @@ import oracles
 import propcheck
 
 A_POINTS = [F(-1, 2), F(1), F(2), F(3), F(5), F(7)]
+A_PAIRS = [oracles.as_pair(t) for t in A_POINTS]
 
 
 @contextlib.contextmanager
@@ -92,10 +93,11 @@ def test_criterion_3_block_suite(fixture_a):
     with criterion(3, "fixture A block suite: closed forms, det -51/16, A0 rank 4"):
         prob = oracles.problem(fixture_a)
         grads = restricted_gradient(prob.f, fixture_a.c0)
-        rows, _ = jacobian_evaluation_form(prob, fixture_a.c0, A_POINTS, grads)
+        rows, _ = jacobian_evaluation_form(prob, fixture_a.c0, A_PAIRS, grads)
         lc = on_curve(fixture_a.l, fixture_a.c0)
         pc = on_curve(fixture_a.p, fixture_a.c0)
-        blocks = oracles.split_blocks(oracles.jacobian_rows(rows, grads[0]), fixture_a.d)
+        blocks = oracles.split_blocks(
+            oracles.evaluation_values(rows, grads, fixture_a.d, A_PAIRS), fixture_a.d)
         closed11 = oracles.a11_closed_form(pc, A_POINTS[:2])
         extracted11 = [row[::-1] for row in blocks["a11"]]  # descending powers
         assert extracted11 == closed11
@@ -139,11 +141,12 @@ def test_criterion_5_vandermonde_identity(fixture_a, fixture_b, fixture_b_nonspl
             grads = restricted_gradient(oracles.problem(fix).f, fix.c0)
             j_coeff = jacobian_coefficient_form(oracles.problem(fix), fix.c0, grads)
             for pts in sets:
-                j_eval, _ = jacobian_evaluation_form(oracles.problem(fix), fix.c0, pts, grads)
+                pairs = [oracles.as_pair(t) for t in pts]
+                j_eval, _ = jacobian_evaluation_form(oracles.problem(fix), fix.c0, pairs, grads)
                 v = oracles.vandermonde(pts, len(pts))
                 assert (oracles.matmul(v, oracles.jacobian_rows(j_coeff, grads[0]))
-                        == oracles.jacobian_rows(j_eval, grads[0]))
-                eval_matrix = IntMatrix.from_rows(oracles.int_rows(j_eval))
+                        == oracles.evaluation_values(j_eval, grads, fix.d, pairs))
+                eval_matrix = IntMatrix.from_rows(j_eval)
                 assert rank_exact(eval_matrix) == rank_exact(j_coeff)
         # complex path: l restricting to 1 + t^2 forces roots at +-i
         fx = fixture_b_nonsplit
@@ -166,7 +169,7 @@ def test_criterion_6_through_curve(fixture_a, fixture_b):
             basis = quintics_through_curve(fix.c0, mons, _curve_monomials(fix.c0.components))
             assert basis.ambient_dim == 126
             assert basis.dim == expected
-            f0_vec = [oracles.f0(fix).terms.get(m, F(0)) for m in mons]
+            f0_vec = [oracles.coefficients(oracles.f0(fix)).get(m, F(0)) for m in mons]
             stack = IntMatrix.from_rows(oracles.int_rows([*oracles.dense_kernel(basis), f0_vec]))
             assert rank_exact(stack) == expected
 

@@ -290,7 +290,8 @@ def test_mpmath_never_imported(tmp_path, fixture_a_path, problem_a_path, curve_a
     # command loads a command-line library (argparse, with the gettext and
     # locale that its messages load) or typing, in an interpreter without
     # site's imports.  Start-up stays lean: neither the import nor any
-    # command loads dataclasses or what it imports (inspect, ast, dis), and
+    # command loads dataclasses or what it imports (inspect, ast, dis), nor
+    # fractions, decimal or numbers (a rational is a pair of ints), and
     # only the fixture command, run last, loads the shipped fixtures.
     out = str(tmp_path / "out.json")
     argvs = [["jacobian", problem_a_path, curve_a_path, "--form", "eval",
@@ -300,7 +301,8 @@ def test_mpmath_never_imported(tmp_path, fixture_a_path, problem_a_path, curve_a
              ["sample", curve_a_path, "--degree", "5", "--count", "1", "--out", out],
              ["fixture", "A", "--out", out]]
     code = ("import json, sys; from curvejac import cli; "
-            "lean = ('dataclasses', 'inspect', 'ast', 'dis', 'curvejac.fixtures'); "
+            "lean = ('dataclasses', 'inspect', 'ast', 'dis', 'fractions', 'decimal', 'numbers', "
+            "'curvejac.fixtures'); "
             "loaded = lambda: [m for m in lean if m in sys.modules]; "
             "print(json.dumps([loaded()] + [[cli.main(argv), 'mpmath' in sys.modules, loaded()] "
             "for argv in json.loads(sys.argv[1])] "
@@ -434,6 +436,41 @@ class TestThroughCommand:
             for v in obj["basis"]:
                 terms = {tuple(m): F(x) for m, x in zip(obj["monomials"], v)}
                 assert oracles.naive_compose(terms, comps) == []
+
+
+# Changes of the curve's parameter, each on a component's coefficient list
+# (t**0 first) of a curve of degree d, and a common scale of the components:
+# the same curve in P^n, written with 'p/q' coefficients by some of them.
+REPARAMETRIZATIONS = {
+    "t -> 1/t": lambda cs, d: oracles.padded(cs, d + 1)[::-1],  # t**d c(1/t)
+    "t -> 2t": lambda cs, d: [x * 2**i for i, x in enumerate(cs)],
+    "t -> t+1": lambda cs, d: oracles.linear_combination(
+        *((x, propcheck.unipoly_product(*[[1, 1]] * i)) for i, x in enumerate(cs))),
+    "times 3/7": lambda cs, d: [x * F(3, 7) for x in cs],
+}
+
+
+def test_through_and_sample_do_not_depend_on_the_parametrization(tmp_path):
+    # the forms through a curve and the ranks of their Jacobians depend on
+    # its image only: moved by each map, the degree-3 curve and the conic
+    # make `through` and `sample` print the same bytes at degrees 2, 3 and 5
+    fractional = 0
+    for name in ("curve-d3.json", "curve-conic.json"):
+        curve = CurveParam.from_obj(json.loads((DATA / name).read_text()))
+        paths = [DATA / name]
+        for label, move in REPARAMETRIZATIONS.items():
+            comps = [[str(x) for x in move(cs, curve.d)] for cs in oracles.components(curve)]
+            fractional += any("/" in x for cs in comps for x in cs)
+            paths.append(tmp_path / f"{name}-{len(paths)}.json")
+            paths[-1].write_text(json.dumps({"n": curve.n, "d": curve.d, "components": [
+                {"coeffs": cs} for cs in comps]}))
+        for degree in ("2", "3", "5"):
+            for argv in (["through", "--degree", degree],
+                         ["sample", "--degree", degree, "--count", "3", "--seed", "7"]):
+                runs = [run_cli([argv[0], str(path), *argv[1:]]) for path in paths]
+                assert runs[0][0] == 0, (name, argv)
+                assert all(run == runs[0] for run in runs), (name, argv)
+    assert fractional >= 4
 
 
 class TestSampleCommand:

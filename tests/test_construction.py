@@ -33,6 +33,7 @@ import oracles
 import propcheck
 
 A_POINTS = [F(-1, 2), F(1), F(2), F(3), F(5), F(7)]
+A_PAIRS = [oracles.as_pair(t) for t in A_POINTS]
 DATA = Path(__file__).parent / "data"
 
 
@@ -116,14 +117,14 @@ class TestSelectSpecialPoints:
     def test_fixture_a(self, fixture_a):
         roots, field = special_points(fixture_a.c0, fixture_a.l, fixture_a.p)
         assert field == "rational"
-        assert roots == (F(-1, 2),)
+        assert roots == ((-1, 2),)
         assert len(generic_points(fixture_a)) == 5
         pc = on_curve(fixture_a.p, fixture_a.c0)
         assert propcheck.evaluate(pc, F(-1, 2)) == F(17, 16)
 
     def test_fixture_b(self, fixture_b):
         roots, _ = special_points(fixture_b.c0, fixture_b.l, fixture_b.p)
-        assert roots == (F(-1), F(1))
+        assert roots == ((-1, 1), (1, 1))
         points = roots + generic_points(fixture_b)
         assert len(points) == 11
         assert len(set(points)) == 11
@@ -178,7 +179,7 @@ class TestSelectSpecialPoints:
         den, (lc, pc) = propcheck.common([lc, [1, 0, 1]])
         roots, field = select_special_points((den, [lc, pc]), 32)
         assert field == "rational"
-        assert roots == tuple(F(k, k + 1) for k in range(1, 33))
+        assert roots == tuple((k, k + 1) for k in range(1, 33))
         assert len(_generic_points(lc, pc, 129, 0, 0)) == 129
 
     def test_repeated_root_rejected(self, fixture_a):
@@ -222,8 +223,8 @@ class TestBlocks:
     def blocks_a(self, fixture_a):
         prob = oracles.problem(fixture_a)
         grads = restricted_gradient(prob.f, fixture_a.c0)
-        rows, _ = jacobian_evaluation_form(prob, fixture_a.c0, A_POINTS, grads)
-        jac = oracles.jacobian_rows(rows, grads[0])
+        rows, _ = jacobian_evaluation_form(prob, fixture_a.c0, A_PAIRS, grads)
+        jac = oracles.evaluation_values(rows, grads, fixture_a.d, A_PAIRS)
         return jac, oracles.split_blocks(jac, fixture_a.d)
 
     def a0_a(self, fixture_a):
@@ -306,16 +307,20 @@ class TestBlocks:
             assert den == s.denominator
             values = oracles.unipolys((den, [pc]))[0]
             rational = [F(-1), F(1, 3), F(-7, 2)]
-            rows = _corner_rows(den, pc, rational)
-            assert rows == oracles.a11_closed_form(values, rational)
-            assert all(type(x) is F for row in rows for x in row)
-            for points in (roots + [F(1)], [0.5 + 0.25j, -3j, 1e10 + 1j]):
+            rows = _corner_rows(den, pc, [oracles.as_pair(t) for t in rational])
+            assert [[F(*x) for x in row] for row in rows] == oracles.a11_closed_form(
+                values, rational)
+            assert all(type(x) is tuple for row in rows for x in row)
+            for points in (roots, [0.5 + 0.25j, -3j, 1e10 + 1j]):
                 want = [row[::-1] for row in
-                        _evaluation_rows([values], 2, [(t, 1) for t in points])]
+                        _evaluation_rows([values], len(points) - 1, [(t, 1) for t in points])]
                 rows = _corner_rows(den, pc, points)
                 assert repr(rows) == repr(want)
                 assert [repr(row[-1]) for row in rows] == [
                     repr(propcheck.evaluate(values, t)) for t in points]
+            # complex roots and the rational extra point, as check 4 takes them
+            rows = _corner_rows(den, pc, roots + [(1, 1)])
+            assert [F(*x) for x in rows[-1]] == [propcheck.evaluate(values, 1)] * 3
 
     def test_a11_constant_p_is_vandermonde(self, fixture_a):
         one = MultiPoly.monomial((0, 0, 0, 0, 0))
@@ -669,7 +674,7 @@ class TestFiniteFieldSmoothnessOracle:
 
 
 def test_render_matrix_elides_wide_matrices():
-    rows = render_matrix([[F(i) for i in range(15)]])
+    rows = render_matrix([[(i, 1) for i in range(15)]])
     assert len(rows[0]) == 12
     assert rows[0][-1] == "... (4 more)"
-    assert render_matrix([[F(1, 2), F(3)]]) == [["1/2", "3"]]
+    assert render_matrix([[(1, 2), (6, 2), 0.5j]]) == [["1/2", "3", "0+0.5i"]]

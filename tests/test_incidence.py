@@ -9,12 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from curvejac import linalg, poly
+from curvejac import poly
 from curvejac.construction import Fixture
 from curvejac.errors import DimensionError, InputError
 from curvejac.incidence import (
     CurveParam,
     IncidenceProblem,
+    _complex,
     jacobian_coefficient_form,
     jacobian_evaluation_form,
     membership_checks,
@@ -159,7 +160,7 @@ class TestJacobianCoefficientForm:
             assert all(type(x) is int for x in jac.entries)
             assert oracles.matrix_rows(jac) == [[grads[0] * x for x in row] for row in want]
             entries = jacobian_command(prob, c)["matrix"]["entries"]
-            assert entries == [[format_rational(x) for x in row] for row in want]
+            assert entries == [[format_rational(x.numerator, x.denominator) for x in row] for row in want]
 
     def test_linearity_in_f(self):
         rng = random.Random(31)
@@ -184,7 +185,7 @@ class TestJacobianCoefficientForm:
 class TestJacobianEvaluationForm:
     def test_z4_rows(self):
         grads = restricted_gradient(z4_problem().f, line_curve())
-        rows, _ = jacobian_evaluation_form(z4_problem(), line_curve(), [F(0), F(1)], grads)
+        rows, _ = jacobian_evaluation_form(z4_problem(), line_curve(), [(0, 1), (1, 1)], grads)
         rows = oracles.jacobian_rows(rows, grads[0])
         labels = theta_labels(4, 1)
         z4_cols = [labels.index("c4[t^0]"), labels.index("c4[t^1]")]
@@ -196,15 +197,31 @@ class TestJacobianEvaluationForm:
 
     def test_vandermonde_factorization(self, fixture_a):
         points = [F(-1, 2), F(1), F(2), F(3), F(5), F(7)]
+        pairs = [oracles.as_pair(t) for t in points]
         prob = oracles.problem(fixture_a)
         grads = restricted_gradient(prob.f, fixture_a.c0)
-        j_eval, _ = jacobian_evaluation_form(prob, fixture_a.c0, points, grads)
+        j_eval, got = jacobian_evaluation_form(prob, fixture_a.c0, pairs, grads)
+        assert got == pairs and all(type(x) is int for row in j_eval for x in row)
         j_coeff = jacobian_coefficient_form(prob, fixture_a.c0, grads)
         v = oracles.vandermonde(points, 6)
         assert (oracles.matmul(v, oracles.jacobian_rows(j_coeff, grads[0]))
-                == oracles.jacobian_rows(j_eval, grads[0]))
-        eval_matrix = IntMatrix.from_rows(oracles.int_rows(j_eval))
-        assert rank_exact(eval_matrix) == rank_exact(j_coeff) == 6
+                == oracles.evaluation_values(j_eval, grads, fixture_a.d, pairs))
+        assert rank_exact(IntMatrix.from_rows(j_eval)) == rank_exact(j_coeff) == 6
+
+    def test_integral_points_give_integer_rows(self, fixture_a):
+        # at integral points (k, 1) the rows are exact integer rows, den * V
+        # * J_coeff, the Vandermonde matrix times the coefficient form's
+        # integer matrix: no point is taken for a complex one
+        prob = oracles.problem(fixture_a)
+        grads = restricted_gradient(prob.f, fixture_a.c0)
+        pairs = [(k, 1) for k in range(6)]
+        j_eval, got = jacobian_evaluation_form(prob, fixture_a.c0, pairs, grads)
+        assert got == pairs
+        assert all(type(x) is int for row in j_eval for x in row)
+        j_coeff = oracles.jacobian_rows(jacobian_coefficient_form(prob, fixture_a.c0, grads),
+                                        grads[0])
+        v = oracles.vandermonde(range(6), 6)
+        assert j_eval == [[grads[0] * x for x in row] for row in oracles.matmul(v, j_coeff)]
 
     def test_vandermonde_factorization_random_points(self, fixture_b):
         rng = random.Random(17)
@@ -217,10 +234,11 @@ class TestJacobianEvaluationForm:
                 t = F(rng.randint(-12, 12), rng.randint(1, 5))
                 if t not in points:
                     points.append(t)
-            j_eval, _ = jacobian_evaluation_form(prob, fixture_b.c0, points, grads)
+            pairs = [oracles.as_pair(t) for t in points]
+            j_eval, _ = jacobian_evaluation_form(prob, fixture_b.c0, pairs, grads)
             v = oracles.vandermonde(points, 11)
             assert (oracles.matmul(v, oracles.jacobian_rows(j_coeff, grads[0]))
-                    == oracles.jacobian_rows(j_eval, grads[0]))
+                    == oracles.evaluation_values(j_eval, grads, fixture_b.d, pairs))
 
     def test_complex_rows_match_fraction_coefficients(self, jacobian_command):
         # at complex points the rows evaluate the floats x / den, each
@@ -251,14 +269,24 @@ class TestJacobianEvaluationForm:
         prob = oracles.problem(fixture_a)
         grads = restricted_gradient(prob.f, fixture_a.c0)
         with pytest.raises(DimensionError):
-            jacobian_evaluation_form(prob, fixture_a.c0, [F(0)], grads)
+            jacobian_evaluation_form(prob, fixture_a.c0, [(0, 1)], grads)
+
+    def test_zero_gradient_at_a_fractional_point(self, jacobian_command):
+        # a constant curve at a singular point of f: every partial restricts
+        # to zero, so the exact row is zero and is written as "0" over any
+        # power of the point's denominator
+        prob = IncidenceProblem(1, 0, 2, MultiPoly(2, {(0, 2): 1}))
+        curve = CurveParam.from_rationals(1, 0, ([1], []))
+        assert restricted_gradient(prob.f, curve) == (1, [[], []])
+        out = jacobian_command(prob, curve, "--form", "eval", "--points=1/2")
+        assert (out["matrix"]["entries"], out["points"], out["rank"]) == ([["0", "0"]], ["1/2"], 0)
 
     def test_rejects_repeated_points(self, fixture_a):
         prob = oracles.problem(fixture_a)
         grads = restricted_gradient(prob.f, fixture_a.c0)
         with pytest.raises(ValueError):
             jacobian_evaluation_form(
-                prob, fixture_a.c0, [F(0), F(0), F(1), F(2), F(3), F(4)], grads
+                prob, fixture_a.c0, [(0, 1), (0, 1), (1, 1), (2, 1), (3, 1), (4, 1)], grads
             )
 
 
@@ -333,7 +361,7 @@ class TestThroughCurve:
     def test_fixture_f0_in_span(self, fixture_a):
         basis = forms_through(4, 5, fixture_a.c0)
         mons = monomial_basis(5, 5)
-        f0_vec = [oracles.f0(fixture_a).terms.get(m, F(0)) for m in mons]
+        f0_vec = [oracles.coefficients(oracles.f0(fixture_a)).get(m, F(0)) for m in mons]
         stack = IntMatrix.from_rows(oracles.int_rows([*oracles.dense_kernel(basis), f0_vec]))
         assert rank_exact(stack) == basis.dim
 
@@ -387,7 +415,8 @@ class TestRandomMember:
         assert spread[0] == 1 and min(spread[1:]) > 1  # B's basis is integral
         for basis, num_vars, degree in bases:
             dense = oracles.dense_kernel(basis)
-            assert basis.to_obj()["vectors"] == [[format_rational(x) for x in v] for v in dense]
+            assert basis.to_obj()["vectors"] == [
+                [format_rational(x.numerator, x.denominator) for x in v] for v in dense]
             mons = monomial_basis(num_vars, degree)
             for seed in range(3):
                 member = random_member(basis, seed, mons)
@@ -510,7 +539,8 @@ def test_components_keep_their_own_denominators():
     # took minutes: reading, membership and a restriction take seconds
     comps = propcheck.fractional_lists(32, 8, 32, 2000)
     doc = {"n": 8, "d": 32,
-           "components": [{"coeffs": [format_rational(x) for x in cs]} for cs in comps]}
+           "components": [{"coeffs": [format_rational(x.numerator, x.denominator) for x in cs]}
+                          for cs in comps]}
     start = time.perf_counter()
     c = CurveParam.from_obj(doc)
     assert membership_checks(c)["all_pass"]
@@ -520,6 +550,16 @@ def test_components_keep_their_own_denominators():
     assert time.perf_counter() - start < 20
     for (den, xs), cs in zip(c.components, comps, strict=True):
         assert den == math.lcm(*(x.denominator for x in cs))
+
+
+def test_rational_points_become_correctly_rounded_floats():
+    # in the complex field a rational point (a, b) is the float a / b,
+    # rounded once, as float(Fraction(a, b)) is; rounding a to a float first
+    # would move some of these points
+    rng = random.Random(31)
+    pairs = [(rng.randint(-2**80, 2**80), rng.randint(1, 2**70)) for _ in range(200)]
+    assert [_complex(t) for t in pairs] == [complex(float(F(*t))) for t in pairs]
+    assert any(float(a) / b != a / b for a, b in pairs)
 
 
 def test_theta_round_trip():
@@ -617,25 +657,27 @@ def test_reading_integral_coefficients_builds_no_fraction(name, monkeypatch, fix
     # fixture A, and the degree-3 fixture bench/gen.py writes for verify-degree
     # (`generated("d3-small", 3, 100, "small", L_SPLIT)`), whose q, l, p are
     # integral and whose curve has 'p/q' coefficients: reading the fixture,
-    # the problem of its quintic and the quintics through its curve builds a
-    # Fraction for each 'p/q' entry of the curve and for nothing else
+    # the problem of its quintic and the quintics through its curve builds
+    # no Fraction, the 'p/q' entries included, which read as (num, den)
     path = Path(__file__).parent / "data" / "fixture-d3-small.json"
     doc = fixture_a.to_obj() if name == "A" else json.loads(path.read_text())
     problem = oracles.problem(Fixture.from_obj(doc)).to_obj()
     built = []
 
-    def spy(*args):
+    def spy(cls, *args, **kwargs):
         built.append(args)
-        return F(*args)
+        return object.__new__(cls)
 
-    monkeypatch.setattr(linalg, "Fraction", spy)
-    monkeypatch.setattr(poly, "Fraction", spy)
+    monkeypatch.setattr(F, "__new__", spy)
     fix, prob = Fixture.from_obj(doc), IncidenceProblem.from_obj(problem)
     restricted_gradient(prob.f, fix.c0)
     quintics = [MultiPoly.monomial(e) for e in monomial_basis(5, 5)]
     restrict_to_curve([quintics], _curve_monomials(fix.c0.components))
+    monkeypatch.undo()
     fractions = [c for comp in doc["c0"]["components"] for c in comp["coeffs"] if "/" in c]
-    assert built == [(c,) for c in fractions]
+    assert built == []
     assert bool(fractions) == (name == "d3-small")
+    assert any(den > 1 for den, _ in fix.c0.components) == (name == "d3-small")
     forms = (fix.q, fix.l, fix.p, prob.f)
     assert all(type(c) is int for f in forms for c in f.terms.values())
+    assert all(f.den == 1 for f in forms)

@@ -1,4 +1,6 @@
 import random
+import sys
+from decimal import Decimal
 from fractions import Fraction as F
 
 import numpy
@@ -311,3 +313,19 @@ def test_matmul_and_matvec():
     assert oracles.matmul(oracles.matrix_rows(a), [[0, 1], [1, 0]]) == [[2, 1], [4, 3]]
     assert a.matvec([1, 1]) == (3, 7)
     assert a.matvec([F(1, 2), F(1)]) == (F(5, 2), F(11, 2))
+
+
+def test_format_rational_beyond_the_int_str_cap(monkeypatch):
+    # numerator and denominator both above the interpreter's 4300-digit cap
+    # on int-to-str: after one gcd each part is written as str(Decimal(part))
+    # writes it; below the cap the decimal module is not imported
+    num, den = -(7**6000) * 6, 11**5000 * 4
+    assert min(len(str(Decimal(x))) for x in (num, den)) > 4300 == sys.get_int_max_str_digits()
+    text = linalg.format_rational(num, den)
+    assert text == f"{Decimal(-(7**6000) * 3)}/{Decimal(11**5000 * 2)}"
+    assert linalg.format_rational(num * den, den) == str(Decimal(num))
+    monkeypatch.setitem(sys.modules, "decimal", None)  # an import of decimal fails
+    assert [linalg.format_rational(*x) for x in ((-6, 4), (10**4000, 1), (0, 7), (5, 1))] == [
+        "-3/2", str(10**4000), "0", "5"]
+    with pytest.raises(ImportError):
+        linalg.format_rational(num, den)
