@@ -28,7 +28,7 @@ from . import construction, incidence
 from .errors import DimensionError, InputError
 from .linalg import (MAX_COUNT, MAX_DEGREE, MAX_RATIONAL_DIGITS, IntMatrix, _dump, _rank_at_most,
                      format_rational, parse_rational, parse_size, rank_exact, rank_numeric)
-from .poly import _curve_monomials, monomial_basis, restrict_to_curve
+from .poly import _curve_monomials, _gradient_map, monomial_basis
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -205,8 +205,8 @@ def cmd_sample(args, out) -> int:
     if not membership["all_pass"]:
         raise InputError(f"curve fails membership checks: {membership}")
     # One table of the curve restricts the monomials of the forms through it
-    # and every draw's gradient; one list of those monomials indexes the
-    # basis and every draw.
+    # and builds the gradient map that restricts every draw's partials; one
+    # list of those monomials indexes the basis, the map and every draw.
     nvars = curve.n + 1
     table = _curve_monomials(curve.components)
     mons = monomial_basis(nvars, args.degree)
@@ -222,13 +222,12 @@ def cmd_sample(args, out) -> int:
     expected_rank = min(nrows, nvars * (curve.d + 1) - rank_exact(IntMatrix.from_rows(sym)))
     members = [incidence.random_member(basis, args.seed * 1_000_003 + draw, mons)
                for draw in range(args.count)]
-    grads = restrict_to_curve(
-        ([f.partial_derivative(m) for m in range(nvars)] for f in members), table)
+    gradient = _gradient_map(nvars, mons, table)
     records = []
     full = 0
     for draw, member in enumerate(members):
         # the coefficient Jacobian times den, as `jacobian_coefficient_form` builds it
-        jac = incidence._convolution_matrix(grads[draw][1], curve.d, nrows)
+        jac = incidence._convolution_matrix(gradient(member)[1], curve.d, nrows)
         witnessed = not any(any(jac.matvec(w)) for w in sym)
         rank = _rank_at_most(jac, expected_rank if witnessed else min(nrows, jac.cols))
         is_full = rank == expected_rank

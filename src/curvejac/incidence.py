@@ -9,9 +9,9 @@ powers of t) and the evaluation form (rows indexed by chosen points), linked
 exactly by a Vandermonde factor.
 
 A curve's components are pairs (den, ints), each an integer coefficient
-list over its own least denominator.  The restricted gradient of
-`restrict_to_curve`, which each form is written from, is one pair (den,
-lists): integer coefficient lists over their least common denominator.  The
+list over its own least denominator.  The restricted gradient, which each
+form is written from, is one pair (den, lists) from f's terms (`poly`'s
+gradient map): integer coefficient lists over their least denominator.  The
 coefficient form is a Toeplitz block per partial (`_convolution_matrix`) of
 those lists, an `IntMatrix`, den times the Jacobian, with its rank and
 kernel.  An evaluation row (`_evaluation_rows`) evaluates the homogenized
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from itertools import zip_longest
 from math import gcd, lcm
 
 from .errors import DimensionError, InputError, Record
@@ -43,14 +42,7 @@ from .linalg import (
     parse_rational,
     parse_size,
 )
-from .poly import (
-    MultiPoly,
-    _curve_monomials,
-    _int_mul,
-    _scaled,
-    coprime,
-    restrict_to_curve,
-)
+from .poly import MultiPoly, _curve_monomials, _gradient_map, _pack, _scaled, _slot_size, coprime
 
 __all__ = [
     "CurveParam",
@@ -197,11 +189,9 @@ def _check_curve(prob: IncidenceProblem, c: CurveParam):
 
 def restricted_gradient(f: MultiPoly, c: CurveParam) -> tuple[int, list[list[int]]]:
     """The partials (df/dz_m)(c(t)), one per variable of f, restricted
-    together by `restrict_to_curve` through a table of c's own: (den,
-    lists), lists[m] the integer coefficients of den * (df/dz_m)(c(t)), den
-    least."""
-    return restrict_to_curve([[f.partial_derivative(m) for m in range(f.num_vars)]],
-                             _curve_monomials(c.components))[0]
+    together from f's terms through a table of c's own (`_gradient_map`):
+    (den, lists), lists[m] den * (df/dz_m)(c(t)) in integers, den least."""
+    return _gradient_map(f.num_vars, list(f.terms), _curve_monomials(c.components))(f)
 
 
 def vanishes_on_curve(grads: tuple[int, list[list[int]]], c: CurveParam, degree: int) -> bool:
@@ -210,14 +200,17 @@ def vanishes_on_curve(grads: tuple[int, list[list[int]]], c: CurveParam, degree:
 
     Euler: sum_m z_m * df/dz_m = degree * f, so for positive degree f(c(t))
     vanishes iff sum_m c_m(t) * (df/dz_m)(c(t)) does; a nonzero constant
-    never does.  The sum is taken in integers, times a positive scale that
-    leaves its vanishing as it is: the components over their common
-    denominator (`_common_ints`) times the lists of grads, by `_int_mul`.
+    never does.  The sum is taken in integers, times a positive scale: the
+    components over their common denominator (`_common_ints`) times the
+    lists of grads, packed (`_pack`) at a slot that holds every coefficient
+    of the sum, so one integer that is zero iff the sum is.
     """
     if degree <= 0:
         return False
-    products = [_int_mul(a, g) for a, g in zip(_common_ints(c), grads[1])]
-    return not any(map(sum, zip_longest(*products, fillvalue=0)))
+    pairs = [(a, g) for a, g in zip(_common_ints(c), grads[1]) if a and g]
+    size = _slot_size(sum(min(len(a), len(g)) * max(map(abs, a)) * max(map(abs, g))
+                          for a, g in pairs))
+    return not sum(_pack(a, size) * _pack(g, size) for a, g in pairs)
 
 
 def _common_ints(c: CurveParam) -> list[list[int]]:
@@ -408,4 +401,4 @@ def random_member(basis: KernelBasis, seed: int, mons: Sequence[tuple[int, ...]]
         if coef:
             for j, x in terms:
                 acc[j] += coef * x
-    return MultiPoly._of_items(len(mons[0]), 1, list(zip(mons, acc)))
+    return MultiPoly._of_items(len(mons[0]), 1, zip(mons, acc))

@@ -10,17 +10,17 @@ denominator den, least for the group of polynomials that shares it.  All
 arithmetic is exact.
 
 Restriction to a parametrized curve, f(c(t)), has one entry point,
-`restrict_to_curve`: it restricts groups of forms through a table of the
-curve (`_curve_monomials`) that its caller builds once and passes in.  The
-table takes each component over its own least denominator and builds each
-power of a component and each restricted monomial once, as an integer
-polynomial over a denominator; `restrict_to_curve` multiplies each term's
-coefficient into its restricted monomial once, summing integers over a
-common denominator.  A group of forms comes back as one pair (den, lists),
-which every matrix is built from.  Every polynomial product in the
-package, the table's among them, is one product of integer polynomials by
-Kronecker substitution (`_int_mul`): the coefficients are packed into one
-integer, which CPython multiplies by Karatsuba, and unpacked.
+`restrict_to_curve`, through a table of the curve (`_curve_monomials`) that
+its caller builds once: each restricted monomial is one product of the
+components packed into big integers at one slot per degree (Kronecker
+substitution: von zur Gathen and Gerhard, Modern Computer Algebra, 8.4),
+unpacked once, and each form's coefficients are dot products of its terms
+with their entries.  Restriction is linear in the form, so a command that
+restricts many gradients over one list of monomials builds the partials'
+integer matrices once (`_gradient_map`) and then only multiplies.  A group
+of forms comes back as one pair (den, lists), which every matrix is built
+from.  Every other polynomial product is one Kronecker product of integer
+lists (`_int_mul`); `_pack` and `_unpack` are the one packing.
 
 Coprimality of any number of integer lists (`coprime`: f against f', a
 curve's components) is decided modulo a prime, a common factor lifted to Q
@@ -41,8 +41,9 @@ JSON output byte-stable.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import count
-from math import copysign, gcd, inf, isqrt, lcm, ldexp
+from itertools import count, zip_longest
+from operator import mul
+from math import copysign, gcd, inf, isqrt, lcm, ldexp, prod
 
 from .errors import DimensionError, InputError
 from .linalg import _PRIMES, format_rational, parse_int, parse_list, parse_rational
@@ -68,34 +69,40 @@ def _scaled(xs: Sequence[tuple[int, int]]) -> tuple[int, tuple[int, ...]]:
     return den, tuple(ints)
 
 
+def _slot_size(bound: int) -> int:
+    """The bytes of a slot that holds every integer x with |x| <= bound."""
+    return (bound.bit_length() + 8) // 8
+
+
+def _pack(xs: Sequence[int], size: int) -> int:
+    """sum_i xs[i] * 2**(8 size i), xs packed into slots of `size` bytes:
+    adding 2^(8 size - 1) to every slot makes it non-negative, so the
+    packing goes through bytes."""
+    half = 1 << (8 * size - 1)
+    packed = b"".join((x + half).to_bytes(size, "little") for x in xs)
+    return int.from_bytes(packed, "little") - int.from_bytes(
+        half.to_bytes(size, "little") * len(xs), "little")
+
+
+def _unpack(x: int, size: int, n: int) -> list[int]:
+    """The n-list ys of x = `_pack`(ys, size), through the same bias."""
+    half = 1 << (8 * size - 1)
+    raw = (x + int.from_bytes(half.to_bytes(size, "little") * n, "little")).to_bytes(
+        size * n, "little")
+    return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, size * n, size)]
+
+
 def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """The product of two integer coefficient lists (t^0 first), all
     len(a) + len(b) - 1 coefficients, by Kronecker substitution (von zur
-    Gathen and Gerhard, Modern Computer Algebra, 8.4).
-
-    Each factor is packed into one integer, a slot of w bits per coefficient,
-    w a whole number of bytes wider than the largest possible product
-    coefficient min(len) * max|a| * max|b| plus a sign bit, so one big-integer
-    multiplication gives every product coefficient in its own slot.  Adding
-    2^(w-1) to every slot makes the slots non-negative, so packing and
-    unpacking go through bytes.
-    """
+    Gathen and Gerhard, Modern Computer Algebra, 8.4): the unpacked product
+    of the two packs at a slot that holds min(len) * max|a| * max|b|, the
+    largest possible product coefficient (an all-zero factor counts as 1)."""
     if not a or not b:
         return []
-    big_a, big_b = max(map(abs, a)), max(map(abs, b))
-    if not (big_a and big_b):
-        return [0] * (len(a) + len(b) - 1)
-    size = (max(min(len(a), len(b)) * big_a * big_b, big_a, big_b).bit_length() + 8) // 8
-    half = 1 << (8 * size - 1)
-    bias = half.to_bytes(size, "little")
-
-    def pack(xs: Sequence[int]) -> int:
-        packed = b"".join((x + half).to_bytes(size, "little") for x in xs)
-        return int.from_bytes(packed, "little") - int.from_bytes(bias * len(xs), "little")
-
     n = len(a) + len(b) - 1
-    raw = (pack(a) * pack(b) + int.from_bytes(bias * n, "little")).to_bytes(size * n, "little")
-    return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, size * n, size)]
+    size = _slot_size(min(len(a), len(b)) * max(1, *map(abs, a)) * max(1, *map(abs, b)))
+    return _unpack(_pack(a, size) * _pack(b, size), size, n)
 
 
 def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
@@ -202,6 +209,14 @@ def monomial_basis(num_vars: int, degree: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _summed(items: Iterable) -> Iterable:
+    """The pairs (exps, num) of items, the nums of a repeated exps summed."""
+    terms: dict[tuple[int, ...], int] = {}
+    for e, c in items:
+        terms[e] = terms.get(e, 0) + c
+    return terms.items()
+
+
 class MultiPoly:
     """Sparse multivariate polynomial: terms map exponent tuples to nonzero
     integer coefficients over one least den > 0.  The constructor takes
@@ -219,22 +234,19 @@ class MultiPoly:
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
             items.append((exps, coef.numerator * (den // coef.denominator)))
-        poly = MultiPoly._of_items(num_vars, den, items)
+        poly = MultiPoly._of_items(num_vars, den, _summed(items))
         self.num_vars, self.terms, self.den = num_vars, poly.terms, poly.den
 
     @classmethod
-    def _of_items(cls, num_vars: int, den: int, items: list) -> "MultiPoly":
+    def _of_items(cls, num_vars: int, den: int, items: Iterable) -> "MultiPoly":
         """The polynomial of items, pairs (exps, num) of checked exponent
-        tuples and integers over den > 0, a repeated exps summed: zero terms
-        dropped, den and the terms divided by their gcd."""
-        terms = dict(items)
-        if len(terms) < len(items):
-            terms = {}
-            for e, c in items:
-                terms[e] = terms.get(e, 0) + c
+        tuples, none repeated (`_summed` sums repeats), and integers over
+        den > 0: zero terms dropped, and den and the terms divided by their
+        gcd when it exceeds 1."""
+        terms = {e: c for e, c in items if c}
         g, poly = gcd(den, *terms.values()), object.__new__(cls)
         poly.num_vars, poly.den = num_vars, den // g
-        poly.terms = {e: c // g for e, c in terms.items() if c}
+        poly.terms = {e: c // g for e, c in terms.items()} if g > 1 else terms
         return poly
 
     @classmethod
@@ -262,20 +274,20 @@ class MultiPoly:
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_same_ring(other)
         den = lcm(self.den, other.den)
-        return MultiPoly._of_items(self.num_vars, den, [
-            (e, c * (den // f.den)) for f in (self, other) for e, c in f.terms.items()])
+        return MultiPoly._of_items(self.num_vars, den, _summed(
+            (e, c * (den // f.den)) for f in (self, other) for e, c in f.terms.items()))
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_same_ring(other)
-        return MultiPoly._of_items(self.num_vars, self.den * other.den, [
+        return MultiPoly._of_items(self.num_vars, self.den * other.den, _summed(
             (tuple(x + y for x, y in zip(ea, eb)), ca * cb)
-            for ea, ca in self.terms.items() for eb, cb in other.terms.items()])
+            for ea, ca in self.terms.items() for eb, cb in other.terms.items()))
 
     def partial_derivative(self, m: int) -> "MultiPoly":
         if not 0 <= m < self.num_vars:
             raise DimensionError(f"no variable with index {m}")
-        return MultiPoly._of_items(self.num_vars, self.den, [
-            (e[:m] + (e[m] - 1,) + e[m + 1 :], c * e[m]) for e, c in self.terms.items() if e[m]])
+        return MultiPoly._of_items(self.num_vars, self.den, (
+            (e[:m] + (e[m] - 1,) + e[m + 1 :], c * e[m]) for e, c in self.terms.items() if e[m]))
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
@@ -318,7 +330,7 @@ class MultiPoly:
                 raise InputError(f"terms[{i}].exp has length {len(exps)}, expected {nvars}")
             items.append((exps, coef))
         den = lcm(*(b for _, (_, b) in items))
-        poly = cls._of_items(nvars, den, [(e, a * (den // b)) for e, (a, b) in items])
+        poly = cls._of_items(nvars, den, _summed((e, a * (den // b)) for e, (a, b) in items))
         declared = obj.get("homogeneous_degree")
         if declared is not None and poly.homogeneous_degree() != parse_int(
             declared, "homogeneous_degree"
@@ -337,45 +349,63 @@ def _curve_monomials(components: Sequence[tuple[int, Sequence[int]]]):
 
     Each component c_m is held over its own least denominator D_m, so the
     entry of z**e has the denominator prod_m D_m ** e[m] and integer
-    coefficients.  Each power is built once from the one below, and each
-    monomial once, as its restriction without the last variable times that
-    variable's power, so every entry of the table costs at most one product
-    of integer polynomials (`_int_mul`).  A monomial with a positive
-    exponent on a zero component restricts to zero, (1, []), at once.  An
-    exponent vector whose length is not the number of components raises
-    DimensionError.
+    coefficients of at most B**k, k the degree of e and B the largest sum of
+    |ints| of a component.  So every entry of degree k is read once from the
+    product of the components packed (`_pack`) at the slot that holds B**k,
+    once per degree: each packed power is built once from the one below,
+    and each monomial once, as its packed restriction without the last
+    variable times that variable's packed power.  A monomial on a zero
+    component restricts to (1, []) at once.  An exponent vector of the wrong
+    length raises DimensionError.
     """
-    powers = [[(1, [1]), (den, list(xs))] for den, xs in components]
-    zero = [m for m, (_, xs) in enumerate(components) if not xs]
-    table: dict[tuple[int, ...], tuple[int, list[int]]] = {}
+    dens = [den for den, _ in components]
+    degs = [len(xs) - 1 for _, xs in components]
+    zero = [m for m, k in enumerate(degs) if k < 0]
+    norm = max((sum(map(abs, xs)) for _, xs in components), default=0)
+    slots, powers, packed, table = {}, {}, {}, {}  # the packed caches are keyed by degree
 
-    def power(m: int, k: int) -> tuple[int, list[int]]:
-        row = powers[m]
-        while len(row) <= k:
-            (den, xs), (dm, cm) = row[-1], row[1]
-            row.append((den * dm, _int_mul(xs, cm)))
-        return row[k]
+    def power(k: int, m: int, j: int) -> int:
+        row = powers.setdefault((k, m), [1, slots[k][1][m]])
+        while len(row) <= j:
+            row.append(row[-1] * row[1])
+        return row[j]
+
+    def value(k: int, e: tuple[int, ...]) -> int:  # prod_m c_m ** e[m] packed at degree k
+        if (k, e) not in packed:
+            m = max(i for i, j in enumerate(e) if j)
+            head = e[:m] + (0,) * (len(e) - m)
+            packed[k, e] = value(k, head) * power(k, m, e[m]) if any(head) else power(k, m, e[m])
+        return packed[k, e]
 
     def restrict(e: tuple[int, ...]) -> tuple[int, list[int]]:
         if e not in table:
-            if len(e) != len(powers):
-                raise DimensionError(f"curve has {len(powers)} components, "
+            if len(e) != len(dens):
+                raise DimensionError(f"curve has {len(dens)} components, "
                                      f"monomial has {len(e)} variables")
-            m = max((i for i, k in enumerate(e) if k), default=None)
-            if m is None:
+            if not any(e):
                 table[e] = 1, [1]
             elif any(e[i] for i in zero):
                 table[e] = 1, []
             else:
-                head = e[:m] + (0,) * (len(e) - m)
-                if any(head):
-                    (dh, xh), (dp, xp) = restrict(head), power(m, e[m])
-                    table[e] = dh * dp, _int_mul(xh, xp)
-                else:
-                    table[e] = power(m, e[m])
+                k = sum(e)
+                if k not in slots:
+                    size = _slot_size(norm**k)
+                    slots[k] = size, [_pack(xs, size) for _, xs in components]
+                table[e] = (prod(d**j for d, j in zip(dens, e)),
+                            _unpack(value(k, e), slots[k][0], 1 + sum(map(mul, degs, e))))
         return table[e]
 
     return restrict
+
+
+def _least(den: int, lists: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """(den, lists), integer lists over a common den > 0, without trailing
+    zeros and divided by their gcd with den, so den is least."""
+    for xs in lists:
+        while xs and not xs[-1]:
+            xs.pop()
+    g = gcd(den, *(x for xs in lists for x in xs))
+    return den // g, [[x // g for x in xs] for xs in lists] if g > 1 else lists
 
 
 def restrict_to_curve(groups: Iterable[Iterable[MultiPoly]],
@@ -385,12 +415,10 @@ def restrict_to_curve(groups: Iterable[Iterable[MultiPoly]],
     restrictions, lists[k] den times its k-th form's as integer
     coefficients, t**0 first, no trailing zero.  The groups (any iterables,
     read once) read the one table of the curve, table = `_curve_monomials`
-    (components), which the caller builds; a term whose entry is zero is
-    dropped, and each other term multiplies its entry once, over the lcm L
-    of the products of their and their form's dens, and one gcd of L with
-    every sum makes den least.  A form
-    whose variables are not the curve's components raises DimensionError
-    from the table."""
+    (components), which the caller builds.  Each coefficient of a form is
+    one dot product of its terms' weights with their entries', over the lcm
+    of the terms' and their form's dens, a zero entry left out.  A form
+    whose variables are not the curve's components raises DimensionError."""
     out = []
     for group in groups:
         terms = [[(c, f.den * d, xs) for e, c in f.terms.items() for d, xs in (table(e),) if xs]
@@ -398,18 +426,38 @@ def restrict_to_curve(groups: Iterable[Iterable[MultiPoly]],
         den = lcm(*(d for form in terms for _, d, _ in form))
         lists = []
         for form in terms:
-            acc = [0] * max((len(xs) for _, _, xs in form), default=0)
-            for c, d, xs in form:
-                w = c * (den // d)
-                for i, x in enumerate(xs):
-                    if x:
-                        acc[i] += w * x
-            while acc and not acc[-1]:
-                acc.pop()
-            lists.append(acc)
-        g = gcd(den, *(x for acc in lists for x in acc))
-        out.append((den // g, [[x // g for x in acc] for acc in lists]))
+            ws = [c * (den // d) for c, d, _ in form]
+            cols = zip_longest(*(xs for _, _, xs in form), fillvalue=0)
+            lists.append([sum(map(mul, ws, col)) for col in cols])
+        out.append(_least(den, lists))
     return out
+
+
+def _gradient_map(nvars: int, mons: Sequence[tuple[int, ...]], table):
+    """The restricted gradient as linear maps built once from the curve's
+    table: grad(f) is the pair (den, lists) that `restrict_to_curve` gives
+    the group of f's partials, f a form in nvars variables over mons.
+    d/dz_m sends z**e to e[m] z**(e - u_m), so partial m is one integer
+    matrix on the coefficients over mons: column e is e[m] * L / den times
+    the entry (den, ints) of z**(e - u_m), L the lcm of every such den.  So
+    grad(f) is one dot product per partial and power of t, over L * f.den.
+    """
+    cols = [[(e, e[m], *table(e[:m] + (e[m] - 1,) + e[m + 1 :])) for e in mons if e[m]]
+            for m in range(nvars)]
+    cols = [[col for col in cs if col[3]] for cs in cols]
+    big = lcm(*(d for cs in cols for _, _, d, _ in cs))
+    maps = [([e for e, *_ in cs], [k * (big // d) for _, k, d, _ in cs],
+             list(zip_longest(*(xs for *_, xs in cs), fillvalue=0))) for cs in cols]
+
+    def grad(f: MultiPoly) -> tuple[int, list[list[int]]]:
+        get = f.terms.get
+        lists = []
+        for exps, weights, rows in maps:
+            ws = [get(e, 0) * w for e, w in zip(exps, weights)]
+            lists.append([sum(map(mul, ws, row)) for row in rows])
+        return _least(big * f.den, lists)
+
+    return grad
 
 
 def _round_to_bits(v: int, bits: int) -> tuple[int, int]:

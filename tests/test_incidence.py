@@ -429,27 +429,27 @@ class TestRestrictionTable:
         curve = CurveParam.from_obj(json.loads(path.read_text()))
         member = random_member(forms_through(4, 5, curve), 100, monomial_basis(5, 5))
         exps = {e for m in range(5) for e in member.partial_derivative(m).terms}
-        # One table serves all partials.  It builds components[m] ** k (k >= 2)
-        # from the power below, and the restriction of each monomial with two
-        # or more variables from the one without its last variable; those
-        # monomials are the leading parts of the exponents.
-        powers = {(m, k) for e in exps for m, top in enumerate(e) for k in range(2, top + 1)}
-        monomials = set()
-        for e in exps:
-            used = [m for m, k in enumerate(e) if k]
-            for last in used[1:]:
-                monomials.add(e[: last + 1] + (0,) * (len(e) - last - 1))
-        products = 0
-        mul = poly._int_mul
+        zero = [m for m, (_, xs) in enumerate(curve.components) if not xs]
+        # One table serves all partials, all quartics.  It packs each
+        # component once at the quartics' slot, builds every power and
+        # monomial as a product of packed integers, and unpacks each nonzero
+        # entry once; no product packs and unpacks its factors (`_int_mul`).
+        calls = {"_pack": 0, "_unpack": 0, "_int_mul": 0}
 
-        def counting_mul(a, b):
-            nonlocal products
-            products += 1
-            return mul(a, b)
+        def counting(name):
+            fn = getattr(poly, name)
 
-        monkeypatch.setattr(poly, "_int_mul", counting_mul)
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(poly, name, counting(name))
         restricted_gradient(member, curve)
-        assert 0 < products <= len(powers) + len(monomials)
+        assert zero and calls == {"_pack": 5, "_int_mul": 0,
+                                  "_unpack": sum(not any(e[m] for m in zero) for e in exps)}
 
 
 class TestRankInvariance:

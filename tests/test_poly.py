@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from curvejac.errors import DimensionError, InputError
-from curvejac.incidence import CurveParam
+from curvejac.incidence import CurveParam, restricted_gradient
 from curvejac.linalg import _PRIMES
 from curvejac.poly import (
     _LABEL_DIGITS,
@@ -16,6 +16,7 @@ from curvejac.poly import (
     _decimal_digits,
     _dk_sweep,
     _gcd_degree,
+    _gradient_map,
     _int_mul,
     _polyroots,
     _squarefree_rational_roots,
@@ -255,6 +256,101 @@ class TestComposeWithCurve:
     def test_rejects_wrong_component_count(self, fermat_quintic):
         with pytest.raises(DimensionError):
             compose_with_curve(fermat_quintic, line_components()[:4])
+
+
+def iroot(x, k):
+    """The largest r >= 0 with r**k <= x, for x >= 0."""
+    lo, hi = 0, 1 << (x.bit_length() // k + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if mid**k <= x else (lo, mid - 1)
+    return lo
+
+
+TABLE_KINDS = ("integer", "fractional", "zero-component", "slot-bound")
+
+
+class TestCurveTable:
+    def test_entries_are_schoolbook_products(self):
+        # each entry (den, ints) of z**e is den = prod_m D_m ** e[m] over the
+        # components' own denominators and ints the schoolbook product of
+        # the components' integer lists, each to its power: on integer
+        # curves (one-digit and 30-digit), fractional curves, curves with a
+        # zero component, and curves of one-term components +-M whose
+        # entries reach the slot's bound B**k = M**k itself, at either side
+        # of a byte boundary; n up to 8 and degrees up to 12
+        rng = random.Random(32)
+        bound_hits = 0
+        for draw in range(64):
+            kind = TABLE_KINDS[draw % len(TABLE_KINDS)]
+            n, k = rng.randint(1, 8), rng.randint(1, 12)
+            d = rng.randint(1, 2 if k > 6 else 5)
+            if kind == "fractional":
+                comps = propcheck.fractional_curve(draw, n, d, rng.randint(1, 20)).components
+            elif kind == "slot-bound":
+                # top**k is the largest power a slot of `size` bytes holds,
+                # the least that needs one more byte, or 2**(8 j - 1) itself
+                size = rng.randint(k, 3 * k)
+                top = iroot((1 << (8 * size - 1)) - 1, k) + rng.randint(0, 1)
+                if k % 2 and rng.random() < 0.4:
+                    top = 1 << (7 * k % 8 + 8 * rng.randint(0, 3))
+                assert (top**k).bit_length() % 8 in (0, 7), (k, top)
+                comps = tuple((1, (0,) * rng.randint(0, d) + (rng.choice((top, -top)),))
+                              for _ in range(n + 1))
+            else:
+                big = rng.choice((9, 10**30)) if kind == "integer" else 9
+                comps = [(1, (*(rng.randint(-big, big) for _ in range(d)), rng.randint(1, big)))
+                         for _ in range(n + 1)]
+                if kind == "zero-component":
+                    comps[rng.randrange(n + 1)] = (1, ())
+            table = _curve_monomials(comps)
+            for _ in range(4):
+                e = [0] * (n + 1)
+                for _ in range(k):
+                    e[rng.randrange(n + 1)] += 1
+                if kind == "slot-bound" and rng.random() < 0.5:
+                    e = [0] * (n + 1)
+                    e[rng.randrange(n + 1)] = k
+                want = [1]
+                for (_, xs), j in zip(comps, e):
+                    for _ in range(j):
+                        want = oracles.schoolbook_mul(want, list(xs))
+                den, got = table(tuple(e))
+                assert den == math.prod(dm**j for (dm, _), j in zip(comps, e)), (kind, e)
+                assert got == want and (not got or got[-1]), (kind, comps, e)
+                bound_hits += kind == "slot-bound" and max(map(abs, got)) == abs(top) ** k
+        assert bound_hits >= 8
+
+    def test_gradient_map_is_the_partials_restricted(self):
+        # grad(f) is the pair restrict_to_curve gives f's partials: forms
+        # with den > 1, over the whole monomial basis (one map for two forms)
+        # or over their own terms, and sparse forms in 9 variables, on curves
+        # with and without a zero component; restricted_gradient agrees
+        rng = random.Random(33)
+        fractional = 0
+        for draw in range(40):
+            nvars = 9 if draw % 2 else rng.randint(2, 5)
+            degree = rng.randint(1, 4 if nvars == 9 else 5)
+            comps = [propcheck.random_unipoly(rng, rng.randint(0, 3)) for _ in range(nvars)]
+            if draw % 3 == 0:
+                comps[rng.randrange(nvars)] = []
+            table = _curve_monomials(propcheck.pairs(comps))
+            forms = [propcheck.scaled_form(
+                propcheck.random_homogeneous(rng, nvars, degree, 4 if nvars == 9 else 12),
+                F(rng.randint(1, 50), rng.randint(2, 10**6))) for _ in range(2)]
+            grad = _gradient_map(nvars, monomial_basis(nvars, degree), table)
+            for f in forms:
+                partials = [f.partial_derivative(m) for m in range(nvars)]
+                want = restrict_to_curve([partials], table)[0]
+                assert grad(f) == want == _gradient_map(nvars, list(f.terms), table)(f)
+                fractional += f.den > 1
+                if draw < 4:
+                    curve = CurveParam.from_rationals(nvars - 1, 3, comps)
+                    assert restricted_gradient(f, curve) == want
+        assert fractional >= 70
+        constant = MultiPoly(3, {(0, 0, 0): F(5, 3)})
+        table = _curve_monomials(propcheck.pairs(line_components()[:3]))
+        assert _gradient_map(3, [(0, 0, 0)], table)(constant) == (1, [[], [], []])
 
 
 class TestGcd:
