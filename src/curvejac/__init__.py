@@ -10,8 +10,9 @@ rationals, in ints: a rational (a coefficient read, a point, a root) is a
 pair (num, den) in lowest terms, den > 0; a form's coefficients, a curve's
 components and each restriction to it are integers over a least
 denominator; every matrix ranked or reduced to a kernel is an `IntMatrix`.
-The fixture restricts l, p and q's partials to the curve once and checks
-q(c0) = 0 from them; the verification derives f0's gradient from them, so
+The fixture restricts l, p and q's partials to the curve once, as one
+restricted gradient, the package's only restriction, and checks q(c0) = 0
+from them; the verification derives f0's gradient from them, so
 checks 1, 3 and 6 and check 5's root rows hold by construction.  It decides
 the rest, checks 7-10 by exact ranks of integer matrices with no kernel
 basis, retrying check 7 over redrawn generic points: every check is exact

@@ -117,10 +117,10 @@ def cmd_jacobian(args, out) -> int:
     # through Euler's identity, whether the curve lies on the hypersurface.
     incidence._check_curve(prob, curve)
     grads = incidence.restricted_gradient(prob.f, curve)
+    coeff = incidence.jacobian_coefficient_form(prob, curve, grads)
     if args.form == "coeff":
         if args.points is not None:
             raise InputError("--points belongs to --form eval")
-        coeff = incidence.jacobian_coefficient_form(prob, curve, grads)
         form, rows, points = "coefficient", [coeff.row(i) for i in range(coeff.rows)], []
         row_labels = [f"k{j}" for j in range(coeff.rows)]
     else:
@@ -128,7 +128,6 @@ def cmd_jacobian(args, out) -> int:
             raise InputError("--form eval requires --points")
         rows, points = incidence.jacobian_evaluation_form(
             prob, curve, _parse_points(args.points), grads)
-        coeff = incidence.jacobian_coefficient_form(prob, curve, grads)
         form, row_labels = "evaluation", [f"t={incidence._point_label(t)}" for t in points]
     # At distinct rational points the evaluation form is an invertible
     # Vandermonde matrix times the coefficient form: the ranks agree, and the

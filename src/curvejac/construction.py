@@ -9,8 +9,9 @@ the mixed block rows there vanish, the corner block is a p-scaled Vandermonde
 scaled by l.  `verify_construction` runs the whole chain of checks with exact
 witnesses and reports each one.
 
-`Fixture` restricts l, p and q's partials once, decides q(c0) = 0 from them,
-and guarantees a zero z4 component of c0 and a q free of z4, so on the curve
+`Fixture` restricts l, p and q's partials once, as the restricted gradient
+of G = q + z4*p + z5*l on (c0, 0), decides q(c0) = 0 from them, and
+guarantees a zero z4 component of c0 and a q free of z4, so on the curve
 f0 vanishes, (df0/dz4)(c0) = p(c0) and (df0/dz_m)(c0) = l(c0) * (dq/dz_m)(c0),
 m < 4; f0 itself is never built.  Checks 1, 3 and 6 and check 5's
 root rows hold by construction; the point selection (2), the corner
@@ -22,7 +23,7 @@ exact kernel witnesses of the pairing map (`gradient_pairing_map`); Bareiss
 elimination decides only where the bounds disagree.
 
 Every ranked matrix is in integers.  The restrictions are one pair of
-`restrict_to_curve`, integer coefficient lists over their least common
+`restricted_gradient`, integer coefficient lists over their least common
 denominator D: the Toeplitz blocks of checks 8 and 9 are D and D**2 times
 the pairing map and the coefficient Jacobian, and the rows of check 7 at a
 point a/b, like check 5's extra row, are the value rows times a positive
@@ -51,12 +52,12 @@ from .incidence import (
     _convolution_matrix,
     _evaluation_rows,
     _point_label,
+    restricted_gradient,
     symmetry_kernel_vectors,
     vanishes_on_curve,
 )
 from .linalg import MAX_D, IntMatrix, parse_size, rank_exact
-from .poly import (MultiPoly, _curve_monomials, _int_mul, coprime, restrict_to_curve,
-                   squarefree_roots)
+from .poly import MultiPoly, _int_mul, coprime, squarefree_roots
 
 __all__ = [
     "Fixture",
@@ -85,9 +86,11 @@ def _check_factors(l: MultiPoly, q: MultiPoly, p: MultiPoly):
 
 class Fixture(Record):
     """Input bundle for the construction: q, l, p and the curve, d >= 1.
-    Derived: `restricted`, the pair (den, lists) of `restrict_to_curve` for
-    lc = l(c0), pc = p(c0) and (dq/dz_m)(c0), m < 4, in that order, which
-    decides q(c0) = 0.  f0 = l*q + z4*p is never built."""
+    Derived: `restricted`, the pair (den, lists) for lc = l(c0), pc = p(c0)
+    and (dq/dz_m)(c0), m < 4, in that order, over their least common den,
+    which decides q(c0) = 0: the restricted gradient of the six-variable
+    G = q + z4*p + z5*l on (c0, 0), reordered.  f0 = l*q + z4*p is never
+    built."""
 
     _fields = ("name", "q", "l", "p", "c0", "d")
     __slots__ = (*_fields, "restricted")
@@ -100,12 +103,20 @@ class Fixture(Record):
             raise InputError("fixture invariant violated: c0 must have n=4 and the stated d")
         if self.c0.components[4][1]:
             raise InputError("fixture invariant violated: c0's z4-component must be zero")
-        den, lists = restrict_to_curve(
-            [[self.l, self.p, *(self.q.partial_derivative(m) for m in range(4))]],
-            _curve_monomials(self.c0.components))[0]
-        object.__setattr__(self, "restricted", (den, lists))
+        # On (c0, 0) the gradient of G = q + z4*p + z5*l is (dq/dz_0..3, p, l):
+        # each other term of a partial has a factor z4 or z5.  The three
+        # parts of G have disjoint terms, as q is free of z4.
+        l, p, q = self.l, self.p, self.q
+        den = math.lcm(l.den, p.den, q.den)
+        g = MultiPoly._of_items(6, den, [
+            *(((*e, 0), c * (den // q.den)) for e, c in q.terms.items()),
+            *(((*e[:4], e[4] + 1, 0), c * (den // p.den)) for e, c in p.terms.items()),
+            *(((*e, 1), c * (den // l.den)) for e, c in l.terms.items())])
+        den, (*grad_q, pc, lc) = restricted_gradient(
+            g, CurveParam(5, self.d, (*self.c0.components, (1, ()))))
+        object.__setattr__(self, "restricted", (den, [lc, pc, *grad_q]))
         # q is a quartic free of z4, so its partials m < 4 decide q(c0) = 0.
-        if not vanishes_on_curve((den, lists[2:]), self.c0, 4):
+        if not vanishes_on_curve((den, grad_q), self.c0, 4):
             raise InputError("fixture invariant violated: q(c0(t)) == 0 (curve must lie on the quartic)")
 
     def to_obj(self) -> dict:

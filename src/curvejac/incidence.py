@@ -9,18 +9,19 @@ powers of t) and the evaluation form (rows indexed by chosen points), linked
 exactly by a Vandermonde factor.
 
 A curve's components are pairs (den, ints), each an integer coefficient
-list over its own least denominator.  The restricted gradient, which each
-form is written from, is one pair (den, lists) from f's terms (`poly`'s
-gradient map): integer coefficient lists over their least denominator.  The
-coefficient form is a Toeplitz block per partial (`_convolution_matrix`) of
-those lists, an `IntMatrix`, den times the Jacobian, with its rank and
-kernel.  An evaluation row (`_evaluation_rows`) evaluates the homogenized
-partials by Horner at a point (a, b): at a rational t = a/b, the pair (a,
-b) in lowest terms, b > 0, with integer lists it is an integer row, a
-positive multiple of the value row, and at (t, 1), t complex, the value
-row itself.  The evaluation form is such rows, never eliminated exactly.
-The `jacobian` command alone prints either form and labels its rows and
-columns.
+list over its own least denominator.  The restricted gradient
+(`restricted_gradient`), the package's one restriction, which each form is
+written from and a fixture reads l, p and q's partials from, is one pair
+(den, lists) from f's terms (`poly`'s gradient map): integer coefficient
+lists over their least denominator.  The coefficient form is a Toeplitz
+block per partial (`_convolution_matrix`) of those lists, an `IntMatrix`,
+den times the Jacobian, with its rank and kernel.  An evaluation row
+(`_evaluation_rows`) evaluates the homogenized partials by Horner at a
+point (a, b): at a rational t = a/b, the pair (a, b) in lowest terms,
+b > 0, with integer lists it is an integer row, a positive multiple of the
+value row, and at (t, 1), t complex, the value row itself.  The evaluation
+form is such rows, never eliminated exactly.  The `jacobian` command alone
+prints either form and labels its rows and columns.
 """
 
 from __future__ import annotations

@@ -9,18 +9,18 @@ integer coefficients ints (t^0 first, no trailing zero) over a positive
 denominator den, least for the group of polynomials that shares it.  All
 arithmetic is exact.
 
-Restriction to a parametrized curve, f(c(t)), has one entry point,
-`restrict_to_curve`, through a table of the curve (`_curve_monomials`) that
-its caller builds once: each restricted monomial is one product of the
-components packed into big integers at one slot per degree (Kronecker
-substitution: von zur Gathen and Gerhard, Modern Computer Algebra, 8.4),
-unpacked once, and each form's coefficients are dot products of its terms
-with their entries.  Restriction is linear in the form, so a command that
-restricts many gradients over one list of monomials builds the partials'
-integer matrices once (`_gradient_map`) and then only multiplies.  A group
-of forms comes back as one pair (den, lists), which every matrix is built
-from.  Every other polynomial product is one Kronecker product of integer
-lists (`_int_mul`); `_pack` and `_unpack` are the one packing.
+Restriction to a parametrized curve goes through a table of the curve
+(`_curve_monomials`) that its caller builds once: each restricted monomial
+is one product of the components packed into big integers at one slot per
+degree (Kronecker substitution: von zur Gathen and Gerhard, Modern Computer
+Algebra, 8.4), unpacked once.  `through` reads the table's entries as its
+columns; every other restriction is of a gradient, (df/dz_m)(c(t)) for each
+m, which `incidence.restricted_gradient` exposes.  Restriction is linear in
+the form, so the partials are integer matrices over a list of monomials,
+built once (`_gradient_map`), and each gradient is dot products of its
+coefficients with their rows: one pair (den, lists), which every matrix is
+built from.  Every other polynomial product is one Kronecker product of
+integer lists (`_int_mul`); `_pack` and `_unpack` are the one packing.
 
 Coprimality of any number of integer lists (`coprime`: f against f', a
 curve's components) is decided modulo a prime, a common factor lifted to Q
@@ -51,7 +51,6 @@ from .linalg import _PRIMES, format_rational, parse_int, parse_list, parse_ratio
 __all__ = [
     "MultiPoly",
     "coprime",
-    "restrict_to_curve",
     "monomial_basis",
     "grlex_key",
     "squarefree_roots",
@@ -283,12 +282,6 @@ class MultiPoly:
             (tuple(x + y for x, y in zip(ea, eb)), ca * cb)
             for ea, ca in self.terms.items() for eb, cb in other.terms.items()))
 
-    def partial_derivative(self, m: int) -> "MultiPoly":
-        if not 0 <= m < self.num_vars:
-            raise DimensionError(f"no variable with index {m}")
-        return MultiPoly._of_items(self.num_vars, self.den, (
-            (e[:m] + (e[m] - 1,) + e[m + 1 :], c * e[m]) for e, c in self.terms.items() if e[m]))
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
 
@@ -384,78 +377,50 @@ def _curve_monomials(components: Sequence[tuple[int, Sequence[int]]]):
                                      f"monomial has {len(e)} variables")
             if not any(e):
                 table[e] = 1, [1]
-            elif any(e[i] for i in zero):
+            elif any(map(e.__getitem__, zero)):
                 table[e] = 1, []
             else:
                 k = sum(e)
                 if k not in slots:
                     size = _slot_size(norm**k)
                     slots[k] = size, [_pack(xs, size) for _, xs in components]
-                table[e] = (prod(d**j for d, j in zip(dens, e)),
+                table[e] = (prod(map(pow, dens, e)),
                             _unpack(value(k, e), slots[k][0], 1 + sum(map(mul, degs, e))))
         return table[e]
 
     return restrict
 
 
-def _least(den: int, lists: list[list[int]]) -> tuple[int, list[list[int]]]:
-    """(den, lists), integer lists over a common den > 0, without trailing
-    zeros and divided by their gcd with den, so den is least."""
-    for xs in lists:
-        while xs and not xs[-1]:
-            xs.pop()
-    g = gcd(den, *(x for xs in lists for x in xs))
-    return den // g, [[x // g for x in xs] for xs in lists] if g > 1 else lists
-
-
-def restrict_to_curve(groups: Iterable[Iterable[MultiPoly]],
-                      table) -> list[tuple[int, list[list[int]]]]:
-    """The restrictions f(c(t)), z_m := c_m(t), of each group of forms as one
-    pair (den, lists): den the least common denominator of the group's
-    restrictions, lists[k] den times its k-th form's as integer
-    coefficients, t**0 first, no trailing zero.  The groups (any iterables,
-    read once) read the one table of the curve, table = `_curve_monomials`
-    (components), which the caller builds.  Each coefficient of a form is
-    one dot product of its terms' weights with their entries', over the lcm
-    of the terms' and their form's dens, a zero entry left out.  A form
-    whose variables are not the curve's components raises DimensionError."""
-    out = []
-    for group in groups:
-        terms = [[(c, f.den * d, xs) for e, c in f.terms.items() for d, xs in (table(e),) if xs]
-                 for f in group]
-        den = lcm(*(d for form in terms for _, d, _ in form))
-        lists = []
-        for form in terms:
-            ws = [c * (den // d) for c, d, _ in form]
-            cols = zip_longest(*(xs for _, _, xs in form), fillvalue=0)
-            lists.append([sum(map(mul, ws, col)) for col in cols])
-        out.append(_least(den, lists))
-    return out
-
-
 def _gradient_map(nvars: int, mons: Sequence[tuple[int, ...]], table):
     """The restricted gradient as linear maps built once from the curve's
-    table: grad(f) is the pair (den, lists) that `restrict_to_curve` gives
-    the group of f's partials, f a form in nvars variables over mons.
-    d/dz_m sends z**e to e[m] z**(e - u_m), so partial m is one integer
-    matrix on the coefficients over mons: column e is e[m] * L / den times
-    the entry (den, ints) of z**(e - u_m), L the lcm of every such den.  So
-    grad(f) is one dot product per partial and power of t, over L * f.den.
+    table: grad(f) = (den, lists), lists[m] den * (df/dz_m)(c(t)) as integer
+    coefficients, t**0 first, no trailing zero, and den least, for f a form
+    in nvars variables over mons.  d/dz_m sends z**e to e[m] z**(e - u_m),
+    so partial m is one integer matrix on the coefficients over mons: column
+    e is e[m] * L / den times the entry (den, ints) of z**(e - u_m), a zero
+    entry left out, L the lcm of every such den.  So grad(f) is one dot
+    product per partial and power of t, over L * f.den, divided by the gcd.
+    A monomial whose variables are not the curve's components raises
+    DimensionError (the table's).
     """
-    cols = [[(e, e[m], *table(e[:m] + (e[m] - 1,) + e[m + 1 :])) for e in mons if e[m]]
+    cols = [[(e, e[m], den, xs) for e in mons if e[m]
+             for den, xs in (table(e[:m] + (e[m] - 1,) + e[m + 1 :]),) if xs]
             for m in range(nvars)]
-    cols = [[col for col in cs if col[3]] for cs in cols]
     big = lcm(*(d for cs in cols for _, _, d, _ in cs))
-    maps = [([e for e, *_ in cs], [k * (big // d) for _, k, d, _ in cs],
-             list(zip_longest(*(xs for *_, xs in cs), fillvalue=0))) for cs in cols]
+    maps = [([e for e, _, _, _ in cs], [k * (big // d) for _, k, d, _ in cs],
+             list(zip_longest(*(xs for _, _, _, xs in cs), fillvalue=0))) for cs in cols]
 
     def grad(f: MultiPoly) -> tuple[int, list[list[int]]]:
-        get = f.terms.get
+        get, den = f.terms.get, big * f.den
         lists = []
         for exps, weights, rows in maps:
             ws = [get(e, 0) * w for e, w in zip(exps, weights)]
-            lists.append([sum(map(mul, ws, row)) for row in rows])
-        return _least(big * f.den, lists)
+            xs = [sum(map(mul, ws, row)) for row in rows]
+            while xs and not xs[-1]:
+                xs.pop()
+            lists.append(xs)
+        g = gcd(den, *(x for xs in lists for x in xs))
+        return den // g, [[x // g for x in xs] for xs in lists] if g > 1 else lists
 
     return grad
 

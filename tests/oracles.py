@@ -12,9 +12,11 @@ interpolation for first-order Taylor extraction, Vandermonde matrices,
 evaluation rows at complex points from Fraction coefficients,
 matrix products and cofactor determinants from their definitions, block
 slicing, reassembly and closed forms by list arithmetic, an exhaustive
-smoothness search over a prime field, gcds over Q (coprimality, smoothness
-along a curve) from sympy's, rational roots from sympy's factorization over Q, complex root
-labels from mpmath's `polyroots`, and the value of a document's coefficient entry from
+smoothness search over a prime field, partials term by term and f(c(t))
+by repeated products (the reference for every restriction), gcds over Q
+(coprimality, smoothness along a curve) from sympy's, rational roots from
+sympy's factorization over Q, complex root labels from mpmath's
+`polyroots`, and the value of a document's coefficient entry from
 splitting its string.  It also builds what no command builds: the
 special quintic f0 = l*q + z4*p of a fixture with its incidence problem, and
 the Fraction coefficient lists of a pair (den, lists), the package's form
@@ -265,11 +267,29 @@ def naive_compose(terms, comps):
     return total
 
 
+def partial(terms, m):
+    """d/dz_m of the term dict {exps: coef}, term by term."""
+    return {e[:m] + (e[m] - 1,) + e[m + 1 :]: c * e[m] for e, c in terms.items() if e[m]}
+
+
+def on_curve(f, c):
+    """f(c(t)) as Fractions, trailing zeros trimmed, for a `MultiPoly` or a
+    term dict f and a curve c (`naive_compose`)."""
+    return naive_compose(coefficients(f) if isinstance(f, MultiPoly) else f, components(c))
+
+
+def gradient_on_curve(f, c):
+    """[(df/dz_m)(c(t)) for each variable z_m of the `MultiPoly` f], each by
+    `on_curve` of the partial taken term by term."""
+    terms = coefficients(f)
+    return [on_curve(partial(terms, m), c) for m in range(f.num_vars)]
+
+
 def unipolys(pair):
-    """The polynomials of a pair (den, lists), the restrictions of
-    `restrict_to_curve`, as lists of Fractions
-    x / den, t**0 first, trailing zeros kept, so a list that keeps one never
-    equals the trimmed polynomial."""
+    """The polynomials of a pair (den, lists), a restricted gradient or
+    `Fixture.restricted`, as lists of Fractions x / den, t**0 first,
+    trailing zeros kept, so a list that keeps one never equals the trimmed
+    polynomial."""
     den, lists = pair
     return [[Fraction(x, den) for x in xs] for xs in lists]
 
@@ -425,9 +445,9 @@ def permute_z4_first(rows, d):
     return [[row[j] for j in order] for row in rows]
 
 
-def _eval_mod(poly, point, prime):
+def _eval_mod(terms, point, prime):
     total = 0
-    for exps, coef in coefficients(poly).items():
+    for exps, coef in terms.items():
         c = coef.numerator % prime * pow(coef.denominator, -1, prime) % prime
         v = c
         for x, k in zip(point, exps):
@@ -448,7 +468,7 @@ def quartic_smooth_over_prime_field(q, prime=11):
     with coordinates in that field, which is evidence, not proof, of
     smoothness; False exhibits a singular point over the prime field.
     """
-    grads = [q.partial_derivative(m) for m in range(4)]
+    grads = [partial(coefficients(q), m) for m in range(4)]
     for lead in range(4):
         for rest in product(range(prime), repeat=3 - lead):
             point = (0,) * lead + (1,) + rest + (0,)
@@ -480,9 +500,7 @@ def smooth_along_curve(q, c0):
     """Necessary smoothness of the quartic q along the curve c0: the partials
     (dq/dz_m)(c0(t)), m < 4, have a constant gcd over Q (sympy's) and do not
     all drop below degree 3d, so they have no common zero at t = infinity."""
-    grads = [naive_compose({e[:m] + (e[m] - 1,) + e[m + 1 :]: c * e[m]
-                            for e, c in coefficients(q).items() if e[m]},
-                           components(c0)) for m in range(4)]
+    grads = gradient_on_curve(q, c0)[:4]
     return len(sympy_gcd(*grads)) == 1 and max(map(len, grads)) - 1 == 3 * c0.d
 
 

@@ -14,6 +14,7 @@ from math import gcd, isqrt, lcm
 import numpy
 import sympy
 
+from curvejac.construction import Fixture
 from curvejac.errors import InputError
 from curvejac.incidence import (CurveParam, IncidenceProblem, _convolution_matrix,
                                 _evaluation_rows, jacobian_coefficient_form, quintics_through_curve,
@@ -42,7 +43,6 @@ from curvejac.poly import (
     _simple_roots_mod_prime,
     coprime,
     monomial_basis,
-    restrict_to_curve,
     squarefree_roots,
 )
 
@@ -160,9 +160,7 @@ def curve_from_theta(n, d, vec):
 
 def incidence_equations(prob, c):
     """The e*d+1 coefficients of f(c(t)), zero-padded at the top."""
-    table = _curve_monomials(c.components)
-    restricted = oracles.unipolys(restrict_to_curve([[prob.f]], table)[0])[0]
-    return tuple(oracles.padded(restricted, prob.num_equations))
+    return tuple(oracles.padded(oracles.on_curve(prob.f, c), prob.num_equations))
 
 
 def taylor_chain_rule_suite(seed, draws):
@@ -204,17 +202,116 @@ def taylor_chain_rule_suite(seed, draws):
 
 
 def euler_identity_suite(seed, draws):
-    """sum_m z_m * df/dz_m == e * f for homogeneous f of degree e."""
+    """sum_m c_m(t) * (df/dz_m)(c(t)) == e * f(c(t)) for homogeneous f of
+    degree e: the restricted gradient against the naive composition, the
+    identity by which `vanishes_on_curve` decides f(c(t)) = 0."""
     rng = random.Random(seed)
     for _ in range(draws):
         num_vars = rng.randint(2, 5)
         degree = rng.randint(1, 4)
         f = random_homogeneous(rng, num_vars, degree)
-        acc = MultiPoly(num_vars, {})
-        for m in range(num_vars):
-            zm = MultiPoly.monomial(tuple(1 if i == m else 0 for i in range(num_vars)))
-            acc = acc + zm * f.partial_derivative(m)
-        assert acc == scaled_form(f, degree), "Euler identity failed"
+        c = random_curve(rng, num_vars - 1, rng.randint(1, 3))
+        grads = oracles.unipolys(restricted_gradient(f, c))
+        lhs = oracles.linear_combination(
+            *((1, oracles.naive_mul(cm, g)) for cm, g in zip(oracles.components(c), grads)))
+        assert lhs == oracles.linear_combination((degree, oracles.on_curve(f, c))), \
+            "Euler identity failed"
+    return draws
+
+
+def _coefficient(rng, fractional):
+    return random_fraction(rng, 9, 9) if fractional else Fraction(rng.randint(-9, 9))
+
+
+def _curve_in_hyperplane(rng, k, d, fractional):
+    """Components c_0..c_k, Fraction lists of degree <= d, c_0 of degree d,
+    integral or fractional, one of c_1..c_(k-1) at times zero, with c_k =
+    sum_(m<k) a_m c_m; and the linear form z_k - sum_(m<k) a_m z_m in k+1
+    variables, which vanishes on that curve."""
+    lead = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                    rng.randint(1, 9) if fractional else 1)
+    comps = [[_coefficient(rng, fractional) for _ in range(d)] + [lead]]
+    comps += [trimmed(_coefficient(rng, fractional) for _ in range(d + 1)) for _ in range(k - 1)]
+    if rng.random() < 0.3:
+        comps[rng.randrange(1, k)] = []
+    a = [_coefficient(rng, fractional) for _ in range(k)]
+    comps.append(oracles.linear_combination(*zip(a, comps)))
+    units = [tuple(int(i == m) for i in range(k + 1)) for m in range(k + 1)]
+    return comps, MultiPoly(k + 1, {units[k]: 1, **{units[m]: -x for m, x in enumerate(a)}})
+
+
+def fixture_restriction_suite(seed, draws):
+    """`Fixture.restricted` against the naive restrictions of l, p and
+    dq/dz_m, m < 4, over their least common denominator (`common`).
+
+    Each q is a random cubic in z0..z3 times a linear form that vanishes on
+    the curve, so the fixture is valid; the curves, of degree d <= 3, are
+    integral or fractional, with zero components besides c_4; and p and l
+    are forms with denominators above 1, each with a z4 term, or zero.
+    """
+    rng = random.Random(seed)
+    for draw in range(draws):
+        d = rng.randint(1, 3)
+        comps, linear = _curve_in_hyperplane(rng, 3, d, draw % 2)
+        c0 = CurveParam.from_rationals(4, d, comps + [[]])
+        cubic = random_homogeneous(rng, 4, 3)
+        q = MultiPoly(5, {(*e, 0): c for e, c in oracles.coefficients(linear * cubic).items()})
+        forms = []
+        for degree, kind in ((4, (draw // 2) % 3), (1, (draw // 6) % 3)):
+            f = MultiPoly(5, {})
+            if kind:
+                f = scaled_form(random_homogeneous(rng, 5, degree),
+                                Fraction(1, rng.randint(2, 99)))
+            if kind == 2:
+                z4_term = MultiPoly.monomial((degree - 1, 0, 0, 0, 1), random_fraction(rng, 9, 9))
+                f = f + z4_term
+            forms.append(f)
+        p, l = forms
+        fix = Fixture("draw", q, l, p, c0, d)
+        want = common([oracles.on_curve(l, c0), oracles.on_curve(p, c0),
+                       *oracles.gradient_on_curve(q, c0)[:4]])
+        assert fix.restricted == want, (draw, fix.restricted, want)
+    return draws
+
+
+def _reparametrized(comps, d):
+    """The components of c(t + 1), c(2t) and the reversal t**d c(1/t), each
+    of degree <= d (Fraction lists)."""
+    shift = [oracles.linear_combination(*((x, unipoly_product(*[[1, 1]] * i))
+                                          for i, x in enumerate(cs))) for cs in comps]
+    double = [[x * 2**i for i, x in enumerate(cs)] for cs in comps]
+    reverse = [trimmed(oracles.padded(cs, d + 1)[::-1]) for cs in comps]
+    return shift, double, reverse
+
+
+def jacobian_reparametrization_suite(seed, draws, run):
+    """`jacobian --form coeff` keeps its rank, tangent_dim and formal when
+    the curve is reparametrized by t -> t + 1, t -> 2t and the reversal
+    t**d c(1/t), which keeps the degree bound d.
+
+    run(problem, curve, *options) is the command's JSON document (the
+    `jacobian_command` fixture).  Curves in P^4 of degree d <= 4, integral
+    or fractional, lie on random hypersurfaces of degree e <= 3: half of
+    them a random form times a linear form that vanishes on the curve, so
+    `formal` reads both ways.
+    """
+    rng = random.Random(seed)
+    formal = set()
+    for draw in range(draws):
+        d, e = rng.randint(1, 4), rng.randint(1, 3)
+        comps, linear = _curve_in_hyperplane(rng, 4, d, draw % 2)
+        if draw % 4 < 2:
+            f = linear * random_homogeneous(rng, 5, e - 1)
+        else:
+            f = random_homogeneous(rng, 5, e)
+        prob = IncidenceProblem(4, d, e, f)
+        keys = set()
+        for cs in (comps, *_reparametrized(comps, d)):
+            doc = run(prob, CurveParam.from_rationals(4, d, cs), "--form", "coeff")
+            keys.add((doc["rank"], doc["tangent_dim"], doc["formal"]))
+        assert len(keys) == 1, (draw, keys)
+        formal |= {key[2] for key in keys}
+    assert formal == {False, True}
     return draws
 
 

@@ -24,7 +24,7 @@ from curvejac.incidence import (
     symmetry_kernel_vectors,
 )
 from curvejac.linalg import IntMatrix, kernel_exact, rank_exact, rank_numeric
-from curvejac.poly import _curve_monomials, monomial_basis, restrict_to_curve
+from curvejac.poly import _curve_monomials, monomial_basis
 
 import oracles
 import propcheck
@@ -41,10 +41,6 @@ def criterion(num, desc):
         print(f"ACCEPTANCE {num}: FAIL - {desc}")
         raise
     print(f"ACCEPTANCE {num}: PASS - {desc}")
-
-
-def on_curve(poly, c0):
-    return oracles.unipolys(restrict_to_curve([[poly]], _curve_monomials(c0.components))[0])[0]
 
 
 def run_cli(argv):
@@ -94,8 +90,8 @@ def test_criterion_3_block_suite(fixture_a):
         prob = oracles.problem(fixture_a)
         grads = restricted_gradient(prob.f, fixture_a.c0)
         rows, _ = jacobian_evaluation_form(prob, fixture_a.c0, A_PAIRS, grads)
-        lc = on_curve(fixture_a.l, fixture_a.c0)
-        pc = on_curve(fixture_a.p, fixture_a.c0)
+        lc = oracles.on_curve(fixture_a.l, fixture_a.c0)
+        pc = oracles.on_curve(fixture_a.p, fixture_a.c0)
         blocks = oracles.split_blocks(
             oracles.evaluation_values(rows, grads, fixture_a.d, A_PAIRS), fixture_a.d)
         closed11 = oracles.a11_closed_form(pc, A_POINTS[:2])
@@ -150,7 +146,7 @@ def test_criterion_5_vandermonde_identity(fixture_a, fixture_b, fixture_b_nonspl
                 assert rank_exact(eval_matrix) == rank_exact(j_coeff)
         # complex path: l restricting to 1 + t^2 forces roots at +-i
         fx = fixture_b_nonsplit
-        pair = restrict_to_curve([[fx.l, fx.p]], _curve_monomials(fx.c0.components))[0]
+        pair = propcheck.common([oracles.on_curve(fx.l, fx.c0), oracles.on_curve(fx.p, fx.c0)])
         roots, field = select_special_points(pair, fx.d)
         assert field == "complex"
         points = roots + _generic_points(*pair[1], 4 * fx.d + 1, 0, 0)
@@ -183,7 +179,7 @@ def test_criterion_7_sampling(fixture_a):
         for draw in range(20):
             g = random_member(basis, 0 * 1_000_003 + draw, mons)
             prob = IncidenceProblem(4, 1, 5, g)
-            assert on_curve(g, fixture_a.c0) == []
+            assert oracles.on_curve(g, fixture_a.c0) == []
             grads = restricted_gradient(prob.f, fixture_a.c0)
             rank = rank_exact(jacobian_coefficient_form(prob, fixture_a.c0, grads))
             assert rank == 6

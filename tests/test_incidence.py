@@ -28,7 +28,7 @@ from curvejac.incidence import (
 )
 from curvejac.linalg import (_PRIMES, IntMatrix, KernelBasis, format_rational, kernel_exact,
                              rank_exact)
-from curvejac.poly import MultiPoly, _curve_monomials, monomial_basis, restrict_to_curve
+from curvejac.poly import MultiPoly, _curve_monomials, monomial_basis
 
 import oracles
 import propcheck
@@ -70,8 +70,10 @@ class TestCoefficientsK:
             n, d, e = rng.choice((2, 3)), rng.choice((1, 2)), rng.choice((1, 2, 3))
             prob = IncidenceProblem(n, d, e, propcheck.random_homogeneous(rng, n + 1, e))
             c = propcheck.random_curve(rng, n, d)
-            (_, lists), = restrict_to_curve([[prob.f]], _curve_monomials(c.components))
-            assert len(lists[0]) <= e * d + 1
+            assert len(oracles.on_curve(prob.f, c)) <= e * d + 1
+            grads = restricted_gradient(prob.f, c)
+            assert all(len(g) <= (e - 1) * d + 1 for g in grads[1])
+            assert jacobian_coefficient_form(prob, c, grads).rows == e * d + 1
 
 
 class TestLiesOn:
@@ -392,7 +394,8 @@ class TestRandomMember:
         basis = quintics_through_curve(fixture_a.c0, monomial_basis(5, 5), table)
         for seed in range(5):
             g = random_member(basis, seed, monomial_basis(5, 5))
-            assert restrict_to_curve([[g]], table) == [(1, [[]])]
+            assert oracles.on_curve(g, fixture_a.c0) == []
+            assert vanishes_on_curve(restricted_gradient(g, fixture_a.c0), fixture_a.c0, 5)
 
     def test_rejects_empty_basis(self):
         with pytest.raises(ValueError):
@@ -428,7 +431,7 @@ class TestRestrictionTable:
         path = Path(__file__).parent / "data" / "curve-d3.json"
         curve = CurveParam.from_obj(json.loads(path.read_text()))
         member = random_member(forms_through(4, 5, curve), 100, monomial_basis(5, 5))
-        exps = {e for m in range(5) for e in member.partial_derivative(m).terms}
+        exps = {e for m in range(5) for e in oracles.partial(member.terms, m)}
         zero = [m for m, (_, xs) in enumerate(curve.components) if not xs]
         # One table serves all partials, all quartics.  It packs each
         # component once at the quartics' slot, builds every power and
@@ -544,9 +547,9 @@ def test_components_keep_their_own_denominators():
     start = time.perf_counter()
     c = CurveParam.from_obj(doc)
     assert membership_checks(c)["all_pass"]
-    z0 = MultiPoly.monomial((1,) + (0,) * 8)
+    half_z0_squared = MultiPoly.monomial((2,) + (0,) * 8, F(1, 2))
     den, xs = c.components[0]
-    assert restrict_to_curve([[z0]], _curve_monomials(c.components)) == [(den, [list(xs)])]
+    assert restricted_gradient(half_z0_squared, c) == (den, [list(xs)] + [[]] * 8)
     assert time.perf_counter() - start < 20
     for (den, xs), cs in zip(c.components, comps, strict=True):
         assert den == math.lcm(*(x.denominator for x in cs))
@@ -671,8 +674,9 @@ def test_reading_integral_coefficients_builds_no_fraction(name, monkeypatch, fix
     monkeypatch.setattr(F, "__new__", spy)
     fix, prob = Fixture.from_obj(doc), IncidenceProblem.from_obj(problem)
     restricted_gradient(prob.f, fix.c0)
-    quintics = [MultiPoly.monomial(e) for e in monomial_basis(5, 5)]
-    restrict_to_curve([quintics], _curve_monomials(fix.c0.components))
+    table = _curve_monomials(fix.c0.components)
+    for e in monomial_basis(5, 5):
+        table(e)
     monkeypatch.undo()
     fractions = [c for comp in doc["c0"]["components"] for c in comp["coeffs"] if "/" in c]
     assert built == []

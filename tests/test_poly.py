@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from curvejac.construction import Fixture
 from curvejac.errors import DimensionError, InputError
 from curvejac.incidence import CurveParam, restricted_gradient
 from curvejac.linalg import _PRIMES
@@ -22,7 +23,6 @@ from curvejac.poly import (
     _squarefree_rational_roots,
     coprime,
     monomial_basis,
-    restrict_to_curve,
     squarefree_roots,
 )
 
@@ -30,11 +30,22 @@ import oracles
 import propcheck
 
 
-def compose_with_curve(f, components):
-    """f(c(t)) as a list of Fractions, for components given as Fraction
-    lists."""
+def gradient(f, components):
+    """The restricted gradient of f, (den, lists), for components given as
+    Fraction lists: one map over f's own terms (`_gradient_map`)."""
     table = _curve_monomials(propcheck.pairs(components))
-    return oracles.unipolys(restrict_to_curve([[f]], table)[0])[0]
+    return _gradient_map(f.num_vars, list(f.terms), table)(f)
+
+
+def compose_with_curve(f, components):
+    """f(c(t)) as a list of Fractions, for a form f of positive degree and
+    components given as Fraction lists, through the restricted gradient:
+    sum_m c_m * (df/dz_m)(c) / deg f (Euler)."""
+    if f.is_zero:
+        return []
+    grads = oracles.unipolys(gradient(f, components))
+    return oracles.linear_combination(*((F(1, f.homogeneous_degree()), oracles.naive_mul(c, g))
+                                        for c, g in zip(components, grads)))
 
 
 def complex_roots(p, digits=_LABEL_DIGITS):
@@ -94,12 +105,16 @@ class TestRingOps:
 
 
 class TestPartialDerivative:
+    # the partials as the restricted gradient reads them: on a curve, each
+    # entry is the partial taken term by term and composed naively
     def test_simple(self):
         f = MultiPoly.monomial((3, 0, 1, 0, 0))
-        assert f.partial_derivative(0) == MultiPoly(5, {(2, 0, 1, 0, 0): 3})
+        comps = [[1, 1], [2], [0, 3], [5], [1, 0, 1]]
+        assert gradient(f, comps) == (1, [[0, 9, 18, 9], [], [1, 3, 3, 1], [], []])
 
     def test_constant_direction(self):
-        assert MultiPoly.monomial((0, 0, 0, 0, 1)).partial_derivative(0).is_zero
+        assert gradient(MultiPoly.monomial((0, 0, 0, 0, 1)), [[1, 1]] * 5) == (
+            1, [[], [], [], [], [1]])
 
     def test_fixture_quartic_gradient(self, fixture_a):
         q = fixture_a.q
@@ -109,15 +124,21 @@ class TestPartialDerivative:
             MultiPoly(5, {(3, 0, 0, 0, 0): 1, (0, 0, 3, 0, 0): 4}),
             MultiPoly(5, {(0, 3, 0, 0, 0): 1, (0, 0, 0, 3, 0): 4}),
         ]
-        for m in range(4):
-            assert q.partial_derivative(m) == expected[m]
+        rng = random.Random(8)
+        for _ in range(5):
+            c = propcheck.random_curve(rng, 4, 2)
+            grads = oracles.unipolys(restricted_gradient(q, c))
+            assert grads == [oracles.on_curve(g, c) for g in expected] + [[]]
+            assert grads == oracles.gradient_on_curve(q, c)
 
     def test_homogeneous_degree_drops(self):
+        # each restricted partial of a form of degree 3 on a curve of degree
+        # d has degree at most 2d
         rng = random.Random(9)
         for _ in range(10):
             f = propcheck.random_homogeneous(rng, 3, 3)
-            g = f.partial_derivative(rng.randrange(3))
-            assert g.is_zero or g.homogeneous_degree() == 2
+            c = propcheck.random_curve(rng, 2, 2)
+            assert all(len(g) <= 2 * 2 + 1 for g in restricted_gradient(f, c)[1])
 
 
 class TestComposeWithCurve:
@@ -140,11 +161,12 @@ class TestComposeWithCurve:
             want = oracles.naive_compose(oracles.coefficients(f), comps)
             assert got == want
 
-    def test_restrict_to_curve_equals_fraction_sums(self):
-        # restrict_to_curve sums integers over each group's common
-        # denominator; the plain Fraction sum is the reference, for groups of
-        # forms of mixed denominators (a zero form and a bare monomial among
-        # them) sharing one table, on curves with a zero component
+    def test_gradient_map_equals_fraction_sums(self):
+        # grad sums integers over the lcm of its columns' and its form's
+        # denominators; the plain Fraction sums of the naive partials are the
+        # reference, for forms of mixed denominators (a zero form and a bare
+        # monomial among them) over one map of their monomials and one
+        # table, on curves with a zero component
         rng = random.Random(14)
         for _ in range(20):
             comps = [propcheck.trimmed(F(rng.randint(-9, 9), rng.choice([1, 2, 3, 10**6]))
@@ -153,61 +175,60 @@ class TestComposeWithCurve:
             forms = [propcheck.scaled_form(propcheck.random_homogeneous(rng, 3, rng.randint(1, 3)),
                                            F(1, rng.randint(1, 10**9))) for _ in range(4)]
             forms += [MultiPoly(3, {}), MultiPoly.monomial((1, 1, 0))]
-            rng.shuffle(forms)
-            cut = rng.randint(0, len(forms))
-            groups = [forms[:cut], forms[cut:], [forms[0]]]
             table = _curve_monomials(propcheck.pairs(comps))
-            pairs = restrict_to_curve(iter(map(iter, groups)), table)
-            assert len(pairs) == 3
-            for group, pair in zip(groups, pairs):
-                want = [oracles.naive_compose(oracles.coefficients(f), comps) for f in group]
-                assert oracles.unipolys(pair) == want
+            grad = _gradient_map(3, list(dict.fromkeys(e for f in forms for e in f.terms)), table)
+            curve = CurveParam.from_rationals(2, 3, comps)
+            for f in forms:
+                assert oracles.unipolys(grad(f)) == oracles.gradient_on_curve(f, curve)
 
     def test_restriction_denominator_is_least(self):
-        # den has no factor in common with every entry of the group, and a
-        # group that restricts to zero, or has no form, has den 1
+        # den has no factor in common with every entry of the gradient, the
+        # lists are ints without trailing zeros, and a gradient that
+        # restricts to zero, or of a zero form, has den 1
         rng = random.Random(15)
         line = propcheck.pairs(line_components())
         for _ in range(20):
-            comps = propcheck.pairs([propcheck.random_unipoly(rng, 3) for _ in range(3)])
-            group = [propcheck.scaled_form(propcheck.random_homogeneous(rng, 3, 2),
-                                           F(rng.randint(1, 50), rng.randint(1, 10**6)))
-                     for _ in range(rng.randint(1, 3))]
-            (den, lists), = restrict_to_curve([group], _curve_monomials(comps))
+            comps = [propcheck.random_unipoly(rng, 3) for _ in range(3)]
+            f = propcheck.scaled_form(propcheck.random_homogeneous(rng, 3, 2),
+                                      F(rng.randint(1, 50), rng.randint(1, 10**6)))
+            den, lists = gradient(f, comps)
             assert den > 0 and math.gcd(den, *(x for xs in lists for x in xs)) == 1
             assert all(type(x) is int for xs in lists for x in xs)
             assert all(xs[-1] for xs in lists if xs)
-        z4 = MultiPoly.monomial((0, 0, 0, 0, 1), F(1, 7))
-        z3z4 = MultiPoly.monomial((0, 0, 0, 1, 1), F(5, 3))
-        assert restrict_to_curve([[z4, z3z4], [], [MultiPoly(5, {})]], _curve_monomials(line)) == [
-            (1, [[], []]), (1, []), (1, [[]])]
+        z3z4 = MultiPoly(5, {(0, 0, 0, 1, 1): F(5, 3), (0, 0, 0, 0, 2): F(1, 7)})
+        grad = _gradient_map(5, list(z3z4.terms), _curve_monomials(line))
+        assert grad(z3z4) == grad(MultiPoly(5, {})) == (1, [[]] * 5)
 
     def test_groups_keep_their_own_denominators(self):
-        # one draw's matrix never grows with another's: each group's pair is
-        # what restricting that group alone gives, although they share a table
+        # one draw's matrix never grows with another's: each form's pair is
+        # what its own map gives, although they share one map and one table
         rng = random.Random(16)
         for _ in range(10):
             comps = propcheck.pairs([propcheck.random_unipoly(rng, 2) for _ in range(3)])
-            small = [propcheck.random_homogeneous(rng, 3, 2) for _ in range(2)]
-            big = [propcheck.scaled_form(f, F(1, 10**40 + 3)) for f in small]
-            together = restrict_to_curve([small, big], _curve_monomials(comps))
-            assert together == [restrict_to_curve([g], _curve_monomials(comps))[0]
-                                for g in (small, big)]
+            small = propcheck.random_homogeneous(rng, 3, 2)
+            big = propcheck.scaled_form(small, F(1, 10**40 + 3))
+            grad = _gradient_map(3, monomial_basis(3, 2), _curve_monomials(comps))
+            together = [grad(small), grad(big)]
+            assert together == [_gradient_map(3, list(f.terms), _curve_monomials(comps))(f)
+                                for f in (small, big)]
             assert together[1][0] % together[0][0] == 0
             assert together[1][0] > together[0][0]
             assert together[0][1] == together[1][1]
 
     def test_restriction_builds_no_fraction(self, monkeypatch, fixture_b):
         def refuse(*args, **kwargs):
-            raise AssertionError("restrict_to_curve built a Fraction")
+            raise AssertionError("the restriction built a Fraction")
 
-        forms = [fixture_b.l, fixture_b.p, *(fixture_b.q.partial_derivative(m) for m in range(5)),
+        forms = [fixture_b.l, fixture_b.p, fixture_b.q,
                  propcheck.scaled_form(fixture_b.p, F(-3, 7))]
-        table = _curve_monomials(fixture_b.c0.components)
-        want = restrict_to_curve([forms, forms[:2]], table)
+        mons = list(dict.fromkeys(e for f in forms for e in f.terms))
+        want = [_gradient_map(5, mons, _curve_monomials(fixture_b.c0.components))(f)
+                for f in forms]
+        args = (fixture_b.name, fixture_b.q, fixture_b.l, fixture_b.p, fixture_b.c0, fixture_b.d)
         monkeypatch.setattr(F, "__new__", refuse)
-        again = _curve_monomials(fixture_b.c0.components)
-        assert restrict_to_curve([forms, forms[:2]], again) == want
+        grad = _gradient_map(5, mons, _curve_monomials(fixture_b.c0.components))
+        assert [grad(f) for f in forms] == want
+        assert Fixture(*args).restricted == fixture_b.restricted
 
     def test_a_zero_component_restricts_its_monomials_to_zero_at_once(self, monkeypatch):
         # on A's line (1, t, 0, 0, 0) 120 of the 126 quintics have a positive
@@ -226,8 +247,7 @@ class TestComposeWithCurve:
         assert len(zero) == 120 and all(table(e) == (1, []) for e in zero)
         assert products == []
         f = MultiPoly(5, {(5, 0, 0, 0, 0): 3, (0, 0, 5, 0, 0): F(1, 3), (1, 0, 0, 0, 4): F(2, 7)})
-        assert restrict_to_curve([[f], [f.partial_derivative(4)]], table) == [
-            (1, [[3]]), (1, [[]])]
+        assert _gradient_map(5, list(f.terms), table)(f) == (1, [[15], [], [], [], []])
 
     def test_linearity_in_f(self):
         rng = random.Random(21)
@@ -322,10 +342,11 @@ class TestCurveTable:
         assert bound_hits >= 8
 
     def test_gradient_map_is_the_partials_restricted(self):
-        # grad(f) is the pair restrict_to_curve gives f's partials: forms
-        # with den > 1, over the whole monomial basis (one map for two forms)
-        # or over their own terms, and sparse forms in 9 variables, on curves
-        # with and without a zero component; restricted_gradient agrees
+        # grad(f) is f's partials, taken term by term and composed naively,
+        # over their least common denominator: forms with den > 1, over the
+        # whole monomial basis (one map for two forms) or over their own
+        # terms, and sparse forms in 9 variables, on curves with and without
+        # a zero component; restricted_gradient agrees
         rng = random.Random(33)
         fractional = 0
         for draw in range(40):
@@ -335,22 +356,32 @@ class TestCurveTable:
             if draw % 3 == 0:
                 comps[rng.randrange(nvars)] = []
             table = _curve_monomials(propcheck.pairs(comps))
+            curve = CurveParam.from_rationals(nvars - 1, 3, comps)
             forms = [propcheck.scaled_form(
                 propcheck.random_homogeneous(rng, nvars, degree, 4 if nvars == 9 else 12),
                 F(rng.randint(1, 50), rng.randint(2, 10**6))) for _ in range(2)]
             grad = _gradient_map(nvars, monomial_basis(nvars, degree), table)
             for f in forms:
-                partials = [f.partial_derivative(m) for m in range(nvars)]
-                want = restrict_to_curve([partials], table)[0]
-                assert grad(f) == want == _gradient_map(nvars, list(f.terms), table)(f)
+                want = grad(f)
+                assert oracles.unipolys(want) == oracles.gradient_on_curve(f, curve)
+                assert want[0] == math.lcm(*(x.denominator for xs in oracles.unipolys(want)
+                                             for x in xs))
+                assert want == _gradient_map(nvars, list(f.terms), table)(f)
                 fractional += f.den > 1
                 if draw < 4:
-                    curve = CurveParam.from_rationals(nvars - 1, 3, comps)
                     assert restricted_gradient(f, curve) == want
         assert fractional >= 70
         constant = MultiPoly(3, {(0, 0, 0): F(5, 3)})
         table = _curve_monomials(propcheck.pairs(line_components()[:3]))
         assert _gradient_map(3, [(0, 0, 0)], table)(constant) == (1, [[], [], []])
+
+    def test_rejects_a_form_in_other_variables(self, fixture_a):
+        # a monomial of the wrong length raises DimensionError from the
+        # curve's table, whether the form has more variables or fewer
+        for nvars in (4, 6):
+            f = MultiPoly.monomial((2,) + (0,) * (nvars - 1))
+            with pytest.raises(DimensionError):
+                restricted_gradient(f, fixture_a.c0)
 
 
 class TestGcd:
@@ -642,7 +673,6 @@ class TestSerialization:
         # the constructor takes ints and Fractions, over their least den
         f = MultiPoly(2, {(1, 0): 3, (0, 1): F(1, 2), (1, 1): 0, (2, 0): F(4, 2), (0, 2): F(3, 4)})
         assert (f.den, f.terms) == (4, {(1, 0): 12, (0, 1): 2, (2, 0): 8, (0, 2): 3})
-        assert oracles.coefficients(f.partial_derivative(1)) == {(0, 0): F(1, 2), (0, 1): F(3, 2)}
 
     def test_terms_sorted_leading_first(self):
         f = MultiPoly(3, {(0, 0, 2): 1, (2, 0, 0): 1, (1, 1, 0): 1})

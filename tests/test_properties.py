@@ -104,3 +104,12 @@ def test_int_mul_180_draws():
 
 def test_root_labels_306_draws():
     assert propcheck.root_labels_suite(seed=2035, draws=306) == 306
+
+
+def test_fixture_restriction_60_draws():
+    assert propcheck.fixture_restriction_suite(seed=2047, draws=60) == 60
+
+
+def test_jacobian_reparametrization_40_draws(jacobian_command):
+    assert propcheck.jacobian_reparametrization_suite(seed=2048, draws=40,
+                                                      run=jacobian_command) == 40
